@@ -409,47 +409,46 @@ class RationalMatrix:
         n = self.dim
         aug = [list(r) + [Fraction(i == j) for j in range(n)]
                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return RationalMatrix([row[n:] for row in aug])
+        red, pivots = rref(aug, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return RationalMatrix([row[n:] for row in red])
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the kernel, via reduced row echelon form."""
         n = self.dim
-        m = [list(r) for r in self.rows]
-        pivots = []
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(n):
-                if r != row and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-        free = [c for c in range(n) if c not in pivots]
+        red, pivots = rref(self.rows, n)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(n) if c not in pivots):
             v = [Fraction(0)] * n
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+                v[pc] = -red[r][fc]
             basis.append(tuple(v))
         return basis
+
+
+def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination: the reduced row echelon form of rows and
+    its pivot columns.  Only the first ncols columns are eligible as
+    pivots; any further columns are carried along, as in an augmented
+    matrix."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def det(m: RationalMatrix) -> Fraction:

@@ -95,8 +95,8 @@ class DegenerateFixedSet(ZetafixError):
 
 
 class ZetaUndefined(ZetafixError):
-    """The Reidemeister zeta function is undefined (some R(f^n) infinite)
-    or its definedness could not be decided within the scan bound."""
+    """The Reidemeister zeta function is undefined: some R(f^n) is
+    infinite."""
 
     def __init__(self, message: str, witness_n: int | None = None,
                  witness_label: str | None = None, status: str = "undefined"):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import RationalMatrix, det
+from .algebra import RationalMatrix, det, rref
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
@@ -31,19 +31,6 @@ def default_degree_bound(spec: ManifoldSpec) -> int:
     return spec.order * 2 ** spec.dimension
 
 
-class _Powers:
-    """Iteratively extended powers of a fixed matrix."""
-
-    def __init__(self, m: RationalMatrix):
-        self._m = m
-        self._p = [RationalMatrix.identity(m.dim)]
-
-    def get(self, n: int) -> RationalMatrix:
-        while len(self._p) <= n:
-            self._p.append(self._p[-1] @ self._m)
-        return self._p[n]
-
-
 def _average(values, order: int, err) -> int:
     s = sum(values, Fraction(0)) / order
     if s.denominator != 1:
@@ -51,26 +38,40 @@ def _average(values, order: int, err) -> int:
     return int(s)
 
 
-def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
-    """L(f^n) = (1/|Phi|) sum_A det(I - A D^n)."""
-    ensure_compatible(spec, mapping)
-    if n < 1:
-        raise ValueError("iterate must be >= 1")
+def _lefschetz_at(spec: ManifoldSpec, dn: RationalMatrix) -> int:
     ident = RationalMatrix.identity(spec.dimension)
-    dn = mapping.linear.power(n)
     return _average((det(ident - a @ dn) for _, a in spec.holonomy),
                     spec.order, NonIntegralLefschetz)
 
 
-def nielsen(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
-    """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|."""
+def _nielsen_at(spec: ManifoldSpec, dn: RationalMatrix) -> int:
+    ident = RationalMatrix.identity(spec.dimension)
+    return _average((abs(det(ident - a @ dn)) for _, a in spec.holonomy),
+                    spec.order, NonIntegralNielsen)
+
+
+def _reidemeister_at(spec: ManifoldSpec, dn: RationalMatrix):
+    dets = [det(a - dn) for _, a in spec.holonomy]
+    if any(v == 0 for v in dets):
+        return math.inf
+    return _average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
+
+
+def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int) -> RationalMatrix:
     ensure_compatible(spec, mapping)
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    ident = RationalMatrix.identity(spec.dimension)
-    dn = mapping.linear.power(n)
-    return _average((abs(det(ident - a @ dn)) for _, a in spec.holonomy),
-                    spec.order, NonIntegralNielsen)
+    return mapping.linear.power(n)
+
+
+def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
+    """L(f^n) = (1/|Phi|) sum_A det(I - A D^n)."""
+    return _lefschetz_at(spec, _iterate(spec, mapping, n))
+
+
+def nielsen(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
+    """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|."""
+    return _nielsen_at(spec, _iterate(spec, mapping, n))
 
 
 def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
@@ -80,14 +81,7 @@ def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
     the two agree because inversion permutes the holonomy, which makes
     agreement with the Nielsen number a genuine cross-check.
     """
-    ensure_compatible(spec, mapping)
-    if n < 1:
-        raise ValueError("iterate must be >= 1")
-    dn = mapping.linear.power(n)
-    dets = [det(a - dn) for _, a in spec.holonomy]
-    if any(v == 0 for v in dets):
-        return math.inf
-    return _average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
+    return _reidemeister_at(spec, _iterate(spec, mapping, n))
 
 
 def lefschetz_plus(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -122,55 +116,37 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 # --------------------------------------------------------------------------
 
 
-def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
-                       degree_bound: int | None = None) -> SequenceOracle:
+def _sequence(kind: str, at, spec: ManifoldSpec, mapping: AffineMapSpec,
+              degree_bound: int | None) -> SequenceOracle:
+    """The oracle n -> at(spec, D^n), with D^n built incrementally."""
     ensure_compatible(spec, mapping)
-    powers = _Powers(mapping.linear)
-    ident = RationalMatrix.identity(spec.dimension)
-    mats = [a for _, a in spec.holonomy]
+    powers = [RationalMatrix.identity(spec.dimension)]
 
-    def fn(n: int) -> int:
-        dn = powers.get(n)
-        return _average((det(ident - a @ dn) for a in mats),
-                        spec.order, NonIntegralLefschetz)
+    def fn(n: int):
+        while len(powers) <= n:
+            powers.append(powers[-1] @ mapping.linear)
+        return at(spec, powers[n])
 
     bound = default_degree_bound(spec) if degree_bound is None else degree_bound
-    return SequenceOracle(fn, bound, name=f"lefschetz:{spec.name}:{mapping.label}")
+    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}")
+
+
+def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
+                       degree_bound: int | None = None) -> SequenceOracle:
+    return _sequence("lefschetz", _lefschetz_at, spec, mapping, degree_bound)
 
 
 def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
                      degree_bound: int | None = None) -> SequenceOracle:
-    ensure_compatible(spec, mapping)
-    powers = _Powers(mapping.linear)
-    ident = RationalMatrix.identity(spec.dimension)
-    mats = [a for _, a in spec.holonomy]
-
-    def fn(n: int) -> int:
-        dn = powers.get(n)
-        return _average((abs(det(ident - a @ dn)) for a in mats),
-                        spec.order, NonIntegralNielsen)
-
-    bound = default_degree_bound(spec) if degree_bound is None else degree_bound
-    return SequenceOracle(fn, bound, name=f"nielsen:{spec.name}:{mapping.label}")
+    return _sequence("nielsen", _nielsen_at, spec, mapping, degree_bound)
 
 
 def reidemeister_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
                           degree_bound: int | None = None) -> SequenceOracle:
     """Values may be math.inf; zeta construction must check definedness
     before consuming this."""
-    ensure_compatible(spec, mapping)
-    powers = _Powers(mapping.linear)
-    mats = [a for _, a in spec.holonomy]
-
-    def fn(n: int):
-        dn = powers.get(n)
-        dets = [det(a - dn) for a in mats]
-        if any(v == 0 for v in dets):
-            return math.inf
-        return _average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
-
-    bound = default_degree_bound(spec) if degree_bound is None else degree_bound
-    return SequenceOracle(fn, bound, name=f"reidemeister:{spec.name}:{mapping.label}")
+    return _sequence("reidemeister", _reidemeister_at, spec, mapping,
+                     degree_bound)
 
 
 # --------------------------------------------------------------------------
@@ -217,18 +193,25 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
-    """Isotypic decomposition of a cyclic holonomy representation:
-    trivial part (dimension m_triv), sign part (k_tau), and rotation
-    pairs with the listed angles in (0, pi).  basis_change columns are
-    ordered trivial, sign, rotations; in that basis the generator is
-    blockdiag(I, -I, R(theta_1), ...)."""
+    """Isotypic decomposition of a cyclic holonomy representation under
+    a generator A, as exact column bases: the trivial part ker(A - I),
+    the sign part ker(A + I) and the rotation part im(A^2 - I), whose
+    rotation pairs have the listed angles in (0, pi)."""
 
     generator_label: str
     order: int
-    m_triv: int
-    k_tau: int
+    trivial: tuple[tuple[Fraction, ...], ...]
+    sign: tuple[tuple[Fraction, ...], ...]
+    rotation: tuple[tuple[Fraction, ...], ...]
     rotation_angles: tuple[float, ...]
-    basis_change: np.ndarray
+
+    @property
+    def m_triv(self) -> int:
+        return len(self.trivial)
+
+    @property
+    def k_tau(self) -> int:
+        return len(self.sign)
 
 
 def _element_order(m: RationalMatrix, cap: int) -> int | None:
@@ -255,64 +238,25 @@ def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
         raise NotCyclic(f"holonomy of {spec.name!r} has no generator")
     a0 = spec.matrix(gen_label)
     ident = RationalMatrix.identity(spec.dimension)
-    triv = (a0 - ident).nullspace()
-    tau = (a0 + ident).nullspace()
-    m_triv, k_tau = len(triv), len(tau)
-
-    cols = [[float(x) for x in v] for v in triv] + [[float(x) for x in v] for v in tau]
-    angles = []
-    w, vecs = np.linalg.eig(a0.to_float())
-    order = spec.order
-    pairs = [(math.atan2(w[i].imag, w[i].real), i) for i in range(len(w))
-             if w[i].imag > 1e-9]
-    pairs.sort(key=lambda p: (round(p[0], 9), p[1]))
-    for theta, i in pairs:
-        k_int = round(theta * order / (2 * math.pi))
-        angles.append(2 * math.pi * k_int / order)
-        v = vecs[:, i]
-        cols.append(list(np.real(v)))
-        cols.append(list(np.imag(v)))
-    basis = np.array(cols, dtype=float).T
-    if basis.shape != (spec.dimension, spec.dimension):
+    triv = tuple((a0 - ident).nullspace())
+    tau = tuple((a0 + ident).nullspace())
+    rot = tuple(_column_space(a0 @ a0 - ident))
+    filled = len(triv) + len(tau) + len(rot)
+    if filled != spec.dimension:
         raise NotCyclic(
             f"decomposition of {gen_label!r} does not fill the space "
-            f"(got {basis.shape[1]} columns for dimension {spec.dimension})")
-    # confirm the claimed block form
-    conj = np.linalg.solve(basis, a0.to_float() @ basis)
-    expected = np.zeros_like(conj)
-    expected[:m_triv, :m_triv] = np.eye(m_triv)
-    expected[m_triv:m_triv + k_tau, m_triv:m_triv + k_tau] = -np.eye(k_tau)
-    off = m_triv + k_tau
-    for theta in angles:
-        c, s = math.cos(theta), math.sin(theta)
-        expected[off:off + 2, off:off + 2] = [[c, s], [-s, c]]
-        off += 2
-    if not np.allclose(conj, expected, atol=1e-8):
-        raise ArithmeticError("generator does not reduce to rotation form")
-    return CyclicDecomposition(gen_label, order, m_triv, k_tau,
-                               tuple(angles), basis)
+            f"(got {filled} columns for dimension {spec.dimension})")
+    order = spec.order
+    thetas = sorted(math.atan2(w.imag, w.real)
+                    for w in np.linalg.eigvals(a0.to_float()) if w.imag > 1e-9)
+    angles = tuple(2 * math.pi * round(t * order / (2 * math.pi)) / order
+                   for t in thetas)
+    return CyclicDecomposition(gen_label, order, triv, tau, rot, angles)
 
 
 def _column_space(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    rows = [list(r) for r in m.rows]
-    n = m.dim
-    work = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    cols = list(zip(*rows))
+    _, pivots = rref(m.rows, m.dim)
+    cols = list(zip(*m.rows))
     return [tuple(cols[c]) for c in pivots]
 
 
@@ -347,16 +291,9 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     ensure_compatible(spec, map_g)
     dec = cyclic_decomposition(spec)
     a0 = spec.matrix(dec.generator_label)
-    ident = RationalMatrix.identity(spec.dimension)
-    triv = (a0 - ident).nullspace()
-    tau = (a0 + ident).nullspace()
-    rot = _column_space(a0 @ a0 - ident)
-    cols = list(triv) + list(tau) + list(rot)
-    if len(cols) != spec.dimension:
-        raise NotBlockCompatible("isotypic pieces do not fill the space")
-    basis = RationalMatrix(list(zip(*cols)))
+    basis = RationalMatrix(list(zip(*(dec.trivial + dec.sign + dec.rotation))))
     binv = basis.inverse()
-    mt, kt = len(triv), len(tau)
+    mt, kt = dec.m_triv, dec.k_tau
 
     def _piece(i: int) -> int:
         if i < mt:

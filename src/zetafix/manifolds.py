@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import (RationalMatrix, as_rational, char_poly,
                       classify_eigenvalues, has_root_of_unity_eigenvalue,
-                      spectral_isolation)
+                      max_root_of_unity_order, spectral_isolation)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
@@ -271,9 +271,7 @@ class ZetaDefinedness:
     """Outcome of the Reidemeister-zeta definedness scan.
 
     status is 'defined' (no root-of-unity eigenvalue, so every R(f^n) is
-    finite), 'undefined' (witness iterate and holonomy label recorded),
-    or 'unknown' (root-of-unity eigenvalue present but no vanishing
-    determinant found within the scan bound).
+    finite) or 'undefined' (witness iterate and holonomy label recorded).
     """
 
     status: str
@@ -281,14 +279,16 @@ class ZetaDefinedness:
     witness_label: str | None = None
 
 
-def reidemeister_zeta_defined(spec: ManifoldSpec, mapping: AffineMapSpec,
-                              n_max: int = 64) -> ZetaDefinedness:
+def reidemeister_zeta_defined(spec: ManifoldSpec,
+                              mapping: AffineMapSpec) -> ZetaDefinedness:
     """Decide definedness of the Reidemeister zeta function.
 
     Without root-of-unity eigenvalues all R(f^n) are finite: defined.
-    Otherwise scan n <= n_max for det(I - A D^n) = 0 (exactly); the
-    first hit is an undefined witness, and exhausting the scan returns
-    unknown rather than guessing.
+    Otherwise the first n with det(I - A D^n) = 0 (exactly) is the
+    undefined witness.  Scanning n <= max_root_of_unity_order(dim)
+    always finds one: a primitive k-th root of unity among the
+    eigenvalues has phi(k) <= dim and makes det(I - D^k) vanish, and
+    the identity is in the holonomy.
     """
     ensure_compatible(spec, mapping)
     if not has_root_of_unity_eigenvalue(mapping.linear):
@@ -296,9 +296,9 @@ def reidemeister_zeta_defined(spec: ManifoldSpec, mapping: AffineMapSpec,
     from .algebra import det as exact_det
     ident = RationalMatrix.identity(spec.dimension)
     power = ident
-    for n in range(1, n_max + 1):
+    for n in range(1, max_root_of_unity_order(spec.dimension) + 1):
         power = power @ mapping.linear
         for l, a in spec.holonomy:
             if exact_det(ident - a @ power) == 0:
                 return ZetaDefinedness("undefined", witness_n=n, witness_label=l)
-    return ZetaDefinedness("unknown")
+    raise NotAGroup("holonomy does not contain the identity")

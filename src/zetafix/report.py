@@ -14,18 +14,16 @@ import warnings
 from fractions import Fraction
 
 from .algebra import char_poly, det, has_root_of_unity_eigenvalue
-from .congruences import check_dold_lefschetz, check_euler, check_gauss
-from .errors import NotBlockCompatible, NotConstantRatio, NotCyclic
-from .invariants import (coincidence_numbers, coincidence_trichotomy,
-                         lefschetz, lefschetz_sequence, nielsen,
-                         nielsen_sequence, reidemeister, reidemeister_sequence)
-from .manifolds import (is_virtually_unipotent, reidemeister_zeta_defined,
-                        validate_spec)
+from .congruences import check_euler, check_gauss
+from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
+                     ZetaUndefined)
+from .invariants import coincidence_numbers, coincidence_trichotomy
+from .manifolds import is_virtually_unipotent, validate_spec
 from .ratfunc import radius_of_convergence
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
-                    lefschetz_zeta, nielsen_zeta, radius_report,
-                    verify_functional_equation)
+                    map_context, nielsen_zeta, radius_report,
+                    reidemeister_zeta, verify_functional_equation)
 
 CONGRUENCE_N_MAX = 30
 
@@ -72,22 +70,22 @@ def congruence_entries(spec, mapping, n_max: int = CONGRUENCE_N_MAX) -> list:
     """The standard congruence battery for one map: Dold on the
     Lefschetz sequence, Gauss on Nielsen and Reidemeister (infinite
     iterates skipped), Euler at p = 2, 3 on Lefschetz."""
+    # the sequences do not depend on the tolerance
+    return _congruence_battery(map_context(spec, mapping, 1e-10), n_max)
+
+
+def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
     return [
-        _congruence_entry(
-            check_dold_lefschetz(spec, mapping, n_max),
-            "lefschetz", n_max=n_max),
-        _congruence_entry(
-            check_gauss(nielsen_sequence(spec, mapping), n_max),
-            "nielsen", n_max=n_max),
-        _congruence_entry(
-            check_gauss(reidemeister_sequence(spec, mapping), n_max),
-            "reidemeister", n_max=n_max),
-        _congruence_entry(
-            check_euler(lefschetz_sequence(spec, mapping), 2, 3),
-            "lefschetz", p=2, r_max=3),
-        _congruence_entry(
-            check_euler(lefschetz_sequence(spec, mapping), 3, 2),
-            "lefschetz", p=3, r_max=2),
+        _congruence_entry(check_gauss(ctx.l_seq, n_max, kind="Dold"),
+                          "lefschetz", n_max=n_max),
+        _congruence_entry(check_gauss(ctx.n_seq, n_max),
+                          "nielsen", n_max=n_max),
+        _congruence_entry(check_gauss(ctx.r_seq, n_max),
+                          "reidemeister", n_max=n_max),
+        _congruence_entry(check_euler(ctx.l_seq, 2, 3),
+                          "lefschetz", p=2, r_max=3),
+        _congruence_entry(check_euler(ctx.l_seq, 3, 2),
+                          "lefschetz", p=3, r_max=2),
     ]
 
 
@@ -119,36 +117,26 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     n_max = opts.n_max
     doc: dict = {}
 
-    ls = [lefschetz(spec, mapping, n) for n in range(1, n_max + 1)]
-    ns = [nielsen(spec, mapping, n) for n in range(1, n_max + 1)]
-    rs = [reidemeister(spec, mapping, n) for n in range(1, n_max + 1)]
+    ctx = map_context(spec, mapping, opts.tolerance)
+    rows = [[seq(n) for n in range(1, n_max + 1)]
+            for seq in (ctx.l_seq, ctx.n_seq, ctx.r_seq)]
     doc["numbers"] = {
         "n_max": n_max,
-        "lefschetz": [_num(v) for v in ls],
-        "nielsen": [_num(v) for v in ns],
-        "reidemeister": [_num(v) for v in rs],
+        "lefschetz": [_num(v) for v in rows[0]],
+        "nielsen": [_num(v) for v in rows[1]],
+        "reidemeister": [_num(v) for v in rows[2]],
     }
 
-    lz = lefschetz_zeta(spec, mapping)
+    lz = ctx.l_zeta
     nz = nielsen_zeta(spec, mapping, tol=opts.tolerance)
     az = artin_mazur_zeta(spec, mapping, tol=opts.tolerance)
     zetas = [_zeta_entry(lz), _zeta_entry(nz)]
-    definedness = reidemeister_zeta_defined(spec, mapping)
-    if definedness.status == "defined":
-        rz_entry = _zeta_entry(nz)
-        rz_entry["which"] = "Reidemeister"
-        zetas.append(rz_entry)
-    elif definedness.status == "undefined":
-        zetas.append({
-            "which": "Reidemeister", "defined": False,
-            "reason": (f"R(f^{definedness.witness_n}) is infinite "
-                       f"(holonomy element {definedness.witness_label!r})"),
-        })
-    else:
-        zetas.append({
-            "which": "Reidemeister", "defined": False,
-            "reason": "definedness not certified within the scan bound",
-        })
+    try:
+        zetas.append(_zeta_entry(
+            reidemeister_zeta(spec, mapping, tol=opts.tolerance)))
+    except ZetaUndefined as e:
+        zetas.append({"which": "Reidemeister", "defined": False,
+                      "reason": str(e)})
     zetas.append(_zeta_entry(az))
     doc["zetas"] = zetas
 
@@ -178,10 +166,11 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     doc["asymptotics"] = asymptotics_entry(spec, mapping, nz,
                                            tol=opts.tolerance)
 
-    doc["congruences"] = congruence_entries(spec, mapping)
+    doc["congruences"] = _congruence_battery(ctx)
 
     root_of_unity = has_root_of_unity_eigenvalue(mapping.linear)
     unipotent = is_virtually_unipotent(spec, mapping)
+    definedness = ctx.definedness
     if definedness.status == "defined":
         rz_text = "defined"
         if abs(d) == 1:
@@ -190,7 +179,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
                     "infra-nilmanifold")
         else:
             note = "every iterate has a finite Reidemeister number"
-    elif definedness.status == "undefined":
+    else:
         rz_text = (f"undefined: R(f^{definedness.witness_n}) is infinite "
                    f"(holonomy element {definedness.witness_label!r})")
         note = "Reidemeister zeta undefined"
@@ -198,9 +187,6 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
             note += ("; a root-of-unity eigenvalue of the linear part is "
                      "present, which forces infinite Reidemeister numbers "
                      "along a subsequence")
-    else:
-        rz_text = "unknown: not certified within the scan bound"
-        note = "definedness of the Reidemeister zeta is undecided"
     doc["diagnostics"] = {
         "reidemeister_zeta": rz_text,
         "root_of_unity_eigenvalue": root_of_unity,

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .algebra import char_poly, classify_eigenvalues, det
 from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
                      RadiusMismatch, ZetaUndefined)
 from .invariants import (lefschetz_sequence, nielsen_sequence,
                          reidemeister_sequence)
-from .manifolds import (AffineMapSpec, ManifoldSpec, compute_plus_split,
+from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
+                        ZetaDefinedness, compute_plus_split,
                         plus_subgroup_spec, reidemeister_zeta_defined)
 from .ratfunc import (RationalFunction, radius_of_convergence,
                       substitute_reciprocal_scale, zeta_from_terms)
@@ -47,10 +49,67 @@ class ZetaResult:
     defined: bool = True
 
 
+class MapContext:
+    """Everything computed for one (spec, map, tolerance): the L, N and R
+    sequences (each caching its terms and the powers of D), the plus
+    split, the Reidemeister definedness, and the Lefschetz and Nielsen
+    zetas.  Obtain it from map_context, so that every caller asking
+    about the same problem shares one instance."""
+
+    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec, tol: float):
+        self.spec, self.mapping, self.tol = spec, mapping, tol
+        self.l_seq = lefschetz_sequence(spec, mapping)
+        self.n_seq = nielsen_sequence(spec, mapping)
+        self.r_seq = reidemeister_sequence(spec, mapping)
+
+    @cached_property
+    def split(self) -> PlusSplit:
+        return compute_plus_split(self.spec, self.mapping, tol=self.tol)
+
+    @cached_property
+    def definedness(self) -> ZetaDefinedness:
+        return reidemeister_zeta_defined(self.spec, self.mapping)
+
+    @cached_property
+    def l_zeta(self) -> ZetaResult:
+        return ZetaResult("Lefschetz", zeta_from_terms(self.l_seq),
+                          Construction("direct"))
+
+    @cached_property
+    def n_zeta(self) -> ZetaResult:
+        split = self.split
+        direct = zeta_from_terms(self.n_seq)
+        scale = (-1) ** split.n
+        expo = (-1) ** (split.p + split.n)
+        lf = self.l_zeta.function
+        if split.is_proper:
+            lplus = zeta_from_terms(lefschetz_sequence(
+                plus_subgroup_spec(self.spec, split), self.mapping))
+            base = lplus.compose_scale(scale) / lf.compose_scale(scale)
+            case = "plus-proper"
+        else:
+            base = lf.compose_scale(scale)
+            case = "plus-equal"
+        closed = base if expo == 1 else base.inverse()
+        if closed != direct:
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {closed} differs from direct "
+                f"reconstruction {direct}")
+        return ZetaResult("Nielsen", closed,
+                          Construction("sign-formula", case, split.p, split.n))
+
+
+@lru_cache(maxsize=1)
+def map_context(spec: ManifoldSpec, mapping: AffineMapSpec,
+                tol: float) -> MapContext:
+    """The shared context of one problem.  Only the most recent one is
+    kept, so a context never outlives the next problem asked about."""
+    return MapContext(spec, mapping, tol)
+
+
 def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """L_f(z) = exp(sum L(f^n) z^n / n), reconstructed exactly."""
-    fn = zeta_from_terms(lefschetz_sequence(spec, mapping))
-    return ZetaResult("Lefschetz", fn, Construction("direct"))
+    return map_context(spec, mapping, 1e-10).l_zeta
 
 
 def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -59,54 +118,30 @@ def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
     (or the quotient with the plus-cover Lefschetz zeta when the plus
     subgroup is proper), cross-checked exactly against direct
     reconstruction from the Nielsen sequence."""
-    split = compute_plus_split(spec, mapping, tol=tol)
-    direct = zeta_from_terms(nielsen_sequence(spec, mapping))
-    scale = (-1) ** split.n
-    expo = (-1) ** (split.p + split.n)
-    lf = zeta_from_terms(lefschetz_sequence(spec, mapping))
-    if split.is_proper:
-        lplus = zeta_from_terms(
-            lefschetz_sequence(plus_subgroup_spec(spec, split), mapping))
-        base = lplus.compose_scale(scale) / lf.compose_scale(scale)
-        case = "plus-proper"
-    else:
-        base = lf.compose_scale(scale)
-        case = "plus-equal"
-    closed = base if expo == 1 else base.inverse()
-    if closed != direct:
-        raise NielsenFormulaMismatch(
-            f"sign-formula zeta {closed} differs from direct "
-            f"reconstruction {direct}")
-    return ZetaResult("Nielsen", closed,
-                      Construction("sign-formula", case, split.p, split.n))
+    return map_context(spec, mapping, tol).n_zeta
 
 
 def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
-                      n_max: int = 64, tol: float = 1e-10) -> ZetaResult:
+                      tol: float = 1e-10) -> ZetaResult:
     """R_f(z), which equals N_f(z) whenever all R(f^n) are finite.
-    Raises ZetaUndefined (with a witness iterate when one was found)
-    if definedness fails or cannot be certified."""
-    d = reidemeister_zeta_defined(spec, mapping, n_max=n_max)
+    Raises ZetaUndefined, with a witness iterate, when some R(f^n) is
+    infinite."""
+    ctx = map_context(spec, mapping, tol)
+    d = ctx.definedness
     if d.status == "undefined":
         raise ZetaUndefined(
             f"R(f^{d.witness_n}) is infinite (holonomy element "
             f"{d.witness_label!r})",
             witness_n=d.witness_n, witness_label=d.witness_label,
             status="undefined")
-    if d.status == "unknown":
-        raise ZetaUndefined(
-            f"definedness not certified up to n = {n_max} and a "
-            f"root-of-unity eigenvalue is present", status="unknown")
-    nz = nielsen_zeta(spec, mapping, tol=tol)
-    return ZetaResult("Reidemeister", nz.function, nz.construction)
+    return replace(ctx.n_zeta, which="Reidemeister")
 
 
 def artin_mazur_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
                      tol: float = 1e-10) -> ZetaResult:
     """Periodic-point zeta; every fixed point class of an iterate is
     essential and isolated here, so it coincides with the Nielsen zeta."""
-    nz = nielsen_zeta(spec, mapping, tol=tol)
-    return ZetaResult("ArtinMazur", nz.function, nz.construction)
+    return replace(map_context(spec, mapping, tol).n_zeta, which="ArtinMazur")
 
 
 @dataclass(frozen=True)
@@ -134,7 +169,7 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     d = det(mapping.linear)
     if d == 0:
         raise ValueError("degree of the map is zero")
-    split = compute_plus_split(spec, mapping, tol=tol)
+    split = map_context(spec, mapping, tol).split
     case = "plus-proper" if split.is_proper else "plus-equal"
     m = spec.dimension
     q = substitute_reciprocal_scale(zeta.function, d) / zeta.function ** ((-1) ** m)

@@ -3,10 +3,12 @@
 import pytest
 
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
-                     NonInvariantSubspace, builtin_fixtures, compute_plus_split,
+                     NonInvariantSubspace, Polynomial, RationalMatrix,
+                     builtin_fixtures, char_poly, compute_plus_split,
                      ensure_compatible, is_virtually_unipotent, klein_type,
-                     load_fixture, plus_subgroup_spec,
-                     reidemeister_zeta_defined, sol_r_sequence, validate_spec)
+                     load_fixture, max_root_of_unity_order,
+                     plus_subgroup_spec, reidemeister_zeta_defined,
+                     sol_r_sequence, validate_spec)
 
 
 def _spec(dim, holonomy, name="m"):
@@ -185,12 +187,45 @@ class TestZetaDefinedness:
         d = reidemeister_zeta_defined(quarter.spec, quarter.mapping)
         assert (d.status, d.witness_n, d.witness_label) == ("undefined", 1, "R3")
 
-    def test_unknown_when_scan_bound_too_small(self):
+    def test_default_scan_finds_rotation_witnesses(self):
         spec = _spec(2, [("I", [[1, 0], [0, 1]])])
-        rot = AffineMapSpec.make("f", [[0, -1], [1, 0]])
-        assert reidemeister_zeta_defined(spec, rot, n_max=2).status == "unknown"
-        d = reidemeister_zeta_defined(spec, rot, n_max=4)
-        assert (d.status, d.witness_n) == ("undefined", 4)
+        for d, n in (([[0, -1], [1, 0]], 4), ([[1, -1], [1, 0]], 6)):
+            got = reidemeister_zeta_defined(spec, AffineMapSpec.make("f", d))
+            assert (got.status, got.witness_n, got.witness_label) == \
+                ("undefined", n, "I")
+
+    def test_scan_without_identity_is_not_a_group(self):
+        # -1 is an eigenvalue of D, but no element A of this (invalid)
+        # holonomy makes det(I - A D^n) vanish
+        spec = _spec(2, [("R", [[0, -1], [1, 0]])])
+        minus = AffineMapSpec.make("f", [[-1, 0], [0, -1]])
+        with pytest.raises(NotAGroup):
+            reidemeister_zeta_defined(spec, minus)
+
+    def test_scan_reaches_the_largest_root_of_unity_order(self):
+        # The companion matrix of the 66th cyclotomic polynomial (degree
+        # 20) has only primitive 66th roots of unity as eigenvalues, so
+        # det(I - D^n) first vanishes at n = 66 = max_root_of_unity_order(20).
+        cyclo = {}
+        for k in (1, 2, 3, 6, 11, 22, 33, 66):
+            q = Polynomial([-1] + [0] * (k - 1) + [1])
+            for j, c in cyclo.items():
+                if k % j == 0:
+                    q = q.exact_div(c)
+            cyclo[k] = q
+        phi = cyclo[66]
+        assert phi.degree == 20 and max_root_of_unity_order(20) == 66
+        rows = [[0] * 20 for _ in range(20)]
+        for i in range(1, 20):
+            rows[i][i - 1] = 1
+        for i in range(20):
+            rows[i][19] = -phi.coeffs[i]
+        d = RationalMatrix(rows)
+        assert char_poly(d) == phi
+        spec = _spec(20, [("I", RationalMatrix.identity(20))])
+        got = reidemeister_zeta_defined(spec, AffineMapSpec.make("f", d))
+        assert (got.status, got.witness_n, got.witness_label) == \
+            ("undefined", 66, "I")
 
 
 class TestFixtureCatalog:

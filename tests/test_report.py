@@ -2,9 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+import zetafix.zetas
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
                      asymptotics_entry, build_report, congruence_entries,
                      load_fixture, nielsen_zeta, parse_spec_data, render_human,
@@ -43,6 +45,36 @@ class TestStructure:
         a = json.dumps(build_report(ex3))
         b = json.dumps(build_report(load_fixture("heisenberg_ex3")))
         assert a == b
+
+
+class TestSharedContext:
+    COUNTED = ("zeta_from_terms", "lefschetz_sequence", "nielsen_sequence",
+               "reidemeister_sequence")
+
+    @pytest.mark.parametrize("name, reconstructions, sequences", [
+        ("heisenberg_ex3", 3, 4),     # L, N, L+ (plus-proper split)
+        ("torus_cat_map", 2, 3),      # L, N
+    ])
+    def test_each_sequence_and_zeta_built_once(self, monkeypatch, name,
+                                               reconstructions, sequences):
+        calls = dict.fromkeys(self.COUNTED, 0)
+        modules = [m for k, m in sys.modules.items()
+                   if k.startswith("zetafix") and m is not None]
+        for fn_name in self.COUNTED:
+            orig = getattr(zetafix.zetas, fn_name)
+
+            def counted(*args, _name=fn_name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+        zetafix.zetas.map_context.cache_clear()
+        build_report(load_fixture(name))
+        assert calls["zeta_from_terms"] == reconstructions
+        assert sum(calls[k] for k in self.COUNTED[1:]) == sequences
 
 
 class TestNumbersSection:

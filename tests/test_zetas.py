@@ -95,13 +95,13 @@ class TestReidemeisterZeta:
         with pytest.raises(ZetaUndefined):
             reidemeister_zeta(identity_torus.spec, identity_torus.mapping)
 
-    def test_unknown_status(self):
+    def test_rotation_witnesses_on_default_scan(self):
         spec = ManifoldSpec.make("t2", 2, [("I", [[1, 0], [0, 1]])])
-        rot = AffineMapSpec.make("f", [[0, -1], [1, 0]])
-        with pytest.raises(ZetaUndefined) as e:
-            reidemeister_zeta(spec, rot, n_max=2)
-        assert e.value.status == "unknown"
-        assert e.value.witness_n is None
+        for d, n in (([[0, -1], [1, 0]], 4), ([[1, -1], [1, 0]], 6)):
+            with pytest.raises(ZetaUndefined) as e:
+                reidemeister_zeta(spec, AffineMapSpec.make("f", d))
+            assert e.value.status == "undefined"
+            assert (e.value.witness_n, e.value.witness_label) == (n, "I")
 
     def test_independent_sequence_reconstruction(self, ex3, cat):
         # rebuild R_f from its own sequence (the det(A - D^n) route)
