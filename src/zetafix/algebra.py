@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -457,32 +459,44 @@ def det(m: RationalMatrix) -> Fraction:
     Rows are scaled to integers first so every intermediate value stays
     an exact integer; the scaling is divided back out at the end.
     """
-    n = m.dim
-    if n == 0:
-        return Fraction(1)
     scale = 1
     a = []
     for row in m.rows:
         l = math.lcm(*(x.denominator for x in row))
         scale *= l
         a.append([int(x * l) for x in row])
+    return Fraction(_bareiss_det(a), scale)
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every intermediate value is an exact integer.  The
+    rows of a are overwritten."""
+    n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if piv is None:
-                return Fraction(0)
+                return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        top = a[k]
+        pivot = top[k]
+        tail = top[k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
+@lru_cache(maxsize=8)
 def char_poly(m: RationalMatrix) -> Polynomial:
     """Monic characteristic polynomial det(zI - M), exactly
     (Faddeev-LeVerrier recursion)."""
@@ -515,6 +529,84 @@ def exterior_power(m: RationalMatrix, i: int) -> RationalMatrix:
             out_row.append(det(sub))
         out.append(out_row)
     return RationalMatrix(out)
+
+
+# --------------------------------------------------------------------------
+# integer kernel of the averaging formulas
+# --------------------------------------------------------------------------
+
+
+def _integer_form(mats) -> tuple[list[list[list[int]]], int]:
+    """Integer matrices M_int and one common denominator s with
+    M = M_int / s for every M in mats."""
+    s = math.lcm(1, *(x.denominator for m in mats for row in m.rows for x in row))
+    return [[[x.numerator * (s // x.denominator) for x in row] for row in m.rows]
+            for m in mats], s
+
+
+def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
+
+
+def _scaled_det(u: int, x, v: int, y) -> int:
+    """Integer determinant of u*x - v*y."""
+    return _bareiss_det([[u * a - v * b for a, b in zip(rx, ry)]
+                        for rx, ry in zip(x, y)])
+
+
+class _ScaledPowers:
+    """n -> (M_int^n, q^n) for M = M_int / q; each new iterate costs one
+    integer matrix product."""
+
+    def __init__(self, m: RationalMatrix):
+        (self._base,), self._q = _integer_form([m])
+        self._powers = [[[int(i == j) for j in range(m.dim)] for i in range(m.dim)]]
+
+    def __call__(self, n: int) -> tuple[list[list[int]], int]:
+        while len(self._powers) <= n:
+            self._powers.append(_int_matmul(self._powers[-1], self._base))
+        return self._powers[n], self._q ** n
+
+
+class AveragingKernel:
+    """The determinants that the averaging formulas take over a holonomy
+    group, for the iterates of one linear part D, in integer arithmetic.
+
+    Every holonomy element A is converted once to A_int / s, with one
+    common s, and D once to D_int / q; D^n is kept as (D_int^n, q^n).
+    Each determinant is the integer Bareiss determinant of the matrix
+    scaled to integers, and is returned as a numerator over a
+    denominator that all holonomy elements share, so that averages can
+    be taken exactly.  With a target E, the fixed-point determinants
+    det(I - A D^n) become the coincidence ones det(E^n - A D^n).
+    """
+
+    def __init__(self, holonomy, linear: RationalMatrix,
+                 target: RationalMatrix | None = None):
+        self._dim = linear.dim
+        self._hol, self._s = _integer_form(holonomy)
+        self._d = _ScaledPowers(linear)
+        self._e = None if target is None else _ScaledPowers(target)
+        ident, _ = self._d(0)
+        self._skip = [a == ident for a in self._hol]    # A_int P is P
+
+    def fixed_point_dets(self, n: int) -> tuple[list[int], int]:
+        """Numerators of det(E^n - A D^n), E = I unless a target was
+        given, one per holonomy element, and their common denominator."""
+        p, qn = self._d(n)
+        e, rn = self._d(0) if self._e is None else self._e(n)   # I = I_int / 1
+        c = self._s * qn             # A D^n = A_int P / c
+        dets = [_scaled_det(c, e, rn, p if skip else _int_matmul(a, p))
+                for a, skip in zip(self._hol, self._skip)]
+        return dets, (rn * c) ** self._dim
+
+    def shifted_dets(self, n: int) -> tuple[list[int], int]:
+        """Numerators of det(A - D^n), one per holonomy element, and
+        their common denominator (s q^n)^dim."""
+        p, qn = self._d(n)
+        return ([_scaled_det(qn, a, self._s, p) for a in self._hol],
+                (self._s * qn) ** self._dim)
 
 
 # --------------------------------------------------------------------------
@@ -577,6 +669,7 @@ def classify_eigenvalues(m: RationalMatrix, tol: float = 1e-10) -> EigenClassifi
     return _classify(m, tol)[0]
 
 
+@lru_cache(maxsize=8)
 def _classify(m: RationalMatrix, tol: float):
     if not 0 < tol < 1:
         raise ValueError("tolerance must be in (0, 1)")

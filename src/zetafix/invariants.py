@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import RationalMatrix, det, rref
+from .algebra import AveragingKernel, RationalMatrix, det, rref
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
@@ -26,52 +26,69 @@ from .ratfunc import SequenceOracle
 
 
 def default_degree_bound(spec: ManifoldSpec) -> int:
-    """Geometric-term budget for zeta reconstruction: every holonomy
-    element contributes at most 2^dim signed eigenvalue products."""
-    return spec.order * 2 ** spec.dimension
+    """Degree budget for zeta reconstruction: 2^dim, whatever |Phi| is.
+
+    For a linear part D compatible with the holonomy, the averaged
+    exterior powers P_i = (1/|Phi|) sum_A Lambda^i A commute with
+    Lambda^i D, and L_f(z) = prod_i det(I - z P_i Lambda^i D)^((-1)^(i+1)).
+    Its numerator and denominator therefore have degree at most
+    sum over odd (or even) i of C(dim, i) = 2^(dim-1); by the sign
+    formula the same holds for N_f.  So the recurrence order of the
+    zeta's series is at most 2^dim: averaging over Phi cannot raise it.
+    """
+    return 2 ** spec.dimension
 
 
-def _average(values, order: int, err) -> int:
-    s = sum(values, Fraction(0)) / order
+def _average(dets, den: int, err) -> int:
+    """Exact average of the values dets[k] / den, one per holonomy
+    element."""
+    s = Fraction(sum(dets), den * len(dets))
     if s.denominator != 1:
         raise err(f"holonomy average {s} is not an integer")
-    return int(s)
+    return s.numerator
 
 
-def _lefschetz_at(spec: ManifoldSpec, dn: RationalMatrix) -> int:
-    ident = RationalMatrix.identity(spec.dimension)
-    return _average((det(ident - a @ dn) for _, a in spec.holonomy),
-                    spec.order, NonIntegralLefschetz)
+def _kernel(spec: ManifoldSpec, mapping: AffineMapSpec,
+            target: AffineMapSpec | None = None) -> AveragingKernel:
+    ensure_compatible(spec, mapping)
+    if target is not None:
+        ensure_compatible(spec, target)
+    return AveragingKernel([a for _, a in spec.holonomy], mapping.linear,
+                           None if target is None else target.linear)
 
 
-def _nielsen_at(spec: ManifoldSpec, dn: RationalMatrix) -> int:
-    ident = RationalMatrix.identity(spec.dimension)
-    return _average((abs(det(ident - a @ dn)) for _, a in spec.holonomy),
-                    spec.order, NonIntegralNielsen)
+def _lefschetz_at(kernel: AveragingKernel, n: int) -> int:
+    dets, den = kernel.fixed_point_dets(n)
+    return _average(dets, den, NonIntegralLefschetz)
 
 
-def _reidemeister_at(spec: ManifoldSpec, dn: RationalMatrix):
-    dets = [det(a - dn) for _, a in spec.holonomy]
+def _nielsen_at(kernel: AveragingKernel, n: int) -> int:
+    dets, den = kernel.fixed_point_dets(n)
+    return _average([abs(v) for v in dets], den, NonIntegralNielsen)
+
+
+def _reidemeister_at(kernel: AveragingKernel, n: int):
+    dets, den = kernel.shifted_dets(n)
     if any(v == 0 for v in dets):
         return math.inf
-    return _average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
+    return _average([abs(v) for v in dets], den, NonIntegralNielsen)
 
 
-def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int) -> RationalMatrix:
-    ensure_compatible(spec, mapping)
+def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int) -> AveragingKernel:
+    kernel = _kernel(spec, mapping)
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    return mapping.linear.power(n)
+    return kernel
 
 
 def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
     """L(f^n) = (1/|Phi|) sum_A det(I - A D^n)."""
-    return _lefschetz_at(spec, _iterate(spec, mapping, n))
+    return _lefschetz_at(_iterate(spec, mapping, n), n)
 
 
 def nielsen(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
     """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|."""
-    return _nielsen_at(spec, _iterate(spec, mapping, n))
+    return _nielsen_at(_iterate(spec, mapping, n), n)
 
 
 def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
@@ -81,7 +98,7 @@ def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
     the two agree because inversion permutes the holonomy, which makes
     agreement with the Nielsen number a genuine cross-check.
     """
-    return _reidemeister_at(spec, _iterate(spec, mapping, n))
+    return _reidemeister_at(_iterate(spec, mapping, n), n)
 
 
 def lefschetz_plus(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -118,17 +135,12 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 
 def _sequence(kind: str, at, spec: ManifoldSpec, mapping: AffineMapSpec,
               degree_bound: int | None) -> SequenceOracle:
-    """The oracle n -> at(spec, D^n), with D^n built incrementally."""
-    ensure_compatible(spec, mapping)
-    powers = [RationalMatrix.identity(spec.dimension)]
-
-    def fn(n: int):
-        while len(powers) <= n:
-            powers.append(powers[-1] @ mapping.linear)
-        return at(spec, powers[n])
-
+    """The oracle n -> at(kernel, n) over one kernel, whose powers of D
+    grow by one integer product per iterate."""
+    kernel = _kernel(spec, mapping)
     bound = default_degree_bound(spec) if degree_bound is None else degree_bound
-    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}")
+    return SequenceOracle(lambda n: at(kernel, n), bound,
+                          name=f"{kind}:{spec.name}:{mapping.label}")
 
 
 def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -169,20 +181,18 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
                         map_g: AffineMapSpec, n: int = 1) -> CoincidenceNumbers:
     """Averaged coincidence invariants of the iterate pair (f^n, g^n):
     determinants det(E^n - A D^n) over the holonomy."""
-    ensure_compatible(spec, map_f)
-    ensure_compatible(spec, map_g)
+    kernel = _kernel(spec, map_f, map_g)
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    dn = map_f.linear.power(n)
-    en = map_g.linear.power(n)
-    dets = [det(en - a @ dn) for _, a in spec.holonomy]
-    lef = _average(dets, spec.order, NonIntegralLefschetz)
-    nie = (_average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
+    dets, den = kernel.fixed_point_dets(n)
+    lef = _average(dets, den, NonIntegralLefschetz)
+    mags = [abs(v) for v in dets]
+    nie = (_average(mags, den, NonIntegralNielsen)
            if spec.orientable else None)
     if any(v == 0 for v in dets):
         rei = math.inf
     else:
-        rei = _average((abs(v) for v in dets), spec.order, NonIntegralNielsen)
+        rei = _average(mags, den, NonIntegralNielsen)
     return CoincidenceNumbers(lef, nie, rei)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (RationalMatrix, as_rational, char_poly,
+from .algebra import (AveragingKernel, RationalMatrix, as_rational, char_poly,
                       classify_eigenvalues, has_root_of_unity_eigenvalue,
                       max_root_of_unity_order, spectral_isolation)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
@@ -293,12 +293,10 @@ def reidemeister_zeta_defined(spec: ManifoldSpec,
     ensure_compatible(spec, mapping)
     if not has_root_of_unity_eigenvalue(mapping.linear):
         return ZetaDefinedness("defined")
-    from .algebra import det as exact_det
-    ident = RationalMatrix.identity(spec.dimension)
-    power = ident
+    kernel = AveragingKernel([a for _, a in spec.holonomy], mapping.linear)
     for n in range(1, max_root_of_unity_order(spec.dimension) + 1):
-        power = power @ mapping.linear
-        for l, a in spec.holonomy:
-            if exact_det(ident - a @ power) == 0:
+        dets, _ = kernel.fixed_point_dets(n)
+        for (l, _), v in zip(spec.holonomy, dets):
+            if v == 0:
                 return ZetaDefinedness("undefined", witness_n=n, witness_label=l)
     raise NotAGroup("holonomy does not contain the identity")

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, as_rational, poly_gcd
+from .algebra import (Polynomial, as_rational, poly_gcd,
+                      squarefree_decomposition)
 from .errors import InsufficientTerms, NotRational, PoleAtPoint
 
 
@@ -291,8 +292,10 @@ def radius_of_convergence(rf: RationalFunction) -> float:
     """Distance from 0 to the nearest pole; inf for polynomials."""
     if rf.den.degree <= 0:
         return math.inf
-    roots = np.roots(rf.den.float_coeffs_desc())
-    return float(min(abs(r) for r in roots))
+    # A root of multiplicity k moves by about eps^(1/k) under np.roots,
+    # so take the roots of each squarefree factor instead.
+    return float(min(abs(r) for s, _ in squarefree_decomposition(rf.den)
+                     for r in np.roots(s.float_coeffs_desc())))
 
 
 def substitute_reciprocal_scale(rf: RationalFunction, d) -> RationalFunction:

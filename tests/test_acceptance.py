@@ -15,7 +15,7 @@ from zetafix import (AffineMapSpec, ManifoldSpec, Polynomial, RationalFunction,
                      RationalMatrix, SequenceOracle, ZetaUndefined,
                      asymptotic_nielsen, build_report, char_poly, check_gauss,
                      check_dold_lefschetz, coincidence_trichotomy,
-                     compute_plus_split, default_degree_bound, det,
+                     compute_plus_split, det,
                      entropy_lower_bound, exterior_power, klein_type,
                      lefschetz, lefschetz_sequence, lefschetz_zeta,
                      load_fixture, nielsen, nielsen_from_lefschetz,
@@ -285,13 +285,13 @@ def test_criterion_10_property_suite():
         assert zeta_from_terms(seq) == f
 
     # every emitted zeta agrees with the exponential of its own
-    # sequence through 3B + 4 terms
+    # sequence through 3 |Phi| 2^dim + 4 terms, well past the 3B + 4
+    # that reconstruction itself checks with B = 2^dim
     zeta_checks = 0
     for name in FIXED_POINT_NAMES:
         fx = load_fixture(name)
         spec, mapping = fx.spec, fx.mapping
-        b = default_degree_bound(spec)
-        top = 3 * b + 4
+        top = 3 * spec.order * 2 ** spec.dimension + 4
         emitted = [(lefschetz_zeta(spec, mapping),
                     lefschetz_sequence(spec, mapping)),
                    (nielsen_zeta(spec, mapping),

@@ -12,15 +12,27 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NotBlockCompatible, NotCyclic, RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
-                     default_degree_bound, klein_type, lefschetz,
-                     lefschetz_plus, lefschetz_sequence, nielsen,
-                     nielsen_from_lefschetz, nielsen_sequence, reidemeister,
-                     reidemeister_sequence, torus_periodic_points)
+                     default_degree_bound, det, klein_type, lefschetz,
+                     lefschetz_plus, lefschetz_sequence, load_fixture,
+                     nielsen, nielsen_from_lefschetz, nielsen_sequence,
+                     reidemeister, reidemeister_sequence,
+                     torus_periodic_points)
 from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
 
 
 def _map(rows, label="f"):
     return AffineMapSpec.make(label, rows)
+
+
+def _fraction_numbers(spec, d, n, e=None):
+    """L, N, R of the n-th iterate (coincidence L, N, R with a second
+    linear part e) by the averaging formulas in Fraction arithmetic."""
+    dn = d.power(n)
+    target = RationalMatrix.identity(spec.dimension) if e is None else e.power(n)
+    fixed = [det(target - a @ dn) for _, a in spec.holonomy]
+    dets = fixed if e is not None else [det(a - dn) for _, a in spec.holonomy]
+    r = math.inf if 0 in dets else sum(map(abs, dets)) / spec.order
+    return sum(fixed) / spec.order, sum(map(abs, fixed)) / spec.order, r
 
 
 class TestKleinBottleNumbers:
@@ -63,10 +75,30 @@ class TestArgumentChecks:
         with pytest.raises(NonIntegralNielsen):
             nielsen(spec, half)
 
+    def test_non_integral_average_message(self):
+        # det(I - D) = 2 and det(I - A D) = -5 average to -3/2;
+        # det(A - D) = 5 makes the Reidemeister average 7/2
+        spec = ManifoldSpec.make("swap", 2, [("I", [[1, 0], [0, 1]]),
+                                             ("A", [[0, 1], [1, 0]])])
+        d = _map([[2, 0], [0, 3]])
+        with pytest.raises(NonIntegralLefschetz) as err:
+            lefschetz(spec, d)
+        assert str(err.value) == "holonomy average -3/2 is not an integer"
+        with pytest.raises(NonIntegralNielsen) as err:
+            nielsen(spec, d)
+        assert str(err.value) == "holonomy average 7/2 is not an integer"
+        with pytest.raises(NonIntegralNielsen) as err:
+            reidemeister(spec, d)
+        assert str(err.value) == "holonomy average 7/2 is not an integer"
+        with pytest.raises(NonIntegralLefschetz) as err:
+            lefschetz(ManifoldSpec.make("frac", 1, [("I", [[1]])]),
+                      _map([["1/2"]]))
+        assert str(err.value) == "holonomy average 1/2 is not an integer"
+
     def test_default_degree_bound(self, ex1, ex3, quarter):
-        assert default_degree_bound(ex1.spec) == 8
-        assert default_degree_bound(ex3.spec) == 16
-        assert default_degree_bound(quarter.spec) == 16
+        assert default_degree_bound(ex1.spec) == 4
+        assert default_degree_bound(ex3.spec) == 8
+        assert default_degree_bound(quarter.spec) == 4
 
 
 class TestSignFormula:
@@ -126,13 +158,59 @@ class TestSequences:
     def test_names_and_bounds(self, ex1):
         ls = lefschetz_sequence(ex1.spec, ex1.mapping)
         assert ls.name == "lefschetz:klein_bottle_ex1:f"
-        assert ls.degree_bound == 8
+        assert ls.degree_bound == 4
         assert nielsen_sequence(ex1.spec, ex1.mapping, degree_bound=3).degree_bound == 3
 
     def test_reidemeister_sequence_hits_infinity(self, ex1):
         rs = reidemeister_sequence(ex1.spec, ex1.mapping)
         assert rs(2) == math.inf
         assert rs(3) == 16
+
+
+class TestIntegerKernel:
+    """The integer kernel on rational input, which no shipped example
+    reaches: conjugating the holonomy and D = S M S^-1 by a rational S
+    changes no determinant of the averaging formulas."""
+
+    S = {2: [["1/2", "1/3"], ["2/5", 3]],
+         3: [["1/2", "1/3", 0], [0, "2/5", 1], ["1/7", 0, 3]]}
+
+    def _conjugator(self, dim):
+        s = RationalMatrix(self.S[dim])
+        s_inv = s.inverse()
+        return lambda m: s @ m @ s_inv
+
+    def _conjugate(self, fx):
+        conj = self._conjugator(fx.spec.dimension)
+        spec = ManifoldSpec(fx.spec.name, fx.spec.dimension,
+                            tuple((l, conj(a)) for l, a in fx.spec.holonomy))
+        return spec, AffineMapSpec.make(fx.mapping.label, conj(fx.mapping.linear))
+
+    @pytest.mark.parametrize("name", ["klein_bottle_ex1", "heisenberg_ex3",
+                                      "quarter_rotation"])
+    def test_conjugated_sequences_equal_the_original(self, name):
+        fx = load_fixture(name)
+        spec, mapping = self._conjugate(fx)
+        assert not mapping.linear.is_integral()
+        for make in (lefschetz_sequence, nielsen_sequence, reidemeister_sequence):
+            ref, seq = make(fx.spec, fx.mapping), make(spec, mapping)
+            assert [seq(n) for n in range(1, 13)] == [ref(n) for n in range(1, 13)]
+        for n in range(1, 7):
+            got = (lefschetz(spec, mapping, n), nielsen(spec, mapping, n),
+                   reidemeister(spec, mapping, n))
+            assert got == _fraction_numbers(spec, mapping.linear, n)
+
+    def test_conjugated_coincidences_equal_the_original(self, ex3):
+        spec, f = self._conjugate(ex3)
+        conj = self._conjugator(3)
+        g_linear = ex3.mapping.linear.power(2)
+        g = AffineMapSpec.make("g", conj(g_linear))
+        for n in range(1, 5):
+            got = coincidence_numbers(spec, f, g, n)
+            assert got == coincidence_numbers(ex3.spec, ex3.mapping,
+                                              _map(g_linear, "g"), n)
+            assert (got.lefschetz, got.nielsen, got.reidemeister) == \
+                _fraction_numbers(spec, f.linear, n, g.linear)
 
 
 class TestKleinTypeFamily:

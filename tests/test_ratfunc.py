@@ -196,6 +196,26 @@ class TestAnalytic:
         golden = (3 - math.sqrt(5)) / 2
         assert radius_of_convergence(two_poles) == pytest.approx(golden)
 
+    def test_radius_with_repeated_poles(self):
+        # The degree-32 Nielsen zeta denominator of
+        # D = diag(-3, 2, -2, -3, -3, -2): (1 - lam z)^mult.  np.roots on
+        # the whole polynomial put the simple nearest pole 1/216 off by
+        # about 3e-6 relative, because of the sixfold poles around it.
+        poles = ((216, 1), (54, 1), (-54, 2), (36, 6), (-36, 3), (24, 3),
+                 (-9, 3), (6, 3), (-6, 6), (4, 2), (-4, 1), (-1, 1))
+        den = Polynomial.one()
+        for lam, mult in poles:
+            for _ in range(mult):
+                den = den * Polynomial([1, -lam])
+        assert den.degree == 32
+        r = radius_of_convergence(RationalFunction([1], den))
+        assert abs(r * 216 - 1) < 1e-12
+        # a fivefold nearest pole
+        den = Polynomial([1, 3])
+        for _ in range(5):
+            den = den * Polynomial([1, -4])
+        assert abs(radius_of_convergence(RationalFunction([1], den)) - 0.25) < 1e-12
+
     def test_substitute_reciprocal_scale(self):
         f = RationalFunction([1, 1], [1, -1])
         # f(1/(2z)) = (2z+1)/(2z-1)
