@@ -394,9 +394,6 @@ class RationalMatrix:
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.dim))
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
     @property
     def is_identity(self) -> bool:
         return self == RationalMatrix.identity(self.dim)

@@ -21,15 +21,16 @@ from .errors import (InvalidSpecFile, NielsenFormulaMismatch, NotConstantRatio,
                      RadiusMismatch, TrichotomyMismatch, ZetaUndefined,
                      ZetafixError)
 from .fixtures import SequenceFixture, builtin_fixtures
-from .invariants import coincidence_numbers, lefschetz, nielsen, reidemeister
+# unused here, but bench/test_bench.py checks that zetafix.cli binds it
+from .invariants import lefschetz  # noqa: F401
 from .manifolds import validate_spec
 from .ratfunc import zeta_from_terms
-from .report import (_coincidence_sections, _num, _zeta_entry,
-                     asymptotics_entry, build_report, congruence_entries,
-                     render_human)
+from .report import (_coincidence_numbers_entry, _coincidence_sections, _num,
+                     _numbers_entry, _zeta_entry, asymptotics_entry,
+                     build_report, congruence_entries, render_human)
 from .specio import ParsedSpec, parse_spec_file
-from .zetas import (artin_mazur_zeta, lefschetz_zeta, nielsen_zeta,
-                    reidemeister_zeta)
+from .zetas import (artin_mazur_zeta, lefschetz_zeta, map_context,
+                    nielsen_zeta, reidemeister_zeta)
 
 _WHICH_NAMES = {"L": "Lefschetz", "N": "Nielsen", "R": "Reidemeister",
                 "AM": "ArtinMazur"}
@@ -95,30 +96,23 @@ def _cmd_numbers(target, args) -> int:
               + ", ".join(str(v) for v in vals), args.format)
         return 0
     n_max = args.max_n or target.options.n_max
-    spec, mapping = target.spec, target.mapping
+    spec = target.spec
     if target.is_coincidence:
-        table = [coincidence_numbers(spec, mapping, target.mapping2, n)
-                 for n in range(1, n_max + 1)]
-        ls = [c.lefschetz for c in table]
-        ns = (["not defined"] if not spec.orientable
-              else [c.nielsen for c in table])
-        rs = [_num(c.reidemeister) for c in table]
-        title = f"{spec.name}, pair (f, g), n = 1..{n_max}"
+        num = _coincidence_numbers_entry(target, n_max)
     else:
-        ls = [lefschetz(spec, mapping, n) for n in range(1, n_max + 1)]
-        ns = [nielsen(spec, mapping, n) for n in range(1, n_max + 1)]
-        rs = [_num(reidemeister(spec, mapping, n)) for n in range(1, n_max + 1)]
-        title = f"{spec.name}, n = 1..{n_max}"
-    payload = {"name": spec.name, "n_max": n_max,
-               "lefschetz": ls, "nielsen": ns, "reidemeister": rs}
-    human = "\n".join([
-        title,
-        "L: " + ", ".join(str(v) for v in ls),
-        "N: " + ", ".join(str(v) for v in ns),
-        "R: " + ", ".join(str(v) for v in rs),
-    ])
-    _emit(payload, human, args.format)
+        ctx = map_context(spec, target.mapping, target.options.tolerance)
+        num = _numbers_entry(ctx, n_max)
+    _emit({"name": spec.name, **num},
+          "\n".join(_numbers_lines(spec.name, num, target.is_coincidence)),
+          args.format)
     return 0
+
+
+def _numbers_lines(name: str, num: dict, pair: bool) -> list[str]:
+    """A numbers table as text: a title, then the L, N and R rows."""
+    return [f"{name}, {'pair (f, g), ' if pair else ''}n = 1..{num['n_max']}"] + [
+        f"{key[0].upper()}: " + ", ".join(str(v) for v in num[key])
+        for key in ("lefschetz", "nielsen", "reidemeister")]
 
 
 def _cmd_zeta(target, args) -> int:
@@ -199,10 +193,7 @@ def _cmd_coincidence(target, args) -> int:
                           "holonomy_order": target.spec.order}}
     doc.update(_coincidence_sections(target))
     num = doc["coincidence_numbers"]
-    lines = [f"{target.spec.name}, pair (f, g), n = 1..{num['n_max']}",
-             "L: " + ", ".join(str(v) for v in num["lefschetz"]),
-             "N: " + ", ".join(str(v) for v in num["nielsen"]),
-             "R: " + ", ".join(str(v) for v in num["reidemeister"])]
+    lines = _numbers_lines(target.spec.name, num, pair=True)
     tri = doc["trichotomy"]
     if "skipped" in tri:
         lines.append(f"trichotomy: skipped ({tri['skipped']})")

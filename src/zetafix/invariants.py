@@ -21,7 +21,7 @@ from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        ensure_compatible, plus_subgroup_spec)
+                        ensure_compatible, plus_subgroup_spec, validate_spec)
 from .ratfunc import SequenceOracle
 
 
@@ -74,8 +74,9 @@ def _reidemeister_at(kernel: AveragingKernel, n: int):
     return _average([abs(v) for v in dets], den, NonIntegralNielsen)
 
 
-def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int) -> AveragingKernel:
-    kernel = _kernel(spec, mapping)
+def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int,
+             target: AffineMapSpec | None = None) -> AveragingKernel:
+    kernel = _kernel(spec, mapping, target)
     if n < 1:
         raise ValueError("iterate must be >= 1")
     return kernel
@@ -181,14 +182,22 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
                         map_g: AffineMapSpec, n: int = 1) -> CoincidenceNumbers:
     """Averaged coincidence invariants of the iterate pair (f^n, g^n):
     determinants det(E^n - A D^n) over the holonomy."""
-    kernel = _kernel(spec, map_f, map_g)
-    if n < 1:
-        raise ValueError("iterate must be >= 1")
+    return _coincidence_at(_iterate(spec, map_f, n, map_g), n, spec.orientable)
+
+
+def coincidence_table(spec: ManifoldSpec, map_f: AffineMapSpec,
+                      map_g: AffineMapSpec, n_max: int) -> list[CoincidenceNumbers]:
+    """coincidence_numbers for n = 1..n_max, from one kernel."""
+    kernel, orientable = _kernel(spec, map_f, map_g), spec.orientable
+    return [_coincidence_at(kernel, n, orientable) for n in range(1, n_max + 1)]
+
+
+def _coincidence_at(kernel: AveragingKernel, n: int,
+                    orientable: bool) -> CoincidenceNumbers:
     dets, den = kernel.fixed_point_dets(n)
     lef = _average(dets, den, NonIntegralLefschetz)
     mags = [abs(v) for v in dets]
-    nie = (_average(mags, den, NonIntegralNielsen)
-           if spec.orientable else None)
+    nie = _average(mags, den, NonIntegralNielsen) if orientable else None
     if any(v == 0 for v in dets):
         rei = math.inf
     else:
@@ -224,33 +233,22 @@ class CyclicDecomposition:
         return len(self.sign)
 
 
-def _element_order(m: RationalMatrix, cap: int) -> int | None:
-    p = m
-    order = 1
-    while not p.is_identity:
-        p = p @ m
-        order += 1
-        if order > cap:
-            return None
-    return order
-
-
 def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
     """Find a generator of the holonomy and split space into its
-    trivial, sign, and rotation isotypic parts.  Raises NotCyclic when
-    no element generates the whole group."""
-    gen_label = None
-    for l, m in spec.holonomy:
-        if _element_order(m, spec.order) == spec.order:
-            gen_label = l
-            break
+    trivial, sign, and rotation isotypic parts.  Raises NotAGroup (or
+    another validation error) when the holonomy is not a finite group,
+    and NotCyclic when no element generates the whole group."""
+    group = validate_spec(spec)
+    gen_label = next((l for l, o in group.element_orders
+                      if o == spec.order), None)
     if gen_label is None:
         raise NotCyclic(f"holonomy of {spec.name!r} has no generator")
     a0 = spec.matrix(gen_label)
     ident = RationalMatrix.identity(spec.dimension)
     triv = tuple((a0 - ident).nullspace())
     tau = tuple((a0 + ident).nullspace())
-    rot = tuple(_column_space(a0 @ a0 - ident))
+    square = spec.matrix(group.products[gen_label, gen_label])
+    rot = tuple(_column_space(square - ident))
     filled = len(triv) + len(tau) + len(rot)
     if filled != spec.dimension:
         raise NotCyclic(
@@ -300,7 +298,6 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     ensure_compatible(spec, map_f)
     ensure_compatible(spec, map_g)
     dec = cyclic_decomposition(spec)
-    a0 = spec.matrix(dec.generator_label)
     basis = RationalMatrix(list(zip(*(dec.trivial + dec.sign + dec.rotation))))
     binv = basis.inverse()
     mt, kt = dec.m_triv, dec.k_tau
@@ -337,15 +334,15 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
         if d1 * d2 >= 0:
             case, predicted = 2, abs(lef)
         else:
-            sq = a0 @ a0
-            half = []
-            p = RationalMatrix.identity(spec.dimension)
-            for _ in range(spec.order):
-                for l, m in spec.holonomy:
-                    if m == p and (l, m) not in half:
-                        half.append((l, m))
-                p = p @ sq
-            sub = ManifoldSpec(spec.name + "0", spec.dimension, tuple(half))
+            # the index-2 subgroup: powers of the generator's square
+            group = validate_spec(spec)
+            g = dec.generator_label
+            sq = group.products[g, g]
+            half = [group.identity]
+            while (p := group.products[half[-1], sq]) != group.identity:
+                half.append(p)
+            sub = ManifoldSpec(spec.name + "0", spec.dimension,
+                               tuple((l, spec.matrix(l)) for l in half))
             lef0 = coincidence_numbers(sub, map_f, map_g, 1).lefschetz
             case, predicted = 3, abs(lef0 - lef)
     if coin.nielsen != predicted:

@@ -10,13 +10,14 @@ decides whether the Reidemeister zeta function can exist at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (AveragingKernel, RationalMatrix, as_rational, char_poly,
+from .algebra import (AveragingKernel, RationalMatrix, as_rational,
                       classify_eigenvalues, has_root_of_unity_eigenvalue,
                       max_root_of_unity_order, spectral_isolation)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
@@ -28,8 +29,8 @@ class ManifoldSpec:
     """Finite holonomy data for a flat-quotient manifold.
 
     holonomy maps labels to exact rational matrices; it must form a
-    group under matrix product (checked by validate_spec, which every
-    public computation calls through ensure_valid).
+    group under matrix product (checked by validate_spec, which parsing
+    and build_report call; the result is kept on the spec object).
     """
 
     name: str
@@ -60,12 +61,9 @@ class ManifoldSpec:
                 return m
         raise KeyError(label)
 
-    def identity_label(self) -> str:
-        ident = RationalMatrix.identity(self.dimension)
-        for l, m in self.holonomy:
-            if m == ident:
-                return l
-        raise NotAGroup("holonomy does not contain the identity")
+    @cached_property
+    def _group(self) -> "ValidationReport":
+        return _check_group(self)
 
 
 @dataclass(frozen=True)
@@ -85,16 +83,30 @@ class AffineMapSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A validated holonomy group: orientability, each element's order,
+    and its multiplication table (label pair -> label of the product)."""
+
     orientable: bool
     element_orders: tuple[tuple[str, int], ...]
+    products: MappingProxyType = field(repr=False, compare=False)
+    identity: str
 
 
 def validate_spec(spec: ManifoldSpec) -> ValidationReport:
     """Check the holonomy is a finite matrix group of the right size.
 
     Raises DimensionMismatch, NotAGroup, or InfiniteOrderElement; on
-    success reports orientability and each element's order.
+    success reports orientability, each element's order and the
+    multiplication table.  The closure check takes the |Phi|^2 matrix
+    products once; inverses and orders are read from the table.  The
+    report is kept on the spec object, so later calls with the same
+    object read it back.
     """
+    return spec._group
+
+
+def _check_group(spec: ManifoldSpec) -> ValidationReport:
+    from .algebra import det
     n = spec.dimension
     if n < 1:
         raise DimensionMismatch("dimension must be >= 1")
@@ -111,33 +123,37 @@ def validate_spec(spec: ManifoldSpec) -> ValidationReport:
         if m in mats:
             raise NotAGroup(f"elements {mats[m]!r} and {l!r} share a matrix")
         mats[m] = l
-    ident = RationalMatrix.identity(n)
-    if ident not in mats:
+    ident = mats.get(RationalMatrix.identity(n))
+    if ident is None:
         raise NotAGroup("holonomy does not contain the identity")
+    products = {}
+    dets = []
     for l, m in spec.holonomy:
-        from .algebra import det
-        if det(m) == 0:
+        dets.append(det(m))
+        if dets[-1] == 0:
             raise NotAGroup(f"element {l!r} is singular")
         for l2, m2 in spec.holonomy:
-            if (m @ m2) not in mats:
+            p = mats.get(m @ m2)
+            if p is None:
                 raise NotAGroup(f"product {l!r}*{l2!r} is not in the holonomy")
+            products[l, l2] = p
     # closure + identity + finiteness make inverses automatic, but check
     # explicitly so the failure message is precise
-    for l, m in spec.holonomy:
-        if not any((m @ m2).is_identity for _, m2 in spec.holonomy):
+    for l in labels:
+        if not any(products[l, l2] == ident for l2 in labels):
             raise NotAGroup(f"element {l!r} has no inverse in the holonomy")
     orders = []
-    for l, m in spec.holonomy:
-        p = m
+    for l in labels:
+        p = l
         order = 1
-        while not p.is_identity:
-            p = p @ m
+        while p != ident:
+            p = products[p, l]
             order += 1
             if order > spec.order:
                 raise InfiniteOrderElement(f"element {l!r} has order > {spec.order}")
         orders.append((l, order))
-    return ValidationReport(orientable=spec.orientable,
-                            element_orders=tuple(orders))
+    return ValidationReport(all(d == 1 for d in dets), tuple(orders),
+                            MappingProxyType(products), ident)
 
 
 def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:

@@ -13,11 +13,11 @@ import math
 import warnings
 from fractions import Fraction
 
-from .algebra import char_poly, det, has_root_of_unity_eigenvalue
+from .algebra import char_poly, det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
-from .invariants import coincidence_numbers, coincidence_trichotomy
+from .invariants import coincidence_table, coincidence_trichotomy
 from .manifolds import is_virtually_unipotent, validate_spec
 from .ratfunc import radius_of_convergence
 from .specio import ParsedSpec, serialize_spec
@@ -118,14 +118,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     doc: dict = {}
 
     ctx = map_context(spec, mapping, opts.tolerance)
-    rows = [[seq(n) for n in range(1, n_max + 1)]
-            for seq in (ctx.l_seq, ctx.n_seq, ctx.r_seq)]
-    doc["numbers"] = {
-        "n_max": n_max,
-        "lefschetz": [_num(v) for v in rows[0]],
-        "nielsen": [_num(v) for v in rows[1]],
-        "reidemeister": [_num(v) for v in rows[2]],
-    }
+    doc["numbers"] = _numbers_entry(ctx, n_max)
 
     lz = ctx.l_zeta
     nz = nielsen_zeta(spec, mapping, tol=opts.tolerance)
@@ -168,9 +161,11 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
 
     doc["congruences"] = _congruence_battery(ctx)
 
-    root_of_unity = has_root_of_unity_eigenvalue(mapping.linear)
-    unipotent = is_virtually_unipotent(spec, mapping)
     definedness = ctx.definedness
+    # the definedness scan finds a witness exactly when D has a
+    # root-of-unity eigenvalue
+    root_of_unity = definedness.status == "undefined"
+    unipotent = is_virtually_unipotent(spec, mapping)
     if definedness.status == "defined":
         rz_text = "defined"
         if abs(d) == 1:
@@ -182,11 +177,9 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     else:
         rz_text = (f"undefined: R(f^{definedness.witness_n}) is infinite "
                    f"(holonomy element {definedness.witness_label!r})")
-        note = "Reidemeister zeta undefined"
-        if root_of_unity:
-            note += ("; a root-of-unity eigenvalue of the linear part is "
-                     "present, which forces infinite Reidemeister numbers "
-                     "along a subsequence")
+        note = ("Reidemeister zeta undefined; a root-of-unity eigenvalue of "
+                "the linear part is present, which forces infinite "
+                "Reidemeister numbers along a subsequence")
     doc["diagnostics"] = {
         "reidemeister_zeta": rz_text,
         "root_of_unity_eigenvalue": root_of_unity,
@@ -197,24 +190,37 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     return doc
 
 
-def _coincidence_sections(parsed: ParsedSpec) -> dict:
+def _numbers_entry(ctx, n_max: int) -> dict:
+    """The L, N and R rows of one map for n = 1..n_max, read from its
+    shared context."""
+    rows = [[_num(seq(n)) for n in range(1, n_max + 1)]
+            for seq in (ctx.l_seq, ctx.n_seq, ctx.r_seq)]
+    return {"n_max": n_max, "lefschetz": rows[0], "nielsen": rows[1],
+            "reidemeister": rows[2]}
+
+
+def _coincidence_numbers_entry(parsed: ParsedSpec, n_max: int) -> dict:
+    """The L, N and R rows of a coincidence pair for n = 1..n_max."""
     spec = parsed.spec
-    f, g = parsed.mapping, parsed.mapping2
-    n_max = parsed.options.n_max
-    doc: dict = {}
-    table = [coincidence_numbers(spec, f, g, n) for n in range(1, n_max + 1)]
-    doc["coincidence_numbers"] = {
+    table = coincidence_table(spec, parsed.mapping, parsed.mapping2, n_max)
+    return {
         "n_max": n_max,
         "lefschetz": [c.lefschetz for c in table],
         "nielsen": (["not defined (non-orientable)"] if not spec.orientable
                     else [c.nielsen for c in table]),
         "reidemeister": [_num(c.reidemeister) for c in table],
     }
+
+
+def _coincidence_sections(parsed: ParsedSpec) -> dict:
+    spec = parsed.spec
+    doc: dict = {"coincidence_numbers": _coincidence_numbers_entry(
+        parsed, parsed.options.n_max)}
     if not spec.orientable:
         doc["trichotomy"] = {"skipped": "non-orientable manifold"}
         return doc
     try:
-        tri = coincidence_trichotomy(spec, f, g)
+        tri = coincidence_trichotomy(spec, parsed.mapping, parsed.mapping2)
     except NotCyclic:
         doc["trichotomy"] = {"skipped": "holonomy is not cyclic"}
         return doc

@@ -46,7 +46,6 @@ class ZetaResult:
     which: str                  # Lefschetz | Nielsen | Reidemeister | ArtinMazur
     function: RationalFunction
     construction: Construction
-    defined: bool = True
 
 
 class MapContext:
@@ -229,13 +228,6 @@ def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
     return r
 
 
-def _eval_complex(p, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + complex(c)
-    return acc
-
-
 def torsion_special_value(zeta: ZetaResult, lam: complex,
                           zeta_plus: ZetaResult | None = None) -> float:
     """Special value 1/|zeta(lam)| at a unit-modulus point lam, the
@@ -248,8 +240,8 @@ def torsion_special_value(zeta: ZetaResult, lam: complex,
         raise ValueError("special values live on the unit circle")
 
     def _value(zr: ZetaResult) -> complex:
-        num = _eval_complex(zr.function.num, lam)
-        den = _eval_complex(zr.function.den, lam)
+        num = complex(zr.function.num(lam))
+        den = complex(zr.function.den(lam))
         scale = max(1.0, max((abs(complex(c)) for c in zr.function.num.coeffs),
                              default=1.0),
                     max((abs(complex(c)) for c in zr.function.den.coeffs),

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from zetafix import NielsenFormulaMismatch, build_report, load_fixture
+from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
+                     load_fixture)
 from zetafix.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,6 +87,28 @@ class TestCommands:
             "name": "klein_bottle_ex1", "n_max": 3,
             "lefschetz": [2, 0, 2], "nielsen": [4, 0, 16],
             "reidemeister": [4, "inf", 16]}
+
+    def test_numbers_non_orientable_pair(self, capsys, tmp_path, ex1):
+        from zetafix import AffineMapSpec, ParsedSpec, write_spec_file
+        path = tmp_path / "klein_pair.json"
+        ident = AffineMapSpec.make("g", [[1, 0], [0, 1]])
+        write_spec_file(ParsedSpec(ex1.spec, ex1.mapping, ident, ex1.options),
+                        path)
+        code, out, _ = run_main(capsys, "numbers", str(path), "--max-n", "3")
+        assert code == 0
+        assert out == ("klein_bottle_ex1, pair (f, g), n = 1..3\n"
+                       "L: 2, 0, 2\n"
+                       "N: not defined (non-orientable)\n"
+                       "R: 4, inf, 16\n")
+
+    @pytest.mark.parametrize("name", [n for n, fx in builtin_fixtures().items()
+                                      if hasattr(fx, "spec")])
+    def test_numbers_json_matches_report(self, capsys, name):
+        code, out, _ = run_main(capsys, "numbers", name, "--format", "json")
+        assert code == 0
+        doc = build_report(load_fixture(name))
+        section = doc.get("numbers") or doc["coincidence_numbers"]
+        assert json.loads(out) == {"name": name, **section}
 
     def test_numbers_sequence_fixture(self, capsys):
         code, out, _ = run_main(capsys, "numbers", "sol_r_2", "--max-n", "5")

@@ -9,7 +9,7 @@ from _corpus import (brute_force_torus_count, random_coincidence_instances,
                      random_instances, random_integer_matrices)
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NonIntegralLefschetz, NonIntegralNielsen,
-                     NotBlockCompatible, NotCyclic, RationalMatrix,
+                     NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
                      default_degree_bound, det, klein_type, lefschetz,
@@ -18,6 +18,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      reidemeister, reidemeister_sequence,
                      torus_periodic_points)
 from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
+from zetafix.invariants import coincidence_table
 
 
 def _map(rows, label="f"):
@@ -312,6 +313,15 @@ class TestCoincidence:
             coincidence_numbers(halfturn.spec, halfturn.mapping,
                                 halfturn.mapping2, 0)
 
+    def test_table_equals_single_iterates(self, halfturn, ex1):
+        # one kernel for n = 1..8 gives what a kernel per iterate gives
+        pairs = [(halfturn.spec, halfturn.mapping, halfturn.mapping2),
+                 (halfturn.spec, halfturn.mapping, halfturn.mapping),
+                 (ex1.spec, ex1.mapping, _map(RationalMatrix.identity(2), "id"))]
+        for spec, f, g in pairs:
+            assert coincidence_table(spec, f, g, 8) == [
+                coincidence_numbers(spec, f, g, n) for n in range(1, 9)]
+
 
 class TestCyclicDecomposition:
     def test_quarter_rotation(self, quarter):
@@ -340,6 +350,14 @@ class TestCyclicDecomposition:
         with pytest.raises(NotCyclic):
             cyclic_decomposition(spec)
 
+    def test_non_group_rejected_by_validation(self):
+        # the generator comes from the validated group's element orders,
+        # so a holonomy that is not closed fails validation first
+        spec = ManifoldSpec.make("half_quarter", 2, [
+            ("I", [[1, 0], [0, 1]]), ("R", [[0, -1], [1, 0]])])
+        with pytest.raises(NotAGroup, match=r"product 'R'\*'R' is not in"):
+            cyclic_decomposition(spec)
+
 
 class TestTrichotomy:
     def test_halfturn_case_two(self, halfturn):
@@ -361,6 +379,25 @@ class TestTrichotomy:
         assert rep.case == 3
         assert rep.predicted_nielsen == rep.averaged_nielsen == 8
         assert (rep.det_diff_sign, rep.det_sum_sign) == (-1, 1)
+
+    def test_case_three_order_six_holonomy(self):
+        # Phi = <g>, g = diag(C6, -1, -1) with C6 of order 6: the index-2
+        # subgroup {1, g^2, g^4} takes two steps of the square's powers
+        c6 = RationalMatrix([[1, -1], [1, 0]])
+        holonomy, p = [], RationalMatrix.identity(2)
+        for k in range(6):
+            s = (-1) ** k
+            holonomy.append((f"g{k}", [list(p.rows[0]) + [0, 0],
+                                       list(p.rows[1]) + [0, 0],
+                                       [0, 0, s, 0], [0, 0, 0, s]]))
+            p = p @ c6
+        spec = ManifoldSpec.make("c6", 4, holonomy)
+        rep = coincidence_trichotomy(
+            spec, _map([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 2]]),
+            _map([[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, -1]], "g"))
+        assert rep.case == 3
+        assert rep.predicted_nielsen == rep.averaged_nielsen == 104
+        assert (rep.m_triv, rep.k_tau) == (0, 2)
 
     def test_case_one_rotation_holonomy(self, quarter):
         rep = coincidence_trichotomy(quarter.spec, _map([[2, 0], [0, 2]]),

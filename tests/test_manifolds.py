@@ -1,5 +1,8 @@
 """Holonomy validation, the orientation split, and zeta definedness."""
 
+import itertools
+import re
+
 import pytest
 
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
@@ -35,37 +38,106 @@ class TestValidate:
         assert dict(rep.element_orders) == {"I": 1, "R": 4, "R2": 2, "R3": 4}
 
     def test_empty_holonomy(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup, match="^holonomy is empty$"):
             validate_spec(_spec(2, []))
 
     def test_missing_identity(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup,
+                           match="^holonomy does not contain the identity$"):
             validate_spec(_spec(2, [("A", [[-1, 0], [0, -1]])]))
 
     def test_not_closed(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(
+                NotAGroup,
+                match=re.escape("product 'R'*'R' is not in the holonomy")):
             validate_spec(_spec(2, [("I", [[1, 0], [0, 1]]),
                                     ("R", [[0, -1], [1, 0]])]))
 
     def test_duplicate_label(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup, match="^duplicate holonomy labels$"):
             validate_spec(_spec(1, [("I", [[1]]), ("I", [[-1]])]))
 
     def test_duplicate_matrix(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup,
+                           match="^elements 'I' and 'J' share a matrix$"):
             validate_spec(_spec(1, [("I", [[1]]), ("J", [[1]])]))
 
     def test_singular_element(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup, match="^element 'Z' is singular$"):
             validate_spec(_spec(1, [("I", [[1]]), ("Z", [[0]])]))
 
     def test_bad_dimension(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match="^dimension must be >= 1$"):
             validate_spec(_spec(0, [("I", [[1]])]))
 
     def test_wrong_size_element(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(
+                DimensionMismatch,
+                match="^holonomy element 'I' is 1x1, expected 2x2$"):
             validate_spec(_spec(2, [("I", [[1]])]))
+
+
+class TestGroupTable:
+    """validate_spec takes the |Phi|^2 closure products once per spec
+    object and answers inverses and orders from the resulting table."""
+
+    @staticmethod
+    def _count_products(monkeypatch):
+        calls = [0]
+        orig = RationalMatrix.__matmul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return orig(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        return calls
+
+    @staticmethod
+    def _sign_group(dim):
+        return _spec(dim, [
+            ("".join("+-"[s < 0] for s in signs),
+             [[signs[i] if i == j else 0 for j in range(dim)]
+              for i in range(dim)])
+            for signs in itertools.product((1, -1), repeat=dim)], "signs")
+
+    @pytest.mark.parametrize("which, products", [("quarter", 16),
+                                                  ("signs", 64)])
+    def test_products_taken_once(self, monkeypatch, quarter, which, products):
+        spec = quarter.spec if which == "quarter" else self._sign_group(3)
+        spec = ManifoldSpec(spec.name, spec.dimension, spec.holonomy)
+        calls = self._count_products(monkeypatch)
+        first = validate_spec(spec)
+        assert calls[0] == products == spec.order ** 2
+        assert validate_spec(spec) is first
+        assert calls[0] == products
+
+    def test_equal_spec_object_checked_afresh(self, monkeypatch, quarter):
+        # no state outside the spec object: an equal copy is validated again
+        validate_spec(quarter.spec)
+        copy = ManifoldSpec(quarter.spec.name, quarter.spec.dimension,
+                            quarter.spec.holonomy)
+        calls = self._count_products(monkeypatch)
+        assert validate_spec(copy) == validate_spec(quarter.spec)
+        assert calls[0] == 16
+
+    def test_table(self, quarter):
+        rep = validate_spec(quarter.spec)
+        assert rep.identity == "I"
+        assert len(rep.products) == 16
+        assert rep.products["R", "R"] == "R2"
+        assert rep.products["R", "R3"] == rep.products["R3", "R"] == "I"
+        for (a, b), c in rep.products.items():
+            assert quarter.spec.matrix(a) @ quarter.spec.matrix(b) == \
+                quarter.spec.matrix(c)
+
+    def test_element_orders_of_sign_group(self):
+        rep = validate_spec(self._sign_group(3))
+        assert rep.identity == "+++"
+        assert dict(rep.element_orders) == {
+            l: 1 if l == "+++" else 2 for l in self._sign_group(3).labels()}
+        assert not rep.orientable
 
 
 class TestCompatibility:

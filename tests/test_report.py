@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+import zetafix.algebra
 import zetafix.zetas
+from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
                      asymptotics_entry, build_report, congruence_entries,
-                     load_fixture, nielsen_zeta, parse_spec_data, render_human,
-                     serialize_spec)
+                     has_root_of_unity_eigenvalue, load_fixture, nielsen_zeta,
+                     parse_spec_data, render_human, serialize_spec)
 
 FIXED_POINT_KEYS = ["schema", "input", "validation", "numbers", "zetas",
                     "functional_equation", "asymptotics", "congruences",
@@ -47,6 +49,26 @@ class TestStructure:
         assert a == b
 
 
+def _count_calls(monkeypatch, home, names) -> dict:
+    """Replace every binding of home.<name> in the zetafix modules with a
+    counting wrapper; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items()
+               if k.startswith("zetafix") and m is not None]
+    for fn_name in names:
+        orig = getattr(home, fn_name)
+
+        def counted(*args, _name=fn_name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 class TestSharedContext:
     COUNTED = ("zeta_from_terms", "lefschetz_sequence", "nielsen_sequence",
                "reidemeister_sequence")
@@ -57,24 +79,20 @@ class TestSharedContext:
     ])
     def test_each_sequence_and_zeta_built_once(self, monkeypatch, name,
                                                reconstructions, sequences):
-        calls = dict.fromkeys(self.COUNTED, 0)
-        modules = [m for k, m in sys.modules.items()
-                   if k.startswith("zetafix") and m is not None]
-        for fn_name in self.COUNTED:
-            orig = getattr(zetafix.zetas, fn_name)
-
-            def counted(*args, _name=fn_name, _orig=orig, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, attr, counted)
+        calls = _count_calls(monkeypatch, zetafix.zetas, self.COUNTED)
         zetafix.zetas.map_context.cache_clear()
         build_report(load_fixture(name))
         assert calls["zeta_from_terms"] == reconstructions
         assert sum(calls[k] for k in self.COUNTED[1:]) == sequences
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_root_of_unity_scan_runs_once(self, monkeypatch, name):
+        # the definedness scan decides it; the diagnostics read the result
+        calls = _count_calls(monkeypatch, zetafix.algebra,
+                             ("has_root_of_unity_eigenvalue",))
+        zetafix.zetas.map_context.cache_clear()
+        build_report(load_fixture(name))
+        assert calls["has_root_of_unity_eigenvalue"] == 1
 
 
 class TestNumbersSection:
@@ -192,6 +210,13 @@ class TestDiagnosticsSection:
         assert diag["reidemeister_zeta"].startswith("undefined: R(f^2)")
         assert diag["root_of_unity_eigenvalue"] is True
         assert "root-of-unity" in diag["note"]
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_root_of_unity_flag_matches_spectrum(self, name):
+        parsed = load_fixture(name)
+        diag = build_report(parsed)["diagnostics"]
+        assert diag["root_of_unity_eigenvalue"] is \
+            has_root_of_unity_eigenvalue(parsed.mapping.linear)
 
     def test_unipotent_flags(self, quarter):
         diag = build_report(quarter)["diagnostics"]
