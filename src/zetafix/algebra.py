@@ -127,9 +127,6 @@ class Polynomial:
                     rem[k + j] -= c * dj
         return Polynomial(q), Polynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -184,8 +181,8 @@ class Polynomial:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals."""
     while not b.is_zero:
-        a, b = b, (a % b).monic() if not (a % b).is_zero else Polynomial()
-    return a.monic() if not a.is_zero else a
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -723,18 +720,29 @@ def _euler_phi(k: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def max_root_of_unity_order(dim: int) -> int:
     """Largest k such that a k-th primitive root of unity can be an
     eigenvalue of a dim x dim rational matrix (phi(k) <= dim)."""
     return max(k for k in range(1, 2 * dim * dim + 2) if _euler_phi(k) <= dim)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> Polynomial:
+    """The k-th cyclotomic polynomial: z^k - 1 divided by Phi_d for
+    every proper divisor d of k."""
+    p = Polynomial([-1] + [0] * (k - 1) + [1])
+    for d in range(1, k):
+        if k % d == 0:
+            p = p.exact_div(_cyclotomic(d))
+    return p
+
+
 def has_root_of_unity_eigenvalue(m: RationalMatrix) -> bool:
-    """True iff some eigenvalue is a root of unity, decided exactly by
-    gcd with z^k - 1 for every candidate order k."""
+    """True iff some eigenvalue is a root of unity, decided exactly: a
+    primitive k-th root of unity is an eigenvalue iff the cyclotomic
+    polynomial Phi_k divides the characteristic polynomial."""
     p = char_poly(m)
-    for k in range(1, max_root_of_unity_order(m.dim) + 1):
-        zk = Polynomial([-1] + [0] * (k - 1) + [1])
-        if poly_gcd(p, zk).degree > 0:
-            return True
-    return False
+    return any((p % _cyclotomic(k)).is_zero
+               for k in range(1, max_root_of_unity_order(m.dim) + 1)
+               if _euler_phi(k) <= m.dim)

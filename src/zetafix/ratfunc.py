@@ -10,6 +10,7 @@ be reproduced before the function is accepted.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -56,12 +57,18 @@ class RationalFunction:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            num, den = Polynomial(), Polynomial.one()
-        else:
+        if not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
+        self._store(num, den)
+
+    def _store(self, num: Polynomial, den: Polynomial) -> None:
+        """Keep the coprime pair num/den in canonical form: a zero
+        numerator becomes 0/1, and both are scaled so that the lowest
+        nonzero denominator coefficient is 1."""
+        if num.is_zero:
+            num, den = Polynomial(), Polynomial.one()
         low = next(c for c in den.coeffs if c != 0)
         if low != 1:
             num = num * (1 / low)
@@ -91,17 +98,6 @@ class RationalFunction:
     def one() -> "RationalFunction":
         return RationalFunction(Polynomial.one())
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        if self.num.is_zero:
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
     def __mul__(self, other):
         return RationalFunction(self.num * other.num, self.den * other.den)
 
@@ -113,7 +109,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero:
             raise ZeroDivisionError("zero function has no inverse")
-        return RationalFunction(self.den, self.num)
+        return _coprime(self.den, self.num)
 
     def __pow__(self, k: int):
         if k == 0:
@@ -126,7 +122,10 @@ class RationalFunction:
 
     def compose_scale(self, c) -> "RationalFunction":
         """Substitute z -> c*z for a rational scalar c."""
-        return RationalFunction(self.num.compose_scale(c), self.den.compose_scale(c))
+        num, den = self.num.compose_scale(c), self.den.compose_scale(c)
+        if as_rational(c) == 0:
+            return RationalFunction(num, den)
+        return _coprime(num, den)
 
     def series(self, upto: int) -> list[Fraction]:
         """Taylor coefficients 0..upto; requires a nonzero constant
@@ -183,62 +182,85 @@ class SequenceOracle:
         return self._cache[n]
 
 
+def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den for a pair known to be coprime, built without a gcd."""
+    rf = object.__new__(RationalFunction)
+    rf._store(num, den)
+    return rf
+
+
+def _berlekamp_massey(s: list[int]) -> tuple[list[int], int]:
+    """Shortest linear recurrence of an integer sequence: its length ell
+    and connection polynomial c (ell + 1 integers, c[0] != 0), with
+    sum_i c_i s_{n-i} = 0 for ell <= n < len(s).  Fraction-free
+    Berlekamp-Massey: each update scales by the previous discrepancy
+    instead of dividing by it, then divides out the content.  Over Q the
+    result is unique once 2*ell <= len(s); InsufficientTerms otherwise.
+    """
+    c, b = [1], [1]            # current and previous connection polynomial
+    ell, m, bb = 0, 1, 1       # length, shift since b, discrepancy of b
+    for n in range(len(s)):
+        d = sum(map(operator.mul, c, s[n::-1]))
+        if d == 0:
+            m += 1
+            continue
+        new = [bb * x for x in c] + [0] * (m + len(b) - len(c))
+        for i, x in enumerate(b, m):
+            new[i] -= d * x
+        g = math.gcd(*new)
+        new = [x // g for x in new]
+        if 2 * ell <= n:
+            b, bb = c, d
+            ell = n + 1 - ell
+            m = 1
+        else:
+            m += 1
+        c = new
+    if 2 * ell > len(s):
+        raise InsufficientTerms(
+            f"recurrence of order {ell} detected from only {len(s)} terms; "
+            f"need at least {2 * ell}")
+    return c, ell
+
+
 def min_linear_recurrence(terms) -> Polynomial:
     """Monic characteristic polynomial of the minimal linear recurrence
-    satisfied by the whole sequence (Berlekamp-Massey over Q).
+    satisfied by the whole sequence (Berlekamp-Massey over Q, run on the
+    terms scaled to integers).
 
     Raises InsufficientTerms unless the window is at least twice the
     detected order, the usual stabilization requirement.
     """
     s = [as_rational(t) for t in terms]
-    c = [Fraction(1)]          # connection polynomial, c[0] = 1
-    b = [Fraction(1)]
-    ell = 0                    # current register length
-    m = 1
-    bb = Fraction(1)
-    for n, sn in enumerate(s):
-        d = sn + sum(c[i] * s[n - i] for i in range(1, ell + 1))
-        if d == 0:
-            m += 1
-        elif 2 * ell <= n:
-            t_prev = list(c)
-            coef = d / bb
-            c = c + [Fraction(0)] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] -= coef * bi
-            ell = n + 1 - ell
-            b = t_prev
-            bb = d
-            m = 1
-        else:
-            coef = d / bb
-            c = c + [Fraction(0)] * max(0, len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] -= coef * bi
-            m += 1
-    if 2 * ell > len(s):
-        raise InsufficientTerms(
-            f"recurrence of order {ell} detected from only {len(s)} terms; "
-            f"need at least {2 * ell}")
-    # char poly z^ell * C(1/z): s_n = -sum_{i=1..ell} c_i s_{n-i}
-    rev = [Fraction(0)] * (ell + 1)
-    for i, ci in enumerate(c):
-        rev[ell - i] = ci
-    return Polynomial(rev)
+    scale = math.lcm(1, *(x.denominator for x in s))
+    c, _ = _berlekamp_massey([x.numerator * (scale // x.denominator) for x in s])
+    # char poly z^ell * C(1/z): s_n = -sum_{i=1..ell} (c_i / c_0) s_{n-i}
+    return Polynomial([Fraction(x, c[0]) for x in reversed(c)])
 
 
-def _series_times_poly(series: list[Fraction], p: Polynomial, upto: int) -> list[Fraction]:
-    out = []
-    d = p.coeffs
-    for n in range(upto + 1):
-        acc = Fraction(0)
-        for j, dj in enumerate(d):
-            if j > n:
+def _exponential(a: list[Fraction]) -> tuple[list[int], int]:
+    """Integers F_n = scale * f_n for n <= len(a), where
+    sum f_n z^n = exp(sum a_n z^n / n).  Under Dold's congruences the
+    series lies in 1 + zZ[[z]], so n f_n = sum_k a_k f_{n-k} divides
+    exactly and scale is 1.  A term that is not an integer, or a nonzero
+    remainder, falls back to Fraction arithmetic scaled by the lcm of
+    the denominators.
+    """
+    if all(x.denominator == 1 for x in a):
+        ints = [x.numerator for x in a]
+        f = [1]
+        for n in range(1, len(a) + 1):
+            q, r = divmod(sum(map(operator.mul, ints, reversed(f))), n)
+            if r:
                 break
-            if dj != 0:
-                acc += dj * series[n - j]
-        out.append(acc)
-    return out
+            f.append(q)
+        else:
+            return f, 1
+    f = [Fraction(1)]
+    for n in range(1, len(a) + 1):
+        f.append(sum(map(operator.mul, a, reversed(f))) / n)
+    scale = math.lcm(*(x.denominator for x in f))
+    return [x.numerator * (scale // x.denominator) for x in f], scale
 
 
 def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> RationalFunction:
@@ -247,35 +269,32 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     Expands the exponential exactly to index 3B+4, fits a denominator of
     degree <= B through the first 2B+4 coefficients, and then requires
     every remaining product coefficient through 3B+4 to vanish; anything
-    less raises NotRational rather than returning a guess.
+    less raises NotRational rather than returning a guess.  The fitted
+    recurrence is minimal, so numerator and denominator are coprime and
+    no gcd is taken.
     """
     b = seq.degree_bound if degree_bound is None else int(degree_bound)
     if b < 1:
         raise ValueError("degree bound must be >= 1")
     top = 3 * b + 4
-    a = [as_rational(seq(n)) for n in range(1, top + 1)]
-    f = [Fraction(1)]
-    for n in range(1, top + 1):
-        f.append(sum(a[k - 1] * f[n - k] for k in range(1, n + 1)) / n)
-
+    f, scale = _exponential([as_rational(seq(n)) for n in range(1, top + 1)])
     try:
-        cpoly = min_linear_recurrence(f[: 2 * b + 4])
+        c, order = _berlekamp_massey(f[: 2 * b + 4])
     except InsufficientTerms as e:
         raise NotRational(
             f"no linear recurrence of order <= {b} fits the series: {e}") from e
-    order = cpoly.degree
     if order > b:
         raise NotRational(
             f"series requires recurrence order {order}, exceeding the bound {b}")
-    den = cpoly.reversed_poly()          # constant term 1 since cpoly is monic
-    prod = _series_times_poly(f, den, top)
+    prod = [sum(map(operator.mul, c, f[j::-1])) for j in range(top + 1)]
     for j in range(order, top + 1):
         if prod[j] != 0:
             raise NotRational(
                 f"recurrence fit fails at series index {j}; the sequence is "
                 f"not rational within degree bound {b}")
-    num = Polynomial(prod[:order] if order else prod[:1])
-    return RationalFunction(num, den)
+    lead = c[0] * scale
+    return _coprime(Polynomial([Fraction(x, lead) for x in prod[:max(order, 1)]]),
+                    Polynomial([Fraction(x, c[0]) for x in c]))
 
 
 def evaluate(rf: RationalFunction, z: complex, pole_tol: float = 1e-12) -> complex:
@@ -312,4 +331,6 @@ def substitute_reciprocal_scale(rf: RationalFunction, d) -> RationalFunction:
             out[k - j] = c * d ** (k - j)
         return Polynomial(out)
 
-    return RationalFunction(lift(rf.num), lift(rf.den))
+    # p(1/(dz)) keeps num and den coprime, and one of the two lifts has
+    # a nonzero constant term, so no factor z is shared either.
+    return _coprime(lift(rf.num), lift(rf.den))

@@ -62,7 +62,10 @@ def _matrix_from_json(rows, what: str) -> list[list[Fraction]]:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise InvalidSpecFile(f"{what} must be a list of rows")
-    return [[_entry_from_json(v) for v in row] for row in rows]
+    m = [[_entry_from_json(v) for v in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise InvalidSpecFile(f"{what} must be square")
+    return m
 
 
 def _matrix_to_json(m) -> list:
@@ -72,12 +75,23 @@ def _matrix_to_json(m) -> list:
 def _parse_map(obj, what: str) -> AffineMapSpec:
     if not isinstance(obj, dict) or "label" not in obj or "D" not in obj:
         raise InvalidSpecFile(f"{what} needs 'label' and 'D'")
-    translation = None
-    if obj.get("translation") is not None:
-        translation = [_entry_from_json(v) for v in obj["translation"]]
+    translation = obj.get("translation")
+    if translation is not None:
+        if not isinstance(translation, list):
+            raise InvalidSpecFile(f"{what}.translation must be a list")
+        translation = [_entry_from_json(v) for v in translation]
     return AffineMapSpec.make(str(obj["label"]),
                               _matrix_from_json(obj["D"], f"{what}.D"),
                               translation)
+
+
+def _option(raw: dict, key: str, default, kinds: tuple, what: str):
+    """raw[key] (default if absent), of one of the kinds; true/false are
+    not numbers, and null is accepted only where it is the default."""
+    v = raw.get(key, default)
+    if v is not default and (isinstance(v, bool) or not isinstance(v, kinds)):
+        raise InvalidSpecFile(f"options.{key} must be {what}, got {v!r}")
+    return v
 
 
 def parse_spec_data(data: dict) -> ParsedSpec:
@@ -91,7 +105,9 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     for field in ("name", "dimension", "holonomy", "map"):
         if field not in data:
             raise InvalidSpecFile(f"missing field {field!r}")
-    if not isinstance(data["dimension"], int):
+    if not isinstance(data["name"], str):
+        raise InvalidSpecFile("name must be a string")
+    if isinstance(data["dimension"], bool) or not isinstance(data["dimension"], int):
         raise InvalidSpecFile("dimension must be an integer")
     holonomy = []
     if not isinstance(data["holonomy"], list):
@@ -113,15 +129,17 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
     defaults = SpecOptions()
-    override = raw_opts.get("degree_bound_override", defaults.degree_bound_override)
     options = SpecOptions(
-        tolerance=float(raw_opts.get("tolerance", defaults.tolerance)),
-        n_max=int(raw_opts.get("n_max", defaults.n_max)),
-        degree_bound_override=None if override is None else int(override))
+        tolerance=float(_option(raw_opts, "tolerance", defaults.tolerance,
+                                (int, float), "a number")),
+        n_max=_option(raw_opts, "n_max", defaults.n_max, (int,), "an integer"),
+        degree_bound_override=_option(
+            raw_opts, "degree_bound_override",
+            defaults.degree_bound_override, (int,), "an integer or null"))
     if options.n_max < 1:
         raise InvalidSpecFile("options.n_max must be >= 1")
-    if options.tolerance <= 0:
-        raise InvalidSpecFile("options.tolerance must be positive")
+    if not 0 < options.tolerance < 1:
+        raise InvalidSpecFile("options.tolerance must be in (0, 1)")
     return ParsedSpec(spec, mapping, mapping2, options)
 
 

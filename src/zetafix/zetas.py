@@ -79,22 +79,23 @@ class MapContext:
         split = self.split
         direct = zeta_from_terms(self.n_seq)
         scale = (-1) ** split.n
-        expo = (-1) ** (split.p + split.n)
-        lf = self.l_zeta.function
+        lf = self.l_zeta.function.compose_scale(scale)
         if split.is_proper:
-            lplus = zeta_from_terms(lefschetz_sequence(
-                plus_subgroup_spec(self.spec, split), self.mapping))
-            base = lplus.compose_scale(scale) / lf.compose_scale(scale)
+            lplus = zeta_from_terms(lefschetz_sequence(plus_subgroup_spec(
+                self.spec, split), self.mapping)).compose_scale(scale)
+            num, den = lplus.num * lf.den, lplus.den * lf.num
             case = "plus-proper"
         else:
-            base = lf.compose_scale(scale)
+            num, den = lf.num, lf.den
             case = "plus-equal"
-        closed = base if expo == 1 else base.inverse()
-        if closed != direct:
+        if (-1) ** (split.p + split.n) != 1:
+            num, den = den, num
+        # compare by cross-multiplication; reduce num/den only to report
+        if num * direct.den != den * direct.num:
             raise NielsenFormulaMismatch(
-                f"sign-formula zeta {closed} differs from direct "
-                f"reconstruction {direct}")
-        return ZetaResult("Nielsen", closed,
+                f"sign-formula zeta {RationalFunction(num, den)} differs "
+                f"from direct reconstruction {direct}")
+        return ZetaResult("Nielsen", direct,
                           Construction("sign-formula", case, split.p, split.n))
 
 
@@ -171,11 +172,15 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     split = map_context(spec, mapping, tol).split
     case = "plus-proper" if split.is_proper else "plus-equal"
     m = spec.dimension
-    q = substitute_reciprocal_scale(zeta.function, d) / zeta.function ** ((-1) ** m)
-    if not q.is_constant:
+    g = substitute_reciprocal_scale(zeta.function, d)
+    h = zeta.function ** ((-1) ** m)
+    # g/h is the constant c iff g.num * h.den = c * g.den * h.num
+    top, bottom = g.num * h.den, g.den * h.num
+    c = Fraction(0) if top.is_zero else top.leading() / bottom.leading()
+    if top != bottom * c:
         raise NotConstantRatio(
-            f"zeta(1/(dz)) / zeta(z)^((-1)^{m}) is {q}, not a constant")
-    c = q.constant_value()
+            f"zeta(1/(dz)) / zeta(z)^((-1)^{m}) is "
+            f"{RationalFunction(top, bottom)}, not a constant")
     if zeta.which == "Lefschetz":
         eps = c
     elif case == "plus-equal":

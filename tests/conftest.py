@@ -1,6 +1,31 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import settings
 
 from zetafix import load_fixture
+
+# Property tests draw the same examples on every run and keep no example
+# database.
+settings.register_profile("zetafix", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("zetafix")
+
+_HYPOTHESIS_STORAGE = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from source files;
+    # keep that cache out of the working tree.
+    storage = tempfile.TemporaryDirectory(prefix="zetafix-hypothesis-")
+    config.stash[_HYPOTHESIS_STORAGE] = storage
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", storage.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_STORAGE].cleanup()
+
 
 FIXED_POINT_NAMES = (
     "klein_bottle_ex1",

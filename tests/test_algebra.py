@@ -1,6 +1,7 @@
 """Exact scalar/polynomial/matrix layer: arithmetic identities, Sturm
 root counting, unit-circle counts, and eigenvalue classification."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -316,3 +317,52 @@ class TestRootOfUnity:
                                [0, 1, 0, -1],
                                [0, 0, 1, -1]])
         assert has_root_of_unity_eigenvalue(comp)
+
+    @staticmethod
+    def _by_gcd(m):
+        # the definition: gcd(char_poly, z^k - 1) is nontrivial for some k
+        p = char_poly(m)
+        return any(poly_gcd(p, Polynomial([-1] + [0] * (k - 1) + [1])).degree > 0
+                   for k in range(1, max_root_of_unity_order(m.dim) + 1))
+
+    @staticmethod
+    def _companion(p):
+        n = p.degree
+        return RationalMatrix([[int(i == j + 1) for j in range(n - 1)]
+                               + [-p.coeffs[i]] for i in range(n)])
+
+    def test_cyclotomic_test_matches_gcd_definition(self):
+        cyclo = {}
+        for k in range(1, 13):
+            p = Polynomial([-1] + [0] * (k - 1) + [1])
+            for d in range(1, k):
+                if k % d == 0:
+                    p = p.exact_div(cyclo[d])
+            cyclo[k] = p
+        others = [Polynomial([-2, 1]), Polynomial([3, 1]),
+                  Polynomial([1, -3, 1]), Polynomial([2, 1, 1])]
+        pool = list(cyclo.values()) + others
+        seen = 0
+        for r in (1, 2):
+            for factors in itertools.combinations_with_replacement(pool, r):
+                p = math.prod(factors, start=Polynomial.one())
+                if p.degree > 6:
+                    continue
+                m = self._companion(p)
+                assert char_poly(m) == p
+                assert has_root_of_unity_eigenvalue(m) == self._by_gcd(m)
+                assert has_root_of_unity_eigenvalue(m) == \
+                    any(f in cyclo.values() for f in factors)
+                seen += 1
+        assert seen == 96
+
+    def test_cyclotomic_test_on_random_matrices(self):
+        rng = random.Random(23)
+        found = 0
+        for _ in range(60):
+            dim = rng.randint(1, 4)
+            m = RationalMatrix([[rng.randint(-2, 2) for _ in range(dim)]
+                                for _ in range(dim)])
+            assert has_root_of_unity_eigenvalue(m) == self._by_gcd(m)
+            found += has_root_of_unity_eigenvalue(m)
+        assert 0 < found < 60

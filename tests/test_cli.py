@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ class TestExitCodes:
         bad.write_text("{")
         code, _, err = run_main(capsys, "validate", str(bad))
         assert code == 2 and "not valid JSON" in err
+
+    def test_malformed_field(self, capsys, tmp_path):
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("identity_torus.json").read_text())
+        spec["map"]["translation"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_main(capsys, "report", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "map.translation" in err
+        assert "Traceback" not in err
 
     def test_unreadable_path(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "validate", str(tmp_path))

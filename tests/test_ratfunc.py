@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetafix import (InsufficientTerms, NotRational, PoleAtPoint, Polynomial,
                      RationalFunction, SequenceOracle, evaluate,
@@ -162,6 +164,34 @@ class TestZetaFromTerms:
             sums = f.log_derivative_sums(3 * b + 4)
             seq = _oracle(lambda n, s=sums: s[n - 1], b)
             assert zeta_from_terms(seq) == f
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(-4, 4), max_size=3),
+           st.lists(st.integers(-4, 4), max_size=3),
+           st.lists(st.integers(-3, 3), max_size=2))
+    def test_round_trip_of_integer_functions(self, p, q, g):
+        # P(0) = Q(0) = 1 puts the series in 1 + zZ[[z]], so the
+        # exponential is rebuilt on integers; a shared factor G must
+        # cancel exactly as the gcd cancels it
+        shared = Polynomial([1] + g)
+        f = RationalFunction(Polynomial([1] + p) * shared,
+                             Polynomial([1] + q) * shared)
+        b = max(f.den.degree, f.num.degree + 1, 1)
+        sums = f.log_derivative_sums(3 * b + 4)
+        assert all(a.denominator == 1 for a in sums)
+        seq = _oracle(lambda n: sums[n - 1], b)
+        assert zeta_from_terms(seq) == f
+
+    def test_fraction_terms(self):
+        # exp(sum (z/2)^n / n) = 1/(1 - z/2) has no integer series
+        seq = _oracle(lambda n: Fraction(1, 2 ** n), 2)
+        assert zeta_from_terms(seq) == RationalFunction([1], [1, Fraction(-1, 2)])
+
+    def test_sequence_breaking_dolds_congruence(self):
+        # a_1 = 1, a_n = 0 after: exp(z), whose series 1/n! is not integral
+        seq = _oracle(lambda n: int(n == 1), 6)
+        with pytest.raises(NotRational):
+            zeta_from_terms(seq)
 
     def test_not_rational_for_polynomial_growth(self):
         # exp(z/(1-z)) is not rational

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import zetafix.algebra
+import zetafix.ratfunc
 import zetafix.zetas
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
@@ -93,6 +94,43 @@ class TestSharedContext:
         zetafix.zetas.map_context.cache_clear()
         build_report(load_fixture(name))
         assert calls["has_root_of_unity_eigenvalue"] == 1
+
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_zetas_rebuilt_and_compared_without_gcd(self, monkeypatch, name):
+        # The minimal recurrence gives lowest terms, the substitutions keep
+        # them, and both cross-checks compare by cross-multiplication.
+        # Only a failed check reduces its quotient, to print it: the
+        # functional equation of quarter_rotation leaves z^2.
+        expected = (["verify_functional_equation"]
+                    if name == "quarter_rotation" else [])
+        scopes = {zetafix.ratfunc.zeta_from_terms.__code__,
+                  zetafix.zetas.MapContext.n_zeta.func.__code__,
+                  zetafix.zetas.verify_functional_equation.__code__}
+        parsed = load_fixture(name)
+        zetafix.zetas.map_context.cache_clear()
+        # the plus split classifies D with gcds of its own; take it first
+        zetafix.zetas.map_context(parsed.spec, parsed.mapping,
+                                  parsed.options.tolerance).split
+        gcds = []
+        orig = zetafix.algebra.poly_gcd
+
+        def counted(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in scopes:
+                    gcds.append(frame.f_code.co_name)
+                    break
+                frame = frame.f_back
+            return orig(*args)
+
+        for mod in [m for k, m in sys.modules.items()
+                    if k.startswith("zetafix") and m is not None]:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+        build_report(parsed)
+        assert gcds == expected
 
 
 class TestNumbersSection:

@@ -160,6 +160,30 @@ class TestRejection:
         with pytest.raises(InvalidSpecFile):
             parse_spec_data(_minimal(options=[1]))
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"map": {"label": "f", "D": [[2]], "translation": 5}},
+         "map.translation"),
+        ({"options": {"n_max": "x"}}, "options.n_max"),
+        ({"options": {"n_max": True}}, "options.n_max"),
+        ({"options": {"n_max": 2.5}}, "options.n_max"),
+        ({"options": {"tolerance": "abc"}}, "options.tolerance"),
+        ({"options": {"tolerance": None}}, "options.tolerance"),
+        ({"options": {"tolerance": 2.0}}, "options.tolerance"),
+        ({"options": {"degree_bound_override": "3"}},
+         "options.degree_bound_override"),
+        ({"dimension": 2,
+          "holonomy": [{"label": "I", "matrix": [[1, 0], [0, 1]]}],
+          "map": {"label": "f", "D": [[1, 2], [3]]}}, "map.D"),
+        ({"holonomy": [{"label": "I", "matrix": [[1], [1]]}]},
+         "holonomy matrix"),
+        ({"name": None}, "name"),
+        ({"dimension": True}, "dimension"),
+    ])
+    def test_malformed_field_named(self, overrides, field):
+        with pytest.raises(InvalidSpecFile) as info:
+            parse_spec_data(_minimal(**overrides))
+        assert str(info.value).startswith(field)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
