@@ -282,19 +282,24 @@ def _trace_polynomial(c: Polynomial) -> Polynomial:
     return t
 
 
-def count_unit_modulus_roots(p: Polynomial) -> int:
-    """Exact number of roots of p on the unit circle, with multiplicity."""
-    if p.degree < 1:
-        return 0
-    p = p.monic()
+def _strip_trivial_roots(p: Polynomial) -> tuple[Polynomial, int, int]:
+    """p without its roots 1, -1 and 0, and the multiplicities of 1 and
+    of -1."""
     p, m_one = _strip_root(p, Fraction(1))
     p, m_minus = _strip_root(p, Fraction(-1))
-    total = m_one + m_minus
     # zero roots are strictly inside the circle
     nz = 0
     while nz < len(p.coeffs) and p.coeffs[nz] == 0:
         nz += 1
-    p = p.shift_down(nz)
+    return p.shift_down(nz), m_one, m_minus
+
+
+def count_unit_modulus_roots(p: Polynomial) -> int:
+    """Exact number of roots of p on the unit circle, with multiplicity."""
+    if p.degree < 1:
+        return 0
+    p, m_one, m_minus = _strip_trivial_roots(p.monic())
+    total = m_one + m_minus
     if p.degree < 1:
         return total
     c = poly_gcd(p, p.reversed_poly())
@@ -615,33 +620,16 @@ class EigenClassification:
     p / n count real eigenvalues > 1 / < -1 (exact, with multiplicity);
     unit_modulus_count is the exact number of eigenvalues on the unit
     circle; expanding_log_product is sum(log |lambda|) over |lambda| > 1
-    at working precision; eigenvalues lists (re, im, multiplicity)
-    clusters, informational only.
+    at working precision; one_in_spectrum says, exactly, whether 1 is
+    an eigenvalue.
     """
 
     p: int
     n: int
     unit_modulus_count: int
     expanding_log_product: float
-    eigenvalues: tuple[tuple[float, float, int], ...]
+    one_in_spectrum: bool
     expanding_count: int
-
-
-def _cluster_roots(roots, merge_tol: float):
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        for cl in clusters:
-            c = sum(cl) / len(cl)
-            if abs(r - c) <= merge_tol * max(1.0, abs(c)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    out = []
-    for cl in clusters:
-        c = sum(cl) / len(cl)
-        out.append((float(c.real), float(c.imag), len(cl)))
-    return tuple(sorted(out))
 
 
 def spectral_isolation(m: RationalMatrix, tol: float = 1e-10):
@@ -669,14 +657,8 @@ def _classify(m: RationalMatrix, tol: float):
         raise ValueError("tolerance must be in (0, 1)")
     p = char_poly(m)
     dim = m.dim
-    unit_exact = count_unit_modulus_roots(p)
-
-    core, _ = _strip_root(p, Fraction(1))
-    core, _ = _strip_root(core, Fraction(-1))
-    nz = 0
-    while nz < len(core.coeffs) and core.coeffs[nz] == 0:
-        nz += 1
-    core = core.shift_down(nz)
+    core, m_one, m_minus = _strip_trivial_roots(p)
+    unit_exact = m_one + m_minus + count_unit_modulus_roots(core)
     p_count, n_count = _real_roots_outside(core) if core.degree >= 1 else (0, 0)
 
     roots = list(np.roots(p.float_coeffs_desc())) if dim >= 1 else []
@@ -701,7 +683,7 @@ def _classify(m: RationalMatrix, tol: float):
         n=n_count,
         unit_modulus_count=unit_exact,
         expanding_log_product=log_prod,
-        eigenvalues=_cluster_roots(roots, 1e-4),
+        one_in_spectrum=m_one > 0,
         expanding_count=len(expanding),
     )
     return cls, tuple(on), tuple(off)

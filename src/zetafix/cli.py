@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,10 +24,11 @@ from .fixtures import SequenceFixture, builtin_fixtures
 from .invariants import lefschetz  # noqa: F401
 from .manifolds import validate_spec
 from .ratfunc import zeta_from_terms
-from .report import (_coincidence_numbers_entry, _coincidence_sections, _num,
-                     _numbers_entry, _zeta_entry, asymptotics_entry,
-                     build_report, congruence_entries, render_human)
-from .specio import ParsedSpec, parse_spec_file
+from .report import (_coincidence_numbers_entry, _coincidence_sections,
+                     _construction_text, _num, _numbers_entry, _zeta_entry,
+                     asymptotics_entry, build_report, congruence_entries,
+                     render_human)
+from .specio import parse_spec_file
 from .zetas import (artin_mazur_zeta, lefschetz_zeta, map_context,
                     nielsen_zeta, reidemeister_zeta)
 
@@ -48,10 +48,17 @@ def _load(target: str):
         f"(builtins: {', '.join(fixtures)})")
 
 
-def _apply_tol(parsed: ParsedSpec, tol) -> ParsedSpec:
-    if tol is None:
-        return parsed
-    return replace(parsed, options=replace(parsed.options, tolerance=float(tol)))
+def _checked(kind, ok, rule: str):
+    """An argparse type: kind(text), rejected unless ok holds for it."""
+    def convert(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return v
+    return convert
 
 
 def _emit(payload: dict, human: str, fmt: str) -> None:
@@ -132,12 +139,9 @@ def _cmd_zeta(target, args) -> int:
     result = ops[which]()
     entry = _zeta_entry(result)
     entry["name"] = target.spec.name
-    c = result.construction
-    how = c.kind if c.kind == "direct" else \
-        f"{c.kind} ({c.case}, p={c.p}, n={c.n})"
     _emit(entry,
           f"{result.which} zeta of {target.spec.name}: {result.function}   "
-          f"[{how}]", args.format)
+          f"[{_construction_text(entry['construction'])}]", args.format)
     return 0
 
 
@@ -246,13 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a spec JSON or a builtin "
                                     "fixture name")
-        p.add_argument("--max-n", type=int, default=None, metavar="N",
-                       help="largest iterate to tabulate")
+        p.add_argument("--max-n", default=None, metavar="N",
+                       type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                       help="largest iterate to tabulate (>= 1)")
         p.add_argument("--which", choices=("L", "N", "R", "AM"), default=None,
                        help="which zeta function (zeta command)")
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--tol", type=float, default=None,
-                       help="numeric tolerance for eigenvalue classification")
+        p.add_argument("--tol", default=None,
+                       type=_checked(float, lambda t: 0 < t < 1, "in (0, 1)"),
+                       help="eigenvalue classification tolerance, in (0, 1)")
     return parser
 
 
@@ -260,8 +266,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         target = _load(args.spec)
-        if not isinstance(target, SequenceFixture):
-            target = _apply_tol(target, args.tol)
+        if args.tol is not None and not isinstance(target, SequenceFixture):
+            target = replace(target, options=replace(target.options,
+                                                     tolerance=args.tol))
         return _COMMANDS[args.command](target, args)
     except ZetaUndefined as e:
         print(f"undefined: {e}", file=sys.stderr)

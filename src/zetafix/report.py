@@ -13,13 +13,12 @@ import math
 import warnings
 from fractions import Fraction
 
-from .algebra import char_poly, det
+from .algebra import classify_eigenvalues, det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
 from .invariants import coincidence_table, coincidence_trichotomy
 from .manifolds import is_virtually_unipotent, validate_spec
-from .ratfunc import radius_of_convergence
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
                     map_context, nielsen_zeta, radius_report,
@@ -54,6 +53,13 @@ def _zeta_entry(result) -> dict:
     if c.kind == "sign-formula":
         entry["construction"].update({"case": c.case, "p": c.p, "n": c.n})
     return entry
+
+
+def _construction_text(c: dict) -> str:
+    """A zeta entry's construction as text: "direct", or the sign
+    formula with its case and the counts p and n."""
+    return c["kind"] if c["kind"] == "direct" else \
+        f"{c['kind']} ({c['case']}, p={c['p']}, n={c['n']})"
 
 
 def _congruence_entry(rep, sequence: str, **extra) -> dict:
@@ -92,17 +98,14 @@ def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
 def asymptotics_entry(spec, mapping, nz, tol: float = 1e-10) -> dict:
     """Growth rate, entropy, and zeta radius with its cross-check,
     suppressed when 1 is an eigenvalue of the linear part."""
-    one_in_spectrum = char_poly(mapping.linear)(Fraction(1)) == 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         n_inf = asymptotic_nielsen(spec, mapping, tol=tol)
         entropy = entropy_lower_bound(spec, mapping, tol=tol)
-        if one_in_spectrum:
-            radius = radius_of_convergence(nz.function)
-            radius_check = "suppressed: 1 is an eigenvalue of the linear part"
-        else:
-            radius = radius_report(spec, mapping, nz, tol=tol)
-            radius_check = "ok: radius * growth rate = 1 within 1e-6"
+        radius = radius_report(spec, mapping, nz, tol=tol)
+    radius_check = ("suppressed: 1 is an eigenvalue of the linear part"
+                    if classify_eigenvalues(mapping.linear, tol).one_in_spectrum
+                    else "ok: radius * growth rate = 1 within 1e-6")
     return {
         "n_infinity": _flt(n_inf),
         "entropy": _flt(entropy),
@@ -155,7 +158,6 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
                 "case": fe.case,
             }
 
-    one_in_spectrum = char_poly(mapping.linear)(Fraction(1)) == 0
     doc["asymptotics"] = asymptotics_entry(spec, mapping, nz,
                                            tol=opts.tolerance)
 
@@ -165,7 +167,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     # the definedness scan finds a witness exactly when D has a
     # root-of-unity eigenvalue
     root_of_unity = definedness.status == "undefined"
-    unipotent = is_virtually_unipotent(spec, mapping)
+    unipotent = is_virtually_unipotent(spec, mapping, opts.tolerance)
     if definedness.status == "defined":
         rz_text = "defined"
         if abs(d) == 1:
@@ -184,7 +186,8 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
         "reidemeister_zeta": rz_text,
         "root_of_unity_eigenvalue": root_of_unity,
         "virtually_unipotent": unipotent,
-        "one_in_spectrum": one_in_spectrum,
+        "one_in_spectrum": classify_eigenvalues(
+            mapping.linear, opts.tolerance).one_in_spectrum,
         "note": note,
     }
     return doc
@@ -285,10 +288,8 @@ def render_human(doc: dict) -> str:
     _human_numbers(doc, out)
     for z in doc.get("zetas", ()):
         if z["defined"]:
-            c = z["construction"]
-            how = c["kind"] if c["kind"] == "direct" else \
-                f"{c['kind']} ({c['case']}, p={c['p']}, n={c['n']})"
-            out.append(f"{z['which']} zeta: {z['function']}   [{how}]")
+            out.append(f"{z['which']} zeta: {z['function']}   "
+                       f"[{_construction_text(z['construction'])}]")
         else:
             out.append(f"{z['which']} zeta: undefined ({z['reason']})")
     fe = doc.get("functional_equation")

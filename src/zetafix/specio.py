@@ -72,6 +72,12 @@ def _matrix_to_json(m) -> list:
     return [[_entry_to_json(x) for x in row] for row in m.rows]
 
 
+def _string(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise InvalidSpecFile(f"{what} must be a string")
+    return v
+
+
 def _parse_map(obj, what: str) -> AffineMapSpec:
     if not isinstance(obj, dict) or "label" not in obj or "D" not in obj:
         raise InvalidSpecFile(f"{what} needs 'label' and 'D'")
@@ -80,7 +86,7 @@ def _parse_map(obj, what: str) -> AffineMapSpec:
         if not isinstance(translation, list):
             raise InvalidSpecFile(f"{what}.translation must be a list")
         translation = [_entry_from_json(v) for v in translation]
-    return AffineMapSpec.make(str(obj["label"]),
+    return AffineMapSpec.make(_string(obj["label"], f"{what}.label"),
                               _matrix_from_json(obj["D"], f"{what}.D"),
                               translation)
 
@@ -105,8 +111,7 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     for field in ("name", "dimension", "holonomy", "map"):
         if field not in data:
             raise InvalidSpecFile(f"missing field {field!r}")
-    if not isinstance(data["name"], str):
-        raise InvalidSpecFile("name must be a string")
+    _string(data["name"], "name")
     if isinstance(data["dimension"], bool) or not isinstance(data["dimension"], int):
         raise InvalidSpecFile("dimension must be an integer")
     holonomy = []
@@ -115,9 +120,9 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     for item in data["holonomy"]:
         if not isinstance(item, dict) or "label" not in item or "matrix" not in item:
             raise InvalidSpecFile("each holonomy item needs 'label' and 'matrix'")
-        holonomy.append((str(item["label"]),
+        holonomy.append((_string(item["label"], "holonomy item label"),
                          _matrix_from_json(item["matrix"], "holonomy matrix")))
-    spec = ManifoldSpec.make(str(data["name"]), data["dimension"], holonomy)
+    spec = ManifoldSpec.make(data["name"], data["dimension"], holonomy)
     validate_spec(spec)
     mapping = _parse_map(data["map"], "map")
     ensure_compatible(spec, mapping)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import char_poly, classify_eigenvalues, det
+from .algebra import classify_eigenvalues, det
 from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
                      RadiusMismatch, ZetaUndefined)
 from .invariants import (lefschetz_sequence, nielsen_sequence,
@@ -196,7 +196,7 @@ def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec,
     expanding eigenvalue moduli of the linear part, at least 1.  Warns
     when 1 is an eigenvalue, where the spectral formula can fail."""
     cls = classify_eigenvalues(mapping.linear, tol=tol)
-    if char_poly(mapping.linear)(Fraction(1)) == 0:
+    if cls.one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; the "
                       "spectral growth formula is not guaranteed",
                       stacklevel=2)
@@ -222,7 +222,7 @@ def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
     r = radius_of_convergence(zeta.function)
     if zeta.which == "Lefschetz":
         return r
-    if char_poly(mapping.linear)(Fraction(1)) == 0:
+    if classify_eigenvalues(mapping.linear, tol=tol).one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; skipping "
                       "the radius cross-check", stacklevel=2)
         return r

@@ -299,6 +299,43 @@ class TestClassification:
             classify_eigenvalues(RationalMatrix([[2]]), tol=2.0)
 
 
+def _companion(p):
+    n = p.degree
+    return RationalMatrix([[int(i == j + 1) for j in range(n - 1)]
+                           + [-p.coeffs[i]] for i in range(n)])
+
+
+def _cyclotomic_companions():
+    """Companion matrices of the products of at most two of Phi_1..Phi_12
+    and four non-cyclotomic polynomials, of degree at most 6, each with
+    its polynomial and whether a factor is cyclotomic."""
+    cyclo = {}
+    for k in range(1, 13):
+        p = Polynomial([-1] + [0] * (k - 1) + [1])
+        for d in range(1, k):
+            if k % d == 0:
+                p = p.exact_div(cyclo[d])
+        cyclo[k] = p
+    others = [Polynomial([-2, 1]), Polynomial([3, 1]),
+              Polynomial([1, -3, 1]), Polynomial([2, 1, 1])]
+    pool = list(cyclo.values()) + others
+    for r in (1, 2):
+        for factors in itertools.combinations_with_replacement(pool, r):
+            p = math.prod(factors, start=Polynomial.one())
+            if p.degree <= 6:
+                yield (_companion(p), p,
+                       any(f in cyclo.values() for f in factors))
+
+
+def _random_matrices():
+    """60 seeded integer matrices of dimension 1 to 4, entries in -2..2."""
+    rng = random.Random(23)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        yield RationalMatrix([[rng.randint(-2, 2) for _ in range(dim)]
+                              for _ in range(dim)])
+
+
 class TestRootOfUnity:
     @pytest.mark.parametrize("dim,expected", [(1, 2), (2, 6), (3, 6), (4, 12)])
     def test_max_order(self, dim, expected):
@@ -325,44 +362,35 @@ class TestRootOfUnity:
         return any(poly_gcd(p, Polynomial([-1] + [0] * (k - 1) + [1])).degree > 0
                    for k in range(1, max_root_of_unity_order(m.dim) + 1))
 
-    @staticmethod
-    def _companion(p):
-        n = p.degree
-        return RationalMatrix([[int(i == j + 1) for j in range(n - 1)]
-                               + [-p.coeffs[i]] for i in range(n)])
-
     def test_cyclotomic_test_matches_gcd_definition(self):
-        cyclo = {}
-        for k in range(1, 13):
-            p = Polynomial([-1] + [0] * (k - 1) + [1])
-            for d in range(1, k):
-                if k % d == 0:
-                    p = p.exact_div(cyclo[d])
-            cyclo[k] = p
-        others = [Polynomial([-2, 1]), Polynomial([3, 1]),
-                  Polynomial([1, -3, 1]), Polynomial([2, 1, 1])]
-        pool = list(cyclo.values()) + others
         seen = 0
-        for r in (1, 2):
-            for factors in itertools.combinations_with_replacement(pool, r):
-                p = math.prod(factors, start=Polynomial.one())
-                if p.degree > 6:
-                    continue
-                m = self._companion(p)
-                assert char_poly(m) == p
-                assert has_root_of_unity_eigenvalue(m) == self._by_gcd(m)
-                assert has_root_of_unity_eigenvalue(m) == \
-                    any(f in cyclo.values() for f in factors)
-                seen += 1
+        for m, p, cyclotomic in _cyclotomic_companions():
+            assert char_poly(m) == p
+            assert has_root_of_unity_eigenvalue(m) == self._by_gcd(m)
+            assert has_root_of_unity_eigenvalue(m) == cyclotomic
+            seen += 1
         assert seen == 96
 
     def test_cyclotomic_test_on_random_matrices(self):
-        rng = random.Random(23)
         found = 0
-        for _ in range(60):
-            dim = rng.randint(1, 4)
-            m = RationalMatrix([[rng.randint(-2, 2) for _ in range(dim)]
-                                for _ in range(dim)])
+        for m in _random_matrices():
             assert has_root_of_unity_eigenvalue(m) == self._by_gcd(m)
             found += has_root_of_unity_eigenvalue(m)
         assert 0 < found < 60
+
+    @pytest.mark.parametrize("matrices, count, with_one", [
+        pytest.param(lambda: [m for m, _, _ in _cyclotomic_companions()],
+                     96, 14, id="cyclotomic"),
+        pytest.param(_random_matrices, 60, 9, id="random"),
+    ])
+    def test_classification_reads_char_poly_exactly(self, matrices, count,
+                                                    with_one):
+        ms = list(matrices())
+        for m in ms:
+            cls = classify_eigenvalues(m)
+            assert cls.one_in_spectrum == (char_poly(m)(1) == 0)
+            assert cls.unit_modulus_count == \
+                count_unit_modulus_roots(char_poly(m))
+        assert len(ms) == count
+        assert sum(classify_eigenvalues(m).one_in_spectrum
+                   for m in ms) == with_one

@@ -1,14 +1,22 @@
 """The benchmark's tracer patches zetafix from outside by name.  Deleting
 or renaming a traced function or method breaks `bench/run.py --trace 1`
-only at run time, so pin every name it patches here."""
+only at run time, so pin every name it patches here, and the module
+bindings that the benchmark's own tests assert."""
 
+import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import zetafix.algebra
+import zetafix.cli
+import zetafix.invariants
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +43,26 @@ def test_traced_methods_exist(tracer):
         cls = getattr(importlib.import_module(f"zetafix.{mod_name}"), cls_name)
         assert attr in cls.__dict__, f"zetafix.{mod_name}.{cls_name}.{attr}"
 
+
+def _bench_det_bindings() -> set:
+    # read from the source text, so no bytecode is written under bench/
+    tree = ast.parse((BENCH / "test_bench.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "DET_BINDINGS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/test_bench.py defines no DET_BINDINGS")
+
+
+def test_det_bound_where_the_benchmark_expects():
+    det = zetafix.algebra.det
+    bound = {name for name, mod in sys.modules.items()
+             if (name == "zetafix" or name.startswith("zetafix."))
+             and mod is not None
+             and any(v is det for v in vars(mod).values())}
+    assert bound == _bench_det_bindings()
+
+
+def test_cli_binds_lefschetz():
+    assert zetafix.cli.lefschetz is zetafix.invariants.lefschetz

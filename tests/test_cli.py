@@ -50,6 +50,36 @@ class TestExitCodes:
         assert err.startswith("error:") and "map.translation" in err
         assert "Traceback" not in err
 
+    def test_non_string_label(self, capsys, tmp_path):
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("torus_cat_map.json").read_text())
+        spec["map"]["label"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_main(capsys, "report", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "map.label" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, spec, flag, value", [
+        (command, spec, "--max-n", value)
+        for command, spec in [("numbers", "heisenberg_ex3"),
+                              ("coincidence", "halfturn_coincidence"),
+                              ("numbers", "sol_r_2")]
+        for value in ("-3", "0", "x")
+    ] + [
+        (command, "heisenberg_ex3", "--tol", value)
+        for command in ("numbers", "validate", "report")
+        for value in ("5", "-1", "0", "1", "nan", "inf", "x")
+    ])
+    def test_out_of_range_flag(self, capsys, command, spec, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main([command, spec, flag, value])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"argument {flag}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unreadable_path(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "validate", str(tmp_path))
         assert code == 2 and err.startswith("error:")

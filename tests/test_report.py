@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,22 @@ class TestSharedContext:
         build_report(load_fixture(name))
         assert calls["has_root_of_unity_eigenvalue"] == 1
 
+    @pytest.mark.parametrize("tolerance", [None, 1e-9])
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_linear_part_classified_once(self, monkeypatch, name, tolerance):
+        # one char_poly for the classification, one for the cyclotomic
+        # test; every spectral reader shares one classification
+        parsed = load_fixture(name)
+        if tolerance is not None:
+            parsed = replace(parsed, options=replace(parsed.options,
+                                                     tolerance=tolerance))
+        zetafix.zetas.map_context.cache_clear()
+        zetafix.algebra.char_poly.cache_clear()
+        zetafix.algebra._classify.cache_clear()
+        calls = _count_calls(monkeypatch, zetafix.algebra, ("char_poly",))
+        build_report(parsed)
+        assert calls["char_poly"] == 2
+        assert zetafix.algebra._classify.cache_info().misses == 1
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_zetas_rebuilt_and_compared_without_gcd(self, monkeypatch, name):

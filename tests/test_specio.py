@@ -178,6 +178,12 @@ class TestRejection:
          "holonomy matrix"),
         ({"name": None}, "name"),
         ({"dimension": True}, "dimension"),
+        ({"map": {"label": None, "D": [[2]]}}, "map.label"),
+        ({"map": {"label": [1, 2], "D": [[2]]}}, "map.label"),
+        ({"map2": {"label": {"a": 1}, "D": [[3]]}}, "map2.label"),
+        ({"holonomy": [{"label": None, "matrix": [[1]]}]},
+         "holonomy item label"),
+        ({"holonomy": [{"label": 7, "matrix": [[1]]}]}, "holonomy item label"),
     ])
     def test_malformed_field_named(self, overrides, field):
         with pytest.raises(InvalidSpecFile) as info:
