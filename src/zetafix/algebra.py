@@ -497,18 +497,37 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 @lru_cache(maxsize=8)
 def char_poly(m: RationalMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(zI - M), exactly
-    (Faddeev-LeVerrier recursion)."""
-    n = m.dim
-    ident = RationalMatrix.identity(n)
-    coeffs_desc = [Fraction(1)]
-    mk = RationalMatrix([[Fraction(0)] * n for _ in range(n)])
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        mk = m @ mk + ident.scale(c)
-        c = -(m @ mk).trace() / k
-        coeffs_desc.append(c)
-    return Polynomial(tuple(reversed(coeffs_desc)))
+    """Monic characteristic polynomial det(zI - M), exactly.
+
+    M is written once as M_int / q; the characteristic polynomial of the
+    integer matrix M_int comes from the division-free Berkowitz
+    recursion, and its coefficient of z^(dim-k) is divided by q^k.
+    """
+    (a,), q = _integer_form([m])
+    coeffs_desc = _berkowitz(a)
+    return Polynomial(tuple(reversed(
+        [Fraction(c, q ** k) for k, c in enumerate(coeffs_desc)])))
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """Characteristic polynomial of a square integer matrix, highest
+    degree first, in integer arithmetic.  Step r borders the leading
+    r x r block A_r with row R, column C and corner x; the new
+    polynomial is the old one times the Toeplitz column
+    (1, -x, -R C, -R A_r C, ..., -R A_r^(r-1) C)."""
+    poly = [1]
+    for r in range(len(a)):
+        block = [a[i][:r] for i in range(r)]
+        row, x = a[r][:r], a[r][r]
+        v = [a[i][r] for i in range(r)]
+        col = [1, -x]
+        for _ in range(r):
+            col.append(-sum(map(operator.mul, row, v)))
+            v = [sum(map(operator.mul, b, v)) for b in block]
+        poly = [sum(col[i - j] * poly[j] for j in range(max(0, i - r - 1),
+                                                      min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly
 
 
 def exterior_power(m: RationalMatrix, i: int) -> RationalMatrix:
@@ -578,7 +597,9 @@ class AveragingKernel:
     scaled to integers, and is returned as a numerator over a
     denominator that all holonomy elements share, so that averages can
     be taken exactly.  With a target E, the fixed-point determinants
-    det(I - A D^n) become the coincidence ones det(E^n - A D^n).
+    det(I - A D^n) become the coincidence ones det(E^n - A D^n).  Both
+    lists are kept per n on the instance, so every sequence read from
+    one kernel takes each determinant once.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,
@@ -589,23 +610,30 @@ class AveragingKernel:
         self._e = None if target is None else _ScaledPowers(target)
         ident, _ = self._d(0)
         self._skip = [a == ident for a in self._hol]    # A_int P is P
+        self._fixed: dict[int, tuple[list[int], int]] = {}
+        self._shifted: dict[int, tuple[list[int], int]] = {}
 
     def fixed_point_dets(self, n: int) -> tuple[list[int], int]:
         """Numerators of det(E^n - A D^n), E = I unless a target was
-        given, one per holonomy element, and their common denominator."""
-        p, qn = self._d(n)
-        e, rn = self._d(0) if self._e is None else self._e(n)   # I = I_int / 1
-        c = self._s * qn             # A D^n = A_int P / c
-        dets = [_scaled_det(c, e, rn, p if skip else _int_matmul(a, p))
-                for a, skip in zip(self._hol, self._skip)]
-        return dets, (rn * c) ** self._dim
+        given, one per holonomy element, and their common denominator.
+        The list is shared between callers and must not be changed."""
+        if n not in self._fixed:
+            p, qn = self._d(n)
+            e, rn = self._d(0) if self._e is None else self._e(n)  # I = I_int / 1
+            c = self._s * qn             # A D^n = A_int P / c
+            dets = [_scaled_det(c, e, rn, p if skip else _int_matmul(a, p))
+                    for a, skip in zip(self._hol, self._skip)]
+            self._fixed[n] = dets, (rn * c) ** self._dim
+        return self._fixed[n]
 
     def shifted_dets(self, n: int) -> tuple[list[int], int]:
         """Numerators of det(A - D^n), one per holonomy element, and
         their common denominator (s q^n)^dim."""
-        p, qn = self._d(n)
-        return ([_scaled_det(qn, a, self._s, p) for a in self._hol],
-                (self._s * qn) ** self._dim)
+        if n not in self._shifted:
+            p, qn = self._d(n)
+            self._shifted[n] = ([_scaled_det(qn, a, self._s, p) for a in self._hol],
+                                (self._s * qn) ** self._dim)
+        return self._shifted[n]
 
 
 # --------------------------------------------------------------------------

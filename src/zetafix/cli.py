@@ -250,11 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a spec JSON or a builtin "
                                     "fixture name")
-        p.add_argument("--max-n", default=None, metavar="N",
-                       type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                       help="largest iterate to tabulate (>= 1)")
-        p.add_argument("--which", choices=("L", "N", "R", "AM"), default=None,
-                       help="which zeta function (zeta command)")
+        if name in ("numbers", "congruences", "coincidence"):
+            p.add_argument("--max-n", default=None, metavar="N",
+                           type=_checked(int, lambda n: n >= 1,
+                                         "an integer >= 1"),
+                           help="largest iterate to tabulate (>= 1)")
+        if name == "zeta":
+            p.add_argument("--which", choices=("L", "N", "R", "AM"),
+                           default=None, help="which zeta function")
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--tol", default=None,
                        type=_checked(float, lambda t: 0 < t < 1, "in (0, 1)"),

@@ -57,8 +57,12 @@ def _kernel(spec: ManifoldSpec, mapping: AffineMapSpec,
                            None if target is None else target.linear)
 
 
-def _lefschetz_at(kernel: AveragingKernel, n: int) -> int:
+def _lefschetz_at(kernel: AveragingKernel, n: int, members=None) -> int:
+    """L(f^n), or with members (indices into the holonomy) the signed
+    average over that subgroup alone, read from the same determinants."""
     dets, den = kernel.fixed_point_dets(n)
+    if members is not None:
+        dets = [dets[i] for i in members]
     return _average(dets, den, NonIntegralLefschetz)
 
 
@@ -134,11 +138,11 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 # --------------------------------------------------------------------------
 
 
-def _sequence(kind: str, at, spec: ManifoldSpec, mapping: AffineMapSpec,
-              degree_bound: int | None) -> SequenceOracle:
-    """The oracle n -> at(kernel, n) over one kernel, whose powers of D
-    grow by one integer product per iterate."""
-    kernel = _kernel(spec, mapping)
+def _oracle(kind: str, at, kernel: AveragingKernel, spec: ManifoldSpec,
+            mapping: AffineMapSpec,
+            degree_bound: int | None = None) -> SequenceOracle:
+    """The oracle n -> at(kernel, n).  Oracles over one kernel share its
+    powers of D and its determinants."""
     bound = default_degree_bound(spec) if degree_bound is None else degree_bound
     return SequenceOracle(lambda n: at(kernel, n), bound,
                           name=f"{kind}:{spec.name}:{mapping.label}")
@@ -146,20 +150,22 @@ def _sequence(kind: str, at, spec: ManifoldSpec, mapping: AffineMapSpec,
 
 def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
                        degree_bound: int | None = None) -> SequenceOracle:
-    return _sequence("lefschetz", _lefschetz_at, spec, mapping, degree_bound)
+    return _oracle("lefschetz", _lefschetz_at, _kernel(spec, mapping),
+                   spec, mapping, degree_bound)
 
 
 def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
                      degree_bound: int | None = None) -> SequenceOracle:
-    return _sequence("nielsen", _nielsen_at, spec, mapping, degree_bound)
+    return _oracle("nielsen", _nielsen_at, _kernel(spec, mapping),
+                   spec, mapping, degree_bound)
 
 
 def reidemeister_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
                           degree_bound: int | None = None) -> SequenceOracle:
     """Values may be math.inf; zeta construction must check definedness
     before consuming this."""
-    return _sequence("reidemeister", _reidemeister_at, spec, mapping,
-                     degree_bound)
+    return _oracle("reidemeister", _reidemeister_at, _kernel(spec, mapping),
+                   spec, mapping, degree_bound)
 
 
 # --------------------------------------------------------------------------

@@ -307,9 +307,16 @@ def reidemeister_zeta_defined(spec: ManifoldSpec,
     the identity is in the holonomy.
     """
     ensure_compatible(spec, mapping)
+    return _zeta_definedness(spec, mapping, AveragingKernel(
+        [a for _, a in spec.holonomy], mapping.linear))
+
+
+def _zeta_definedness(spec: ManifoldSpec, mapping: AffineMapSpec,
+                      kernel: AveragingKernel) -> ZetaDefinedness:
+    """The definedness scan over the fixed-point determinants of kernel,
+    the averaging kernel of (spec, mapping)."""
     if not has_root_of_unity_eigenvalue(mapping.linear):
         return ZetaDefinedness("defined")
-    kernel = AveragingKernel([a for _, a in spec.holonomy], mapping.linear)
     for n in range(1, max_root_of_unity_order(spec.dimension) + 1):
         dets, _ = kernel.fixed_point_dets(n)
         for (l, _), v in zip(spec.holonomy, dets):

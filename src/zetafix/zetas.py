@@ -14,17 +14,16 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .algebra import classify_eigenvalues, det
 from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
                      RadiusMismatch, ZetaUndefined)
-from .invariants import (lefschetz_sequence, nielsen_sequence,
-                         reidemeister_sequence)
+from .invariants import (_kernel, _lefschetz_at, _nielsen_at, _oracle,
+                         _reidemeister_at)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        ZetaDefinedness, compute_plus_split,
-                        plus_subgroup_spec, reidemeister_zeta_defined)
-from .ratfunc import (RationalFunction, radius_of_convergence,
+                        ZetaDefinedness, _zeta_definedness, compute_plus_split)
+from .ratfunc import (RationalFunction, SequenceOracle, radius_of_convergence,
                       substitute_reciprocal_scale, zeta_from_terms)
 
 
@@ -49,25 +48,38 @@ class ZetaResult:
 
 
 class MapContext:
-    """Everything computed for one (spec, map, tolerance): the L, N and R
-    sequences (each caching its terms and the powers of D), the plus
-    split, the Reidemeister definedness, and the Lefschetz and Nielsen
-    zetas.  Obtain it from map_context, so that every caller asking
-    about the same problem shares one instance."""
+    """Everything computed for one (spec, map, tolerance): one averaging
+    kernel, the L, N and R sequences read from it (L and N from the same
+    determinants det(I - A D^n)), the plus split, the Reidemeister
+    definedness, and the Lefschetz and Nielsen zetas.  Obtain it from
+    map_context, so that every caller asking about the same problem
+    shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec, tol: float):
         self.spec, self.mapping, self.tol = spec, mapping, tol
-        self.l_seq = lefschetz_sequence(spec, mapping)
-        self.n_seq = nielsen_sequence(spec, mapping)
-        self.r_seq = reidemeister_sequence(spec, mapping)
+        self.kernel = _kernel(spec, mapping)
+        self.l_seq = _oracle("lefschetz", _lefschetz_at, self.kernel,
+                             spec, mapping)
+        self.n_seq = _oracle("nielsen", _nielsen_at, self.kernel, spec, mapping)
+        self.r_seq = _oracle("reidemeister", _reidemeister_at, self.kernel,
+                             spec, mapping)
 
     @cached_property
     def split(self) -> PlusSplit:
         return compute_plus_split(self.spec, self.mapping, tol=self.tol)
 
     @cached_property
+    def lplus_seq(self) -> SequenceOracle:
+        """L(f+^n): the signed average of the kernel's determinants over
+        the plus subgroup of the split."""
+        members = [i for i, (_, inside) in enumerate(self.split.plus_membership)
+                   if inside]
+        return _oracle("lefschetz-plus", partial(_lefschetz_at, members=members),
+                       self.kernel, self.spec, self.mapping)
+
+    @cached_property
     def definedness(self) -> ZetaDefinedness:
-        return reidemeister_zeta_defined(self.spec, self.mapping)
+        return _zeta_definedness(self.spec, self.mapping, self.kernel)
 
     @cached_property
     def l_zeta(self) -> ZetaResult:
@@ -81,8 +93,7 @@ class MapContext:
         scale = (-1) ** split.n
         lf = self.l_zeta.function.compose_scale(scale)
         if split.is_proper:
-            lplus = zeta_from_terms(lefschetz_sequence(plus_subgroup_spec(
-                self.spec, split), self.mapping)).compose_scale(scale)
+            lplus = zeta_from_terms(self.lplus_seq).compose_scale(scale)
             num, den = lplus.num * lf.den, lplus.den * lf.num
             case = "plus-proper"
         else:

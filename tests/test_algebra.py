@@ -227,6 +227,63 @@ class TestMatrix:
             assert p(Fraction(0)) == (-1) ** m.dim * det(m)
 
 
+def _char_poly_by_det(m):
+    """det(zI - m) at dim + 1 rational points, which fix a polynomial of
+    degree dim."""
+    ident = RationalMatrix.identity(m.dim)
+    points = [Fraction(2 * k - m.dim, 3) for k in range(m.dim + 1)]
+    return points, [det(ident.scale(z) - m) for z in points]
+
+
+def _scalar_plus_nilpotent(rng, dim):
+    """c*I + N with N strictly upper triangular, conjugated by a unimodular
+    integer matrix so that the nilpotent part is not triangular."""
+    c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    m = RationalMatrix([[c if i == j else
+                         (Fraction(rng.randint(-3, 3)) if j > i else 0)
+                         for j in range(dim)] for i in range(dim)])
+    u = RationalMatrix.identity(dim)
+    for _ in range(dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        e = [[int(r == s) + (rng.randint(-2, 2) if (r, s) == (i, j) else 0)
+              for s in range(dim)] for r in range(dim)]
+        u = u @ RationalMatrix(e)
+    return c, u @ m @ u.inverse()
+
+
+class TestCharPolyByValue:
+    # Cayley-Hamilton holds for every annihilating monic polynomial of
+    # degree dim (for c*I, (z-c)(z-d)^(dim-1) too); the values of
+    # det(zI - M) at dim + 1 points fix the characteristic polynomial.
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_seeded_rational_matrices(self, dim):
+        rng = random.Random(100 + dim)
+        for _ in range(4):
+            m = RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(dim)] for _ in range(dim)])
+            points, values = _char_poly_by_det(m)
+            p = char_poly(m)
+            assert p.degree == dim
+            assert [p(z) for z in points] == values
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_scalar_plus_nilpotent(self, dim):
+        rng = random.Random(200 + dim)
+        for _ in range(4):
+            c, m = _scalar_plus_nilpotent(rng, dim)
+            points, values = _char_poly_by_det(m)
+            assert [char_poly(m)(z) for z in points] == values
+            assert char_poly(m) == _from_roots([c] * dim)
+
+    def test_scalar_matrix(self):
+        c = Fraction(-3, 2)
+        m = RationalMatrix.identity(5).scale(c)
+        points, values = _char_poly_by_det(m)
+        assert [char_poly(m)(z) for z in points] == values
+        assert char_poly(m) == _from_roots([c] * 5)
+
+
 class TestExteriorPower:
     def test_edge_indices(self):
         m = RationalMatrix([[2, 1], [1, 1]])

@@ -80,6 +80,28 @@ class TestExitCodes:
         assert f"argument {flag}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, spec, flag, value", [
+        (command, "heisenberg_ex3", "--max-n", "5")
+        for command in ("validate", "zeta", "entropy", "report")
+    ] + [
+        (command, spec, "--which", "R")
+        for command, spec in [("validate", "heisenberg_ex3"),
+                              ("numbers", "heisenberg_ex3"),
+                              ("congruences", "heisenberg_ex3"),
+                              ("entropy", "heisenberg_ex3"),
+                              ("coincidence", "halfturn_coincidence"),
+                              ("report", "heisenberg_ex3")]
+    ])
+    def test_flag_the_command_ignores(self, capsys, command, spec, flag, value):
+        # only numbers, congruences and coincidence read --max-n, only
+        # zeta reads --which
+        with pytest.raises(SystemExit) as info:
+            main([command, spec, flag, value])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unreadable_path(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "validate", str(tmp_path))
         assert code == 2 and err.startswith("error:")

@@ -13,8 +13,10 @@ import zetafix.zetas
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
                      asymptotics_entry, build_report, congruence_entries,
-                     has_root_of_unity_eigenvalue, load_fixture, nielsen_zeta,
-                     parse_spec_data, render_human, serialize_spec)
+                     has_root_of_unity_eigenvalue, load_fixture,
+                     max_root_of_unity_order, nielsen_zeta, parse_spec_data,
+                     render_human, serialize_spec)
+from zetafix.report import CONGRUENCE_N_MAX
 
 FIXED_POINT_KEYS = ["schema", "input", "validation", "numbers", "zetas",
                     "functional_equation", "asymptotics", "congruences",
@@ -72,20 +74,59 @@ def _count_calls(monkeypatch, home, names) -> dict:
 
 
 class TestSharedContext:
-    COUNTED = ("zeta_from_terms", "lefschetz_sequence", "nielsen_sequence",
-               "reidemeister_sequence")
-
-    @pytest.mark.parametrize("name, reconstructions, sequences", [
-        ("heisenberg_ex3", 3, 4),     # L, N, L+ (plus-proper split)
-        ("torus_cat_map", 2, 3),      # L, N
+    @pytest.mark.parametrize("name, reconstructions", [
+        ("heisenberg_ex3", 3),     # L, N, L+ (plus-proper split)
+        ("torus_cat_map", 2),      # L, N
     ])
-    def test_each_sequence_and_zeta_built_once(self, monkeypatch, name,
-                                               reconstructions, sequences):
-        calls = _count_calls(monkeypatch, zetafix.zetas, self.COUNTED)
+    def test_each_zeta_built_once(self, monkeypatch, name, reconstructions):
+        calls = _count_calls(monkeypatch, zetafix.zetas, ("zeta_from_terms",))
         zetafix.zetas.map_context.cache_clear()
         build_report(load_fixture(name))
         assert calls["zeta_from_terms"] == reconstructions
-        assert sum(calls[k] for k in self.COUNTED[1:]) == sequences
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_one_averaging_kernel(self, monkeypatch, name):
+        # the sequences, the plus-cover average and the definedness scan
+        # all read the context's kernel
+        kernels = []
+        init = zetafix.algebra.AveragingKernel.__init__
+
+        def counted(self, *args, **kwargs):
+            kernels.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(zetafix.algebra.AveragingKernel, "__init__", counted)
+        zetafix.zetas.map_context.cache_clear()
+        build_report(load_fixture(name))
+        assert len(kernels) == 1
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_each_fixed_point_determinant_once(self, monkeypatch, name):
+        # The report asks for iterates 1..CONGRUENCE_N_MAX (the congruence
+        # battery), which covers the numbers table, the 3B + 4 terms of
+        # each rebuild and the definedness scan; each det(I - A D^n) is
+        # taken once for every holonomy element A.
+        parsed = load_fixture(name)
+        dim = parsed.spec.dimension
+        assert CONGRUENCE_N_MAX >= max(3 * 2 ** dim + 4, parsed.options.n_max,
+                                       max_root_of_unity_order(dim))
+        kernel = zetafix.algebra.AveragingKernel
+        scopes = {kernel.fixed_point_dets.__code__: "fixed",
+                  kernel.shifted_dets.__code__: "shifted"}
+        counts = dict.fromkeys(scopes.values(), 0)
+        orig = zetafix.algebra._scaled_det
+
+        def counted(*args):
+            frame = sys._getframe(1)
+            while frame.f_code not in scopes:
+                frame = frame.f_back
+            counts[scopes[frame.f_code]] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(zetafix.algebra, "_scaled_det", counted)
+        zetafix.zetas.map_context.cache_clear()
+        build_report(parsed)
+        assert counts["fixed"] == parsed.spec.order * CONGRUENCE_N_MAX
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):

@@ -5,15 +5,19 @@ import math
 
 import pytest
 
-from _corpus import random_integer_matrices
+from _corpus import random_instances, random_integer_matrices
+from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      NonAcyclicBundle, NotConstantRatio, Polynomial,
                      RadiusMismatch, RationalFunction, RationalMatrix,
                      ZetaResult, ZetaUndefined, artin_mazur_zeta,
                      asymptotic_nielsen, char_poly, entropy_lower_bound,
-                     exterior_power, is_virtually_unipotent, lefschetz_zeta,
-                     nielsen_zeta, radius_report, reidemeister_zeta,
-                     torsion_special_value, verify_functional_equation)
+                     exterior_power, is_virtually_unipotent, lefschetz_plus,
+                     lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
+                     reidemeister_zeta, torsion_special_value,
+                     verify_functional_equation)
+from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
+from zetafix.zetas import map_context
 
 GOLDEN_NIELSEN = {
     "klein_bottle_ex1": RationalFunction([1, 2], [1, -2]),
@@ -134,6 +138,44 @@ class TestExteriorProductOracle:
             mapping = AffineMapSpec.make("f", d)
             assert lefschetz_zeta(spec, mapping).function == \
                 self._product_formula(d)
+
+
+def _proper_splits(cases):
+    """The map contexts of the cases whose plus split is proper."""
+    out = []
+    for spec, mapping in cases:
+        ctx = map_context(spec, mapping, 1e-10)
+        try:
+            if ctx.split.is_proper:
+                out.append(ctx)
+        except (NonInvariantSubspace, AmbiguousClassification):
+            pass
+    return out
+
+
+class TestPlusCoverAverage:
+    # The context averages its own determinants over the plus indices;
+    # lefschetz_plus builds the plus-cover spec with a kernel of its own,
+    # so the two routes share no determinant.
+
+    @staticmethod
+    def _agree(ctx):
+        for n in range(1, 3 * 2 ** ctx.spec.dimension + 5):
+            assert ctx.lplus_seq(n) == lefschetz_plus(
+                ctx.spec, ctx.mapping, ctx.split, n), (ctx.spec.name, n)
+
+    def test_fixtures(self):
+        fixtures = [load_fixture(name) for name in FIXED_POINT_NAMES]
+        contexts = _proper_splits((fx.spec, fx.mapping) for fx in fixtures)
+        assert len(contexts) >= 3
+        for ctx in contexts:
+            self._agree(ctx)
+
+    def test_acceptance_corpus(self):
+        contexts = _proper_splits(random_instances(seed=20260817, count=200))
+        assert len(contexts) >= 40
+        for ctx in contexts:
+            self._agree(ctx)
 
 
 class TestFunctionalEquation:
