@@ -3,9 +3,11 @@
 Everything an averaging formula needs: fraction-free determinants,
 exact characteristic polynomials, compound (exterior-power) matrices,
 and eigenvalue classification relative to the unit circle.  Scalars are
-``fractions.Fraction`` throughout; floating point enters only in the
-final numeric isolation of roots, and every count that feeds a sign
-decision is certified by exact Sturm-chain arithmetic.
+``fractions.Fraction`` at every interface; products, gcds, squarefree
+splits and Sturm chains scale their operands to integers once and run
+on Python ints inside.  Floating point enters only in the final numeric
+isolation of roots, and every count that feeds a sign decision is
+certified by exact Sturm-chain arithmetic.
 """
 
 from __future__ import annotations
@@ -102,13 +104,9 @@ class Polynomial:
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, s = _integer_coeffs(self)
+        b, t = _integer_coeffs(other)
+        return Polynomial(_over(_int_poly_mul(a, b), s * t))
 
     __rmul__ = __mul__
 
@@ -178,34 +176,129 @@ class Polynomial:
         return Polynomial((1,))
 
 
+def _over(ints, den: int) -> list[Fraction]:
+    """The Fractions x / den, one per integer x."""
+    if den == 1:
+        return [Fraction(x) for x in ints]
+    return [Fraction(x, den) for x in ints]
+
+
+def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
+    """Integer coefficients c and a denominator s > 0 with p = c / s."""
+    s = math.lcm(1, *(x.denominator for x in p.coeffs))
+    return [x.numerator * (s // x.denominator) for x in p.coeffs], s
+
+
+def _monic(c: list[int]) -> Polynomial:
+    """The monic Polynomial proportional to the integer polynomial c."""
+    return Polynomial(_over(c, c[-1]) if c else ())
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer polynomials, one inner product per
+    output coefficient."""
+    n = len(b)
+    rb = b[::-1]
+    return [sum(map(operator.mul, a[max(0, k - n + 1):k + 1],
+                    rb[max(0, n - 1 - k):]))
+            for k in range(len(a) + n - 1)]
+
+
+def _int_derivative(c: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """c divided by its (positive) content; the sign is kept."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a on division by nonzero b over Q, times a positive
+    integer.  Each elimination step scales by |lc(b)|, never by lc(b),
+    so the result has the sign of the Fraction remainder."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    mult, sgn = abs(lead), (1 if lead > 0 else -1)
+    while len(r) > d:
+        c = r.pop()
+        if c == 0:
+            continue
+        c *= sgn
+        k = len(r) - d
+        if mult != 1:
+            r = [mult * x for x in r]
+        for j in range(d):
+            r[k + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _int_exact_div(a, b) -> list[int]:
+    """a / b for integer polynomials with b primitive and dividing a over
+    Q; by Gauss's lemma the quotient is integral."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    q = [0] * max(0, len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + d], lead)
+        if rem:
+            raise ArithmeticError("division is not exact")
+        q[k] = c
+        if c:
+            for j in range(d):
+                r[k + j] -= c * b[j]
+    if any(r[:d]):
+        raise ArithmeticError("division is not exact")
+    return q
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Q of two integer polynomials, by the primitive
+    remainder sequence; its sign is not normalised."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return _primitive(a)
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals."""
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a.monic()
+    return _monic(_int_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0]))
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: return [(s_i, i)] with p = lead * prod s_i^i,
-    each s_i squarefree and pairwise coprime (trivial factors omitted)."""
+    each s_i squarefree and pairwise coprime (trivial factors omitted).
+    It runs on the primitive integer multiple of p: every gcd is
+    primitive, so every division stays integral."""
     if p.degree < 1:
         return []
-    p = p.monic()
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
+    a = _primitive(_integer_coeffs(p)[0])
+    da = _int_derivative(a)
+    g = _int_gcd(a, da)
+    if len(g) == 1:
+        return [(p.monic(), 1)]
     out = []
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
+    c = _int_exact_div(a, g)
+    d = _int_sub(_int_exact_div(da, g), _int_derivative(c))
     i = 1
-    while c.degree > 0:
-        s = poly_gcd(c, d)
-        if s.degree > 0:
-            out.append((s, i))
-        c2 = c.exact_div(s) if s.degree > 0 else c
-        d = (d.exact_div(s) if s.degree > 0 else d) - c2.derivative()
-        c = c2
+    while len(c) > 1:
+        s = _int_gcd(c, d)
+        if len(s) > 1:
+            out.append((_monic(s), i))
+            c, d = _int_exact_div(c, s), _int_exact_div(d, s)
+        d = _int_sub(d, _int_derivative(c))
         i += 1
     return out
 
@@ -214,25 +307,36 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
+def _sturm_chain(p: Polynomial) -> list[list[int]]:
+    """Sturm chain of p on primitive integer polynomials.  Each member is
+    a positive multiple of the member of the Fraction chain that it
+    stands for, so both give the same signs."""
+    a = _primitive(_integer_coeffs(p)[0])
+    chain = [a, _int_derivative(a)]
+    while len(chain[-1]) > 1:
+        rem = _primitive(_prem(chain[-2], chain[-1]))
+        if not rem:
             break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero]
+        chain.append([-x for x in rem])
+    return [q for q in chain if q]
+
 
 _NEG_INF = object()
 _POS_INF = object()
 
 
-def _sign_at(q: Polynomial, x) -> int:
+def _sign_at(q: list[int], x) -> int:
     if x is _POS_INF:
-        return _sign(q.leading())
+        return _sign(q[-1])
     if x is _NEG_INF:
-        return _sign(q.leading()) * (-1) ** q.degree
-    return _sign(q(x))
+        return _sign(q[-1]) * (-1) ** (len(q) - 1)
+    # the sign of q(u/v) * v^deg, v > 0, by Horner on integers
+    u, v = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    acc, vk = 0, 1
+    for c in reversed(q):
+        acc = acc * u + c * vk
+        vk *= v
+    return _sign(acc)
 
 
 def _variations(chain, x) -> int:
@@ -373,9 +477,9 @@ class RationalMatrix:
     def __matmul__(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return RationalMatrix([[sum(a * b for a, b in zip(row, col))
-                                for col in cols] for row in self.rows])
+        (a,), s = _integer_form([self])
+        (b,), t = _integer_form([other])
+        return RationalMatrix([_over(row, s * t) for row in _int_matmul(a, b)])
 
     def scale(self, c) -> "RationalMatrix":
         c = as_rational(c)
@@ -738,21 +842,21 @@ def max_root_of_unity_order(dim: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(k: int) -> Polynomial:
-    """The k-th cyclotomic polynomial: z^k - 1 divided by Phi_d for
-    every proper divisor d of k."""
-    p = Polynomial([-1] + [0] * (k - 1) + [1])
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the k-th cyclotomic polynomial: z^k - 1
+    divided by Phi_d for every proper divisor d of k."""
+    p = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            p = p.exact_div(_cyclotomic(d))
-    return p
+            p = _int_exact_div(p, _cyclotomic(d))
+    return tuple(p)
 
 
 def has_root_of_unity_eigenvalue(m: RationalMatrix) -> bool:
     """True iff some eigenvalue is a root of unity, decided exactly: a
     primitive k-th root of unity is an eigenvalue iff the cyclotomic
     polynomial Phi_k divides the characteristic polynomial."""
-    p = char_poly(m)
-    return any((p % _cyclotomic(k)).is_zero
+    p, _ = _integer_coeffs(char_poly(m))
+    return any(not _prem(p, _cyclotomic(k))
                for k in range(1, max_root_of_unity_order(m.dim) + 1)
                if _euler_phi(k) <= m.dim)

@@ -42,10 +42,11 @@ def default_degree_bound(spec: ManifoldSpec) -> int:
 def _average(dets, den: int, err) -> int:
     """Exact average of the values dets[k] / den, one per holonomy
     element."""
-    s = Fraction(sum(dets), den * len(dets))
-    if s.denominator != 1:
-        raise err(f"holonomy average {s} is not an integer")
-    return s.numerator
+    total, count = sum(dets), den * len(dets)
+    q, r = divmod(total, count)
+    if r:
+        raise err(f"holonomy average {Fraction(total, count)} is not an integer")
+    return q
 
 
 def _kernel(spec: ManifoldSpec, mapping: AffineMapSpec,

@@ -238,7 +238,7 @@ def min_linear_recurrence(terms) -> Polynomial:
     return Polynomial([Fraction(x, c[0]) for x in reversed(c)])
 
 
-def _exponential(a: list[Fraction]) -> tuple[list[int], int]:
+def _exponential(a: list[int | Fraction]) -> tuple[list[int], int]:
     """Integers F_n = scale * f_n for n <= len(a), where
     sum f_n z^n = exp(sum a_n z^n / n).  Under Dold's congruences the
     series lies in 1 + zZ[[z]], so n f_n = sum_k a_k f_{n-k} divides
@@ -277,7 +277,8 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     if b < 1:
         raise ValueError("degree bound must be >= 1")
     top = 3 * b + 4
-    f, scale = _exponential([as_rational(seq(n)) for n in range(1, top + 1)])
+    f, scale = _exponential([a if isinstance(a, int) else as_rational(a)
+                             for a in map(seq, range(1, top + 1))])
     try:
         c, order = _berlekamp_massey(f[: 2 * b + 4])
     except InsufficientTerms as e:

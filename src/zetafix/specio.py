@@ -10,6 +10,8 @@ rejected so that every downstream computation stays exact.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -43,14 +45,42 @@ class ParsedSpec:
         return self.mapping2 is not None
 
 
-def _entry_from_json(v) -> Fraction:
+class _OversizedInt:
+    """An integer literal longer than the interpreter converts (see
+    sys.get_int_max_str_digits); every field rejects it by type."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __repr__(self):
+        return (f"<integer literal of {self.digits} digits, over the limit "
+                f"of {sys.get_int_max_str_digits()}>")
+
+
+def _int_from_json(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _OversizedInt(len(text.lstrip("-")))
+
+
+# The exact forms an entry string may take: Fraction() would also read
+# decimals and exponents, and "1e9999999" would build a huge integer.
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _entry_from_json(v, what: str) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise InvalidSpecFile(
             f"matrix entries must be integers or 'p/q' strings, got {v!r}")
+    if isinstance(v, str) and not _RATIONAL_STRING.fullmatch(v):
+        raise InvalidSpecFile(f"{what} has a bad rational entry {v!r}: "
+                              f"not an integer or 'p/q' string")
     try:
         return as_rational(v)
     except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise InvalidSpecFile(f"bad rational entry {v!r}: {e}") from None
+        raise InvalidSpecFile(
+            f"{what} has a bad rational entry {v!r}: {e}") from None
 
 
 def _entry_to_json(x: Fraction):
@@ -62,7 +92,7 @@ def _matrix_from_json(rows, what: str) -> list[list[Fraction]]:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise InvalidSpecFile(f"{what} must be a list of rows")
-    m = [[_entry_from_json(v) for v in row] for row in rows]
+    m = [[_entry_from_json(v, what) for v in row] for row in rows]
     if any(len(row) != len(m) for row in m):
         raise InvalidSpecFile(f"{what} must be square")
     return m
@@ -85,7 +115,8 @@ def _parse_map(obj, what: str) -> AffineMapSpec:
     if translation is not None:
         if not isinstance(translation, list):
             raise InvalidSpecFile(f"{what}.translation must be a list")
-        translation = [_entry_from_json(v) for v in translation]
+        translation = [_entry_from_json(v, f"{what}.translation")
+                       for v in translation]
     return AffineMapSpec.make(_string(obj["label"], f"{what}.label"),
                               _matrix_from_json(obj["D"], f"{what}.D"),
                               translation)
@@ -134,24 +165,28 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
     defaults = SpecOptions()
-    options = SpecOptions(
-        tolerance=float(_option(raw_opts, "tolerance", defaults.tolerance,
-                                (int, float), "a number")),
-        n_max=_option(raw_opts, "n_max", defaults.n_max, (int,), "an integer"),
-        degree_bound_override=_option(
-            raw_opts, "degree_bound_override",
-            defaults.degree_bound_override, (int,), "an integer or null"))
-    if options.n_max < 1:
+    tolerance = _option(raw_opts, "tolerance", defaults.tolerance,
+                        (int, float), "a number")
+    n_max = _option(raw_opts, "n_max", defaults.n_max, (int,), "an integer")
+    degree_bound = _option(raw_opts, "degree_bound_override",
+                           defaults.degree_bound_override, (int,),
+                           "an integer or null")
+    if n_max < 1:
         raise InvalidSpecFile("options.n_max must be >= 1")
-    if not 0 < options.tolerance < 1:
+    # compared before float(): an integer too large for a float is simply
+    # out of range
+    if not 0 < tolerance < 1:
         raise InvalidSpecFile("options.tolerance must be in (0, 1)")
-    return ParsedSpec(spec, mapping, mapping2, options)
+    if degree_bound is not None and degree_bound < 1:
+        raise InvalidSpecFile("options.degree_bound_override must be >= 1")
+    return ParsedSpec(spec, mapping, mapping2,
+                      SpecOptions(float(tolerance), n_max, degree_bound))
 
 
 def parse_spec_file(path) -> ParsedSpec:
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_int_from_json)
     except json.JSONDecodeError as e:
         raise InvalidSpecFile(f"not valid JSON: {e}") from None
     return parse_spec_data(data)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zetafix import algebra
 from zetafix import (AmbiguousClassification, Polynomial, RationalMatrix,
                      as_rational, char_poly, classify_eigenvalues,
                      count_real_roots, count_unit_modulus_roots, det,
@@ -451,3 +452,163 @@ class TestRootOfUnity:
         assert len(ms) == count
         assert sum(classify_eigenvalues(m).one_in_spectrum
                    for m in ms) == with_one
+
+
+# --------------------------------------------------------------------------
+# the integer kernels against the Fraction algorithms they replaced
+# --------------------------------------------------------------------------
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by the Fraction Euclidean algorithm."""
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+def _ref_squarefree(p):
+    """Yun's algorithm on monic Fraction polynomials."""
+    if p.degree < 1:
+        return []
+    p = p.monic()
+    dp = p.derivative()
+    g = _ref_gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
+    out = []
+    c = p.exact_div(g)
+    d = dp.exact_div(g) - c.derivative()
+    i = 1
+    while c.degree > 0:
+        s = _ref_gcd(c, d)
+        if s.degree > 0:
+            out.append((s, i))
+        c2 = c.exact_div(s) if s.degree > 0 else c
+        d = (d.exact_div(s) if s.degree > 0 else d) - c2.derivative()
+        c = c2
+        i += 1
+    return out
+
+
+def _ref_sign_at(q, x):
+    sign = (q.leading() > 0) - (q.leading() < 0)
+    if x is algebra._POS_INF:
+        return sign
+    if x is algebra._NEG_INF:
+        return sign * (-1) ** q.degree
+    v = q(x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_count_real_roots(p, lo, hi):
+    """Sturm's theorem on the Fraction chain p, p', -rem, ..."""
+    if p.degree < 1:
+        return 0
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero:
+            break
+        chain.append(-rem)
+
+    def variations(x):
+        signs = [s for s in (_ref_sign_at(q, x) for q in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+def _rand_rational_poly(rng, deg):
+    """Degree deg, rational coefficients, leading coefficient of either
+    sign and rarely 1."""
+    lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(deg)] + [lead])
+
+
+def _schoolbook(a, b):
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+_ENDPOINTS = [algebra._NEG_INF, Fraction(-7, 3), -2, Fraction(-1), 0,
+              Fraction(1, 2), 1, Fraction(5, 2), algebra._POS_INF]
+
+
+class TestIntegerKernels:
+    def test_product_matches_schoolbook(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            a = _rand_rational_poly(rng, rng.randint(0, 6))
+            b = _rand_rational_poly(rng, rng.randint(0, 6))
+            assert a * b == _schoolbook(a, b)
+        assert Polynomial() * a == Polynomial() == a * Polynomial()
+
+    def test_matrix_product_matches_schoolbook(self):
+        rng = random.Random(42)
+        for dim in (1, 2, 3, 4):
+            for _ in range(5):
+                a = _rand_matrix(rng, dim)
+                b = RationalMatrix([[Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 7))
+                                     for _ in range(dim)] for _ in range(dim)])
+                cols = list(zip(*b.rows))
+                expected = [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                             for col in cols] for row in a.rows]
+                product = a @ b
+                assert product.rows == tuple(map(tuple, expected))
+                assert all(type(x) is Fraction
+                           for row in product.rows for x in row)
+
+    def test_gcd_matches_euclid(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            common = _rand_rational_poly(rng, rng.randint(0, 3))
+            a = common * _rand_rational_poly(rng, rng.randint(0, 4))
+            b = common * _rand_rational_poly(rng, rng.randint(0, 4))
+            g = poly_gcd(a, b)
+            assert g == _ref_gcd(a, b)
+            assert g.degree >= common.degree
+        zero = Polynomial()
+        assert poly_gcd(zero, zero) == _ref_gcd(zero, zero) == zero
+        assert poly_gcd(zero, a) == _ref_gcd(zero, a) == a.monic()
+
+    def test_squarefree_matches_yun_on_fractions(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            p = _rand_rational_poly(rng, 0)
+            for k in (1, 2, 3):
+                for _ in range(rng.randint(0, 2)):
+                    f = _rand_rational_poly(rng, rng.randint(1, 2))
+                    p = math.prod([f] * k, start=p)
+            assert squarefree_decomposition(p) == _ref_squarefree(p)
+
+    def test_sturm_counts_match_fraction_chain(self):
+        rng = random.Random(45)
+        for _ in range(60):
+            p = _rand_rational_poly(rng, rng.randint(1, 7))
+            for s, _ in squarefree_decomposition(p):
+                ends = [x for x in _ENDPOINTS
+                        if x in (algebra._NEG_INF, algebra._POS_INF)
+                        or s(x) != 0]
+                for lo, hi in itertools.combinations(ends, 2):
+                    assert count_real_roots(s, lo, hi) == \
+                        _ref_count_real_roots(s, lo, hi)
+
+    def test_sturm_chain_member_with_negative_leading_coefficient(self):
+        # -(z^3 - 3z + 1) has three real roots near -1.88, 0.35 and 1.53.
+        # Its derivative -3z^2 + 3 leads with -3, and the first
+        # elimination step of the remainder already clears z^2, so a
+        # remainder scaled by lc = -3 instead of |lc| = 3 flips the sign
+        # of the next chain member.
+        p = Polynomial([-1, 3, 0, -1])
+        assert p.derivative().leading() < 0
+        cases = [(algebra._NEG_INF, algebra._POS_INF, 3), (-10, 10, 3),
+                 (0, 1, 1), (Fraction(-2), Fraction(1, 2), 2),
+                 (1, algebra._POS_INF, 1)]
+        for lo, hi, expected in cases:
+            assert _ref_count_real_roots(p, lo, hi) == expected
+            assert count_real_roots(p, lo, hi) == expected

@@ -61,6 +61,27 @@ class TestExitCodes:
         assert err.startswith("error:") and "map.label" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("options", "tolerance"), "1" + "0" * 400, "options.tolerance"),
+        (("options", "n_max"), "9" * 5000, "options.n_max"),
+        (("options", "degree_bound_override"), "0",
+         "options.degree_bound_override"),
+        (("map", "D"), '[["1e9999999", 0], [0, 1]]', "map.D"),
+        (("map", "D"), '[["0.5", 0], [0, 1]]', "map.D"),
+    ])
+    def test_malformed_number(self, capsys, tmp_path, path, value, field):
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("torus_cat_map.json").read_text())
+        section, key = path
+        spec.setdefault(section, {})[key] = "__VALUE__"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"__VALUE__"', value))
+        for command in ("validate", "report"):
+            code, out, err = run_main(capsys, command, str(bad))
+            assert code == 2 and out == ""
+            assert err.startswith("error: InvalidSpecFile: " + field)
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, spec, flag, value", [
         (command, spec, "--max-n", value)
         for command, spec in [("numbers", "heisenberg_ex3"),

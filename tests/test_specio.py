@@ -1,6 +1,8 @@
 """Spec file parsing, validation, and round-tripping."""
 
 import json
+import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -184,11 +186,53 @@ class TestRejection:
         ({"holonomy": [{"label": None, "matrix": [[1]]}]},
          "holonomy item label"),
         ({"holonomy": [{"label": 7, "matrix": [[1]]}]}, "holonomy item label"),
+        ({"options": {"tolerance": 10**400}}, "options.tolerance"),
+        ({"options": {"degree_bound_override": 0}},
+         "options.degree_bound_override"),
+        ({"options": {"degree_bound_override": -3}},
+         "options.degree_bound_override"),
+        ({"map": {"label": "f", "D": [["1e9999999"]]}}, "map.D"),
+        ({"map": {"label": "f", "D": [["0.5"]]}}, "map.D"),
+        ({"map": {"label": "f", "D": [[2]], "translation": ["1e3"]}},
+         "map.translation"),
+        ({"holonomy": [{"label": "I", "matrix": [[" 1"]]}]},
+         "holonomy matrix"),
     ])
     def test_malformed_field_named(self, overrides, field):
         with pytest.raises(InvalidSpecFile) as info:
             parse_spec_data(_minimal(**overrides))
         assert str(info.value).startswith(field)
+
+    @pytest.mark.parametrize("key, field", [
+        ("dimension", "dimension"),
+        ("n_max", "options.n_max"),
+        ("tolerance", "options.tolerance"),
+        ("entry", "map.D"),
+    ])
+    def test_oversized_integer_literal_named(self, tmp_path, key, field):
+        # json.loads would raise a bare ValueError on a literal longer than
+        # the interpreter's int conversion limit
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        data = _minimal(options={})
+        marker = "__HUGE__"
+        if key == "dimension":
+            data["dimension"] = marker
+        elif key == "entry":
+            data["map"]["D"] = [[marker]]
+        else:
+            data["options"][key] = marker
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace(f'"{marker}"', huge))
+        with pytest.raises(InvalidSpecFile) as info:
+            parse_spec_file(path)
+        assert str(info.value).startswith(field)
+
+    def test_entry_strings_exact_forms_accepted(self):
+        data = _minimal(map={"label": "f", "D": [["-6/4"]],
+                             "translation": ["+2"]})
+        parsed = parse_spec_data(data)
+        assert parsed.mapping.linear.rows == ((Fraction(-3, 2),),)
+        assert parsed.mapping.translation == (Fraction(2),)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
