@@ -437,7 +437,7 @@ class RationalMatrix:
     numpy for the (clearly marked) numeric steps.
     """
 
-    __slots__ = ("rows", "dim")
+    __slots__ = ("rows", "dim", "_hash")
 
     def __init__(self, rows):
         rs = tuple(tuple(as_rational(x) for x in row) for row in rows)
@@ -446,6 +446,7 @@ class RationalMatrix:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
@@ -458,7 +459,10 @@ class RationalMatrix:
         return isinstance(other, RationalMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        # rows never change, so their hash is taken once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.rows))
+        return self._hash
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in r] for r in self.rows]})"
@@ -671,23 +675,64 @@ def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
 
 
+def _diagonal_blocks(mats, dim: int) -> list[list[int]]:
+    """The finest index sets on which every matrix in mats is block
+    diagonal: the connected components of the graph that joins i and j
+    when some matrix has a nonzero (i, j) entry, each sorted, in order
+    of their smallest index."""
+    root = list(range(dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x and i != j:
+                    root[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(dim):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _split(m, blocks) -> list[list[list[int]]]:
+    """The diagonal blocks of m on the index sets blocks."""
+    return [[[m[i][j] for j in b] for i in b] for b in blocks]
+
+
 def _scaled_det(u: int, x, v: int, y) -> int:
-    """Integer determinant of u*x - v*y."""
-    return _bareiss_det([[u * a - v * b for a, b in zip(rx, ry)]
-                        for rx, ry in zip(x, y)])
+    """Integer determinant of u*x - v*y for x and y given by their
+    diagonal blocks: the product of the block determinants, stopping at
+    the first that vanishes.  A 1 x 1 block is its own determinant."""
+    out = 1
+    for bx, by in zip(x, y):
+        if len(bx) == 1:
+            out *= u * bx[0][0] - v * by[0][0]
+        else:
+            out *= _bareiss_det([[u * a - v * b for a, b in zip(rx, ry)]
+                                 for rx, ry in zip(bx, by)])
+        if not out:
+            break
+    return out
 
 
 class _ScaledPowers:
-    """n -> (M_int^n, q^n) for M = M_int / q; each new iterate costs one
-    integer matrix product."""
+    """n -> (M_int^n, q^n) for M = M_int / q, with M_int^n kept as its
+    diagonal blocks on the given index sets; each new iterate costs one
+    integer product per block."""
 
-    def __init__(self, m: RationalMatrix):
-        (self._base,), self._q = _integer_form([m])
-        self._powers = [[[int(i == j) for j in range(m.dim)] for i in range(m.dim)]]
+    def __init__(self, m_int: list[list[int]], q: int, blocks):
+        self._base, self._q = _split(m_int, blocks), q
+        self._powers = [[[[int(i == j) for j in range(len(b))] for i in range(len(b))]
+                         for b in blocks]]
 
-    def __call__(self, n: int) -> tuple[list[list[int]], int]:
+    def __call__(self, n: int) -> tuple[list[list[list[int]]], int]:
         while len(self._powers) <= n:
-            self._powers.append(_int_matmul(self._powers[-1], self._base))
+            self._powers.append([_int_matmul(p, b)
+                                 for p, b in zip(self._powers[-1], self._base)])
         return self._powers[n], self._q ** n
 
 
@@ -704,16 +749,25 @@ class AveragingKernel:
     det(I - A D^n) become the coincidence ones det(E^n - A D^n).  Both
     lists are kept per n on the instance, so every sequence read from
     one kernel takes each determinant once.
+
+    The holonomy, D and E are found once to be block diagonal on common
+    index sets (a dense problem is one block); every product and
+    determinant is then taken block by block, and a determinant is the
+    product of its block determinants.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,
                  target: RationalMatrix | None = None):
         self._dim = linear.dim
-        self._hol, self._s = _integer_form(holonomy)
-        self._d = _ScaledPowers(linear)
-        self._e = None if target is None else _ScaledPowers(target)
-        ident, _ = self._d(0)
-        self._skip = [a == ident for a in self._hol]    # A_int P is P
+        hol, self._s = _integer_form(holonomy)
+        (d_int,), q = _integer_form([linear])
+        (e_int,), r = _integer_form([linear if target is None else target])
+        blocks = _diagonal_blocks(hol + [d_int, e_int], self._dim)
+        self._d = _ScaledPowers(d_int, q, blocks)
+        self._e = None if target is None else _ScaledPowers(e_int, r, blocks)
+        self._hol = [_split(a, blocks) for a in hol]
+        ident = [[int(i == j) for j in range(self._dim)] for i in range(self._dim)]
+        self._skip = [a == ident for a in hol]           # A_int P is P
         self._fixed: dict[int, tuple[list[int], int]] = {}
         self._shifted: dict[int, tuple[list[int], int]] = {}
 
@@ -725,7 +779,8 @@ class AveragingKernel:
             p, qn = self._d(n)
             e, rn = self._d(0) if self._e is None else self._e(n)  # I = I_int / 1
             c = self._s * qn             # A D^n = A_int P / c
-            dets = [_scaled_det(c, e, rn, p if skip else _int_matmul(a, p))
+            dets = [_scaled_det(c, e, rn, p if skip else
+                                [_int_matmul(x, y) for x, y in zip(a, p)])
                     for a, skip in zip(self._hol, self._skip)]
             self._fixed[n] = dets, (rn * c) ** self._dim
         return self._fixed[n]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InfinityInSequence
 from .invariants import lefschetz_sequence
@@ -47,6 +48,13 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=128)
+def _mobius_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for every divisor d of n, in increasing order, those
+    with mu(d) = 0 included."""
+    return tuple((d, mobius(d)) for d in _divisors(n))
 
 
 def _is_prime(n: int) -> bool:
@@ -85,8 +93,9 @@ def check_gauss(seq: SequenceOracle, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     checked, violations, skipped = [], [], []
+    a = [None] + [seq(m) for m in range(1, n_max + 1)]
     for n in range(1, n_max + 1):
-        terms = [(mobius(d), seq(n // d)) for d in _divisors(n)]
+        terms = [(mu, a[n // d]) for d, mu in _mobius_terms(n)]
         if any(t == math.inf for _, t in terms):
             skipped.append(n)
             continue

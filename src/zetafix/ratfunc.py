@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (Polynomial, as_rational, poly_gcd,
-                      squarefree_decomposition)
+from .algebra import (Polynomial, _int_poly_mul, _integer_coeffs, as_rational,
+                      poly_gcd, squarefree_decomposition)
 from .errors import InsufficientTerms, NotRational, PoleAtPoint
 
 
@@ -296,6 +296,47 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     lead = c[0] * scale
     return _coprime(Polynomial([Fraction(x, lead) for x in prod[:max(order, 1)]]),
                     Polynomial([Fraction(x, c[0]) for x in c]))
+
+
+def verify_zeta(seq: SequenceOracle, rf: RationalFunction) -> bool:
+    """True exactly when zeta_from_terms(seq) would return rf, decided
+    without rebuilding the series.
+
+    rf = P/Q, in lowest terms with Q(0) = 1, passes when its recurrence
+    order max(deg Q, deg P + 1) is at most B and its series equals
+    exp(sum a_n z^n / n) through index 3B+4, the window of the rebuild.
+    Two rational functions of order <= B that share their first 2B
+    series coefficients are equal, so the rebuild would then fit this
+    same function and pass its window check; and if the rebuild returns
+    rf, its window check is this one.
+    """
+    b = seq.degree_bound
+    if max(rf.den.degree, rf.num.degree + 1) > b:
+        return False
+    return _series_mismatch([seq(n) for n in range(1, 3 * b + 5)], rf) is None
+
+
+def _series_mismatch(a: list, rf: RationalFunction) -> int | None:
+    """The first index j <= len(a) at which the Taylor series of rf
+    differs from exp(sum a_n z^n / n), or None if there is none.
+
+    With P(0) = Q(0) the two agree through z^j exactly when the
+    log-derivative identity A P Q = z (P'Q - P Q'), A = sum a_n z^n,
+    holds through z^j; the identity fails first where the series first
+    differ.  P and Q enter scaled to integers, which scales both sides
+    alike.
+    """
+    num, den = rf.num.coeffs, rf.den.coeffs
+    if not num or not den[0] or num[0] != den[0]:
+        return 0
+    (p, _), (q, _) = _integer_coeffs(rf.num), _integer_coeffs(rf.den)
+    w = _int_poly_mul(p, q)
+    r = [x - y for x, y in zip(_int_poly_mul([i * x for i, x in enumerate(p)], q),
+                               _int_poly_mul(p, [k * y for k, y in enumerate(q)]))]
+    for j in range(1, len(a) + 1):
+        if sum(map(operator.mul, a[j - 1::-1], w)) != (r[j] if j < len(r) else 0):
+            return j
+    return None
 
 
 def evaluate(rf: RationalFunction, z: complex, pole_tol: float = 1e-12) -> complex:

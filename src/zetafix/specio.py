@@ -69,18 +69,32 @@ def _int_from_json(text: str):
 _RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+# Error messages quote a bad entry up to this many characters.
+_ECHO_CHARS = 64
+
+
+def _echo(v) -> str:
+    """repr of a bad entry, cut to a fixed prefix plus the entry's
+    length, so that the message stays short whatever the input."""
+    text = repr(v)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(str(v))} characters)"
+
+
 def _entry_from_json(v, what: str) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise InvalidSpecFile(
             f"matrix entries must be integers or 'p/q' strings, got {v!r}")
-    if isinstance(v, str) and not _RATIONAL_STRING.fullmatch(v):
-        raise InvalidSpecFile(f"{what} has a bad rational entry {v!r}: "
+    if not (isinstance(v, int)
+            or isinstance(v, str) and _RATIONAL_STRING.fullmatch(v)):
+        raise InvalidSpecFile(f"{what} has a bad rational entry {_echo(v)}: "
                               f"not an integer or 'p/q' string")
     try:
         return as_rational(v)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InvalidSpecFile(
-            f"{what} has a bad rational entry {v!r}: {e}") from None
+            f"{what} has a bad rational entry {_echo(v)}: {e}") from None
 
 
 def _entry_to_json(x: Fraction):

@@ -3,9 +3,9 @@ equation, asymptotics, and torsion special values.
 
 Every zeta here is exp(sum a_n z^n / n) for an integer sequence a_n and
 is reconstructed as an exact rational function.  The Nielsen zeta is
-built twice, once directly from its sequence and once from Lefschetz
-zetas through the eigenvalue-sign formula, and the two are required to
-agree exactly.
+built from Lefschetz zetas through the eigenvalue-sign formula and
+verified exactly against its own sequence: it must be the function that
+a direct reconstruction from the Nielsen sequence would return.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .invariants import (_kernel, _lefschetz_at, _nielsen_at, _oracle,
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, _zeta_definedness, compute_plus_split)
 from .ratfunc import (RationalFunction, SequenceOracle, radius_of_convergence,
-                      substitute_reciprocal_scale, zeta_from_terms)
+                      substitute_reciprocal_scale, verify_zeta, zeta_from_terms)
 
 
 @dataclass(frozen=True)
@@ -89,25 +89,35 @@ class MapContext:
     @cached_property
     def n_zeta(self) -> ZetaResult:
         split = self.split
-        direct = zeta_from_terms(self.n_seq)
+        try:
+            formula = self._sign_formula()
+        except Exception:
+            # an error of the Nielsen rebuild, if any, is raised first
+            zeta_from_terms(self.n_seq)
+            raise
+        if not verify_zeta(self.n_seq, formula):
+            # fails exactly when the direct rebuild raises NotRational
+            # or returns another function
+            direct = zeta_from_terms(self.n_seq)
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {formula} differs "
+                f"from direct reconstruction {direct}")
+        case = "plus-proper" if split.is_proper else "plus-equal"
+        return ZetaResult("Nielsen", formula,
+                          Construction("sign-formula", case, split.p, split.n))
+
+    def _sign_formula(self) -> RationalFunction:
+        """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
+        (L_f+((-1)^n z) / L_f((-1)^n z))^((-1)^(p+n)), in lowest terms.
+        Substitution and inversion keep lowest terms; only the quotient
+        takes a gcd."""
+        split = self.split
         scale = (-1) ** split.n
-        lf = self.l_zeta.function.compose_scale(scale)
+        zeta = self.l_zeta.function.compose_scale(scale)
         if split.is_proper:
             lplus = zeta_from_terms(self.lplus_seq).compose_scale(scale)
-            num, den = lplus.num * lf.den, lplus.den * lf.num
-            case = "plus-proper"
-        else:
-            num, den = lf.num, lf.den
-            case = "plus-equal"
-        if (-1) ** (split.p + split.n) != 1:
-            num, den = den, num
-        # compare by cross-multiplication; reduce num/den only to report
-        if num * direct.den != den * direct.num:
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {RationalFunction(num, den)} differs "
-                f"from direct reconstruction {direct}")
-        return ZetaResult("Nielsen", direct,
-                          Construction("sign-formula", case, split.p, split.n))
+            zeta = RationalFunction(lplus.num * zeta.den, lplus.den * zeta.num)
+        return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
 
 
 @lru_cache(maxsize=1)
@@ -127,8 +137,8 @@ def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
                  tol: float = 1e-10) -> ZetaResult:
     """N_f(z) by the sign formula N_f(z) = L_f((-1)^n z)^((-1)^(p+n))
     (or the quotient with the plus-cover Lefschetz zeta when the plus
-    subgroup is proper), cross-checked exactly against direct
-    reconstruction from the Nielsen sequence."""
+    subgroup is proper), verified exactly against the Nielsen sequence
+    (see verify_zeta)."""
     return map_context(spec, mapping, tol).n_zeta
 
 

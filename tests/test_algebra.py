@@ -193,6 +193,19 @@ class TestMatrix:
             b = _rand_matrix(rng, 3)
             assert det(a @ b) == det(a) * det(b)
 
+    def test_equal_matrices_hash_equal(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            m = _rand_matrix(rng, rng.randint(1, 4))
+            same = RationalMatrix([[str(x) for x in r] for r in m.rows])
+            assert same == m and same is not m
+            assert hash(same) == hash(m) == hash(m) == hash(m.rows)
+            assert {m: 1}[same] == 1
+        a, b = RationalMatrix([[1, 2], [3, 4]]), RationalMatrix([[1, 2], [3, 5]])
+        assert a != b and len({a, b}) == 2
+        with pytest.raises(AttributeError):
+            a._hash = 0
+
     def test_inverse_and_negative_powers(self):
         m = RationalMatrix([[2, 1], [1, 1]])
         assert (m @ m.inverse()).is_identity

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output formats, golden reports."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import zetafix
 from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
                      load_fixture)
 from zetafix.cli import main
@@ -300,20 +302,28 @@ class TestGoldenReports:
         assert out == (GOLDEN / f"report_{name}.json").read_text()
 
 
+def _run_module(*argv):
+    """python -m zetafix.cli in a child that imports the same package as
+    these tests, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(zetafix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "zetafix.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestSubprocess:
     def test_module_runs_and_is_deterministic(self):
-        cmd = [sys.executable, "-m", "zetafix.cli", "report",
-               "heisenberg_ex3", "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        argv = ("report", "heisenberg_ex3", "--format", "json")
+        first = _run_module(*argv)
+        second = _run_module(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout == \
             (GOLDEN / "report_heisenberg_ex3.json").read_text()
 
     def test_exit_code_crosses_process_boundary(self):
-        cmd = [sys.executable, "-m", "zetafix.cli", "zeta",
-               "quarter_rotation", "--which", "R"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = _run_module("zeta", "quarter_rotation", "--which", "R")
         assert proc.returncode == 3
         assert proc.stderr.startswith("undefined: R(f^1) is infinite")

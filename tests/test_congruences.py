@@ -64,6 +64,14 @@ class TestGauss:
         assert set(rep.checked_range) == {1, 3, 5, 7, 9}
         assert rep.passed
 
+    def test_infinite_term_with_zero_mobius_weight_still_skips(self):
+        # a_1 is a divisor term of every n, with weight mu(n), which is 0
+        # for n = 4, 8, 9, 12, ...; the law assumes finite counts, so
+        # every n is skipped all the same
+        rep = check_gauss(_seq(lambda n: math.inf if n == 1 else 2 ** n), 12)
+        assert rep.skipped == tuple(range(1, 13))
+        assert rep.checked_range == () and rep.passed
+
     def test_bound_validated(self):
         with pytest.raises(ValueError):
             check_gauss(_seq(lambda n: n), 0)

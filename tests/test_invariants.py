@@ -17,6 +17,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      nielsen, nielsen_from_lefschetz, nielsen_sequence,
                      reidemeister, reidemeister_sequence,
                      torus_periodic_points)
+from zetafix.algebra import _diagonal_blocks, _integer_form
 from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
 from zetafix.invariants import coincidence_table
 
@@ -212,6 +213,89 @@ class TestIntegerKernel:
                                               _map(g_linear, "g"), n)
             assert (got.lefschetz, got.nielsen, got.reidemeister) == \
                 _fraction_numbers(spec, f.linear, n, g.linear)
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at:at + len(row)] = row
+        at += len(b)
+    return RationalMatrix(m)
+
+
+class TestBlockKernel:
+    """The kernel takes each determinant block by block when the
+    holonomy, D and the coincidence target share diagonal blocks.  A
+    permutation that interleaves the blocks, or a dense conjugation that
+    merges them into one, changes no number."""
+
+    HOLONOMY = [("I", _block_diag([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1]])),
+                ("A", _block_diag([[0, 1], [1, 0]], [[-1, 0], [0, -1]], [[-1]]))]
+    D = _block_diag([[3, 1], [1, 3]], [[2, 1], [1, 1]], [[3]])
+    E = _block_diag([[1, 1], [1, 1]], [[1, 1], [1, 2]], [[-2]])
+    ORDER = [0, 2, 4, 1, 3]     # sends the blocks to {0, 3}, {1, 4}, {2}
+    S = [[1, 0, 2, 0, 0], [0, 1, 0, 1, 0], ["1/2", 0, 1, 0, 3],
+         [0, 0, 1, 1, 0], [1, 1, 0, 0, 1]]
+
+    def _problem(self, conj=lambda m: m):
+        spec = ManifoldSpec.make("blocks", 5,
+                                 [(l, conj(a)) for l, a in self.HOLONOMY])
+        return spec, _map(conj(self.D), "f"), _map(conj(self.E), "g")
+
+    def _permuted(self):
+        p = RationalMatrix([[int(j == i) for j in range(5)] for i in self.ORDER])
+        return self._problem(lambda m: p @ m @ p.inverse())
+
+    def _dense(self):
+        s = RationalMatrix(self.S)
+        s_inv = s.inverse()
+        return self._problem(lambda m: s @ m @ s_inv)
+
+    @staticmethod
+    def _blocks(spec, f, g):
+        mats = [a for _, a in spec.holonomy] + [f.linear, g.linear]
+        ints, _ = _integer_form(mats)
+        return _diagonal_blocks(ints, spec.dimension)
+
+    def test_blocks_found(self):
+        assert self._blocks(*self._problem()) == [[0, 1], [2, 3], [4]]
+        assert self._blocks(*self._permuted()) == [[0, 3], [1, 4], [2]]
+        assert self._blocks(*self._dense()) == [[0, 1, 2, 3, 4]]
+
+    def test_sequences_survive_interleaving_and_merging(self):
+        ref = self._problem()
+        for other in (self._permuted(), self._dense()):
+            for make in (lefschetz_sequence, nielsen_sequence,
+                         reidemeister_sequence):
+                want, got = make(*ref[:2]), make(*other[:2])
+                assert [got(n) for n in range(1, 13)] == \
+                    [want(n) for n in range(1, 13)]
+            assert coincidence_table(*other, 12) == coincidence_table(*ref, 12)
+
+    @pytest.mark.parametrize("which", ["blocks", "permuted", "dense"])
+    def test_numbers_equal_the_fraction_formulas(self, which):
+        spec, f, g = {"blocks": self._problem, "permuted": self._permuted,
+                      "dense": self._dense}[which]()
+        for n in range(1, 7):
+            assert (lefschetz(spec, f, n), nielsen(spec, f, n),
+                    reidemeister(spec, f, n)) == \
+                _fraction_numbers(spec, f.linear, n)
+            c = coincidence_numbers(spec, f, g, n)
+            assert (c.lefschetz, c.nielsen, c.reidemeister) == \
+                _fraction_numbers(spec, f.linear, n, g.linear)
+
+    def test_vanishing_block_makes_the_determinant_zero(self):
+        # D's third block is 1, so det(I - D^n) vanishes for the identity
+        # element whatever the other blocks give
+        spec, _, _ = self._problem()
+        f = _map(_block_diag([[3, 1], [1, 3]], [[2, 1], [1, 1]], [[1]]))
+        for n in range(1, 5):
+            assert (lefschetz(spec, f, n), nielsen(spec, f, n),
+                    reidemeister(spec, f, n)) == \
+                _fraction_numbers(spec, f.linear, n)
 
 
 class TestKleinTypeFamily:

@@ -13,6 +13,7 @@ from zetafix import (InsufficientTerms, NotRational, PoleAtPoint, Polynomial,
                      format_polynomial, min_linear_recurrence,
                      radius_of_convergence, substitute_reciprocal_scale,
                      zeta_from_terms)
+from zetafix.ratfunc import _series_mismatch, verify_zeta
 
 
 def _oracle(fn, bound, name="test"):
@@ -208,6 +209,91 @@ class TestZetaFromTerms:
         seq = _oracle(lambda n: 0, 4)
         with pytest.raises(ValueError):
             zeta_from_terms(seq, degree_bound=0)
+
+
+def _random_zeta(rng) -> RationalFunction:
+    num = Polynomial([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    den = Polynomial([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    return RationalFunction(num, den)
+
+
+def _rebuild_failure(seq) -> int | None:
+    """The series index at which zeta_from_terms(seq) reports that its
+    fit fails, or None when it returns."""
+    try:
+        zeta_from_terms(seq)
+    except NotRational as e:
+        return int(str(e).split("series index ")[1].split(";")[0])
+    return None
+
+
+class TestVerifyZeta:
+    """verify_zeta(seq, f) holds exactly when zeta_from_terms(seq) would
+    return f, and its identity fails first where the rebuild's window
+    check fails first."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_rebuild(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            f, g = _random_zeta(rng), _random_zeta(rng)
+            b = max(f.den.degree, f.num.degree + 1, g.den.degree,
+                    g.num.degree + 1, 1)
+            sums = f.log_derivative_sums(3 * b + 4)
+            seq = _oracle(lambda n, s=sums: s[n - 1], b)
+            assert verify_zeta(seq, f)
+            assert zeta_from_terms(seq) == f
+            assert verify_zeta(seq, g) == (g == f)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_series_fail_at_the_same_index(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(4):
+            f = _random_zeta(rng)
+            b = max(f.den.degree, f.num.degree + 1, 1)
+            top = 3 * b + 4
+            sums = f.log_derivative_sums(top)
+            for k in range(2 * b + 5, top + 1):
+                bad = list(sums)
+                bad[k - 1] += rng.choice([-2, -1, 1, 2])
+                seq = _oracle(lambda n, s=bad: s[n - 1], b)
+                assert not verify_zeta(seq, f)
+                assert _series_mismatch(bad, f) == _rebuild_failure(seq) == k
+
+    def test_perturbed_anywhere_fails_with_the_rebuild(self):
+        f = RationalFunction([1, 2, -2], [1, -4, -8])
+        sums = f.log_derivative_sums(3 * 3 + 4)
+        for k in range(1, len(sums) + 1):
+            bad = list(sums)
+            bad[k - 1] += 1
+            seq = _oracle(lambda n, s=bad: s[n - 1], 3)
+            assert not verify_zeta(seq, f)
+            try:
+                rebuilt = zeta_from_terms(seq)
+            except NotRational:
+                continue
+            assert rebuilt != f
+
+    def test_order_over_the_bound_fails(self):
+        f = RationalFunction([1, 2], [1, -2])      # order 2
+        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 2)
+        assert verify_zeta(seq, f) and zeta_from_terms(seq) == f
+        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 1)
+        assert not verify_zeta(seq, f)
+        with pytest.raises(NotRational, match="exceeding the bound 1"):
+            zeta_from_terms(seq)
+
+    def test_constant_term_must_be_one(self):
+        f = RationalFunction([1, 2], [1, -2])
+        sums = f.log_derivative_sums(8)
+        assert _series_mismatch(sums, f) is None
+        assert _series_mismatch(sums, RationalFunction([2, 4], [1, -2])) == 0
+        assert _series_mismatch(sums, RationalFunction([0], [1])) == 0
+
+    def test_fraction_terms(self):
+        seq = _oracle(lambda n: Fraction(1, 2 ** n), 2)
+        assert verify_zeta(seq, RationalFunction([1], [1, Fraction(-1, 2)]))
+        assert not verify_zeta(seq, RationalFunction([1], [1, Fraction(-1, 3)]))
 
 
 class TestAnalytic:

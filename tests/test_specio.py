@@ -227,6 +227,25 @@ class TestRejection:
             parse_spec_file(path)
         assert str(info.value).startswith(field)
 
+    @pytest.mark.parametrize("entry", [
+        "9" * 5000,            # digits over the int conversion limit
+        "x" * 100_000,         # not a rational string at all
+        ["1"] * 10_000,        # not a string or an integer
+    ])
+    def test_long_bad_entry_quoted_briefly(self, entry):
+        with pytest.raises(InvalidSpecFile) as info:
+            parse_spec_data(_minimal(map={"label": "f", "D": [[entry]]}))
+        message = str(info.value)
+        assert message.startswith("map.D has a bad rational entry ")
+        assert len(message) < 300
+        assert f"({len(str(entry))} characters)" in message
+
+    def test_short_bad_entry_quoted_whole(self):
+        with pytest.raises(InvalidSpecFile) as info:
+            parse_spec_data(_minimal(map={"label": "f", "D": [["1/x"]]}))
+        assert str(info.value) == ("map.D has a bad rational entry '1/x': "
+                                   "not an integer or 'p/q' string")
+
     def test_entry_strings_exact_forms_accepted(self):
         data = _minimal(map={"label": "f", "D": [["-6/4"]],
                              "translation": ["+2"]})

@@ -8,16 +8,18 @@ import pytest
 from _corpus import random_instances, random_integer_matrices
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
-                     NonAcyclicBundle, NotConstantRatio, Polynomial,
+                     NielsenFormulaMismatch, NonAcyclicBundle,
+                     NotConstantRatio, NotRational, Polynomial,
                      RadiusMismatch, RationalFunction, RationalMatrix,
-                     ZetaResult, ZetaUndefined, artin_mazur_zeta,
+                     SequenceOracle, ZetaResult, ZetaUndefined, artin_mazur_zeta,
                      asymptotic_nielsen, char_poly, entropy_lower_bound,
                      exterior_power, is_virtually_unipotent, lefschetz_plus,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
                      reidemeister_zeta, torsion_special_value,
                      verify_functional_equation)
 from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
-from zetafix.zetas import map_context
+from zetafix.ratfunc import zeta_from_terms
+from zetafix.zetas import MapContext, map_context
 
 GOLDEN_NIELSEN = {
     "klein_bottle_ex1": RationalFunction([1, 2], [1, -2]),
@@ -151,6 +153,82 @@ def _proper_splits(cases):
         except (NonInvariantSubspace, AmbiguousClassification):
             pass
     return out
+
+
+def _perturbed(seq, k):
+    return SequenceOracle(lambda n: seq(n) + (n == k), seq.degree_bound,
+                          name=seq.name)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+class TestNielsenVerification:
+    """n_zeta verifies the sign-formula zeta against the Nielsen series
+    and rebuilds that series only when the verification fails, to raise
+    the error a direct rebuild and comparison raise."""
+
+    NAMES = ["klein_bottle_ex1", "heisenberg_ex3", "torus_cat_map"]
+
+    @staticmethod
+    def _context(name):
+        fx = load_fixture(name)
+        return MapContext(fx.spec, fx.mapping, fx.options.tolerance)
+
+    @staticmethod
+    def _rebuild_and_compare(name, seq):
+        direct = zeta_from_terms(seq)
+        formula = GOLDEN_NIELSEN[name]
+        if direct != formula:
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {formula} differs "
+                f"from direct reconstruction {direct}")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_series_perturbed_past_the_fit(self, name):
+        b = self._context(name).n_seq.degree_bound
+        for k in (2 * b + 5, 3 * b + 4):
+            ctx = self._context(name)
+            ctx.n_seq = _perturbed(ctx.n_seq, k)
+            want = _raised(lambda: self._rebuild_and_compare(name, ctx.n_seq))
+            assert want == (NotRational, (
+                f"recurrence fit fails at series index {k}; the sequence is "
+                f"not rational within degree bound {b}"))
+            assert _raised(lambda: ctx.n_zeta) == want
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_another_rational_series(self, name):
+        # the Lefschetz series rebuilds fine but is not the Nielsen one
+        ctx = self._context(name)
+        ctx.n_seq = ctx.l_seq
+        want = _raised(lambda: self._rebuild_and_compare(name, ctx.l_seq))
+        assert want[0] is NielsenFormulaMismatch
+        assert _raised(lambda: ctx.n_zeta) == want
+
+    def test_error_precedence(self):
+        # A failed Lefschetz rebuild is raised only after the Nielsen
+        # series has rebuilt; a failed Nielsen rebuild comes first.
+        b = self._context("heisenberg_ex3").n_seq.degree_bound
+        ctx = self._context("heisenberg_ex3")
+        ctx.l_seq = _perturbed(ctx.l_seq, 2 * b + 6)
+        want_l = _raised(lambda: zeta_from_terms(ctx.l_seq))
+        assert _raised(lambda: ctx.n_zeta) == want_l
+        ctx = self._context("heisenberg_ex3")
+        ctx.l_seq = _perturbed(ctx.l_seq, 2 * b + 6)
+        ctx.n_seq = _perturbed(ctx.n_seq, 2 * b + 5)
+        want_n = _raised(lambda: zeta_from_terms(ctx.n_seq))
+        assert want_n != want_l
+        assert _raised(lambda: ctx.n_zeta) == want_n
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_verified_zeta_equals_the_rebuild(self, name):
+        ctx = self._context(name)
+        assert ctx.n_zeta.function == zeta_from_terms(ctx.n_seq)
 
 
 class TestPlusCoverAverage:
