@@ -26,6 +26,19 @@ from .errors import AmbiguousClassification
 Rational = Fraction
 
 
+# Error messages quote a bad value up to this many characters.
+_ECHO_CHARS = 64
+
+
+def _echo(v) -> str:
+    """repr of a bad value, cut to a fixed prefix plus the value's
+    length, so that the message stays short whatever the input."""
+    text = repr(v)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(str(v))} characters)"
+
+
 def as_rational(x) -> Fraction:
     """Coerce int, 'p/q' string, or Fraction to Fraction."""
     if isinstance(x, Fraction):
@@ -34,7 +47,7 @@ def as_rational(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    raise TypeError(f"cannot interpret {_echo(x)} as a rational number")
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +73,10 @@ class Polynomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the slots
+        return Polynomial, (self.coeffs,)
 
     # -- structure
 
@@ -451,6 +468,10 @@ class RationalMatrix:
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the slots
+        return RationalMatrix, (self.rows,)
+
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
         return RationalMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
@@ -819,10 +840,9 @@ class EigenClassification:
     expanding_count: int
 
 
-def spectral_isolation(m: RationalMatrix, tol: float = 1e-10):
-    """Classification plus the numeric roots split into the on-circle
-    and off-circle parts (in that order).  Shared backend for
-    classify_eigenvalues and the holonomy plus-split."""
+def spectral_isolation(m: RationalMatrix, tol: float = 1e-10) -> EigenClassification:
+    """The same as classify_eigenvalues; nothing in the package calls it,
+    but the benchmark tracer binds this name."""
     return _classify(m, tol)
 
 
@@ -835,11 +855,11 @@ def classify_eigenvalues(m: RationalMatrix, tol: float = 1e-10) -> EigenClassifi
     AmbiguousClassification when the numeric near-circle root count
     cannot be reconciled with the exact one at this tolerance.
     """
-    return _classify(m, tol)[0]
+    return _classify(m, tol)
 
 
 @lru_cache(maxsize=8)
-def _classify(m: RationalMatrix, tol: float):
+def _classify(m: RationalMatrix, tol: float) -> EigenClassification:
     if not 0 < tol < 1:
         raise ValueError("tolerance must be in (0, 1)")
     p = char_poly(m)
@@ -865,7 +885,7 @@ def _classify(m: RationalMatrix, tol: float):
             f"{max_on:.3e}; refine the tolerance (tol={tol:g})")
     expanding = [r for r in off if abs(r) > 1.0]
     log_prod = float(sum(math.log(abs(r)) for r in expanding))
-    cls = EigenClassification(
+    return EigenClassification(
         p=p_count,
         n=n_count,
         unit_modulus_count=unit_exact,
@@ -873,7 +893,6 @@ def _classify(m: RationalMatrix, tol: float):
         one_in_spectrum=m_one > 0,
         expanding_count=len(expanding),
     )
-    return cls, tuple(on), tuple(off)
 
 
 def _euler_phi(k: int) -> int:

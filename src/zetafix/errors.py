@@ -53,8 +53,9 @@ class DimensionMismatch(ZetafixError):
 
 
 class NonInvariantSubspace(ZetafixError):
-    """A holonomy element does not preserve the spectral splitting of the
-    linear part, or its restricted determinant does not round to +/-1."""
+    """A map's linear part D is incompatible with the holonomy: for some
+    element A no element A' gives D A = A' D, so the averaging formulas
+    do not apply."""
 
 
 # -------------------------------------------------------------- invariants

@@ -3,23 +3,23 @@
 A manifold is described by its dimension and the finite holonomy group,
 given as exact rational matrices; a self-map by the linear part D of an
 affine lift (plus an optional translation, echoed but never needed by
-the invariant formulas).  This module validates that data, splits the
-holonomy by orientation behaviour on the expanding subspace of D, and
-decides whether the Reidemeister zeta function can exist at all.
+the invariant formulas).  This module validates that data, checks that
+D is compatible with the holonomy, splits the holonomy by orientation
+behaviour on the expanding subspace of D, and decides whether the
+Reidemeister zeta function can exist at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
-from .algebra import (AveragingKernel, RationalMatrix, as_rational,
+from .algebra import (AveragingKernel, Polynomial, RationalMatrix, _int_matmul,
+                      _integer_form, _strip_root, as_rational, char_poly,
                       classify_eigenvalues, has_root_of_unity_eigenvalue,
-                      max_root_of_unity_order, spectral_isolation)
+                      max_root_of_unity_order)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
@@ -64,6 +64,10 @@ class ManifoldSpec:
     @cached_property
     def _group(self) -> "ValidationReport":
         return _check_group(self)
+
+    def __reduce__(self):
+        # copies leave the cached group table behind; it is rebuilt on use
+        return ManifoldSpec, (self.name, self.dimension, self.holonomy)
 
 
 @dataclass(frozen=True)
@@ -157,12 +161,37 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
 
 
 def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
+    """Check that the map fits the averaging formulas: its sizes match the
+    manifold, and its linear part D is compatible with the holonomy, so
+    every element A has some A' in the holonomy with D A = A' D.  Raises
+    DimensionMismatch or NonInvariantSubspace."""
     if mapping.linear.dim != spec.dimension:
         raise DimensionMismatch(
             f"map {mapping.label!r} linear part is {mapping.linear.dim}-dimensional, "
             f"manifold is {spec.dimension}-dimensional")
     if mapping.translation is not None and len(mapping.translation) != spec.dimension:
         raise DimensionMismatch("translation length does not match dimension")
+    label = _incompatible_element(spec, mapping.linear)
+    if label is not None:
+        raise NonInvariantSubspace(
+            f"map {mapping.label!r} is incompatible with holonomy element "
+            f"{label!r}: D*A = A'*D holds for no holonomy element A'")
+
+
+@lru_cache(maxsize=8)
+def _incompatible_element(spec: ManifoldSpec, linear: RationalMatrix) -> str | None:
+    """The label of the first holonomy element A for which no A' gives
+    D A = A' D, or None when D is compatible.  The |Phi| products A' D
+    are hashed once and each D A is looked up, all on integer forms over
+    one shared denominator; kept per (spec, D), so a report checks each
+    map once."""
+    mats, _ = _integer_form([a for _, a in spec.holonomy])
+    (d,), _ = _integer_form([linear])
+    right = {tuple(map(tuple, _int_matmul(a, d))) for a in mats}
+    for (label, _), a in zip(spec.holonomy, mats):
+        if tuple(map(tuple, _int_matmul(d, a))) not in right:
+            return label
+    return None
 
 
 @dataclass(frozen=True)
@@ -193,75 +222,33 @@ class PlusSplit:
 
 def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec,
                        tol: float = 1e-10) -> PlusSplit:
-    """Determine which holonomy elements preserve orientation on the
-    expanding subspace of the map's linear part.
+    """Determine, exactly, which holonomy elements preserve orientation
+    on the expanding subspace of the map's linear part D.
 
-    The expanding spectral subspace itself need not be holonomy
-    invariant; its complement (the non-expanding generalized eigenspace)
-    always is for consistent input, so each element's determinant on
-    the expanding side is computed as det(A) / det(A restricted to the
-    non-expanding subspace).  Restriction residues above 1e-6, or
-    determinants that fail to round to +/-1 within 1e-6, raise
-    NonInvariantSubspace.
+    For compatible D, (A D)^k = B_k D^k with B_k in the holonomy, so A D
+    expands exactly on the quotient by the non-expanding subspace of D,
+    which the holonomy preserves.  There the signs of det(A) and det(D)
+    multiply to (-1)^(number of real eigenvalues of A D below -1), so A
+    is in the plus part exactly when that number has the parity of n,
+    the count for D itself.  tol reaches only the classification of D
+    (p, n and the expanding dimension).
     """
     ensure_compatible(spec, mapping)
     d_mat = mapping.linear
-    cls, on_roots, off_roots = spectral_isolation(d_mat, tol)
-    m = spec.dimension
-    k = cls.expanding_count
-    from .algebra import det as exact_det
-
-    if k == 0:
-        membership = tuple((l, True) for l, _ in spec.holonomy)
-        return PlusSplit(membership, False, cls.p, cls.n, 0)
-
-    if k == m:
-        dets = {l: float(exact_det(a)) for l, a in spec.holonomy}
-        basis = None
-    else:
-        nonexp = list(on_roots) + [r for r in off_roots if abs(r) < 1.0]
-        ann = np.poly(np.array(nonexp))        # annihilator of the non-expanding part
-        ann = np.real(ann)                     # roots are conjugation-closed
-        df = d_mat.to_float()
-        qd = np.zeros_like(df)
-        for c in ann:
-            qd = qd @ df + c * np.eye(m)
-        # ker q(D) = non-expanding subspace, dimension m - k
-        _, sing, vt = np.linalg.svd(qd)
-        if k > 0 and sing[k - 1] < 1e4 * (sing[k] if k < m else 0.0) + 1e-12:
-            raise NonInvariantSubspace(
-                "cannot separate the expanding subspace numerically")
-        basis = vt[k:].T                       # orthonormal, shape (m, m-k)
-        dets = {}
-        for l, a in spec.holonomy:
-            af = a.to_float()
-            aq = af @ basis
-            restricted = basis.T @ aq
-            residual = np.linalg.norm(aq - basis @ restricted)
-            if residual > 1e-6 * max(1.0, np.linalg.norm(af)):
-                raise NonInvariantSubspace(
-                    f"holonomy element {l!r} moves the non-expanding subspace "
-                    f"(residual {residual:.3e})")
-            det_restricted = np.linalg.det(restricted)
-            if abs(det_restricted) < 1e-9:
-                raise NonInvariantSubspace(
-                    f"holonomy element {l!r} degenerates on the non-expanding subspace")
-            dets[l] = float(exact_det(a)) / det_restricted
-
-    membership = []
-    for l, _ in spec.holonomy:
-        v = dets[l]
-        if abs(v - 1.0) <= 1e-6:
-            membership.append((l, True))
-        elif abs(v + 1.0) <= 1e-6:
-            membership.append((l, False))
-        else:
-            raise NonInvariantSubspace(
-                f"expanding-subspace determinant of {l!r} is {v:.9f}, "
-                f"not within 1e-6 of +/-1")
-    membership = tuple(membership)
+    cls = classify_eigenvalues(d_mat, tol)
+    membership = tuple((l, _odd_roots_below_minus_one(char_poly(a @ d_mat))
+                        == (cls.n % 2 == 1))
+                       for l, a in spec.holonomy)
     is_proper = not all(inside for _, inside in membership)
-    return PlusSplit(membership, is_proper, cls.p, cls.n, k)
+    return PlusSplit(membership, is_proper, cls.p, cls.n, cls.expanding_count)
+
+
+def _odd_roots_below_minus_one(p: Polynomial) -> bool:
+    """Whether monic p has an odd number of real roots below -1, counted
+    with multiplicity: with its roots -1 removed, p changes sign between
+    -infinity and -1 exactly then."""
+    q, _ = _strip_root(p, Fraction(-1))
+    return (q(Fraction(-1)) > 0) != (q.degree % 2 == 0)
 
 
 def plus_subgroup_spec(spec: ManifoldSpec, split: PlusSplit) -> ManifoldSpec:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import as_rational
+from .algebra import _echo, as_rational
 from .errors import InvalidSpecFile
 from .manifolds import (AffineMapSpec, ManifoldSpec, ensure_compatible,
                         validate_spec)
@@ -67,19 +67,6 @@ def _int_from_json(text: str):
 # The exact forms an entry string may take: Fraction() would also read
 # decimals and exponents, and "1e9999999" would build a huge integer.
 _RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-# Error messages quote a bad entry up to this many characters.
-_ECHO_CHARS = 64
-
-
-def _echo(v) -> str:
-    """repr of a bad entry, cut to a fixed prefix plus the entry's
-    length, so that the message stays short whatever the input."""
-    text = repr(v)
-    if len(text) <= _ECHO_CHARS:
-        return text
-    return f"{text[:_ECHO_CHARS]}... ({len(str(v))} characters)"
 
 
 def _entry_from_json(v, what: str) -> Fraction:
@@ -141,7 +128,7 @@ def _option(raw: dict, key: str, default, kinds: tuple, what: str):
     not numbers, and null is accepted only where it is the default."""
     v = raw.get(key, default)
     if v is not default and (isinstance(v, bool) or not isinstance(v, kinds)):
-        raise InvalidSpecFile(f"options.{key} must be {what}, got {v!r}")
+        raise InvalidSpecFile(f"options.{key} must be {what}, got {_echo(v)}")
     return v
 
 
@@ -151,7 +138,7 @@ def parse_spec_data(data: dict) -> ParsedSpec:
         raise InvalidSpecFile("spec file must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
         raise InvalidSpecFile(
-            f"unsupported schema {data.get('schema')!r}; expected "
+            f"unsupported schema {_echo(data.get('schema'))}; expected "
             f"{SCHEMA_VERSION}")
     for field in ("name", "dimension", "holonomy", "map"):
         if field not in data:

@@ -221,6 +221,21 @@ CYCLIC_ORIENTABLE = [
 ]
 
 
+def isotypic_mixing_instance():
+    """(spec, map): cyclic orientable holonomy of order 4 generated by
+    G = diag(-1, -1) + R90, and a compatible linear part (D G = G^2 D)
+    that sends the sign piece into the rotation piece, so it preserves
+    no isotypic splitting."""
+    g = [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    elements = [RationalMatrix.identity(4)]
+    for _ in range(3):
+        elements.append(elements[-1] @ RationalMatrix(g))
+    spec = _group("c4_mix", 4, [(f"G{k}", m) for k, m in enumerate(elements)])
+    d = RationalMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [1, 2, 0, 0], [3, 1, 0, 0]])
+    assert compatible(spec, d)
+    return spec, AffineMapSpec.make("f", d)
+
+
 def random_coincidence_instances(seed: int, count: int):
     """count verified (spec, f, g) triples with cyclic orientable
     holonomy; both linear parts drawn from the same pattern family."""

@@ -1,8 +1,10 @@
 """Exact scalar/polynomial/matrix layer: arithmetic identities, Sturm
 root counting, unit-circle counts, and eigenvalue classification."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -63,6 +65,33 @@ class TestRationals:
     def test_as_rational_rejects_float(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    def test_rejected_value_echo_is_capped(self):
+        entry = ["1"] * 10000
+        with pytest.raises(TypeError) as err:
+            RationalMatrix([[entry]])
+        message = str(err.value)
+        assert len(message) < 200
+        assert message.startswith("cannot interpret ['1', '1',")
+        assert f"({len(str(entry))} characters)" in message
+        with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as"):
+            as_rational(0.5)
+
+
+class TestCopyAndPickle:
+    """Immutable values rebuild through their constructors."""
+
+    @pytest.mark.parametrize("value", [RationalMatrix([[1, "2/3"], [3, 4]]),
+                                       Polynomial([1, "-1/2", 3]),
+                                       Polynomial([])])
+    def test_round_trips(self, value):
+        hash(value)
+        for other in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert other == value and hash(other) == hash(value)
+            assert type(other) is type(value)
+            with pytest.raises(AttributeError):
+                other.dim = 3
 
 
 class TestPolynomial:

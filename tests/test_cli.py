@@ -63,6 +63,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "map.label" in err
         assert "Traceback" not in err
 
+    def test_incompatible_linear_part(self, capsys, tmp_path):
+        # the Klein bottle with D = [[2,1],[0,3]]: D A = A' D for no A'
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("klein_bottle_ex1.json").read_text())
+        spec["map"]["D"] = [[2, 1], [0, 3]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        for command in ("validate", "report"):
+            code, out, err = run_main(capsys, command, str(bad))
+            assert code == 2 and out == ""
+            assert err.startswith("error: NonInvariantSubspace: map 'f' is "
+                                  "incompatible with holonomy element 'A'")
+
     @pytest.mark.parametrize("path, value, field", [
         (("options", "tolerance"), "1" + "0" * 400, "options.tolerance"),
         (("options", "n_max"), "9" * 5000, "options.n_max"),

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from _corpus import (brute_force_torus_count, random_coincidence_instances,
-                     random_instances, random_integer_matrices)
+from _corpus import (brute_force_torus_count, isotypic_mixing_instance,
+                     random_coincidence_instances, random_instances,
+                     random_integer_matrices)
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
@@ -78,20 +79,19 @@ class TestArgumentChecks:
             nielsen(spec, half)
 
     def test_non_integral_average_message(self):
-        # det(I - D) = 2 and det(I - A D) = -5 average to -3/2;
-        # det(A - D) = 5 makes the Reidemeister average 7/2
-        spec = ManifoldSpec.make("swap", 2, [("I", [[1, 0], [0, 1]]),
-                                             ("A", [[0, 1], [1, 0]])])
-        d = _map([[2, 0], [0, 3]])
+        # det(I - D) = -3/2 on the trivial group: L = -3/2, and
+        # |det(I - D)| = |det(A - D)| = 3/2 for N and R
+        spec = ManifoldSpec.make("frac", 1, [("I", [[1]])])
+        d = _map([["5/2"]])
         with pytest.raises(NonIntegralLefschetz) as err:
             lefschetz(spec, d)
         assert str(err.value) == "holonomy average -3/2 is not an integer"
         with pytest.raises(NonIntegralNielsen) as err:
             nielsen(spec, d)
-        assert str(err.value) == "holonomy average 7/2 is not an integer"
+        assert str(err.value) == "holonomy average 3/2 is not an integer"
         with pytest.raises(NonIntegralNielsen) as err:
             reidemeister(spec, d)
-        assert str(err.value) == "holonomy average 7/2 is not an integer"
+        assert str(err.value) == "holonomy average 3/2 is not an integer"
         with pytest.raises(NonIntegralLefschetz) as err:
             lefschetz(ManifoldSpec.make("frac", 1, [("I", [[1]])]),
                       _map([["1/2"]]))
@@ -495,13 +495,10 @@ class TestTrichotomy:
             coincidence_trichotomy(ex1.spec, ex1.mapping, ex1.mapping)
 
     def test_mixing_linear_part_rejected(self):
-        spec = ManifoldSpec.make("s3b", 3, [
-            ("I", RationalMatrix.identity(3)),
-            ("A", [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])])
-        shear = _map([[1, 0, 2], [0, 1, 0], [0, 0, 1]])
-        ident = _map(RationalMatrix.identity(3), "g")
+        spec, mixing = isotypic_mixing_instance()
+        ident = _map(RationalMatrix.identity(4), "g")
         with pytest.raises(NotBlockCompatible):
-            coincidence_trichotomy(spec, shear, ident)
+            coincidence_trichotomy(spec, mixing, ident)
 
     def test_random_corpus(self):
         cases = set()

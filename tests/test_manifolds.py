@@ -1,17 +1,23 @@
 """Holonomy validation, the orientation split, and zeta definedness."""
 
 import itertools
+import random
 import re
 
 import pytest
 
+import zetafix.zetas
+from _corpus import CYCLIC_ORIENTABLE, GROUPS, compatible, random_instances
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      NonInvariantSubspace, Polynomial, RationalMatrix,
-                     builtin_fixtures, char_poly, compute_plus_split,
+                     build_report, builtin_fixtures, char_poly,
+                     coincidence_numbers, compute_plus_split,
                      ensure_compatible, is_virtually_unipotent, klein_type,
                      load_fixture, max_root_of_unity_order,
                      plus_subgroup_spec, reidemeister_zeta_defined,
                      sol_r_sequence, validate_spec)
+from zetafix.algebra import AveragingKernel
+from zetafix.manifolds import _incompatible_element
 
 
 def _spec(dim, holonomy, name="m"):
@@ -153,6 +159,63 @@ class TestCompatibility:
     def test_ok(self, ex3):
         ensure_compatible(ex3.spec, ex3.mapping)
 
+    def test_klein_bottle_shear_rejected(self, ex1):
+        # D A = [[2,-1],[0,-3]] is neither D nor A D = [[2,1],[0,-3]]
+        bad = AffineMapSpec.make("f", [[2, 1], [0, 3]])
+        with pytest.raises(NonInvariantSubspace) as err:
+            ensure_compatible(ex1.spec, bad)
+        assert str(err.value) == (
+            "map 'f' is incompatible with holonomy element 'A': "
+            "D*A = A'*D holds for no holonomy element A'")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_reference(self, seed):
+        # random linear parts, mostly incompatible, over the corpus groups
+        # (fixed-point and cyclic), plus the compatible corpus draws
+        rng = random.Random(seed)
+        groups = [g for g, _ in GROUPS + CYCLIC_ORIENTABLE]
+        pairs = [(spec, m.linear) for spec, m in random_instances(seed, 40)]
+        for _ in range(160):
+            spec = rng.choice(groups)
+            pairs.append((spec, RationalMatrix(
+                [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(spec.dimension)]
+                 for _ in range(spec.dimension)])))
+        verdicts = set()
+        for spec, d in pairs:
+            expected = compatible(spec, d)
+            verdicts.add(expected)
+            mapping = AffineMapSpec.make("f", d)
+            if expected:
+                ensure_compatible(spec, mapping)
+            else:
+                with pytest.raises(NonInvariantSubspace):
+                    ensure_compatible(spec, mapping)
+        assert verdicts == {True, False}
+
+    def test_each_map_of_a_coincidence_checked(self, halfturn):
+        spec = _spec(2, [("I", [[1, 0], [0, 1]]), ("A", [[1, 0], [0, -1]])])
+        good = AffineMapSpec.make("f", [[2, 0], [0, 3]])
+        bad = AffineMapSpec.make("g", [[2, 1], [0, 3]])
+        for f, g in ((good, bad), (bad, good)):
+            with pytest.raises(NonInvariantSubspace, match="map 'g'"):
+                coincidence_numbers(spec, f, g)
+        coincidence_numbers(spec, good, good)
+        # -I commutes with every D, so the half-turn holonomy takes both
+        coincidence_numbers(halfturn.spec, good, bad)
+
+
+class TestCompatibilityOncePerMap:
+    """The exact check is kept per (spec, D): parsing takes it, and the
+    report built from the parsed spec reads it back."""
+
+    @pytest.mark.parametrize("name, maps", [("heisenberg_ex3", 1),
+                                            ("halfturn_coincidence", 2)])
+    def test_one_check_per_map_in_a_report(self, name, maps):
+        zetafix.zetas.map_context.cache_clear()
+        _incompatible_element.cache_clear()
+        build_report(load_fixture(name))
+        assert _incompatible_element.cache_info().misses == maps
+
 
 class TestPlusSplit:
     def test_klein_bottle_split_is_proper(self, ex1):
@@ -208,6 +271,50 @@ class TestPlusSplit:
         cat = AffineMapSpec.make("f", [[2, 1], [1, 1]])
         with pytest.raises(NonInvariantSubspace):
             compute_plus_split(spec, cat)
+
+    def test_eigenvalue_minus_one_of_a_d_stripped(self):
+        # A D = diag(-3, -1, -1): the root -1 (twice) decides nothing, and
+        # the root -3 against n = 0 puts A outside the plus part; A flips
+        # the expanding axis
+        spec = _spec(3, [("I", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                         ("A", [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+        s = compute_plus_split(spec, AffineMapSpec.make(
+            "f", [[3, 0, 0], [0, -1, 0], [0, 0, -1]]))
+        assert s.plus_labels() == ["I"] and s.is_proper
+        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        # D = diag(-3, -1, -1): now A D = diag(3, -1, -1) has no root
+        # below -1 and n = 1, so A is again outside
+        s = compute_plus_split(spec, AffineMapSpec.make(
+            "f", [[-3, 0, 0], [0, -1, 0], [0, 0, -1]]))
+        assert s.plus_labels() == ["I"]
+        assert (s.p, s.n, s.expanding_dim) == (0, 1, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sign_law_of_the_fixed_point_determinants(self, seed):
+        # the split's second route: for compatible D every nonzero
+        # det(I - A D^n) has sign (-1)^(k + n n') eps_A, where k is the
+        # expanding dimension, n' = split.n and eps_A = +1 exactly on the
+        # plus part
+        cases = random_instances(seed, 200)
+        if seed == 0:
+            cases += [(fx.spec, fx.mapping)
+                      for fx in builtin_fixtures().values()
+                      if hasattr(fx, "spec")]
+            cases += [(fx.spec, fx.mapping) for fx in (
+                klein_type(3, 1, 0), klein_type(3, 0, 5), klein_type(-1, 0, 5))]
+        nonzero = 0
+        for spec, mapping in cases:
+            split = compute_plus_split(spec, mapping)
+            kernel = AveragingKernel([a for _, a in spec.holonomy],
+                                     mapping.linear)
+            for n in (1, 2, 3):
+                dets, _ = kernel.fixed_point_dets(n)   # denominator > 0
+                for (_, inside), v in zip(split.plus_membership, dets):
+                    if v:
+                        nonzero += 1
+                        sign = (-1) ** (split.expanding_dim + n * split.n)
+                        assert (v > 0) == (sign == (1 if inside else -1))
+        assert nonzero > 1000
 
     def test_member_unknown_label(self, ex1):
         s = compute_plus_split(ex1.spec, ex1.mapping)

@@ -8,8 +8,10 @@ from dataclasses import replace
 import pytest
 
 import zetafix.algebra
+import zetafix.manifolds
 import zetafix.ratfunc
 import zetafix.zetas
+from _corpus import isotypic_mixing_instance
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
                      asymptotics_entry, build_report, congruence_entries,
@@ -159,8 +161,10 @@ class TestSharedContext:
     @pytest.mark.parametrize("tolerance", [None, 1e-9])
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_linear_part_classified_once(self, monkeypatch, name, tolerance):
-        # one char_poly for the classification, one for the cyclotomic
-        # test; every spectral reader shares one classification
+        # one char_poly of D for the classification, one for the
+        # cyclotomic test, and every spectral reader shares one
+        # classification; the plus split takes one char_poly(A D) per
+        # holonomy element A
         parsed = load_fixture(name)
         if tolerance is not None:
             parsed = replace(parsed, options=replace(parsed.options,
@@ -168,9 +172,15 @@ class TestSharedContext:
         zetafix.zetas.map_context.cache_clear()
         zetafix.algebra.char_poly.cache_clear()
         zetafix.algebra._classify.cache_clear()
+        orig = zetafix.algebra.char_poly
         calls = _count_calls(monkeypatch, zetafix.algebra, ("char_poly",))
+        split_args = []
+        monkeypatch.setattr(zetafix.manifolds, "char_poly",
+                            lambda m: split_args.append(m) or orig(m))
         build_report(parsed)
         assert calls["char_poly"] == 2
+        d = parsed.mapping.linear
+        assert split_args == [a @ d for _, a in parsed.spec.holonomy]
         assert zetafix.algebra._classify.cache_info().misses == 1
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
@@ -375,12 +385,9 @@ class TestCoincidenceSections:
         assert doc["trichotomy"] == {"skipped": "holonomy is not cyclic"}
 
     def test_block_compatibility_skip(self):
-        spec = ManifoldSpec.make("s3b", 3, [
-            ("I", RationalMatrix.identity(3)),
-            ("A", [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])])
-        shear = AffineMapSpec.make("f", [[1, 0, 2], [0, 1, 0], [0, 0, 1]])
-        ident = AffineMapSpec.make("g", RationalMatrix.identity(3))
-        doc = build_report(ParsedSpec(spec, shear, ident))
+        spec, mixing = isotypic_mixing_instance()
+        ident = AffineMapSpec.make("g", RationalMatrix.identity(4))
+        doc = build_report(ParsedSpec(spec, mixing, ident))
         assert doc["trichotomy"]["skipped"].startswith("not block compatible")
 
 

@@ -1,14 +1,26 @@
 """Spec file parsing, validation, and round-tripping."""
 
+import contextlib
+import copy
+import io
+import itertools
 import json
+import pickle
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetafix import (InvalidSpecFile, parse_spec_data, parse_spec_file,
-                     serialize_spec, write_spec_file)
+from zetafix import (InvalidSpecFile, NonInvariantSubspace, build_report,
+                     load_fixture, parse_spec_data, parse_spec_file,
+                     serialize_spec, validate_spec, write_spec_file)
+from zetafix.cli import main
+from zetafix.errors import ZetafixError
 
 FIXTURE_FILES = ("klein_bottle_ex1", "heisenberg_ex3", "torus_cat_map",
                  "identity_torus", "klein_type_3_5", "klein_type_3_0",
@@ -57,6 +69,18 @@ class TestRoundTrip:
         again = serialize_spec(parsed)
         assert again["map"]["D"] == [["3/2"]]
         assert again["map"]["translation"] == ["1/3"]
+
+
+class TestCopy:
+    @pytest.mark.parametrize("name", ["heisenberg_ex3", "halfturn_coincidence"])
+    def test_deep_copy_and_pickle(self, name):
+        # the group table cached on the spec is rebuilt, not copied
+        parsed = load_fixture(name)
+        validate_spec(parsed.spec)
+        for other in (copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert other == parsed and other.spec is not parsed.spec
+            assert validate_spec(other.spec) == validate_spec(parsed.spec)
+            assert build_report(other) == build_report(parsed)
 
 
 class TestParsedShape:
@@ -132,6 +156,28 @@ class TestRejection:
             parse_spec_data(_minimal(map={"D": [[2]]}))
         with pytest.raises(InvalidSpecFile):
             parse_spec_data(_minimal(map={"label": "f"}))
+
+    @pytest.mark.parametrize("data", [
+        _minimal(schema="1" * 5000),
+        _minimal(options={"n_max": ["x"] * 5000}),
+        _minimal(options={"tolerance": "0" * 5000}),
+    ])
+    def test_echo_of_a_bad_value_is_capped(self, data):
+        with pytest.raises(InvalidSpecFile) as err:
+            parse_spec_data(data)
+        assert len(str(err.value)) < 200 and "characters)" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["map", "map2"])
+    def test_incompatible_map_rejected(self, key):
+        # Klein-bottle holonomy: D A = [[2,-1],[0,-3]] is not A' D for any A'
+        data = _raw("halfturn_coincidence")
+        data["holonomy"][1]["matrix"] = [[1, 0], [0, -1]]
+        data["map"]["D"] = data["map2"]["D"] = [[2, 0], [0, 3]]
+        parse_spec_data(data)
+        data[key]["D"] = [[2, 1], [0, 3]]
+        with pytest.raises(NonInvariantSubspace,
+                           match=f"map {data[key]['label']!r}"):
+            parse_spec_data(data)
 
     def test_holonomy_items_checked(self):
         with pytest.raises(InvalidSpecFile):
@@ -258,3 +304,93 @@ class TestRejection:
         path.write_text("{not json")
         with pytest.raises(InvalidSpecFile, match="JSON"):
             parse_spec_file(path)
+
+
+def _paths(node, path=()):
+    """Every path into a decoded JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+# The Klein-bottle reflection group, so that a changed linear part can also
+# be incompatible with the holonomy.
+_FUZZ_BASE = {**_raw("klein_bottle_ex1"),
+              "map2": {"label": "g", "D": [[3, 0], [0, 5]],
+                       "translation": [0, "1/2"]}}
+# Hypothesis favours the front of a sampled list, and a broken leaf gets
+# further through the parser than a broken root: take the top-level fields
+# in turn, deepest paths first within each.
+_FUZZ_PATHS = [p for group in itertools.zip_longest(*(
+    sorted((p for p in _paths(_FUZZ_BASE) if p[:1] == (key,)),
+           key=len, reverse=True)
+    for key in ("holonomy", "map", "map2", "dimension", "options", "name",
+                "schema"))) for p in group if p]
+_FUZZ_PATHS.append(())
+_DELETE = object()
+_small = st.integers(-2, 2)
+_json_values = st.one_of(
+    # small integers and integer matrices of any shape reach the group,
+    # dimension and compatibility checks
+    _small,
+    st.lists(st.lists(_small, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+        | st.floats(allow_nan=False) | st.text(max_size=6)
+        | st.sampled_from(["1/2", "2/0", "-3", "x", "1e9", " 1"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["label", "D", "matrix", "x"]),
+                          inner, max_size=3),
+        max_leaves=10))
+
+
+@st.composite
+def _mutated_specs(draw):
+    """The base spec with one to three nodes replaced or deleted."""
+    spec = copy.deepcopy(_FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_FUZZ_PATHS))
+        value = draw(st.just(_DELETE) | _json_values)
+        if not path:
+            spec = value if value is not _DELETE else {}
+            continue
+        parent = spec
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue                    # an earlier mutation removed it
+        if not isinstance(parent, (dict, list)):
+            continue
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return spec
+
+
+class TestMalformedShapes:
+    @settings(max_examples=200, derandomize=True)
+    @given(_mutated_specs())
+    def test_typed_error_and_exit_two(self, data):
+        try:
+            parse_spec_data(data)
+            expected = 0
+        except ZetafixError as e:
+            expected = 2
+            assert len(str(e)) < 300, str(e)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(data))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["validate", str(path)])
+        assert code == expected, err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
