@@ -16,8 +16,8 @@ from .algebra import (EigenClassification, Polynomial, Rational,
                       poly_gcd, spectral_isolation, squarefree_decomposition)
 from .congruences import (CongruenceReport, check_dold_lefschetz, check_euler,
                           check_gauss, mobius)
-from .errors import (AmbiguousClassification, DegenerateFixedSet,
-                     DimensionMismatch, InfinityInSequence, InsufficientTerms,
+from .errors import (DegenerateFixedSet, DimensionMismatch,
+                     InfinityInSequence, InsufficientTerms,
                      InvalidSpecFile, NielsenFormulaMismatch, NonAcyclicBundle,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NonInvariantSubspace, NotAGroup, NotBlockCompatible,

@@ -107,7 +107,7 @@ def _cmd_numbers(target, args) -> int:
     if target.is_coincidence:
         num = _coincidence_numbers_entry(target, n_max)
     else:
-        ctx = map_context(spec, target.mapping, target.options.tolerance)
+        ctx = map_context(spec, target.mapping)
         num = _numbers_entry(ctx, n_max)
     _emit({"name": spec.name, **num},
           "\n".join(_numbers_lines(spec.name, num, target.is_coincidence)),
@@ -128,15 +128,9 @@ def _cmd_zeta(target, args) -> int:
         _emit({"name": target.name, "function": str(fn)},
               f"zeta of {target.name}: {fn}", args.format)
         return 0
-    which = args.which or "N"
-    tol = target.options.tolerance
-    ops = {
-        "L": lambda: lefschetz_zeta(target.spec, target.mapping),
-        "N": lambda: nielsen_zeta(target.spec, target.mapping, tol=tol),
-        "R": lambda: reidemeister_zeta(target.spec, target.mapping, tol=tol),
-        "AM": lambda: artin_mazur_zeta(target.spec, target.mapping, tol=tol),
-    }
-    result = ops[which]()
+    ops = {"L": lefschetz_zeta, "N": nielsen_zeta, "R": reidemeister_zeta,
+           "AM": artin_mazur_zeta}
+    result = ops[args.which or "N"](target.spec, target.mapping)
     entry = _zeta_entry(result)
     entry["name"] = target.spec.name
     _emit(entry,
@@ -174,10 +168,8 @@ def _cmd_congruences(target, args) -> int:
 def _cmd_entropy(target, args) -> int:
     if isinstance(target, SequenceFixture) or target.is_coincidence:
         raise InvalidSpecFile("entropy applies to single-map specs")
-    nz = nielsen_zeta(target.spec, target.mapping,
-                      tol=target.options.tolerance)
-    asym = asymptotics_entry(target.spec, target.mapping, nz,
-                             tol=target.options.tolerance)
+    nz = nielsen_zeta(target.spec, target.mapping)
+    asym = asymptotics_entry(target.spec, target.mapping, nz)
     human = (f"{target.spec.name}: N_infinity = {asym['n_infinity']}, "
              f"entropy = {asym['entropy']}, radius = {asym['radius']}\n"
              f"radius check: {asym['radius_check']}")
@@ -259,20 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--which", choices=("L", "N", "R", "AM"),
                            default=None, help="which zeta function")
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--tol", default=None,
-                       type=_checked(float, lambda t: 0 < t < 1, "in (0, 1)"),
-                       help="eigenvalue classification tolerance, in (0, 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        target = _load(args.spec)
-        if args.tol is not None and not isinstance(target, SequenceFixture):
-            target = replace(target, options=replace(target.options,
-                                                     tolerance=args.tol))
-        return _COMMANDS[args.command](target, args)
+        return _COMMANDS[args.command](_load(args.spec), args)
     except ZetaUndefined as e:
         print(f"undefined: {e}", file=sys.stderr)
         return 3

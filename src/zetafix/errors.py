@@ -12,15 +12,6 @@ class ZetafixError(Exception):
     """Base class for all library-specific failures."""
 
 
-# ---------------------------------------------------------------- algebra
-
-
-class AmbiguousClassification(ZetafixError):
-    """Numeric eigenvalue isolation could not be reconciled with the exact
-    unit-circle count at the requested tolerance.  Retry with a refined
-    tolerance or better-conditioned input."""
-
-
 # ----------------------------------------------------------- reconstruction
 
 
@@ -80,7 +71,7 @@ class NotCyclic(ZetafixError):
 
 class NotBlockCompatible(ZetafixError):
     """A linear part is not block-triangular with respect to the cyclic
-    holonomy decomposition within tolerance."""
+    holonomy decomposition (decided exactly)."""
 
 
 class TrichotomyMismatch(ZetafixError):
@@ -112,8 +103,8 @@ class NotConstantRatio(ZetafixError):
 
 
 class RadiusMismatch(ZetafixError):
-    """Radius of convergence disagrees with the reciprocal asymptotic
-    growth rate beyond tolerance."""
+    """Radius of convergence times the asymptotic growth rate differs
+    from 1 by more than 1e-6."""
 
 
 class NonAcyclicBundle(ZetafixError):

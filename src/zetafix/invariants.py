@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import AveragingKernel, RationalMatrix, det, rref
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
@@ -221,15 +219,13 @@ def _coincidence_at(kernel: AveragingKernel, n: int,
 class CyclicDecomposition:
     """Isotypic decomposition of a cyclic holonomy representation under
     a generator A, as exact column bases: the trivial part ker(A - I),
-    the sign part ker(A + I) and the rotation part im(A^2 - I), whose
-    rotation pairs have the listed angles in (0, pi)."""
+    the sign part ker(A + I) and the rotation part im(A^2 - I)."""
 
     generator_label: str
     order: int
     trivial: tuple[tuple[Fraction, ...], ...]
     sign: tuple[tuple[Fraction, ...], ...]
     rotation: tuple[tuple[Fraction, ...], ...]
-    rotation_angles: tuple[float, ...]
 
     @property
     def m_triv(self) -> int:
@@ -261,12 +257,7 @@ def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
         raise NotCyclic(
             f"decomposition of {gen_label!r} does not fill the space "
             f"(got {filled} columns for dimension {spec.dimension})")
-    order = spec.order
-    thetas = sorted(math.atan2(w.imag, w.real)
-                    for w in np.linalg.eigvals(a0.to_float()) if w.imag > 1e-9)
-    angles = tuple(2 * math.pi * round(t * order / (2 * math.pi)) / order
-                   for t in thetas)
-    return CyclicDecomposition(gen_label, order, triv, tau, rot, angles)
+    return CyclicDecomposition(gen_label, spec.order, triv, tau, rot)
 
 
 def _column_space(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -300,10 +291,10 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     the generator's square.  The prediction is cross-checked against
     the averaged Nielsen number; disagreement raises TrichotomyMismatch.
     """
-    if not spec.orientable:
-        raise ValueError("trichotomy requires an orientable manifold")
     ensure_compatible(spec, map_f)
     ensure_compatible(spec, map_g)
+    if not spec.orientable:
+        raise ValueError("trichotomy requires an orientable manifold")
     dec = cyclic_decomposition(spec)
     basis = RationalMatrix(list(zip(*(dec.trivial + dec.sign + dec.rotation))))
     binv = basis.inverse()

@@ -163,8 +163,11 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
 def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
     """Check that the map fits the averaging formulas: its sizes match the
     manifold, and its linear part D is compatible with the holonomy, so
-    every element A has some A' in the holonomy with D A = A' D.  Raises
-    DimensionMismatch or NonInvariantSubspace."""
+    every element A has some A' in the holonomy with D A = A' D.  The
+    holonomy is validated first (see validate_spec), so an invalid spec
+    raises its validation error; otherwise raises DimensionMismatch or
+    NonInvariantSubspace."""
+    validate_spec(spec)
     if mapping.linear.dim != spec.dimension:
         raise DimensionMismatch(
             f"map {mapping.label!r} linear part is {mapping.linear.dim}-dimensional, "
@@ -208,7 +211,6 @@ class PlusSplit:
     is_proper: bool
     p: int
     n: int
-    expanding_dim: int
 
     def plus_labels(self) -> list[str]:
         return [l for l, inside in self.plus_membership if inside]
@@ -220,8 +222,7 @@ class PlusSplit:
         raise KeyError(label)
 
 
-def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec,
-                       tol: float = 1e-10) -> PlusSplit:
+def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
     """Determine, exactly, which holonomy elements preserve orientation
     on the expanding subspace of the map's linear part D.
 
@@ -230,17 +231,16 @@ def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec,
     which the holonomy preserves.  There the signs of det(A) and det(D)
     multiply to (-1)^(number of real eigenvalues of A D below -1), so A
     is in the plus part exactly when that number has the parity of n,
-    the count for D itself.  tol reaches only the classification of D
-    (p, n and the expanding dimension).
+    the count for D itself.
     """
     ensure_compatible(spec, mapping)
     d_mat = mapping.linear
-    cls = classify_eigenvalues(d_mat, tol)
+    cls = classify_eigenvalues(d_mat)
     membership = tuple((l, _odd_roots_below_minus_one(char_poly(a @ d_mat))
                         == (cls.n % 2 == 1))
                        for l, a in spec.holonomy)
     is_proper = not all(inside for _, inside in membership)
-    return PlusSplit(membership, is_proper, cls.p, cls.n, cls.expanding_count)
+    return PlusSplit(membership, is_proper, cls.p, cls.n)
 
 
 def _odd_roots_below_minus_one(p: Polynomial) -> bool:
@@ -260,12 +260,11 @@ def plus_subgroup_spec(spec: ManifoldSpec, split: PlusSplit) -> ManifoldSpec:
     return ManifoldSpec(spec.name + "+", spec.dimension, kept)
 
 
-def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec,
-                           tol: float = 1e-10) -> bool:
+def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec) -> bool:
     """True when every eigenvalue of the linear part lies on the unit
     circle (decided exactly)."""
     ensure_compatible(spec, mapping)
-    cls = classify_eigenvalues(mapping.linear, tol)
+    cls = classify_eigenvalues(mapping.linear)
     return cls.unit_modulus_count == spec.dimension
 
 

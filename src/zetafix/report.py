@@ -76,8 +76,7 @@ def congruence_entries(spec, mapping, n_max: int = CONGRUENCE_N_MAX) -> list:
     """The standard congruence battery for one map: Dold on the
     Lefschetz sequence, Gauss on Nielsen and Reidemeister (infinite
     iterates skipped), Euler at p = 2, 3 on Lefschetz."""
-    # the sequences do not depend on the tolerance
-    return _congruence_battery(map_context(spec, mapping, 1e-10), n_max)
+    return _congruence_battery(map_context(spec, mapping), n_max)
 
 
 def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
@@ -95,16 +94,16 @@ def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
     ]
 
 
-def asymptotics_entry(spec, mapping, nz, tol: float = 1e-10) -> dict:
+def asymptotics_entry(spec, mapping, nz) -> dict:
     """Growth rate, entropy, and zeta radius with its cross-check,
     suppressed when 1 is an eigenvalue of the linear part."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        n_inf = asymptotic_nielsen(spec, mapping, tol=tol)
-        entropy = entropy_lower_bound(spec, mapping, tol=tol)
-        radius = radius_report(spec, mapping, nz, tol=tol)
+        n_inf = asymptotic_nielsen(spec, mapping)
+        entropy = entropy_lower_bound(spec, mapping)
+        radius = radius_report(spec, mapping, nz)
     radius_check = ("suppressed: 1 is an eigenvalue of the linear part"
-                    if classify_eigenvalues(mapping.linear, tol).one_in_spectrum
+                    if classify_eigenvalues(mapping.linear).one_in_spectrum
                     else "ok: radius * growth rate = 1 within 1e-6")
     return {
         "n_infinity": _flt(n_inf),
@@ -116,20 +115,17 @@ def asymptotics_entry(spec, mapping, nz, tol: float = 1e-10) -> dict:
 
 def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     spec, mapping = parsed.spec, parsed.mapping
-    opts = parsed.options
-    n_max = opts.n_max
     doc: dict = {}
 
-    ctx = map_context(spec, mapping, opts.tolerance)
-    doc["numbers"] = _numbers_entry(ctx, n_max)
+    ctx = map_context(spec, mapping)
+    doc["numbers"] = _numbers_entry(ctx, parsed.options.n_max)
 
     lz = ctx.l_zeta
-    nz = nielsen_zeta(spec, mapping, tol=opts.tolerance)
-    az = artin_mazur_zeta(spec, mapping, tol=opts.tolerance)
+    nz = nielsen_zeta(spec, mapping)
+    az = artin_mazur_zeta(spec, mapping)
     zetas = [_zeta_entry(lz), _zeta_entry(nz)]
     try:
-        zetas.append(_zeta_entry(
-            reidemeister_zeta(spec, mapping, tol=opts.tolerance)))
+        zetas.append(_zeta_entry(reidemeister_zeta(spec, mapping)))
     except ZetaUndefined as e:
         zetas.append({"which": "Reidemeister", "defined": False,
                       "reason": str(e)})
@@ -146,8 +142,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
         # orbifold-style quotient) can leave a genuine power of z in the
         # ratio; the report records that instead of aborting.
         try:
-            fe = verify_functional_equation(spec, mapping, nz,
-                                            tol=opts.tolerance)
+            fe = verify_functional_equation(spec, mapping, nz)
         except NotConstantRatio as e:
             doc["functional_equation"] = {"failed": str(e)}
         else:
@@ -158,8 +153,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
                 "case": fe.case,
             }
 
-    doc["asymptotics"] = asymptotics_entry(spec, mapping, nz,
-                                           tol=opts.tolerance)
+    doc["asymptotics"] = asymptotics_entry(spec, mapping, nz)
 
     doc["congruences"] = _congruence_battery(ctx)
 
@@ -167,7 +161,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     # the definedness scan finds a witness exactly when D has a
     # root-of-unity eigenvalue
     root_of_unity = definedness.status == "undefined"
-    unipotent = is_virtually_unipotent(spec, mapping, opts.tolerance)
+    unipotent = is_virtually_unipotent(spec, mapping)
     if definedness.status == "defined":
         rz_text = "defined"
         if abs(d) == 1:
@@ -186,8 +180,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
         "reidemeister_zeta": rz_text,
         "root_of_unity_eigenvalue": root_of_unity,
         "virtually_unipotent": unipotent,
-        "one_in_spectrum": classify_eigenvalues(
-            mapping.linear, opts.tolerance).one_in_spectrum,
+        "one_in_spectrum": classify_eigenvalues(mapping.linear).one_in_spectrum,
         "note": note,
     }
     return doc

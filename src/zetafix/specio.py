@@ -2,7 +2,7 @@
 
 A spec file is JSON: a manifold (dimension plus labeled holonomy
 matrices), one map (its linear part and optional translation), an
-optional second map for coincidence problems, and tolerances.  All
+optional second map for coincidence problems, and options.  All
 matrix entries are integers or exact "p/q" strings; floats are
 rejected so that every downstream computation stays exact.
 """
@@ -26,6 +26,10 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SpecOptions:
+    """Spec options.  tolerance and degree_bound_override are parsed,
+    range-checked and echoed for schema 1, but nothing reads them: every
+    eigenvalue count is exact, and the degree bound is derived."""
+
     tolerance: float = 1e-10
     n_max: int = 12
     degree_bound_override: int | None = None

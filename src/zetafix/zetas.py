@@ -48,15 +48,15 @@ class ZetaResult:
 
 
 class MapContext:
-    """Everything computed for one (spec, map, tolerance): one averaging
+    """Everything computed for one (spec, map): one averaging
     kernel, the L, N and R sequences read from it (L and N from the same
     determinants det(I - A D^n)), the plus split, the Reidemeister
     definedness, and the Lefschetz and Nielsen zetas.  Obtain it from
     map_context, so that every caller asking about the same problem
     shares one instance."""
 
-    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec, tol: float):
-        self.spec, self.mapping, self.tol = spec, mapping, tol
+    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
+        self.spec, self.mapping = spec, mapping
         self.kernel = _kernel(spec, mapping)
         self.l_seq = _oracle("lefschetz", _lefschetz_at, self.kernel,
                              spec, mapping)
@@ -66,7 +66,7 @@ class MapContext:
 
     @cached_property
     def split(self) -> PlusSplit:
-        return compute_plus_split(self.spec, self.mapping, tol=self.tol)
+        return compute_plus_split(self.spec, self.mapping)
 
     @cached_property
     def lplus_seq(self) -> SequenceOracle:
@@ -121,33 +121,30 @@ class MapContext:
 
 
 @lru_cache(maxsize=1)
-def map_context(spec: ManifoldSpec, mapping: AffineMapSpec,
-                tol: float) -> MapContext:
+def map_context(spec: ManifoldSpec, mapping: AffineMapSpec) -> MapContext:
     """The shared context of one problem.  Only the most recent one is
     kept, so a context never outlives the next problem asked about."""
-    return MapContext(spec, mapping, tol)
+    return MapContext(spec, mapping)
 
 
 def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """L_f(z) = exp(sum L(f^n) z^n / n), reconstructed exactly."""
-    return map_context(spec, mapping, 1e-10).l_zeta
+    return map_context(spec, mapping).l_zeta
 
 
-def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
-                 tol: float = 1e-10) -> ZetaResult:
+def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """N_f(z) by the sign formula N_f(z) = L_f((-1)^n z)^((-1)^(p+n))
     (or the quotient with the plus-cover Lefschetz zeta when the plus
     subgroup is proper), verified exactly against the Nielsen sequence
     (see verify_zeta)."""
-    return map_context(spec, mapping, tol).n_zeta
+    return map_context(spec, mapping).n_zeta
 
 
-def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
-                      tol: float = 1e-10) -> ZetaResult:
+def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """R_f(z), which equals N_f(z) whenever all R(f^n) are finite.
     Raises ZetaUndefined, with a witness iterate, when some R(f^n) is
     infinite."""
-    ctx = map_context(spec, mapping, tol)
+    ctx = map_context(spec, mapping)
     d = ctx.definedness
     if d.status == "undefined":
         raise ZetaUndefined(
@@ -158,11 +155,10 @@ def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
     return replace(ctx.n_zeta, which="Reidemeister")
 
 
-def artin_mazur_zeta(spec: ManifoldSpec, mapping: AffineMapSpec,
-                     tol: float = 1e-10) -> ZetaResult:
+def artin_mazur_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """Periodic-point zeta; every fixed point class of an iterate is
     essential and isolated here, so it coincides with the Nielsen zeta."""
-    return replace(map_context(spec, mapping, tol).n_zeta, which="ArtinMazur")
+    return replace(map_context(spec, mapping).n_zeta, which="ArtinMazur")
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,7 @@ class FunctionalEquationReport:
 
 
 def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
-                               zeta: ZetaResult,
-                               tol: float = 1e-10) -> FunctionalEquationReport:
+                               zeta: ZetaResult) -> FunctionalEquationReport:
     """Check zeta(1/(dz)) = zeta(z)^(+-(-1)^m) * constant with d the
     degree of the map (det of the linear part) and m the dimension,
     and unwind the constant into the equation's epsilon.
@@ -190,7 +185,7 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     d = det(mapping.linear)
     if d == 0:
         raise ValueError("degree of the map is zero")
-    split = map_context(spec, mapping, tol).split
+    split = map_context(spec, mapping).split
     case = "plus-proper" if split.is_proper else "plus-equal"
     m = spec.dimension
     g = substitute_reciprocal_scale(zeta.function, d)
@@ -211,12 +206,11 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     return FunctionalEquationReport(True, eps, d, case)
 
 
-def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec,
-                      tol: float = 1e-10) -> float:
+def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """Growth rate N_infinity = limsup N(f^n)^(1/n): the product of the
     expanding eigenvalue moduli of the linear part, at least 1.  Warns
     when 1 is an eigenvalue, where the spectral formula can fail."""
-    cls = classify_eigenvalues(mapping.linear, tol=tol)
+    cls = classify_eigenvalues(mapping.linear)
     if cls.one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; the "
                       "spectral growth formula is not guaranteed",
@@ -224,17 +218,16 @@ def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec,
     return max(1.0, math.exp(cls.expanding_log_product))
 
 
-def entropy_lower_bound(spec: ManifoldSpec, mapping: AffineMapSpec,
-                        tol: float = 1e-10) -> float:
+def entropy_lower_bound(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """log of the asymptotic Nielsen number: the topological entropy of
     the affine representative and a lower bound for every map in the
     homotopy class."""
-    cls = classify_eigenvalues(mapping.linear, tol=tol)
+    cls = classify_eigenvalues(mapping.linear)
     return max(0.0, cls.expanding_log_product)
 
 
 def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
-                  zeta: ZetaResult, tol: float = 1e-10) -> float:
+                  zeta: ZetaResult) -> float:
     """Radius of convergence of the zeta's power series.  For
     Nielsen-type zetas this must equal 1/N_infinity; the product
     radius * N_infinity is checked against 1 within 1e-6 unless 1 is
@@ -243,11 +236,11 @@ def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
     r = radius_of_convergence(zeta.function)
     if zeta.which == "Lefschetz":
         return r
-    if classify_eigenvalues(mapping.linear, tol=tol).one_in_spectrum:
+    if classify_eigenvalues(mapping.linear).one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; skipping "
                       "the radius cross-check", stacklevel=2)
         return r
-    n_inf = asymptotic_nielsen(spec, mapping, tol=tol)
+    n_inf = asymptotic_nielsen(spec, mapping)
     if math.isinf(r) or abs(r * n_inf - 1.0) > 1e-6:
         raise RadiusMismatch(
             f"radius {r} times growth rate {n_inf} is not 1")

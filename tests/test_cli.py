@@ -104,6 +104,8 @@ class TestExitCodes:
                               ("numbers", "sol_r_2")]
         for value in ("-3", "0", "x")
     ] + [
+        # there is no eigenvalue tolerance: --tol is an unknown option
+        # whatever its value
         (command, "heisenberg_ex3", "--tol", value)
         for command in ("numbers", "validate", "report")
         for value in ("5", "-1", "0", "1", "nan", "inf", "x")
@@ -113,7 +115,8 @@ class TestExitCodes:
             main([command, spec, flag, value])
         captured = capsys.readouterr()
         assert info.value.code == 2 and captured.out == ""
-        assert f"argument {flag}" in captured.err
+        assert (f"unrecognized arguments: {flag} {value}" if flag == "--tol"
+                else f"argument {flag}") in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command, spec, flag, value", [
@@ -295,10 +298,23 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == build_report(load_fixture("torus_cat_map"))
 
-    def test_tolerance_override(self, capsys):
-        code, _, _ = run_main(capsys, "report", "heisenberg_ex3",
-                              "--tol", "1e-9")
-        assert code == 0
+    def test_tolerance_override(self, capsys, tmp_path):
+        # options.tolerance is echoed and read by nothing else: every
+        # value gives the same report but for the echo
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("heisenberg_ex3.json").read_text())
+        docs = []
+        for tol in (1e-10, 1e-3, 0.9):
+            spec["options"]["tolerance"] = tol
+            path = tmp_path / f"ex3_{tol}.json"
+            path.write_text(json.dumps(spec))
+            code, out, _ = run_main(capsys, "report", str(path),
+                                    "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["input"]["options"].pop("tolerance") == tol
+            docs.append(doc)
+        assert docs[0] == docs[1] == docs[2]
 
 
 @pytest.mark.parametrize("name", ["heisenberg_ex3", "klein_bottle_ex1",
@@ -340,3 +356,35 @@ class TestSubprocess:
         proc = _run_module("zeta", "quarter_rotation", "--which", "R")
         assert proc.returncode == 3
         assert proc.stderr.startswith("undefined: R(f^1) is infinite")
+
+
+def _torus_spec(name: str, d: list) -> dict:
+    """A spec of the torus T^dim (trivial holonomy) with linear part d."""
+    dim = len(d)
+    return {"schema": 1, "name": name, "dimension": dim,
+            "holonomy": [{"label": "I", "matrix": _jordan(dim, 1, 0)}],
+            "map": {"label": "f", "D": d}}
+
+
+def _jordan(dim: int, eigenvalue: int, off: int = 1) -> list:
+    """eigenvalue on the diagonal and off on the superdiagonal."""
+    return [[eigenvalue if i == j else off * (j == i + 1) for j in range(dim)]
+            for i in range(dim)]
+
+
+class TestUnitSpectrum:
+    """Every eigenvalue of D exactly on the unit circle, with multiplicity
+    up to 7: the counts are exact, so the report needs no numeric
+    separation of the roots from the circle."""
+
+    @pytest.mark.parametrize("dim", [6, 7])
+    @pytest.mark.parametrize("kind, eigenvalue, off", [
+        ("identity", 1, 0), ("minus-identity", -1, 0), ("jordan", 1, 1)])
+    def test_report(self, capsys, tmp_path, dim, kind, eigenvalue, off):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_torus_spec(
+            f"T{dim}_{kind}", _jordan(dim, eigenvalue, off))))
+        code, out, err = run_main(capsys, "report", str(path))
+        assert code == 0 and err == ""
+        assert "entropy = 0, " in out
+        assert "  virtually unipotent: yes\n" in out

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 import zetafix.zetas
@@ -22,6 +23,16 @@ from zetafix.manifolds import _incompatible_element
 
 def _spec(dim, holonomy, name="m"):
     return ManifoldSpec.make(name, dim, holonomy)
+
+
+def _expanding_dim(d):
+    """The number of eigenvalues of d outside the unit circle, from numpy.
+    For integer matrices of size <= 3 every such modulus is at least 1.15
+    (the smallest Mahler measure of degree <= 3 is 1.32), and roots on the
+    circle move by far less than 0.05 numerically."""
+    assert d.is_integral() and d.dim <= 3
+    values = np.linalg.eigvals(np.array([[float(x) for x in r] for r in d.rows]))
+    return int(np.sum(np.abs(values) > 1.05))
 
 
 class TestValidate:
@@ -204,6 +215,43 @@ class TestCompatibility:
         coincidence_numbers(halfturn.spec, good, bad)
 
 
+class TestEntryPointsValidate:
+    """Every entry point validates the holonomy before it computes: a
+    spec built without parsing is checked as parsing would check it."""
+
+    F = AffineMapSpec.make("f", [[2, 0], [0, 3]])
+    CALLS = {
+        "lefschetz": lambda s, f: zetafix.lefschetz(s, f),
+        "nielsen": lambda s, f: zetafix.nielsen(s, f, 2),
+        "reidemeister": lambda s, f: zetafix.reidemeister(s, f),
+        "lefschetz_sequence": lambda s, f: zetafix.lefschetz_sequence(s, f)(1),
+        "nielsen_sequence": lambda s, f: zetafix.nielsen_sequence(s, f)(1),
+        "reidemeister_sequence":
+            lambda s, f: zetafix.reidemeister_sequence(s, f)(1),
+        "coincidence_numbers": lambda s, f: coincidence_numbers(s, f, f),
+        "coincidence_trichotomy":
+            lambda s, f: zetafix.coincidence_trichotomy(s, f, f),
+        "compute_plus_split": compute_plus_split,
+        "is_virtually_unipotent": is_virtually_unipotent,
+        "reidemeister_zeta_defined": reidemeister_zeta_defined,
+        "nielsen_zeta": zetafix.nielsen_zeta,
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_holonomy_without_identity(self, call):
+        # the average over {J} alone reads L = -6
+        spec = _spec(2, [("J", [[-1, 0], [0, 1]])])
+        with pytest.raises(NotAGroup, match="identity"):
+            self.CALLS[call](spec, self.F)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_element_of_the_wrong_size(self, call):
+        spec = _spec(2, [("I", [[1, 0], [0, 1]]),
+                         ("J", [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+        with pytest.raises(DimensionMismatch, match="'J' is 3x3"):
+            self.CALLS[call](spec, self.F)
+
+
 class TestCompatibilityOncePerMap:
     """The exact check is kept per (spec, D): parsing takes it, and the
     report built from the parsed spec reads it back."""
@@ -223,7 +271,7 @@ class TestPlusSplit:
         assert s.is_proper
         assert s.member("I") and not s.member("A")
         assert s.plus_labels() == ["I"]
-        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        assert (s.p, s.n) == (1, 0)
 
     def test_heisenberg_split(self, ex3):
         # A = diag(1,-1,-1) fixes the contracted line and flips one
@@ -232,24 +280,24 @@ class TestPlusSplit:
         s = compute_plus_split(ex3.spec, ex3.mapping)
         assert s.is_proper
         assert s.member("I") and not s.member("A")
-        assert (s.p, s.n, s.expanding_dim) == (0, 2, 2)
+        assert (s.p, s.n) == (0, 2)
 
     def test_trivial_holonomy(self, cat):
         s = compute_plus_split(cat.spec, cat.mapping)
         assert not s.is_proper and s.plus_labels() == ["I"]
-        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        assert (s.p, s.n) == (1, 0)
 
     def test_no_expansion_means_all_plus(self, identity_torus, quarter):
         for fx in (identity_torus, quarter):
             s = compute_plus_split(fx.spec, fx.mapping)
             assert not s.is_proper
-            assert s.expanding_dim == 0
+            assert (s.p, s.n) == (0, 0)
 
     def test_fully_expanding_uses_full_determinant(self):
         fx = klein_type(3, 0, 5)
         s = compute_plus_split(fx.spec, fx.mapping)
         assert s.is_proper and not s.member("A")
-        assert (s.p, s.n, s.expanding_dim) == (2, 0, 2)
+        assert (s.p, s.n) == (2, 0)
 
     def test_reflection_can_preserve_expanding_orientation(self):
         # D = [[3,0],[2,0]]: expanding line only; A flips the contracted
@@ -258,13 +306,13 @@ class TestPlusSplit:
         s = compute_plus_split(fx.spec, fx.mapping)
         assert not s.is_proper
         assert s.member("A")
-        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        assert (s.p, s.n) == (1, 0)
 
     def test_mixed_spectrum_reflection(self):
         fx = klein_type(-1, 0, 5)
         s = compute_plus_split(fx.spec, fx.mapping)
         assert s.is_proper and not s.member("A")
-        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        assert (s.p, s.n) == (1, 0)
 
     def test_incompatible_holonomy_detected(self):
         spec = _spec(2, [("I", [[1, 0], [0, 1]]), ("A", [[1, 0], [0, -1]])])
@@ -281,13 +329,13 @@ class TestPlusSplit:
         s = compute_plus_split(spec, AffineMapSpec.make(
             "f", [[3, 0, 0], [0, -1, 0], [0, 0, -1]]))
         assert s.plus_labels() == ["I"] and s.is_proper
-        assert (s.p, s.n, s.expanding_dim) == (1, 0, 1)
+        assert (s.p, s.n) == (1, 0)
         # D = diag(-3, -1, -1): now A D = diag(3, -1, -1) has no root
         # below -1 and n = 1, so A is again outside
         s = compute_plus_split(spec, AffineMapSpec.make(
             "f", [[-3, 0, 0], [0, -1, 0], [0, 0, -1]]))
         assert s.plus_labels() == ["I"]
-        assert (s.p, s.n, s.expanding_dim) == (0, 1, 1)
+        assert (s.p, s.n) == (0, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sign_law_of_the_fixed_point_determinants(self, seed):
@@ -305,6 +353,7 @@ class TestPlusSplit:
         nonzero = 0
         for spec, mapping in cases:
             split = compute_plus_split(spec, mapping)
+            k = _expanding_dim(mapping.linear)
             kernel = AveragingKernel([a for _, a in spec.holonomy],
                                      mapping.linear)
             for n in (1, 2, 3):
@@ -312,7 +361,7 @@ class TestPlusSplit:
                 for (_, inside), v in zip(split.plus_membership, dets):
                     if v:
                         nonzero += 1
-                        sign = (-1) ** (split.expanding_dim + n * split.n)
+                        sign = (-1) ** (k + n * split.n)
                         assert (v > 0) == (sign == (1 if inside else -1))
         assert nonzero > 1000
 

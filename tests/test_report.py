@@ -201,8 +201,7 @@ class TestSharedContext:
         parsed = load_fixture(name)
         zetafix.zetas.map_context.cache_clear()
         # the plus split classifies D with gcds of its own; take it first
-        zetafix.zetas.map_context(parsed.spec, parsed.mapping,
-                                  parsed.options.tolerance).split
+        zetafix.zetas.map_context(parsed.spec, parsed.mapping).split
         gcds = []
         orig = zetafix.algebra.poly_gcd
 

@@ -17,7 +17,7 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
                      reidemeister_zeta, torsion_special_value,
                      verify_functional_equation)
-from zetafix.errors import AmbiguousClassification, NonInvariantSubspace
+from zetafix.errors import NonInvariantSubspace
 from zetafix.ratfunc import zeta_from_terms
 from zetafix.zetas import MapContext, map_context
 
@@ -146,11 +146,11 @@ def _proper_splits(cases):
     """The map contexts of the cases whose plus split is proper."""
     out = []
     for spec, mapping in cases:
-        ctx = map_context(spec, mapping, 1e-10)
+        ctx = map_context(spec, mapping)
         try:
             if ctx.split.is_proper:
                 out.append(ctx)
-        except (NonInvariantSubspace, AmbiguousClassification):
+        except NonInvariantSubspace:
             pass
     return out
 
@@ -178,7 +178,7 @@ class TestNielsenVerification:
     @staticmethod
     def _context(name):
         fx = load_fixture(name)
-        return MapContext(fx.spec, fx.mapping, fx.options.tolerance)
+        return MapContext(fx.spec, fx.mapping)
 
     @staticmethod
     def _rebuild_and_compare(name, seq):
