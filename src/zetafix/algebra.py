@@ -856,13 +856,16 @@ def _classify(m: RationalMatrix) -> EigenClassification:
     unit_exact = m_one + m_minus + count_unit_modulus_roots(core)
     p_count, n_count = _real_roots_outside(core) if core.degree >= 1 else (0, 0)
 
-    roots = list(np.roots(p.float_coeffs_desc())) if m.dim >= 1 else []
-    # The exact count says how many roots sit on the circle; set aside
+    # Only the core is rooted numerically: a cluster of exact roots +-1
+    # would cost digits of the expanding roots near it.  The exact count
+    # says how many of the core's roots sit on the circle; set aside
     # that many of the numeric roots nearest to it.  A root misplaced by
     # this sort lies within the numeric perturbation of the circle, so
     # it moves the log product by no more than that perturbation.
-    roots.sort(key=lambda r: abs(abs(r) - 1.0))
-    log_prod = float(sum(math.log(abs(r)) for r in roots[unit_exact:]
+    roots = sorted(np.roots(core.float_coeffs_desc()),
+                   key=lambda r: abs(abs(r) - 1.0))
+    log_prod = float(sum(math.log(abs(r))
+                         for r in roots[unit_exact - m_one - m_minus:]
                          if abs(r) > 1.0))
     return EigenClassification(
         p=p_count,

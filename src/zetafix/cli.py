@@ -25,16 +25,12 @@ from .invariants import lefschetz  # noqa: F401
 from .manifolds import validate_spec
 from .ratfunc import zeta_from_terms
 from .report import (_coincidence_numbers_entry, _coincidence_sections,
-                     _construction_text, _num, _numbers_entry, _zeta_entry,
-                     asymptotics_entry, build_report, congruence_entries,
-                     render_human)
+                     _congruence_entry, _construction_text, _num,
+                     _numbers_entry, _zeta_entry, asymptotics_entry,
+                     build_report, congruence_entries, render_human)
 from .specio import parse_spec_file
 from .zetas import (artin_mazur_zeta, lefschetz_zeta, map_context,
                     nielsen_zeta, reidemeister_zeta)
-
-_WHICH_NAMES = {"L": "Lefschetz", "N": "Nielsen", "R": "Reidemeister",
-                "AM": "ArtinMazur"}
-
 
 def _load(target: str):
     p = Path(target)
@@ -143,10 +139,7 @@ def _cmd_congruences(target, args) -> int:
     n_max = args.max_n or 30
     if isinstance(target, SequenceFixture):
         rep = check_gauss(target.oracle(), n_max)
-        entries = [{"kind": rep.kind, "sequence": target.name, "n_max": n_max,
-                    "passed": rep.passed,
-                    "violations": [[n, r] for n, r in rep.violations],
-                    "skipped": list(rep.skipped)}]
+        entries = [_congruence_entry(rep, target.name, n_max=n_max)]
     else:
         if target.is_coincidence:
             raise InvalidSpecFile(

@@ -19,7 +19,7 @@ from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        ensure_compatible, plus_subgroup_spec, validate_spec)
+                        averaging_kernel, plus_subgroup_spec, validate_spec)
 from .ratfunc import SequenceOracle
 
 
@@ -47,15 +47,6 @@ def _average(dets, den: int, err) -> int:
     return q
 
 
-def _kernel(spec: ManifoldSpec, mapping: AffineMapSpec,
-            target: AffineMapSpec | None = None) -> AveragingKernel:
-    ensure_compatible(spec, mapping)
-    if target is not None:
-        ensure_compatible(spec, target)
-    return AveragingKernel([a for _, a in spec.holonomy], mapping.linear,
-                           None if target is None else target.linear)
-
-
 def _lefschetz_at(kernel: AveragingKernel, n: int, members=None) -> int:
     """L(f^n), or with members (indices into the holonomy) the signed
     average over that subgroup alone, read from the same determinants."""
@@ -77,9 +68,9 @@ def _reidemeister_at(kernel: AveragingKernel, n: int):
     return _average([abs(v) for v in dets], den, NonIntegralNielsen)
 
 
-def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int,
-             target: AffineMapSpec | None = None) -> AveragingKernel:
-    kernel = _kernel(spec, mapping, target)
+def _iterate(n: int, spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
+    """The kernel of the problem (spec, *maps), for a valid iterate n."""
+    kernel = averaging_kernel(spec, *maps)
     if n < 1:
         raise ValueError("iterate must be >= 1")
     return kernel
@@ -87,12 +78,12 @@ def _iterate(spec: ManifoldSpec, mapping: AffineMapSpec, n: int,
 
 def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
     """L(f^n) = (1/|Phi|) sum_A det(I - A D^n)."""
-    return _lefschetz_at(_iterate(spec, mapping, n), n)
+    return _lefschetz_at(_iterate(n, spec, mapping), n)
 
 
 def nielsen(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
     """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|."""
-    return _nielsen_at(_iterate(spec, mapping, n), n)
+    return _nielsen_at(_iterate(n, spec, mapping), n)
 
 
 def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
@@ -102,7 +93,7 @@ def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
     the two agree because inversion permutes the holonomy, which makes
     agreement with the Nielsen number a genuine cross-check.
     """
-    return _reidemeister_at(_iterate(spec, mapping, n), n)
+    return _reidemeister_at(_iterate(n, spec, mapping), n)
 
 
 def lefschetz_plus(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -138,33 +129,29 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 
 
 def _oracle(kind: str, at, kernel: AveragingKernel, spec: ManifoldSpec,
-            mapping: AffineMapSpec,
-            degree_bound: int | None = None) -> SequenceOracle:
+            mapping: AffineMapSpec) -> SequenceOracle:
     """The oracle n -> at(kernel, n).  Oracles over one kernel share its
     powers of D and its determinants."""
-    bound = default_degree_bound(spec) if degree_bound is None else degree_bound
-    return SequenceOracle(lambda n: at(kernel, n), bound,
+    return SequenceOracle(lambda n: at(kernel, n), default_degree_bound(spec),
                           name=f"{kind}:{spec.name}:{mapping.label}")
 
 
-def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
-                       degree_bound: int | None = None) -> SequenceOracle:
-    return _oracle("lefschetz", _lefschetz_at, _kernel(spec, mapping),
-                   spec, mapping, degree_bound)
+def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
+    return _oracle("lefschetz", _lefschetz_at, averaging_kernel(spec, mapping),
+                   spec, mapping)
 
 
-def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
-                     degree_bound: int | None = None) -> SequenceOracle:
-    return _oracle("nielsen", _nielsen_at, _kernel(spec, mapping),
-                   spec, mapping, degree_bound)
+def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
+    return _oracle("nielsen", _nielsen_at, averaging_kernel(spec, mapping),
+                   spec, mapping)
 
 
-def reidemeister_sequence(spec: ManifoldSpec, mapping: AffineMapSpec,
-                          degree_bound: int | None = None) -> SequenceOracle:
+def reidemeister_sequence(spec: ManifoldSpec,
+                          mapping: AffineMapSpec) -> SequenceOracle:
     """Values may be math.inf; zeta construction must check definedness
     before consuming this."""
-    return _oracle("reidemeister", _reidemeister_at, _kernel(spec, mapping),
-                   spec, mapping, degree_bound)
+    return _oracle("reidemeister", _reidemeister_at,
+                   averaging_kernel(spec, mapping), spec, mapping)
 
 
 # --------------------------------------------------------------------------
@@ -187,14 +174,7 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
                         map_g: AffineMapSpec, n: int = 1) -> CoincidenceNumbers:
     """Averaged coincidence invariants of the iterate pair (f^n, g^n):
     determinants det(E^n - A D^n) over the holonomy."""
-    return _coincidence_at(_iterate(spec, map_f, n, map_g), n, spec.orientable)
-
-
-def coincidence_table(spec: ManifoldSpec, map_f: AffineMapSpec,
-                      map_g: AffineMapSpec, n_max: int) -> list[CoincidenceNumbers]:
-    """coincidence_numbers for n = 1..n_max, from one kernel."""
-    kernel, orientable = _kernel(spec, map_f, map_g), spec.orientable
-    return [_coincidence_at(kernel, n, orientable) for n in range(1, n_max + 1)]
+    return _coincidence_at(_iterate(n, spec, map_f, map_g), n, spec.orientable)
 
 
 def _coincidence_at(kernel: AveragingKernel, n: int,
@@ -290,9 +270,9 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     |L_0 - L| where L_0 averages over the index-2 subgroup generated by
     the generator's square.  The prediction is cross-checked against
     the averaged Nielsen number; disagreement raises TrichotomyMismatch.
+    L and L_0 are read from the n = 1 determinants of the pair's kernel.
     """
-    ensure_compatible(spec, map_f)
-    ensure_compatible(spec, map_g)
+    kernel = averaging_kernel(spec, map_f, map_g)
     if not spec.orientable:
         raise ValueError("trichotomy requires an orientable manifold")
     dec = cyclic_decomposition(spec)
@@ -320,7 +300,7 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     d_tau = blocks(map_f.linear)
     e_tau = blocks(map_g.linear)
 
-    coin = coincidence_numbers(spec, map_f, map_g, 1)
+    coin = _coincidence_at(kernel, 1, True)
     lef = coin.lefschetz
     if kt == 0:
         case, predicted, s1, s2 = 1, abs(lef), 0, 0
@@ -339,9 +319,8 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
             half = [group.identity]
             while (p := group.products[half[-1], sq]) != group.identity:
                 half.append(p)
-            sub = ManifoldSpec(spec.name + "0", spec.dimension,
-                               tuple((l, spec.matrix(l)) for l in half))
-            lef0 = coincidence_numbers(sub, map_f, map_g, 1).lefschetz
+            labels = spec.labels()
+            lef0 = _lefschetz_at(kernel, 1, [labels.index(l) for l in half])
             case, predicted = 3, abs(lef0 - lef)
     if coin.nielsen != predicted:
         raise TrichotomyMismatch(

@@ -4,9 +4,10 @@ A manifold is described by its dimension and the finite holonomy group,
 given as exact rational matrices; a self-map by the linear part D of an
 affine lift (plus an optional translation, echoed but never needed by
 the invariant formulas).  This module validates that data, checks that
-D is compatible with the holonomy, splits the holonomy by orientation
-behaviour on the expanding subspace of D, and decides whether the
-Reidemeister zeta function can exist at all.
+D is compatible with the holonomy, builds the averaging kernel of each
+problem, splits the holonomy by orientation behaviour on the expanding
+subspace of D, and decides whether the Reidemeister zeta function can
+exist at all.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class ManifoldSpec:
 
     @property
     def orientable(self) -> bool:
-        from .algebra import det
-        return all(det(m) == 1 for _, m in self.holonomy)
+        """Whether every holonomy element has determinant 1, as decided
+        by validate_spec (an invalid spec raises its validation error)."""
+        return self._group.orientable
 
     def labels(self) -> list[str]:
         return [l for l, _ in self.holonomy]
@@ -197,6 +199,19 @@ def _incompatible_element(spec: ManifoldSpec, linear: RationalMatrix) -> str | N
     return None
 
 
+@lru_cache(maxsize=1)
+def averaging_kernel(spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
+    """The averaging kernel of one problem, (spec, f) or the coincidence
+    pair (spec, f, g), after ensure_compatible on each map.  Every entry
+    point reads it; like map_context, only the most recent problem is
+    kept.  The maps are positional, so every caller asking about one
+    problem hits the same entry."""
+    for mapping in maps:
+        ensure_compatible(spec, mapping)
+    return AveragingKernel([a for _, a in spec.holonomy],
+                           *(m.linear for m in maps))
+
+
 @dataclass(frozen=True)
 class PlusSplit:
     """Holonomy split by orientation behaviour on the expanding subspace.
@@ -287,20 +302,12 @@ def reidemeister_zeta_defined(spec: ManifoldSpec,
 
     Without root-of-unity eigenvalues all R(f^n) are finite: defined.
     Otherwise the first n with det(I - A D^n) = 0 (exactly) is the
-    undefined witness.  Scanning n <= max_root_of_unity_order(dim)
-    always finds one: a primitive k-th root of unity among the
-    eigenvalues has phi(k) <= dim and makes det(I - D^k) vanish, and
-    the identity is in the holonomy.
+    undefined witness, read from the problem's averaging kernel.
+    Scanning n <= max_root_of_unity_order(dim) always finds one: a
+    primitive k-th root of unity among the eigenvalues has phi(k) <= dim
+    and makes det(I - D^k) vanish, and the identity is in the holonomy.
     """
-    ensure_compatible(spec, mapping)
-    return _zeta_definedness(spec, mapping, AveragingKernel(
-        [a for _, a in spec.holonomy], mapping.linear))
-
-
-def _zeta_definedness(spec: ManifoldSpec, mapping: AffineMapSpec,
-                      kernel: AveragingKernel) -> ZetaDefinedness:
-    """The definedness scan over the fixed-point determinants of kernel,
-    the averaging kernel of (spec, mapping)."""
+    kernel = averaging_kernel(spec, mapping)
     if not has_root_of_unity_eigenvalue(mapping.linear):
         return ZetaDefinedness("defined")
     for n in range(1, max_root_of_unity_order(spec.dimension) + 1):

@@ -17,7 +17,7 @@ from .algebra import classify_eigenvalues, det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
-from .invariants import coincidence_table, coincidence_trichotomy
+from .invariants import coincidence_numbers, coincidence_trichotomy
 from .manifolds import is_virtually_unipotent, validate_spec
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
@@ -196,9 +196,11 @@ def _numbers_entry(ctx, n_max: int) -> dict:
 
 
 def _coincidence_numbers_entry(parsed: ParsedSpec, n_max: int) -> dict:
-    """The L, N and R rows of a coincidence pair for n = 1..n_max."""
+    """The L, N and R rows of a coincidence pair for n = 1..n_max, all
+    read from the pair's averaging kernel."""
     spec = parsed.spec
-    table = coincidence_table(spec, parsed.mapping, parsed.mapping2, n_max)
+    table = [coincidence_numbers(spec, parsed.mapping, parsed.mapping2, n)
+             for n in range(1, n_max + 1)]
     return {
         "n_max": n_max,
         "lefschetz": [c.lefschetz for c in table],

@@ -19,10 +19,10 @@ from functools import cached_property, lru_cache, partial
 from .algebra import classify_eigenvalues, det
 from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
                      RadiusMismatch, ZetaUndefined)
-from .invariants import (_kernel, _lefschetz_at, _nielsen_at, _oracle,
-                         _reidemeister_at)
+from .invariants import _lefschetz_at, _nielsen_at, _oracle, _reidemeister_at
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        ZetaDefinedness, _zeta_definedness, compute_plus_split)
+                        ZetaDefinedness, averaging_kernel, compute_plus_split,
+                        reidemeister_zeta_defined)
 from .ratfunc import (RationalFunction, SequenceOracle, radius_of_convergence,
                       substitute_reciprocal_scale, verify_zeta, zeta_from_terms)
 
@@ -48,16 +48,16 @@ class ZetaResult:
 
 
 class MapContext:
-    """Everything computed for one (spec, map): one averaging
-    kernel, the L, N and R sequences read from it (L and N from the same
-    determinants det(I - A D^n)), the plus split, the Reidemeister
-    definedness, and the Lefschetz and Nielsen zetas.  Obtain it from
-    map_context, so that every caller asking about the same problem
-    shares one instance."""
+    """Everything computed for one (spec, map): its averaging kernel
+    (from manifolds.averaging_kernel), the L, N and R sequences read
+    from it (L and N from the same determinants det(I - A D^n)), the
+    plus split, the Reidemeister definedness, and the Lefschetz and
+    Nielsen zetas.  Obtain it from map_context, so that every caller
+    asking about the same problem shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
-        self.kernel = _kernel(spec, mapping)
+        self.kernel = averaging_kernel(spec, mapping)
         self.l_seq = _oracle("lefschetz", _lefschetz_at, self.kernel,
                              spec, mapping)
         self.n_seq = _oracle("nielsen", _nielsen_at, self.kernel, spec, mapping)
@@ -79,7 +79,7 @@ class MapContext:
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
-        return _zeta_definedness(self.spec, self.mapping, self.kernel)
+        return reidemeister_zeta_defined(self.spec, self.mapping)
 
     @cached_property
     def l_zeta(self) -> ZetaResult:
@@ -253,25 +253,33 @@ def torsion_special_value(zeta: ZetaResult, lam: complex,
     absolute torsion of the associated mapping-torus bundle.  With a
     plus-cover zeta the pair value |zeta_plus(lam)/zeta(lam)| is
     returned instead.  Points where either function has a zero or pole
-    are rejected: the twisted bundle is not acyclic there."""
+    are rejected: the twisted bundle is not acyclic there.  At lam = +-1
+    the zeta is evaluated exactly, so only an exact zero or pole is
+    rejected; elsewhere a value within 1e-12 of the coefficient scale
+    counts as one."""
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("special values live on the unit circle")
+    exact = lam in (1, -1)
 
-    def _value(zr: ZetaResult) -> complex:
-        num = complex(zr.function.num(lam))
-        den = complex(zr.function.den(lam))
-        scale = max(1.0, max((abs(complex(c)) for c in zr.function.num.coeffs),
-                             default=1.0),
-                    max((abs(complex(c)) for c in zr.function.den.coeffs),
-                        default=1.0))
-        if abs(den) <= 1e-12 * scale:
+    def _value(zr: ZetaResult):
+        f = zr.function
+        if exact:
+            x = Fraction(int(lam.real))
+            num, den, cut = f.num(x), f.den(x), 0
+        else:
+            num, den = complex(f.num(lam)), complex(f.den(lam))
+            cut = 1e-12 * max(1.0, max((abs(complex(c)) for c in f.num.coeffs),
+                                       default=1.0),
+                              max((abs(complex(c)) for c in f.den.coeffs),
+                                  default=1.0))
+        if abs(den) <= cut:
             raise NonAcyclicBundle(f"{zr.which} zeta has a pole at {lam}")
-        if abs(num) <= 1e-12 * scale:
+        if abs(num) <= cut:
             raise NonAcyclicBundle(f"{zr.which} zeta vanishes at {lam}")
         return num / den
 
     v = _value(zeta)
     if zeta_plus is None:
-        return 1.0 / abs(v)
-    return abs(_value(zeta_plus) / v)
+        return float(1 / abs(v))
+    return float(abs(_value(zeta_plus) / v))

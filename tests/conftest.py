@@ -4,6 +4,8 @@ import tempfile
 import pytest
 from hypothesis import settings
 
+import zetafix.manifolds
+import zetafix.zetas
 from zetafix import load_fixture
 
 # Property tests draw the same examples on every run and keep no example
@@ -25,6 +27,15 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     config.stash[_HYPOTHESIS_STORAGE].cleanup()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_problem_memos():
+    # The per-problem memos (one context, one averaging kernel) would
+    # otherwise carry work from one test into the next, and tests that
+    # count kernels or determinants would depend on the test order.
+    zetafix.zetas.map_context.cache_clear()
+    zetafix.manifolds.averaging_kernel.cache_clear()
 
 
 FIXED_POINT_NAMES = (

@@ -481,18 +481,17 @@ class TestClassificationOfConjugatedBlocks:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_and_log_product(self, seed):
-        # The log product comes from np.roots on the whole characteristic
-        # polynomial.  Up to 8 roots at +-1 make a cluster of radius about
-        # 0.04 there, which moves a nearby expanding root: next to a double
-        # root 5/4 the product is off by 7e-7 (test_crowded_spectrum).
-        # The radius cross-check of the report allows 1e-6.
+        # The log product comes from np.roots on the characteristic
+        # polynomial with its exact roots +-1 divided out, so a cluster of
+        # up to 8 of them cannot move a nearby expanding root (see
+        # test_crowded_spectrum).
         rng = random.Random(seed)
         for _ in range(50):
             m, counts, log_prod = _conjugated_block_matrix(rng)
             cls = classify_eigenvalues(m)
             assert (cls.p, cls.n, cls.unit_modulus_count,
                     cls.one_in_spectrum) == counts
-            assert abs(cls.expanding_log_product - log_prod) < 1e-6
+            assert abs(cls.expanding_log_product - log_prod) < 1e-9
 
     def test_repeated_unit_blocks(self):
         # three Jordan blocks at 1 and two at -1 beside one expanding root
@@ -506,14 +505,16 @@ class TestClassificationOfConjugatedBlocks:
 
     def test_crowded_spectrum(self):
         # two Jordan blocks of size 4 at 1 beside the double root 5/4: the
-        # counts stay exact; the numeric log product is off by 7e-7
+        # counts stay exact, and since the roots 1 are divided out before
+        # rooting, the log product keeps its digits (rooting the whole
+        # characteristic polynomial put it off by 7e-7)
         blocks = [[[Fraction(5, 4)]], _jordan_block(4, 1), _jordan_block(4, 1),
                   [[Fraction(5, 4)]]]
         u = _unimodular(random.Random(8), 10)
         cls = classify_eigenvalues(u @ _block_diagonal(blocks) @ u.inverse())
         assert (cls.p, cls.n, cls.unit_modulus_count,
                 cls.one_in_spectrum) == (2, 0, 8, True)
-        assert abs(cls.expanding_log_product - 2 * math.log(1.25)) < 1e-6
+        assert abs(cls.expanding_log_product - 2 * math.log(1.25)) < 1e-9
 
 
 def _companion(p):

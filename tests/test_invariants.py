@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import zetafix.invariants
 from _corpus import (brute_force_torus_count, isotypic_mixing_instance,
                      random_coincidence_instances, random_instances,
                      random_integer_matrices)
@@ -17,10 +18,9 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      lefschetz_plus, lefschetz_sequence, load_fixture,
                      nielsen, nielsen_from_lefschetz, nielsen_sequence,
                      reidemeister, reidemeister_sequence,
-                     torus_periodic_points)
+                     torus_periodic_points, validate_spec)
 from zetafix.algebra import _diagonal_blocks, _integer_form
 from zetafix.errors import NonInvariantSubspace
-from zetafix.invariants import coincidence_table
 
 
 def _map(rows, label="f"):
@@ -161,7 +161,6 @@ class TestSequences:
         ls = lefschetz_sequence(ex1.spec, ex1.mapping)
         assert ls.name == "lefschetz:klein_bottle_ex1:f"
         assert ls.degree_bound == 4
-        assert nielsen_sequence(ex1.spec, ex1.mapping, degree_bound=3).degree_bound == 3
 
     def test_reidemeister_sequence_hits_infinity(self, ex1):
         rs = reidemeister_sequence(ex1.spec, ex1.mapping)
@@ -273,7 +272,8 @@ class TestBlockKernel:
                 want, got = make(*ref[:2]), make(*other[:2])
                 assert [got(n) for n in range(1, 13)] == \
                     [want(n) for n in range(1, 13)]
-            assert coincidence_table(*other, 12) == coincidence_table(*ref, 12)
+            assert [coincidence_numbers(*other, n) for n in range(1, 13)] == \
+                [coincidence_numbers(*ref, n) for n in range(1, 13)]
 
     @pytest.mark.parametrize("which", ["blocks", "permuted", "dense"])
     def test_numbers_equal_the_fraction_formulas(self, which):
@@ -397,15 +397,6 @@ class TestCoincidence:
             coincidence_numbers(halfturn.spec, halfturn.mapping,
                                 halfturn.mapping2, 0)
 
-    def test_table_equals_single_iterates(self, halfturn, ex1):
-        # one kernel for n = 1..8 gives what a kernel per iterate gives
-        pairs = [(halfturn.spec, halfturn.mapping, halfturn.mapping2),
-                 (halfturn.spec, halfturn.mapping, halfturn.mapping),
-                 (ex1.spec, ex1.mapping, _map(RationalMatrix.identity(2), "id"))]
-        for spec, f, g in pairs:
-            assert coincidence_table(spec, f, g, 8) == [
-                coincidence_numbers(spec, f, g, n) for n in range(1, 9)]
-
 
 class TestCyclicDecomposition:
     def test_quarter_rotation(self, quarter):
@@ -499,6 +490,35 @@ class TestTrichotomy:
         ident = _map(RationalMatrix.identity(4), "g")
         with pytest.raises(NotBlockCompatible):
             coincidence_trichotomy(spec, mixing, ident)
+
+    def test_half_average_equals_the_subgroup_spec(self, monkeypatch):
+        # In case 3, L_0 is read from the pair's kernel over the indices
+        # of the index-2 subgroup; the reference builds that subgroup as
+        # a spec of its own and averages over it.
+        seen = []
+        orig = zetafix.invariants._lefschetz_at
+
+        def recorded(*args, **kwargs):
+            seen.append(orig(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(zetafix.invariants, "_lefschetz_at", recorded)
+        checked = set()
+        for spec, f, g in random_coincidence_instances(seed=404, count=40):
+            seen.clear()
+            if coincidence_trichotomy(spec, f, g).case != 3:
+                continue
+            group = validate_spec(spec)
+            gen = cyclic_decomposition(spec).generator_label
+            square = group.products[gen, gen]
+            half = [group.identity]
+            while (p := group.products[half[-1], square]) != group.identity:
+                half.append(p)
+            sub = ManifoldSpec(spec.name + "0", spec.dimension,
+                               tuple((l, spec.matrix(l)) for l in half))
+            assert seen == [coincidence_numbers(sub, f, g, 1).lefschetz]
+            checked.add(spec.order)
+        assert checked == {2, 4}
 
     def test_random_corpus(self):
         cases = set()

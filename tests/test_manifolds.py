@@ -235,6 +235,7 @@ class TestEntryPointsValidate:
         "is_virtually_unipotent": is_virtually_unipotent,
         "reidemeister_zeta_defined": reidemeister_zeta_defined,
         "nielsen_zeta": zetafix.nielsen_zeta,
+        "orientable": lambda s, f: s.orientable,
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -259,7 +260,6 @@ class TestCompatibilityOncePerMap:
     @pytest.mark.parametrize("name, maps", [("heisenberg_ex3", 1),
                                             ("halfturn_coincidence", 2)])
     def test_one_check_per_map_in_a_report(self, name, maps):
-        zetafix.zetas.map_context.cache_clear()
         _incompatible_element.cache_clear()
         build_report(load_fixture(name))
         assert _incompatible_element.cache_info().misses == maps

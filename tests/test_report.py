@@ -1,9 +1,11 @@
 """Report document assembly and its human rendering."""
 
+import ast
 import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +13,16 @@ import zetafix.algebra
 import zetafix.manifolds
 import zetafix.ratfunc
 import zetafix.zetas
-from _corpus import isotypic_mixing_instance
+from _corpus import isotypic_mixing_instance, random_coincidence_instances
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
-                     asymptotics_entry, build_report, congruence_entries,
-                     has_root_of_unity_eigenvalue, load_fixture,
-                     max_root_of_unity_order, nielsen_zeta, parse_spec_data,
+                     asymptotics_entry, build_report, coincidence_numbers,
+                     coincidence_trichotomy, congruence_entries,
+                     has_root_of_unity_eigenvalue, lefschetz,
+                     lefschetz_sequence, load_fixture,
+                     max_root_of_unity_order, nielsen, nielsen_sequence,
+                     nielsen_zeta, parse_spec_data, reidemeister,
+                     reidemeister_sequence, reidemeister_zeta_defined,
                      render_human, serialize_spec)
 from zetafix.report import CONGRUENCE_N_MAX
 
@@ -55,24 +61,36 @@ class TestStructure:
         assert a == b
 
 
-def _count_calls(monkeypatch, home, names) -> dict:
+def _record_calls(monkeypatch, home, name) -> list:
     """Replace every binding of home.<name> in the zetafix modules with a
-    counting wrapper; returns the live call counts."""
-    calls = dict.fromkeys(names, 0)
-    modules = [m for k, m in sys.modules.items()
-               if k.startswith("zetafix") and m is not None]
-    for fn_name in names:
-        orig = getattr(home, fn_name)
+    wrapper that records the positional arguments of each call; returns
+    the live record."""
+    calls = []
+    orig = getattr(home, name)
 
-        def counted(*args, _name=fn_name, _orig=orig, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
 
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
+    for mod in [m for k, m in sys.modules.items()
+                if k.startswith("zetafix") and m is not None]:
+        for attr, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, attr, recorded)
     return calls
+
+
+def _count_kernels(monkeypatch) -> list:
+    """The averaging kernels constructed from now on, as a live list."""
+    kernels = []
+    init = zetafix.algebra.AveragingKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        kernels.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zetafix.algebra.AveragingKernel, "__init__", counted)
+    return kernels
 
 
 class TestSharedContext:
@@ -84,42 +102,93 @@ class TestSharedContext:
         # The Lefschetz zetas are rebuilt from their series; the Nielsen
         # zeta comes from them by the sign formula and its series is only
         # verified, never rebuilt.
-        seqs = {"zeta_from_terms": [], "verify_zeta": []}
-        modules = [m for k, m in sys.modules.items()
-                   if k.startswith("zetafix") and m is not None]
-        for fn_name, seen in seqs.items():
-            orig = getattr(zetafix.ratfunc, fn_name)
-
-            def recorded(seq, *args, _seen=seen, _orig=orig):
-                _seen.append(seq.name.split(":")[0])
-                return _orig(seq, *args)
-
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, attr, recorded)
-        zetafix.zetas.map_context.cache_clear()
+        calls = {fn_name: _record_calls(monkeypatch, zetafix.ratfunc, fn_name)
+                 for fn_name in ("zeta_from_terms", "verify_zeta")}
         build_report(load_fixture(name))
-        rebuilt = seqs["zeta_from_terms"]
+        rebuilt, verified = ([args[0].name.split(":")[0] for args in calls[k]]
+                             for k in ("zeta_from_terms", "verify_zeta"))
         assert len(rebuilt) == len(set(rebuilt)) == reconstructions
         assert "nielsen" not in rebuilt
-        assert seqs["verify_zeta"] == ["nielsen"]
+        assert verified == ["nielsen"]
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_one_averaging_kernel(self, monkeypatch, name):
         # the sequences, the plus-cover average and the definedness scan
         # all read the context's kernel
-        kernels = []
-        init = zetafix.algebra.AveragingKernel.__init__
-
-        def counted(self, *args, **kwargs):
-            kernels.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(zetafix.algebra.AveragingKernel, "__init__", counted)
-        zetafix.zetas.map_context.cache_clear()
+        kernels = _count_kernels(monkeypatch)
         build_report(load_fixture(name))
         assert len(kernels) == 1
+
+    def test_one_kernel_per_coincidence_report(self, monkeypatch):
+        # The numbers table and the trichotomy (L, and in case 3 the
+        # average L_0 over the index-2 subgroup) read the pair's kernel;
+        # no subgroup spec is built or validated.
+        kernels = _count_kernels(monkeypatch)
+        checked = _record_calls(monkeypatch, zetafix.manifolds, "_check_group")
+        parsed_pairs = [load_fixture("halfturn_coincidence")] + [
+            ParsedSpec(spec, f, g)
+            for spec, f, g in random_coincidence_instances(seed=404, count=40)]
+        cases = set()
+        for parsed in parsed_pairs:
+            zetafix.manifolds.averaging_kernel.cache_clear()
+            kernels.clear()
+            checked.clear()
+            cases.add(build_report(parsed)["trichotomy"].get("case"))
+            assert len(kernels) == 1
+            assert all(spec == parsed.spec for spec, in checked)
+        assert cases == {1, 2, 3}
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES + ("halfturn_coincidence",))
+    def test_no_holonomy_determinant_after_parsing(self, monkeypatch, name):
+        # parsing validated the holonomy and decided its orientability;
+        # the report reads that decision instead of taking det(A) again
+        parsed = load_fixture(name)
+        taken = _record_calls(monkeypatch, zetafix.algebra, "det")
+        build_report(parsed)
+        assert taken
+        assert not any(m is a for m, in taken for _, a in parsed.spec.holonomy)
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_report_and_api_calls_share_one_kernel(self, monkeypatch, name):
+        parsed = load_fixture(name)
+        spec, f = parsed.spec, parsed.mapping
+        kernels = _count_kernels(monkeypatch)
+        build_report(parsed)
+        for n in range(1, CONGRUENCE_N_MAX + 1):
+            lefschetz(spec, f, n), nielsen(spec, f, n), reidemeister(spec, f, n)
+        for make in (lefschetz_sequence, nielsen_sequence,
+                     reidemeister_sequence):
+            make(spec, f)(CONGRUENCE_N_MAX)
+        reidemeister_zeta_defined(spec, f)
+        assert len(kernels) == 1
+
+    def test_coincidence_report_and_api_calls_share_one_kernel(
+            self, monkeypatch, halfturn):
+        kernels = _count_kernels(monkeypatch)
+        build_report(halfturn)
+        args = halfturn.spec, halfturn.mapping, halfturn.mapping2
+        for n in range(1, CONGRUENCE_N_MAX + 1):
+            coincidence_numbers(*args, n)
+        coincidence_trichotomy(*args)
+        assert len(kernels) == 1
+
+    def test_one_kernel_construction_site(self):
+        # every entry point takes its kernel from manifolds.averaging_kernel
+        sites = []
+        for path in sorted(Path(zetafix.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            functions = [n for n in ast.walk(tree)
+                         if isinstance(n, ast.FunctionDef)]
+            for call in ast.walk(tree):
+                if isinstance(call, ast.Call) and "AveragingKernel" in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                    inner = min((f for f in functions
+                                 if f.lineno <= call.lineno <= f.end_lineno),
+                                key=lambda f: f.end_lineno - f.lineno,
+                                default=None)
+                    sites.append((path.stem, inner and inner.name))
+        assert sites == [("manifolds", "averaging_kernel")]
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_each_fixed_point_determinant_once(self, monkeypatch, name):
@@ -145,18 +214,16 @@ class TestSharedContext:
             return orig(*args)
 
         monkeypatch.setattr(zetafix.algebra, "_scaled_det", counted)
-        zetafix.zetas.map_context.cache_clear()
         build_report(parsed)
         assert counts["fixed"] == parsed.spec.order * CONGRUENCE_N_MAX
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):
         # the definedness scan decides it; the diagnostics read the result
-        calls = _count_calls(monkeypatch, zetafix.algebra,
-                             ("has_root_of_unity_eigenvalue",))
-        zetafix.zetas.map_context.cache_clear()
+        calls = _record_calls(monkeypatch, zetafix.algebra,
+                              "has_root_of_unity_eigenvalue")
         build_report(load_fixture(name))
-        assert calls["has_root_of_unity_eigenvalue"] == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("tolerance", [None, 1e-9])
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
@@ -169,16 +236,15 @@ class TestSharedContext:
         if tolerance is not None:
             parsed = replace(parsed, options=replace(parsed.options,
                                                      tolerance=tolerance))
-        zetafix.zetas.map_context.cache_clear()
         zetafix.algebra.char_poly.cache_clear()
         zetafix.algebra._classify.cache_clear()
         orig = zetafix.algebra.char_poly
-        calls = _count_calls(monkeypatch, zetafix.algebra, ("char_poly",))
+        calls = _record_calls(monkeypatch, zetafix.algebra, "char_poly")
         split_args = []
         monkeypatch.setattr(zetafix.manifolds, "char_poly",
                             lambda m: split_args.append(m) or orig(m))
         build_report(parsed)
-        assert calls["char_poly"] == 2
+        assert len(calls) == 2
         d = parsed.mapping.linear
         assert split_args == [a @ d for _, a in parsed.spec.holonomy]
         assert zetafix.algebra._classify.cache_info().misses == 1
@@ -199,7 +265,6 @@ class TestSharedContext:
                   zetafix.zetas.MapContext.n_zeta.func.__code__,
                   zetafix.zetas.verify_functional_equation.__code__}
         parsed = load_fixture(name)
-        zetafix.zetas.map_context.cache_clear()
         # the plus split classifies D with gcds of its own; take it first
         zetafix.zetas.map_context(parsed.spec, parsed.mapping).split
         gcds = []

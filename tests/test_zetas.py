@@ -369,6 +369,15 @@ class TestTorsionValues:
         with pytest.raises(NonAcyclicBundle):
             torsion_special_value(lz, -1.0)    # zero
 
+    def test_exact_at_plus_minus_one(self):
+        # L_f(-1) = 1 / (-19999999999998) and N_f(-1) is its inverse: far
+        # from a zero or pole, though the coefficients are of size 1e13
+        spec = ManifoldSpec.make("t2", 2, [("I", [[1, 0], [0, 1]])])
+        f = AffineMapSpec.make("f", [[10 ** 13, 1], [10 ** 13, 0]])
+        lz, nz = lefschetz_zeta(spec, f), nielsen_zeta(spec, f)
+        assert torsion_special_value(lz, -1.0) == 19999999999998.0
+        assert torsion_special_value(nz, -1.0) == 5.0000000000005e-14
+
     def test_off_circle_rejected(self, ex1):
         nz = nielsen_zeta(ex1.spec, ex1.mapping)
         with pytest.raises(ValueError):
