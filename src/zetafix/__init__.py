@@ -36,8 +36,9 @@ from .invariants import (CoincidenceNumbers, CyclicDecomposition,
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ValidationReport, ZetaDefinedness,
                         compute_plus_split, ensure_compatible,
-                        is_virtually_unipotent, plus_subgroup_spec,
-                        reidemeister_zeta_defined, validate_spec)
+                        exterior_ranks, is_virtually_unipotent,
+                        plus_subgroup_spec, reidemeister_zeta_defined,
+                        validate_spec)
 from .ratfunc import (RationalFunction, SequenceOracle, evaluate,
                       format_polynomial, min_linear_recurrence,
                       radius_of_convergence, substitute_reciprocal_scale,

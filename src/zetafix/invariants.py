@@ -13,28 +13,60 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import AveragingKernel, RationalMatrix, det, rref
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        averaging_kernel, plus_subgroup_spec, validate_spec)
+                        averaging_kernel, compute_plus_split, exterior_ranks,
+                        plus_subgroup_spec, validate_spec)
 from .ratfunc import SequenceOracle
 
 
 def default_degree_bound(spec: ManifoldSpec) -> int:
-    """Degree budget for zeta reconstruction: 2^dim, whatever |Phi| is.
-
-    For a linear part D compatible with the holonomy, the averaged
-    exterior powers P_i = (1/|Phi|) sum_A Lambda^i A commute with
-    Lambda^i D, and L_f(z) = prod_i det(I - z P_i Lambda^i D)^((-1)^(i+1)).
-    Its numerator and denominator therefore have degree at most
-    sum over odd (or even) i of C(dim, i) = 2^(dim-1); by the sign
-    formula the same holds for N_f.  So the recurrence order of the
-    zeta's series is at most 2^dim: averaging over Phi cannot raise it.
-    """
+    """The cap on every zeta degree bound: 2^dim, the dimension of the
+    whole exterior algebra, whatever |Phi| is (see zeta_degree_bound)."""
     return 2 ** spec.dimension
+
+
+def zeta_degree_bound(spec: ManifoldSpec, ranks: tuple[int, int],
+                      invertible: bool = False) -> int:
+    """The proven order bound of a zeta prod_i det(I - z M_i)^((-1)^(i+1))
+    whose factors M_i have sizes summing to E over even i and to O over
+    odd i, for ranks = (E, O): numerator degree <= O, denominator degree
+    <= E, so order max(E, O + 1); max(E, O) + 1 when the sign formula
+    may also invert it.  Capped by default_degree_bound.
+
+    With P_i = (1/|Phi|) sum_A Lambda^i A and M = Lambda^i D, the
+    averaging formula reads L(f^n) = sum_i (-1)^i tr(P_i M^n).  P_i is a
+    projection of rank r_i, and P_i Lambda^i B = P_i for every B in Phi.
+    Compatibility (D A = A' D, D possibly singular) gives
+    M P_i = (1/|Phi|) sum_A Lambda^i A' M, so P_i M P_i = P_i M: M keeps
+    ker P_i, and L_f(z) = prod_i det(I - z M | im P_i)^((-1)^(i+1)),
+    whose (E, O) exterior_ranks returns.  For a proper split, the sign
+    character s of the plus subgroup gives the projection
+    Q_i = (1/|Phi|) sum_A s(A) Lambda^i A of rank r_i^+ - r_i, and
+    s(A') = s(A) (A' D = D A and A D share their nonzero eigenvalues), so
+    Q_i M Q_i = Q_i M the same way: the twisted zeta of
+    L(f+^n) - L(f^n) = sum_i (-1)^i tr(Q_i M^n) has the (E, O) of
+    sign_formula_ranks.
+    """
+    e, o = ranks
+    bound = max(e, o) + 1 if invertible else max(e, o + 1)
+    return min(bound, default_degree_bound(spec))
+
+
+def sign_formula_ranks(spec: ManifoldSpec, split: PlusSplit) -> tuple[int, int]:
+    """(E, O) of the zeta the sign formula substitutes into: L_f's, or
+    for a proper split the twisted zeta L_f+ / L_f's, (E+ - E, O+ - O)
+    with (E+, O+) the ranks over the plus subgroup."""
+    e, o = exterior_ranks(spec)
+    if not split.is_proper:
+        return e, o
+    e_plus, o_plus = exterior_ranks(spec, split.plus_indices())
+    return e_plus - e, o_plus - o
 
 
 def _average(dets, den: int, err) -> int:
@@ -128,30 +160,46 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 # --------------------------------------------------------------------------
 
 
-def _oracle(kind: str, at, kernel: AveragingKernel, spec: ManifoldSpec,
-            mapping: AffineMapSpec) -> SequenceOracle:
-    """The oracle n -> at(kernel, n).  Oracles over one kernel share its
-    powers of D and its determinants."""
-    return SequenceOracle(lambda n: at(kernel, n), default_degree_bound(spec),
-                          name=f"{kind}:{spec.name}:{mapping.label}")
+def _oracle(kind: str, fn, spec: ManifoldSpec, mapping: AffineMapSpec,
+            bound: int) -> SequenceOracle:
+    """The oracle n -> fn(n) with the caller's degree bound.  Oracles
+    reading one kernel share its powers of D and its determinants."""
+    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}")
+
+
+def _lefschetz_bound(spec: ManifoldSpec, members=None) -> int:
+    """The bound of L over the holonomy, or over the subgroup at the
+    indices members."""
+    return zeta_degree_bound(spec, exterior_ranks(spec, members))
 
 
 def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
-    return _oracle("lefschetz", _lefschetz_at, averaging_kernel(spec, mapping),
-                   spec, mapping)
+    """L(f^n), bounded by its zeta's order (see zeta_degree_bound)."""
+    return _oracle("lefschetz", partial(_lefschetz_at, averaging_kernel(spec, mapping)),
+                   spec, mapping, _lefschetz_bound(spec))
+
+
+def _nielsen_bound(spec: ManifoldSpec, split: PlusSplit) -> int:
+    """The bound of the N and R sequences: the sign-formula zeta's."""
+    return zeta_degree_bound(spec, sign_formula_ranks(spec, split),
+                             invertible=True)
 
 
 def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
-    return _oracle("nielsen", _nielsen_at, averaging_kernel(spec, mapping),
-                   spec, mapping)
+    """N(f^n), bounded by the order of the sign-formula zeta."""
+    return _oracle("nielsen", partial(_nielsen_at, averaging_kernel(spec, mapping)),
+                   spec, mapping,
+                   _nielsen_bound(spec, compute_plus_split(spec, mapping)))
 
 
 def reidemeister_sequence(spec: ManifoldSpec,
                           mapping: AffineMapSpec) -> SequenceOracle:
-    """Values may be math.inf; zeta construction must check definedness
-    before consuming this."""
-    return _oracle("reidemeister", _reidemeister_at,
-                   averaging_kernel(spec, mapping), spec, mapping)
+    """R(f^n), with the Nielsen bound.  Values may be math.inf; zeta
+    construction must check definedness before consuming this."""
+    return _oracle("reidemeister",
+                   partial(_reidemeister_at, averaging_kernel(spec, mapping)),
+                   spec, mapping,
+                   _nielsen_bound(spec, compute_plus_split(spec, mapping)))
 
 
 # --------------------------------------------------------------------------

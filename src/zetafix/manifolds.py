@@ -3,11 +3,12 @@
 A manifold is described by its dimension and the finite holonomy group,
 given as exact rational matrices; a self-map by the linear part D of an
 affine lift (plus an optional translation, echoed but never needed by
-the invariant formulas).  This module validates that data, checks that
-D is compatible with the holonomy, builds the averaging kernel of each
-problem, splits the holonomy by orientation behaviour on the expanding
-subspace of D, and decides whether the Reidemeister zeta function can
-exist at all.
+the invariant formulas).  This module validates that data, reads the
+ranks of the holonomy's averaged exterior powers (which bound the zeta
+degrees), checks that D is compatible with the holonomy, builds the
+averaging kernel of each problem, splits the holonomy by orientation
+behaviour on the expanding subspace of D, and decides whether the
+Reidemeister zeta function can exist at all.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .algebra import (AveragingKernel, Polynomial, RationalMatrix, _int_matmul,
-                      _integer_form, _strip_root, as_rational, char_poly,
-                      classify_eigenvalues, has_root_of_unity_eigenvalue,
-                      max_root_of_unity_order)
+from .algebra import (AveragingKernel, Polynomial, RationalMatrix, _berkowitz,
+                      _int_matmul, _integer_form, _strip_root, as_rational,
+                      char_poly, classify_eigenvalues,
+                      has_root_of_unity_eigenvalue, max_root_of_unity_order)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
@@ -90,12 +91,19 @@ class AffineMapSpec:
 @dataclass(frozen=True)
 class ValidationReport:
     """A validated holonomy group: orientability, each element's order,
-    and its multiplication table (label pair -> label of the product)."""
+    its multiplication table (label pair -> label of the product), and
+    per element, in holonomy order, the integers e_0(A), ..., e_dim(A):
+    the elementary symmetric functions of its eigenvalues, so
+    e_i(A) = tr Lambda^i A and e_dim(A) = det A.  They come from the
+    integer Berkowitz polynomial, not from char_poly, whose small cache
+    is kept for the maps' linear parts."""
 
     orientable: bool
     element_orders: tuple[tuple[str, int], ...]
     products: MappingProxyType = field(repr=False, compare=False)
     identity: str
+    exterior_traces: tuple[tuple[int, ...], ...] = field(
+        repr=False, compare=False)
 
 
 def validate_spec(spec: ManifoldSpec) -> ValidationReport:
@@ -112,7 +120,6 @@ def validate_spec(spec: ManifoldSpec) -> ValidationReport:
 
 
 def _check_group(spec: ManifoldSpec) -> ValidationReport:
-    from .algebra import det
     n = spec.dimension
     if n < 1:
         raise DimensionMismatch("dimension must be >= 1")
@@ -133,10 +140,11 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
     if ident is None:
         raise NotAGroup("holonomy does not contain the identity")
     products = {}
-    dets = []
-    for l, m in spec.holonomy:
-        dets.append(det(m))
-        if dets[-1] == 0:
+    ints, q = _integer_form([m for _, m in spec.holonomy])
+    polys = []
+    for (l, m), a in zip(spec.holonomy, ints):
+        polys.append(_berkowitz(a))
+        if polys[-1][-1] == 0:
             raise NotAGroup(f"element {l!r} is singular")
         for l2, m2 in spec.holonomy:
             p = mats.get(m @ m2)
@@ -158,8 +166,34 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
             if order > spec.order:
                 raise InfiniteOrderElement(f"element {l!r} has order > {spec.order}")
         orders.append((l, order))
-    return ValidationReport(all(d == 1 for d in dets), tuple(orders),
-                            MappingProxyType(products), ident)
+    # det(zI - A) = sum_i (-1)^i e_i(A) z^(dim-i), and A = A_int / q.  An
+    # element of finite order has integer e_i(A) (rational sums of
+    # products of roots of unity), so the divisions below are exact.
+    traces = tuple(tuple((-1) ** i * c // q ** i for i, c in enumerate(poly))
+                   for poly in polys)
+    return ValidationReport(all(e[-1] == 1 for e in traces), tuple(orders),
+                            MappingProxyType(products), ident, traces)
+
+
+def exterior_ranks(spec: ManifoldSpec, members=None) -> tuple[int, int]:
+    """(E, O): the sums over even and over odd i of r_i, the rank of the
+    averaged exterior power P_i = (1/|Phi'|) sum_A Lambda^i A over the
+    subgroup Phi' of the holonomy (all of it, or the elements at the
+    indices members).  P_i is a projection, so r_i = tr P_i =
+    (1/|Phi'|) sum_A e_i(A), an integer for a subgroup; a remainder
+    raises NotAGroup."""
+    traces = validate_spec(spec).exterior_traces
+    if members is not None:
+        traces = [traces[k] for k in members]
+    sums = [0, 0]
+    for i, column in enumerate(zip(*traces)):
+        r, rem = divmod(sum(column), len(traces))
+        if rem:
+            raise NotAGroup(
+                f"the averaged exterior power {i} has trace "
+                f"{Fraction(sum(column), len(traces))}, not an integer rank")
+        sums[i % 2] += r
+    return sums[0], sums[1]
 
 
 def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
@@ -199,12 +233,13 @@ def _incompatible_element(spec: ManifoldSpec, linear: RationalMatrix) -> str | N
     return None
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def averaging_kernel(spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
     """The averaging kernel of one problem, (spec, f) or the coincidence
     pair (spec, f, g), after ensure_compatible on each map.  Every entry
-    point reads it; like map_context, only the most recent problem is
-    kept.  The maps are positional, so every caller asking about one
+    point reads it.  The two most recent problems are kept, enough for a
+    problem and its plus cover (which nielsen_from_lefschetz alternates
+    between).  The maps are positional, so every caller asking about one
     problem hits the same entry."""
     for mapping in maps:
         ensure_compatible(spec, mapping)
@@ -230,6 +265,11 @@ class PlusSplit:
     def plus_labels(self) -> list[str]:
         return [l for l, inside in self.plus_membership if inside]
 
+    def plus_indices(self) -> list[int]:
+        """Positions in the holonomy of the plus part's elements."""
+        return [i for i, (_, inside) in enumerate(self.plus_membership)
+                if inside]
+
     def member(self, label: str) -> bool:
         for l, inside in self.plus_membership:
             if l == label:
@@ -237,9 +277,12 @@ class PlusSplit:
         raise KeyError(label)
 
 
+@lru_cache(maxsize=1)
 def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
     """Determine, exactly, which holonomy elements preserve orientation
-    on the expanding subspace of the map's linear part D.
+    on the expanding subspace of the map's linear part D.  Like
+    map_context, only the most recent problem is kept, so a report and
+    the N and R sequences' degree bounds share one split.
 
     For compatible D, (A D)^k = B_k D^k with B_k in the holonomy, so A D
     expands exactly on the quotient by the non-expanding subspace of D,

@@ -19,7 +19,9 @@ from functools import cached_property, lru_cache, partial
 from .algebra import classify_eigenvalues, det
 from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
                      RadiusMismatch, ZetaUndefined)
-from .invariants import _lefschetz_at, _nielsen_at, _oracle, _reidemeister_at
+from .invariants import (_lefschetz_at, _lefschetz_bound, _nielsen_at,
+                         _nielsen_bound, _oracle, _reidemeister_at,
+                         sign_formula_ranks, zeta_degree_bound)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, averaging_kernel, compute_plus_split,
                         reidemeister_zeta_defined)
@@ -52,30 +54,51 @@ class MapContext:
     (from manifolds.averaging_kernel), the L, N and R sequences read
     from it (L and N from the same determinants det(I - A D^n)), the
     plus split, the Reidemeister definedness, and the Lefschetz and
-    Nielsen zetas.  Obtain it from map_context, so that every caller
-    asking about the same problem shares one instance."""
+    Nielsen zetas.  Each sequence carries the proven order bound of the
+    zeta it feeds (see invariants.zeta_degree_bound).  Obtain it from
+    map_context, so that every caller asking about the same problem
+    shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
         self.kernel = averaging_kernel(spec, mapping)
-        self.l_seq = _oracle("lefschetz", _lefschetz_at, self.kernel,
-                             spec, mapping)
-        self.n_seq = _oracle("nielsen", _nielsen_at, self.kernel, spec, mapping)
-        self.r_seq = _oracle("reidemeister", _reidemeister_at, self.kernel,
-                             spec, mapping)
+        self.l_seq = _oracle("lefschetz", partial(_lefschetz_at, self.kernel),
+                             spec, mapping, _lefschetz_bound(spec))
 
     @cached_property
     def split(self) -> PlusSplit:
         return compute_plus_split(self.spec, self.mapping)
 
     @cached_property
+    def n_seq(self) -> SequenceOracle:
+        return _oracle("nielsen", partial(_nielsen_at, self.kernel), self.spec,
+                       self.mapping, _nielsen_bound(self.spec, self.split))
+
+    @cached_property
+    def r_seq(self) -> SequenceOracle:
+        return _oracle("reidemeister", partial(_reidemeister_at, self.kernel),
+                       self.spec, self.mapping,
+                       _nielsen_bound(self.spec, self.split))
+
+    @cached_property
     def lplus_seq(self) -> SequenceOracle:
         """L(f+^n): the signed average of the kernel's determinants over
         the plus subgroup of the split."""
-        members = [i for i, (_, inside) in enumerate(self.split.plus_membership)
-                   if inside]
-        return _oracle("lefschetz-plus", partial(_lefschetz_at, members=members),
-                       self.kernel, self.spec, self.mapping)
+        members = self.split.plus_indices()
+        return _oracle("lefschetz-plus",
+                       partial(_lefschetz_at, self.kernel, members=members),
+                       self.spec, self.mapping,
+                       _lefschetz_bound(self.spec, members))
+
+    @cached_property
+    def twisted_seq(self) -> SequenceOracle:
+        """L(f+^n) - L(f^n), read from lplus_seq and l_seq: the sequence
+        of the twisted zeta L_f+ / L_f of a proper split."""
+        return _oracle("lefschetz-twisted",
+                       lambda n: self.lplus_seq(n) - self.l_seq(n),
+                       self.spec, self.mapping,
+                       zeta_degree_bound(self.spec, sign_formula_ranks(
+                           self.spec, self.split)))
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
@@ -108,15 +131,16 @@ class MapContext:
 
     def _sign_formula(self) -> RationalFunction:
         """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
-        (L_f+((-1)^n z) / L_f((-1)^n z))^((-1)^(p+n)), in lowest terms.
-        Substitution and inversion keep lowest terms; only the quotient
-        takes a gcd."""
+        the same with the twisted zeta (L_f+ / L_f, rebuilt from its own
+        sequence) in place of L_f.  Substitution and inversion keep
+        lowest terms, so no gcd is taken.  The Lefschetz zeta is rebuilt
+        first in both cases, so a failing Lefschetz rebuild is raised as
+        itself rather than through the twisted sequence."""
         split = self.split
-        scale = (-1) ** split.n
-        zeta = self.l_zeta.function.compose_scale(scale)
+        zeta = self.l_zeta.function
         if split.is_proper:
-            lplus = zeta_from_terms(self.lplus_seq).compose_scale(scale)
-            zeta = RationalFunction(lplus.num * zeta.den, lplus.den * zeta.num)
+            zeta = zeta_from_terms(self.twisted_seq)
+        zeta = zeta.compose_scale((-1) ** split.n)
         return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
 
 
@@ -134,9 +158,9 @@ def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
 
 def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """N_f(z) by the sign formula N_f(z) = L_f((-1)^n z)^((-1)^(p+n))
-    (or the quotient with the plus-cover Lefschetz zeta when the plus
-    subgroup is proper), verified exactly against the Nielsen sequence
-    (see verify_zeta)."""
+    (or, when the plus subgroup is proper, the same with the twisted
+    zeta L_f+ / L_f rebuilt from L(f+^n) - L(f^n)), verified exactly
+    against the Nielsen sequence (see verify_zeta)."""
     return map_context(spec, mapping).n_zeta
 
 

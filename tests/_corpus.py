@@ -255,6 +255,31 @@ def random_coincidence_instances(seed: int, count: int):
     return out
 
 
+def ladder_instances(seed: int):
+    """The shape of the benchmark's ladder: for dim 2..6 and k <= dim with
+    2^k * 2^dim <= 64 (13 rungs), the order-2^k group of diagonal sign
+    matrices flipping any of the first k coordinates, and a diagonal D
+    with entries drawn from {+-2, +-3}."""
+    rng = random.Random(f"ladder:{seed}")
+    out = []
+    for dim in range(2, 7):
+        for k in range(dim + 1):
+            if 2 ** k * 2 ** dim > 64:
+                continue
+            signs = itertools.product(*([(1, -1)] * k + [(1,)] * (dim - k)))
+            spec = _group(f"ladder_d{dim}_o{2 ** k}", dim, [
+                (f"g{i}", _diagonal(s)) for i, s in enumerate(signs)])
+            d = _diagonal([rng.choice((2, 3)) * rng.choice((1, -1))
+                           for _ in range(dim)])
+            out.append((spec, AffineMapSpec.make("f", d)))
+    return out
+
+
+def _diagonal(values):
+    return [[v if i == j else 0 for j in range(len(values))]
+            for i, v in enumerate(values)]
+
+
 def random_integer_matrices(seed: int, count: int, dims=(1, 2, 3)):
     rng = random.Random(seed)
     out = []

@@ -31,11 +31,13 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def _fresh_problem_memos():
-    # The per-problem memos (one context, one averaging kernel) would
-    # otherwise carry work from one test into the next, and tests that
-    # count kernels or determinants would depend on the test order.
+    # The per-problem memos (one context, one averaging kernel, one plus
+    # split) would otherwise carry work from one test into the next, and
+    # tests that count kernels, determinants or characteristic
+    # polynomials would depend on the test order.
     zetafix.zetas.map_context.cache_clear()
     zetafix.manifolds.averaging_kernel.cache_clear()
+    zetafix.manifolds.compute_plus_split.cache_clear()
 
 
 FIXED_POINT_NAMES = (

@@ -19,7 +19,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      nielsen, nielsen_from_lefschetz, nielsen_sequence,
                      reidemeister, reidemeister_sequence,
                      torus_periodic_points, validate_spec)
-from zetafix.algebra import _diagonal_blocks, _integer_form
+from zetafix.algebra import AveragingKernel, _diagonal_blocks, _integer_form
 from zetafix.errors import NonInvariantSubspace
 
 
@@ -110,6 +110,19 @@ class TestSignFormula:
             assert nielsen_from_lefschetz(ex1.spec, ex1.mapping, split, k) == \
                 2 ** k * (1 - (-1) ** k)
 
+    def test_two_kernels_for_a_problem_and_its_plus_cover(
+            self, monkeypatch, ex1):
+        # each call reads the plus-cover spec and the spec itself; the
+        # kernel memo holds both, so neither is rebuilt
+        split = compute_plus_split(ex1.spec, ex1.mapping)
+        built = []
+        init = AveragingKernel.__init__
+        monkeypatch.setattr(AveragingKernel, "__init__",
+                            lambda self, *a: built.append(self) or init(self, *a))
+        for k in range(1, 11):
+            nielsen_from_lefschetz(ex1.spec, ex1.mapping, split, k)
+        assert len(built) == 2
+
     def test_heisenberg(self, ex3):
         split = compute_plus_split(ex3.spec, ex3.mapping)
         assert nielsen_from_lefschetz(ex3.spec, ex3.mapping, split, 1) == 6
@@ -160,7 +173,8 @@ class TestSequences:
     def test_names_and_bounds(self, ex1):
         ls = lefschetz_sequence(ex1.spec, ex1.mapping)
         assert ls.name == "lefschetz:klein_bottle_ex1:f"
-        assert ls.degree_bound == 4
+        # r = (1, 1, 0) over {I, diag(1, -1)}: max(E, O + 1) = 2, not 2^2
+        assert ls.degree_bound == 2
 
     def test_reidemeister_sequence_hits_infinity(self, ex1):
         rs = reidemeister_sequence(ex1.spec, ex1.mapping)

@@ -3,21 +3,24 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import zetafix.zetas
-from _corpus import CYCLIC_ORIENTABLE, GROUPS, compatible, random_instances
+from _corpus import (CYCLIC_ORIENTABLE, GROUPS, compatible,
+                     isotypic_mixing_instance, random_instances)
+from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      NonInvariantSubspace, Polynomial, RationalMatrix,
                      build_report, builtin_fixtures, char_poly,
                      coincidence_numbers, compute_plus_split,
-                     ensure_compatible, is_virtually_unipotent, klein_type,
-                     load_fixture, max_root_of_unity_order,
-                     plus_subgroup_spec, reidemeister_zeta_defined,
-                     sol_r_sequence, validate_spec)
-from zetafix.algebra import AveragingKernel
+                     ensure_compatible, exterior_power, exterior_ranks,
+                     is_virtually_unipotent, klein_type, load_fixture,
+                     max_root_of_unity_order, plus_subgroup_spec,
+                     reidemeister_zeta_defined, sol_r_sequence, validate_spec)
+from zetafix.algebra import AveragingKernel, rref
 from zetafix.manifolds import _incompatible_element
 
 
@@ -155,6 +158,60 @@ class TestGroupTable:
         assert dict(rep.element_orders) == {
             l: 1 if l == "+++" else 2 for l in self._sign_group(3).labels()}
         assert not rep.orientable
+
+
+class TestExteriorRanks:
+    """exterior_ranks against the ranks of the averaged exterior powers,
+    computed here by row reduction."""
+
+    @staticmethod
+    def _by_rref(spec, members=None):
+        mats = [a for _, a in spec.holonomy]
+        if members is not None:
+            mats = [mats[k] for k in members]
+        ranks = []
+        for i in range(spec.dimension + 1):
+            total = exterior_power(mats[0], i)
+            for a in mats[1:]:
+                total = total + exterior_power(a, i)
+            avg = total.scale(Fraction(1, len(mats)))
+            ranks.append(len(rref(avg.rows, avg.dim)[1]))
+        return ranks
+
+    @staticmethod
+    def _specs():
+        names = FIXED_POINT_NAMES + ("halfturn_coincidence",)
+        return ([load_fixture(n).spec for n in names]
+                + [spec for spec, _ in GROUPS + CYCLIC_ORIENTABLE]
+                + [isotypic_mixing_instance()[0]])
+
+    def test_every_fixture_and_corpus_group(self):
+        for spec in self._specs():
+            ranks = self._by_rref(spec)
+            assert exterior_ranks(spec) == (sum(ranks[0::2]),
+                                            sum(ranks[1::2])), spec.name
+            assert ranks[0] == 1
+
+    def test_plus_subgroups(self):
+        cases = [(fx.spec, fx.mapping)
+                 for fx in map(load_fixture, FIXED_POINT_NAMES)]
+        proper = 0
+        for spec, mapping in cases + random_instances(7, 200):
+            split = compute_plus_split(spec, mapping)
+            if not split.is_proper:
+                continue
+            proper += 1
+            members = split.plus_indices()
+            ranks = self._by_rref(spec, members)
+            assert exterior_ranks(spec, members) == (sum(ranks[0::2]),
+                                                     sum(ranks[1::2]))
+        assert proper >= 30
+
+    def test_a_non_subgroup_has_no_integer_ranks(self, quarter):
+        # {I, R, R3}: the averaged trace is 2/3
+        members = [quarter.spec.labels().index(l) for l in ("I", "R", "R3")]
+        with pytest.raises(NotAGroup, match="trace 2/3"):
+            exterior_ranks(quarter.spec, members)
 
 
 class TestCompatibility:

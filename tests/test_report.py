@@ -95,13 +95,13 @@ def _count_kernels(monkeypatch) -> list:
 
 class TestSharedContext:
     @pytest.mark.parametrize("name, reconstructions", [
-        ("heisenberg_ex3", 2),     # L, L+ (plus-proper split)
+        ("heisenberg_ex3", 2),     # L, L+/L (plus-proper split)
         ("torus_cat_map", 1),      # L
     ])
     def test_each_zeta_built_once(self, monkeypatch, name, reconstructions):
-        # The Lefschetz zetas are rebuilt from their series; the Nielsen
-        # zeta comes from them by the sign formula and its series is only
-        # verified, never rebuilt.
+        # The Lefschetz zeta, and for a proper split the twisted zeta, are
+        # rebuilt from their series; the Nielsen zeta comes from them by
+        # the sign formula and its series is only verified, never rebuilt.
         calls = {fn_name: _record_calls(monkeypatch, zetafix.ratfunc, fn_name)
                  for fn_name in ("zeta_from_terms", "verify_zeta")}
         build_report(load_fixture(name))
@@ -161,6 +161,18 @@ class TestSharedContext:
             make(spec, f)(CONGRUENCE_N_MAX)
         reidemeister_zeta_defined(spec, f)
         assert len(kernels) == 1
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_sequences_bounded_by_the_report_split(self, monkeypatch, name):
+        # the N and R sequences take their degree bound from the plus
+        # split, which the report has already decided
+        parsed = load_fixture(name)
+        build_report(parsed)
+        decided = _record_calls(monkeypatch, zetafix.manifolds,
+                                "_odd_roots_below_minus_one")
+        for make in (nielsen_sequence, reidemeister_sequence):
+            make(parsed.spec, parsed.mapping)
+        assert decided == []
 
     def test_coincidence_report_and_api_calls_share_one_kernel(
             self, monkeypatch, halfturn):
@@ -254,13 +266,12 @@ class TestSharedContext:
         # The minimal recurrence gives lowest terms, the substitutions and
         # the inversion of the sign formula keep them, and the functional
         # equation compares by cross-multiplication.  A proper plus split
-        # reduces the quotient L+/L once.  Only a failed check reduces its
-        # quotient, to print it: the functional equation of
-        # quarter_rotation leaves z^2.
-        expected = {"quarter_rotation": ["verify_functional_equation"],
-                    "klein_bottle_ex1": ["n_zeta"],
-                    "heisenberg_ex3": ["n_zeta"],
-                    "klein_type_3_5": ["n_zeta"]}.get(name, [])
+        # rebuilds the twisted zeta L+/L from its own sequence, so it too
+        # comes in lowest terms (TestTwistedRebuild checks it against the
+        # reduced quotient).  Only a failed check reduces its quotient, to
+        # print it: the functional equation of quarter_rotation leaves z^2.
+        expected = {"quarter_rotation": ["verify_functional_equation"]
+                    }.get(name, [])
         scopes = {zetafix.ratfunc.zeta_from_terms.__code__,
                   zetafix.zetas.MapContext.n_zeta.func.__code__,
                   zetafix.zetas.verify_functional_equation.__code__}
@@ -286,6 +297,23 @@ class TestSharedContext:
                     monkeypatch.setattr(mod, attr, counted)
         build_report(parsed)
         assert gcds == expected
+
+
+class TestDegreeBoundWindow:
+    def test_torus_lefschetz_read_through_its_own_window(self, monkeypatch):
+        # T^6 with trivial holonomy: r_i = C(6, i), so E = O = 32 and the
+        # Lefschetz zeta has order at most 33.  Its rebuild reads
+        # 3 * 33 + 4 = 103 terms; a bound of 2^6 would read 196.
+        spec = ManifoldSpec.make("t6", 6, [("I", RationalMatrix.identity(6))])
+        d = [[(2, -3, 3, -2, 2, 3)[i] if i == j else 0 for j in range(6)]
+             for i in range(6)]
+        read = []
+        orig = zetafix.zetas._lefschetz_at
+        monkeypatch.setattr(zetafix.zetas, "_lefschetz_at",
+                            lambda kernel, n, **kw: read.append(n)
+                            or orig(kernel, n, **kw))
+        build_report(ParsedSpec(spec, AffineMapSpec.make("f", d)))
+        assert max(read) == 3 * 33 + 4
 
 
 class TestNumbersSection:

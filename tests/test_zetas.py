@@ -5,14 +5,16 @@ import math
 
 import pytest
 
-from _corpus import random_instances, random_integer_matrices
+from _corpus import (isotypic_mixing_instance, ladder_instances,
+                     random_instances, random_integer_matrices)
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      NielsenFormulaMismatch, NonAcyclicBundle,
                      NotConstantRatio, NotRational, Polynomial,
                      RadiusMismatch, RationalFunction, RationalMatrix,
                      SequenceOracle, ZetaResult, ZetaUndefined, artin_mazur_zeta,
-                     asymptotic_nielsen, char_poly, entropy_lower_bound,
+                     asymptotic_nielsen, char_poly, default_degree_bound,
+                     entropy_lower_bound,
                      exterior_power, is_virtually_unipotent, lefschetz_plus,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
                      reidemeister_zeta, torsion_special_value,
@@ -252,6 +254,84 @@ class TestPlusCoverAverage:
     def test_acceptance_corpus(self):
         contexts = _proper_splits(random_instances(seed=20260817, count=200))
         assert len(contexts) >= 40
+        for ctx in contexts:
+            self._agree(ctx)
+
+
+def _order(rf: RationalFunction) -> int:
+    """The length of the linear recurrence of rf's series."""
+    return max(rf.den.degree, rf.num.degree + 1)
+
+
+def _fixture_cases():
+    return [(fx.spec, fx.mapping)
+            for fx in map(load_fixture, FIXED_POINT_NAMES)]
+
+
+class TestDegreeBounds:
+    """Each sequence's degree bound is at least the order of the zeta it
+    feeds, found by rebuilding with the 2^dim cap instead."""
+
+    @staticmethod
+    def _check(spec, mapping):
+        ctx = map_context(spec, mapping)
+        cap = default_degree_bound(spec)
+        seqs = [ctx.l_seq, ctx.n_seq]
+        if ctx.split.is_proper:
+            seqs += [ctx.lplus_seq, ctx.twisted_seq]
+        for seq in seqs:
+            assert seq.degree_bound <= cap
+            assert _order(zeta_from_terms(seq, cap)) <= seq.degree_bound, \
+                (spec.name, seq.name)
+        assert ctx.n_zeta.function == zeta_from_terms(ctx.n_seq, cap)
+        assert ctx.r_seq.degree_bound == ctx.n_seq.degree_bound
+        return ctx
+
+    def test_fixtures(self):
+        for spec, mapping in _fixture_cases() + [isotypic_mixing_instance()]:
+            self._check(spec, mapping)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ladder_lefschetz_bound_is_the_order(self, seed):
+        for spec, mapping in ladder_instances(seed):
+            ctx = self._check(spec, mapping)
+            assert _order(ctx.l_zeta.function) == ctx.l_seq.degree_bound
+
+    def test_ladder_bounds_below_the_cap(self):
+        # d6_o1: r_i = C(6, i), so E = O = 32 and B = 33 against 2^6
+        bounds = {spec.name: map_context(spec, f).l_seq.degree_bound
+                  for spec, f in ladder_instances(0)}
+        assert bounds["ladder_d6_o1"] == 33
+        assert bounds["ladder_d5_o2"] == 9
+        assert bounds["ladder_d3_o8"] == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_acceptance_corpus(self, seed):
+        for spec, mapping in random_instances(seed=seed, count=200):
+            self._check(spec, mapping)
+
+
+class TestTwistedRebuild:
+    """The twisted zeta rebuilt from L(f+^n) - L(f^n) is the quotient
+    L_f+ / L_f of the two Lefschetz zetas, each rebuilt on its own."""
+
+    @staticmethod
+    def _agree(ctx):
+        lplus = zeta_from_terms(ctx.lplus_seq)
+        lef = ctx.l_zeta.function
+        quotient = RationalFunction(lplus.num * lef.den, lplus.den * lef.num)
+        assert zeta_from_terms(ctx.twisted_seq) == quotient, ctx.spec.name
+
+    def test_fixtures(self):
+        contexts = _proper_splits(_fixture_cases())
+        assert len(contexts) >= 3
+        for ctx in contexts:
+            self._agree(ctx)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_acceptance_corpus(self, seed):
+        contexts = _proper_splits(random_instances(seed=seed, count=200))
+        assert len(contexts) >= 30
         for ctx in contexts:
             self._agree(ctx)
 
