@@ -26,8 +26,8 @@ from .errors import (DegenerateFixedSet, DimensionMismatch,
                      ZetafixError)
 from .fixtures import (SequenceFixture, builtin_fixtures, klein_type,
                        load_fixture, sol_r_sequence)
-from .invariants import (CoincidenceNumbers, CyclicDecomposition,
-                         TrichotomyReport, coincidence_numbers,
+from .invariants import (CoincidenceNumbers, Construction, CyclicDecomposition,
+                         TrichotomyReport, ZetaResult, coincidence_numbers,
                          coincidence_trichotomy, cyclic_decomposition,
                          default_degree_bound, lefschetz, lefschetz_plus,
                          lefschetz_sequence, nielsen, nielsen_from_lefschetz,
@@ -47,8 +47,7 @@ from .report import (asymptotics_entry, build_report,
                      congruence_entries, render_human)
 from .specio import (ParsedSpec, SpecOptions, parse_spec_data,
                      parse_spec_file, serialize_spec, write_spec_file)
-from .zetas import (Construction, FunctionalEquationReport, ZetaResult,
-                    artin_mazur_zeta, asymptotic_nielsen,
+from .zetas import (FunctionalEquationReport, artin_mazur_zeta, asymptotic_nielsen,
                     entropy_lower_bound, lefschetz_zeta, nielsen_zeta,
                     radius_report, reidemeister_zeta, torsion_special_value,
                     verify_functional_equation)

@@ -20,6 +20,7 @@ from .errors import (InvalidSpecFile, NielsenFormulaMismatch, NotConstantRatio,
                      RadiusMismatch, TrichotomyMismatch, ZetaUndefined,
                      ZetafixError)
 from .fixtures import SequenceFixture, builtin_fixtures
+from .invariants import map_context
 # unused here, but bench/test_bench.py checks that zetafix.cli binds it
 from .invariants import lefschetz  # noqa: F401
 from .manifolds import validate_spec
@@ -29,8 +30,8 @@ from .report import (_coincidence_numbers_entry, _coincidence_sections,
                      _numbers_entry, _zeta_entry, asymptotics_entry,
                      build_report, congruence_entries, render_human)
 from .specio import parse_spec_file
-from .zetas import (artin_mazur_zeta, lefschetz_zeta, map_context,
-                    nielsen_zeta, reidemeister_zeta)
+from .zetas import (artin_mazur_zeta, lefschetz_zeta, nielsen_zeta,
+                    reidemeister_zeta)
 
 def _load(target: str):
     p = Path(target)

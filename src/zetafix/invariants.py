@@ -1,4 +1,5 @@
-"""Fixed-point and coincidence invariants by holonomy averaging.
+"""Fixed-point and coincidence invariants by holonomy averaging, and
+the one computation context of each (spec, map).
 
 Lefschetz numbers are signed averages of det(I - A D^n) over the
 holonomy; Nielsen numbers average the absolute values; Reidemeister
@@ -6,6 +7,12 @@ numbers average sigma(det(A - D^n)) where sigma maps 0 to infinity.
 Coincidence versions replace I by the second map's linear part.  All
 averages are exact, and any non-integer average is an error in the
 input data, never rounded away.
+
+MapContext holds everything computed for one (spec, map): the L, N and
+R sequences read from one averaging kernel, each with the proven
+degree bound of the zeta it feeds, the plus split, and the Lefschetz
+and Nielsen zetas rebuilt and verified from those sequences.  The
+public sequences are its oracles.
 """
 
 from __future__ import annotations
@@ -13,16 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 from .algebra import AveragingKernel, RationalMatrix, det, rref
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        averaging_kernel, compute_plus_split, exterior_ranks,
-                        plus_subgroup_spec, validate_spec)
-from .ratfunc import SequenceOracle
+                        ZetaDefinedness, averaging_kernel, compute_plus_split,
+                        exterior_ranks, plus_subgroup_spec,
+                        reidemeister_zeta_defined, validate_spec)
+from .ratfunc import (RationalFunction, SequenceOracle, verify_zeta,
+                      zeta_from_terms)
 
 
 def default_degree_bound(spec: ManifoldSpec) -> int:
@@ -156,50 +165,164 @@ def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
 
 
 # --------------------------------------------------------------------------
-# invariant sequences (for zeta reconstruction)
+# one context per (spec, map): its sequences, their bounds and its zetas
 # --------------------------------------------------------------------------
 
 
-def _oracle(kind: str, fn, spec: ManifoldSpec, mapping: AffineMapSpec,
-            bound: int) -> SequenceOracle:
-    """The oracle n -> fn(n) with the caller's degree bound.  Oracles
-    reading one kernel share its powers of D and its determinants."""
-    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}")
+@dataclass(frozen=True)
+class Construction:
+    """How a zeta function was assembled: "direct" reconstruction from
+    its own sequence, or the "sign-formula" route through Lefschetz
+    zetas (case "plus-equal" when the plus subgroup is everything,
+    "plus-proper" otherwise)."""
+
+    kind: str
+    case: str | None = None
+    p: int | None = None
+    n: int | None = None
 
 
-def _lefschetz_bound(spec: ManifoldSpec, members=None) -> int:
-    """The bound of L over the holonomy, or over the subgroup at the
-    indices members."""
-    return zeta_degree_bound(spec, exterior_ranks(spec, members))
+@dataclass(frozen=True)
+class ZetaResult:
+    which: str                  # Lefschetz | Nielsen | Reidemeister | ArtinMazur
+    function: RationalFunction
+    construction: Construction
+
+
+class MapContext:
+    """Everything computed for one (spec, map): its averaging kernel
+    (from manifolds.averaging_kernel), the L, N and R sequences read
+    from it (L and N from the same determinants det(I - A D^n)), the
+    plus split, the Reidemeister definedness, and the Lefschetz and
+    Nielsen zetas.  It is the only place that builds a sequence oracle:
+    each one carries the proven order bound of the zeta it feeds (see
+    zeta_degree_bound), and oracles reading one kernel share its powers
+    of D and its determinants.  Obtain it from map_context, so that
+    every caller asking about the same problem shares one instance."""
+
+    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
+        self.spec, self.mapping = spec, mapping
+        self.kernel = averaging_kernel(spec, mapping)
+        self.l_seq = self._oracle("lefschetz", partial(_lefschetz_at, self.kernel),
+                                  zeta_degree_bound(spec, exterior_ranks(spec)))
+
+    def _oracle(self, kind: str, fn, bound: int) -> SequenceOracle:
+        return SequenceOracle(
+            fn, bound, name=f"{kind}:{self.spec.name}:{self.mapping.label}")
+
+    @cached_property
+    def split(self) -> PlusSplit:
+        return compute_plus_split(self.spec, self.mapping)
+
+    @cached_property
+    def sign_ranks(self) -> tuple[int, int]:
+        """(E, O) of the zeta the sign formula substitutes into."""
+        return sign_formula_ranks(self.spec, self.split)
+
+    @cached_property
+    def n_seq(self) -> SequenceOracle:
+        """N(f^n), bounded by the order of the sign-formula zeta."""
+        return self._oracle("nielsen", partial(_nielsen_at, self.kernel),
+                            zeta_degree_bound(self.spec, self.sign_ranks,
+                                              invertible=True))
+
+    @cached_property
+    def r_seq(self) -> SequenceOracle:
+        """R(f^n), with the Nielsen bound.  Values may be math.inf; zeta
+        construction must check definedness before consuming this."""
+        return self._oracle("reidemeister", partial(_reidemeister_at, self.kernel),
+                            self.n_seq.degree_bound)
+
+    @cached_property
+    def lplus_seq(self) -> SequenceOracle:
+        """L(f+^n): the signed average of the kernel's determinants over
+        the plus subgroup of the split."""
+        members = self.split.plus_indices()
+        return self._oracle("lefschetz-plus",
+                            partial(_lefschetz_at, self.kernel, members=members),
+                            zeta_degree_bound(self.spec,
+                                              exterior_ranks(self.spec, members)))
+
+    @cached_property
+    def twisted_seq(self) -> SequenceOracle:
+        """L(f+^n) - L(f^n), read from lplus_seq and l_seq: the sequence
+        of the twisted zeta L_f+ / L_f of a proper split."""
+        return self._oracle("lefschetz-twisted",
+                            lambda n: self.lplus_seq(n) - self.l_seq(n),
+                            zeta_degree_bound(self.spec, self.sign_ranks))
+
+    @cached_property
+    def definedness(self) -> ZetaDefinedness:
+        return reidemeister_zeta_defined(self.spec, self.mapping)
+
+    @cached_property
+    def l_zeta(self) -> ZetaResult:
+        return ZetaResult("Lefschetz", zeta_from_terms(self.l_seq),
+                          Construction("direct"))
+
+    @cached_property
+    def n_zeta(self) -> ZetaResult:
+        split = self.split
+        try:
+            formula = self._sign_formula()
+        except Exception:
+            # an error of the Nielsen rebuild, if any, is raised first
+            zeta_from_terms(self.n_seq)
+            raise
+        if not verify_zeta(self.n_seq, formula):
+            # fails exactly when the direct rebuild raises NotRational
+            # or returns another function
+            direct = zeta_from_terms(self.n_seq)
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {formula} differs "
+                f"from direct reconstruction {direct}")
+        case = "plus-proper" if split.is_proper else "plus-equal"
+        return ZetaResult("Nielsen", formula,
+                          Construction("sign-formula", case, split.p, split.n))
+
+    def _sign_formula(self) -> RationalFunction:
+        """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
+        the same with the twisted zeta (L_f+ / L_f, rebuilt from its own
+        sequence) in place of L_f.  Substitution and inversion keep
+        lowest terms, so no gcd is taken.  A proper split rebuilds the
+        Lefschetz zeta only when the twisted rebuild fails, so that a
+        failing Lefschetz rebuild is raised as itself rather than
+        through the twisted sequence."""
+        split = self.split
+        if not split.is_proper:
+            zeta = self.l_zeta.function
+        else:
+            try:
+                zeta = zeta_from_terms(self.twisted_seq)
+            except Exception:
+                self.l_zeta     # a Lefschetz rebuild's error comes first
+                raise
+        zeta = zeta.compose_scale((-1) ** split.n)
+        return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
+
+
+@lru_cache(maxsize=1)
+def map_context(spec: ManifoldSpec, mapping: AffineMapSpec) -> MapContext:
+    """The shared context of one problem.  Only the most recent one is
+    kept, so a context never outlives the next problem asked about."""
+    return MapContext(spec, mapping)
 
 
 def lefschetz_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
-    """L(f^n), bounded by its zeta's order (see zeta_degree_bound)."""
-    return _oracle("lefschetz", partial(_lefschetz_at, averaging_kernel(spec, mapping)),
-                   spec, mapping, _lefschetz_bound(spec))
-
-
-def _nielsen_bound(spec: ManifoldSpec, split: PlusSplit) -> int:
-    """The bound of the N and R sequences: the sign-formula zeta's."""
-    return zeta_degree_bound(spec, sign_formula_ranks(spec, split),
-                             invertible=True)
+    """L(f^n): the shared context's oracle (see MapContext)."""
+    return map_context(spec, mapping).l_seq
 
 
 def nielsen_sequence(spec: ManifoldSpec, mapping: AffineMapSpec) -> SequenceOracle:
-    """N(f^n), bounded by the order of the sign-formula zeta."""
-    return _oracle("nielsen", partial(_nielsen_at, averaging_kernel(spec, mapping)),
-                   spec, mapping,
-                   _nielsen_bound(spec, compute_plus_split(spec, mapping)))
+    """N(f^n): the shared context's oracle (see MapContext)."""
+    return map_context(spec, mapping).n_seq
 
 
 def reidemeister_sequence(spec: ManifoldSpec,
                           mapping: AffineMapSpec) -> SequenceOracle:
-    """R(f^n), with the Nielsen bound.  Values may be math.inf; zeta
-    construction must check definedness before consuming this."""
-    return _oracle("reidemeister",
-                   partial(_reidemeister_at, averaging_kernel(spec, mapping)),
-                   spec, mapping,
-                   _nielsen_bound(spec, compute_plus_split(spec, mapping)))
+    """R(f^n): the shared context's oracle (see MapContext).  Values may
+    be math.inf."""
+    return map_context(spec, mapping).r_seq
 
 
 # --------------------------------------------------------------------------

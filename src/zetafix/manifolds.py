@@ -277,12 +277,9 @@ class PlusSplit:
         raise KeyError(label)
 
 
-@lru_cache(maxsize=1)
 def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
     """Determine, exactly, which holonomy elements preserve orientation
-    on the expanding subspace of the map's linear part D.  Like
-    map_context, only the most recent problem is kept, so a report and
-    the N and R sequences' degree bounds share one split.
+    on the expanding subspace of the map's linear part D.
 
     For compatible D, (A D)^k = B_k D^k with B_k in the holonomy, so A D
     expands exactly on the quotient by the non-expanding subspace of D,

@@ -17,12 +17,12 @@ from .algebra import classify_eigenvalues, det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
-from .invariants import coincidence_numbers, coincidence_trichotomy
+from .invariants import coincidence_numbers, coincidence_trichotomy, map_context
 from .manifolds import is_virtually_unipotent, validate_spec
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
-                    map_context, nielsen_zeta, radius_report,
-                    reidemeister_zeta, verify_functional_equation)
+                    nielsen_zeta, radius_report, reidemeister_zeta,
+                    verify_functional_equation)
 
 CONGRUENCE_N_MAX = 30
 

@@ -5,7 +5,9 @@ Every zeta here is exp(sum a_n z^n / n) for an integer sequence a_n and
 is reconstructed as an exact rational function.  The Nielsen zeta is
 built from Lefschetz zetas through the eigenvalue-sign formula and
 verified exactly against its own sequence: it must be the function that
-a direct reconstruction from the Nielsen sequence would return.
+a direct reconstruction from the Nielsen sequence would return.  The
+sequences, their bounds and the rebuilt zetas live in one context per
+(spec, map), invariants.map_context; this module reads it.
 """
 
 from __future__ import annotations
@@ -14,141 +16,14 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
 
 from .algebra import classify_eigenvalues, det
-from .errors import (NielsenFormulaMismatch, NonAcyclicBundle, NotConstantRatio,
-                     RadiusMismatch, ZetaUndefined)
-from .invariants import (_lefschetz_at, _lefschetz_bound, _nielsen_at,
-                         _nielsen_bound, _oracle, _reidemeister_at,
-                         sign_formula_ranks, zeta_degree_bound)
-from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
-                        ZetaDefinedness, averaging_kernel, compute_plus_split,
-                        reidemeister_zeta_defined)
-from .ratfunc import (RationalFunction, SequenceOracle, radius_of_convergence,
-                      substitute_reciprocal_scale, verify_zeta, zeta_from_terms)
-
-
-@dataclass(frozen=True)
-class Construction:
-    """How a zeta function was assembled: "direct" reconstruction from
-    its own sequence, or the "sign-formula" route through Lefschetz
-    zetas (case "plus-equal" when the plus subgroup is everything,
-    "plus-proper" otherwise)."""
-
-    kind: str
-    case: str | None = None
-    p: int | None = None
-    n: int | None = None
-
-
-@dataclass(frozen=True)
-class ZetaResult:
-    which: str                  # Lefschetz | Nielsen | Reidemeister | ArtinMazur
-    function: RationalFunction
-    construction: Construction
-
-
-class MapContext:
-    """Everything computed for one (spec, map): its averaging kernel
-    (from manifolds.averaging_kernel), the L, N and R sequences read
-    from it (L and N from the same determinants det(I - A D^n)), the
-    plus split, the Reidemeister definedness, and the Lefschetz and
-    Nielsen zetas.  Each sequence carries the proven order bound of the
-    zeta it feeds (see invariants.zeta_degree_bound).  Obtain it from
-    map_context, so that every caller asking about the same problem
-    shares one instance."""
-
-    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
-        self.spec, self.mapping = spec, mapping
-        self.kernel = averaging_kernel(spec, mapping)
-        self.l_seq = _oracle("lefschetz", partial(_lefschetz_at, self.kernel),
-                             spec, mapping, _lefschetz_bound(spec))
-
-    @cached_property
-    def split(self) -> PlusSplit:
-        return compute_plus_split(self.spec, self.mapping)
-
-    @cached_property
-    def n_seq(self) -> SequenceOracle:
-        return _oracle("nielsen", partial(_nielsen_at, self.kernel), self.spec,
-                       self.mapping, _nielsen_bound(self.spec, self.split))
-
-    @cached_property
-    def r_seq(self) -> SequenceOracle:
-        return _oracle("reidemeister", partial(_reidemeister_at, self.kernel),
-                       self.spec, self.mapping,
-                       _nielsen_bound(self.spec, self.split))
-
-    @cached_property
-    def lplus_seq(self) -> SequenceOracle:
-        """L(f+^n): the signed average of the kernel's determinants over
-        the plus subgroup of the split."""
-        members = self.split.plus_indices()
-        return _oracle("lefschetz-plus",
-                       partial(_lefschetz_at, self.kernel, members=members),
-                       self.spec, self.mapping,
-                       _lefschetz_bound(self.spec, members))
-
-    @cached_property
-    def twisted_seq(self) -> SequenceOracle:
-        """L(f+^n) - L(f^n), read from lplus_seq and l_seq: the sequence
-        of the twisted zeta L_f+ / L_f of a proper split."""
-        return _oracle("lefschetz-twisted",
-                       lambda n: self.lplus_seq(n) - self.l_seq(n),
-                       self.spec, self.mapping,
-                       zeta_degree_bound(self.spec, sign_formula_ranks(
-                           self.spec, self.split)))
-
-    @cached_property
-    def definedness(self) -> ZetaDefinedness:
-        return reidemeister_zeta_defined(self.spec, self.mapping)
-
-    @cached_property
-    def l_zeta(self) -> ZetaResult:
-        return ZetaResult("Lefschetz", zeta_from_terms(self.l_seq),
-                          Construction("direct"))
-
-    @cached_property
-    def n_zeta(self) -> ZetaResult:
-        split = self.split
-        try:
-            formula = self._sign_formula()
-        except Exception:
-            # an error of the Nielsen rebuild, if any, is raised first
-            zeta_from_terms(self.n_seq)
-            raise
-        if not verify_zeta(self.n_seq, formula):
-            # fails exactly when the direct rebuild raises NotRational
-            # or returns another function
-            direct = zeta_from_terms(self.n_seq)
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {formula} differs "
-                f"from direct reconstruction {direct}")
-        case = "plus-proper" if split.is_proper else "plus-equal"
-        return ZetaResult("Nielsen", formula,
-                          Construction("sign-formula", case, split.p, split.n))
-
-    def _sign_formula(self) -> RationalFunction:
-        """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
-        the same with the twisted zeta (L_f+ / L_f, rebuilt from its own
-        sequence) in place of L_f.  Substitution and inversion keep
-        lowest terms, so no gcd is taken.  The Lefschetz zeta is rebuilt
-        first in both cases, so a failing Lefschetz rebuild is raised as
-        itself rather than through the twisted sequence."""
-        split = self.split
-        zeta = self.l_zeta.function
-        if split.is_proper:
-            zeta = zeta_from_terms(self.twisted_seq)
-        zeta = zeta.compose_scale((-1) ** split.n)
-        return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
-
-
-@lru_cache(maxsize=1)
-def map_context(spec: ManifoldSpec, mapping: AffineMapSpec) -> MapContext:
-    """The shared context of one problem.  Only the most recent one is
-    kept, so a context never outlives the next problem asked about."""
-    return MapContext(spec, mapping)
+from .errors import (NonAcyclicBundle, NotConstantRatio, RadiusMismatch,
+                     ZetaUndefined)
+from .invariants import ZetaResult, map_context
+from .manifolds import AffineMapSpec, ManifoldSpec, ensure_compatible
+from .ratfunc import (RationalFunction, radius_of_convergence,
+                      substitute_reciprocal_scale)
 
 
 def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
@@ -234,6 +109,7 @@ def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """Growth rate N_infinity = limsup N(f^n)^(1/n): the product of the
     expanding eigenvalue moduli of the linear part, at least 1.  Warns
     when 1 is an eigenvalue, where the spectral formula can fail."""
+    ensure_compatible(spec, mapping)
     cls = classify_eigenvalues(mapping.linear)
     if cls.one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; the "
@@ -246,6 +122,7 @@ def entropy_lower_bound(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """log of the asymptotic Nielsen number: the topological entropy of
     the affine representative and a lower bound for every map in the
     homotopy class."""
+    ensure_compatible(spec, mapping)
     cls = classify_eigenvalues(mapping.linear)
     return max(0.0, cls.expanding_log_product)
 
@@ -257,6 +134,7 @@ def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
     radius * N_infinity is checked against 1 within 1e-6 unless 1 is
     an eigenvalue of the linear part (where the growth formula does
     not apply and the check is suppressed with a warning)."""
+    ensure_compatible(spec, mapping)
     r = radius_of_convergence(zeta.function)
     if zeta.which == "Lefschetz":
         return r

@@ -4,8 +4,8 @@ import tempfile
 import pytest
 from hypothesis import settings
 
+import zetafix.invariants
 import zetafix.manifolds
-import zetafix.zetas
 from zetafix import load_fixture
 
 # Property tests draw the same examples on every run and keep no example
@@ -31,13 +31,12 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def _fresh_problem_memos():
-    # The per-problem memos (one context, one averaging kernel, one plus
-    # split) would otherwise carry work from one test into the next, and
-    # tests that count kernels, determinants or characteristic
-    # polynomials would depend on the test order.
-    zetafix.zetas.map_context.cache_clear()
+    # The per-problem memos (one context, one averaging kernel) would
+    # otherwise carry work from one test into the next, and tests that
+    # count kernels, determinants or characteristic polynomials would
+    # depend on the test order.
+    zetafix.invariants.map_context.cache_clear()
     zetafix.manifolds.averaging_kernel.cache_clear()
-    zetafix.manifolds.compute_plus_split.cache_clear()
 
 
 FIXED_POINT_NAMES = (

@@ -170,6 +170,13 @@ class TestSequences:
             assert ns(n) == nielsen(ex3.spec, ex3.mapping, n)
             assert rs(n) == reidemeister(ex3.spec, ex3.mapping, n)
 
+    def test_public_sequences_are_the_context_oracles(self, ex3):
+        ctx = zetafix.invariants.map_context(ex3.spec, ex3.mapping)
+        for make, attr in ((lefschetz_sequence, "l_seq"),
+                           (nielsen_sequence, "n_seq"),
+                           (reidemeister_sequence, "r_seq")):
+            assert make(ex3.spec, ex3.mapping) is getattr(ctx, attr)
+
     def test_names_and_bounds(self, ex1):
         ls = lefschetz_sequence(ex1.spec, ex1.mapping)
         assert ls.name == "lefschetz:klein_bottle_ex1:f"

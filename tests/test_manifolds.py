@@ -293,6 +293,11 @@ class TestEntryPointsValidate:
         "reidemeister_zeta_defined": reidemeister_zeta_defined,
         "nielsen_zeta": zetafix.nielsen_zeta,
         "orientable": lambda s, f: s.orientable,
+        "asymptotic_nielsen": zetafix.asymptotic_nielsen,
+        "entropy_lower_bound": zetafix.entropy_lower_bound,
+        "radius_report": lambda s, f: zetafix.radius_report(s, f, zetafix.ZetaResult(
+            "Nielsen", zetafix.RationalFunction([1], [1, -6]),
+            zetafix.Construction("direct"))),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

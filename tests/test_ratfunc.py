@@ -201,14 +201,20 @@ class TestZetaFromTerms:
             zeta_from_terms(seq)
 
     def test_not_rational_when_bound_too_small(self):
-        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 4)
+        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 1)
         with pytest.raises(NotRational):
-            zeta_from_terms(seq, degree_bound=1)
+            zeta_from_terms(seq)
 
     def test_bound_override_validated(self):
         seq = _oracle(lambda n: 0, 4)
         with pytest.raises(ValueError):
             zeta_from_terms(seq, degree_bound=0)
+
+    def test_positional_none_reads_the_oracle_bound(self):
+        # bench/tracer.py wraps zeta_from_terms and passes its second
+        # argument on positionally, None when the caller gave none
+        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 2)
+        assert zeta_from_terms(seq, None) == RationalFunction([1, 2], [1, -2])
 
 
 def _random_zeta(rng) -> RationalFunction:

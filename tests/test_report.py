@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zetafix.algebra
+import zetafix.invariants
 import zetafix.manifolds
 import zetafix.ratfunc
 import zetafix.zetas
@@ -111,6 +112,18 @@ class TestSharedContext:
         assert "nielsen" not in rebuilt
         assert verified == ["nielsen"]
 
+    @pytest.mark.parametrize("name", ["klein_bottle_ex1", "heisenberg_ex3",
+                                      "klein_type_3_5"])
+    def test_api_nielsen_zeta_rebuilds_only_the_twisted_zeta(
+            self, monkeypatch, name):
+        # a proper split's sign formula reads the twisted zeta alone; the
+        # Lefschetz zeta is rebuilt only to report its own failure
+        parsed = load_fixture(name)
+        calls = _record_calls(monkeypatch, zetafix.ratfunc, "zeta_from_terms")
+        nielsen_zeta(parsed.spec, parsed.mapping)
+        assert [args[0].name.split(":")[0] for args in calls] == \
+            ["lefschetz-twisted"]
+
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_one_averaging_kernel(self, monkeypatch, name):
         # the sequences, the plus-cover average and the definedness scan
@@ -173,6 +186,37 @@ class TestSharedContext:
         for make in (nielsen_sequence, reidemeister_sequence):
             make(parsed.spec, parsed.mapping)
         assert decided == []
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_public_sequences_reuse_the_report_values(self, monkeypatch, name):
+        # the public sequences are the report's oracles, which already
+        # hold every value through n = CONGRUENCE_N_MAX: no determinant
+        # is read again, let alone averaged
+        parsed = load_fixture(name)
+        build_report(parsed)
+        reads = []
+        for method in ("fixed_point_dets", "shifted_dets"):
+            orig = getattr(zetafix.algebra.AveragingKernel, method)
+            monkeypatch.setattr(
+                zetafix.algebra.AveragingKernel, method,
+                lambda kernel, n, orig=orig: reads.append(n) or orig(kernel, n))
+        for make in (lefschetz_sequence, nielsen_sequence, reidemeister_sequence):
+            seq = make(parsed.spec, parsed.mapping)
+            for n in range(1, CONGRUENCE_N_MAX + 1):
+                seq(n)
+        assert reads == []
+
+    @pytest.mark.parametrize("name", ["klein_bottle_ex1", "heisenberg_ex3",
+                                      "klein_type_3_5"])
+    def test_sign_formula_ranks_taken_once(self, monkeypatch, name):
+        # the N, R and twisted bounds of a proper split share one (E, O)
+        parsed = load_fixture(name)
+        calls = _record_calls(monkeypatch, zetafix.invariants,
+                              "sign_formula_ranks")
+        build_report(parsed)
+        assert zetafix.invariants.map_context(
+            parsed.spec, parsed.mapping).split.is_proper
+        assert len(calls) == 1
 
     def test_coincidence_report_and_api_calls_share_one_kernel(
             self, monkeypatch, halfturn):
@@ -273,11 +317,11 @@ class TestSharedContext:
         expected = {"quarter_rotation": ["verify_functional_equation"]
                     }.get(name, [])
         scopes = {zetafix.ratfunc.zeta_from_terms.__code__,
-                  zetafix.zetas.MapContext.n_zeta.func.__code__,
+                  zetafix.invariants.MapContext.n_zeta.func.__code__,
                   zetafix.zetas.verify_functional_equation.__code__}
         parsed = load_fixture(name)
         # the plus split classifies D with gcds of its own; take it first
-        zetafix.zetas.map_context(parsed.spec, parsed.mapping).split
+        zetafix.invariants.map_context(parsed.spec, parsed.mapping).split
         gcds = []
         orig = zetafix.algebra.poly_gcd
 
@@ -308,8 +352,8 @@ class TestDegreeBoundWindow:
         d = [[(2, -3, 3, -2, 2, 3)[i] if i == j else 0 for j in range(6)]
              for i in range(6)]
         read = []
-        orig = zetafix.zetas._lefschetz_at
-        monkeypatch.setattr(zetafix.zetas, "_lefschetz_at",
+        orig = zetafix.invariants._lefschetz_at
+        monkeypatch.setattr(zetafix.invariants, "_lefschetz_at",
                             lambda kernel, n, **kw: read.append(n)
                             or orig(kernel, n, **kw))
         build_report(ParsedSpec(spec, AffineMapSpec.make("f", d)))

@@ -21,7 +21,7 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      verify_functional_equation)
 from zetafix.errors import NonInvariantSubspace
 from zetafix.ratfunc import zeta_from_terms
-from zetafix.zetas import MapContext, map_context
+from zetafix.invariants import MapContext, map_context
 
 GOLDEN_NIELSEN = {
     "klein_bottle_ex1": RationalFunction([1, 2], [1, -2]),
