@@ -21,7 +21,7 @@ from .errors import (DegenerateFixedSet, DimensionMismatch,
                      InvalidSpecFile, NielsenFormulaMismatch, NonAcyclicBundle,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NonInvariantSubspace, NotAGroup, NotBlockCompatible,
-                     NotConstantRatio, NotCyclic, NotRational, PoleAtPoint,
+                     NotConstantRatio, NotCyclic, NotRational,
                      RadiusMismatch, TrichotomyMismatch, ZetaUndefined,
                      ZetafixError)
 from .fixtures import (SequenceFixture, builtin_fixtures, klein_type,
@@ -39,7 +39,7 @@ from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         exterior_ranks, is_virtually_unipotent,
                         plus_subgroup_spec, reidemeister_zeta_defined,
                         validate_spec)
-from .ratfunc import (RationalFunction, SequenceOracle, evaluate,
+from .ratfunc import (RationalFunction, SequenceOracle,
                       format_polynomial, min_linear_recurrence,
                       radius_of_convergence, substitute_reciprocal_scale,
                       zeta_from_terms)

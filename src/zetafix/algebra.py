@@ -686,6 +686,22 @@ def _integer_form(mats) -> tuple[list[list[list[int]]], int]:
 
 
 def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    """Product of two square integer matrices of one size; sizes 1 to 3
+    are written out, larger ones take inner products of rows and
+    columns."""
+    n = len(x)
+    if n == 1:
+        return [[x[0][0] * y[0][0]]]
+    if n == 2:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = x
+        (j, k, l), (m, o, p), (r, t, w) = y
+        return [[a * j + b * m + c * r, a * k + b * o + c * t, a * l + b * p + c * w],
+                [d * j + e * m + f * r, d * k + e * o + f * t, d * l + e * p + f * w],
+                [g * j + h * m + i * r, g * k + h * o + i * t, g * l + h * p + i * w]]
     cols = list(zip(*y))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
 
@@ -721,11 +737,27 @@ def _split(m, blocks) -> list[list[list[int]]]:
 def _scaled_det(u: int, x, v: int, y) -> int:
     """Integer determinant of u*x - v*y for x and y given by their
     diagonal blocks: the product of the block determinants, stopping at
-    the first that vanishes.  A 1 x 1 block is its own determinant."""
+    the first that vanishes.  Blocks of size 1 to 3 are expanded in
+    closed form from the entries of x and y; a larger block is scaled to
+    one integer matrix and goes through Bareiss."""
     out = 1
     for bx, by in zip(x, y):
-        if len(bx) == 1:
+        k = len(bx)
+        if k == 1:
             out *= u * bx[0][0] - v * by[0][0]
+        elif k == 2:
+            (a, b), (c, d) = bx
+            (e, f), (g, h) = by
+            out *= ((u * a - v * e) * (u * d - v * h)
+                    - (u * b - v * f) * (u * c - v * g))
+        elif k == 3:
+            (a, b, c), (d, e, f), (g, h, i) = bx
+            (j, l, m), (o, p, r), (t, w, z) = by
+            # the entries of u*x - v*y, then the cofactor expansion
+            a, b, c = u * a - v * j, u * b - v * l, u * c - v * m
+            d, e, f = u * d - v * o, u * e - v * p, u * f - v * r
+            g, h, i = u * g - v * t, u * h - v * w, u * i - v * z
+            out *= a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         else:
             out *= _bareiss_det([[u * a - v * b for a, b in zip(rx, ry)]
                                  for rx, ry in zip(bx, by)])
@@ -757,18 +789,20 @@ class AveragingKernel:
 
     Every holonomy element A is converted once to A_int / s, with one
     common s, and D once to D_int / q; D^n is kept as (D_int^n, q^n).
-    Each determinant is the integer Bareiss determinant of the matrix
-    scaled to integers, and is returned as a numerator over a
-    denominator that all holonomy elements share, so that averages can
-    be taken exactly.  With a target E, the fixed-point determinants
-    det(I - A D^n) become the coincidence ones det(E^n - A D^n).  Both
+    Each determinant is the integer determinant of the matrix scaled to
+    integers, and is returned as a numerator over a denominator that all
+    holonomy elements share, so that averages can be taken exactly.
+    With a target E, the fixed-point determinants det(I - A D^n) become
+    the coincidence ones det(E^n - A D^n).  Both
     lists are kept per n on the instance, so every sequence read from
     one kernel takes each determinant once.
 
     The holonomy, D and E are found once to be block diagonal on common
     index sets (a dense problem is one block); every product and
     determinant is then taken block by block, and a determinant is the
-    product of its block determinants.
+    product of its block determinants.  Blocks of size 1 to 3 have their
+    products and determinants written out in closed form; larger blocks
+    take inner products and Bareiss elimination.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,

@@ -29,7 +29,7 @@ from .report import (_coincidence_numbers_entry, _coincidence_sections,
                      _congruence_entry, _construction_text, _num,
                      _numbers_entry, _zeta_entry, asymptotics_entry,
                      build_report, congruence_entries, render_human)
-from .specio import parse_spec_file
+from .specio import N_MAX_CEILING, check_n_max, parse_spec_file
 from .zetas import (artin_mazur_zeta, lefschetz_zeta, nielsen_zeta,
                     reidemeister_zeta)
 
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-n", default=None, metavar="N",
                            type=_checked(int, lambda n: n >= 1,
                                          "an integer >= 1"),
-                           help="largest iterate to tabulate (>= 1)")
+                           help="largest iterate to tabulate "
+                                f"(1 to {N_MAX_CEILING})")
         if name == "zeta":
             p.add_argument("--which", choices=("L", "N", "R", "AM"),
                            default=None, help="which zeta function")
@@ -251,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_n", None) is not None:
+            check_n_max(args.max_n, "--max-n")
         return _COMMANDS[args.command](_load(args.spec), args)
     except ZetaUndefined as e:
         print(f"undefined: {e}", file=sys.stderr)

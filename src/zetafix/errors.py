@@ -24,10 +24,6 @@ class NotRational(ZetafixError):
     supplied degree bound."""
 
 
-class PoleAtPoint(ZetafixError):
-    """Evaluation point lies on (or numerically too close to) a pole."""
-
-
 # --------------------------------------------------------------- manifolds
 
 

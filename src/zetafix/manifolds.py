@@ -111,10 +111,11 @@ def validate_spec(spec: ManifoldSpec) -> ValidationReport:
 
     Raises DimensionMismatch, NotAGroup, or InfiniteOrderElement; on
     success reports orientability, each element's order and the
-    multiplication table.  The closure check takes the |Phi|^2 matrix
-    products once; inverses and orders are read from the table.  The
-    report is kept on the spec object, so later calls with the same
-    object read it back.
+    multiplication table.  The closure check takes the |Phi|^2 products
+    once, on the integer forms A_int of the elements over one common
+    denominator q: A B is the element A' with A_int B_int = q A'_int.
+    Inverses and orders are read from the table.  The report is kept on
+    the spec object, so later calls with the same object read it back.
     """
     return spec._group
 
@@ -128,26 +129,32 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
     labels = spec.labels()
     if len(set(labels)) != len(labels):
         raise NotAGroup("duplicate holonomy labels")
-    mats = {}
-    for l, m in spec.holonomy:
+    # A = A_int / q with one common q, so A B = A' exactly when
+    # A_int B_int = q A'_int: elements are looked up by the integer
+    # tuples of q A_int
+    ints, q = _integer_form([m for _, m in spec.holonomy])
+    scaled = {}
+    for (l, m), a in zip(spec.holonomy, ints):
         if m.dim != n:
             raise DimensionMismatch(
                 f"holonomy element {l!r} is {m.dim}x{m.dim}, expected {n}x{n}")
-        if m in mats:
-            raise NotAGroup(f"elements {mats[m]!r} and {l!r} share a matrix")
-        mats[m] = l
-    ident = mats.get(RationalMatrix.identity(n))
+        key = tuple(tuple(q * x for x in row) for row in a)
+        if key in scaled:
+            raise NotAGroup(f"elements {scaled[key]!r} and {l!r} share a matrix")
+        scaled[key] = l
+    # the identity's integer form is q I, so its key is q^2 I
+    ident = scaled.get(tuple(tuple(q * q * (i == j) for j in range(n))
+                             for i in range(n)))
     if ident is None:
         raise NotAGroup("holonomy does not contain the identity")
     products = {}
-    ints, q = _integer_form([m for _, m in spec.holonomy])
     polys = []
-    for (l, m), a in zip(spec.holonomy, ints):
+    for l, a in zip(labels, ints):
         polys.append(_berkowitz(a))
         if polys[-1][-1] == 0:
             raise NotAGroup(f"element {l!r} is singular")
-        for l2, m2 in spec.holonomy:
-            p = mats.get(m @ m2)
+        for l2, b in zip(labels, ints):
+            p = scaled.get(tuple(map(tuple, _int_matmul(a, b))))
             if p is None:
                 raise NotAGroup(f"product {l!r}*{l2!r} is not in the holonomy")
             products[l, l2] = p

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import (Polynomial, _int_poly_mul, _integer_coeffs, as_rational,
                       poly_gcd, squarefree_decomposition)
-from .errors import InsufficientTerms, NotRational, PoleAtPoint
+from .errors import InsufficientTerms, NotRational
 
 
 def format_polynomial(p: Polynomial, var: str = "z") -> str:
@@ -337,16 +337,6 @@ def _series_mismatch(a: list, rf: RationalFunction) -> int | None:
         if sum(map(operator.mul, a[j - 1::-1], w)) != (r[j] if j < len(r) else 0):
             return j
     return None
-
-
-def evaluate(rf: RationalFunction, z: complex, pole_tol: float = 1e-12) -> complex:
-    """Evaluate at a complex point; PoleAtPoint when the denominator
-    magnitude falls below pole_tol."""
-    z = complex(z)
-    dv = complex(rf.den(z))
-    if abs(dv) < pole_tol:
-        raise PoleAtPoint(f"denominator magnitude {abs(dv):.3e} at z={z}")
-    return complex(rf.num(z)) / dv
 
 
 def radius_of_convergence(rf: RationalFunction) -> float:

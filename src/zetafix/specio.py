@@ -23,6 +23,12 @@ from .manifolds import (AffineMapSpec, ManifoldSpec, ensure_compatible,
 
 SCHEMA_VERSION = 1
 
+# The largest iterate a table may ask for, through options.n_max or the
+# CLI's --max-n.  The numbers of the n-th iterate grow to about n times
+# the digits of the first, so the cost of a table grows at least like
+# n_max^2; the ceiling keeps it bounded.
+N_MAX_CEILING = 1000
+
 
 @dataclass(frozen=True)
 class SpecOptions:
@@ -136,6 +142,15 @@ def _option(raw: dict, key: str, default, kinds: tuple, what: str):
     return v
 
 
+def check_n_max(n: int, what: str = "options.n_max") -> None:
+    """Check an iterate count from a spec or the command line: outside
+    1..N_MAX_CEILING it raises InvalidSpecFile, naming what."""
+    if n < 1:
+        raise InvalidSpecFile(f"{what} must be >= 1")
+    if n > N_MAX_CEILING:
+        raise InvalidSpecFile(f"{what} must be <= {N_MAX_CEILING}")
+
+
 def parse_spec_data(data: dict) -> ParsedSpec:
     """Build and validate a ParsedSpec from decoded JSON."""
     if not isinstance(data, dict):
@@ -176,8 +191,7 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     degree_bound = _option(raw_opts, "degree_bound_override",
                            defaults.degree_bound_override, (int,),
                            "an integer or null")
-    if n_max < 1:
-        raise InvalidSpecFile("options.n_max must be >= 1")
+    check_n_max(n_max)
     # compared before float(): an integer too large for a float is simply
     # out of range
     if not 0 < tolerance < 1:

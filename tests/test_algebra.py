@@ -723,6 +723,64 @@ class TestIntegerKernels:
                 assert all(type(x) is Fraction
                            for row in product.rows for x in row)
 
+    @staticmethod
+    def _int_block(rng, k, bits):
+        """A random k x k integer block with entries up to 2^bits in
+        modulus; one in three has a zero leading entry, one in six a
+        zero first column, and one in six two equal rows."""
+        m = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(k)]
+             for _ in range(k)]
+        shape = rng.randrange(6)
+        if shape < 2:
+            m[0][0] = 0
+        if shape == 2:
+            for row in m:
+                row[0] = 0
+        if shape == 3 and k > 1:
+            m[-1] = list(m[0])
+        return m
+
+    def test_int_matmul_matches_inner_products(self):
+        rng = random.Random(46)
+        for k in (1, 2, 3, 4):
+            for bits in (3, 200):
+                for _ in range(20):
+                    x, y = self._int_block(rng, k, bits), self._int_block(rng, k, bits)
+                    cols = list(zip(*y))
+                    assert algebra._int_matmul(x, y) == [
+                        [sum(a * b for a, b in zip(row, col)) for col in cols]
+                        for row in x]
+
+    def test_scaled_det_matches_bareiss(self):
+        # det(u x - v y) block by block, against Bareiss on the scaled
+        # matrix: scalars of both signs and zero, zero leading pivots,
+        # 200-bit entries
+        rng = random.Random(47)
+        for k in (1, 2, 3, 4):
+            for bits in (3, 200):
+                for _ in range(40):
+                    x, y = self._int_block(rng, k, bits), self._int_block(rng, k, bits)
+                    if rng.randrange(3) == 0:
+                        # u x - v y has a zero leading entry too
+                        x[0][0] = y[0][0] = 0
+                    u, v = (rng.choice([0, 1, -1, rng.randint(-2 ** bits, 2 ** bits)])
+                            for _ in range(2))
+                    scaled = [[u * a - v * b for a, b in zip(rx, ry)]
+                              for rx, ry in zip(x, y)]
+                    assert algebra._scaled_det(u, [x], v, [y]) == \
+                        algebra._bareiss_det([list(r) for r in scaled]) == \
+                        _cofactor_det(scaled)
+
+    def test_scaled_det_multiplies_blocks(self):
+        rng = random.Random(48)
+        for _ in range(40):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+            x = [self._int_block(rng, k, 20) for k in sizes]
+            y = [self._int_block(rng, k, 20) for k in sizes]
+            u, v = rng.randint(-5, 5), rng.randint(-5, 5)
+            assert algebra._scaled_det(u, x, v, y) == math.prod(
+                algebra._scaled_det(u, [bx], v, [by]) for bx, by in zip(x, y))
+
     def test_gcd_matches_euclid(self):
         rng = random.Random(43)
         for _ in range(60):

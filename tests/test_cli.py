@@ -97,6 +97,28 @@ class TestExitCodes:
             assert err.startswith("error: InvalidSpecFile: " + field)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_max", [1001, 10 ** 6])
+    def test_n_max_over_the_ceiling(self, capsys, tmp_path, n_max):
+        # one check for the spec option and the flag; nothing is computed
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("torus_cat_map.json").read_text())
+        spec["options"] = {"n_max": n_max}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        for command in ("validate", "numbers", "report"):
+            code, out, err = run_main(capsys, command, str(bad))
+            assert (code, out) == (2, "")
+            assert err == ("error: InvalidSpecFile: options.n_max must be "
+                           "<= 1000\n")
+        for command, target in [("numbers", "torus_cat_map"),
+                                ("numbers", "sol_r_2"),
+                                ("congruences", "torus_cat_map"),
+                                ("coincidence", "halfturn_coincidence")]:
+            code, out, err = run_main(capsys, command, target,
+                                      "--max-n", str(n_max))
+            assert (code, out) == (2, "")
+            assert err == "error: InvalidSpecFile: --max-n must be <= 1000\n"
+
     @pytest.mark.parametrize("command, spec, flag, value", [
         (command, spec, "--max-n", value)
         for command, spec in [("numbers", "heisenberg_ex3"),

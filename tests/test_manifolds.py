@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zetafix.manifolds
 import zetafix.zetas
 from _corpus import (CYCLIC_ORIENTABLE, GROUPS, compatible,
                      isotypic_mixing_instance, random_instances)
@@ -100,18 +101,21 @@ class TestValidate:
 
 class TestGroupTable:
     """validate_spec takes the |Phi|^2 closure products once per spec
-    object and answers inverses and orders from the resulting table."""
+    object, on the elements' integer forms, and answers inverses and
+    orders from the resulting table."""
 
     @staticmethod
     def _count_products(monkeypatch):
         calls = [0]
-        orig = RationalMatrix.__matmul__
+        orig = zetafix.manifolds._int_matmul
 
         def counted(a, b):
             calls[0] += 1
             return orig(a, b)
 
-        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        monkeypatch.setattr(zetafix.manifolds, "_int_matmul", counted)
+        # and no RationalMatrix product at all
+        monkeypatch.setattr(RationalMatrix, "__matmul__", None)
         return calls
 
     @staticmethod
@@ -151,6 +155,38 @@ class TestGroupTable:
         for (a, b), c in rep.products.items():
             assert quarter.spec.matrix(a) @ quarter.spec.matrix(b) == \
                 quarter.spec.matrix(c)
+
+    @staticmethod
+    def _conjugated(spec, drop=None):
+        # P A P^-1 with P = [[1, 1/2], [0, 1]]: entries with denominator 2
+        p = RationalMatrix([[1, Fraction(1, 2)], [0, 1]])
+        p_inv = RationalMatrix([[1, Fraction(-1, 2)], [0, 1]])
+        return _spec(2, [(l, p @ a @ p_inv) for l, a in spec.holonomy
+                         if l != drop], "conjugated")
+
+    def test_rational_entries(self, quarter):
+        conj = self._conjugated(quarter.spec)
+        assert any(x.denominator > 1 for _, a in conj.holonomy
+                   for row in a.rows for x in row)
+        rep, base = validate_spec(conj), validate_spec(quarter.spec)
+        assert rep.identity == base.identity
+        assert dict(rep.products) == dict(base.products)
+        assert rep.element_orders == base.element_orders
+        assert rep.orientable == base.orientable
+        assert rep.exterior_traces == base.exterior_traces
+
+    @pytest.mark.parametrize("drop", ["R", "R2", "R3"])
+    def test_rational_entries_not_closed(self, quarter, drop):
+        with pytest.raises(NotAGroup) as plain:
+            validate_spec(_spec(2, [(l, a) for l, a in quarter.spec.holonomy
+                                    if l != drop]))
+        with pytest.raises(NotAGroup) as conj:
+            validate_spec(self._conjugated(quarter.spec, drop))
+        assert str(conj.value) == str(plain.value)
+        assert re.fullmatch(r"product '\w+'\*'\w+' is not in the holonomy",
+                            str(conj.value))
+        if drop == "R3":
+            assert str(conj.value) == "product 'R'*'R2' is not in the holonomy"
 
     def test_element_orders_of_sign_group(self):
         rep = validate_spec(self._sign_group(3))

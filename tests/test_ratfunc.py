@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetafix import (InsufficientTerms, NotRational, PoleAtPoint, Polynomial,
-                     RationalFunction, SequenceOracle, evaluate,
+from zetafix import (InsufficientTerms, NotRational, Polynomial,
+                     RationalFunction, SequenceOracle,
                      format_polynomial, min_linear_recurrence,
                      radius_of_convergence, substitute_reciprocal_scale,
                      zeta_from_terms)
@@ -303,13 +303,6 @@ class TestVerifyZeta:
 
 
 class TestAnalytic:
-    def test_evaluate_and_pole(self):
-        f = RationalFunction([1, 2], [1, -2])
-        assert abs(evaluate(f, 0.25j) - complex(f.num(0.25j)) /
-                   complex(f.den(0.25j))) < 1e-14
-        with pytest.raises(PoleAtPoint):
-            evaluate(f, 0.5)
-
     def test_radius(self):
         assert radius_of_convergence(RationalFunction([1, 2], [1, -2])) == \
             pytest.approx(0.5)

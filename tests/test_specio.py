@@ -21,6 +21,7 @@ from zetafix import (InvalidSpecFile, NonInvariantSubspace, build_report,
                      serialize_spec, validate_spec, write_spec_file)
 from zetafix.cli import main
 from zetafix.errors import ZetafixError
+from zetafix.specio import N_MAX_CEILING, check_n_max
 
 FIXTURE_FILES = ("klein_bottle_ex1", "heisenberg_ex3", "torus_cat_map",
                  "identity_torus", "klein_type_3_5", "klein_type_3_0",
@@ -199,6 +200,18 @@ class TestRejection:
     def test_non_integer_dimension(self):
         with pytest.raises(InvalidSpecFile):
             parse_spec_data(_minimal(dimension="two"))
+
+    def test_n_max_ceiling(self):
+        assert N_MAX_CEILING == 1000
+        assert parse_spec_data(
+            _minimal(options={"n_max": N_MAX_CEILING})).options.n_max == 1000
+        for n in (N_MAX_CEILING + 1, 10 ** 6, 10 ** 400):
+            with pytest.raises(InvalidSpecFile,
+                               match=r"^options\.n_max must be <= 1000$"):
+                parse_spec_data(_minimal(options={"n_max": n}))
+        check_n_max(N_MAX_CEILING, "--max-n")
+        with pytest.raises(InvalidSpecFile, match=r"^--max-n must be >= 1$"):
+            check_n_max(0, "--max-n")
 
     def test_bad_options(self):
         with pytest.raises(InvalidSpecFile):
