@@ -263,6 +263,84 @@ def _exponential(a: list[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in f], scale
 
 
+# Exponents k of the Mersenne primes 2^k - 1 that the modular fit of
+# zeta_from_terms tries in turn.  The prime 2^k - 1 lifts a denominator
+# whose coefficients are below 2^(k-1) in absolute value; a larger one
+# fails the window check there and is fitted modulo the next prime.
+_MERSENNE_EXPONENTS = (127, 521, 1279, 2281, 4423)
+
+
+def _berlekamp_massey_mod(s: list[int], p: int) -> tuple[list[int], int]:
+    """Shortest linear recurrence of an integer sequence modulo the prime
+    p: its length ell and connection polynomial c with c[0] = 1, lifted
+    to the symmetric range -p/2 < c_i < p/2.  The recurrence holds mod p
+    only; the caller certifies the lift over the integers."""
+    s = [x if -p < x < p else x % p for x in s]
+    c, b = [1], [1]            # current polynomial; previous one over its discrepancy
+    ell, m = 0, 1              # length, shift since b
+    for n in range(len(s)):
+        d = sum(map(operator.mul, c, s[n::-1])) % p
+        if d == 0:
+            m += 1
+            continue
+        new = c + [0] * (m + len(b) - len(c))
+        for i, x in enumerate(b, m):
+            new[i] = (new[i] - d * x) % p
+        if 2 * ell <= n:
+            inv = pow(d, -1, p)
+            b = [x * inv % p for x in c]
+            ell = n + 1 - ell
+            m = 1
+        else:
+            m += 1
+        c = new
+    half = p >> 1
+    return [x - p if x > half else x for x in c], ell
+
+
+def _window_product(c: list[int], f: list[int], top: int) -> list[int]:
+    """Coefficients 0..top of the series product c * f."""
+    return [sum(map(operator.mul, c, f[j::-1])) for j in range(top + 1)]
+
+
+def _modular_fit(f: list[int], b: int, top: int):
+    """(c, order, prod) of zeta_from_terms for an integral series f,
+    fitted modulo Mersenne primes and certified over the integers, or
+    None when no prime gives a lift that passes the window check."""
+    for k in _MERSENNE_EXPONENTS:
+        p = (1 << k) - 1
+        c, order = _berlekamp_massey_mod(f[: 2 * b + 4], p)
+        if order > b:
+            return None         # no prime can pass (see zeta_from_terms)
+        prod = _window_product(c, f, top)
+        if not any(prod[order:]):
+            return c, order, prod
+        if any(x % p for x in prod[order:]):
+            return None         # no prime can pass (see zeta_from_terms)
+    return None
+
+
+def _exact_fit(f: list[int], b: int, top: int):
+    """(c, order, prod) of zeta_from_terms by the fraction-free
+    Berlekamp-Massey over Q; NotRational when the fit or its window
+    check fails."""
+    try:
+        c, order = _berlekamp_massey(f[: 2 * b + 4])
+    except InsufficientTerms as e:
+        raise NotRational(
+            f"no linear recurrence of order <= {b} fits the series: {e}") from e
+    if order > b:
+        raise NotRational(
+            f"series requires recurrence order {order}, exceeding the bound {b}")
+    prod = _window_product(c, f, top)
+    for j in range(order, top + 1):
+        if prod[j] != 0:
+            raise NotRational(
+                f"recurrence fit fails at series index {j}; the sequence is "
+                f"not rational within degree bound {b}")
+    return c, order, prod
+
+
 def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> RationalFunction:
     """Reconstruct exp(sum a_n z^n / n) as an exact rational function.
 
@@ -272,6 +350,36 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     less raises NotRational rather than returning a guess.  The fitted
     recurrence is minimal, so numerator and denominator are coprime and
     no gcd is taken.
+
+    An integral series f (Dold's congruences) is first fitted modulo the
+    Mersenne primes p = 2^k - 1 of _MERSENNE_EXPONENTS in turn:
+    Berlekamp-Massey over F_p on the same 2B+4 terms gives c with
+    c(0) = 1, lifted to the symmetric range, and the exact integer
+    product f*c must vanish from the modular order on through 3B+4,
+    with that order at most B.  A lift that passes is the exact answer:
+
+    - c is then an integer recurrence of the window, so the exact
+      minimal one, C_Q of order L_Q, has L_Q <= order <= B.  Both
+      functions have order <= B and share 2B+4 series coefficients, so
+      they are equal, and since P_Q/C_Q is in lowest terms C_Q divides c.
+    - By Gauss's lemma C_Q is integral (c is, and c(0) = C_Q(0) = 1), so
+      C_Q mod p is a recurrence mod p and the modular order is at most
+      L_Q.  The two orders are equal, so c = C_Q: the exact fit returns
+      the same lowest-terms function.
+    - Conversely, if the exact fit would raise, no lift can pass.
+
+    If some prime's lift passes, it is C_Q, and at every prime p the
+    modular fit c_p is then the same function as C_Q mod p: both have
+    order <= B and agree on 2B+4 terms mod p.  So c_p has order <= B,
+    and f*c_p vanishes modulo p from its order on through 3B+4.  A
+    modular order above B, or a product that fails modulo p itself,
+    therefore ends the search at once.  A product that vanishes modulo
+    p but not over the integers means a coefficient of C_Q too large
+    for p, or P_Q and C_Q sharing a factor modulo p (p divides their
+    resultant); the next prime is then tried.  When the search ends,
+    or the series is not integral, the fraction-free exact fit decides,
+    so its errors are the ones raised.  No coefficient bound is assumed
+    anywhere: the window check is the certificate.
     """
     b = seq.degree_bound if degree_bound is None else int(degree_bound)
     if b < 1:
@@ -279,20 +387,10 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     top = 3 * b + 4
     f, scale = _exponential([a if isinstance(a, int) else as_rational(a)
                              for a in map(seq, range(1, top + 1))])
-    try:
-        c, order = _berlekamp_massey(f[: 2 * b + 4])
-    except InsufficientTerms as e:
-        raise NotRational(
-            f"no linear recurrence of order <= {b} fits the series: {e}") from e
-    if order > b:
-        raise NotRational(
-            f"series requires recurrence order {order}, exceeding the bound {b}")
-    prod = [sum(map(operator.mul, c, f[j::-1])) for j in range(top + 1)]
-    for j in range(order, top + 1):
-        if prod[j] != 0:
-            raise NotRational(
-                f"recurrence fit fails at series index {j}; the sequence is "
-                f"not rational within degree bound {b}")
+    fit = _modular_fit(f, b, top) if scale == 1 else None
+    if fit is None:
+        fit = _exact_fit(f, b, top)
+    c, order, prod = fit
     lead = c[0] * scale
     return _coprime(Polynomial([Fraction(x, lead) for x in prod[:max(order, 1)]]),
                     Polynomial([Fraction(x, c[0]) for x in c]))

@@ -30,15 +30,38 @@ SCHEMA_VERSION = 1
 N_MAX_CEILING = 1000
 
 
+def check_n_max(n: int, what: str = "options.n_max") -> None:
+    """Check an iterate count from a spec or the command line: outside
+    1..N_MAX_CEILING it raises InvalidSpecFile, naming what."""
+    if n < 1:
+        raise InvalidSpecFile(f"{what} must be >= 1")
+    if n > N_MAX_CEILING:
+        raise InvalidSpecFile(f"{what} must be <= {N_MAX_CEILING}")
+
+
 @dataclass(frozen=True)
 class SpecOptions:
     """Spec options.  tolerance and degree_bound_override are parsed,
     range-checked and echoed for schema 1, but nothing reads them: every
-    eigenvalue count is exact, and the degree bound is derived."""
+    eigenvalue count is exact, and the degree bound is derived.
+
+    The range checks run on construction, so options built by a caller
+    are held to the same ranges as parsed ones (InvalidSpecFile, in the
+    parser's order); tolerance is then stored as a float."""
 
     tolerance: float = 1e-10
     n_max: int = 12
     degree_bound_override: int | None = None
+
+    def __post_init__(self):
+        check_n_max(self.n_max)
+        # compared before float(): an integer too large for a float is
+        # simply out of range
+        if not 0 < self.tolerance < 1:
+            raise InvalidSpecFile("options.tolerance must be in (0, 1)")
+        if self.degree_bound_override is not None and self.degree_bound_override < 1:
+            raise InvalidSpecFile("options.degree_bound_override must be >= 1")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -142,15 +165,6 @@ def _option(raw: dict, key: str, default, kinds: tuple, what: str):
     return v
 
 
-def check_n_max(n: int, what: str = "options.n_max") -> None:
-    """Check an iterate count from a spec or the command line: outside
-    1..N_MAX_CEILING it raises InvalidSpecFile, naming what."""
-    if n < 1:
-        raise InvalidSpecFile(f"{what} must be >= 1")
-    if n > N_MAX_CEILING:
-        raise InvalidSpecFile(f"{what} must be <= {N_MAX_CEILING}")
-
-
 def parse_spec_data(data: dict) -> ParsedSpec:
     """Build and validate a ParsedSpec from decoded JSON."""
     if not isinstance(data, dict):
@@ -191,15 +205,8 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     degree_bound = _option(raw_opts, "degree_bound_override",
                            defaults.degree_bound_override, (int,),
                            "an integer or null")
-    check_n_max(n_max)
-    # compared before float(): an integer too large for a float is simply
-    # out of range
-    if not 0 < tolerance < 1:
-        raise InvalidSpecFile("options.tolerance must be in (0, 1)")
-    if degree_bound is not None and degree_bound < 1:
-        raise InvalidSpecFile("options.degree_bound_override must be >= 1")
     return ParsedSpec(spec, mapping, mapping2,
-                      SpecOptions(float(tolerance), n_max, degree_bound))
+                      SpecOptions(tolerance, n_max, degree_bound))
 
 
 def parse_spec_file(path) -> ParsedSpec:

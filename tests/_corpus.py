@@ -275,6 +275,15 @@ def ladder_instances(seed: int):
     return out
 
 
+def dense_torus(dim: int, seed: int):
+    """(spec, map): the torus T^dim (holonomy {I}) and a dense integer
+    linear part with entries in [-2, 2] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    spec = _group(f"dense_t{dim}", dim, [("I", _ident(dim))])
+    d = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+    return spec, AffineMapSpec.make("f", RationalMatrix(d))
+
+
 def _diagonal(values):
     return [[v if i == j else 0 for j in range(len(values))]
             for i, v in enumerate(values)]

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetafix.ratfunc
+from _corpus import dense_torus, ladder_instances, random_instances
 from zetafix import (InsufficientTerms, NotRational, Polynomial,
-                     RationalFunction, SequenceOracle,
+                     RationalFunction, SequenceOracle, builtin_fixtures,
                      format_polynomial, min_linear_recurrence,
                      radius_of_convergence, substitute_reciprocal_scale,
                      zeta_from_terms)
-from zetafix.ratfunc import _series_mismatch, verify_zeta
+from zetafix.invariants import map_context
+from zetafix.ratfunc import _MERSENNE_EXPONENTS, _series_mismatch, verify_zeta
 
 
 def _oracle(fn, bound, name="test"):
@@ -215,6 +218,185 @@ class TestZetaFromTerms:
         # argument on positionally, None when the caller gave none
         seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 2)
         assert zeta_from_terms(seq, None) == RationalFunction([1, 2], [1, -2])
+
+
+def _spy(monkeypatch, name) -> list:
+    """The argument tuples of every call to zetafix.ratfunc.<name>."""
+    calls = []
+    orig = getattr(zetafix.ratfunc, name)
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(zetafix.ratfunc, name, spy)
+    return calls
+
+
+def _outcome(seq):
+    """zeta_from_terms(seq), or the type and message of what it raises."""
+    try:
+        return zeta_from_terms(seq)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _exact_outcome(monkeypatch, seq):
+    """_outcome(seq) with the modular fit switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(zetafix.ratfunc, "_modular_fit", lambda *args: None)
+        return _outcome(seq)
+
+
+def _context_sequences(spec, mapping) -> list:
+    ctx = map_context(spec, mapping)
+    seqs = [ctx.l_seq, ctx.n_seq, ctx.r_seq]
+    return seqs + [ctx.twisted_seq] if ctx.split.is_proper else seqs
+
+
+def _tail_perturbed(f: RationalFunction, b: int, k: int) -> list[int]:
+    """Sums a_1..a_{3b+4} of the integral series of f with 1 added to
+    its coefficient of z^k; they stay integers."""
+    top = 3 * b + 4
+    g = [int(x) for x in f.series(top)]
+    g[k] += 1
+    a = []
+    for n in range(1, top + 1):
+        a.append(n * g[n] - sum(a[j - 1] * g[n - j] for j in range(1, n)))
+    return a
+
+
+class TestModularFit:
+    """The denominator is fitted modulo Mersenne primes and certified by
+    the exact window check; the result is the exact route's, and every
+    error still comes from the exact route."""
+
+    def _assert_routes_agree(self, monkeypatch, seqs):
+        fits = []
+        orig = zetafix.ratfunc._modular_fit
+        monkeypatch.setattr(zetafix.ratfunc, "_modular_fit",
+                            lambda *args: fits.append(orig(*args)) or fits[-1])
+        rebuilt = 0
+        for seq in seqs:
+            fast = _outcome(seq)
+            assert fast == _exact_outcome(monkeypatch, seq), seq.name
+            rebuilt += isinstance(fast, RationalFunction)
+        # every function returned was carried by the modular fit
+        assert rebuilt and sum(fit is not None for fit in fits) == rebuilt
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ladder_agrees_with_the_exact_route(self, monkeypatch, seed):
+        self._assert_routes_agree(monkeypatch, [
+            seq for spec, f in ladder_instances(seed)
+            for seq in _context_sequences(spec, f)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corpus_agrees_with_the_exact_route(self, monkeypatch, seed):
+        self._assert_routes_agree(monkeypatch, [
+            seq for spec, f in random_instances(seed, 15)
+            for seq in _context_sequences(spec, f)])
+
+    def test_fixtures_agree_with_the_exact_route(self, monkeypatch):
+        seqs = []
+        for fx in builtin_fixtures().values():
+            if hasattr(fx, "oracle"):
+                seqs.append(fx.oracle())
+            else:
+                seqs += _context_sequences(fx.spec, fx.mapping)
+        self._assert_routes_agree(monkeypatch, seqs)
+
+    @pytest.mark.parametrize("dim", [6, 7])
+    def test_dense_tori_agree_with_the_exact_route(self, monkeypatch, dim):
+        spec, f = dense_torus(dim, 1)
+        self._assert_routes_agree(monkeypatch, [map_context(spec, f).l_seq])
+
+    def test_dense_torus_escalates_past_the_first_prime(self, monkeypatch):
+        # the degree-64 denominator of the dense T^7 zeta has 251-bit
+        # coefficients: 2^127 - 1 cannot lift them, 2^521 - 1 can
+        calls = _spy(monkeypatch, "_berlekamp_massey_mod")
+        spec, f = dense_torus(7, 1)
+        zeta = zeta_from_terms(map_context(spec, f).l_seq)
+        assert [p.bit_length() for _, p in calls] == [127, 521]
+        assert max(abs(c) for c in zeta.den.coeffs).numerator.bit_length() == 251
+
+    @pytest.mark.parametrize("rung", range(len(_MERSENNE_EXPONENTS) + 1))
+    def test_escalation_through_the_prime_ladder(self, monkeypatch, rung):
+        # 1/(1 - N z) with N just past what the primes before this rung
+        # lift; past the last prime the exact route returns it
+        bits = ([1] + list(_MERSENNE_EXPONENTS))[rung] + 2
+        big = 2 ** bits + 1
+        calls = _spy(monkeypatch, "_berlekamp_massey_mod")
+        exact = _spy(monkeypatch, "_exact_fit")
+        seq = _oracle(lambda n: big ** n, 1)
+        assert zeta_from_terms(seq) == RationalFunction([1], [1, -big])
+        assert [p.bit_length() for _, p in calls] == \
+            list(_MERSENNE_EXPONENTS[:rung + 1])
+        assert len(exact) == (rung == len(_MERSENNE_EXPONENTS))
+
+    def test_fraction_terms_take_the_exact_route(self, monkeypatch):
+        modular = _spy(monkeypatch, "_modular_fit")
+        exact = _spy(monkeypatch, "_exact_fit")
+        seq = _oracle(lambda n: Fraction(1, 2 ** n), 2)
+        assert zeta_from_terms(seq) == RationalFunction([1], [1, Fraction(-1, 2)])
+        assert (len(modular), len(exact)) == (0, 1)
+
+    @pytest.mark.parametrize("fn, bound, message", [
+        # exp(z) and exp(z/(1-z)): Dold's congruences fail, no integral series
+        (lambda n: int(n == 1), 6,
+         "series requires recurrence order 8, exceeding the bound 6"),
+        (lambda n: n, 6,
+         "series requires recurrence order 8, exceeding the bound 6"),
+    ])
+    def test_dold_breaking_terms_take_the_exact_route(self, monkeypatch, fn,
+                                                      bound, message):
+        modular = _spy(monkeypatch, "_modular_fit")
+        with pytest.raises(NotRational) as e:
+            zeta_from_terms(_oracle(fn, bound))
+        assert str(e.value) == message
+        assert modular == []
+
+    def test_order_over_the_bound_stops_at_the_first_prime(self, monkeypatch):
+        # sum of divisors: exp(sum sigma(n) z^n / n) = prod 1/(1 - z^k),
+        # the integral partition series, which is not rational
+        calls = _spy(monkeypatch, "_berlekamp_massey_mod")
+        seq = _oracle(lambda n: sum(d for d in range(1, n + 1) if n % d == 0), 3)
+        with pytest.raises(NotRational,
+                           match=r"^series requires recurrence order 5, "
+                                 r"exceeding the bound 3$"):
+            zeta_from_terms(seq)
+        assert [p.bit_length() for _, p in calls] == [127]
+
+    def test_failed_window_check_reaches_the_exact_message(self, monkeypatch):
+        # the fit window is intact, so the first prime fits the true
+        # denominator, whose check fails where the series was perturbed,
+        # modulo p too: no later prime can pass, and the exact fit raises
+        f = RationalFunction([1, 2, -2], [1, -4, -8])
+        b = 3
+        calls = _spy(monkeypatch, "_berlekamp_massey_mod")
+        for k in range(2 * b + 4, 3 * b + 5):
+            calls.clear()
+            seq = _oracle(lambda n, a=_tail_perturbed(f, b, k): a[n - 1], b)
+            with pytest.raises(NotRational) as e:
+                zeta_from_terms(seq)
+            assert str(e.value) == (
+                f"recurrence fit fails at series index {k}; the sequence is "
+                f"not rational within degree bound {b}")
+            assert [p.bit_length() for _, p in calls] == [127]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ladder_rebuilds_need_no_exact_fit(self, monkeypatch, seed):
+        def refuse(s):
+            raise AssertionError("the exact Berlekamp-Massey was reached")
+
+        monkeypatch.setattr(zetafix.ratfunc, "_berlekamp_massey", refuse)
+        twisted = 0
+        for spec, f in ladder_instances(seed):
+            ctx = map_context(spec, f)
+            assert ctx.l_zeta.function.den.degree >= 1
+            if ctx.split.is_proper:
+                zeta_from_terms(ctx.twisted_seq)
+                twisted += 1
+        assert twisted == 8
 
 
 def _random_zeta(rng) -> RationalFunction:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ from zetafix import (InvalidSpecFile, NonInvariantSubspace, build_report,
                      serialize_spec, validate_spec, write_spec_file)
 from zetafix.cli import main
 from zetafix.errors import ZetafixError
-from zetafix.specio import N_MAX_CEILING, check_n_max
+from zetafix.specio import N_MAX_CEILING, SpecOptions, check_n_max
 
 FIXTURE_FILES = ("klein_bottle_ex1", "heisenberg_ex3", "torus_cat_map",
                  "identity_torus", "klein_type_3_5", "klein_type_3_0",
@@ -212,6 +213,38 @@ class TestRejection:
         check_n_max(N_MAX_CEILING, "--max-n")
         with pytest.raises(InvalidSpecFile, match=r"^--max-n must be >= 1$"):
             check_n_max(0, "--max-n")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_max": 0}, "options.n_max must be >= 1"),
+        ({"n_max": 10 ** 6}, "options.n_max must be <= 1000"),
+        ({"tolerance": 2}, "options.tolerance must be in (0, 1)"),
+        ({"degree_bound_override": 0},
+         "options.degree_bound_override must be >= 1"),
+        # the parser's order: n_max, then tolerance, then the override
+        ({"n_max": 0, "tolerance": 2, "degree_bound_override": 0},
+         "options.n_max must be >= 1"),
+        ({"tolerance": 2, "degree_bound_override": 0},
+         "options.tolerance must be in (0, 1)"),
+    ])
+    def test_options_built_by_a_caller_are_range_checked(self, kwargs, message):
+        # the same checks and messages as options read from a spec file
+        with pytest.raises(InvalidSpecFile) as built:
+            SpecOptions(**kwargs)
+        with pytest.raises(InvalidSpecFile) as parsed:
+            parse_spec_data(_minimal(options=kwargs))
+        assert str(built.value) == str(parsed.value) == message
+
+    def test_options_built_by_a_caller_in_range(self):
+        opts = SpecOptions(tolerance=Fraction(1, 2), n_max=N_MAX_CEILING,
+                           degree_bound_override=1)
+        assert opts.tolerance == 0.5 and isinstance(opts.tolerance, float)
+        assert SpecOptions() == SpecOptions(1e-10, 12, None)
+
+    def test_report_refuses_an_empty_table(self):
+        parsed = load_fixture("torus_cat_map")
+        with pytest.raises(InvalidSpecFile, match=r"^options\.n_max must be >= 1$"):
+            build_report(dataclasses.replace(
+                parsed, options=dataclasses.replace(parsed.options, n_max=0)))
 
     def test_bad_options(self):
         with pytest.raises(InvalidSpecFile):
