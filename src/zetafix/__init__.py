@@ -29,16 +29,14 @@ from .fixtures import (SequenceFixture, builtin_fixtures, klein_type,
 from .invariants import (CoincidenceNumbers, Construction, CyclicDecomposition,
                          TrichotomyReport, ZetaResult, coincidence_numbers,
                          coincidence_trichotomy, cyclic_decomposition,
-                         default_degree_bound, lefschetz, lefschetz_plus,
-                         lefschetz_sequence, nielsen, nielsen_from_lefschetz,
-                         nielsen_sequence, reidemeister,
+                         default_degree_bound, lefschetz, lefschetz_sequence,
+                         nielsen, nielsen_sequence, reidemeister,
                          reidemeister_sequence, torus_periodic_points)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ValidationReport, ZetaDefinedness,
                         compute_plus_split, ensure_compatible,
                         exterior_ranks, is_virtually_unipotent,
-                        plus_subgroup_spec, reidemeister_zeta_defined,
-                        validate_spec)
+                        reidemeister_zeta_defined, validate_spec)
 from .ratfunc import (RationalFunction, SequenceOracle,
                       format_polynomial, min_linear_recurrence,
                       radius_of_convergence, substitute_reciprocal_scale,

@@ -578,16 +578,12 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
 def det(m: RationalMatrix) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    Rows are scaled to integers first so every intermediate value stays
-    an exact integer; the scaling is divided back out at the end.
+    The matrix is scaled to integers first (see _integer_form) so every
+    intermediate value stays an exact integer; the scaling is divided
+    back out at the end.
     """
-    scale = 1
-    a = []
-    for row in m.rows:
-        l = math.lcm(*(x.denominator for x in row))
-        scale *= l
-        a.append([int(x * l) for x in row])
-    return Fraction(_bareiss_det(a), scale)
+    (a,), s = _integer_form([m])
+    return Fraction(_bareiss_det(a), s ** m.dim)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:

@@ -12,7 +12,11 @@ MapContext holds everything computed for one (spec, map): the L, N and
 R sequences read from one averaging kernel, each with the proven
 degree bound of the zeta it feeds, the plus split, and the Lefschetz
 and Nielsen zetas rebuilt and verified from those sequences.  The
-public sequences are its oracles.
+public sequences are its oracles.  The Nielsen sign formula is checked
+there once per problem, at zeta level: the sign-formula zeta must match
+the Nielsen sequence over the whole rebuild window, which compares
+N(f^k) with +-L(f^k), or +-(L(f+^k) - L(f^k)) for a proper split, for
+every k in it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NotCyclic, TrichotomyMismatch)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, averaging_kernel, compute_plus_split,
-                        exterior_ranks, plus_subgroup_spec,
-                        reidemeister_zeta_defined, validate_spec)
+                        exterior_ranks, reidemeister_zeta_defined,
+                        validate_spec)
 from .ratfunc import (RationalFunction, SequenceOracle, verify_zeta,
                       zeta_from_terms)
 
@@ -135,33 +139,6 @@ def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
     agreement with the Nielsen number a genuine cross-check.
     """
     return _reidemeister_at(_iterate(n, spec, mapping), n)
-
-
-def lefschetz_plus(spec: ManifoldSpec, mapping: AffineMapSpec,
-                   split: PlusSplit, n: int = 1) -> int:
-    """Lefschetz number of the lift to the orientation double cover
-    determined by the plus part of the holonomy."""
-    return lefschetz(plus_subgroup_spec(spec, split), mapping, n)
-
-
-def nielsen_from_lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec,
-                           split: PlusSplit, k: int = 1) -> int:
-    """Nielsen number via the sign formula
-    N(f^k) = (-1)^(p + (k+1)n) * L(f^k)                 (plus part = all)
-    N(f^k) = (-1)^(p + (k+1)n) * (L(f+^k) - L(f^k))     (proper plus part)
-    cross-checked against the averaging route on every call."""
-    sign = (-1) ** (split.p + (k + 1) * split.n)
-    if not split.is_proper:
-        value = sign * lefschetz(spec, mapping, k)
-    else:
-        value = sign * (lefschetz_plus(spec, mapping, split, k)
-                        - lefschetz(spec, mapping, k))
-    direct = nielsen(spec, mapping, k)
-    if value != direct:
-        raise NielsenFormulaMismatch(
-            f"sign formula gives {value} but averaging gives {direct} "
-            f"for iterate {k} of {mapping.label!r}")
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -350,14 +327,9 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
 
 def _coincidence_at(kernel: AveragingKernel, n: int,
                     orientable: bool) -> CoincidenceNumbers:
-    dets, den = kernel.fixed_point_dets(n)
-    lef = _average(dets, den, NonIntegralLefschetz)
-    mags = [abs(v) for v in dets]
-    nie = _average(mags, den, NonIntegralNielsen) if orientable else None
-    if any(v == 0 for v in dets):
-        rei = math.inf
-    else:
-        rei = _average(mags, den, NonIntegralNielsen)
+    lef = _lefschetz_at(kernel, n)
+    nie = _nielsen_at(kernel, n) if orientable else None
+    rei = math.inf if 0 in kernel.fixed_point_dets(n)[0] else _nielsen_at(kernel, n)
     return CoincidenceNumbers(lef, nie, rei)
 
 

@@ -240,14 +240,13 @@ def _incompatible_element(spec: ManifoldSpec, linear: RationalMatrix) -> str | N
     return None
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def averaging_kernel(spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
     """The averaging kernel of one problem, (spec, f) or the coincidence
     pair (spec, f, g), after ensure_compatible on each map.  Every entry
-    point reads it.  The two most recent problems are kept, enough for a
-    problem and its plus cover (which nielsen_from_lefschetz alternates
-    between).  The maps are positional, so every caller asking about one
-    problem hits the same entry."""
+    point reads it.  Only the most recent problem is kept, as with
+    invariants.map_context.  The maps are positional, so every caller
+    asking about one problem hits the same entry."""
     for mapping in maps:
         ensure_compatible(spec, mapping)
     return AveragingKernel([a for _, a in spec.holonomy],
@@ -269,19 +268,10 @@ class PlusSplit:
     p: int
     n: int
 
-    def plus_labels(self) -> list[str]:
-        return [l for l, inside in self.plus_membership if inside]
-
     def plus_indices(self) -> list[int]:
         """Positions in the holonomy of the plus part's elements."""
         return [i for i, (_, inside) in enumerate(self.plus_membership)
                 if inside]
-
-    def member(self, label: str) -> bool:
-        for l, inside in self.plus_membership:
-            if l == label:
-                return inside
-        raise KeyError(label)
 
 
 def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
@@ -311,15 +301,6 @@ def _odd_roots_below_minus_one(p: Polynomial) -> bool:
     -infinity and -1 exactly then."""
     q, _ = _strip_root(p, Fraction(-1))
     return (q(Fraction(-1)) > 0) != (q.degree % 2 == 0)
-
-
-def plus_subgroup_spec(spec: ManifoldSpec, split: PlusSplit) -> ManifoldSpec:
-    """The manifold data of the orientation-preserving double cover
-    associated with a proper split (or the same spec when not proper)."""
-    if not split.is_proper:
-        return spec
-    kept = tuple((l, m) for l, m in spec.holonomy if split.member(l))
-    return ManifoldSpec(spec.name + "+", spec.dimension, kept)
 
 
 def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec) -> bool:

@@ -215,6 +215,8 @@ def parse_spec_file(path) -> ParsedSpec:
         data = json.loads(text, parse_int=_int_from_json)
     except json.JSONDecodeError as e:
         raise InvalidSpecFile(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise InvalidSpecFile("not valid JSON: nested too deeply") from None
     return parse_spec_data(data)
 
 

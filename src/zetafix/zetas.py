@@ -77,8 +77,10 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     For Nielsen-type zetas the constant is epsilon^((-1)^(p+n)) when
     the plus subgroup is everything and epsilon^(-1) when it is proper;
     for the Lefschetz zeta it is epsilon itself (the Euler
-    characteristic is 0, so no power of z survives).
+    characteristic is 0, so no power of z survives).  The map is checked
+    by ensure_compatible before its degree is taken.
     """
+    ensure_compatible(spec, mapping)
     if not spec.orientable:
         raise ValueError("functional equation requires an orientable manifold")
     d = det(mapping.linear)

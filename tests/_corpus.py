@@ -182,6 +182,54 @@ def random_instances(seed: int, count: int):
     return out
 
 
+def product_instances(seed: int, count: int):
+    """count (product, first, second) triples of (spec, map) pairs.
+    first and second are consecutive draws of random_instances(seed,
+    2 * count); product is the manifold of holonomy Phi1 x Phi2 acting by
+    A1 (+) A2 (labels "l1.l2", the second factor varying fastest) with the
+    map D1 (+) D2, so dim <= 6 and holonomy order <= 16, all of it
+    conjugated by one random unimodular P, which hides the blocks and
+    keeps every matrix integral."""
+    rng = random.Random(f"product:{seed}")
+    draws = random_instances(seed, 2 * count)
+    out = []
+    for (spec1, f1), (spec2, f2) in zip(draws[::2], draws[1::2]):
+        dim = spec1.dimension + spec2.dimension
+        p = RationalMatrix(_unimodular(rng, dim))
+        p_inv = p.inverse()
+
+        def hide(a, b):
+            return p @ RationalMatrix(_direct_sum(a, b)) @ p_inv
+
+        spec = _group(f"{spec1.name}x{spec2.name}", dim, [
+            (f"{l1}.{l2}", hide(a1, a2))
+            for l1, a1 in spec1.holonomy for l2, a2 in spec2.holonomy])
+        d = hide(f1.linear, f2.linear)
+        assert compatible(spec, d), spec.name
+        out.append(((spec, AffineMapSpec.make(f"{f1.label}x{f2.label}", d)),
+                    (spec1, f1), (spec2, f2)))
+    return out
+
+
+def _direct_sum(a: RationalMatrix, b: RationalMatrix):
+    pad = [0] * b.dim
+    return ([list(row) + pad for row in a.rows]
+            + [[0] * a.dim + list(row) for row in b.rows])
+
+
+def _unimodular(rng, dim):
+    """A random integer matrix of determinant +-1: a signed permutation
+    times dim + 2 elementary row additions."""
+    rows = _ident(dim)
+    for _ in range(dim + 2):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((1, -1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    return [[s * v for v in rows[k]]
+            for s, k in zip(signs, rng.sample(range(dim), dim))]
+
+
 # ---------------------------------------------------------------------------
 # cyclic orientable pairs for the coincidence trichotomy
 # ---------------------------------------------------------------------------

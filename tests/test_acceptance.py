@@ -14,15 +14,14 @@ from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, ManifoldSpec, Polynomial, RationalFunction,
                      RationalMatrix, SequenceOracle, ZetaUndefined,
                      asymptotic_nielsen, build_report, char_poly, check_gauss,
-                     check_dold_lefschetz, coincidence_trichotomy,
-                     compute_plus_split, det,
+                     check_dold_lefschetz, coincidence_trichotomy, det,
                      entropy_lower_bound, exterior_power, klein_type,
                      lefschetz, lefschetz_sequence, lefschetz_zeta,
-                     load_fixture, nielsen, nielsen_from_lefschetz,
-                     nielsen_sequence, nielsen_zeta, radius_report,
-                     reidemeister, reidemeister_sequence, reidemeister_zeta,
-                     sol_r_sequence, torus_periodic_points, zeta_from_terms)
-from zetafix.errors import DegenerateFixedSet, NonInvariantSubspace
+                     load_fixture, nielsen, nielsen_sequence, nielsen_zeta,
+                     radius_report, reidemeister, reidemeister_sequence,
+                     reidemeister_zeta, sol_r_sequence, torus_periodic_points,
+                     zeta_from_terms)
+from zetafix.errors import DegenerateFixedSet
 
 _CORPUS = None
 
@@ -109,29 +108,18 @@ def test_criterion_04_klein_bottle_family():
 
 
 def test_criterion_05_sign_formula_equals_averaging():
+    # the log-derivative sums of the sign-formula zeta are
+    # (-1)^(p+(k+1)n) L(f^k), or that sign times L(f+^k) - L(f^k) for a
+    # proper split: they must be the averaged N(f^k)
+    fixtures = [(fx.spec, fx.mapping)
+                for fx in map(load_fixture, FIXED_POINT_NAMES)]
     checked = 0
-    for name in FIXED_POINT_NAMES:
-        fx = load_fixture(name)
-        split = compute_plus_split(fx.spec, fx.mapping)
-        for k in range(1, 13):
-            assert nielsen_from_lefschetz(fx.spec, fx.mapping, split, k) == \
-                nielsen(fx.spec, fx.mapping, k)
-            checked += 1
-    skipped = 0
-    for spec, mapping in corpus():
-        try:
-            split = compute_plus_split(spec, mapping)
-        except NonInvariantSubspace:
-            skipped += 1
-            continue
-        for k in range(1, 13):
-            assert nielsen_from_lefschetz(spec, mapping, split, k) == \
-                nielsen(spec, mapping, k)
-            checked += 1
-    assert skipped <= 10
+    for spec, mapping in fixtures + corpus():
+        assert nielsen_zeta(spec, mapping).function.log_derivative_sums(12) == \
+            [nielsen(spec, mapping, k) for k in range(1, 13)]
+        checked += 12
     report(f"criterion 05 (sign formula == averaging on {checked} "
-           f"iterate checks, exact; {skipped} numerically inseparable "
-           f"draws skipped): PASS")
+           f"iterate checks, exact): PASS")
 
 
 def test_criterion_06_reidemeister_equals_nielsen_when_finite():

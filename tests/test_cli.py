@@ -374,6 +374,15 @@ class TestSubprocess:
         assert first.stdout == \
             (GOLDEN / "report_heisenberg_ex3.json").read_text()
 
+    def test_deeply_nested_json(self, tmp_path):
+        # the decoder gives up on the nesting with a RecursionError
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        proc = _run_module("report", str(bad))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: InvalidSpecFile: not valid JSON")
+        assert "Traceback" not in proc.stderr
+
     def test_exit_code_crosses_process_boundary(self):
         proc = _run_module("zeta", "quarter_rotation", "--which", "R")
         assert proc.returncode == 3

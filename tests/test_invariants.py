@@ -1,26 +1,27 @@
 """Averaged fixed-point and coincidence invariants, the sign formula,
 the coincidence trichotomy, and the torus periodic-point oracle."""
 
+import itertools
 import math
 
 import pytest
 
 import zetafix.invariants
 from _corpus import (brute_force_torus_count, isotypic_mixing_instance,
-                     random_coincidence_instances, random_instances,
-                     random_integer_matrices)
+                     product_instances, random_coincidence_instances,
+                     random_instances, random_integer_matrices)
+from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
                      default_degree_bound, det, klein_type, lefschetz,
-                     lefschetz_plus, lefschetz_sequence, load_fixture,
-                     nielsen, nielsen_from_lefschetz, nielsen_sequence,
-                     reidemeister, reidemeister_sequence,
-                     torus_periodic_points, validate_spec)
-from zetafix.algebra import AveragingKernel, _diagonal_blocks, _integer_form
-from zetafix.errors import NonInvariantSubspace
+                     lefschetz_sequence, load_fixture, nielsen,
+                     nielsen_sequence, nielsen_zeta, reidemeister,
+                     reidemeister_sequence, torus_periodic_points,
+                     validate_spec)
+from zetafix.algebra import _diagonal_blocks, _integer_form
 
 
 def _map(rows, label="f"):
@@ -104,48 +105,77 @@ class TestArgumentChecks:
 
 
 class TestSignFormula:
-    def test_klein_bottle(self, ex1):
-        split = compute_plus_split(ex1.spec, ex1.mapping)
-        for k in range(1, 13):
-            assert nielsen_from_lefschetz(ex1.spec, ex1.mapping, split, k) == \
-                2 ** k * (1 - (-1) ** k)
+    """The sign formula is checked at zeta level: the log-derivative sums
+    of the sign-formula zeta are +-L(f^k), or +-(L(f+^k) - L(f^k)) for a
+    proper split, and must be the averaged N(f^k)."""
 
-    def test_two_kernels_for_a_problem_and_its_plus_cover(
-            self, monkeypatch, ex1):
-        # each call reads the plus-cover spec and the spec itself; the
-        # kernel memo holds both, so neither is rebuilt
-        split = compute_plus_split(ex1.spec, ex1.mapping)
-        built = []
-        init = AveragingKernel.__init__
-        monkeypatch.setattr(AveragingKernel, "__init__",
-                            lambda self, *a: built.append(self) or init(self, *a))
-        for k in range(1, 11):
-            nielsen_from_lefschetz(ex1.spec, ex1.mapping, split, k)
-        assert len(built) == 2
+    @staticmethod
+    def _sign_formula_numbers(spec, mapping, upto=12):
+        return nielsen_zeta(spec, mapping).function.log_derivative_sums(upto)
+
+    def test_klein_bottle(self, ex1):
+        assert self._sign_formula_numbers(ex1.spec, ex1.mapping) == \
+            [2 ** k * (1 - (-1) ** k) for k in range(1, 13)]
 
     def test_heisenberg(self, ex3):
-        split = compute_plus_split(ex3.spec, ex3.mapping)
-        assert nielsen_from_lefschetz(ex3.spec, ex3.mapping, split, 1) == 6
-        assert lefschetz_plus(ex3.spec, ex3.mapping, split, 1) == 3
+        assert self._sign_formula_numbers(ex3.spec, ex3.mapping, 1) == [6]
+        assert zetafix.invariants.map_context(
+            ex3.spec, ex3.mapping).lplus_seq(1) == 3
 
-    def test_fixtures(self, ex1, ex3, cat, identity_torus, quarter):
-        for fx in (ex1, ex3, cat, identity_torus, quarter):
-            split = compute_plus_split(fx.spec, fx.mapping)
-            for k in range(1, 13):
-                assert nielsen_from_lefschetz(fx.spec, fx.mapping, split, k) \
-                    == nielsen(fx.spec, fx.mapping, k)
+    def test_fixtures(self):
+        for fx in map(load_fixture, FIXED_POINT_NAMES):
+            assert self._sign_formula_numbers(fx.spec, fx.mapping) == \
+                [nielsen(fx.spec, fx.mapping, k) for k in range(1, 13)]
 
     def test_random_corpus(self):
-        skipped = 0
         for spec, mapping in random_instances(seed=101, count=60):
-            try:
-                split = compute_plus_split(spec, mapping)
-            except NonInvariantSubspace:
-                skipped += 1
-                continue
-            for k in range(1, 9):
-                nielsen_from_lefschetz(spec, mapping, split, k)
-        assert skipped <= 3
+            assert self._sign_formula_numbers(spec, mapping) == \
+                [nielsen(spec, mapping, k) for k in range(1, 13)]
+
+
+class TestProductManifolds:
+    """On a product, Phi1 x Phi2 acting by A1 (+) A2 with the map
+    D1 (+) D2 and all of it conjugated by a unimodular P, each
+    det(I - A D^n) and det(A - D^n) is the product of the blocks'
+    determinants, and A D has the eigenvalues of A1 D1 and A2 D2."""
+
+    @staticmethod
+    def _numbers(spec, mapping):
+        return [(lefschetz(spec, mapping, n), nielsen(spec, mapping, n),
+                 reidemeister(spec, mapping, n)) for n in range(1, 5)]
+
+    def test_numbers_multiply(self):
+        infinite = 0
+        for cases in product_instances(0, 30):
+            rows = [self._numbers(*c) for c in cases]
+            for (l, n, r), (l1, n1, r1), (l2, n2, r2) in zip(*rows):
+                assert (l, n) == (l1 * l2, n1 * n2)
+                if math.inf in (r1, r2):
+                    infinite += 1
+                    assert r is math.inf
+                else:
+                    assert r == r1 * r2
+        assert infinite >= 10
+
+    def test_sign_character_multiplies(self):
+        # A1 (+) A2 is in the plus part exactly when A1 and A2 are both
+        # in or both out of theirs; p and n add up
+        proper = both_out = 0
+        for cases in product_instances(0, 30):
+            split, one, two = (compute_plus_split(*c) for c in cases)
+            pairs = list(itertools.product(one.plus_membership,
+                                           two.plus_membership))
+            assert [inside for _, inside in split.plus_membership] == [
+                a == b for (_, a), (_, b) in pairs]
+            assert (split.p, split.n) == (one.p + two.p, one.n + two.n)
+            proper += split.is_proper
+            both_out += sum(not a and not b for (_, a), (_, b) in pairs)
+        assert proper >= 10 and both_out >= 3
+
+    def test_nielsen_zeta_meets_the_averages(self):
+        for (spec, mapping), _, _ in product_instances(0, 30):
+            assert nielsen_zeta(spec, mapping).function.log_derivative_sums(12) \
+                == [nielsen(spec, mapping, k) for k in range(1, 13)]
 
 
 class TestReidemeisterEqualsNielsen:
@@ -519,9 +549,11 @@ class TestTrichotomy:
         seen = []
         orig = zetafix.invariants._lefschetz_at
 
-        def recorded(*args, **kwargs):
-            seen.append(orig(*args, **kwargs))
-            return seen[-1]
+        def recorded(kernel, n, members=None):
+            value = orig(kernel, n, members)
+            if members is not None:     # L itself is read here too
+                seen.append(value)
+            return value
 
         monkeypatch.setattr(zetafix.invariants, "_lefschetz_at", recorded)
         checked = set()

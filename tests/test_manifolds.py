@@ -19,8 +19,8 @@ from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      coincidence_numbers, compute_plus_split,
                      ensure_compatible, exterior_power, exterior_ranks,
                      is_virtually_unipotent, klein_type, load_fixture,
-                     max_root_of_unity_order, plus_subgroup_spec,
-                     reidemeister_zeta_defined, sol_r_sequence, validate_spec)
+                     max_root_of_unity_order, reidemeister_zeta_defined,
+                     sol_r_sequence, validate_spec)
 from zetafix.algebra import AveragingKernel, rref
 from zetafix.manifolds import _incompatible_element
 
@@ -334,6 +334,10 @@ class TestEntryPointsValidate:
         "radius_report": lambda s, f: zetafix.radius_report(s, f, zetafix.ZetaResult(
             "Nielsen", zetafix.RationalFunction([1], [1, -6]),
             zetafix.Construction("direct"))),
+        "verify_functional_equation":
+            lambda s, f: zetafix.verify_functional_equation(s, f, zetafix.ZetaResult(
+                "Lefschetz", zetafix.RationalFunction.one(),
+                zetafix.Construction("direct"))),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -367,8 +371,8 @@ class TestPlusSplit:
     def test_klein_bottle_split_is_proper(self, ex1):
         s = compute_plus_split(ex1.spec, ex1.mapping)
         assert s.is_proper
-        assert s.member("I") and not s.member("A")
-        assert s.plus_labels() == ["I"]
+        assert s.plus_membership == (("I", True), ("A", False))
+        assert s.plus_indices() == [0]
         assert (s.p, s.n) == (1, 0)
 
     def test_heisenberg_split(self, ex3):
@@ -377,12 +381,12 @@ class TestPlusSplit:
         # orientation preserving on the whole space.
         s = compute_plus_split(ex3.spec, ex3.mapping)
         assert s.is_proper
-        assert s.member("I") and not s.member("A")
+        assert s.plus_membership == (("I", True), ("A", False))
         assert (s.p, s.n) == (0, 2)
 
     def test_trivial_holonomy(self, cat):
         s = compute_plus_split(cat.spec, cat.mapping)
-        assert not s.is_proper and s.plus_labels() == ["I"]
+        assert not s.is_proper and s.plus_indices() == [0]
         assert (s.p, s.n) == (1, 0)
 
     def test_no_expansion_means_all_plus(self, identity_torus, quarter):
@@ -394,7 +398,7 @@ class TestPlusSplit:
     def test_fully_expanding_uses_full_determinant(self):
         fx = klein_type(3, 0, 5)
         s = compute_plus_split(fx.spec, fx.mapping)
-        assert s.is_proper and not s.member("A")
+        assert s.is_proper and not dict(s.plus_membership)["A"]
         assert (s.p, s.n) == (2, 0)
 
     def test_reflection_can_preserve_expanding_orientation(self):
@@ -403,13 +407,13 @@ class TestPlusSplit:
         fx = klein_type(3, 1, 0)
         s = compute_plus_split(fx.spec, fx.mapping)
         assert not s.is_proper
-        assert s.member("A")
+        assert dict(s.plus_membership)["A"]
         assert (s.p, s.n) == (1, 0)
 
     def test_mixed_spectrum_reflection(self):
         fx = klein_type(-1, 0, 5)
         s = compute_plus_split(fx.spec, fx.mapping)
-        assert s.is_proper and not s.member("A")
+        assert s.is_proper and not dict(s.plus_membership)["A"]
         assert (s.p, s.n) == (1, 0)
 
     def test_incompatible_holonomy_detected(self):
@@ -426,13 +430,13 @@ class TestPlusSplit:
                          ("A", [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])])
         s = compute_plus_split(spec, AffineMapSpec.make(
             "f", [[3, 0, 0], [0, -1, 0], [0, 0, -1]]))
-        assert s.plus_labels() == ["I"] and s.is_proper
+        assert s.plus_indices() == [0] and s.is_proper
         assert (s.p, s.n) == (1, 0)
         # D = diag(-3, -1, -1): now A D = diag(3, -1, -1) has no root
         # below -1 and n = 1, so A is again outside
         s = compute_plus_split(spec, AffineMapSpec.make(
             "f", [[-3, 0, 0], [0, -1, 0], [0, 0, -1]]))
-        assert s.plus_labels() == ["I"]
+        assert s.plus_indices() == [0]
         assert (s.p, s.n) == (0, 1)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -462,29 +466,6 @@ class TestPlusSplit:
                         sign = (-1) ** (k + n * split.n)
                         assert (v > 0) == (sign == (1 if inside else -1))
         assert nonzero > 1000
-
-    def test_member_unknown_label(self, ex1):
-        s = compute_plus_split(ex1.spec, ex1.mapping)
-        with pytest.raises(KeyError):
-            s.member("nope")
-
-
-class TestPlusSubgroup:
-    def test_proper_split_keeps_plus_part(self, ex1):
-        s = compute_plus_split(ex1.spec, ex1.mapping)
-        sub = plus_subgroup_spec(ex1.spec, s)
-        assert sub.labels() == ["I"]
-        assert sub.name == ex1.spec.name + "+"
-        assert sub.dimension == ex1.spec.dimension
-        validate_spec(sub)
-
-    def test_heisenberg_plus_cover_is_torus(self, ex3):
-        s = compute_plus_split(ex3.spec, ex3.mapping)
-        assert plus_subgroup_spec(ex3.spec, s).labels() == ["I"]
-
-    def test_non_proper_split_is_identity(self, cat):
-        s = compute_plus_split(cat.spec, cat.mapping)
-        assert plus_subgroup_spec(cat.spec, s) is cat.spec
 
 
 class TestVirtuallyUnipotent:

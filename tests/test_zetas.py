@@ -15,11 +15,11 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      SequenceOracle, ZetaResult, ZetaUndefined, artin_mazur_zeta,
                      asymptotic_nielsen, char_poly, default_degree_bound,
                      entropy_lower_bound,
-                     exterior_power, is_virtually_unipotent, lefschetz_plus,
+                     exterior_power, is_virtually_unipotent, lefschetz,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
                      reidemeister_zeta, torsion_special_value,
                      verify_functional_equation)
-from zetafix.errors import NonInvariantSubspace
+from zetafix.errors import DimensionMismatch, NonInvariantSubspace
 from zetafix.ratfunc import zeta_from_terms
 from zetafix.invariants import MapContext, map_context
 
@@ -254,14 +254,17 @@ class TestNielsenVerification:
 
 class TestPlusCoverAverage:
     # The context averages its own determinants over the plus indices;
-    # lefschetz_plus builds the plus-cover spec with a kernel of its own,
-    # so the two routes share no determinant.
+    # the plus part built here as a spec of its own gets a kernel of its
+    # own, so the two routes share no determinant.
 
     @staticmethod
     def _agree(ctx):
+        holonomy = ctx.spec.holonomy
+        sub = ManifoldSpec(ctx.spec.name + "+", ctx.spec.dimension,
+                           tuple(holonomy[i] for i in ctx.split.plus_indices()))
         for n in range(1, 3 * 2 ** ctx.spec.dimension + 5):
-            assert ctx.lplus_seq(n) == lefschetz_plus(
-                ctx.spec, ctx.mapping, ctx.split, n), (ctx.spec.name, n)
+            assert ctx.lplus_seq(n) == lefschetz(sub, ctx.mapping, n), \
+                (ctx.spec.name, n)
 
     def test_fixtures(self):
         fixtures = [load_fixture(name) for name in FIXED_POINT_NAMES]
@@ -392,6 +395,19 @@ class TestFunctionalEquation:
         nz = nielsen_zeta(spec, flat)
         with pytest.raises(ValueError):
             verify_functional_equation(spec, flat, nz)
+
+    @pytest.mark.parametrize("rows, error", [
+        # singular and incompatible with the quarter rotation R: no A'
+        # gives D R = A' D
+        ([[1, 0], [0, 0]], NonInvariantSubspace),
+        # singular and of the wrong size
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], DimensionMismatch),
+    ])
+    def test_map_checked_before_its_degree(self, quarter, rows, error):
+        lz = lefschetz_zeta(quarter.spec, quarter.mapping)
+        with pytest.raises(error):
+            verify_functional_equation(quarter.spec,
+                                       AffineMapSpec.make("f", rows), lz)
 
     def test_unrealizable_holonomy_leaves_power_of_z(self, quarter, halfturn):
         # holonomy with no free realization (a genuine orbifold
