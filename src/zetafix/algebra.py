@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 Rational = Fraction
 
 
@@ -178,9 +176,6 @@ class Polynomial:
         if any(c != 0 for c in self.coeffs[:k]):
             raise ArithmeticError("not divisible by z^k")
         return Polynomial(self.coeffs[k:])
-
-    def float_coeffs_desc(self) -> list[float]:
-        return [float(c) for c in reversed(self.coeffs)]
 
     @staticmethod
     def x() -> "Polynomial":
@@ -892,8 +887,7 @@ def _classify(m: RationalMatrix) -> EigenClassification:
     # that many of the numeric roots nearest to it.  A root misplaced by
     # this sort lies within the numeric perturbation of the circle, so
     # it moves the log product by no more than that perturbation.
-    roots = sorted(np.roots(core.float_coeffs_desc()),
-                   key=lambda r: abs(abs(r) - 1.0))
+    roots = sorted(_float_roots(core), key=lambda r: abs(abs(r) - 1.0))
     log_prod = float(sum(math.log(abs(r))
                          for r in roots[unit_exact - m_one - m_minus:]
                          if abs(r) > 1.0))
@@ -904,6 +898,14 @@ def _classify(m: RationalMatrix) -> EigenClassification:
         expanding_log_product=log_prod,
         one_in_spectrum=m_one > 0,
     )
+
+
+def _float_roots(p: Polynomial):
+    """The complex roots of p in floating point, from numpy, the one
+    place the package uses it; numpy is imported on the first call, so
+    importing the package does not load it."""
+    import numpy
+    return numpy.roots([float(c) for c in reversed(p.coeffs)])
 
 
 def _euler_phi(k: int) -> int:

@@ -125,6 +125,8 @@ def _cmd_zeta(target, args) -> int:
         _emit({"name": target.name, "function": str(fn)},
               f"zeta of {target.name}: {fn}", args.format)
         return 0
+    if target.is_coincidence:
+        raise InvalidSpecFile("zeta applies to single-map specs")
     ops = {"L": lefschetz_zeta, "N": nielsen_zeta, "R": reidemeister_zeta,
            "AM": artin_mazur_zeta}
     result = ops[args.which or "N"](target.spec, target.mapping)

@@ -57,8 +57,9 @@ class NonIntegralNielsen(ZetafixError):
 
 
 class NielsenFormulaMismatch(ZetafixError):
-    """The sign-formula route and the averaging route disagree on a
-    Nielsen number; the input data is inconsistent."""
+    """Two routes to a Nielsen number disagree: the sign-formula zeta
+    and the averaged Nielsen sequence, or a finite Reidemeister number
+    R(f^n) and N(f^n).  The input data is inconsistent."""
 
 
 class NotCyclic(ZetafixError):

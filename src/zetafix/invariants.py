@@ -11,12 +11,13 @@ input data, never rounded away.
 MapContext holds everything computed for one (spec, map): the L, N and
 R sequences read from one averaging kernel, each with the proven
 degree bound of the zeta it feeds, the plus split, and the Lefschetz
-and Nielsen zetas rebuilt and verified from those sequences.  The
-public sequences are its oracles.  The Nielsen sign formula is checked
-there once per problem, at zeta level: the sign-formula zeta must match
-the Nielsen sequence over the whole rebuild window, which compares
-N(f^k) with +-L(f^k), or +-(L(f+^k) - L(f^k)) for a proper split, for
-every k in it.
+and Nielsen zetas rebuilt and verified from those sequences.  It is the
+only route to a map's numbers: lefschetz, nielsen and reidemeister and
+the public sequences all read its oracles.  Two cross-checks run there:
+every finite R(f^n) must equal N(f^n), and, once per problem at zeta
+level, the sign-formula zeta must match the Nielsen sequence over the
+whole rebuild window, which compares N(f^k) with +-L(f^k), or
++-(L(f+^k) - L(f^k)) for a proper split, for every k in it.
 """
 
 from __future__ import annotations
@@ -64,22 +65,11 @@ def zeta_degree_bound(spec: ManifoldSpec, ranks: tuple[int, int],
     s(A') = s(A) (A' D = D A and A D share their nonzero eigenvalues), so
     Q_i M Q_i = Q_i M the same way: the twisted zeta of
     L(f+^n) - L(f^n) = sum_i (-1)^i tr(Q_i M^n) has the (E, O) of
-    sign_formula_ranks.
+    MapContext.sign_ranks.
     """
     e, o = ranks
     bound = max(e, o) + 1 if invertible else max(e, o + 1)
     return min(bound, default_degree_bound(spec))
-
-
-def sign_formula_ranks(spec: ManifoldSpec, split: PlusSplit) -> tuple[int, int]:
-    """(E, O) of the zeta the sign formula substitutes into: L_f's, or
-    for a proper split the twisted zeta L_f+ / L_f's, (E+ - E, O+ - O)
-    with (E+, O+) the ranks over the plus subgroup."""
-    e, o = exterior_ranks(spec)
-    if not split.is_proper:
-        return e, o
-    e_plus, o_plus = exterior_ranks(spec, split.plus_indices())
-    return e_plus - e, o_plus - o
 
 
 def _average(dets, den: int, err) -> int:
@@ -106,39 +96,22 @@ def _nielsen_at(kernel: AveragingKernel, n: int) -> int:
     return _average([abs(v) for v in dets], den, NonIntegralNielsen)
 
 
-def _reidemeister_at(kernel: AveragingKernel, n: int):
-    dets, den = kernel.shifted_dets(n)
-    if any(v == 0 for v in dets):
-        return math.inf
-    return _average([abs(v) for v in dets], den, NonIntegralNielsen)
-
-
-def _iterate(n: int, spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
-    """The kernel of the problem (spec, *maps), for a valid iterate n."""
-    kernel = averaging_kernel(spec, *maps)
-    if n < 1:
-        raise ValueError("iterate must be >= 1")
-    return kernel
-
-
 def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
-    """L(f^n) = (1/|Phi|) sum_A det(I - A D^n)."""
-    return _lefschetz_at(_iterate(n, spec, mapping), n)
+    """L(f^n) = (1/|Phi|) sum_A det(I - A D^n), from the shared context
+    (see MapContext)."""
+    return map_context(spec, mapping).l_seq(n)
 
 
 def nielsen(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
-    """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|."""
-    return _nielsen_at(_iterate(n, spec, mapping), n)
+    """N(f^n) = (1/|Phi|) sum_A |det(I - A D^n)|, from the shared
+    context (see MapContext)."""
+    return map_context(spec, mapping).n_seq(n)
 
 
 def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
-    """R(f^n) = (1/|Phi|) sum_A sigma(det(A - D^n)), sigma(0) = inf.
-
-    Deliberately uses the det(A - D^n) form rather than det(I - A D^n);
-    the two agree because inversion permutes the holonomy, which makes
-    agreement with the Nielsen number a genuine cross-check.
-    """
-    return _reidemeister_at(_iterate(n, spec, mapping), n)
+    """R(f^n) = (1/|Phi|) sum_A sigma(det(A - D^n)), sigma(0) = inf,
+    from the shared context (see MapContext.r_seq)."""
+    return map_context(spec, mapping).r_seq(n)
 
 
 # --------------------------------------------------------------------------
@@ -193,8 +166,14 @@ class MapContext:
 
     @cached_property
     def sign_ranks(self) -> tuple[int, int]:
-        """(E, O) of the zeta the sign formula substitutes into."""
-        return sign_formula_ranks(self.spec, self.split)
+        """(E, O) of the zeta the sign formula substitutes into: L_f's,
+        or for a proper split the twisted zeta L_f+ / L_f's, (E+ - E,
+        O+ - O) with (E+, O+) the ranks over the plus subgroup."""
+        e, o = exterior_ranks(self.spec)
+        if not self.split.is_proper:
+            return e, o
+        e_plus, o_plus = exterior_ranks(self.spec, self.split.plus_indices())
+        return e_plus - e, o_plus - o
 
     @cached_property
     def n_seq(self) -> SequenceOracle:
@@ -206,27 +185,33 @@ class MapContext:
     @cached_property
     def r_seq(self) -> SequenceOracle:
         """R(f^n), with the Nielsen bound.  Values may be math.inf; zeta
-        construction must check definedness before consuming this."""
-        return self._oracle("reidemeister", partial(_reidemeister_at, self.kernel),
+        construction must check definedness before consuming this.
+        R averages det(A - D^n), not det(I - A D^n); inversion permutes
+        the holonomy, so a finite R(f^n) that is not N(f^n) raises
+        NielsenFormulaMismatch."""
+        return self._oracle("reidemeister", self._reidemeister_at,
                             self.n_seq.degree_bound)
 
-    @cached_property
-    def lplus_seq(self) -> SequenceOracle:
-        """L(f+^n): the signed average of the kernel's determinants over
-        the plus subgroup of the split."""
-        members = self.split.plus_indices()
-        return self._oracle("lefschetz-plus",
-                            partial(_lefschetz_at, self.kernel, members=members),
-                            zeta_degree_bound(self.spec,
-                                              exterior_ranks(self.spec, members)))
+    def _reidemeister_at(self, n: int):
+        dets, den = self.kernel.shifted_dets(n)
+        if 0 in dets:
+            return math.inf
+        r = _average([abs(v) for v in dets], den, NonIntegralNielsen)
+        if r != self.n_seq(n):
+            raise NielsenFormulaMismatch(
+                f"R(f^{n}) = {r} differs from N(f^{n}) = {self.n_seq(n)}")
+        return r
 
     @cached_property
     def twisted_seq(self) -> SequenceOracle:
-        """L(f+^n) - L(f^n), read from lplus_seq and l_seq: the sequence
-        of the twisted zeta L_f+ / L_f of a proper split."""
-        return self._oracle("lefschetz-twisted",
-                            lambda n: self.lplus_seq(n) - self.l_seq(n),
-                            zeta_degree_bound(self.spec, self.sign_ranks))
+        """L(f+^n) - L(f^n), the kernel's determinants averaged over the
+        plus subgroup less l_seq: the sequence of the twisted zeta
+        L_f+ / L_f of a proper split."""
+        members = self.split.plus_indices()
+        return self._oracle(
+            "lefschetz-twisted",
+            lambda n: _lefschetz_at(self.kernel, n, members) - self.l_seq(n),
+            zeta_degree_bound(self.spec, self.sign_ranks))
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
@@ -240,12 +225,7 @@ class MapContext:
     @cached_property
     def n_zeta(self) -> ZetaResult:
         split = self.split
-        try:
-            formula = self._sign_formula()
-        except Exception:
-            # an error of the Nielsen rebuild, if any, is raised first
-            zeta_from_terms(self.n_seq)
-            raise
+        formula = self._sign_formula()
         if not verify_zeta(self.n_seq, formula):
             # fails exactly when the direct rebuild raises NotRational
             # or returns another function
@@ -261,19 +241,10 @@ class MapContext:
         """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
         the same with the twisted zeta (L_f+ / L_f, rebuilt from its own
         sequence) in place of L_f.  Substitution and inversion keep
-        lowest terms, so no gcd is taken.  A proper split rebuilds the
-        Lefschetz zeta only when the twisted rebuild fails, so that a
-        failing Lefschetz rebuild is raised as itself rather than
-        through the twisted sequence."""
+        lowest terms, so no gcd is taken."""
         split = self.split
-        if not split.is_proper:
-            zeta = self.l_zeta.function
-        else:
-            try:
-                zeta = zeta_from_terms(self.twisted_seq)
-            except Exception:
-                self.l_zeta     # a Lefschetz rebuild's error comes first
-                raise
+        zeta = (zeta_from_terms(self.twisted_seq) if split.is_proper
+                else self.l_zeta.function)
         zeta = zeta.compose_scale((-1) ** split.n)
         return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
 
@@ -322,7 +293,10 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
                         map_g: AffineMapSpec, n: int = 1) -> CoincidenceNumbers:
     """Averaged coincidence invariants of the iterate pair (f^n, g^n):
     determinants det(E^n - A D^n) over the holonomy."""
-    return _coincidence_at(_iterate(n, spec, map_f, map_g), n, spec.orientable)
+    kernel = averaging_kernel(spec, map_f, map_g)
+    if n < 1:
+        raise ValueError("iterate must be >= 1")
+    return _coincidence_at(kernel, n, spec.orientable)
 
 
 def _coincidence_at(kernel: AveragingKernel, n: int,

@@ -13,10 +13,8 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import (Polynomial, _int_poly_mul, _integer_coeffs, as_rational,
-                      poly_gcd, squarefree_decomposition)
+from .algebra import (Polynomial, _float_roots, _int_poly_mul, _integer_coeffs,
+                      as_rational, poly_gcd, squarefree_decomposition)
 from .errors import InsufficientTerms, NotRational
 
 
@@ -441,10 +439,10 @@ def radius_of_convergence(rf: RationalFunction) -> float:
     """Distance from 0 to the nearest pole; inf for polynomials."""
     if rf.den.degree <= 0:
         return math.inf
-    # A root of multiplicity k moves by about eps^(1/k) under np.roots,
-    # so take the roots of each squarefree factor instead.
+    # A root of multiplicity k moves by about eps^(1/k) under a numeric
+    # root finder, so take the roots of each squarefree factor instead.
     return float(min(abs(r) for s, _ in squarefree_decomposition(rf.den)
-                     for r in np.roots(s.float_coeffs_desc())))
+                     for r in _float_roots(s)))
 
 
 def substitute_reciprocal_scale(rf: RationalFunction, d) -> RationalFunction:

@@ -185,30 +185,57 @@ def random_instances(seed: int, count: int):
 def product_instances(seed: int, count: int):
     """count (product, first, second) triples of (spec, map) pairs.
     first and second are consecutive draws of random_instances(seed,
-    2 * count); product is the manifold of holonomy Phi1 x Phi2 acting by
-    A1 (+) A2 (labels "l1.l2", the second factor varying fastest) with the
-    map D1 (+) D2, so dim <= 6 and holonomy order <= 16, all of it
-    conjugated by one random unimodular P, which hides the blocks and
-    keeps every matrix integral."""
+    2 * count); product is their _product with the map D1 (+) D2, so
+    dim <= 6 and holonomy order <= 16."""
     rng = random.Random(f"product:{seed}")
     draws = random_instances(seed, 2 * count)
     out = []
     for (spec1, f1), (spec2, f2) in zip(draws[::2], draws[1::2]):
-        dim = spec1.dimension + spec2.dimension
-        p = RationalMatrix(_unimodular(rng, dim))
-        p_inv = p.inverse()
-
-        def hide(a, b):
-            return p @ RationalMatrix(_direct_sum(a, b)) @ p_inv
-
-        spec = _group(f"{spec1.name}x{spec2.name}", dim, [
-            (f"{l1}.{l2}", hide(a1, a2))
-            for l1, a1 in spec1.holonomy for l2, a2 in spec2.holonomy])
-        d = hide(f1.linear, f2.linear)
-        assert compatible(spec, d), spec.name
+        spec, (d,) = _product(rng, spec1, spec2, (f1.linear, f2.linear))
         out.append(((spec, AffineMapSpec.make(f"{f1.label}x{f2.label}", d)),
                     (spec1, f1), (spec2, f2)))
     return out
+
+
+def coincidence_product_instances(seed: int, count: int):
+    """count (product, first, second) triples of (spec, f, g) pairs.
+    first and second are consecutive draws of
+    random_coincidence_instances(seed, 2 * count) after a seeded
+    shuffle, which mixes the cyclic groups that the draws cycle through;
+    product is their _product with the maps f1 (+) f2 and g1 (+) g2, so
+    dim <= 8 and holonomy order <= 16."""
+    rng = random.Random(f"coincidence-product:{seed}")
+    draws = random_coincidence_instances(seed, 2 * count)
+    rng.shuffle(draws)
+    out = []
+    for (spec1, f1, g1), (spec2, f2, g2) in zip(draws[::2], draws[1::2]):
+        spec, (d, e) = _product(rng, spec1, spec2, (f1.linear, f2.linear),
+                                (g1.linear, g2.linear))
+        out.append(((spec, AffineMapSpec.make(f"{f1.label}x{f2.label}", d),
+                     AffineMapSpec.make(f"{g1.label}x{g2.label}", e)),
+                    (spec1, f1, g1), (spec2, f2, g2)))
+    return out
+
+
+def _product(rng, spec1, spec2, *blocks):
+    """The manifold of holonomy Phi1 x Phi2 acting by A1 (+) A2 (labels
+    "l1.l2", the second factor varying fastest) and the linear parts
+    D1 (+) D2 for each (D1, D2) in blocks, all of it conjugated by one
+    random unimodular P, which hides the blocks and keeps every matrix
+    integral."""
+    dim = spec1.dimension + spec2.dimension
+    p = RationalMatrix(_unimodular(rng, dim))
+    p_inv = p.inverse()
+
+    def hide(a, b):
+        return p @ RationalMatrix(_direct_sum(a, b)) @ p_inv
+
+    spec = _group(f"{spec1.name}x{spec2.name}", dim, [
+        (f"{l1}.{l2}", hide(a1, a2))
+        for l1, a1 in spec1.holonomy for l2, a2 in spec2.holonomy])
+    linear = [hide(d1, d2) for d1, d2 in blocks]
+    assert all(compatible(spec, d) for d in linear), spec.name
+    return spec, linear
 
 
 def _direct_sum(a: RationalMatrix, b: RationalMatrix):

@@ -184,6 +184,15 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("cross-check failed: NielsenFormulaMismatch")
 
+    def test_zeta_rejects_a_coincidence_spec(self, capsys):
+        # like entropy and congruences: a pair spec has no map zeta
+        for which in ([], ["--which", "L"], ["--format", "json"]):
+            code, out, err = run_main(capsys, "zeta", "halfturn_coincidence",
+                                      *which)
+            assert (code, out) == (2, ""), which
+            assert err == ("error: InvalidSpecFile: zeta applies to "
+                           "single-map specs\n")
+
     def test_wrong_command_for_target(self, capsys):
         for argv in (("report", "sol_r_2"),
                      ("entropy", "halfturn_coincidence"),
@@ -192,6 +201,40 @@ class TestExitCodes:
             code, _, err = run_main(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error:"), argv
+
+
+class TestReidemeisterCrossCheck:
+    """Every finite R(f^n), averaged from det(A - D^n), is compared with
+    N(f^n), averaged from det(I - A D^n)."""
+
+    @pytest.fixture
+    def skewed(self, monkeypatch):
+        # one det(A - D^2) moved by |Phi| times the common denominator:
+        # the average stays an integer, one larger than N(f^2) = 24
+        kernel = zetafix.algebra.AveragingKernel
+        orig = kernel.shifted_dets
+
+        def shifted_dets(self, n):
+            dets, den = orig(self, n)
+            if n != 2:
+                return dets, den
+            step = den * len(dets) * (1 if dets[0] >= 0 else -1)
+            return [dets[0] + step] + dets[1:], den
+
+        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+
+    def test_report_raises(self, skewed, ex3):
+        with pytest.raises(NielsenFormulaMismatch,
+                           match=r"R\(f\^2\) = 25 differs from N\(f\^2\) = 24"):
+            build_report(ex3)
+        with pytest.raises(NielsenFormulaMismatch):
+            zetafix.reidemeister(ex3.spec, ex3.mapping, 2)
+
+    def test_cli_exits_4(self, skewed, capsys):
+        code, out, err = run_main(capsys, "report", "heisenberg_ex3")
+        assert (code, out) == (4, "")
+        assert err == ("cross-check failed: NielsenFormulaMismatch: "
+                       "R(f^2) = 25 differs from N(f^2) = 24\n")
 
 
 class TestCommands:

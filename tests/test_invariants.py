@@ -7,16 +7,18 @@ import math
 import pytest
 
 import zetafix.invariants
-from _corpus import (brute_force_torus_count, isotypic_mixing_instance,
-                     product_instances, random_coincidence_instances,
-                     random_instances, random_integer_matrices)
+from _corpus import (brute_force_torus_count, coincidence_product_instances,
+                     isotypic_mixing_instance, product_instances,
+                     random_coincidence_instances, random_instances,
+                     random_integer_matrices)
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
-                     default_degree_bound, det, klein_type, lefschetz,
+                     default_degree_bound, det, exterior_ranks, klein_type,
+                     lefschetz,
                      lefschetz_sequence, load_fixture, nielsen,
                      nielsen_sequence, nielsen_zeta, reidemeister,
                      reidemeister_sequence, torus_periodic_points,
@@ -119,8 +121,9 @@ class TestSignFormula:
 
     def test_heisenberg(self, ex3):
         assert self._sign_formula_numbers(ex3.spec, ex3.mapping, 1) == [6]
-        assert zetafix.invariants.map_context(
-            ex3.spec, ex3.mapping).lplus_seq(1) == 3
+        # L(f+) = 3: the twisted term L(f+) - L(f) plus L(f) = -3
+        ctx = zetafix.invariants.map_context(ex3.spec, ex3.mapping)
+        assert ctx.twisted_seq(1) + ctx.l_seq(1) == 3
 
     def test_fixtures(self):
         for fx in map(load_fixture, FIXED_POINT_NAMES):
@@ -176,6 +179,32 @@ class TestProductManifolds:
         for (spec, mapping), _, _ in product_instances(0, 30):
             assert nielsen_zeta(spec, mapping).function.log_derivative_sums(12) \
                 == [nielsen(spec, mapping, k) for k in range(1, 13)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ranks_convolve(self, seed):
+        # r_i = sum_j r1_j r2_(i-j): the even and odd rank sums multiply
+        # like E + O t with t^2 = 1
+        for (spec, _), (spec1, _), (spec2, _) in product_instances(seed, 30):
+            (e1, o1), (e2, o2) = exterior_ranks(spec1), exterior_ranks(spec2)
+            assert exterior_ranks(spec) == (e1 * e2 + o1 * o2,
+                                            e1 * o2 + o1 * e2), spec.name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coincidence_numbers_multiply(self, seed):
+        # det(E^n - A D^n) of a product pair is the blocks' product too
+        infinite = 0
+        for cases in coincidence_product_instances(seed, 20):
+            rows = [[coincidence_numbers(*case, n) for n in range(1, 5)]
+                    for case in cases]
+            for c, c1, c2 in zip(*rows):
+                assert c.lefschetz == c1.lefschetz * c2.lefschetz
+                assert c.nielsen == c1.nielsen * c2.nielsen
+                if math.inf in (c1.reidemeister, c2.reidemeister):
+                    infinite += 1
+                    assert c.reidemeister is math.inf
+                else:
+                    assert c.reidemeister == c1.reidemeister * c2.reidemeister
+        assert infinite >= 5
 
 
 class TestReidemeisterEqualsNielsen:

@@ -189,9 +189,9 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_public_sequences_reuse_the_report_values(self, monkeypatch, name):
-        # the public sequences are the report's oracles, which already
-        # hold every value through n = CONGRUENCE_N_MAX: no determinant
-        # is read again, let alone averaged
+        # the public sequences and numbers read the report's oracles,
+        # which already hold every value through n = CONGRUENCE_N_MAX: no
+        # determinant is read again, let alone averaged
         parsed = load_fixture(name)
         build_report(parsed)
         reads = []
@@ -204,19 +204,22 @@ class TestSharedContext:
             seq = make(parsed.spec, parsed.mapping)
             for n in range(1, CONGRUENCE_N_MAX + 1):
                 seq(n)
+        for number in (lefschetz, nielsen, reidemeister):
+            for n in range(1, CONGRUENCE_N_MAX + 1):
+                number(parsed.spec, parsed.mapping, n)
         assert reads == []
 
     @pytest.mark.parametrize("name", ["klein_bottle_ex1", "heisenberg_ex3",
                                       "klein_type_3_5"])
-    def test_sign_formula_ranks_taken_once(self, monkeypatch, name):
-        # the N, R and twisted bounds of a proper split share one (E, O)
+    def test_plus_ranks_taken_once(self, monkeypatch, name):
+        # the N, R and twisted bounds of a proper split share one (E, O),
+        # so the ranks over the plus subgroup are taken once
         parsed = load_fixture(name)
-        calls = _record_calls(monkeypatch, zetafix.invariants,
-                              "sign_formula_ranks")
+        calls = _record_calls(monkeypatch, zetafix.manifolds, "exterior_ranks")
         build_report(parsed)
         assert zetafix.invariants.map_context(
             parsed.spec, parsed.mapping).split.is_proper
-        assert len(calls) == 1
+        assert len([c for c in calls if len(c) > 1]) == 1
 
     def test_coincidence_report_and_api_calls_share_one_kernel(
             self, monkeypatch, halfturn):
