@@ -22,8 +22,8 @@ from .errors import (DegenerateFixedSet, DimensionMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NonInvariantSubspace, NotAGroup, NotBlockCompatible,
                      NotConstantRatio, NotCyclic, NotRational,
-                     RadiusMismatch, TrichotomyMismatch, ZetaUndefined,
-                     ZetafixError)
+                     OutOfFloatRange, RadiusMismatch, TrichotomyMismatch,
+                     ZetaUndefined, ZetafixError)
 from .fixtures import (SequenceFixture, builtin_fixtures, klein_type,
                        load_fixture, sol_r_sequence)
 from .invariants import (CoincidenceNumbers, Construction, CyclicDecomposition,

@@ -15,9 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+from .errors import OutOfFloatRange
 
 Rational = Fraction
 
@@ -171,16 +173,6 @@ class Polynomial:
         c = as_rational(c)
         return Polynomial([a * c**i for i, a in enumerate(self.coeffs)])
 
-    def shift_down(self, k: int) -> "Polynomial":
-        """Divide by z^k; requires the low-order coefficients to vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ArithmeticError("not divisible by z^k")
-        return Polynomial(self.coeffs[k:])
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial((0, 1))
-
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial((1,))
@@ -289,16 +281,23 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: return [(s_i, i)] with p = lead * prod s_i^i,
-    each s_i squarefree and pairwise coprime (trivial factors omitted).
-    It runs on the primitive integer multiple of p: every gcd is
-    primitive, so every division stays integral."""
-    if p.degree < 1:
+    each s_i squarefree and pairwise coprime (trivial factors omitted),
+    as monic Polynomials; see _int_squarefree."""
+    return [(_monic(s), i)
+            for s, i in _int_squarefree(_primitive(_integer_coeffs(p)[0]))]
+
+
+def _int_squarefree(a: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on an integer polynomial a: [(s_i, i)] with
+    a = lead * prod s_i^i over Q, each s_i squarefree and pairwise
+    coprime (trivial factors omitted).  Every gcd is primitive, so every
+    division stays integral."""
+    if len(a) < 2:
         return []
-    a = _primitive(_integer_coeffs(p)[0])
     da = _int_derivative(a)
     g = _int_gcd(a, da)
     if len(g) == 1:
-        return [(p.monic(), 1)]
+        return [(a, 1)]
     out = []
     c = _int_exact_div(a, g)
     d = _int_sub(_int_exact_div(da, g), _int_derivative(c))
@@ -306,7 +305,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     while len(c) > 1:
         s = _int_gcd(c, d)
         if len(s) > 1:
-            out.append((_monic(s), i))
+            out.append((s, i))
             c, d = _int_exact_div(c, s), _int_exact_div(d, s)
         d = _int_sub(d, _int_derivative(c))
         i += 1
@@ -317,11 +316,10 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sturm_chain(p: Polynomial) -> list[list[int]]:
-    """Sturm chain of p on primitive integer polynomials.  Each member is
-    a positive multiple of the member of the Fraction chain that it
-    stands for, so both give the same signs."""
-    a = _primitive(_integer_coeffs(p)[0])
+def _sturm_chain(a: list[int]) -> list[list[int]]:
+    """Sturm chain of the integer polynomial a on primitive integer
+    polynomials.  Each member is a positive multiple of the member of
+    the Fraction chain that it stands for, so both give the same signs."""
     chain = [a, _int_derivative(a)]
     while len(chain[-1]) > 1:
         rem = _primitive(_prem(chain[-2], chain[-1]))
@@ -359,75 +357,79 @@ def count_real_roots(p: Polynomial, lo, hi) -> int:
     the module-level infinity sentinels.  Endpoints must not be roots."""
     if p.degree < 1:
         return 0
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(_primitive(_integer_coeffs(p)[0]))
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _real_roots_outside(p: Polynomial) -> tuple[int, int]:
-    """(count of real roots > 1, count of real roots < -1), with
-    multiplicity; p must have no root at 0, 1, or -1."""
-    gt, lt = 0, 0
-    for s, mult in squarefree_decomposition(p):
-        gt += mult * count_real_roots(s, Fraction(1), _POS_INF)
-        lt += mult * count_real_roots(s, _NEG_INF, Fraction(-1))
-    return gt, lt
+def _variation_sums(c: list[int], points) -> list[int]:
+    """Per point, the sum of mult * (sign variations of the Sturm chain
+    of s) over the squarefree factors s^mult of c: differences count the
+    real roots of c between points that are not roots, with multiplicity."""
+    out = [0] * len(points)
+    for s, mult in _int_squarefree(c):
+        chain = _sturm_chain(s)
+        for i, x in enumerate(points):
+            out[i] += mult * _variations(chain, x)
+    return out
 
 
-def _strip_root(p: Polynomial, r: Fraction) -> tuple[Polynomial, int]:
-    lin = Polynomial((-r, 1))
+def _strip_root(c: list[int], r: int) -> tuple[list[int], int]:
+    """The nonzero integer polynomial c without its root r = 1 or -1, by
+    synthetic division, and the multiplicity of r: c(r) is the plain or
+    the alternating coefficient sum."""
     mult = 0
-    while not p.is_zero and p(r) == 0:
-        p = p.exact_div(lin)
+    while not sum(c[::2]) + r * sum(c[1::2]):
+        # c = (z - r) q, so q_(k-1) = c_k + r q_k from the top down
+        c = list(itertools.accumulate(c[:0:-1], lambda q, x: x + r * q))[::-1]
         mult += 1
-    return p, mult
+    return c, mult
 
 
-def _trace_polynomial(c: Polynomial) -> Polynomial:
-    """For palindromic c of even degree 2k, the degree-k polynomial T with
-    c(z)/z^k = T(z + 1/z)."""
-    k = c.degree // 2
+def _trace_polynomial(c: list[int]) -> list[int]:
+    """For palindromic integer c of even degree 2k, the degree-k integer
+    polynomial T with c(z)/z^k = T(z + 1/z)."""
+    k = len(c) // 2
     # B_j(w) = z^j + z^{-j} as a polynomial in w = z + 1/z
-    b_prev = Polynomial((2,))
-    b_cur = Polynomial.x()
-    t = Polynomial((c.coeffs[k],))
+    b_prev, b_cur = [2], [0, 1]
+    t = [c[k]] + [0] * k
     for j in range(1, k + 1):
-        t = t + c.coeffs[k + j] * b_cur
-        b_prev, b_cur = b_cur, Polynomial.x() * b_cur - b_prev
+        for i, x in enumerate(b_cur):
+            t[i] += c[k + j] * x
+        b_prev, b_cur = b_cur, _int_sub([0] + b_cur, b_prev)
     return t
 
 
-def _strip_trivial_roots(p: Polynomial) -> tuple[Polynomial, int, int]:
-    """p without its roots 1, -1 and 0, and the multiplicities of 1 and
-    of -1."""
-    p, m_one = _strip_root(p, Fraction(1))
-    p, m_minus = _strip_root(p, Fraction(-1))
+def _strip_trivial_roots(c: list[int]) -> tuple[list[int], int, int]:
+    """The nonzero integer polynomial c without its roots 1, -1 and 0,
+    as a primitive polynomial, and the multiplicities of 1 and of -1."""
+    c, m_one = _strip_root(c, 1)
+    c, m_minus = _strip_root(c, -1)
     # zero roots are strictly inside the circle
-    nz = 0
-    while nz < len(p.coeffs) and p.coeffs[nz] == 0:
-        nz += 1
-    return p.shift_down(nz), m_one, m_minus
+    return _primitive(c[next(i for i, x in enumerate(c) if x):]), m_one, m_minus
+
+
+def _unit_circle_roots(c: list[int]) -> int:
+    """Number of roots on the unit circle, with multiplicity, of the
+    integer polynomial c, which has no root 0, 1 or -1."""
+    g = _int_gcd(c, c[::-1])
+    if len(g) == 1:
+        return 0
+    # g collects every unit-circle root (full multiplicity) plus possible
+    # reciprocal off-circle pairs; it is palindromic of even degree.
+    if g != g[::-1] or len(g) % 2 == 0:
+        raise ArithmeticError("reciprocal factor is not palindromic")
+    # z = e^(i theta) off +-1 is a root exactly when T has the root
+    # w = 2 cos(theta) in (-2, 2)
+    lo, hi = _variation_sums(_trace_polynomial(g), (-2, 2))
+    return 2 * (lo - hi)
 
 
 def count_unit_modulus_roots(p: Polynomial) -> int:
     """Exact number of roots of p on the unit circle, with multiplicity."""
     if p.degree < 1:
         return 0
-    p, m_one, m_minus = _strip_trivial_roots(p.monic())
-    total = m_one + m_minus
-    if p.degree < 1:
-        return total
-    c = poly_gcd(p, p.reversed_poly())
-    if c.degree == 0:
-        return total
-    # c collects every unit-circle root (full multiplicity) plus possible
-    # reciprocal off-circle pairs; it is palindromic of even degree.
-    if c != c.reversed_poly().monic() or c.degree % 2 != 0:
-        raise ArithmeticError("reciprocal factor is not palindromic")
-    t = _trace_polynomial(c)
-    on_circle_pairs = 0
-    for s, mult in squarefree_decomposition(t):
-        on_circle_pairs += mult * count_real_roots(s, Fraction(-2), Fraction(2))
-    return total + 2 * on_circle_pairs
+    core, m_one, m_minus = _strip_trivial_roots(_integer_coeffs(p)[0])
+    return m_one + m_minus + _unit_circle_roots(core)
 
 
 # --------------------------------------------------------------------------
@@ -846,16 +848,35 @@ class EigenClassification:
 
     p / n count real eigenvalues > 1 / < -1 (exact, with multiplicity);
     unit_modulus_count is the exact number of eigenvalues on the unit
-    circle; expanding_log_product is sum(log |lambda|) over |lambda| > 1
-    at working precision; one_in_spectrum says, exactly, whether 1 is
-    an eigenvalue.
+    circle; one_in_spectrum says, exactly, whether 1 is an eigenvalue.
+    All four come from integer arithmetic on the characteristic
+    polynomial.  expanding_log_product is sum(log |lambda|) over
+    |lambda| > 1 at working precision: the one float, computed from the
+    core kept here when it is first read.
     """
 
     p: int
     n: int
     unit_modulus_count: int
-    expanding_log_product: float
     one_in_spectrum: bool
+    # the characteristic polynomial without its roots 1, -1 and 0
+    _core: tuple[int, ...] = field(repr=False, compare=False)
+    _core_on_circle: int = field(repr=False, compare=False)
+
+    @cached_property
+    def expanding_log_product(self) -> float:
+        # Only the core is rooted numerically: a cluster of exact roots
+        # +-1 would cost digits of the expanding roots near it.  The exact
+        # count says how many of the core's roots sit on the circle; set
+        # aside that many of the numeric roots nearest to it.  A root
+        # misplaced by this sort lies within the numeric perturbation of
+        # the circle, so it moves the log product by no more than that
+        # perturbation.
+        roots = sorted(_float_roots(self._core, "the entropy (the expanding "
+                                                "log product)"),
+                       key=lambda r: abs(abs(r) - 1.0))
+        return float(sum(math.log(abs(r)) for r in roots[self._core_on_circle:]
+                         if abs(r) > 1.0))
 
 
 def spectral_isolation(m: RationalMatrix) -> EigenClassification:
@@ -867,45 +888,41 @@ def spectral_isolation(m: RationalMatrix) -> EigenClassification:
 def classify_eigenvalues(m: RationalMatrix) -> EigenClassification:
     """Classify the spectrum of m relative to the unit circle.
 
-    Every count (p, n, unit-circle membership, whether 1 is an
-    eigenvalue) is exact, from the characteristic polynomial; the
-    numeric roots only form the expanding modulus product.
+    The integer coefficients of the characteristic polynomial are taken
+    once; the roots 1, -1 and 0 are divided out exactly, the unit-circle
+    roots of the rest are counted from its gcd with its reverse, and p
+    and n from one Sturm chain per squarefree factor, read at -inf, -1,
+    1 and +inf.  No count waits on
+    a float: the numeric roots only form the expanding modulus product,
+    on first use.
     """
     return _classify(m)
 
 
 @lru_cache(maxsize=8)
 def _classify(m: RationalMatrix) -> EigenClassification:
-    p = char_poly(m)
-    core, m_one, m_minus = _strip_trivial_roots(p)
-    unit_exact = m_one + m_minus + count_unit_modulus_roots(core)
-    p_count, n_count = _real_roots_outside(core) if core.degree >= 1 else (0, 0)
-
-    # Only the core is rooted numerically: a cluster of exact roots +-1
-    # would cost digits of the expanding roots near it.  The exact count
-    # says how many of the core's roots sit on the circle; set aside
-    # that many of the numeric roots nearest to it.  A root misplaced by
-    # this sort lies within the numeric perturbation of the circle, so
-    # it moves the log product by no more than that perturbation.
-    roots = sorted(_float_roots(core), key=lambda r: abs(abs(r) - 1.0))
-    log_prod = float(sum(math.log(abs(r))
-                         for r in roots[unit_exact - m_one - m_minus:]
-                         if abs(r) > 1.0))
-    return EigenClassification(
-        p=p_count,
-        n=n_count,
-        unit_modulus_count=unit_exact,
-        expanding_log_product=log_prod,
-        one_in_spectrum=m_one > 0,
-    )
+    core, m_one, m_minus = _strip_trivial_roots(_integer_coeffs(char_poly(m))[0])
+    on_circle = _unit_circle_roots(core)
+    below, minus, plus, above = _variation_sums(core, (_NEG_INF, -1, 1, _POS_INF))
+    return EigenClassification(plus - above, below - minus,
+                               m_one + m_minus + on_circle, m_one > 0,
+                               tuple(core), on_circle)
 
 
-def _float_roots(p: Polynomial):
-    """The complex roots of p in floating point, from numpy, the one
-    place the package uses it; numpy is imported on the first call, so
-    importing the package does not load it."""
+def _float_roots(c, quantity: str):
+    """The complex roots of the integer polynomial c in floating point,
+    from numpy, the one place the package uses it; numpy is imported on
+    the first call, so importing the package does not load it.  numpy
+    gets the correctly rounded quotients c_i / lead; one beyond the
+    float range raises OutOfFloatRange, naming the quantity."""
     import numpy
-    return numpy.roots([float(c) for c in reversed(p.coeffs)])
+    try:
+        floats = [x / c[-1] for x in reversed(c)]
+    except OverflowError:
+        raise OutOfFloatRange(f"cannot compute {quantity} in floating point: "
+                              "its polynomial has a coefficient beyond the "
+                              "float range (about 1.8e308)") from None
+    return numpy.roots(floats)
 
 
 def _euler_phi(k: int) -> int:

@@ -104,6 +104,11 @@ class RadiusMismatch(ZetafixError):
     from 1 by more than 1e-6."""
 
 
+class OutOfFloatRange(ZetafixError):
+    """A float output (entropy, N_infinity, a radius of convergence) needs
+    a value beyond the float range; every exact result stays available."""
+
+
 class NonAcyclicBundle(ZetafixError):
     """The requested unit-circle parameter is a zero or pole of the zeta
     function; no torsion value is defined there."""

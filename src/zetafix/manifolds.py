@@ -13,15 +13,16 @@ Reidemeister zeta function can exist at all.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .algebra import (AveragingKernel, Polynomial, RationalMatrix, _berkowitz,
-                      _int_matmul, _integer_form, _strip_root, as_rational,
-                      char_poly, classify_eigenvalues,
-                      has_root_of_unity_eigenvalue, max_root_of_unity_order)
+from .algebra import (AveragingKernel, RationalMatrix, _berkowitz,
+                      _int_matmul, _integer_form, as_rational,
+                      classify_eigenvalues, has_root_of_unity_eigenvalue,
+                      max_root_of_unity_order)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
@@ -283,24 +284,33 @@ def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
     which the holonomy preserves.  There the signs of det(A) and det(D)
     multiply to (-1)^(number of real eigenvalues of A D below -1), so A
     is in the plus part exactly when that number has the parity of n,
-    the count for D itself.
+    the count for D itself.  Each parity is read on integers, from one
+    Berkowitz polynomial per element (see _odd_roots_below_minus_one).
     """
     ensure_compatible(spec, mapping)
     d_mat = mapping.linear
     cls = classify_eigenvalues(d_mat)
-    membership = tuple((l, _odd_roots_below_minus_one(char_poly(a @ d_mat))
+    membership = tuple((l, _odd_roots_below_minus_one(a @ d_mat)
                         == (cls.n % 2 == 1))
                        for l, a in spec.holonomy)
     is_proper = not all(inside for _, inside in membership)
     return PlusSplit(membership, is_proper, cls.p, cls.n)
 
 
-def _odd_roots_below_minus_one(p: Polynomial) -> bool:
-    """Whether monic p has an odd number of real roots below -1, counted
-    with multiplicity: with its roots -1 removed, p changes sign between
-    -infinity and -1 exactly then."""
-    q, _ = _strip_root(p, Fraction(-1))
-    return (q(Fraction(-1)) > 0) != (q.degree % 2 == 0)
+def _odd_roots_below_minus_one(m: RationalMatrix) -> bool:
+    """Whether m has an odd number of real eigenvalues below -1, counted
+    with multiplicity.  For m = M_int / t the monic Berkowitz polynomial
+    c of M_int (highest degree first) has the roots t lambda.  With its
+    roots -t removed by synthetic division, whose remainder is the value
+    at -t, c changes sign between -t and -infinity exactly then."""
+    (a,), t = _integer_form([m])
+    c = _berkowitz(a)
+    while True:
+        q = list(itertools.accumulate(c, lambda acc, x: acc * -t + x))
+        if q[-1]:
+            # c is positive at -infinity exactly when its degree is even
+            return (q[-1] > 0) != (len(c) % 2 == 1)
+        c = q[:-1]
 
 
 def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec) -> bool:

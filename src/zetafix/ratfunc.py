@@ -13,8 +13,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .algebra import (Polynomial, _float_roots, _int_poly_mul, _integer_coeffs,
-                      as_rational, poly_gcd, squarefree_decomposition)
+from .algebra import (Polynomial, _float_roots, _int_poly_mul,
+                      _int_squarefree, _integer_coeffs, _primitive,
+                      as_rational, poly_gcd)
 from .errors import InsufficientTerms, NotRational
 
 
@@ -441,8 +442,9 @@ def radius_of_convergence(rf: RationalFunction) -> float:
         return math.inf
     # A root of multiplicity k moves by about eps^(1/k) under a numeric
     # root finder, so take the roots of each squarefree factor instead.
-    return float(min(abs(r) for s, _ in squarefree_decomposition(rf.den)
-                     for r in _float_roots(s)))
+    den = _primitive(_integer_coeffs(rf.den)[0])
+    return float(min(abs(r) for s, _ in _int_squarefree(den)
+                     for r in _float_roots(s, "the radius of convergence")))
 
 
 def substitute_reciprocal_scale(rf: RationalFunction, d) -> RationalFunction:

@@ -123,13 +123,15 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
     lz = ctx.l_zeta
     nz = nielsen_zeta(spec, mapping)
     az = artin_mazur_zeta(spec, mapping)
-    zetas = [_zeta_entry(lz), _zeta_entry(nz)]
+    # the R and Artin-Mazur zetas are N_f renamed: copy its entry
+    n_entry = _zeta_entry(nz)
+    zetas = [_zeta_entry(lz), n_entry]
     try:
-        zetas.append(_zeta_entry(reidemeister_zeta(spec, mapping)))
+        zetas.append(dict(n_entry, which=reidemeister_zeta(spec, mapping).which))
     except ZetaUndefined as e:
         zetas.append({"which": "Reidemeister", "defined": False,
                       "reason": str(e)})
-    zetas.append(_zeta_entry(az))
+    zetas.append(dict(n_entry, which=az.which))
     doc["zetas"] = zetas
 
     d = det(mapping.linear)

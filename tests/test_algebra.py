@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import zetafix
+from _corpus import product_instances, random_instances
 from zetafix import algebra
-from zetafix import (Polynomial, RationalMatrix, as_rational, char_poly,
-                     classify_eigenvalues, count_real_roots,
-                     count_unit_modulus_roots, det,
+from zetafix import (PlusSplit, Polynomial, RationalMatrix, as_rational,
+                     char_poly, classify_eigenvalues, compute_plus_split,
+                     count_real_roots, count_unit_modulus_roots, det,
                      exterior_power, has_root_of_unity_eigenvalue,
                      max_root_of_unity_order, poly_gcd,
                      squarefree_decomposition)
@@ -678,6 +679,95 @@ def _ref_count_real_roots(p, lo, hi):
     return variations(lo) - variations(hi)
 
 
+def _ref_strip_root(p, r):
+    lin = Polynomial((-r, 1))
+    mult = 0
+    while not p.is_zero and p(r) == 0:
+        p = p.exact_div(lin)
+        mult += 1
+    return p, mult
+
+
+def _ref_strip_trivial_roots(p):
+    p, m_one = _ref_strip_root(p, Fraction(1))
+    p, m_minus = _ref_strip_root(p, Fraction(-1))
+    nz = 0
+    while nz < len(p.coeffs) and p.coeffs[nz] == 0:
+        nz += 1
+    return Polynomial(p.coeffs[nz:]), m_one, m_minus
+
+
+def _ref_trace_polynomial(c):
+    k = c.degree // 2
+    w = Polynomial((0, 1))
+    b_prev, b_cur = Polynomial((2,)), w
+    t = Polynomial((c.coeffs[k],))
+    for j in range(1, k + 1):
+        t = t + c.coeffs[k + j] * b_cur
+        b_prev, b_cur = b_cur, w * b_cur - b_prev
+    return t
+
+
+def _ref_count_unit_modulus_roots(p):
+    """Unit-circle roots with multiplicity, on monic Fraction
+    polynomials: roots 1, -1 and 0 divided out, then the Sturm count on
+    (-2, 2) of the trace polynomial of gcd(p, reversed p)."""
+    if p.degree < 1:
+        return 0
+    p, m_one, m_minus = _ref_strip_trivial_roots(p.monic())
+    total = m_one + m_minus
+    if p.degree < 1:
+        return total
+    c = _ref_gcd(p, p.reversed_poly())
+    if c.degree == 0:
+        return total
+    assert c == c.reversed_poly().monic() and c.degree % 2 == 0
+    return total + 2 * sum(
+        mult * _ref_count_real_roots(s, Fraction(-2), Fraction(2))
+        for s, mult in _ref_squarefree(_ref_trace_polynomial(c)))
+
+
+def _ref_classify(m):
+    """(p, n, unit-circle count, one_in_spectrum, expanding log product)
+    on the Fraction characteristic polynomial, with its numeric roots
+    from the floats of its monic Fraction coefficients."""
+    core, m_one, m_minus = _ref_strip_trivial_roots(char_poly(m))
+    unit = m_one + m_minus + _ref_count_unit_modulus_roots(core)
+    gt = lt = 0
+    for s, mult in _ref_squarefree(core):
+        gt += mult * _ref_count_real_roots(s, Fraction(1), algebra._POS_INF)
+        lt += mult * _ref_count_real_roots(s, algebra._NEG_INF, Fraction(-1))
+    roots = sorted(np.roots([float(c) for c in reversed(core.coeffs)]),
+                   key=lambda r: abs(abs(r) - 1.0))
+    log_prod = float(sum(math.log(abs(r)) for r in roots[unit - m_one - m_minus:]
+                         if abs(r) > 1.0))
+    return gt, lt, unit, m_one > 0, log_prod
+
+
+def _ref_plus_split(spec, mapping):
+    """The plus split with char_poly(A D) per holonomy element and its
+    roots -1 divided out in Fractions."""
+    d = mapping.linear
+    p, n, *_ = _ref_classify(d)
+
+    def odd_below_minus_one(poly):
+        q, _ = _ref_strip_root(poly, Fraction(-1))
+        return (q(Fraction(-1)) > 0) != (q.degree % 2 == 0)
+
+    membership = tuple((l, odd_below_minus_one(char_poly(a @ d)) == (n % 2 == 1))
+                       for l, a in spec.holonomy)
+    return PlusSplit(membership, not all(i for _, i in membership), p, n)
+
+
+def _assert_classified_as_reference(m):
+    cls = classify_eigenvalues(m)
+    *counts, log_prod = _ref_classify(m)
+    assert (cls.p, cls.n, cls.unit_modulus_count,
+            cls.one_in_spectrum) == tuple(counts)
+    # bit for bit: numpy gets the same correctly rounded quotients
+    assert cls.expanding_log_product.hex() == log_prod.hex()
+
+
 def _rand_rational_poly(rng, deg):
     """Degree deg, rational coefficients, leading coefficient of either
     sign and rarely 1."""
@@ -830,6 +920,58 @@ class TestIntegerKernels:
         for lo, hi, expected in cases:
             assert _ref_count_real_roots(p, lo, hi) == expected
             assert count_real_roots(p, lo, hi) == expected
+
+
+class TestIntegerSpectralLayer:
+    """The classification and the plus split on integer coefficient
+    lists give what the Fraction route gives, the log product included."""
+
+    def test_rational_matrices(self):
+        rng = random.Random(49)
+        for _ in range(120):
+            dim = rng.randint(1, 6)
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(dim)] for _ in range(dim)]
+            # one entry with a prime denominator that does not cancel
+            den = rng.choice([2, 3, 5])
+            rows[rng.randrange(dim)][rng.randrange(dim)] = Fraction(
+                rng.randint(-3, 3) * den + rng.randint(1, den - 1), den)
+            m = RationalMatrix(rows)
+            assert any(x.denominator > 1 for row in m.rows for x in row)
+            _assert_classified_as_reference(m)
+
+    def test_cyclotomic_companions(self):
+        for m, _, _ in _cyclotomic_companions():
+            _assert_classified_as_reference(m)
+
+    def test_jordan_blocks_at_plus_minus_one(self):
+        rng = random.Random(50)
+        for size in range(1, 5):
+            for x in (1, -1):
+                _assert_classified_as_reference(
+                    RationalMatrix(_jordan_block(size, x)))
+        for _ in range(40):
+            m, _, _ = _conjugated_block_matrix(rng, max_dim=8)
+            _assert_classified_as_reference(m)
+
+    def test_unit_circle_count_on_polynomials(self):
+        rng = random.Random(51)
+        cyclo = [p for _, p, c in _cyclotomic_companions() if c]
+        for _ in range(80):
+            p = _rand_rational_poly(rng, rng.randint(0, 4))
+            for _ in range(rng.randint(0, 2)):
+                p = p * rng.choice(cyclo)
+            assert count_unit_modulus_roots(p) == \
+                _ref_count_unit_modulus_roots(p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corpus_classifications_and_splits(self, seed):
+        instances = random_instances(seed, 40) + [
+            product for product, _, _ in product_instances(seed, 15)]
+        for spec, mapping in instances:
+            _assert_classified_as_reference(mapping.linear)
+            assert compute_plus_split(spec, mapping) == \
+                _ref_plus_split(spec, mapping)
 
 
 def _package_modules():

@@ -396,15 +396,20 @@ class TestGoldenReports:
         assert out == (GOLDEN / f"report_{name}.json").read_text()
 
 
-def _run_module(*argv):
-    """python -m zetafix.cli in a child that imports the same package as
-    these tests, installed or not."""
+def _run_python(*argv):
+    """python with argv in a child that imports the same package as these
+    tests, installed or not."""
     env = dict(os.environ)
     src = str(Path(zetafix.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "zetafix.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def _run_module(*argv):
+    """python -m zetafix.cli in a child (see _run_python)."""
+    return _run_python("-m", "zetafix.cli", *argv)
 
 
 class TestSubprocess:
@@ -430,6 +435,26 @@ class TestSubprocess:
         proc = _run_module("zeta", "quarter_rotation", "--which", "R")
         assert proc.returncode == 3
         assert proc.stderr.startswith("undefined: R(f^1) is infinite")
+
+    @pytest.mark.parametrize("exact_call", [
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['numbers', 'heisenberg_ex3'])",
+        "nielsen(ex3.spec, ex3.mapping, 1)",
+    ], ids=["cli-numbers", "nielsen"])
+    def test_exact_answers_leave_numpy_unloaded(self, exact_call):
+        # the sign formula's counts and the plus split are exact, so only
+        # a float output, here the report's asymptotics, loads numpy
+        proc = _run_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "from zetafix import build_report, load_fixture, nielsen\n"
+            "from zetafix.cli import main\n"
+            "ex3 = load_fixture('heisenberg_ex3')\n"
+            f"{exact_call}\n"
+            "print('numpy' in sys.modules)\n"
+            "build_report(ex3)\n"
+            "print('numpy' in sys.modules)\n")
+        assert (proc.returncode, proc.stdout) == (0, "False\nTrue\n")
 
 
 def _torus_spec(name: str, d: list) -> dict:
@@ -462,3 +487,41 @@ class TestUnitSpectrum:
         assert code == 0 and err == ""
         assert "entropy = 0, " in out
         assert "  virtually unipotent: yes\n" in out
+
+
+class TestBeyondFloatRange:
+    """T^2 with D = diag(10^160, 10^160): every exact answer exists, but
+    the characteristic polynomial has the coefficient 10^320, beyond the
+    float range, so the float outputs cannot be formed."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_torus_spec(
+            "T2_huge", _jordan(2, 10 ** 160, 0))))
+        return path
+
+    def test_numbers_succeed(self, capsys, path):
+        code, out, err = run_main(capsys, "numbers", str(path))
+        assert code == 0 and err == ""
+        # L(f) = det(I - D) = (1 - 10^160)^2 = N(f) = R(f)
+        for row in "LNR":
+            assert f"{row}: {(10 ** 160 - 1) ** 2}, " in out
+
+    @pytest.mark.parametrize("which", ["N", "R"])
+    def test_zeta_succeeds(self, capsys, path, which):
+        code, out, err = run_main(capsys, "zeta", str(path), "--which", which)
+        d = 10 ** 160
+        assert code == 0 and err == ""
+        assert out.endswith(f": (1-{2 * d}z+{d * d}z^2)/(1-{d * d + 1}z+"
+                            f"{d * d}z^2)   [sign-formula (plus-equal, "
+                            "p=2, n=0)]\n")
+
+    @pytest.mark.parametrize("command", ["report", "entropy"])
+    def test_float_outputs_raise_a_typed_error(self, capsys, path, command):
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: OutOfFloatRange: cannot compute the "
+                              "entropy (the expanding log product) in "
+                              "floating point")
+        assert "Traceback" not in err

@@ -4,16 +4,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetafix.ratfunc
 from _corpus import dense_torus, ladder_instances, random_instances
-from zetafix import (InsufficientTerms, NotRational, Polynomial,
-                     RationalFunction, SequenceOracle, builtin_fixtures,
-                     format_polynomial, min_linear_recurrence,
-                     radius_of_convergence, substitute_reciprocal_scale,
+from zetafix import (InsufficientTerms, NotRational, OutOfFloatRange,
+                     Polynomial, RationalFunction, SequenceOracle,
+                     builtin_fixtures, format_polynomial,
+                     min_linear_recurrence, radius_of_convergence,
+                     squarefree_decomposition, substitute_reciprocal_scale,
                      zeta_from_terms)
 from zetafix.invariants import map_context
 from zetafix.ratfunc import _MERSENNE_EXPONENTS, _series_mismatch, verify_zeta
@@ -512,6 +514,30 @@ class TestAnalytic:
         for _ in range(5):
             den = den * Polynomial([1, -4])
         assert abs(radius_of_convergence(RationalFunction([1], den)) - 0.25) < 1e-12
+
+    def test_radius_from_integer_factors_matches_monic_fractions(self):
+        # numpy gets c_i / lead of each primitive integer Yun factor,
+        # correctly rounded, so the radius is the one that the floats of
+        # the monic Fraction factors give, bit for bit
+        rng = random.Random(52)
+        for _ in range(40):
+            den = Polynomial([1])
+            for _ in range(rng.randint(1, 4)):
+                factor = Polynomial([1] + [Fraction(rng.randint(-9, 9),
+                                                    rng.randint(1, 7))
+                                           for _ in range(rng.randint(1, 2))])
+                den = math.prod([factor] * rng.randint(1, 3), start=den)
+            if den.degree < 1:
+                continue
+            monic = [np.roots([float(c) for c in reversed(s.coeffs)])
+                     for s, _ in squarefree_decomposition(den)]
+            expected = float(min(abs(r) for roots in monic for r in roots))
+            assert radius_of_convergence(RationalFunction([1], den)) == expected
+
+    def test_radius_beyond_the_float_range(self):
+        # the pole 10^400 has no float
+        with pytest.raises(OutOfFloatRange, match="radius of convergence"):
+            radius_of_convergence(RationalFunction([1], [10 ** 400, -1]))
 
     def test_substitute_reciprocal_scale(self):
         f = RationalFunction([1, 1], [1, -1])

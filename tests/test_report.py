@@ -180,9 +180,13 @@ class TestSharedContext:
         # the N and R sequences take their degree bound from the plus
         # split, which the report has already decided
         parsed = load_fixture(name)
-        build_report(parsed)
         decided = _record_calls(monkeypatch, zetafix.manifolds,
                                 "_odd_roots_below_minus_one")
+        zetafix.invariants.map_context.cache_clear()
+        build_report(parsed)
+        # the report decides the split, one parity per holonomy element
+        assert len(decided) == parsed.spec.order
+        decided.clear()
         for make in (nielsen_sequence, reidemeister_sequence):
             make(parsed.spec, parsed.mapping)
         assert decided == []
@@ -289,24 +293,38 @@ class TestSharedContext:
     def test_linear_part_classified_once(self, monkeypatch, name, tolerance):
         # one char_poly of D for the classification, one for the
         # cyclotomic test, and every spectral reader shares one
-        # classification; the plus split takes one char_poly(A D) per
-        # holonomy element A
+        # classification; the plus split runs one integer Berkowitz per
+        # holonomy element A, on the integer form of A D
         parsed = load_fixture(name)
         if tolerance is not None:
             parsed = replace(parsed, options=replace(parsed.options,
                                                      tolerance=tolerance))
         zetafix.algebra.char_poly.cache_clear()
         zetafix.algebra._classify.cache_clear()
-        orig = zetafix.algebra.char_poly
         calls = _record_calls(monkeypatch, zetafix.algebra, "char_poly")
-        split_args = []
-        monkeypatch.setattr(zetafix.manifolds, "char_poly",
-                            lambda m: split_args.append(m) or orig(m))
+        split, orig = [], zetafix.manifolds._berkowitz
+        monkeypatch.setattr(zetafix.manifolds, "_berkowitz",
+                            lambda a: split.append(a) or orig(a))
         build_report(parsed)
-        assert len(calls) == 2
         d = parsed.mapping.linear
-        assert split_args == [a @ d for _, a in parsed.spec.holonomy]
+        assert calls == [(d,), (d,)]
+        assert split == [zetafix.algebra._integer_form([a @ d])[0][0]
+                         for _, a in parsed.spec.holonomy]
         assert zetafix.algebra._classify.cache_info().misses == 1
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_nielsen_type_entry_built_once(self, monkeypatch, name):
+        # the Reidemeister and Artin-Mazur entries copy the Nielsen entry,
+        # key order included, with "which" replaced
+        built = _record_calls(monkeypatch, zetafix.report, "_zeta_entry")
+        zetas = build_report(load_fixture(name))["zetas"]
+        assert sorted(result.which for result, in built) == \
+            ["Lefschetz", "Nielsen"]
+        copies = [e for e in zetas[2:] if e["defined"]]
+        assert [e["which"] for e in copies][-1] == "ArtinMazur"
+        for entry in copies:
+            assert list(entry.items()) == list(
+                dict(zetas[1], which=entry["which"]).items())
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_zetas_rebuilt_and_compared_without_gcd(self, monkeypatch, name):
