@@ -38,23 +38,10 @@ def mobius(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-@lru_cache(maxsize=128)
-def _mobius_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """(d, mu(d)) for every divisor d of n, in increasing order, those
-    with mu(d) = 0 included."""
-    return tuple((d, mobius(d)) for d in _divisors(n))
+@lru_cache(maxsize=8)
+def _squarefree_mobius(n_max: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for every squarefree d <= n_max, in increasing order."""
+    return tuple((d, mu) for d in range(1, n_max + 1) if (mu := mobius(d)))
 
 
 def _is_prime(n: int) -> bool:
@@ -89,18 +76,32 @@ def check_gauss(seq: SequenceOracle, n_max: int,
                 kind: str = "Gauss") -> CongruenceReport:
     """sum_{d|n} mu(d) a_{n/d} = 0 mod n for n <= n_max.  Iterates
     whose divisor terms include an infinite value are skipped and
-    flagged rather than failed: the law assumes finite counts."""
+    flagged rather than failed: the law assumes finite counts.
+
+    The sums are taken together by a Moebius sieve: each term a_j is
+    read once and mu(d) a_j is added into the sum of n = j d for every
+    squarefree d.  An infinite a_k skips every multiple of k, whatever
+    the Moebius weight of its divisor term, and counts as 0 in the
+    sums, which are then not reported."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    checked, violations, skipped = [], [], []
     a = [None] + [seq(m) for m in range(1, n_max + 1)]
+    skip = [False] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        if a[k] == math.inf:
+            skip[k::k] = [True] * (n_max // k)
+            a[k] = 0
+    sums = [0] * (n_max + 1)
+    for d, mu in _squarefree_mobius(n_max):
+        for j in range(1, n_max // d + 1):
+            sums[j * d] += mu * a[j]
+    checked, violations, skipped = [], [], []
     for n in range(1, n_max + 1):
-        terms = [(mu, a[n // d]) for d, mu in _mobius_terms(n)]
-        if any(t == math.inf for _, t in terms):
+        if skip[n]:
             skipped.append(n)
             continue
         checked.append(n)
-        residue = sum(m * t for m, t in terms) % n
+        residue = sums[n] % n
         if residue != 0:
             violations.append((n, int(residue)))
     return CongruenceReport(kind, tuple(checked), tuple(violations),

@@ -139,6 +139,51 @@ class ZetaResult:
     construction: Construction
 
 
+def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
+    """R(f^n) from det(A - D^n), checked against N(f^n) when finite."""
+    dets, den = kernel.shifted_dets(n)
+    if 0 in dets:
+        return math.inf
+    r = _average([abs(v) for v in dets], den, NonIntegralNielsen)
+    if r != n_seq(n):
+        raise NielsenFormulaMismatch(
+            f"R(f^{n}) = {r} differs from N(f^{n}) = {n_seq(n)}")
+    return r
+
+
+def _twisted_at(kernel: AveragingKernel, members, l_seq: SequenceOracle,
+                n: int) -> int:
+    return _lefschetz_at(kernel, n, members) - l_seq(n)
+
+
+class _SignData:
+    """The plus split of one problem and the ranks of the zeta its sign
+    formula substitutes into, each decided on first read.  A context
+    and the bound of its N and R oracles share one, so the split waits
+    for the first zeta rebuild and no oracle refers back to the
+    context."""
+
+    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
+        self.spec, self.mapping = spec, mapping
+
+    @cached_property
+    def split(self) -> PlusSplit:
+        return compute_plus_split(self.spec, self.mapping)
+
+    @cached_property
+    def ranks(self) -> tuple[int, int]:
+        e, o = exterior_ranks(self.spec)
+        if not self.split.is_proper:
+            return e, o
+        e_plus, o_plus = exterior_ranks(self.spec, self.split.plus_indices())
+        return e_plus - e, o_plus - o
+
+    def nielsen_bound(self) -> int:
+        """The order bound of N and R: the sign-formula zeta's, which
+        the formula may invert."""
+        return zeta_degree_bound(self.spec, self.ranks, invertible=True)
+
+
 class MapContext:
     """Everything computed for one (spec, map): its averaging kernel
     (from manifolds.averaging_kernel), the L, N and R sequences read
@@ -147,40 +192,39 @@ class MapContext:
     Nielsen zetas.  It is the only place that builds a sequence oracle:
     each one carries the proven order bound of the zeta it feeds (see
     zeta_degree_bound), and oracles reading one kernel share its powers
-    of D and its determinants.  Obtain it from map_context, so that
-    every caller asking about the same problem shares one instance."""
+    of D and its determinants.  An oracle holds the kernel and sibling
+    oracles, never the context, so a context is freed as soon as it is
+    dropped.  Obtain it from map_context, so that every caller asking
+    about the same problem shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
         self.kernel = averaging_kernel(spec, mapping)
+        self._signs = _SignData(spec, mapping)
         self.l_seq = self._oracle("lefschetz", partial(_lefschetz_at, self.kernel),
                                   zeta_degree_bound(spec, exterior_ranks(spec)))
 
-    def _oracle(self, kind: str, fn, bound: int) -> SequenceOracle:
+    def _oracle(self, kind: str, fn, bound) -> SequenceOracle:
         return SequenceOracle(
             fn, bound, name=f"{kind}:{self.spec.name}:{self.mapping.label}")
 
-    @cached_property
+    @property
     def split(self) -> PlusSplit:
-        return compute_plus_split(self.spec, self.mapping)
+        return self._signs.split
 
-    @cached_property
+    @property
     def sign_ranks(self) -> tuple[int, int]:
         """(E, O) of the zeta the sign formula substitutes into: L_f's,
         or for a proper split the twisted zeta L_f+ / L_f's, (E+ - E,
         O+ - O) with (E+, O+) the ranks over the plus subgroup."""
-        e, o = exterior_ranks(self.spec)
-        if not self.split.is_proper:
-            return e, o
-        e_plus, o_plus = exterior_ranks(self.spec, self.split.plus_indices())
-        return e_plus - e, o_plus - o
+        return self._signs.ranks
 
     @cached_property
     def n_seq(self) -> SequenceOracle:
-        """N(f^n), bounded by the order of the sign-formula zeta."""
+        """N(f^n), bounded by the order of the sign-formula zeta, which
+        is decided on the first read of the bound."""
         return self._oracle("nielsen", partial(_nielsen_at, self.kernel),
-                            zeta_degree_bound(self.spec, self.sign_ranks,
-                                              invertible=True))
+                            self._signs.nielsen_bound)
 
     @cached_property
     def r_seq(self) -> SequenceOracle:
@@ -189,28 +233,18 @@ class MapContext:
         R averages det(A - D^n), not det(I - A D^n); inversion permutes
         the holonomy, so a finite R(f^n) that is not N(f^n) raises
         NielsenFormulaMismatch."""
-        return self._oracle("reidemeister", self._reidemeister_at,
-                            self.n_seq.degree_bound)
-
-    def _reidemeister_at(self, n: int):
-        dets, den = self.kernel.shifted_dets(n)
-        if 0 in dets:
-            return math.inf
-        r = _average([abs(v) for v in dets], den, NonIntegralNielsen)
-        if r != self.n_seq(n):
-            raise NielsenFormulaMismatch(
-                f"R(f^{n}) = {r} differs from N(f^{n}) = {self.n_seq(n)}")
-        return r
+        return self._oracle("reidemeister",
+                            partial(_reidemeister_at, self.kernel, self.n_seq),
+                            self._signs.nielsen_bound)
 
     @cached_property
     def twisted_seq(self) -> SequenceOracle:
         """L(f+^n) - L(f^n), the kernel's determinants averaged over the
         plus subgroup less l_seq: the sequence of the twisted zeta
         L_f+ / L_f of a proper split."""
-        members = self.split.plus_indices()
         return self._oracle(
             "lefschetz-twisted",
-            lambda n: _lefschetz_at(self.kernel, n, members) - self.l_seq(n),
+            partial(_twisted_at, self.kernel, self.split.plus_indices(), self.l_seq),
             zeta_degree_bound(self.spec, self.sign_ranks))
 
     @cached_property
@@ -301,10 +335,14 @@ def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
 
 def _coincidence_at(kernel: AveragingKernel, n: int,
                     orientable: bool) -> CoincidenceNumbers:
+    """L, N and R from one |det| average: R is N's average unless a
+    determinant vanishes, and that average is taken only when N or R
+    needs it."""
     lef = _lefschetz_at(kernel, n)
-    nie = _nielsen_at(kernel, n) if orientable else None
-    rei = math.inf if 0 in kernel.fixed_point_dets(n)[0] else _nielsen_at(kernel, n)
-    return CoincidenceNumbers(lef, nie, rei)
+    infinite = 0 in kernel.fixed_point_dets(n)[0]
+    avg = _nielsen_at(kernel, n) if orientable or not infinite else None
+    return CoincidenceNumbers(lef, avg if orientable else None,
+                              math.inf if infinite else avg)
 
 
 # --------------------------------------------------------------------------

@@ -163,15 +163,23 @@ class RationalFunction:
 
 class SequenceOracle:
     """Deterministic generator n -> a_n (n >= 1), cached, carrying the
-    degree bound used for rational reconstruction."""
+    degree bound used for rational reconstruction.  The bound may be
+    given as a function of no arguments, called the first time
+    degree_bound is read, for a bound that costs more to decide than
+    the values do."""
 
-    def __init__(self, fn, degree_bound: int, name: str = ""):
-        if degree_bound < 1:
-            raise ValueError("degree_bound must be >= 1")
+    def __init__(self, fn, degree_bound, name: str = ""):
         self._fn = fn
-        self.degree_bound = int(degree_bound)
+        self._bound = degree_bound if callable(degree_bound) \
+            else _checked_bound(degree_bound)
         self.name = name
         self._cache: dict[int, Fraction] = {}
+
+    @property
+    def degree_bound(self) -> int:
+        if callable(self._bound):
+            self._bound = _checked_bound(self._bound())
+        return self._bound
 
     def __call__(self, n: int):
         if n < 1:
@@ -179,6 +187,12 @@ class SequenceOracle:
         if n not in self._cache:
             self._cache[n] = self._fn(n)
         return self._cache[n]
+
+
+def _checked_bound(degree_bound) -> int:
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    return int(degree_bound)
 
 
 def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:

@@ -17,13 +17,13 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import classify_eigenvalues, det
+from .algebra import (_int_poly_mul, _integer_coeffs, classify_eigenvalues,
+                      det)
 from .errors import (NonAcyclicBundle, NotConstantRatio, RadiusMismatch,
                      ZetaUndefined)
 from .invariants import ZetaResult, map_context
 from .manifolds import AffineMapSpec, ManifoldSpec, ensure_compatible
-from .ratfunc import (RationalFunction, radius_of_convergence,
-                      substitute_reciprocal_scale)
+from .ratfunc import RationalFunction, radius_of_convergence
 
 
 def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
@@ -89,15 +89,29 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     split = map_context(spec, mapping).split
     case = "plus-proper" if split.is_proper else "plus-equal"
     m = spec.dimension
-    g = substitute_reciprocal_scale(zeta.function, d)
-    h = zeta.function ** ((-1) ** m)
-    # g/h is the constant c iff g.num * h.den = c * g.den * h.num
-    top, bottom = g.num * h.den, g.den * h.num
-    c = Fraction(0) if top.is_zero else top.leading() / bottom.leading()
-    if top != bottom * c:
-        raise NotConstantRatio(
-            f"zeta(1/(dz)) / zeta(z)^((-1)^{m}) is "
-            f"{RationalFunction(top, bottom)}, not a constant")
+    f = zeta.function
+    if f.num.is_zero:
+        c = Fraction(0)
+    else:
+        # g = f(1/(dz)) and h = f^((-1)^m) on integer coefficient lists
+        # (f = num/s_num over den/s_den): g's two lifts share one scale,
+        # and h's numerator and denominator are num and den, swapped for
+        # odd m, so g/h = (top * t) / (bottom * b) with the scales below.
+        # It is a constant iff top and bottom are proportional.
+        num, s_num = _integer_coeffs(f.num)
+        den, s_den = _integer_coeffs(f.den)
+        k = max(len(num), len(den)) - 1
+        if m % 2 == 0:
+            h_num, h_den, t, b = num, den, 1, 1
+        else:
+            h_num, h_den, t, b = den, num, s_den * s_den, s_num * s_num
+        top = _int_poly_mul(_reciprocal_lift(num, k, d), h_den)
+        bottom = _int_poly_mul(_reciprocal_lift(den, k, d), h_num)
+        if [x * bottom[-1] for x in top] != [x * top[-1] for x in bottom]:
+            ratio = RationalFunction([x * t for x in top], [x * b for x in bottom])
+            raise NotConstantRatio(
+                f"zeta(1/(dz)) / zeta(z)^((-1)^{m}) is {ratio}, not a constant")
+        c = Fraction(top[-1] * t, bottom[-1] * b)
     if zeta.which == "Lefschetz":
         eps = c
     elif case == "plus-equal":
@@ -105,6 +119,18 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     else:
         eps = 1 / c
     return FunctionalEquationReport(True, eps, d, case)
+
+
+def _reciprocal_lift(c: list[int], k: int, d: Fraction) -> list[int]:
+    """q^k (dz)^k c(1/(dz)) for d = p/q on integer coefficients:
+    coefficient k - j is c_j p^(k-j) q^j."""
+    p, q = d.numerator, d.denominator
+    out = [0] * (k + 1)
+    for j, x in enumerate(c):
+        out[k - j] = x * p ** (k - j) * q ** j
+    while out[-1] == 0:
+        out.pop()
+    return out
 
 
 def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:

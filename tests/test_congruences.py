@@ -1,13 +1,18 @@
 """Gauss, Euler, and Dold divisibility laws for counting sequences."""
 
 import math
+import random
 
 import pytest
 
 from _corpus import random_instances
-from zetafix import (InfinityInSequence, SequenceOracle, builtin_fixtures,
-                     check_dold_lefschetz, check_euler, check_gauss, mobius,
-                     nielsen_sequence, reidemeister_sequence, sol_r_sequence)
+from conftest import FIXED_POINT_NAMES
+from zetafix import (AffineMapSpec, InfinityInSequence, ManifoldSpec,
+                     SequenceOracle, builtin_fixtures, check_dold_lefschetz,
+                     check_euler, check_gauss, lefschetz_sequence,
+                     load_fixture, mobius, nielsen_sequence,
+                     reidemeister_sequence, sol_r_sequence)
+from zetafix.congruences import CongruenceReport
 
 
 def _seq(fn, name="s"):
@@ -75,6 +80,68 @@ class TestGauss:
     def test_bound_validated(self):
         with pytest.raises(ValueError):
             check_gauss(_seq(lambda n: n), 0)
+
+
+def _ref_divisors(n):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _ref_check_gauss(seq, n_max, kind="Gauss"):
+    """The divisor-sum Gauss check, one divisor list per n: the
+    reference the sieve in check_gauss must agree with."""
+    checked, violations, skipped = [], [], []
+    a = [None] + [seq(m) for m in range(1, n_max + 1)]
+    for n in range(1, n_max + 1):
+        terms = [(mobius(d), a[n // d]) for d in _ref_divisors(n)]
+        if any(t == math.inf for _, t in terms):
+            skipped.append(n)
+            continue
+        checked.append(n)
+        residue = sum(m * t for m, t in terms) % n
+        if residue != 0:
+            violations.append((n, int(residue)))
+    return CongruenceReport(kind, tuple(checked), tuple(violations),
+                            tuple(skipped))
+
+
+class TestSieveMatchesDivisorSums:
+    """check_gauss sums all n together by a Moebius sieve; every report
+    must equal the one of the per-n divisor sums."""
+
+    def test_random_sequences(self):
+        rng = random.Random(2121)
+        for _ in range(2000):
+            n_max = rng.randint(1, 120)
+            terms = [math.inf if rng.random() < 0.05
+                     else rng.randint(-10 ** 6, 10 ** 6)
+                     for _ in range(n_max)]
+            seq = _seq(lambda n, t=terms: t[n - 1])
+            assert check_gauss(seq, n_max) == _ref_check_gauss(seq, n_max)
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_fixture_sequences(self, name):
+        fx = load_fixture(name)
+        for make in (lefschetz_sequence, nielsen_sequence,
+                     reidemeister_sequence):
+            seq = make(fx.spec, fx.mapping)
+            for n_max in (30, 1000):
+                assert check_gauss(seq, n_max, kind="K") == \
+                    _ref_check_gauss(seq, n_max, kind="K")
+
+    def test_sol_and_circle_sequences(self):
+        circle = nielsen_sequence(ManifoldSpec.make("circle", 1, [("I", [[1]])]),
+                                  AffineMapSpec.make("f", [[-1]]))
+        for seq in (sol_r_sequence(2).oracle(), circle):
+            for n_max in (30, 120, 1000):
+                assert check_gauss(seq, n_max) == _ref_check_gauss(seq, n_max)
 
 
 class TestEuler:

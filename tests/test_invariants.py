@@ -1,12 +1,15 @@
 """Averaged fixed-point and coincidence invariants, the sign formula,
 the coincidence trichotomy, and the torus periodic-point oracle."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
 import zetafix.invariants
+import zetafix.manifolds
 from _corpus import (brute_force_torus_count, coincidence_product_instances,
                      isotypic_mixing_instance, product_instances,
                      random_coincidence_instances, random_instances,
@@ -19,7 +22,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      compute_plus_split, cyclic_decomposition,
                      default_degree_bound, det, exterior_ranks, klein_type,
                      lefschetz,
-                     lefschetz_sequence, load_fixture, nielsen,
+                     build_report, lefschetz_sequence, load_fixture, nielsen,
                      nielsen_sequence, nielsen_zeta, reidemeister,
                      reidemeister_sequence, torus_periodic_points,
                      validate_spec)
@@ -217,6 +220,75 @@ class TestReidemeisterEqualsNielsen:
                     finite += 1
                     assert r == nielsen(spec, mapping, n)
         assert finite >= 200
+
+
+class TestContextLifetime:
+    """No oracle refers back to its context, so a context the memo
+    drops is freed by reference counting, kernel and zetas with it."""
+
+    def test_evicted_context_freed_at_once(self, ex3, cat):
+        build_report(ex3)
+        ref = weakref.ref(zetafix.invariants.map_context(ex3.spec, ex3.mapping))
+        gc.disable()
+        try:
+            zetafix.invariants.map_context(cat.spec, cat.mapping)
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_reports_leave_no_cyclic_garbage(self):
+        fixtures = [load_fixture(name) for name in
+                    FIXED_POINT_NAMES + ("halfturn_coincidence",)]
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for fx in fixtures:
+                build_report(fx)
+            zetafix.invariants.map_context.cache_clear()
+            zetafix.manifolds.averaging_kernel.cache_clear()
+            gc.collect()
+            found = sorted({type(o).__qualname__ for o in gc.garbage
+                            if type(o).__module__.startswith("zetafix")})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert found == []
+
+
+class TestLazyPlusSplit:
+    """The plus split decides only the N and R degree bounds and the
+    sign formula, so a single number never waits for it."""
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        calls = []
+        real = zetafix.manifolds.compute_plus_split
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(zetafix.manifolds, "compute_plus_split", counting)
+        monkeypatch.setattr(zetafix.invariants, "compute_plus_split", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["heisenberg_ex3", "klein_bottle_ex1",
+                                      "torus_cat_map"])
+    def test_fresh_number_takes_no_split(self, name, split_calls):
+        fx = load_fixture(name)
+        nielsen(fx.spec, fx.mapping, 1)
+        reidemeister(fx.spec, fx.mapping, 1)
+        assert split_calls == []
+        ctx = zetafix.invariants.map_context(fx.spec, fx.mapping)
+        bound = ctx.n_seq.degree_bound
+        assert ctx.r_seq.degree_bound == bound
+        assert len(split_calls) == 1
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_report_takes_one_split(self, name, split_calls):
+        build_report(load_fixture(name))
+        assert len(split_calls) == 1
 
 
 class TestSequences:
@@ -476,6 +548,32 @@ class TestCoincidence:
         with pytest.raises(ValueError):
             coincidence_numbers(halfturn.spec, halfturn.mapping,
                                 halfturn.mapping2, 0)
+
+    def test_one_absolute_average_per_iterate(self, halfturn, ex1,
+                                              monkeypatch):
+        calls = []
+        real = zetafix.invariants._nielsen_at
+        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
+                            lambda kernel, n: calls.append(n) or real(kernel, n))
+        ident = _map(RationalMatrix.identity(2), "id")
+        pairs = [
+            # orientable, finite R: N and R share the average
+            ((halfturn.spec, halfturn.mapping, halfturn.mapping2), [1, 2, 3]),
+            # orientable, infinite R: the average is N's alone
+            ((halfturn.spec, halfturn.mapping, halfturn.mapping), [1, 2, 3]),
+            # non-orientable, finite R: averaged for R only
+            ((ex1.spec, ex1.mapping, ident), [1, 3]),
+        ]
+        for (spec, f, g), iterates in pairs:
+            calls.clear()
+            for n in iterates:
+                coincidence_numbers(spec, f, g, n)
+            assert calls == iterates
+        # non-orientable, infinite R: nothing to average
+        calls.clear()
+        c = coincidence_numbers(ex1.spec, ex1.mapping, ident, 2)
+        assert c.reidemeister == math.inf and c.nielsen is None
+        assert calls == []
 
 
 class TestCyclicDecomposition:

@@ -2,6 +2,7 @@
 torsion special values."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,14 +14,14 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      NotConstantRatio, NotRational, Polynomial,
                      RadiusMismatch, RationalFunction, RationalMatrix,
                      SequenceOracle, ZetaResult, ZetaUndefined, artin_mazur_zeta,
-                     asymptotic_nielsen, char_poly, default_degree_bound,
+                     asymptotic_nielsen, char_poly, default_degree_bound, det,
                      entropy_lower_bound,
                      exterior_power, is_virtually_unipotent, lefschetz,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
                      reidemeister_zeta, torsion_special_value,
                      verify_functional_equation)
 from zetafix.errors import DimensionMismatch, NonInvariantSubspace
-from zetafix.ratfunc import zeta_from_terms
+from zetafix.ratfunc import substitute_reciprocal_scale, zeta_from_terms
 from zetafix.invariants import MapContext, map_context
 
 GOLDEN_NIELSEN = {
@@ -428,6 +429,53 @@ class TestFunctionalEquation:
             nz = nielsen_zeta(fx.spec, fx.mapping)
             with pytest.raises(NotConstantRatio):
                 verify_functional_equation(fx.spec, fx.mapping, nz)
+
+
+class TestFunctionalEquationIntegerRoute:
+    """verify_functional_equation compares integer coefficient lists;
+    the Fraction route (substitute z -> 1/(dz), divide by
+    zeta^((-1)^m)) must give the same constant, or the same message."""
+
+    @staticmethod
+    def _fraction_route(fx, function):
+        d = det(fx.mapping.linear)
+        m = fx.spec.dimension
+        g = substitute_reciprocal_scale(function, d)
+        h = function ** ((-1) ** m)
+        top, bottom = g.num * h.den, g.den * h.num
+        c = top.leading() / bottom.leading()
+        if top != bottom * c:
+            return (f"zeta(1/(dz)) / zeta(z)^((-1)^{m}) is "
+                    f"{RationalFunction(top, bottom)}, not a constant")
+        return c
+
+    def _functions(self, fx):
+        d = det(fx.mapping.linear)
+        a = Fraction(1, 3)
+        yield lefschetz_zeta(fx.spec, fx.mapping).function
+        yield nielsen_zeta(fx.spec, fx.mapping).function
+        # f(1/(dz)) f(z) = a^2/d for odd m, with fractional coefficients
+        yield RationalFunction([1, -a], [1, -d / a])
+        yield RationalFunction([1, -d / a], [1, -a])
+        yield RationalFunction([1, Fraction(-1, 3), Fraction(1, 5)],
+                               [1, Fraction(2, 7)])
+        yield RationalFunction([1, 2], [1, Fraction(-5, 4), 3])
+
+    @pytest.mark.parametrize("name", ["heisenberg_ex3", "torus_cat_map",
+                                      "identity_torus"])
+    def test_matches_fraction_route(self, name):
+        fx = load_fixture(name)
+        for function in self._functions(fx):
+            expected = self._fraction_route(fx, function)
+            zeta = ZetaResult("Lefschetz", function, Construction("direct"))
+            if isinstance(expected, str):
+                with pytest.raises(NotConstantRatio) as e:
+                    verify_functional_equation(fx.spec, fx.mapping, zeta)
+                assert str(e.value) == expected
+            else:
+                fe = verify_functional_equation(fx.spec, fx.mapping, zeta)
+                assert fe.epsilon == expected
+                assert type(fe.epsilon) is Fraction
 
 
 class TestAsymptotics:
