@@ -611,7 +611,6 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@lru_cache(maxsize=8)
 def char_poly(m: RationalMatrix) -> Polynomial:
     """Monic characteristic polynomial det(zI - M), exactly.
 
@@ -850,9 +849,10 @@ class EigenClassification:
     unit_modulus_count is the exact number of eigenvalues on the unit
     circle; one_in_spectrum says, exactly, whether 1 is an eigenvalue.
     All four come from integer arithmetic on the characteristic
-    polynomial.  expanding_log_product is sum(log |lambda|) over
+    polynomial, as does root_of_unity_eigenvalue, read from the core
+    kept here.  expanding_log_product is sum(log |lambda|) over
     |lambda| > 1 at working precision: the one float, computed from the
-    core kept here when it is first read.
+    core when it is first read.
     """
 
     p: int
@@ -877,6 +877,19 @@ class EigenClassification:
                        key=lambda r: abs(abs(r) - 1.0))
         return float(sum(math.log(abs(r)) for r in roots[self._core_on_circle:]
                          if abs(r) > 1.0))
+
+    @cached_property
+    def root_of_unity_eigenvalue(self) -> bool:
+        """Whether some eigenvalue is a root of unity, decided exactly:
+        1 or -1, or for k >= 3 a primitive k-th root, whose cyclotomic
+        polynomial Phi_k (degree phi(k)) then divides the core."""
+        if self.unit_modulus_count > self._core_on_circle:
+            return True
+        deg = len(self._core) - 1
+        return self._core_on_circle > 0 and any(
+            not _prem(self._core, _cyclotomic(k))
+            for k in range(3, max_root_of_unity_order(deg) + 1)
+            if _euler_phi(k) <= deg)
 
 
 def spectral_isolation(m: RationalMatrix) -> EigenClassification:
@@ -957,10 +970,5 @@ def _cyclotomic(k: int) -> tuple[int, ...]:
 
 
 def has_root_of_unity_eigenvalue(m: RationalMatrix) -> bool:
-    """True iff some eigenvalue is a root of unity, decided exactly: a
-    primitive k-th root of unity is an eigenvalue iff the cyclotomic
-    polynomial Phi_k divides the characteristic polynomial."""
-    p, _ = _integer_coeffs(char_poly(m))
-    return any(not _prem(p, _cyclotomic(k))
-               for k in range(1, max_root_of_unity_order(m.dim) + 1)
-               if _euler_phi(k) <= m.dim)
+    """True iff some eigenvalue is a root of unity (decided exactly)."""
+    return classify_eigenvalues(m).root_of_unity_eigenvalue

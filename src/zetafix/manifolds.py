@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .algebra import (AveragingKernel, RationalMatrix, _berkowitz,
-                      _int_matmul, _integer_form, as_rational,
-                      classify_eigenvalues, has_root_of_unity_eigenvalue,
-                      max_root_of_unity_order)
+from .algebra import (AveragingKernel, EigenClassification, RationalMatrix,
+                      _berkowitz, _int_matmul, _integer_form, as_rational,
+                      classify_eigenvalues, max_root_of_unity_order)
 from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
@@ -88,6 +87,12 @@ class AffineMapSpec:
         tr = None if translation is None else tuple(as_rational(t) for t in translation)
         return AffineMapSpec(str(label), lin, tr)
 
+    @cached_property
+    def spectrum(self) -> EigenClassification:
+        """classify_eigenvalues of the linear part, kept on the object
+        for every spectral reader of the map."""
+        return classify_eigenvalues(self.linear)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -96,8 +101,7 @@ class ValidationReport:
     per element, in holonomy order, the integers e_0(A), ..., e_dim(A):
     the elementary symmetric functions of its eigenvalues, so
     e_i(A) = tr Lambda^i A and e_dim(A) = det A.  They come from the
-    integer Berkowitz polynomial, not from char_poly, whose small cache
-    is kept for the maps' linear parts."""
+    integer Berkowitz polynomial of each element."""
 
     orientable: bool
     element_orders: tuple[tuple[str, int], ...]
@@ -210,7 +214,8 @@ def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
     every element A has some A' in the holonomy with D A = A' D.  The
     holonomy is validated first (see validate_spec), so an invalid spec
     raises its validation error; otherwise raises DimensionMismatch or
-    NonInvariantSubspace."""
+    NonInvariantSubspace.  The |Phi| products A' D are hashed once and
+    each D A looked up, on integer forms over one shared denominator."""
     validate_spec(spec)
     if mapping.linear.dim != spec.dimension:
         raise DimensionMismatch(
@@ -218,36 +223,24 @@ def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
             f"manifold is {spec.dimension}-dimensional")
     if mapping.translation is not None and len(mapping.translation) != spec.dimension:
         raise DimensionMismatch("translation length does not match dimension")
-    label = _incompatible_element(spec, mapping.linear)
-    if label is not None:
-        raise NonInvariantSubspace(
-            f"map {mapping.label!r} is incompatible with holonomy element "
-            f"{label!r}: D*A = A'*D holds for no holonomy element A'")
-
-
-@lru_cache(maxsize=8)
-def _incompatible_element(spec: ManifoldSpec, linear: RationalMatrix) -> str | None:
-    """The label of the first holonomy element A for which no A' gives
-    D A = A' D, or None when D is compatible.  The |Phi| products A' D
-    are hashed once and each D A is looked up, all on integer forms over
-    one shared denominator; kept per (spec, D), so a report checks each
-    map once."""
     mats, _ = _integer_form([a for _, a in spec.holonomy])
-    (d,), _ = _integer_form([linear])
+    (d,), _ = _integer_form([mapping.linear])
     right = {tuple(map(tuple, _int_matmul(a, d))) for a in mats}
     for (label, _), a in zip(spec.holonomy, mats):
         if tuple(map(tuple, _int_matmul(d, a))) not in right:
-            return label
-    return None
+            raise NonInvariantSubspace(
+                f"map {mapping.label!r} is incompatible with holonomy element "
+                f"{label!r}: D*A = A'*D holds for no holonomy element A'")
 
 
 @lru_cache(maxsize=1)
 def averaging_kernel(spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKernel:
     """The averaging kernel of one problem, (spec, f) or the coincidence
-    pair (spec, f, g), after ensure_compatible on each map.  Every entry
-    point reads it.  Only the most recent problem is kept, as with
-    invariants.map_context.  The maps are positional, so every caller
-    asking about one problem hits the same entry."""
+    pair (spec, f, g), after ensure_compatible on each map.  Every
+    (spec, map) entry point reads it, directly or through
+    invariants.map_context, and so validates.  Only the most recent
+    problem is kept, as with map_context.  The maps are positional, so
+    every caller asking about one problem hits the same entry."""
     for mapping in maps:
         ensure_compatible(spec, mapping)
     return AveragingKernel([a for _, a in spec.holonomy],
@@ -287,9 +280,9 @@ def compute_plus_split(spec: ManifoldSpec, mapping: AffineMapSpec) -> PlusSplit:
     the count for D itself.  Each parity is read on integers, from one
     Berkowitz polynomial per element (see _odd_roots_below_minus_one).
     """
-    ensure_compatible(spec, mapping)
+    averaging_kernel(spec, mapping)
     d_mat = mapping.linear
-    cls = classify_eigenvalues(d_mat)
+    cls = mapping.spectrum
     membership = tuple((l, _odd_roots_below_minus_one(a @ d_mat)
                         == (cls.n % 2 == 1))
                        for l, a in spec.holonomy)
@@ -316,9 +309,8 @@ def _odd_roots_below_minus_one(m: RationalMatrix) -> bool:
 def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec) -> bool:
     """True when every eigenvalue of the linear part lies on the unit
     circle (decided exactly)."""
-    ensure_compatible(spec, mapping)
-    cls = classify_eigenvalues(mapping.linear)
-    return cls.unit_modulus_count == spec.dimension
+    averaging_kernel(spec, mapping)
+    return mapping.spectrum.unit_modulus_count == spec.dimension
 
 
 @dataclass(frozen=True)
@@ -346,7 +338,7 @@ def reidemeister_zeta_defined(spec: ManifoldSpec,
     and makes det(I - D^k) vanish, and the identity is in the holonomy.
     """
     kernel = averaging_kernel(spec, mapping)
-    if not has_root_of_unity_eigenvalue(mapping.linear):
+    if not mapping.spectrum.root_of_unity_eigenvalue:
         return ZetaDefinedness("defined")
     for n in range(1, max_root_of_unity_order(spec.dimension) + 1):
         dets, _ = kernel.fixed_point_dets(n)

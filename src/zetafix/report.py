@@ -13,7 +13,7 @@ import math
 import warnings
 from fractions import Fraction
 
-from .algebra import classify_eigenvalues, det
+from .algebra import det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
@@ -103,7 +103,7 @@ def asymptotics_entry(spec, mapping, nz) -> dict:
         entropy = entropy_lower_bound(spec, mapping)
         radius = radius_report(spec, mapping, nz)
     radius_check = ("suppressed: 1 is an eigenvalue of the linear part"
-                    if classify_eigenvalues(mapping.linear).one_in_spectrum
+                    if mapping.spectrum.one_in_spectrum
                     else "ok: radius * growth rate = 1 within 1e-6")
     return {
         "n_infinity": _flt(n_inf),
@@ -182,7 +182,7 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
         "reidemeister_zeta": rz_text,
         "root_of_unity_eigenvalue": root_of_unity,
         "virtually_unipotent": unipotent,
-        "one_in_spectrum": classify_eigenvalues(mapping.linear).one_in_spectrum,
+        "one_in_spectrum": mapping.spectrum.one_in_spectrum,
         "note": note,
     }
     return doc

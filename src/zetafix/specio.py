@@ -195,7 +195,7 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     if data.get("map2") is not None:
         mapping2 = _parse_map(data["map2"], "map2")
         ensure_compatible(spec, mapping2)
-    raw_opts = data.get("options") or {}
+    raw_opts = {} if data.get("options") is None else data["options"]
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
     defaults = SpecOptions()

@@ -17,12 +17,11 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import (_int_poly_mul, _integer_coeffs, classify_eigenvalues,
-                      det)
+from .algebra import _int_poly_mul, _integer_coeffs, det
 from .errors import (NonAcyclicBundle, NotConstantRatio, RadiusMismatch,
                      ZetaUndefined)
 from .invariants import ZetaResult, map_context
-from .manifolds import AffineMapSpec, ManifoldSpec, ensure_compatible
+from .manifolds import AffineMapSpec, ManifoldSpec, averaging_kernel
 from .ratfunc import RationalFunction, radius_of_convergence
 
 
@@ -77,16 +76,16 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
     For Nielsen-type zetas the constant is epsilon^((-1)^(p+n)) when
     the plus subgroup is everything and epsilon^(-1) when it is proper;
     for the Lefschetz zeta it is epsilon itself (the Euler
-    characteristic is 0, so no power of z survives).  The map is checked
-    by ensure_compatible before its degree is taken.
+    characteristic is 0, so no power of z survives).  The problem's
+    context, read first, checks the map and gives the plus split.
     """
-    ensure_compatible(spec, mapping)
+    ctx = map_context(spec, mapping)
     if not spec.orientable:
         raise ValueError("functional equation requires an orientable manifold")
     d = det(mapping.linear)
     if d == 0:
         raise ValueError("degree of the map is zero")
-    split = map_context(spec, mapping).split
+    split = ctx.split
     case = "plus-proper" if split.is_proper else "plus-equal"
     m = spec.dimension
     f = zeta.function
@@ -137,8 +136,8 @@ def asymptotic_nielsen(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """Growth rate N_infinity = limsup N(f^n)^(1/n): the product of the
     expanding eigenvalue moduli of the linear part, at least 1.  Warns
     when 1 is an eigenvalue, where the spectral formula can fail."""
-    ensure_compatible(spec, mapping)
-    cls = classify_eigenvalues(mapping.linear)
+    averaging_kernel(spec, mapping)
+    cls = mapping.spectrum
     if cls.one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; the "
                       "spectral growth formula is not guaranteed",
@@ -150,9 +149,8 @@ def entropy_lower_bound(spec: ManifoldSpec, mapping: AffineMapSpec) -> float:
     """log of the asymptotic Nielsen number: the topological entropy of
     the affine representative and a lower bound for every map in the
     homotopy class."""
-    ensure_compatible(spec, mapping)
-    cls = classify_eigenvalues(mapping.linear)
-    return max(0.0, cls.expanding_log_product)
+    averaging_kernel(spec, mapping)
+    return max(0.0, mapping.spectrum.expanding_log_product)
 
 
 def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
@@ -162,11 +160,11 @@ def radius_report(spec: ManifoldSpec, mapping: AffineMapSpec,
     radius * N_infinity is checked against 1 within 1e-6 unless 1 is
     an eigenvalue of the linear part (where the growth formula does
     not apply and the check is suppressed with a warning)."""
-    ensure_compatible(spec, mapping)
+    averaging_kernel(spec, mapping)
     r = radius_of_convergence(zeta.function)
     if zeta.which == "Lefschetz":
         return r
-    if classify_eigenvalues(mapping.linear).one_in_spectrum:
+    if mapping.spectrum.one_in_spectrum:
         warnings.warn("1 is an eigenvalue of the linear part; skipping "
                       "the radius cross-check", stacklevel=2)
         return r

@@ -1,9 +1,11 @@
 import os
+import sys
 import tempfile
 
 import pytest
 from hypothesis import settings
 
+import zetafix.algebra
 import zetafix.invariants
 import zetafix.manifolds
 from zetafix import load_fixture
@@ -31,12 +33,33 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def _fresh_problem_memos():
-    # The per-problem memos (one context, one averaging kernel) would
-    # otherwise carry work from one test into the next, and tests that
-    # count kernels, determinants or characteristic polynomials would
+    # The per-problem memos (one context, one averaging kernel) and the
+    # spectral memo shared across problems would otherwise carry work
+    # from one test into the next, and tests that count kernels,
+    # determinants, classifications or characteristic polynomials would
     # depend on the test order.
     zetafix.invariants.map_context.cache_clear()
     zetafix.manifolds.averaging_kernel.cache_clear()
+    zetafix.algebra._classify.cache_clear()
+
+
+def _record_calls(monkeypatch, home, name) -> list:
+    """Replace every binding of home.<name> in the zetafix modules with a
+    wrapper that records the positional arguments of each call; returns
+    the live record."""
+    calls = []
+    orig = getattr(home, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in [m for k, m in sys.modules.items()
+                if k.startswith("zetafix") and m is not None]:
+        for attr, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, attr, recorded)
+    return calls
 
 
 FIXED_POINT_NAMES = (

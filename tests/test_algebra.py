@@ -759,13 +759,29 @@ def _ref_plus_split(spec, mapping):
     return PlusSplit(membership, not all(i for _, i in membership), p, n)
 
 
+def _ref_has_root_of_unity(m):
+    """The scan the classification replaced: every cyclotomic Phi_k with
+    phi(k) <= dim tried against the whole characteristic polynomial."""
+    p, _ = algebra._integer_coeffs(char_poly(m))
+    return any(not algebra._prem(p, algebra._cyclotomic(k))
+               for k in range(1, max_root_of_unity_order(m.dim) + 1)
+               if algebra._euler_phi(k) <= m.dim)
+
+
 def _assert_classified_as_reference(m):
+    """The classification and the root-of-unity decision read from its
+    core against the Fraction route and the full cyclotomic scan;
+    returns the decision."""
     cls = classify_eigenvalues(m)
     *counts, log_prod = _ref_classify(m)
     assert (cls.p, cls.n, cls.unit_modulus_count,
             cls.one_in_spectrum) == tuple(counts)
     # bit for bit: numpy gets the same correctly rounded quotients
     assert cls.expanding_log_product.hex() == log_prod.hex()
+    root_of_unity = _ref_has_root_of_unity(m)
+    assert has_root_of_unity_eigenvalue(m) == root_of_unity
+    assert cls.root_of_unity_eigenvalue == root_of_unity
+    return root_of_unity
 
 
 def _rand_rational_poly(rng, deg):
@@ -924,7 +940,9 @@ class TestIntegerKernels:
 
 class TestIntegerSpectralLayer:
     """The classification and the plus split on integer coefficient
-    lists give what the Fraction route gives, the log product included."""
+    lists give what the Fraction route gives, the log product included,
+    and the root-of-unity decision read from the classification's core
+    gives what the full cyclotomic scan gives."""
 
     def test_rational_matrices(self):
         rng = random.Random(49)
@@ -941,18 +959,48 @@ class TestIntegerSpectralLayer:
             _assert_classified_as_reference(m)
 
     def test_cyclotomic_companions(self):
-        for m, _, _ in _cyclotomic_companions():
-            _assert_classified_as_reference(m)
+        seen = 0
+        for m, _, cyclotomic in _cyclotomic_companions():
+            assert _assert_classified_as_reference(m) == cyclotomic
+            seen += 1
+        assert seen == 96
+
+    def test_singular_matrices(self):
+        # zero roots leave the core; a cyclotomic factor must still be
+        # found beside them, and a nilpotent part alone is no root of unity
+        rng = random.Random(52)
+        cyclo = [m for m, _, c in _cyclotomic_companions() if c and m.dim <= 4]
+        found = 0
+        for _ in range(60):
+            dim = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            # the last row a combination of the others (zero when dim = 1)
+            coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+            rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                        for j in range(dim)]
+            m = RationalMatrix(rows)
+            assert det(m) == 0
+            found += _assert_classified_as_reference(m)
+            c = rng.choice(cyclo)
+            block = _block_diagonal([_jordan_block(rng.randint(1, 3), 0),
+                                     [list(r) for r in c.rows]])
+            assert _assert_classified_as_reference(block)
+        assert 0 < found < 60
+        for size in range(1, 5):
+            assert not _assert_classified_as_reference(
+                RationalMatrix(_jordan_block(size, 0)))
 
     def test_jordan_blocks_at_plus_minus_one(self):
         rng = random.Random(50)
         for size in range(1, 5):
             for x in (1, -1):
-                _assert_classified_as_reference(
+                assert _assert_classified_as_reference(
                     RationalMatrix(_jordan_block(size, x)))
+        found = 0
         for _ in range(40):
             m, _, _ = _conjugated_block_matrix(rng, max_dim=8)
-            _assert_classified_as_reference(m)
+            found += _assert_classified_as_reference(m)
+        assert 0 < found < 40
 
     def test_unit_circle_count_on_polynomials(self):
         rng = random.Random(51)
@@ -970,6 +1018,7 @@ class TestIntegerSpectralLayer:
             product for product, _, _ in product_instances(seed, 15)]
         for spec, mapping in instances:
             _assert_classified_as_reference(mapping.linear)
+            assert mapping.spectrum == classify_eigenvalues(mapping.linear)
             assert compute_plus_split(spec, mapping) == \
                 _ref_plus_split(spec, mapping)
 

@@ -76,6 +76,21 @@ class TestExitCodes:
             assert err.startswith("error: NonInvariantSubspace: map 'f' is "
                                   "incompatible with holonomy element 'A'")
 
+    @pytest.mark.parametrize("options", ["false", "[]", "null"])
+    def test_options_not_an_object(self, capsys, tmp_path, options):
+        # a falsy non-object options block is refused; null means defaults
+        spec = json.loads(resources.files("zetafix.data")
+                          .joinpath("torus_cat_map.json").read_text())
+        spec["options"] = "__VALUE__"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"__VALUE__"', options))
+        code, out, err = run_main(capsys, "validate", str(bad))
+        if options == "null":
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err == "error: InvalidSpecFile: options must be an object\n"
+
     @pytest.mark.parametrize("path, value, field", [
         (("options", "tolerance"), "1" + "0" * 400, "options.tolerance"),
         (("options", "n_max"), "9" * 5000, "options.n_max"),

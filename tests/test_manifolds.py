@@ -12,7 +12,7 @@ import zetafix.manifolds
 import zetafix.zetas
 from _corpus import (CYCLIC_ORIENTABLE, GROUPS, compatible,
                      isotypic_mixing_instance, random_instances)
-from conftest import FIXED_POINT_NAMES
+from conftest import FIXED_POINT_NAMES, _record_calls
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      NonInvariantSubspace, Polynomial, RationalMatrix,
                      build_report, builtin_fixtures, char_poly,
@@ -22,7 +22,6 @@ from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      max_root_of_unity_order, reidemeister_zeta_defined,
                      sol_r_sequence, validate_spec)
 from zetafix.algebra import AveragingKernel, rref
-from zetafix.manifolds import _incompatible_element
 
 
 def _spec(dim, holonomy, name="m"):
@@ -354,17 +353,34 @@ class TestEntryPointsValidate:
         with pytest.raises(DimensionMismatch, match="'J' is 3x3"):
             self.CALLS[call](spec, self.F)
 
+    @pytest.mark.parametrize("call", sorted(set(CALLS) - {"orientable"}))
+    def test_incompatible_map(self, call):
+        # the Klein-bottle shear: D A = A' D holds for no A' when A is the
+        # reflection, and every (spec, map) entry point says so as
+        # ensure_compatible does
+        spec = _spec(2, [("I", [[1, 0], [0, 1]]), ("A", [[1, 0], [0, -1]])])
+        shear = AffineMapSpec.make("f", [[2, 1], [0, 3]])
+        with pytest.raises(NonInvariantSubspace) as expected:
+            ensure_compatible(spec, shear)
+        with pytest.raises(NonInvariantSubspace) as raised:
+            self.CALLS[call](spec, shear)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestCompatibilityOncePerMap:
-    """The exact check is kept per (spec, D): parsing takes it, and the
-    report built from the parsed spec reads it back."""
+    """Parsing checks each map, and the report built from the parsed spec
+    checks it once more, when it builds the problem's kernel; every other
+    reader validates through that kernel."""
 
     @pytest.mark.parametrize("name, maps", [("heisenberg_ex3", 1),
                                             ("halfturn_coincidence", 2)])
-    def test_one_check_per_map_in_a_report(self, name, maps):
-        _incompatible_element.cache_clear()
-        build_report(load_fixture(name))
-        assert _incompatible_element.cache_info().misses == maps
+    def test_one_check_per_map_in_a_report(self, monkeypatch, name, maps):
+        checked = _record_calls(monkeypatch, zetafix.manifolds,
+                                "ensure_compatible")
+        parsed = load_fixture(name)
+        assert len(checked) == maps
+        build_report(parsed)
+        assert len(checked) == 2 * maps
 
 
 class TestPlusSplit:

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,16 +16,19 @@ import zetafix.manifolds
 import zetafix.ratfunc
 import zetafix.zetas
 from _corpus import isotypic_mixing_instance, random_coincidence_instances
-from conftest import FIXED_POINT_NAMES
-from zetafix import (AffineMapSpec, ManifoldSpec, ParsedSpec, RationalMatrix,
+from conftest import FIXED_POINT_NAMES, _record_calls
+from zetafix import (AffineMapSpec, ManifoldSpec, NotConstantRatio,
+                     ParsedSpec, RationalMatrix, asymptotic_nielsen,
                      asymptotics_entry, build_report, coincidence_numbers,
-                     coincidence_trichotomy, congruence_entries,
-                     has_root_of_unity_eigenvalue, lefschetz,
-                     lefschetz_sequence, load_fixture,
+                     coincidence_trichotomy, compute_plus_split,
+                     congruence_entries, entropy_lower_bound,
+                     has_root_of_unity_eigenvalue, is_virtually_unipotent,
+                     lefschetz, lefschetz_sequence, load_fixture,
                      max_root_of_unity_order, nielsen, nielsen_sequence,
-                     nielsen_zeta, parse_spec_data, reidemeister,
-                     reidemeister_sequence, reidemeister_zeta_defined,
-                     render_human, serialize_spec)
+                     nielsen_zeta, parse_spec_data, radius_report,
+                     reidemeister, reidemeister_sequence,
+                     reidemeister_zeta_defined, render_human, serialize_spec,
+                     verify_functional_equation)
 from zetafix.report import CONGRUENCE_N_MAX
 
 FIXED_POINT_KEYS = ["schema", "input", "validation", "numbers", "zetas",
@@ -60,25 +64,6 @@ class TestStructure:
         a = json.dumps(build_report(ex3))
         b = json.dumps(build_report(load_fixture("heisenberg_ex3")))
         assert a == b
-
-
-def _record_calls(monkeypatch, home, name) -> list:
-    """Replace every binding of home.<name> in the zetafix modules with a
-    wrapper that records the positional arguments of each call; returns
-    the live record."""
-    calls = []
-    orig = getattr(home, name)
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for mod in [m for k, m in sys.modules.items()
-                if k.startswith("zetafix") and m is not None]:
-        for attr, value in list(vars(mod).items()):
-            if value is orig:
-                monkeypatch.setattr(mod, attr, recorded)
-    return calls
 
 
 def _count_kernels(monkeypatch) -> list:
@@ -282,35 +267,79 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):
-        # the definedness scan decides it; the diagnostics read the result
-        calls = _record_calls(monkeypatch, zetafix.algebra,
-                              "has_root_of_unity_eigenvalue")
-        build_report(load_fixture(name))
-        assert len(calls) == 1
+        # the definedness scan decides it from the classification of D,
+        # trying each cyclotomic Phi_k (k >= 3) at most once against the
+        # core, and only when the core has unit-circle roots; the
+        # diagnostics read the result
+        parsed = load_fixture(name)
+        calls = _record_calls(monkeypatch, zetafix.algebra, "_prem")
+        doc = build_report(parsed)
+        cyclotomic = [zetafix.algebra._cyclotomic(k) for k in range(1, 13)]
+        tried = [(a, b) for a, b in calls if b in cyclotomic]
+        spectrum = parsed.mapping.spectrum
+        assert all(a == spectrum._core for a, _ in tried)
+        assert len(set(b for _, b in tried)) == len(tried)
+        assert bool(tried) == (name == "quarter_rotation")
+        assert doc["diagnostics"]["root_of_unity_eigenvalue"] == \
+            spectrum.root_of_unity_eigenvalue
 
     @pytest.mark.parametrize("tolerance", [None, 1e-9])
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_linear_part_classified_once(self, monkeypatch, name, tolerance):
-        # one char_poly of D for the classification, one for the
-        # cyclotomic test, and every spectral reader shares one
-        # classification; the plus split runs one integer Berkowitz per
-        # holonomy element A, on the integer form of A D
+        # one char_poly of D, for the one classification that the map
+        # keeps and every spectral reader (the cyclotomic test included)
+        # reads; the plus split runs one integer Berkowitz per holonomy
+        # element A, on the integer form of A D
         parsed = load_fixture(name)
         if tolerance is not None:
             parsed = replace(parsed, options=replace(parsed.options,
                                                      tolerance=tolerance))
-        zetafix.algebra.char_poly.cache_clear()
-        zetafix.algebra._classify.cache_clear()
         calls = _record_calls(monkeypatch, zetafix.algebra, "char_poly")
+        classified = _record_calls(monkeypatch, zetafix.algebra,
+                                   "classify_eigenvalues")
         split, orig = [], zetafix.manifolds._berkowitz
         monkeypatch.setattr(zetafix.manifolds, "_berkowitz",
                             lambda a: split.append(a) or orig(a))
         build_report(parsed)
         d = parsed.mapping.linear
-        assert calls == [(d,), (d,)]
+        assert calls == [(d,)]
+        assert classified == [(d,)]
         assert split == [zetafix.algebra._integer_form([a @ d])[0][0]
                          for _, a in parsed.spec.holonomy]
-        assert zetafix.algebra._classify.cache_info().misses == 1
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_spectral_readers_after_a_report_recompute_nothing(
+            self, monkeypatch, name):
+        # a report checks compatibility at parse and at its kernel build,
+        # and classifies D once; afterwards every (spec, map) reader reads
+        # the map's classification and validates through the problem's
+        # memos, so it classifies nothing and checks nothing again
+        classified = _record_calls(monkeypatch, zetafix.algebra,
+                                   "classify_eigenvalues")
+        checked = _record_calls(monkeypatch, zetafix.manifolds,
+                                "ensure_compatible")
+        parsed = load_fixture(name)
+        spec, f = parsed.spec, parsed.mapping
+        build_report(parsed)
+        assert classified == [(f.linear,)]
+        assert checked == [(spec, f), (spec, f)]
+        classified.clear()
+        checked.clear()
+        nz = nielsen_zeta(spec, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            asymptotic_nielsen(spec, f)
+            entropy_lower_bound(spec, f)
+            radius_report(spec, f, nz)
+        try:
+            verify_functional_equation(spec, f, nz)
+        except (ValueError, NotConstantRatio):
+            pass        # non-orientable, degree 0, or not a constant ratio
+        compute_plus_split(spec, f)
+        is_virtually_unipotent(spec, f)
+        reidemeister_zeta_defined(spec, f)
+        assert classified == []
+        assert checked == []
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_nielsen_type_entry_built_once(self, monkeypatch, name):

@@ -93,6 +93,18 @@ class TestParsedShape:
         assert parsed.options.degree_bound_override is None
         assert not parsed.is_coincidence
 
+    def test_null_options_are_the_defaults(self):
+        assert parse_spec_data(_minimal(options=None)).options == \
+            parse_spec_data(_minimal()).options
+
+    @pytest.mark.parametrize("options", [False, 0, "", [], [1], 5, "x", 1.5,
+                                         True])
+    def test_options_that_are_not_an_object(self, options):
+        # only an absent or null options block means the defaults; a
+        # falsy non-object is as wrong as any other
+        with pytest.raises(InvalidSpecFile, match="^options must be an object$"):
+            parse_spec_data(_minimal(options=options))
+
     def test_options_read(self):
         parsed = parse_spec_data(_minimal(options={
             "tolerance": 1e-8, "n_max": 20, "degree_bound_override": 6}))
