@@ -8,12 +8,10 @@ functions as exact rational functions, and verify the functional
 equation, growth, radius, and congruence laws they satisfy.
 """
 
-from .algebra import (EigenClassification, Polynomial, Rational,
-                      RationalMatrix, as_rational, char_poly,
-                      classify_eigenvalues, count_real_roots,
-                      count_unit_modulus_roots, det, exterior_power,
-                      has_root_of_unity_eigenvalue, max_root_of_unity_order,
-                      poly_gcd, spectral_isolation, squarefree_decomposition)
+from .algebra import (EigenClassification, Polynomial, RationalMatrix,
+                      as_rational, char_poly, classify_eigenvalues, det,
+                      exterior_power, has_root_of_unity_eigenvalue,
+                      max_root_of_unity_order, poly_gcd, spectral_isolation)
 from .congruences import (CongruenceReport, check_dold_lefschetz, check_euler,
                           check_gauss, mobius)
 from .errors import (DegenerateFixedSet, DimensionMismatch,
@@ -37,10 +35,8 @@ from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         compute_plus_split, ensure_compatible,
                         exterior_ranks, is_virtually_unipotent,
                         reidemeister_zeta_defined, validate_spec)
-from .ratfunc import (RationalFunction, SequenceOracle,
-                      format_polynomial, min_linear_recurrence,
-                      radius_of_convergence, substitute_reciprocal_scale,
-                      zeta_from_terms)
+from .ratfunc import (RationalFunction, SequenceOracle, format_polynomial,
+                      radius_of_convergence, zeta_from_terms)
 from .report import (asymptotics_entry, build_report,
                      congruence_entries, render_human)
 from .specio import (ParsedSpec, SpecOptions, parse_spec_data,

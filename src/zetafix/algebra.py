@@ -21,8 +21,6 @@ from functools import cached_property, lru_cache
 
 from .errors import OutOfFloatRange
 
-Rational = Fraction
-
 
 # Error messages quote a bad value up to this many characters.
 _ECHO_CHARS = 64
@@ -191,11 +189,6 @@ def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in p.coeffs], s
 
 
-def _monic(c: list[int]) -> Polynomial:
-    """The monic Polynomial proportional to the integer polynomial c."""
-    return Polynomial(_over(c, c[-1]) if c else ())
-
-
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
     """Product of two nonzero integer polynomials, one inner product per
     output coefficient."""
@@ -276,15 +269,8 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals."""
-    return _monic(_int_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0]))
-
-
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: return [(s_i, i)] with p = lead * prod s_i^i,
-    each s_i squarefree and pairwise coprime (trivial factors omitted),
-    as monic Polynomials; see _int_squarefree."""
-    return [(_monic(s), i)
-            for s, i in _int_squarefree(_primitive(_integer_coeffs(p)[0]))]
+    g = _int_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
+    return Polynomial(_over(g, g[-1]) if g else ())
 
 
 def _int_squarefree(a: list[int]) -> list[tuple[list[int], int]]:
@@ -312,7 +298,7 @@ def _int_squarefree(a: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -334,31 +320,20 @@ _POS_INF = object()
 
 
 def _sign_at(q: list[int], x) -> int:
+    """The sign of q at the integer x or at one of the infinities."""
     if x is _POS_INF:
         return _sign(q[-1])
     if x is _NEG_INF:
         return _sign(q[-1]) * (-1) ** (len(q) - 1)
-    # the sign of q(u/v) * v^deg, v > 0, by Horner on integers
-    u, v = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-    acc, vk = 0, 1
+    acc = 0
     for c in reversed(q):
-        acc = acc * u + c * vk
-        vk *= v
+        acc = acc * x + c
     return _sign(acc)
 
 
 def _variations(chain, x) -> int:
     signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Polynomial, lo, hi) -> int:
-    """Distinct real roots of squarefree p in (lo, hi]; endpoints may be
-    the module-level infinity sentinels.  Endpoints must not be roots."""
-    if p.degree < 1:
-        return 0
-    chain = _sturm_chain(_primitive(_integer_coeffs(p)[0]))
-    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def _variation_sums(c: list[int], points) -> list[int]:
@@ -422,14 +397,6 @@ def _unit_circle_roots(c: list[int]) -> int:
     # w = 2 cos(theta) in (-2, 2)
     lo, hi = _variation_sums(_trace_polynomial(g), (-2, 2))
     return 2 * (lo - hi)
-
-
-def count_unit_modulus_roots(p: Polynomial) -> int:
-    """Exact number of roots of p on the unit circle, with multiplicity."""
-    if p.degree < 1:
-        return 0
-    core, m_one, m_minus = _strip_trivial_roots(_integer_coeffs(p)[0])
-    return m_one + m_minus + _unit_circle_roots(core)
 
 
 # --------------------------------------------------------------------------
@@ -518,10 +485,6 @@ class RationalMatrix:
 
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.dim))
-
-    @property
-    def is_identity(self) -> bool:
-        return self == RationalMatrix.identity(self.dim)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.rows for x in r)
@@ -901,20 +864,25 @@ def spectral_isolation(m: RationalMatrix) -> EigenClassification:
 def classify_eigenvalues(m: RationalMatrix) -> EigenClassification:
     """Classify the spectrum of m relative to the unit circle.
 
-    The integer coefficients of the characteristic polynomial are taken
-    once; the roots 1, -1 and 0 are divided out exactly, the unit-circle
-    roots of the rest are counted from its gcd with its reverse, and p
-    and n from one Sturm chain per squarefree factor, read at -inf, -1,
-    1 and +inf.  No count waits on
-    a float: the numeric roots only form the expanding modulus product,
-    on first use.
+    For m = M_int / q, the integer polynomial det(qz I - M_int) has the
+    roots of the characteristic polynomial; its coefficients come once
+    from Berkowitz on M_int.  The roots 1, -1 and 0 are divided out
+    exactly, the unit-circle roots of the rest are counted from its gcd
+    with its reverse, and p and n from one Sturm chain per squarefree
+    factor, read at -inf, -1, 1 and +inf.  No count waits on a float:
+    the numeric roots only form the expanding modulus product, on first
+    use.
     """
     return _classify(m)
 
 
 @lru_cache(maxsize=8)
 def _classify(m: RationalMatrix) -> EigenClassification:
-    core, m_one, m_minus = _strip_trivial_roots(_integer_coeffs(char_poly(m))[0])
+    # det(qz I - M_int): the Berkowitz coefficient c_k of z^(dim-k),
+    # times q^(dim-k)
+    (a,), q = _integer_form([m])
+    coeffs = [c * q ** j for j, c in enumerate(reversed(_berkowitz(a)))]
+    core, m_one, m_minus = _strip_trivial_roots(coeffs)
     on_circle = _unit_circle_roots(core)
     below, minus, plus, above = _variation_sums(core, (_NEG_INF, -1, 1, _POS_INF))
     return EigenClassification(plus - above, below - minus,

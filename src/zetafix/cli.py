@@ -19,7 +19,7 @@ from .congruences import check_gauss
 from .errors import (InvalidSpecFile, NielsenFormulaMismatch, NotConstantRatio,
                      RadiusMismatch, TrichotomyMismatch, ZetaUndefined,
                      ZetafixError)
-from .fixtures import SequenceFixture, builtin_fixtures
+from .fixtures import SequenceFixture, _builtin_loaders
 from .invariants import map_context
 # unused here, but bench/test_bench.py checks that zetafix.cli binds it
 from .invariants import lefschetz  # noqa: F401
@@ -37,12 +37,12 @@ def _load(target: str):
     p = Path(target)
     if p.exists():
         return parse_spec_file(p)
-    fixtures = builtin_fixtures()
-    if target in fixtures:
-        return fixtures[target]
+    loaders = _builtin_loaders()
+    if target in loaders:
+        return loaders[target]()
     raise InvalidSpecFile(
         f"{target!r} is neither a spec file nor a builtin fixture "
-        f"(builtins: {', '.join(fixtures)})")
+        f"(builtins: {', '.join(loaders)})")
 
 
 def _checked(kind, ok, rule: str):

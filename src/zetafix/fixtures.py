@@ -5,6 +5,7 @@ sequences."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .manifolds import AffineMapSpec, ManifoldSpec
@@ -70,11 +71,15 @@ def sol_r_sequence(r: int) -> SequenceFixture:
         _fn=lambda n: abs(1 - r ** n))
 
 
-def builtin_fixtures() -> dict:
-    """All named builtins: spec fixtures first, then sequence
-    fixtures.  Order is stable for listings."""
-    out: dict = {name: load_fixture(name) for name in _SPEC_FILES}
-    for r in (2, 3):
-        f = sol_r_sequence(r)
-        out[f.name] = f
+def _builtin_loaders() -> dict:
+    """Every builtin name with a function of no arguments that builds
+    it: spec fixtures first, then sequence fixtures.  Order is stable
+    for listings."""
+    out = {name: partial(load_fixture, name) for name in _SPEC_FILES}
+    out.update({f"sol_r_{r}": partial(sol_r_sequence, r) for r in (2, 3)})
     return out
+
+
+def builtin_fixtures() -> dict:
+    """All named builtins, in the order of _builtin_loaders."""
+    return {name: load() for name, load in _builtin_loaders().items()}

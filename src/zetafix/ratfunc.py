@@ -141,13 +141,6 @@ class RationalFunction:
             out.append(acc / d[0])
         return out
 
-    def eval_exact(self, x) -> Fraction:
-        x = as_rational(x)
-        dv = self.den(x)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / dv
-
     def log_derivative_sums(self, upto: int) -> list[Fraction]:
         """Recover a_1..a_upto with self = exp(sum a_n z^n / n):
         a_n = n * [z^n] log(self).  Inverse of zeta_from_terms."""
@@ -234,21 +227,6 @@ def _berlekamp_massey(s: list[int]) -> tuple[list[int], int]:
             f"recurrence of order {ell} detected from only {len(s)} terms; "
             f"need at least {2 * ell}")
     return c, ell
-
-
-def min_linear_recurrence(terms) -> Polynomial:
-    """Monic characteristic polynomial of the minimal linear recurrence
-    satisfied by the whole sequence (Berlekamp-Massey over Q, run on the
-    terms scaled to integers).
-
-    Raises InsufficientTerms unless the window is at least twice the
-    detected order, the usual stabilization requirement.
-    """
-    s = [as_rational(t) for t in terms]
-    scale = math.lcm(1, *(x.denominator for x in s))
-    c, _ = _berlekamp_massey([x.numerator * (scale // x.denominator) for x in s])
-    # char poly z^ell * C(1/z): s_n = -sum_{i=1..ell} (c_i / c_0) s_{n-i}
-    return Polynomial([Fraction(x, c[0]) for x in reversed(c)])
 
 
 def _exponential(a: list[int | Fraction]) -> tuple[list[int], int]:
@@ -459,22 +437,3 @@ def radius_of_convergence(rf: RationalFunction) -> float:
     den = _primitive(_integer_coeffs(rf.den)[0])
     return float(min(abs(r) for s, _ in _int_squarefree(den)
                      for r in _float_roots(s, "the radius of convergence")))
-
-
-def substitute_reciprocal_scale(rf: RationalFunction, d) -> RationalFunction:
-    """Exact substitution z -> 1/(d*z) for a nonzero rational d."""
-    d = as_rational(d)
-    if d == 0:
-        raise ValueError("scale must be nonzero")
-    k = max(rf.num.degree, rf.den.degree)
-
-    def lift(p: Polynomial) -> Polynomial:
-        # p(1/(dz)) * (dz)^k, exactly
-        out = [Fraction(0)] * (k + 1)
-        for j, c in enumerate(p.coeffs):
-            out[k - j] = c * d ** (k - j)
-        return Polynomial(out)
-
-    # p(1/(dz)) keeps num and den coprime, and one of the two lifts has
-    # a nonzero constant term, so no factor z is shared either.
-    return _coprime(lift(rf.num), lift(rf.den))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,18 +42,28 @@ def check_n_max(n: int, what: str = "options.n_max") -> None:
 @dataclass(frozen=True)
 class SpecOptions:
     """Spec options.  tolerance and degree_bound_override are parsed,
-    range-checked and echoed for schema 1, but nothing reads them: every
+    checked and echoed for schema 1, but nothing reads them: every
     eigenvalue count is exact, and the degree bound is derived.
 
-    The range checks run on construction, so options built by a caller
-    are held to the same ranges as parsed ones (InvalidSpecFile, in the
-    parser's order); tolerance is then stored as a float."""
+    The checks run on construction, so options built by a caller are
+    held to the same types and ranges as parsed ones: InvalidSpecFile,
+    the types first, then the ranges.  true/false are not numbers, and
+    null is accepted only for the override.  tolerance is then stored
+    as a float."""
 
     tolerance: float = 1e-10
     n_max: int = 12
     degree_bound_override: int | None = None
 
     def __post_init__(self):
+        for key, kinds, what in (("tolerance", (int, float, Fraction), "a number"),
+                                 ("n_max", (int,), "an integer"),
+                                 ("degree_bound_override", (int, type(None)),
+                                  "an integer or null")):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise InvalidSpecFile(
+                    f"options.{key} must be {what}, got {_echo(v)}")
         check_n_max(self.n_max)
         # compared before float(): an integer too large for a float is
         # simply out of range
@@ -156,15 +166,6 @@ def _parse_map(obj, what: str) -> AffineMapSpec:
                               translation)
 
 
-def _option(raw: dict, key: str, default, kinds: tuple, what: str):
-    """raw[key] (default if absent), of one of the kinds; true/false are
-    not numbers, and null is accepted only where it is the default."""
-    v = raw.get(key, default)
-    if v is not default and (isinstance(v, bool) or not isinstance(v, kinds)):
-        raise InvalidSpecFile(f"options.{key} must be {what}, got {_echo(v)}")
-    return v
-
-
 def parse_spec_data(data: dict) -> ParsedSpec:
     """Build and validate a ParsedSpec from decoded JSON."""
     if not isinstance(data, dict):
@@ -198,15 +199,9 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     raw_opts = {} if data.get("options") is None else data["options"]
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
-    defaults = SpecOptions()
-    tolerance = _option(raw_opts, "tolerance", defaults.tolerance,
-                        (int, float), "a number")
-    n_max = _option(raw_opts, "n_max", defaults.n_max, (int,), "an integer")
-    degree_bound = _option(raw_opts, "degree_bound_override",
-                           defaults.degree_bound_override, (int,),
-                           "an integer or null")
-    return ParsedSpec(spec, mapping, mapping2,
-                      SpecOptions(tolerance, n_max, degree_bound))
+    return ParsedSpec(spec, mapping, mapping2, SpecOptions(
+        **{f.name: raw_opts[f.name] for f in fields(SpecOptions)
+           if f.name in raw_opts}))
 
 
 def parse_spec_file(path) -> ParsedSpec:

@@ -20,10 +20,8 @@ from _corpus import product_instances, random_instances
 from zetafix import algebra
 from zetafix import (PlusSplit, Polynomial, RationalMatrix, as_rational,
                      char_poly, classify_eigenvalues, compute_plus_split,
-                     count_real_roots, count_unit_modulus_roots, det,
-                     exterior_power, has_root_of_unity_eigenvalue,
-                     max_root_of_unity_order, poly_gcd,
-                     squarefree_decomposition)
+                     det, exterior_power, has_root_of_unity_eigenvalue,
+                     max_root_of_unity_order, poly_gcd)
 
 
 def _rand_poly(rng, deg):
@@ -41,6 +39,33 @@ def _from_roots(roots):
     for r in roots:
         p = p * Polynomial([-Fraction(r), 1])
     return p
+
+
+def _int_poly(p):
+    """The Fraction polynomial p as a primitive integer coefficient list,
+    the form the integer kernels take."""
+    return algebra._primitive(algebra._integer_coeffs(p)[0])
+
+
+def _squarefree(p):
+    """Yun's algorithm on integers, its factors made monic Polynomials."""
+    return [(Polynomial(s).monic(), k)
+            for s, k in algebra._int_squarefree(_int_poly(p))]
+
+
+def _sturm_count(p, lo, hi):
+    """Distinct real roots of squarefree p in (lo, hi], from the integer
+    Sturm chain read at integer points or the infinities."""
+    chain = algebra._sturm_chain(_int_poly(p))
+    return algebra._variations(chain, lo) - algebra._variations(chain, hi)
+
+
+def _unit_circle_count(p):
+    """Roots of p on the unit circle, with multiplicity: the roots 1 and
+    -1 divided out and counted, then the rest counted by the kernel."""
+    core, m_one, m_minus = algebra._strip_trivial_roots(
+        algebra._integer_coeffs(p)[0])
+    return m_one + m_minus + algebra._unit_circle_roots(core)
 
 
 def _cofactor_det(rows):
@@ -149,20 +174,23 @@ class TestPolynomial:
 class TestSquarefree:
     def test_known_multiplicities(self):
         p = _from_roots([1]) * _from_roots([1]) * _from_roots([-2])
-        parts = squarefree_decomposition(p)
+        parts = _squarefree(p)
         rebuilt = Polynomial([1])
         for q, k in parts:
             for _ in range(k):
                 rebuilt = rebuilt * q
         assert rebuilt.monic() == p.monic()
         assert sorted(k for q, k in parts if q.degree > 0) == [1, 2]
+        assert parts == _ref_squarefree(p)
 
     def test_random_squarefree_parts_are_coprime_with_derivative(self):
         rng = random.Random(5)
         for _ in range(10):
             base = _rand_poly(rng, rng.randint(1, 3))
             p = base * base * _rand_poly(rng, rng.randint(1, 2))
-            for q, _k in squarefree_decomposition(p):
+            parts = _squarefree(p)
+            assert parts == _ref_squarefree(p)
+            for q, _k in parts:
                 if q.degree >= 1:
                     assert poly_gcd(q, q.derivative()).degree == 0
 
@@ -170,17 +198,22 @@ class TestSquarefree:
 class TestSturm:
     def test_counts_match_construction(self):
         p = _from_roots([Fraction(-5, 2), -1, 0, Fraction(1, 3), 2])
-        assert count_real_roots(p, -10, 10) == 5
-        assert count_real_roots(p, 0, 10) == 2          # 1/3 and 2; 0 excluded
-        assert count_real_roots(p, -2, Fraction(1, 2)) == 3
+        for lo, hi, expected in [(-10, 10, 5),
+                                 (0, 10, 2),      # 1/3 and 2; 0 excluded
+                                 (-2, 1, 3),      # -1, 0 and 1/3
+                                 (algebra._NEG_INF, -1, 2),
+                                 (2, algebra._POS_INF, 0)]:
+            assert _sturm_count(p, lo, hi) == expected
+            assert _ref_count_real_roots(p, lo, hi) == expected
 
     def test_counts_match_numpy_on_distinct_integer_roots(self):
         rng = random.Random(9)
         for _ in range(15):
             roots = rng.sample(range(-6, 7), rng.randint(1, 4))
             p = _from_roots(roots)
-            lo, hi = Fraction(-13, 2), Fraction(13, 2)
-            assert count_real_roots(p, lo, hi) == len(roots)
+            assert _sturm_count(p, -7, 7) == len(roots)
+            assert _sturm_count(p, algebra._NEG_INF, algebra._POS_INF) == \
+                len(roots)
 
 
 class TestUnitCircleCount:
@@ -195,17 +228,19 @@ class TestUnitCircleCount:
         ([2, 0, 2], 2),                  # non-monic scaling
     ])
     def test_catalog(self, coeffs, expected):
-        assert count_unit_modulus_roots(Polynomial(coeffs)) == expected
+        p = Polynomial(coeffs)
+        assert _unit_circle_count(p) == expected
+        assert _ref_count_unit_modulus_roots(p) == expected
 
     def test_products_add(self):
         on = Polynomial([1, 1, 1])           # two roots on the circle
         off = _from_roots([2, Fraction(-1, 3)])
-        assert count_unit_modulus_roots(on * off) == 2
-        assert count_unit_modulus_roots(on * on * off) == 4
+        assert _unit_circle_count(on * off) == 2
+        assert _unit_circle_count(on * on * off) == 4
 
     def test_mixed_with_reciprocal_noise(self):
         p = Polynomial([1, Fraction(-5, 2), 1]) * Polynomial([1, 0, 1])
-        assert count_unit_modulus_roots(p) == 2
+        assert _unit_circle_count(p) == 2
 
 
 class TestMatrix:
@@ -244,9 +279,9 @@ class TestMatrix:
 
     def test_inverse_and_negative_powers(self):
         m = RationalMatrix([[2, 1], [1, 1]])
-        assert (m @ m.inverse()).is_identity
+        assert m @ m.inverse() == RationalMatrix.identity(2)
         assert m.power(-2) == m.inverse() @ m.inverse()
-        assert m.power(0).is_identity
+        assert m.power(0) == RationalMatrix.identity(2)
         with pytest.raises(ZeroDivisionError):
             RationalMatrix([[1, 1], [1, 1]]).inverse()
 
@@ -609,7 +644,7 @@ class TestRootOfUnity:
             cls = classify_eigenvalues(m)
             assert cls.one_in_spectrum == (char_poly(m)(1) == 0)
             assert cls.unit_modulus_count == \
-                count_unit_modulus_roots(char_poly(m))
+                _ref_count_unit_modulus_roots(char_poly(m))
         assert len(ms) == count
         assert sum(classify_eigenvalues(m).one_in_spectrum
                    for m in ms) == with_one
@@ -800,8 +835,8 @@ def _schoolbook(a, b):
     return Polynomial(out)
 
 
-_ENDPOINTS = [algebra._NEG_INF, Fraction(-7, 3), -2, Fraction(-1), 0,
-              Fraction(1, 2), 1, Fraction(5, 2), algebra._POS_INF]
+# the integer Sturm chains are read at integers and the infinities only
+_ENDPOINTS = [algebra._NEG_INF, -3, -2, -1, 0, 1, 2, 3, algebra._POS_INF]
 
 
 class TestIntegerKernels:
@@ -908,18 +943,18 @@ class TestIntegerKernels:
                 for _ in range(rng.randint(0, 2)):
                     f = _rand_rational_poly(rng, rng.randint(1, 2))
                     p = math.prod([f] * k, start=p)
-            assert squarefree_decomposition(p) == _ref_squarefree(p)
+            assert _squarefree(p) == _ref_squarefree(p)
 
     def test_sturm_counts_match_fraction_chain(self):
         rng = random.Random(45)
         for _ in range(60):
             p = _rand_rational_poly(rng, rng.randint(1, 7))
-            for s, _ in squarefree_decomposition(p):
+            for s, _ in _squarefree(p):
                 ends = [x for x in _ENDPOINTS
                         if x in (algebra._NEG_INF, algebra._POS_INF)
                         or s(x) != 0]
                 for lo, hi in itertools.combinations(ends, 2):
-                    assert count_real_roots(s, lo, hi) == \
+                    assert _sturm_count(s, lo, hi) == \
                         _ref_count_real_roots(s, lo, hi)
 
     def test_sturm_chain_member_with_negative_leading_coefficient(self):
@@ -931,11 +966,11 @@ class TestIntegerKernels:
         p = Polynomial([-1, 3, 0, -1])
         assert p.derivative().leading() < 0
         cases = [(algebra._NEG_INF, algebra._POS_INF, 3), (-10, 10, 3),
-                 (0, 1, 1), (Fraction(-2), Fraction(1, 2), 2),
-                 (1, algebra._POS_INF, 1)]
+                 (0, 1, 1), (-2, 1, 2), (1, algebra._POS_INF, 1)]
+        assert algebra._int_derivative(_int_poly(p))[-1] < 0
         for lo, hi, expected in cases:
             assert _ref_count_real_roots(p, lo, hi) == expected
-            assert count_real_roots(p, lo, hi) == expected
+            assert _sturm_count(p, lo, hi) == expected
 
 
 class TestIntegerSpectralLayer:
@@ -1009,7 +1044,7 @@ class TestIntegerSpectralLayer:
             p = _rand_rational_poly(rng, rng.randint(0, 4))
             for _ in range(rng.randint(0, 2)):
                 p = p * rng.choice(cyclo)
-            assert count_unit_modulus_roots(p) == \
+            assert _unit_circle_count(p) == \
                 _ref_count_unit_modulus_roots(p)
 
     @pytest.mark.parametrize("seed", range(3))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zetafix
+from conftest import _record_calls
 from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
                      load_fixture)
 from zetafix.cli import main
@@ -34,6 +35,23 @@ class TestExitCodes:
         code, out, err = run_main(capsys, "report", "nope")
         assert code == 2
         assert "neither a spec file nor a builtin fixture" in err
+
+    @pytest.mark.parametrize("target, parses", [
+        ("torus_cat_map", 1), ("sol_r_2", 0), ("nope", 0)])
+    def test_only_the_named_builtin_is_parsed(self, capsys, monkeypatch,
+                                              target, parses):
+        calls = _record_calls(monkeypatch, zetafix.specio, "parse_spec_data")
+        code, out, err = run_main(capsys, "validate", target)
+        assert len(calls) == parses
+        if target == "nope":
+            assert code == 2 and out == ""
+            assert err == (
+                "error: InvalidSpecFile: 'nope' is neither a spec file nor a "
+                "builtin fixture (builtins: klein_bottle_ex1, heisenberg_ex3, "
+                "torus_cat_map, identity_torus, klein_type_3_5, klein_type_3_0, "
+                "halfturn_coincidence, quarter_rotation, sol_r_2, sol_r_3)\n")
+        else:
+            assert code == 0 and err == ""
 
     def test_invalid_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

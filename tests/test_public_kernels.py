@@ -1,0 +1,60 @@
+"""Every public function of the exact algebra and rational-function
+layers is read by the package itself or bound by the benchmark's tracer.
+A public wrapper that only tests read is a second route to a result the
+package computes another way, and it drifts from the route that counts."""
+
+import ast
+from pathlib import Path
+
+import zetafix
+
+PACKAGE = Path(zetafix.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+LAYERS = ("algebra", "ratfunc")
+
+
+def _traced() -> dict:
+    """bench/tracer.py's TRACED, read from its source."""
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TRACED")
+
+
+def _public_functions(module: str) -> set:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def _read_names() -> set:
+    """Every name read in a package module other than __init__, which
+    only re-exports."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_layer_function_has_a_caller():
+    traced, read = _traced(), _read_names()
+    unread = {(module, name) for module in LAYERS
+              for name in _public_functions(module)
+              if name not in read and name not in traced.get(module, ())}
+    assert unread == set()
+
+
+def test_the_layers_define_public_functions():
+    # the check above is vacuous if the parse finds nothing
+    assert {"det", "char_poly", "poly_gcd"} <= _public_functions("algebra")
+    assert {"zeta_from_terms", "verify_zeta"} <= _public_functions("ratfunc")

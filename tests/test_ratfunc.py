@@ -14,11 +14,11 @@ from _corpus import dense_torus, ladder_instances, random_instances
 from zetafix import (InsufficientTerms, NotRational, OutOfFloatRange,
                      Polynomial, RationalFunction, SequenceOracle,
                      builtin_fixtures, format_polynomial,
-                     min_linear_recurrence, radius_of_convergence,
-                     squarefree_decomposition, substitute_reciprocal_scale,
-                     zeta_from_terms)
+                     radius_of_convergence, zeta_from_terms)
+from zetafix.algebra import _int_squarefree, _integer_coeffs, _primitive
 from zetafix.invariants import map_context
-from zetafix.ratfunc import _MERSENNE_EXPONENTS, _series_mismatch, verify_zeta
+from zetafix.ratfunc import (_MERSENNE_EXPONENTS, _berlekamp_massey,
+                             _series_mismatch, verify_zeta)
 
 
 def _oracle(fn, bound, name="test"):
@@ -97,12 +97,6 @@ class TestArithmetic:
         f = RationalFunction([1, 1], [1, -1])
         assert f.log_derivative_sums(6) == [2, 0, 2, 0, 2, 0]
 
-    def test_eval_exact(self):
-        f = RationalFunction([1, 2], [1, -2])
-        assert f.eval_exact(Fraction(1, 3)) == 5
-        with pytest.raises(ZeroDivisionError):
-            f.eval_exact(Fraction(1, 2))
-
 
 class TestSequenceOracle:
     def test_caches_and_validates(self):
@@ -123,21 +117,30 @@ class TestSequenceOracle:
 
 
 class TestMinLinearRecurrence:
+    """The fraction-free Berlekamp-Massey: the order, and the connection
+    polynomial c with sum_i c_i s_(n-i) = 0, up to a constant factor."""
+
+    @staticmethod
+    def _monic(c):
+        return [Fraction(x, c[0]) for x in c]
+
     def test_fibonacci(self):
         fib = [1, 1, 2, 3, 5, 8, 13, 21]
-        # a_n = a_{n-1} + a_{n-2}: char poly z^2 - z - 1
-        assert min_linear_recurrence(fib) == Polynomial([-1, -1, 1])
+        # a_n = a_{n-1} + a_{n-2}: connection polynomial 1 - z - z^2
+        c, order = _berlekamp_massey(fib)
+        assert order == 2 and self._monic(c) == [1, -1, -1]
 
     def test_geometric(self):
-        assert min_linear_recurrence([3, 6, 12, 24]) == Polynomial([-2, 1])
+        c, order = _berlekamp_massey([3, 6, 12, 24])
+        assert order == 1 and self._monic(c) == [1, -2]
 
     def test_zero_sequence(self):
-        assert min_linear_recurrence([0, 0, 0, 0]).degree == 0
+        assert _berlekamp_massey([0, 0, 0, 0]) == ([1], 0)
 
     def test_insufficient_window(self):
         # order-3 recurrence visible only from >= 6 terms
         with pytest.raises(InsufficientTerms):
-            min_linear_recurrence([1, 2, 4, 9, 20])
+            _berlekamp_massey([1, 2, 4, 9, 20])
 
 
 class TestZetaFromTerms:
@@ -529,26 +532,14 @@ class TestAnalytic:
                 den = math.prod([factor] * rng.randint(1, 3), start=den)
             if den.degree < 1:
                 continue
-            monic = [np.roots([float(c) for c in reversed(s.coeffs)])
-                     for s, _ in squarefree_decomposition(den)]
-            expected = float(min(abs(r) for roots in monic for r in roots))
+            monic = [Polynomial(s).monic() for s, _ in
+                     _int_squarefree(_primitive(_integer_coeffs(den)[0]))]
+            roots = [np.roots([float(c) for c in reversed(s.coeffs)])
+                     for s in monic]
+            expected = float(min(abs(r) for rs in roots for r in rs))
             assert radius_of_convergence(RationalFunction([1], den)) == expected
 
     def test_radius_beyond_the_float_range(self):
         # the pole 10^400 has no float
         with pytest.raises(OutOfFloatRange, match="radius of convergence"):
             radius_of_convergence(RationalFunction([1], [10 ** 400, -1]))
-
-    def test_substitute_reciprocal_scale(self):
-        f = RationalFunction([1, 1], [1, -1])
-        # f(1/(2z)) = (2z+1)/(2z-1)
-        assert substitute_reciprocal_scale(f, 2) == \
-            RationalFunction([1, 2], [-1, 2])
-        with pytest.raises(ValueError):
-            substitute_reciprocal_scale(f, 0)
-
-    def test_reciprocal_substitution_pointwise(self):
-        f = RationalFunction([1, 2, -2], [1, -4, -8])
-        g = substitute_reciprocal_scale(f, 4)
-        z = Fraction(3, 7)
-        assert g.eval_exact(z) == f.eval_exact(1 / (4 * z))

@@ -246,6 +246,46 @@ class TestRejection:
             parse_spec_data(_minimal(options=kwargs))
         assert str(built.value) == str(parsed.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_max": 5.0}, "options.n_max must be an integer, got 5.0"),
+        ({"n_max": True}, "options.n_max must be an integer, got True"),
+        ({"n_max": None}, "options.n_max must be an integer, got None"),
+        ({"degree_bound_override": 2.5},
+         "options.degree_bound_override must be an integer or null, got 2.5"),
+        ({"degree_bound_override": False},
+         "options.degree_bound_override must be an integer or null, got False"),
+        ({"tolerance": "0.5"}, "options.tolerance must be a number, got '0.5'"),
+        ({"tolerance": None}, "options.tolerance must be a number, got None"),
+        ({"tolerance": True}, "options.tolerance must be a number, got True"),
+        ({"tolerance": "0" * 5000},
+         "options.tolerance must be a number, got '" + "0" * 63
+         + "... (5000 characters)"),
+    ])
+    def test_options_built_by_a_caller_are_type_checked(self, kwargs, message):
+        # the parser's type checks and messages, not a TypeError later
+        with pytest.raises(InvalidSpecFile) as built:
+            SpecOptions(**kwargs)
+        with pytest.raises(InvalidSpecFile) as parsed:
+            parse_spec_data(_minimal(options=kwargs))
+        assert str(built.value) == str(parsed.value) == message
+
+    @pytest.mark.parametrize("options, message", [
+        ({"tolerance": "abc", "n_max": 0, "degree_bound_override": 2.5},
+         "options.tolerance must be a number, got 'abc'"),
+        ({"n_max": 0, "tolerance": 2, "degree_bound_override": "x"},
+         "options.degree_bound_override must be an integer or null, got 'x'"),
+        ({"n_max": 2.5, "tolerance": 0, "degree_bound_override": True},
+         "options.n_max must be an integer, got 2.5"),
+        ({"n_max": 0, "tolerance": 2, "degree_bound_override": 0, "extra": 1},
+         "options.n_max must be >= 1"),
+    ])
+    def test_first_error_of_a_multi_fault_options_block(self, options, message):
+        # every type check (tolerance, n_max, override) before every
+        # range check (n_max, tolerance, override); unknown keys ignored
+        with pytest.raises(InvalidSpecFile) as parsed:
+            parse_spec_data(_minimal(options=options))
+        assert str(parsed.value) == message
+
     def test_options_built_by_a_caller_in_range(self):
         opts = SpecOptions(tolerance=Fraction(1, 2), n_max=N_MAX_CEILING,
                            degree_bound_override=1)

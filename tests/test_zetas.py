@@ -21,7 +21,7 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      reidemeister_zeta, torsion_special_value,
                      verify_functional_equation)
 from zetafix.errors import DimensionMismatch, NonInvariantSubspace
-from zetafix.ratfunc import substitute_reciprocal_scale, zeta_from_terms
+from zetafix.ratfunc import zeta_from_terms
 from zetafix.invariants import MapContext, map_context
 
 GOLDEN_NIELSEN = {
@@ -437,10 +437,22 @@ class TestFunctionalEquationIntegerRoute:
     zeta^((-1)^m)) must give the same constant, or the same message."""
 
     @staticmethod
-    def _fraction_route(fx, function):
+    def _reciprocal(function, d):
+        """function(1/(dz)) on Fraction polynomials: numerator and
+        denominator each become (dz)^k p(1/(dz)), k the larger degree,
+        that is z^(k - deg p) times p reversed, then z -> dz."""
+        k = max(function.num.degree, function.den.degree)
+
+        def lift(p):
+            shift = Polynomial([0] * (k - p.degree) + [1])
+            return (shift * p.reversed_poly()).compose_scale(d)
+
+        return RationalFunction(lift(function.num), lift(function.den))
+
+    def _fraction_route(self, fx, function):
         d = det(fx.mapping.linear)
         m = fx.spec.dimension
-        g = substitute_reciprocal_scale(function, d)
+        g = self._reciprocal(function, d)
         h = function ** ((-1) ** m)
         top, bottom = g.num * h.den, g.den * h.num
         c = top.leading() / bottom.leading()
