@@ -3,9 +3,11 @@
 Everything an averaging formula needs: fraction-free determinants,
 exact characteristic polynomials, compound (exterior-power) matrices,
 and eigenvalue classification relative to the unit circle.  Scalars are
-``fractions.Fraction`` at every interface; products, gcds, squarefree
-splits and Sturm chains scale their operands to integers once and run
-on Python ints inside.  Every eigenvalue count is exact, from Sturm-chain
+``fractions.Fraction`` at every interface.  A matrix is stored as one
+integer form M_int / s, which products, determinants and the spectral
+kernels read directly; polynomial products, gcds, squarefree splits and
+Sturm chains scale their operands to integers once and run on Python
+ints inside.  Every eigenvalue count is exact, from Sturm-chain
 arithmetic; floating point enters only in the product of the expanding
 eigenvalue moduli, a float output that decides nothing.
 """
@@ -405,71 +407,116 @@ def _unit_circle_roots(c: list[int]) -> int:
 
 
 class RationalMatrix:
-    """Immutable square matrix over ``fractions.Fraction``.
+    """Immutable square matrix over the rationals, stored as one integer
+    form.
 
     Members
     -------
-    rows : tuple of tuple of Fraction
+    ints : tuple of tuple of int
+    den : int
+        The matrix is ints / den, with den the least positive common
+        denominator of its entries, so equal matrices have equal forms.
     dim : int
+    rows : tuple of tuple of Fraction
+        The entries as Fractions, made on first read.
 
     All arithmetic is exact.
     """
 
-    __slots__ = ("rows", "dim", "_hash")
+    __slots__ = ("ints", "den", "dim", "_rows", "_hash")
 
     def __init__(self, rows):
         rs = tuple(tuple(as_rational(x) for x in row) for row in rows)
         n = len(rs)
         if any(len(r) != n for r in rs):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "dim", n)
+        den = math.lcm(1, *(x.denominator for r in rs for x in r))
+        self._set(tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                        for r in rs), den, rs)
+
+    @classmethod
+    def _from_ints(cls, ints, den: int = 1) -> "RationalMatrix":
+        """The matrix ints / den, for square integer rows ints (not
+        checked) and an integer den > 0; the form is reduced to lowest
+        terms here."""
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(ints))
+            if g != 1:
+                ints = [[x // g for x in row] for row in ints]
+                den //= g
+        m = object.__new__(cls)
+        m._set(tuple(map(tuple, ints)), den, None)
+        return m
+
+    def _set(self, ints, den, rows):
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "dim", len(ints))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the slots
-        return RationalMatrix, (self.rows,)
+        # copy and pickle rebuild from the integer form
+        return RationalMatrix._from_ints, (self.ints, self.den)
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(tuple(_over(r, self.den))
+                                                    for r in self.ints))
+        return self._rows
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return RationalMatrix._from_ints([[int(i == j) for j in range(n)]
+                                          for i in range(n)])
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (isinstance(other, RationalMatrix) and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
-        # rows never change, so their hash is taken once
+        # the form never changes, so its hash is taken once
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.rows))
+            object.__setattr__(self, "_hash", hash((self.ints, self.den)))
         return self._hash
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in r] for r in self.rows]})"
 
+    def _combine(self, other, op) -> "RationalMatrix":
+        """The entrywise op of self and other, on forms over one common
+        denominator."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        (a, b), s = _integer_form([self, other])
+        return RationalMatrix._from_ints(
+            [list(map(op, r1, r2)) for r1, r2 in zip(a, b)], s)
+
     def __add__(self, other):
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return RationalMatrix([[-a for a in r] for r in self.rows])
+        return RationalMatrix._from_ints([[-x for x in r] for r in self.ints],
+                                         self.den)
 
     def __matmul__(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        (a,), s = _integer_form([self])
-        (b,), t = _integer_form([other])
-        return RationalMatrix([_over(row, s * t) for row in _int_matmul(a, b)])
+        return RationalMatrix._from_ints(_int_matmul(self.ints, other.ints),
+                                         self.den * other.den)
 
     def scale(self, c) -> "RationalMatrix":
         c = as_rational(c)
-        return RationalMatrix([[c * a for a in r] for r in self.rows])
+        return RationalMatrix._from_ints(
+            [[c.numerator * x for x in r] for r in self.ints],
+            self.den * c.denominator)
 
     def power(self, n: int) -> "RationalMatrix":
         if n < 0:
@@ -484,10 +531,10 @@ class RationalMatrix:
         return result
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return Fraction(sum(self.ints[i][i] for i in range(self.dim)), self.den)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
+        return self.den == 1
 
     def inverse(self) -> "RationalMatrix":
         n = self.dim
@@ -538,12 +585,11 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
 def det(m: RationalMatrix) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    The matrix is scaled to integers first (see _integer_form) so every
-    intermediate value stays an exact integer; the scaling is divided
-    back out at the end.
+    The stored integer form M_int / s is eliminated, on a copy, so every
+    intermediate value stays an exact integer; s^dim is divided back out
+    at the end.
     """
-    (a,), s = _integer_form([m])
-    return Fraction(_bareiss_det(a), s ** m.dim)
+    return Fraction(_bareiss_det([list(r) for r in m.ints]), m.den ** m.dim)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -581,10 +627,9 @@ def char_poly(m: RationalMatrix) -> Polynomial:
     integer matrix M_int comes from the division-free Berkowitz
     recursion, and its coefficient of z^(dim-k) is divided by q^k.
     """
-    (a,), q = _integer_form([m])
-    coeffs_desc = _berkowitz(a)
+    q = m.den
     return Polynomial(tuple(reversed(
-        [Fraction(c, q ** k) for k, c in enumerate(coeffs_desc)])))
+        [Fraction(c, q ** k) for k, c in enumerate(_berkowitz(m.ints))])))
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:
@@ -615,13 +660,15 @@ def exterior_power(m: RationalMatrix, i: int) -> RationalMatrix:
     if not 0 <= i <= n:
         raise ValueError(f"exterior power index {i} out of range for dim {n}")
     if i == 0:
-        return RationalMatrix([[Fraction(1)]])
+        return RationalMatrix.identity(1)
     subsets = list(itertools.combinations(range(n), i))
+    a = m.ints
     out = []
     for rows_s in subsets:
         out_row = []
         for cols_s in subsets:
-            sub = RationalMatrix([[m.rows[r][c] for c in cols_s] for r in rows_s])
+            sub = RationalMatrix._from_ints([[a[r][c] for c in cols_s]
+                                             for r in rows_s], m.den)
             out_row.append(det(sub))
         out.append(out_row)
     return RationalMatrix(out)
@@ -632,11 +679,14 @@ def exterior_power(m: RationalMatrix, i: int) -> RationalMatrix:
 # --------------------------------------------------------------------------
 
 
-def _integer_form(mats) -> tuple[list[list[list[int]]], int]:
-    """Integer matrices M_int and one common denominator s with
-    M = M_int / s for every M in mats."""
-    s = math.lcm(1, *(x.denominator for m in mats for row in m.rows for x in row))
-    return [[[x.numerator * (s // x.denominator) for x in row] for row in m.rows]
+def _integer_form(mats) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
+    """Integer matrices M_int, as tuples of rows, and one common
+    denominator s with M = M_int / s for every M in mats.  A matrix
+    stored over s is returned as it is stored, so callers must not
+    change the rows."""
+    s = math.lcm(1, *(m.den for m in mats))
+    return [m.ints if m.den == s else
+            tuple(tuple(x * (s // m.den) for x in row) for row in m.ints)
             for m in mats], s
 
 
@@ -764,13 +814,12 @@ class AveragingKernel:
                  target: RationalMatrix | None = None):
         self._dim = linear.dim
         hol, self._s = _integer_form(holonomy)
-        (d_int,), q = _integer_form([linear])
-        (e_int,), r = _integer_form([linear if target is None else target])
-        blocks = _diagonal_blocks(hol + [d_int, e_int], self._dim)
-        self._d = _ScaledPowers(d_int, q, blocks)
-        self._e = None if target is None else _ScaledPowers(e_int, r, blocks)
+        e = linear if target is None else target
+        blocks = _diagonal_blocks(hol + [linear.ints, e.ints], self._dim)
+        self._d = _ScaledPowers(linear.ints, linear.den, blocks)
+        self._e = None if target is None else _ScaledPowers(e.ints, e.den, blocks)
         self._hol = [_split(a, blocks) for a in hol]
-        ident = [[int(i == j) for j in range(self._dim)] for i in range(self._dim)]
+        ident = RationalMatrix.identity(self._dim).ints
         self._skip = [a == ident for a in hol]           # A_int P is P
         self._fixed: dict[int, tuple[list[int], int]] = {}
         self._shifted: dict[int, tuple[list[int], int]] = {}
@@ -880,8 +929,8 @@ def classify_eigenvalues(m: RationalMatrix) -> EigenClassification:
 def _classify(m: RationalMatrix) -> EigenClassification:
     # det(qz I - M_int): the Berkowitz coefficient c_k of z^(dim-k),
     # times q^(dim-k)
-    (a,), q = _integer_form([m])
-    coeffs = [c * q ** j for j, c in enumerate(reversed(_berkowitz(a)))]
+    q = m.den
+    coeffs = [c * q ** j for j, c in enumerate(reversed(_berkowitz(m.ints)))]
     core, m_one, m_minus = _strip_trivial_roots(coeffs)
     on_circle = _unit_circle_roots(core)
     below, minus, plus, above = _variation_sums(core, (_NEG_INF, -1, 1, _POS_INF))

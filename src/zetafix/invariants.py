@@ -489,12 +489,12 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
 # --------------------------------------------------------------------------
 
 
-def _snf_diagonal(a: list[list[int]]) -> list[int]:
+def _snf_diagonal(a) -> list[int]:
     """Diagonal of an integer Smith-type reduction (no divisibility
     normalization; the absolute product is what matters here)."""
     n = len(a)
     diag = []
-    a = [row[:] for row in a]
+    a = [list(row) for row in a]
     for t in range(n):
         # find smallest nonzero entry in the trailing submatrix
         while True:
@@ -543,8 +543,7 @@ def torus_periodic_points(d_mat: RationalMatrix, n: int) -> int:
     if n < 1:
         raise ValueError("iterate must be >= 1")
     m = RationalMatrix.identity(d_mat.dim) - d_mat.power(n)
-    rows = [[int(x) for x in r] for r in m.rows]
-    diag = _snf_diagonal(rows)
+    diag = _snf_diagonal(m.ints)
     if any(v == 0 for v in diag):
         raise DegenerateFixedSet(
             f"det(I - D^{n}) = 0: fixed set is a subtorus")

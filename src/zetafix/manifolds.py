@@ -143,7 +143,7 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
         if m.dim != n:
             raise DimensionMismatch(
                 f"holonomy element {l!r} is {m.dim}x{m.dim}, expected {n}x{n}")
-        key = tuple(tuple(q * x for x in row) for row in a)
+        key = a if q == 1 else tuple(tuple(q * x for x in row) for row in a)
         if key in scaled:
             raise NotAGroup(f"elements {scaled[key]!r} and {l!r} share a matrix")
         scaled[key] = l
@@ -224,7 +224,7 @@ def ensure_compatible(spec: ManifoldSpec, mapping: AffineMapSpec) -> None:
     if mapping.translation is not None and len(mapping.translation) != spec.dimension:
         raise DimensionMismatch("translation length does not match dimension")
     mats, _ = _integer_form([a for _, a in spec.holonomy])
-    (d,), _ = _integer_form([mapping.linear])
+    d = mapping.linear.ints
     right = {tuple(map(tuple, _int_matmul(a, d))) for a in mats}
     for (label, _), a in zip(spec.holonomy, mats):
         if tuple(map(tuple, _int_matmul(d, a))) not in right:
@@ -296,8 +296,8 @@ def _odd_roots_below_minus_one(m: RationalMatrix) -> bool:
     c of M_int (highest degree first) has the roots t lambda.  With its
     roots -t removed by synthetic division, whose remainder is the value
     at -t, c changes sign between -t and -infinity exactly then."""
-    (a,), t = _integer_form([m])
-    c = _berkowitz(a)
+    t = m.den
+    c = _berkowitz(m.ints)
     while True:
         q = list(itertools.accumulate(c, lambda acc, x: acc * -t + x))
         if q[-1]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import _echo, as_rational
+from .algebra import RationalMatrix, _echo, as_rational
 from .errors import InvalidSpecFile
 from .manifolds import (AffineMapSpec, ManifoldSpec, ensure_compatible,
                         validate_spec)
@@ -132,17 +132,23 @@ def _entry_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _matrix_from_json(rows, what: str) -> list[list[Fraction]]:
+def _matrix_from_json(rows, what: str) -> RationalMatrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise InvalidSpecFile(f"{what} must be a list of rows")
-    m = [[_entry_from_json(v, what) for v in row] for row in rows]
-    if any(len(row) != len(m) for row in m):
+    # an all-integer matrix is its own integer form; true and false are
+    # not integers here, and take the checked path to their error
+    integral = all(type(v) is int for row in rows for v in row)
+    if not integral:
+        rows = [[_entry_from_json(v, what) for v in row] for row in rows]
+    if any(len(row) != len(rows) for row in rows):
         raise InvalidSpecFile(f"{what} must be square")
-    return m
+    return RationalMatrix._from_ints(rows) if integral else RationalMatrix(rows)
 
 
-def _matrix_to_json(m) -> list:
+def _matrix_to_json(m: RationalMatrix) -> list:
+    if m.den == 1:
+        return [list(row) for row in m.ints]
     return [[_entry_to_json(x) for x in row] for row in m.rows]
 
 

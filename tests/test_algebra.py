@@ -265,13 +265,25 @@ class TestMatrix:
             assert det(a @ b) == det(a) * det(b)
 
     def test_equal_matrices_hash_equal(self):
+        # one matrix built from Fraction rows, from unreduced 'p/q'
+        # strings and from unreduced integers over a denominator
         rng = random.Random(8)
         for _ in range(10):
             m = _rand_matrix(rng, rng.randint(1, 4))
-            same = RationalMatrix([[str(x) for x in r] for r in m.rows])
-            assert same == m and same is not m
-            assert hash(same) == hash(m) == hash(m) == hash(m.rows)
-            assert {m: 1}[same] == 1
+            k = rng.randint(2, 5)
+            den = k * math.lcm(*(x.denominator for r in m.rows for x in r))
+            ints = [[int(x * den) for x in r] for r in m.rows]
+            built = [
+                RationalMatrix([[Fraction(x) for x in r] for r in m.rows]),
+                RationalMatrix([[f"{k * x.numerator}/{k * x.denominator}"
+                                 for x in r] for r in m.rows]),
+                RationalMatrix._from_ints(ints, den),
+            ]
+            for same in built:
+                assert same == m and same is not m
+                assert hash(same) == hash(m) == hash(m)
+                assert same.rows == m.rows
+                assert {m: 1}[same] == 1
         a, b = RationalMatrix([[1, 2], [3, 4]]), RationalMatrix([[1, 2], [3, 5]])
         assert a != b and len({a, b}) == 2
         with pytest.raises(AttributeError):

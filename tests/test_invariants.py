@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+import zetafix.algebra
 import zetafix.invariants
 import zetafix.manifolds
 from _corpus import (brute_force_torus_count, coincidence_product_instances,
@@ -35,7 +36,9 @@ def _map(rows, label="f"):
 
 def _fraction_numbers(spec, d, n, e=None):
     """L, N, R of the n-th iterate (coincidence L, N, R with a second
-    linear part e) by the averaging formulas in Fraction arithmetic."""
+    linear part e) by the averaging formulas on whole matrices: one
+    RationalMatrix product and det per holonomy element, with Fraction
+    averages."""
     dn = d.power(n)
     target = RationalMatrix.identity(spec.dimension) if e is None else e.power(n)
     fixed = [det(target - a @ dn) for _, a in spec.holonomy]
@@ -364,6 +367,32 @@ class TestIntegerKernel:
                                               _map(g_linear, "g"), n)
             assert (got.lefschetz, got.nielsen, got.reidemeister) == \
                 _fraction_numbers(spec, f.linear, n, g.linear)
+
+
+class TestIdentitySkip:
+    """On integral holonomy (common denominator s = 1) the identity's
+    A_int D^n is D^n itself: the kernel takes that product for every
+    other element and skips it for the identity alone."""
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_only_the_identity_product_is_skipped(self, monkeypatch, name):
+        fx = load_fixture(name)
+        hol = [a for _, a in fx.spec.holonomy]
+        assert all(a.is_integral() for a in hol)
+        ints, _ = _integer_form(hol + [fx.mapping.linear])
+        blocks = _diagonal_blocks(ints, fx.spec.dimension)
+        kernel = zetafix.algebra.AveragingKernel(hol, fx.mapping.linear)
+        identity = validate_spec(fx.spec).identity
+        assert kernel._skip == [l == identity for l in fx.spec.labels()]
+        products = []
+        orig = zetafix.algebra._int_matmul
+        monkeypatch.setattr(zetafix.algebra, "_int_matmul",
+                            lambda x, y: products.append(x) or orig(x, y))
+        for n in range(1, 5):
+            kernel._d(n)            # the new power of D, one product per block
+            products.clear()
+            kernel.fixed_point_dets(n)
+            assert len(products) == (len(hol) - 1) * len(blocks)
 
 
 def _block_diag(*blocks):

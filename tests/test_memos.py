@@ -1,6 +1,6 @@
 """Every functools.lru_cache in the package is on a short allow-list.  A
-cache keyed by matrices or specs has to hash and compare Fraction rows on
-every hit, and it hides which object owns a computed fact; a map's
+cache keyed by matrices or specs has to hash and compare their integer
+forms on every hit, and it hides which object owns a computed fact; a map's
 spectrum lives on the map, a group table on its spec, and a problem's
 work in its kernel and context."""
 

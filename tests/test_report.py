@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,43 @@ class TestSharedContext:
                     monkeypatch.setattr(mod, attr, counted)
         build_report(parsed)
         assert gcds == expected
+
+
+class TestIntegerInput:
+    """A spec whose matrices are all integers is read, checked and
+    reported from the integer forms of its matrices alone."""
+
+    @pytest.mark.parametrize("name",
+                             FIXED_POINT_NAMES + ("halfturn_coincidence",))
+    def test_report_never_makes_the_fraction_view_of_its_input(
+            self, monkeypatch, name):
+        parsed = load_fixture(name)
+        inputs = [a for _, a in parsed.spec.holonomy] + [
+            m.linear for m in (parsed.mapping, parsed.mapping2) if m]
+        viewed = []
+        rows = RationalMatrix.rows
+        monkeypatch.setattr(RationalMatrix, "rows", property(
+            lambda m: viewed.append(m) or rows.__get__(m)))
+        build_report(parsed)
+        assert not [m for m in viewed if any(m is x for x in inputs)]
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_plus_split_products_build_no_fraction(self, monkeypatch, name):
+        parsed = load_fixture(name)
+        spec, f = parsed.spec, parsed.mapping
+        # the kernel and the classification of D come first
+        zetafix.manifolds.averaging_kernel(spec, f)
+        f.spectrum
+        products, made = [], []
+        matmul, new = RationalMatrix.__matmul__, Fraction.__new__
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalMatrix, "__matmul__",
+                          lambda a, b: products.append(b) or matmul(a, b))
+            patch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                          made.append(a) or new(cls, *a, **k))
+            compute_plus_split(spec, f)
+        assert products == [f.linear] * spec.order
+        assert made == []
 
 
 class TestDegreeBoundWindow:

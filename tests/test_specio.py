@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetafix import (InvalidSpecFile, NonInvariantSubspace, build_report,
-                     load_fixture, parse_spec_data, parse_spec_file,
-                     serialize_spec, validate_spec, write_spec_file)
+from zetafix import (InvalidSpecFile, NonInvariantSubspace, RationalMatrix,
+                     build_report, load_fixture, parse_spec_data,
+                     parse_spec_file, serialize_spec, validate_spec,
+                     write_spec_file)
 from zetafix.cli import main
 from zetafix.errors import ZetafixError
 from zetafix.specio import N_MAX_CEILING, SpecOptions, check_n_max
@@ -83,6 +84,96 @@ class TestCopy:
             assert other == parsed and other.spec is not parsed.spec
             assert validate_spec(other.spec) == validate_spec(parsed.spec)
             assert build_report(other) == build_report(parsed)
+
+    @pytest.mark.parametrize("d", [[[2, 1], [1, 1]], [["1/2", "-2/4"], [3, "7/3"]]])
+    def test_copies_rebuild_from_the_integer_form(self, d):
+        parsed = parse_spec_data(_minimal(
+            dimension=2, holonomy=[{"label": "I", "matrix": [[1, 0], [0, 1]]}],
+            map={"label": "f", "D": d}))
+        m = parsed.mapping.linear
+        assert m.__reduce__()[1] == (m.ints, m.den)
+        for other in (copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert other == parsed and hash(other) == hash(parsed)
+            copied = other.mapping.linear
+            assert copied is not m and copied == m and hash(copied) == hash(m)
+            assert (copied.ints, copied.den) == (m.ints, m.den)
+            assert copied.rows == m.rows
+
+
+class TestIntegerForm:
+    """A matrix is read into one integer form, whichever way its entries
+    are written."""
+
+    SPELLINGS = {
+        "ints": [[2, -1, 0], [7, 3, 1], [0, 0, 1]],
+        "strings": [["2", "-2/2", "0/5"], ["007", "+3", "6/6"], ["0", "0", "1"]],
+        "mixed": [[2, "-1", 0], ["14/2", 3, "1"], [0, 0, 1]],
+    }
+
+    @staticmethod
+    def _spec(d) -> dict:
+        return _minimal(dimension=3,
+                        holonomy=[{"label": "I", "matrix": [[1, 0, 0], [0, 1, 0],
+                                                            [0, 0, 1]]}],
+                        map={"label": "f", "D": d})
+
+    def test_spellings_parse_to_one_matrix_and_echo(self):
+        parsed = {k: parse_spec_data(self._spec(d))
+                  for k, d in self.SPELLINGS.items()}
+        d = parsed["ints"].mapping.linear
+        echo = json.dumps(serialize_spec(parsed["ints"]))
+        assert d.den == 1
+        for other in parsed.values():
+            assert other.mapping.linear == d
+            assert hash(other.mapping.linear) == hash(d)
+            assert json.dumps(serialize_spec(other)) == echo
+        assert serialize_spec(parsed["strings"])["map"]["D"] == \
+            self.SPELLINGS["ints"]
+
+    def test_rational_entries_echo_in_lowest_terms(self):
+        written = [["2/4", "-3"], [6, "2/4"]]
+        parsed = parse_spec_data(_minimal(
+            dimension=2,
+            holonomy=[{"label": "I", "matrix": [[1, 0], [0, 1]]}],
+            map={"label": "f", "D": written}))
+        d = parsed.mapping.linear
+        assert (d.ints, d.den) == (((1, -6), (12, 1)), 2)
+        assert serialize_spec(parsed)["map"]["D"] == [["1/2", -3], [6, "1/2"]]
+        same = RationalMatrix([[Fraction(1, 2), -3], [6, Fraction(2, 4)]])
+        assert d == same and hash(d) == hash(same)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("true", "matrix entries must be integers or 'p/q' strings, got True"),
+        ("1.5", "matrix entries must be integers or 'p/q' strings, got 1.5"),
+        ("9" * (sys.get_int_max_str_digits() + 1),
+         f"map.D has a bad rational entry <integer literal of "
+         f"{sys.get_int_max_str_digits() + 1} digits, over the limit of "
+         f"{sys.get_int_max_str_digits()}>: not an integer or 'p/q' string"),
+        ('"1/0"', "map.D has a bad rational entry '1/0': Fraction(1, 0)"),
+    ])
+    def test_bad_entries_keep_their_messages(self, tmp_path, entry, message):
+        self._rejected(tmp_path, f"[[{entry}, 0], [0, 1]]", message)
+
+    @pytest.mark.parametrize("d", ["[[1, 0]]", "[[1, 0], [0]]",
+                                   '[["1/2", 0], [0]]'])
+    def test_non_square_matrices_keep_their_message(self, tmp_path, d):
+        self._rejected(tmp_path, d, "map.D must be square")
+
+    @staticmethod
+    def _rejected(tmp_path, d: str, message: str):
+        data = _minimal(dimension=2,
+                        holonomy=[{"label": "I", "matrix": [[1, 0], [0, 1]]}],
+                        map={"label": "f", "D": "__D__"})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data).replace('"__D__"', d))
+        with pytest.raises(InvalidSpecFile) as info:
+            parse_spec_file(path)
+        assert str(info.value) == message
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: InvalidSpecFile: {message}\n"
 
 
 class TestParsedShape:
