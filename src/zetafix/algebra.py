@@ -2,14 +2,15 @@
 
 Everything an averaging formula needs: fraction-free determinants,
 exact characteristic polynomials, compound (exterior-power) matrices,
-and eigenvalue classification relative to the unit circle.  Scalars are
-``fractions.Fraction`` at every interface.  A matrix is stored as one
-integer form M_int / s, which products, determinants and the spectral
-kernels read directly; polynomial products, gcds, squarefree splits and
-Sturm chains scale their operands to integers once and run on Python
-ints inside.  Every eigenvalue count is exact, from Sturm-chain
-arithmetic; floating point enters only in the product of the expanding
-eigenvalue moduli, a float output that decides nothing.
+and eigenvalue classification relative to the unit circle.  A matrix
+is stored as one integer form M_int / s, and a polynomial as integer
+coefficients over one denominator; products, determinants, elimination,
+gcds, squarefree splits, Sturm chains and the spectral kernels read
+those forms and run on Python ints, and a scalar result that need not
+be an integer is a ``fractions.Fraction``.  Every eigenvalue count is
+exact, from Sturm-chain arithmetic; floating point enters only in the
+product of the expanding eigenvalue moduli, a float output that decides
+nothing.
 """
 
 from __future__ import annotations
@@ -54,37 +55,59 @@ def as_rational(x) -> Fraction:
 
 
 class Polynomial:
-    """Univariate polynomial with Fraction coefficients.
+    """Univariate polynomial over the rationals, stored as one integer
+    form ints / den: integer coefficients, lowest degree first with no
+    trailing zeros (none for the zero polynomial, of degree -1), over
+    their least positive common denominator.  coeffs, the Fractions, is
+    made on first read.  Instances are immutable and hashable."""
 
-    Coefficients are stored lowest degree first with no trailing zeros;
-    the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(1, *(x.denominator for x in cs))
+        self._set([x.numerator * (den // x.denominator) for x in cs], den)
+
+    @classmethod
+    def _from_ints(cls, ints, den: int = 1) -> "Polynomial":
+        """ints / den for integers ints, lowest degree first, and den != 0."""
+        g = math.gcd(den, *ints) * (1 if den > 0 else -1)
+        if g != 1:
+            ints, den = [x // g for x in ints], den // g
+        p = object.__new__(cls)
+        p._set(list(ints), den)
+        return p
+
+    def _set(self, ints: list, den: int):
+        while ints and ints[-1] == 0:
+            ints.pop()
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the slots
-        return Polynomial, (self.coeffs,)
+        # copy and pickle rebuild from the integer form
+        return Polynomial._from_ints, (self.ints, self.den)
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs",
+                               tuple(Fraction(x, self.den) for x in self.ints))
+        return self._coeffs
 
     # -- structure
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading(self) -> Fraction:
         if self.is_zero:
@@ -92,10 +115,11 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -112,42 +136,41 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._from_ints([-x for x in self.ints], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            return Polynomial._from_ints([x * other.numerator for x in self.ints],
+                                         self.den * other.denominator)
         if self.is_zero or other.is_zero:
             return Polynomial()
-        a, s = _integer_coeffs(self)
-        b, t = _integer_coeffs(other)
-        return Polynomial(_over(_int_poly_mul(a, b), s * t))
+        return Polynomial._from_ints(_int_poly_mul(self.ints, other.ints),
+                                     self.den * other.den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
-        lead = d[-1]
-        for k in range(len(rem) - len(d), -1, -1):
-            c = rem[k + len(d) - 1] / lead
-            if c != 0:
-                q[k] = c
-                for j, dj in enumerate(d):
-                    rem[k + j] -= c * dj
+        d, rem = other.coeffs, list(self.coeffs)
+        q = [0] * max(0, len(rem) - len(d) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = rem[k + len(d) - 1] / d[-1]
+            for j, dj in enumerate(d):
+                rem[k + j] -= q[k] * dj
         return Polynomial(q), Polynomial(rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def exact_div(self, other) -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division is not exact")
-        return q
+        # A / s over c B / t, B primitive: A / B is integral (Gauss's lemma)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        b = _primitive(list(other.ints))
+        return Polynomial._from_ints(
+            [x * other.den for x in _int_exact_div(self.ints, b)],
+            self.den * (other.ints[-1] // b[-1]))
 
     def __call__(self, x):
         acc = 0
@@ -156,39 +179,27 @@ class Polynomial:
         return acc if self.coeffs else (Fraction(0) if isinstance(x, (int, Fraction)) else 0.0)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial._from_ints([i * c for i, c in enumerate(self.ints)][1:],
+                                     self.den)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        return Polynomial._from_ints(self.ints, self.ints[-1]) if self.ints else self
 
     def reversed_poly(self) -> "Polynomial":
         """z^deg * p(1/z); constant term of the result is p's leading one."""
         return Polynomial(tuple(reversed(self.coeffs)))
 
     def compose_scale(self, c) -> "Polynomial":
-        """p(c*z) for a rational scalar c."""
+        """p(c*z) for a rational scalar c = u / v, over den * v^deg."""
         c = as_rational(c)
-        return Polynomial([a * c**i for i, a in enumerate(self.coeffs)])
+        u, v, k = c.numerator, c.denominator, max(self.degree, 0)
+        return Polynomial._from_ints([a * u ** i * v ** (k - i)
+                                      for i, a in enumerate(self.ints)],
+                                     self.den * v ** k)
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((1,))
-
-
-def _over(ints, den: int) -> list[Fraction]:
-    """The Fractions x / den, one per integer x."""
-    if den == 1:
-        return [Fraction(x) for x in ints]
-    return [Fraction(x, den) for x in ints]
-
-
-def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
-    """Integer coefficients c and a denominator s > 0 with p = c / s."""
-    s = math.lcm(1, *(x.denominator for x in p.coeffs))
-    return [x.numerator * (s // x.denominator) for x in p.coeffs], s
+        return Polynomial._from_ints((1,))
 
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -271,8 +282,8 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals."""
-    g = _int_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
-    return Polynomial(_over(g, g[-1]) if g else ())
+    g = _int_gcd(a.ints, b.ints)
+    return Polynomial._from_ints(g, g[-1]) if g else Polynomial()
 
 
 def _int_squarefree(a: list[int]) -> list[tuple[list[int], int]]:
@@ -465,7 +476,8 @@ class RationalMatrix:
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(tuple(_over(r, self.den))
+            d = self.den
+            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, d) for x in r)
                                                     for r in self.ints))
         return self._rows
 
@@ -538,46 +550,52 @@ class RationalMatrix:
 
     def inverse(self) -> "RationalMatrix":
         n = self.dim
-        aug = [list(r) + [Fraction(i == j) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        red, pivots = rref(aug, n)
+        red, pivots = _gauss_jordan([list(r) + [int(i == j) for j in range(n)]
+                                     for i, r in enumerate(self.ints)], n)
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        return RationalMatrix([row[n:] for row in red])
+        # row i is p_i (e_i | row i of M_int^-1); M^-1 = den M_int^-1
+        s = math.lcm(*(row[i] for i, row in enumerate(red)))
+        return RationalMatrix._from_ints(
+            [[x * (s // row[i]) * self.den for x in row[n:]]
+             for i, row in enumerate(red)], s)
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Exact basis of the kernel, via reduced row echelon form."""
+    def nullspace(self) -> list[tuple[int, ...]]:
+        """Integer basis of the kernel: per non-pivot column c of the
+        reduced row echelon form, the vector that is s > 0 at c and 0 at
+        the other non-pivot columns."""
         n = self.dim
-        red, pivots = rref(self.rows, n)
+        red, pivots = _gauss_jordan(self.ints, n)
+        s = math.lcm(1, *(red[r][c] for r, c in enumerate(pivots)))
         basis = []
         for fc in (c for c in range(n) if c not in pivots):
-            v = [Fraction(0)] * n
-            v[fc] = Fraction(1)
+            v = [0] * n
+            v[fc] = s
             for r, pc in enumerate(pivots):
-                v[pc] = -red[r][fc]
+                v[pc] = -red[r][fc] * (s // red[r][pc])
             basis.append(tuple(v))
         return basis
 
 
-def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination: the reduced row echelon form of rows and
-    its pivot columns.  Only the first ncols columns are eligible as
-    pivots; any further columns are carried along, as in an augmented
-    matrix."""
-    m = [list(r) for r in rows]
+def _gauss_jordan(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, each kept
+    primitive (Bareiss 1968 divides by the last pivot instead): the
+    rows, each a multiple of the reduced row echelon form's, and the
+    pivot columns.  Only the first ncols columns are eligible as pivots;
+    any further ones are carried along, as in an augmented matrix."""
+    m = [_primitive(list(r)) for r in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
     return m, pivots
 
@@ -625,11 +643,12 @@ def char_poly(m: RationalMatrix) -> Polynomial:
 
     M is written once as M_int / q; the characteristic polynomial of the
     integer matrix M_int comes from the division-free Berkowitz
-    recursion, and its coefficient of z^(dim-k) is divided by q^k.
+    recursion, and its coefficient c_k of z^(dim-k) is divided by q^k:
+    over q^dim it is c_k q^(dim-k).
     """
     q = m.den
-    return Polynomial(tuple(reversed(
-        [Fraction(c, q ** k) for k, c in enumerate(_berkowitz(m.ints))])))
+    return Polynomial._from_ints([c * q ** j for j, c in
+                                  enumerate(reversed(_berkowitz(m.ints)))], q ** m.dim)
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:

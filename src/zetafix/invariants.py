@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
-from .algebra import AveragingKernel, RationalMatrix, det, rref
+from .algebra import AveragingKernel, RationalMatrix, _gauss_jordan, det
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
@@ -353,14 +353,14 @@ def _coincidence_at(kernel: AveragingKernel, n: int,
 @dataclass(frozen=True)
 class CyclicDecomposition:
     """Isotypic decomposition of a cyclic holonomy representation under
-    a generator A, as exact column bases: the trivial part ker(A - I),
+    a generator A, as integer column bases: the trivial part ker(A - I),
     the sign part ker(A + I) and the rotation part im(A^2 - I)."""
 
     generator_label: str
     order: int
-    trivial: tuple[tuple[Fraction, ...], ...]
-    sign: tuple[tuple[Fraction, ...], ...]
-    rotation: tuple[tuple[Fraction, ...], ...]
+    trivial: tuple[tuple[int, ...], ...]
+    sign: tuple[tuple[int, ...], ...]
+    rotation: tuple[tuple[int, ...], ...]
 
     @property
     def m_triv(self) -> int:
@@ -375,7 +375,8 @@ def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
     """Find a generator of the holonomy and split space into its
     trivial, sign, and rotation isotypic parts.  Raises NotAGroup (or
     another validation error) when the holonomy is not a finite group,
-    and NotCyclic when no element generates the whole group."""
+    and NotCyclic when no element generates the whole group.  Each
+    part is read on the integer form M_int of its matrix M_int / s."""
     group = validate_spec(spec)
     gen_label = next((l for l, o in group.element_orders
                       if o == spec.order), None)
@@ -385,20 +386,15 @@ def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
     ident = RationalMatrix.identity(spec.dimension)
     triv = tuple((a0 - ident).nullspace())
     tau = tuple((a0 + ident).nullspace())
-    square = spec.matrix(group.products[gen_label, gen_label])
-    rot = tuple(_column_space(square - ident))
+    rot_ints = (spec.matrix(group.products[gen_label, gen_label]) - ident).ints
+    _, pivots = _gauss_jordan(rot_ints, spec.dimension)
+    rot = tuple(tuple(row[c] for row in rot_ints) for c in pivots)
     filled = len(triv) + len(tau) + len(rot)
     if filled != spec.dimension:
         raise NotCyclic(
             f"decomposition of {gen_label!r} does not fill the space "
             f"(got {filled} columns for dimension {spec.dimension})")
     return CyclicDecomposition(gen_label, spec.order, triv, tau, rot)
-
-
-def _column_space(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    _, pivots = rref(m.rows, m.dim)
-    cols = list(zip(*m.rows))
-    return [tuple(cols[c]) for c in pivots]
 
 
 @dataclass(frozen=True)
@@ -426,31 +422,31 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     the generator's square.  The prediction is cross-checked against
     the averaged Nielsen number; disagreement raises TrichotomyMismatch.
     L and L_0 are read from the n = 1 determinants of the pair's kernel.
+    With B the integer columns of cyclic_decomposition and B^-1 = W / w
+    (adj(B) / det(B) in lowest terms), B^-1 M B is W M_int B / (w q) for
+    M = M_int / q: the blocks are read on that integer form.
     """
     kernel = averaging_kernel(spec, map_f, map_g)
     if not spec.orientable:
         raise ValueError("trichotomy requires an orientable manifold")
     dec = cyclic_decomposition(spec)
-    basis = RationalMatrix(list(zip(*(dec.trivial + dec.sign + dec.rotation))))
+    basis = RationalMatrix._from_ints(list(zip(*dec.trivial, *dec.sign,
+                                               *dec.rotation)))
     binv = basis.inverse()
     mt, kt = dec.m_triv, dec.k_tau
-
-    def _piece(i: int) -> int:
-        if i < mt:
-            return 0
-        return 1 if i < mt + kt else 2
+    piece = [0] * mt + [1] * kt + [2] * len(dec.rotation)
 
     def blocks(mat: RationalMatrix) -> RationalMatrix:
         conj = binv @ mat @ basis
-        for i in range(spec.dimension):
-            for j in range(spec.dimension):
-                pi, pj = _piece(i), _piece(j)
-                if pi != pj and min(pi, pj) < 2 and conj.rows[i][j] != 0:
+        x = conj.ints
+        for i, row in enumerate(x):
+            for j, v in enumerate(row):
+                if v and piece[i] != piece[j]:
                     raise NotBlockCompatible(
                         f"linear part does not preserve the isotypic "
                         f"pieces (entry {i},{j} nonzero)")
-        return RationalMatrix([[conj.rows[i][j] for j in range(mt, mt + kt)]
-                               for i in range(mt, mt + kt)]) if kt else None
+        return RationalMatrix._from_ints([row[mt:mt + kt] for row in x[mt:mt + kt]],
+                                         conj.den) if kt else None
 
     d_tau = blocks(map_f.linear)
     e_tau = blocks(map_g.linear)
@@ -460,11 +456,9 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     if kt == 0:
         case, predicted, s1, s2 = 1, abs(lef), 0, 0
     else:
-        d1 = det(e_tau - d_tau)
-        d2 = det(e_tau + d_tau)
-        s1 = (d1 > 0) - (d1 < 0)
-        s2 = (d2 > 0) - (d2 < 0)
-        if d1 * d2 >= 0:
+        s1, s2 = ((d > 0) - (d < 0) for d in (det(e_tau - d_tau),
+                                              det(e_tau + d_tau)))
+        if s1 * s2 >= 0:
             case, predicted = 2, abs(lef)
         else:
             # the index-2 subgroup: powers of the generator's square

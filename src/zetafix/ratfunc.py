@@ -14,39 +14,35 @@ import operator
 from fractions import Fraction
 
 from .algebra import (Polynomial, _float_roots, _int_poly_mul,
-                      _int_squarefree, _integer_coeffs, _primitive,
-                      as_rational, poly_gcd)
+                      _int_squarefree, _primitive, as_rational, poly_gcd)
 from .errors import InsufficientTerms, NotRational
 
 
 def format_polynomial(p: Polynomial, var: str = "z") -> str:
-    if p.is_zero:
-        return "0"
+    """p as text, lowest degree first, e.g. 1+2z-2z^2; a non-integer
+    coefficient of a power of var is bracketed, (1/4)z, not 1/4z."""
     parts = []
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(p.ints if p.den == 1 else p.coeffs):
         if c == 0:
             continue
         if i == 0:
             term = str(c)
         else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}"
-            term = f"{mag}{var}" if i == 1 else f"{mag}{var}^{i}"
-            term = ("-" if c < 0 else "") + term
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+            mag = abs(c)
+            mag = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
+            term = ("-" if c < 0 else "") + mag + (var if i == 1 else f"{var}^{i}")
+        parts.append("+" + term if parts and term[0] != "-" else term)
+    return "".join(parts) or "0"
 
 
 class RationalFunction:
-    """Quotient of two Fraction polynomials in lowest terms.
+    """Quotient of two Polynomials (integer forms) in lowest terms.
 
     The denominator is normalized so its lowest-degree nonzero
     coefficient is 1; for the zeta functions produced here (products of
-    factors 1 - lambda*z) that is the constant term.  Instances are
-    immutable, and equality is structural equality of the canonical
-    form.
+    factors 1 - lambda*z) that is the constant term, and both have
+    integer coefficients.  Instances are immutable, and equality is
+    structural equality of the canonical form.
     """
 
     __slots__ = ("num", "den")
@@ -68,15 +64,20 @@ class RationalFunction:
         nonzero denominator coefficient is 1."""
         if num.is_zero:
             num, den = Polynomial(), Polynomial.one()
-        low = next(c for c in den.coeffs if c != 0)
-        if low != 1:
-            num = num * (1 / low)
-            den = den * (1 / low)
+        low = next(c for c in den.ints if c != 0)
+        if low != den.den:
+            # both times den.den / low, the inverse of that coefficient
+            num, den = [Polynomial._from_ints([x * den.den for x in p.ints], p.den * low)
+                        for p in (num, den)]
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the canonical pair
+        return _coprime, (self.num, self.den)
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
@@ -166,7 +167,7 @@ class SequenceOracle:
         self._bound = degree_bound if callable(degree_bound) \
             else _checked_bound(degree_bound)
         self.name = name
-        self._cache: dict[int, Fraction] = {}
+        self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
 
     @property
     def degree_bound(self) -> int:
@@ -382,9 +383,8 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     if fit is None:
         fit = _exact_fit(f, b, top)
     c, order, prod = fit
-    lead = c[0] * scale
-    return _coprime(Polynomial([Fraction(x, lead) for x in prod[:max(order, 1)]]),
-                    Polynomial([Fraction(x, c[0]) for x in c]))
+    return _coprime(Polynomial._from_ints(prod[:max(order, 1)], c[0] * scale),
+                    Polynomial._from_ints(c, c[0]))
 
 
 def verify_zeta(seq: SequenceOracle, rf: RationalFunction) -> bool:
@@ -415,10 +415,9 @@ def _series_mismatch(a: list, rf: RationalFunction) -> int | None:
     differ.  P and Q enter scaled to integers, which scales both sides
     alike.
     """
-    num, den = rf.num.coeffs, rf.den.coeffs
-    if not num or not den[0] or num[0] != den[0]:
+    p, q = rf.num.ints, rf.den.ints     # P = p / s and Q = q / t
+    if not p or not q[0] or p[0] * rf.den.den != q[0] * rf.num.den:
         return 0
-    (p, _), (q, _) = _integer_coeffs(rf.num), _integer_coeffs(rf.den)
     w = _int_poly_mul(p, q)
     r = [x - y for x, y in zip(_int_poly_mul([i * x for i, x in enumerate(p)], q),
                                _int_poly_mul(p, [k * y for k, y in enumerate(q)]))]
@@ -434,6 +433,6 @@ def radius_of_convergence(rf: RationalFunction) -> float:
         return math.inf
     # A root of multiplicity k moves by about eps^(1/k) under a numeric
     # root finder, so take the roots of each squarefree factor instead.
-    den = _primitive(_integer_coeffs(rf.den)[0])
+    den = _primitive(list(rf.den.ints))
     return float(min(abs(r) for s, _ in _int_squarefree(den)
                      for r in _float_roots(s, "the radius of convergence")))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 from .algebra import det
 from .congruences import check_euler, check_gauss
@@ -27,11 +26,6 @@ from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
 CONGRUENCE_N_MAX = 30
 
 
-def _rat(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _flt(x: float) -> str:
     return format(float(x), ".15g")
 
@@ -42,14 +36,13 @@ def _num(v):
 
 def _zeta_entry(result) -> dict:
     c = result.construction
-    entry = {
-        "which": result.which,
-        "defined": True,
-        "function": str(result.function),
-        "numerator": [_rat(x) for x in result.function.num.coeffs],
-        "denominator": [_rat(x) for x in result.function.den.coeffs],
-        "construction": {"kind": c.kind},
-    }
+    entry = {"which": result.which, "defined": True,
+             "function": str(result.function)}
+    for key, p in (("numerator", result.function.num),
+                   ("denominator", result.function.den)):
+        # integers as stored; str of a Fraction is "p/q", or "p" for q = 1
+        entry[key] = list(map(str, p.ints if p.den == 1 else p.coeffs))
+    entry["construction"] = {"kind": c.kind}
     if c.kind == "sign-formula":
         entry["construction"].update({"case": c.case, "p": c.p, "n": c.n})
     return entry
@@ -150,8 +143,8 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
         else:
             doc["functional_equation"] = {
                 "holds": fe.holds,
-                "epsilon": _rat(fe.epsilon),
-                "degree": _rat(fe.degree_d),
+                "epsilon": str(fe.epsilon),
+                "degree": str(fe.degree_d),
                 "case": fe.case,
             }
 

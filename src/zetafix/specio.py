@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .algebra import RationalMatrix, _echo, as_rational
 from .errors import InvalidSpecFile
-from .manifolds import (AffineMapSpec, ManifoldSpec, ensure_compatible,
+from .manifolds import (AffineMapSpec, ManifoldSpec, averaging_kernel,
                         validate_spec)
 
 SCHEMA_VERSION = 1
@@ -128,8 +128,7 @@ def _entry_from_json(v, what: str) -> Fraction:
 
 
 def _entry_to_json(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return int(x) if x.denominator == 1 else str(x)     # str gives "p/q"
 
 
 def _matrix_from_json(rows, what: str) -> RationalMatrix:
@@ -196,16 +195,15 @@ def parse_spec_data(data: dict) -> ParsedSpec:
                          _matrix_from_json(item["matrix"], "holonomy matrix")))
     spec = ManifoldSpec.make(data["name"], data["dimension"], holonomy)
     validate_spec(spec)
-    mapping = _parse_map(data["map"], "map")
-    ensure_compatible(spec, mapping)
-    mapping2 = None
+    maps = [_parse_map(data["map"], "map")]
     if data.get("map2") is not None:
-        mapping2 = _parse_map(data["map2"], "map2")
-        ensure_compatible(spec, mapping2)
+        maps.append(_parse_map(data["map2"], "map2"))
+    # checks each map, after both are read; a report reads the kernel back
+    averaging_kernel(spec, *maps)
     raw_opts = {} if data.get("options") is None else data["options"]
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
-    return ParsedSpec(spec, mapping, mapping2, SpecOptions(
+    return ParsedSpec(spec, *maps, options=SpecOptions(
         **{f.name: raw_opts[f.name] for f in fields(SpecOptions)
            if f.name in raw_opts}))
 

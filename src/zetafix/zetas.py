@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import _int_poly_mul, _integer_coeffs, det
+from .algebra import _int_poly_mul, det
 from .errors import (NonAcyclicBundle, NotConstantRatio, RadiusMismatch,
                      ZetaUndefined)
 from .invariants import ZetaResult, map_context
@@ -97,8 +97,7 @@ def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,
         # and h's numerator and denominator are num and den, swapped for
         # odd m, so g/h = (top * t) / (bottom * b) with the scales below.
         # It is a constant iff top and bottom are proportional.
-        num, s_num = _integer_coeffs(f.num)
-        den, s_den = _integer_coeffs(f.den)
+        num, den, s_num, s_den = f.num.ints, f.den.ints, f.num.den, f.den.den
         k = max(len(num), len(den)) - 1
         if m % 2 == 0:
             h_num, h_den, t, b = num, den, 1, 1
@@ -197,10 +196,8 @@ def torsion_special_value(zeta: ZetaResult, lam: complex,
             num, den, cut = f.num(x), f.den(x), 0
         else:
             num, den = complex(f.num(lam)), complex(f.den(lam))
-            cut = 1e-12 * max(1.0, max((abs(complex(c)) for c in f.num.coeffs),
-                                       default=1.0),
-                              max((abs(complex(c)) for c in f.den.coeffs),
-                                  default=1.0))
+            cut = 1e-12 * max([1.0] + [abs(c) / p.den for p in (f.num, f.den)
+                                       for c in p.ints])
         if abs(den) <= cut:
             raise NonAcyclicBundle(f"{zr.which} zeta has a pole at {lam}")
         if abs(num) <= cut:

@@ -33,6 +33,30 @@ def compatible(spec: ManifoldSpec, d: RationalMatrix) -> bool:
     return True
 
 
+def rref(rows, ncols: int):
+    """Gauss-Jordan elimination in Fractions, the reference for the
+    package's fraction-free elimination: the reduced row echelon form of
+    rows and its pivot columns.  Only the first ncols columns are
+    eligible as pivots; any further columns are carried along, as in an
+    augmented matrix."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def _any_matrix(dim):
     def draw(rng):
         return [[_e(rng) for _ in range(dim)] for _ in range(dim)]

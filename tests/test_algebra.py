@@ -44,7 +44,7 @@ def _from_roots(roots):
 def _int_poly(p):
     """The Fraction polynomial p as a primitive integer coefficient list,
     the form the integer kernels take."""
-    return algebra._primitive(algebra._integer_coeffs(p)[0])
+    return algebra._primitive(list(p.ints))
 
 
 def _squarefree(p):
@@ -64,7 +64,7 @@ def _unit_circle_count(p):
     """Roots of p on the unit circle, with multiplicity: the roots 1 and
     -1 divided out and counted, then the rest counted by the kernel."""
     core, m_one, m_minus = algebra._strip_trivial_roots(
-        algebra._integer_coeffs(p)[0])
+        list(p.ints))
     return m_one + m_minus + algebra._unit_circle_roots(core)
 
 
@@ -169,6 +169,62 @@ class TestPolynomial:
         b = _from_roots([1, 3])
         g = poly_gcd(a, b).monic()
         assert g == _from_roots([1])
+
+
+class TestPolynomialIntegerForm:
+    """A Polynomial is stored as ints / den over the least positive
+    common denominator; the Fraction coefficients are only a view."""
+
+    SPELLINGS = [
+        # 1/2 - 3z + (2/3)z^2
+        ([Fraction(1, 2), Fraction(-3), Fraction(2, 3)],
+         ["2/4", "-6/2", "4/6"], ([3, -18, 4], 6), ([-6, 36, -8, 0], -12)),
+        # 1 - 3z + 2z^2
+        ([1, -3, 2], ["1", "-3/1", "4/2"], ([2, -6, 4], 2), ([-1, 3, -2], -1)),
+    ]
+
+    @pytest.mark.parametrize("coeffs, strings, form, unreduced", SPELLINGS)
+    def test_spellings_share_one_form(self, coeffs, strings, form, unreduced):
+        fractions = [Fraction(c) for c in coeffs]
+        made = [Polynomial(coeffs), Polynomial(fractions), Polynomial(strings),
+                Polynomial._from_ints(*form), Polynomial._from_ints(*unreduced)]
+        ints, den = form
+        g = math.gcd(den, *ints)
+        for p in made:
+            assert p == made[0] and hash(p) == hash(made[0])
+            assert (p.ints, p.den) == (tuple(x // g for x in ints), den // g)
+            assert p.coeffs == tuple(fractions)
+            assert all(type(x) is Fraction for x in p.coeffs)
+
+    @pytest.mark.parametrize("p", [Polynomial([Fraction(1, 2), -3, "2/3"]),
+                                   Polynomial._from_ints([4, 0, -2], 1),
+                                   Polynomial()])
+    def test_copies_keep_equality_and_hash(self, p):
+        for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert other == p and hash(other) == hash(p)
+            assert (other.ints, other.den) == (p.ints, p.den)
+
+    @pytest.mark.parametrize("p", [Polynomial._from_ints([1, 3, 0, -2]),
+                                   Polynomial._from_ints([3, -1, 4], 6)])
+    def test_exact_readers_return_no_float(self, p):
+        b = Polynomial._from_ints([2, -3])
+        values = [p(2), p(-1), p(0), *divmod(p, b), p.monic(), p % b]
+        values = [v for x in values for v in (x.coeffs if isinstance(x, Polynomial)
+                                               else [x])]
+        assert values and not any(isinstance(v, float) for v in values)
+        assert p(2) == sum(c * 2 ** i for i, c in enumerate(p.coeffs))
+        q, r = divmod(p, b)
+        assert q * b + r == p
+
+    def test_division_of_integer_forms(self):
+        a, b = Polynomial._from_ints([2, 1, -1], 3), Polynomial._from_ints([-4, 4], 5)
+        assert (a * b).exact_div(b) == a and (a * b).exact_div(a) == b
+        assert (a * b).exact_div(b * Fraction(-7, 2)) == a * Fraction(-2, 7)
+        with pytest.raises(ArithmeticError, match="not exact"):
+            (a * b + Polynomial([1])).exact_div(b)
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(Polynomial())
+        assert Polynomial().exact_div(b).is_zero
 
 
 class TestSquarefree:
@@ -809,7 +865,7 @@ def _ref_plus_split(spec, mapping):
 def _ref_has_root_of_unity(m):
     """The scan the classification replaced: every cyclotomic Phi_k with
     phi(k) <= dim tried against the whole characteristic polynomial."""
-    p, _ = algebra._integer_coeffs(char_poly(m))
+    p = list(char_poly(m).ints)
     return any(not algebra._prem(p, algebra._cyclotomic(k))
                for k in range(1, max_root_of_unity_order(m.dim) + 1)
                if algebra._euler_phi(k) <= m.dim)

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ import zetafix.manifolds
 from _corpus import (brute_force_torus_count, coincidence_product_instances,
                      isotypic_mixing_instance, product_instances,
                      random_coincidence_instances, random_instances,
-                     random_integer_matrices)
+                     random_integer_matrices, rref)
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NonIntegralLefschetz, NonIntegralNielsen,
@@ -738,3 +739,124 @@ class TestTrichotomy:
                 coincidence_numbers(spec, f, g).nielsen
             cases.add(rep.case)
         assert cases == {1, 2, 3}
+
+
+def _fraction_decomposition(spec):
+    """The trivial, sign and rotation bases of cyclic_decomposition, by
+    Gauss-Jordan elimination in Fractions: a kernel vector is 1 at its
+    non-pivot column, and the rotation part takes the pivot columns of
+    A^2 - I itself."""
+    group = validate_spec(spec)
+    gen = next((l for l, o in group.element_orders if o == spec.order), None)
+    if gen is None:
+        raise NotCyclic(f"holonomy of {spec.name!r} has no generator")
+    n = spec.dimension
+    ident = RationalMatrix.identity(n)
+
+    def kernel(m):
+        red, pivots = rref(m.rows, n)
+        basis = []
+        for fc in (c for c in range(n) if c not in pivots):
+            v = [Fraction(0)] * n
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc]
+            basis.append(tuple(v))
+        return basis
+
+    a0 = spec.matrix(gen)
+    square = spec.matrix(group.products[gen, gen]) - ident
+    rot = [tuple(col) for c, col in enumerate(zip(*square.rows))
+           if c in rref(square.rows, n)[1]]
+    parts = kernel(a0 - ident), kernel(a0 + ident), rot
+    filled = sum(map(len, parts))
+    if filled != n:
+        raise NotCyclic(f"decomposition of {gen!r} does not fill the space "
+                        f"(got {filled} columns for dimension {n})")
+    return parts
+
+
+def _fraction_trichotomy(spec, f, g):
+    """(case, det_diff_sign, det_sum_sign, m_triv, k_tau) of
+    coincidence_trichotomy from the Fraction decomposition, the inverse
+    of its basis by Gauss-Jordan on [B | I], and B^-1 M B in Fractions;
+    the case is read from the two signs alone."""
+    triv, tau, rot = _fraction_decomposition(spec)
+    n, mt, kt = spec.dimension, len(triv), len(tau)
+    basis = [list(r) for r in zip(*(triv + tau + rot))]
+    red, _ = rref([r + [Fraction(i == j) for j in range(n)]
+                   for i, r in enumerate(basis)], n)
+    binv = [r[n:] for r in red]
+    piece = [0] * mt + [1] * kt + [2] * len(rot)
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
+
+    def block(d):
+        conj = mul(mul(binv, d.rows), basis)
+        for i, j in itertools.product(range(n), repeat=2):
+            if piece[i] != piece[j] and conj[i][j] != 0:
+                raise NotBlockCompatible(
+                    f"linear part does not preserve the isotypic "
+                    f"pieces (entry {i},{j} nonzero)")
+        return [r[mt:mt + kt] for r in conj[mt:mt + kt]]
+
+    d_tau, e_tau = block(f.linear), block(g.linear)
+    if kt == 0:
+        return 1, 0, 0, mt, kt
+    signs = [(x > 0) - (x < 0) for x in (
+        det(RationalMatrix([[e - s * d for e, d in zip(er, dr)]
+                            for er, dr in zip(e_tau, d_tau)]))
+        for s in (1, -1))]
+    return (2 if signs[0] * signs[1] >= 0 else 3), *signs, mt, kt
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotCyclic, NotBlockCompatible) as e:
+        return type(e).__name__, str(e)
+
+
+def _trichotomy_problems():
+    halfturn = load_fixture("halfturn_coincidence")
+    spec, mixing = isotypic_mixing_instance()
+    ident = _map(RationalMatrix.identity(4), "g")
+    return ([(halfturn.spec, halfturn.mapping, halfturn.mapping2),
+             (spec, mixing, ident), (spec, ident, mixing)]
+            + random_coincidence_instances(seed=404, count=40)
+            + [product for product, _, _ in coincidence_product_instances(0, 20)])
+
+
+class TestFractionFreeTrichotomy:
+    """The integer decomposition and conjugation against the Fraction
+    Gauss-Jordan route they replaced."""
+
+    def test_same_case_signs_and_dimensions_or_error(self):
+        seen = set()
+        for spec, f, g in _trichotomy_problems():
+            want = _outcome(_fraction_trichotomy, spec, f, g)
+            rep = _outcome(coincidence_trichotomy, spec, f, g)
+            got = rep if isinstance(rep, tuple) else (
+                rep.case, rep.det_diff_sign, rep.det_sum_sign, rep.m_triv,
+                rep.k_tau)
+            assert got == want, spec.name
+            seen.add(got[0])
+        assert seen == {1, 2, 3, "NotCyclic", "NotBlockCompatible"}
+
+    def test_bases_are_positive_integer_multiples(self):
+        checked = 0
+        for spec, _, _ in _trichotomy_problems():
+            try:
+                want = _fraction_decomposition(spec)
+            except NotCyclic:
+                continue
+            dec = cyclic_decomposition(spec)
+            for got, ref in zip((dec.trivial, dec.sign, dec.rotation), want):
+                assert len(got) == len(ref)
+                for u, v in zip(got, ref):
+                    assert all(type(x) is int for x in u)
+                    c = next(Fraction(x, 1) / y for x, y in zip(u, v) if y)
+                    assert c > 0 and list(u) == [c * y for y in v]
+            checked += 1
+        assert checked > 40

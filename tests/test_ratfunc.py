@@ -1,6 +1,8 @@
 """Rational functions and exact reconstruction of exp(sum a_n z^n / n)."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from zetafix import (InsufficientTerms, NotRational, OutOfFloatRange,
                      Polynomial, RationalFunction, SequenceOracle,
                      builtin_fixtures, format_polynomial,
                      radius_of_convergence, zeta_from_terms)
-from zetafix.algebra import _int_squarefree, _integer_coeffs, _primitive
+from zetafix.algebra import _int_squarefree, _primitive
 from zetafix.invariants import map_context
 from zetafix.ratfunc import (_MERSENNE_EXPONENTS, _berlekamp_massey,
                              _series_mismatch, verify_zeta)
@@ -34,6 +36,11 @@ class TestFormatting:
         ([0, 1], "z"),
         ([0, -1, 0, 1], "-z+z^3"),
         ([Fraction(1, 2)], "1/2"),
+        # a non-integer coefficient of a power of z is bracketed
+        ([Fraction(1, 2), Fraction(1, 4)], "1/2+(1/4)z"),
+        ([0, 0, Fraction(-3, 2)], "-(3/2)z^2"),
+        ([Fraction(-1, 2), 1, Fraction(-3), Fraction(5, 7)],
+         "-1/2+z-3z^2+(5/7)z^3"),
     ])
     def test_polynomial_strings(self, coeffs, text):
         assert format_polynomial(Polynomial(coeffs)) == text
@@ -42,6 +49,10 @@ class TestFormatting:
         f = RationalFunction([1, 2], [1, -2])
         assert str(f) == "(1+2z)/(1-2z)"
         assert str(RationalFunction([1, 1])) == "1+z"
+
+    def test_non_integer_function_string(self):
+        f = RationalFunction([1, Fraction(-1, 2)], [2, -3])
+        assert str(f) == "(1/2-(1/4)z)/(1-(3/2)z)"
 
 
 class TestNormalization:
@@ -54,6 +65,35 @@ class TestNormalization:
         f = RationalFunction([2, 2], [2, -4])
         assert f.den.coeffs[0] == 1
         assert f == RationalFunction([1, 1], [1, -2])
+
+    @pytest.mark.parametrize("num, den", [
+        ([1, 2], [-2, 4]),                              # negative lowest
+        ([3, Fraction(1, 2)], [0, Fraction(3, 4), 5]),  # lowest is z's
+        ([Fraction(2, 3)], [Fraction(-5, 7), 1]),
+    ])
+    def test_denominator_lowest_coefficient_made_one(self, num, den):
+        f = RationalFunction(num, den)
+        low = next(Fraction(c) for c in den if c != 0)
+        assert f.num == Polynomial([Fraction(c) / low for c in num])
+        assert f.den == Polynomial([Fraction(c) / low for c in den])
+        assert next(c for c in f.den.ints if c) == f.den.den
+
+    def test_copies_keep_equality_and_hash(self):
+        f = RationalFunction([1, Fraction(-1, 2)], [2, -3])
+        for other in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert other == f and hash(other) == hash(f)
+
+    def test_exact_readers_return_no_float(self):
+        f = RationalFunction([1, -3], [2, -4, 10])       # den made 1-2z+5z^2
+        g = RationalFunction([1], [1, -3])
+        series = f.series(8)
+        sums = g.log_derivative_sums(8)
+        assert not any(isinstance(v, float) for v in series + sums)
+        assert sums == [3 ** n for n in range(1, 9)]
+        # the series times the denominator is the numerator
+        d = f.den.coeffs
+        assert [sum(d[j] * series[k - j] for j in range(min(k, 2) + 1))
+                for k in range(9)] == [Fraction(1, 2), Fraction(-3, 2)] + [0] * 7
 
     def test_zero_numerator_collapses(self):
         f = RationalFunction([0], [1, 5])
@@ -533,7 +573,7 @@ class TestAnalytic:
             if den.degree < 1:
                 continue
             monic = [Polynomial(s).monic() for s, _ in
-                     _int_squarefree(_primitive(_integer_coeffs(den)[0]))]
+                     _int_squarefree(_primitive(list(den.ints)))]
             roots = [np.roots([float(c) for c in reversed(s.coeffs)])
                      for s in monic]
             expected = float(min(abs(r) for rs in roots for r in rs))

@@ -19,7 +19,7 @@ import zetafix.zetas
 from _corpus import isotypic_mixing_instance, random_coincidence_instances
 from conftest import FIXED_POINT_NAMES, _record_calls
 from zetafix import (AffineMapSpec, ManifoldSpec, NotConstantRatio,
-                     ParsedSpec, RationalMatrix, asymptotic_nielsen,
+                     ParsedSpec, Polynomial, RationalMatrix, asymptotic_nielsen,
                      asymptotics_entry, build_report, coincidence_numbers,
                      coincidence_trichotomy, compute_plus_split,
                      congruence_entries, entropy_lower_bound,
@@ -149,9 +149,10 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_report_and_api_calls_share_one_kernel(self, monkeypatch, name):
+        # parsing builds the kernel, and everything after reads it back
+        kernels = _count_kernels(monkeypatch)
         parsed = load_fixture(name)
         spec, f = parsed.spec, parsed.mapping
-        kernels = _count_kernels(monkeypatch)
         build_report(parsed)
         for n in range(1, CONGRUENCE_N_MAX + 1):
             lefschetz(spec, f, n), nielsen(spec, f, n), reidemeister(spec, f, n)
@@ -312,10 +313,11 @@ class TestSharedContext:
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_spectral_readers_after_a_report_recompute_nothing(
             self, monkeypatch, name):
-        # a report checks compatibility at parse and at its kernel build,
-        # and classifies D once; afterwards every (spec, map) reader reads
-        # the map's classification and validates through the problem's
-        # memos, so it classifies nothing and checks nothing again
+        # a report checks compatibility once, when parsing builds the
+        # problem's kernel, and classifies D once; afterwards every
+        # (spec, map) reader reads the map's classification and validates
+        # through the problem's memos, so it classifies nothing and checks
+        # nothing again
         classified = _record_calls(monkeypatch, zetafix.algebra,
                                    "classify_eigenvalues")
         checked = _record_calls(monkeypatch, zetafix.manifolds,
@@ -324,7 +326,7 @@ class TestSharedContext:
         spec, f = parsed.spec, parsed.mapping
         build_report(parsed)
         assert classified == [(f.linear,)]
-        assert checked == [(spec, f), (spec, f)]
+        assert checked == [(spec, f)]
         classified.clear()
         checked.clear()
         nz = nielsen_zeta(spec, f)
@@ -397,21 +399,49 @@ class TestSharedContext:
 
 class TestIntegerInput:
     """A spec whose matrices are all integers is read, checked and
-    reported from the integer forms of its matrices alone."""
+    reported from integer forms alone: of its matrices, of every matrix
+    and polynomial made from them, and of its zetas."""
 
     @pytest.mark.parametrize("name",
                              FIXED_POINT_NAMES + ("halfturn_coincidence",))
     def test_report_never_makes_the_fraction_view_of_its_input(
             self, monkeypatch, name):
+        # nor of any other matrix (rows) or polynomial (coeffs)
         parsed = load_fixture(name)
-        inputs = [a for _, a in parsed.spec.holonomy] + [
-            m.linear for m in (parsed.mapping, parsed.mapping2) if m]
         viewed = []
-        rows = RationalMatrix.rows
-        monkeypatch.setattr(RationalMatrix, "rows", property(
-            lambda m: viewed.append(m) or rows.__get__(m)))
+        for cls, attr in ((RationalMatrix, "rows"), (Polynomial, "coeffs")):
+            view = getattr(cls, attr)
+            monkeypatch.setattr(cls, attr, property(
+                lambda x, view=view: viewed.append(x) or view.__get__(x)))
         build_report(parsed)
-        assert not [m for m in viewed if any(m is x for x in inputs)]
+        assert viewed == []
+
+    @pytest.mark.parametrize("name",
+                             FIXED_POINT_NAMES + ("halfturn_coincidence",))
+    def test_zeta_and_coincidence_layers_build_no_fraction(
+            self, monkeypatch, name):
+        # A Fraction is charged to the innermost of these functions on the
+        # stack; det, which returns one, takes the trichotomy's two tau
+        # determinants.
+        scopes = {f.__code__: f.__name__ for f in (
+            zetafix.ratfunc.zeta_from_terms, zetafix.report._zeta_entry,
+            zetafix.invariants.cyclic_decomposition,
+            zetafix.invariants.coincidence_trichotomy, zetafix.algebra.det)}
+        parsed = load_fixture(name)
+        made = []
+        new = Fraction.__new__
+
+        def recorded(cls, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in scopes:
+                frame = frame.f_back
+            if frame is not None:
+                made.append(scopes[frame.f_code])
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", recorded)
+        build_report(parsed)
+        assert set(made) <= {"det"}
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_plus_split_products_build_no_fraction(self, monkeypatch, name):

@@ -284,6 +284,29 @@ class TestRejection:
                            match=f"map {data[key]['label']!r}"):
             parse_spec_data(data)
 
+    def test_both_maps_read_before_either_is_checked(self):
+        # The maps are checked against the holonomy when parsing builds the
+        # problem's kernel, after both are read: a malformed map2 is
+        # reported before an incompatible map.
+        data = _raw("halfturn_coincidence")
+        data["holonomy"][1]["matrix"] = [[1, 0], [0, -1]]
+        data["map"]["D"] = data["map2"]["D"] = [[2, 0], [0, 3]]
+        incompatible, malformed = copy.deepcopy(data), copy.deepcopy(data)
+        incompatible["map"]["D"] = [[2, 1], [0, 3]]
+        malformed["map2"]["D"] = [[2, "x"], [0, 3]]
+        with pytest.raises(NonInvariantSubspace) as one:
+            parse_spec_data(incompatible)
+        assert str(one.value) == (
+            "map 'f' is incompatible with holonomy element 'S': D*A = A'*D "
+            "holds for no holonomy element A'")
+        with pytest.raises(InvalidSpecFile) as other:
+            parse_spec_data(malformed)
+        assert str(other.value) == ("map2.D has a bad rational entry 'x': "
+                                    "not an integer or 'p/q' string")
+        with pytest.raises(InvalidSpecFile) as both:
+            parse_spec_data(dict(incompatible, map2=malformed["map2"]))
+        assert str(both.value) == str(other.value)
+
     def test_holonomy_items_checked(self):
         with pytest.raises(InvalidSpecFile):
             parse_spec_data(_minimal(holonomy=[{"matrix": [[1]]}]))
