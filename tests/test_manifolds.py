@@ -378,10 +378,10 @@ class TestCompatibilityOncePerMap:
         checked = _record_calls(monkeypatch, zetafix.manifolds,
                                 "ensure_compatible")
         parsed = load_fixture(name)
-        maps = [parsed.mapping, parsed.mapping2][:maps]
-        assert checked == [(parsed.spec, m) for m in maps]
+        once = [(parsed.spec, m) for m in (parsed.mapping, parsed.mapping2)[:maps]]
+        assert checked == once
         build_report(parsed)
-        assert checked == [(parsed.spec, m) for m in maps]
+        assert checked == once
 
 
 class TestPlusSplit:
