@@ -656,7 +656,17 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
     degree first, in integer arithmetic.  Step r borders the leading
     r x r block A_r with row R, column C and corner x; the new
     polynomial is the old one times the Toeplitz column
-    (1, -x, -R C, -R A_r C, ..., -R A_r^(r-1) C)."""
+    (1, -x, -R C, -R A_r C, ..., -R A_r^(r-1) C).  Sizes 1 to 3 are
+    written out: trace, sum of principal 2-minors, determinant."""
+    if len(a) == 1:
+        return [1, -a[0][0]]
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        return [1, -p - s, p * s - q * r]
+    if len(a) == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return [1, -p - t - x, p * t - q * s + p * x - r * v + t * x - u * w,
+                q * (s * x - u * v) - p * (t * x - u * w) - r * (s * w - t * v)]
     poly = [1]
     for r in range(len(a)):
         block = [a[i][:r] for i in range(r)]

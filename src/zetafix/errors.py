@@ -24,6 +24,10 @@ class NotRational(ZetafixError):
     supplied degree bound."""
 
 
+class SeriesTailMismatch(ZetafixError):
+    """A term made past the rebuild window differs from the certified zeta's."""
+
+
 # --------------------------------------------------------------- manifolds
 
 

@@ -11,13 +11,13 @@ input data, never rounded away.
 MapContext holds everything computed for one (spec, map): the L, N and
 R sequences read from one averaging kernel, each with the proven
 degree bound of the zeta it feeds, the plus split, and the Lefschetz
-and Nielsen zetas rebuilt and verified from those sequences.  It is the
-only route to a map's numbers: lefschetz, nielsen and reidemeister and
-the public sequences all read its oracles.  Two cross-checks run there:
-every finite R(f^n) must equal N(f^n), and, once per problem at zeta
-level, the sign-formula zeta must match the Nielsen sequence over the
-whole rebuild window, which compares N(f^k) with +-L(f^k), or
-+-(L(f+^k) - L(f^k)) for a proper split, for every k in it.
+and Nielsen zetas certified for those sequences, which then read every
+term past their window off them.  It is the only route to a map's
+numbers: lefschetz, nielsen and reidemeister and the public sequences
+all read its oracles.  Three cross-checks run there: every finite
+R(f^n) must equal N(f^n); every N(f^k) in the Nielsen window must be
++-L(f^k), or +-(L(f+^k) - L(f^k)) for a proper split; and a term made
+from determinants past a window must be the certified zeta's.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, averaging_kernel, compute_plus_split,
                         exterior_ranks, reidemeister_zeta_defined,
                         validate_spec)
-from .ratfunc import (RationalFunction, SequenceOracle, verify_zeta,
-                      zeta_from_terms)
+from .ratfunc import RationalFunction, SequenceOracle, zeta_from_terms
 
 
 def default_degree_bound(spec: ManifoldSpec) -> int:
@@ -228,10 +227,10 @@ class MapContext:
 
     @cached_property
     def r_seq(self) -> SequenceOracle:
-        """R(f^n), with the Nielsen bound.  Values may be math.inf; zeta
-        construction must check definedness before consuming this.
-        R averages det(A - D^n), not det(I - A D^n); inversion permutes
-        the holonomy, so a finite R(f^n) that is not N(f^n) raises
+        """R(f^n), with the Nielsen bound; values may be math.inf.  It
+        averages det(A - D^n), not det(I - A D^n), at every n (it is
+        never certified); inversion permutes the holonomy, so a finite
+        R(f^n) that is not N(f^n), N's tail included, raises
         NielsenFormulaMismatch."""
         return self._oracle("reidemeister",
                             partial(_reidemeister_at, self.kernel, self.n_seq),
@@ -253,34 +252,54 @@ class MapContext:
 
     @cached_property
     def l_zeta(self) -> ZetaResult:
-        return ZetaResult("Lefschetz", zeta_from_terms(self.l_seq),
+        return ZetaResult("Lefschetz", self.l_seq.certify(zeta_from_terms(self.l_seq)),
                           Construction("direct"))
 
     @cached_property
     def n_zeta(self) -> ZetaResult:
+        """The sign formula F = S(sigma z)^eps, sigma = (-1)^n and
+        eps = (-1)^(p+n), with S = L_f, or the twisted zeta L_f+ / L_f
+        for a proper plus subgroup, certified for its own sequence s.  F
+        is never rebuilt; three checks certify it, and n_seq then reads
+        its tail off it.  They pass exactly when zeta_from_terms(n_seq)
+        would return F, that is when (1) F has order <= B, n_seq's bound,
+        and F's series is exp(sum N(f^n) z^n / n) through z^(3B+4) (two
+        functions of order <= B that share 2B coefficients are equal).
+        Series that start with 1 agree iff their log coefficients do.
+        S's are s(n) at every n (by s's rebuild, then its tail), so given
+        (2) F's stored forms are S(sigma z)^eps's (true unless
+        compose_scale or inverse is at fault), the series condition is
+        (3) N(f^n) = eps sigma^n s(n) for n <= 3B + 4."""
         split = self.split
-        formula = self._sign_formula()
-        if not verify_zeta(self.n_seq, formula):
-            # fails exactly when the direct rebuild raises NotRational
-            # or returns another function
-            direct = zeta_from_terms(self.n_seq)
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {formula} differs "
-                f"from direct reconstruction {direct}")
+        source = self.twisted_seq if split.is_proper else self.l_seq
+        zeta = (source.certify(zeta_from_terms(source)) if split.is_proper
+                else self.l_zeta.function)
+        sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
+        formula = zeta.compose_scale(sigma) ** eps
+        _check_sign_formula(self.n_seq, source, zeta, sigma, eps, formula)
+        self.n_seq.certify(formula)
         case = "plus-proper" if split.is_proper else "plus-equal"
         return ZetaResult("Nielsen", formula,
                           Construction("sign-formula", case, split.p, split.n))
 
-    def _sign_formula(self) -> RationalFunction:
-        """L_f((-1)^n z)^((-1)^(p+n)), or with a proper plus subgroup
-        the same with the twisted zeta (L_f+ / L_f, rebuilt from its own
-        sequence) in place of L_f.  Substitution and inversion keep
-        lowest terms, so no gcd is taken."""
-        split = self.split
-        zeta = (zeta_from_terms(self.twisted_seq) if split.is_proper
-                else self.l_zeta.function)
-        zeta = zeta.compose_scale((-1) ** split.n)
-        return zeta if (-1) ** (split.p + split.n) == 1 else zeta.inverse()
+
+def _check_sign_formula(n_seq: SequenceOracle, source: SequenceOracle,
+                        zeta: RationalFunction, sigma: int, eps: int,
+                        formula: RationalFunction) -> None:
+    """MapContext.n_zeta's checks of formula = zeta(sigma z)^eps."""
+    b = n_seq.degree_bound
+    if max(formula.den.degree, formula.num.degree + 1) > b:
+        raise NielsenFormulaMismatch(
+            f"sign-formula zeta {formula} has order above the bound {b}")
+    # numerator and denominator swap places when eps = -1
+    for got, p in zip((formula.num, formula.den), (zeta.num, zeta.den)[::eps]):
+        if got.den != p.den or got.ints != tuple(c * sigma ** k for k, c in enumerate(p.ints)):
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {formula} is not ({zeta})(({sigma})z)^{eps}")
+    for n in range(1, 3 * b + 5):
+        if n_seq(n) != (want := eps * sigma ** n * source(n)):
+            raise NielsenFormulaMismatch(
+                f"N(f^{n}) = {n_seq(n)} differs from the sign formula's {want}")
 
 
 @lru_cache(maxsize=1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import (Polynomial, _float_roots, _int_poly_mul,
                       _int_squarefree, _primitive, as_rational, poly_gcd)
-from .errors import InsufficientTerms, NotRational
+from .errors import InsufficientTerms, NotRational, SeriesTailMismatch
 
 
 def format_polynomial(p: Polynomial, var: str = "z") -> str:
@@ -160,7 +160,11 @@ class SequenceOracle:
     degree bound used for rational reconstruction.  The bound may be
     given as a function of no arguments, called the first time
     degree_bound is read, for a bound that costs more to decide than
-    the values do."""
+    the values do.
+
+    Past the window 3B + 4, a certified oracle reads a_j off its zeta
+    P/Q: A = sum a_n z^n has A P Q = z (P'Q - P Q'), of degree below
+    the window, so sum_k (PQ)_k a_(j-k) = 0 there (O(deg PQ) steps)."""
 
     def __init__(self, fn, degree_bound, name: str = ""):
         self._fn = fn
@@ -168,6 +172,7 @@ class SequenceOracle:
             else _checked_bound(degree_bound)
         self.name = name
         self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
+        self._tail = None       # (window, zeta, then PQ) once certified
 
     @property
     def degree_bound(self) -> int:
@@ -179,8 +184,41 @@ class SequenceOracle:
         if n < 1:
             raise ValueError("sequence indices start at 1")
         if n not in self._cache:
-            self._cache[n] = self._fn(n)
+            if self._tail is not None and n > self._tail[0]:
+                self._extend(n)
+            else:
+                self._cache[n] = self._fn(n)
         return self._cache[n]
+
+    def certify(self, zeta: RationalFunction) -> RationalFunction:
+        """Read every term past the window off zeta, certified on it
+        under this oracle's own bound B as zeta_from_terms(self) returns
+        it: the sequence's zeta has order <= B too, and two such that
+        share 2B coefficients are equal.  A term fn made past the window
+        must equal the zeta's, or SeriesTailMismatch is raised."""
+        window = 3 * self.degree_bound + 4
+        made = {n: self._cache.pop(n) for n in sorted(self._cache) if n > window}
+        self._tail = (window, zeta)
+        if made:
+            self._extend(max(made))
+        for n, v in made.items():
+            if v != self._cache[n]:
+                raise SeriesTailMismatch(
+                    f"{self.name}: term {n} is {v}, but the certified zeta "
+                    f"{zeta} gives {self._cache[n]}")
+        return zeta
+
+    def _extend(self, n: int) -> None:
+        """Fill _cache (1..len(_cache)) through n; PQ is made on first use."""
+        window, pq = self._tail
+        if isinstance(pq, RationalFunction):
+            w = _int_poly_mul(pq.num.ints, pq.den.ints)
+            self._tail = window, pq = window, (w[0], w[1:])
+        (w0, rest), cache = pq, self._cache
+        for j in range(len(cache) + 1, n + 1):
+            s = -sum(map(operator.mul, rest, map(cache.__getitem__, range(j - 1, 0, -1))))
+            q, r = divmod(s, w0)
+            cache[j] = Fraction(s, w0) if r else q
 
 
 def _checked_bound(degree_bound) -> int:
@@ -385,46 +423,6 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     c, order, prod = fit
     return _coprime(Polynomial._from_ints(prod[:max(order, 1)], c[0] * scale),
                     Polynomial._from_ints(c, c[0]))
-
-
-def verify_zeta(seq: SequenceOracle, rf: RationalFunction) -> bool:
-    """True exactly when zeta_from_terms(seq) would return rf, decided
-    without rebuilding the series.
-
-    rf = P/Q, in lowest terms with Q(0) = 1, passes when its recurrence
-    order max(deg Q, deg P + 1) is at most B and its series equals
-    exp(sum a_n z^n / n) through index 3B+4, the window of the rebuild.
-    Two rational functions of order <= B that share their first 2B
-    series coefficients are equal, so the rebuild would then fit this
-    same function and pass its window check; and if the rebuild returns
-    rf, its window check is this one.
-    """
-    b = seq.degree_bound
-    if max(rf.den.degree, rf.num.degree + 1) > b:
-        return False
-    return _series_mismatch([seq(n) for n in range(1, 3 * b + 5)], rf) is None
-
-
-def _series_mismatch(a: list, rf: RationalFunction) -> int | None:
-    """The first index j <= len(a) at which the Taylor series of rf
-    differs from exp(sum a_n z^n / n), or None if there is none.
-
-    With P(0) = Q(0) the two agree through z^j exactly when the
-    log-derivative identity A P Q = z (P'Q - P Q'), A = sum a_n z^n,
-    holds through z^j; the identity fails first where the series first
-    differ.  P and Q enter scaled to integers, which scales both sides
-    alike.
-    """
-    p, q = rf.num.ints, rf.den.ints     # P = p / s and Q = q / t
-    if not p or not q[0] or p[0] * rf.den.den != q[0] * rf.num.den:
-        return 0
-    w = _int_poly_mul(p, q)
-    r = [x - y for x, y in zip(_int_poly_mul([i * x for i, x in enumerate(p)], q),
-                               _int_poly_mul(p, [k * y for k, y in enumerate(q)]))]
-    for j in range(1, len(a) + 1):
-        if sum(map(operator.mul, a[j - 1::-1], w)) != (r[j] if j < len(r) else 0):
-            return j
-    return None
 
 
 def radius_of_convergence(rf: RationalFunction) -> float:

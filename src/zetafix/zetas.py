@@ -4,8 +4,8 @@ equation, asymptotics, and torsion special values.
 Every zeta here is exp(sum a_n z^n / n) for an integer sequence a_n and
 is reconstructed as an exact rational function.  The Nielsen zeta is
 built from Lefschetz zetas through the eigenvalue-sign formula and
-verified exactly against its own sequence: it must be the function that
-a direct reconstruction from the Nielsen sequence would return.  The
+certified term by term against its own sequence: it must be the function
+that a direct reconstruction from the Nielsen sequence would return.  The
 sequences, their bounds and the rebuilt zetas live in one context per
 (spec, map), invariants.map_context; this module reads it.
 """
@@ -33,8 +33,8 @@ def lefschetz_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
 def nielsen_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """N_f(z) by the sign formula N_f(z) = L_f((-1)^n z)^((-1)^(p+n))
     (or, when the plus subgroup is proper, the same with the twisted
-    zeta L_f+ / L_f rebuilt from L(f+^n) - L(f^n)), verified exactly
-    against the Nielsen sequence (see verify_zeta)."""
+    zeta L_f+ / L_f rebuilt from L(f+^n) - L(f^n)), certified term by
+    term against the Nielsen sequence (see MapContext.n_zeta)."""
     return map_context(spec, mapping).n_zeta
 
 

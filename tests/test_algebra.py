@@ -990,6 +990,20 @@ class TestIntegerKernels:
             assert algebra._scaled_det(u, x, v, y) == math.prod(
                 algebra._scaled_det(u, [bx], v, [by]) for bx, by in zip(x, y))
 
+    def test_berkowitz_closed_forms_are_signed_minor_sums(self):
+        # sizes 1 to 3 are written out: the coefficient of z^(k-j) is
+        # (-1)^j times the sum of the principal j x j minors
+        rng = random.Random(49)
+        for k in (1, 2, 3):
+            for bits in (3, 200):
+                for _ in range(30):
+                    a = self._int_block(rng, k, bits)
+                    minors = [sum(det(RationalMatrix([[a[r][c] for c in s] for r in s]))
+                                  for s in itertools.combinations(range(k), j))
+                              for j in range(1, k + 1)]
+                    assert algebra._berkowitz(a) == [1] + [
+                        (-1) ** j * m for j, m in enumerate(minors, 1)]
+
     def test_gcd_matches_euclid(self):
         rng = random.Random(43)
         for _ in range(60):

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, golden reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import zetafix
+import zetafix.algebra
+import zetafix.invariants
 from conftest import _record_calls
 from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
                      load_fixture)
@@ -268,6 +271,94 @@ class TestReidemeisterCrossCheck:
         assert (code, out) == (4, "")
         assert err == ("cross-check failed: NielsenFormulaMismatch: "
                        "R(f^2) = 25 differs from N(f^2) = 24\n")
+
+
+class TestTermsPastTheWindow:
+    """Terms past a rebuild window are read off the certified zeta, and
+    one made from determinants before certification is checked."""
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # add 22 to one term of L (members is None) or N: 22 is 0 mod 11
+        # and mod 22, so the congruences to n = 30 do not see it
+        def plant(name, k):
+            orig = getattr(zetafix.invariants, name)
+
+            def faulty(kernel, n, *members):
+                return orig(kernel, n, *members) + 22 * (n == k and not members)
+
+            monkeypatch.setattr(zetafix.invariants, name, faulty)
+        return plant
+
+    def test_planted_lefschetz_fault(self, planted, capsys):
+        # klein_bottle_ex1 has window 10; the report's table reads L(f^11)
+        # from determinants before the zeta is built
+        planted("_lefschetz_at", 11)
+        code, out, err = run_main(capsys, "report", "klein_bottle_ex1")
+        assert (code, out) == (4, "")
+        assert err.startswith("cross-check failed: SeriesTailMismatch: "
+                              "lefschetz:klein_bottle_ex1:f: term 11 is 24, "
+                              "but the certified zeta (1+z)/(1-z) gives 2")
+        zetafix.invariants.map_context.cache_clear()
+        code, out, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
+        assert code == 0
+        assert out.splitlines()[1] == "L: " + ", ".join(["2", "0"] * 6)
+
+    @pytest.mark.parametrize("k, check", [
+        (11, "NielsenFormulaMismatch: R(f^11) = 4096 differs from N(f^11) = 4118"),
+        # R(f^12) is infinite, so only the certificate sees this one
+        (12, "SeriesTailMismatch: nielsen:klein_bottle_ex1:f: term 12 is 22, "
+             "but the certified zeta (1+2z)/(1-2z) gives 0"),
+    ])
+    def test_planted_nielsen_fault(self, planted, capsys, k, check):
+        code, want, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
+        assert code == 0
+        zetafix.invariants.map_context.cache_clear()
+        planted("_nielsen_at", k)
+        code, out, err = run_main(capsys, "report", "klein_bottle_ex1")
+        assert (code, out, err) == (4, "", f"cross-check failed: {check}\n")
+        # numbers builds the zetas first and reads N(f^k) off the tail
+        zetafix.invariants.map_context.cache_clear()
+        code, out, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
+        assert (code, out) == (0, want)
+
+    def test_reidemeister_skew_past_the_window(self, monkeypatch):
+        # R(f^20) from det(A - D^n) is still compared with N(f^20), which
+        # is now read off the certified Nielsen zeta
+        ex3 = zetafix.load_fixture("heisenberg_ex3")
+        ctx = zetafix.invariants.map_context(ex3.spec, ex3.mapping)
+        assert 3 * ctx.n_seq.degree_bound + 4 < 20 <= 30
+        kernel = zetafix.algebra.AveragingKernel
+        orig = kernel.shifted_dets
+
+        def shifted_dets(self, n):
+            dets, den = orig(self, n)
+            if n != 20:
+                return dets, den
+            step = den * len(dets) * (1 if dets[0] >= 0 else -1)
+            return [dets[0] + step] + dets[1:], den
+
+        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+        with pytest.raises(NielsenFormulaMismatch, match=r"R\(f\^20\) = \d+ differs"):
+            build_report(ex3)
+
+    def test_numbers_to_200_through_the_zetas(self, capsys):
+        # the same table as the determinant route gave (sha256 of its
+        # output), every term past the windows read off the zetas
+        code, out, _ = run_main(capsys, "numbers", "torus_cat_map", "--max-n", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d0323c4edb5f71e5c67530b03e29a89a177e4b2f693ce4582ce4efdae21ddcb2")
+        fx = zetafix.load_fixture("torus_cat_map")
+        ctx = zetafix.invariants.map_context(fx.spec, fx.mapping)
+        assert ctx.l_seq._tail is not None and ctx.n_seq._tail is not None
+        # L(f^n) = det(I - D^n) = 2 - tr(D^n) for D = [[2, 1], [1, 1]]
+        a, b, c = 2, 1, 1               # D^n = [[a, b], [b, c]]
+        lefschetz = []
+        for _ in range(200):
+            lefschetz.append(2 - a - c)
+            a, b, c = 2 * a + b, a + b, b + c
+        assert out.splitlines()[1] == "L: " + ", ".join(map(str, lefschetz))
 
 
 class TestCommands:

@@ -57,4 +57,4 @@ def test_every_public_layer_function_has_a_caller():
 def test_the_layers_define_public_functions():
     # the check above is vacuous if the parse finds nothing
     assert {"det", "char_poly", "poly_gcd"} <= _public_functions("algebra")
-    assert {"zeta_from_terms", "verify_zeta"} <= _public_functions("ratfunc")
+    assert {"zeta_from_terms", "radius_of_convergence"} <= _public_functions("ratfunc")

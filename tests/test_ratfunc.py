@@ -1,6 +1,7 @@
 """Rational functions and exact reconstruction of exp(sum a_n z^n / n)."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -12,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetafix.ratfunc
-from _corpus import dense_torus, ladder_instances, random_instances
-from zetafix import (InsufficientTerms, NotRational, OutOfFloatRange,
-                     Polynomial, RationalFunction, SequenceOracle,
-                     builtin_fixtures, format_polynomial,
-                     radius_of_convergence, zeta_from_terms)
+from _corpus import (dense_torus, ladder_instances, product_instances,
+                     random_instances)
+from conftest import FIXED_POINT_NAMES
+from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
+                     OutOfFloatRange, Polynomial, RationalFunction,
+                     SequenceOracle, SeriesTailMismatch, builtin_fixtures,
+                     format_polynomial, load_fixture, radius_of_convergence,
+                     zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
-from zetafix.invariants import map_context
-from zetafix.ratfunc import (_MERSENNE_EXPONENTS, _berlekamp_massey,
-                             _series_mismatch, verify_zeta)
+from zetafix.invariants import MapContext, _check_sign_formula, map_context
+from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey
 
 
 def _oracle(fn, bound, name="test"):
@@ -460,23 +463,61 @@ def _rebuild_failure(seq) -> int | None:
     return None
 
 
+def _accepts(n_seq, source, zeta, sigma, eps, formula) -> bool:
+    """Whether the sign-formula certificate of MapContext.n_zeta passes."""
+    try:
+        _check_sign_formula(n_seq, source, zeta, sigma, eps, formula)
+    except NielsenFormulaMismatch:
+        return False
+    return True
+
+
+def _rebuilds_to(seq, f) -> bool:
+    try:
+        return zeta_from_terms(seq) == f
+    except NotRational:
+        return False
+
+
+def _sign_formula(f, sigma, eps):
+    g = f.compose_scale(sigma)
+    return g if eps == 1 else g.inverse()
+
+
 class TestVerifyZeta:
-    """verify_zeta(seq, f) holds exactly when zeta_from_terms(seq) would
-    return f, and its identity fails first where the rebuild's window
-    check fails first."""
+    """The termwise certificate of MapContext.n_zeta accepts exactly when
+    zeta_from_terms(n_seq) would return the sign-formula zeta: the source
+    S is certified for its sequence s, and n_seq is read against
+    eps sigma^n s(n), past s's window through s's tail.  A term that
+    fails it fails where the rebuild's window check fails first."""
+
+    @staticmethod
+    def _source(f, b):
+        sums = f.log_derivative_sums(3 * b + 4)
+        seq = _oracle(lambda n, s=sums: s[n - 1], b, name="source")
+        assert zeta_from_terms(seq) == f
+        seq.certify(f)
+        return seq
+
+    @staticmethod
+    def _signed(source, sigma, eps, b, k=None, delta=0):
+        """eps sigma^n s(n), moved by delta at n = k, with bound b."""
+        return _oracle(lambda n: eps * sigma ** n * source(n) + delta * (n == k), b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_the_rebuild(self, seed):
         rng = random.Random(seed)
         for _ in range(8):
             f, g = _random_zeta(rng), _random_zeta(rng)
-            b = max(f.den.degree, f.num.degree + 1, g.den.degree,
-                    g.num.degree + 1, 1)
-            sums = f.log_derivative_sums(3 * b + 4)
-            seq = _oracle(lambda n, s=sums: s[n - 1], b)
-            assert verify_zeta(seq, f)
-            assert zeta_from_terms(seq) == f
-            assert verify_zeta(seq, g) == (g == f)
+            b = max(f.den.degree, f.num.degree + 1, 1)
+            source = self._source(f, b)
+            for sigma, eps in itertools.product((1, -1), repeat=2):
+                formula = _sign_formula(f, sigma, eps)
+                seq = self._signed(source, sigma, eps, b + 1)
+                assert _accepts(seq, source, f, sigma, eps, formula)
+                assert _rebuilds_to(seq, formula)
+                assert _accepts(seq, source, f, sigma, eps, g) == \
+                    _rebuilds_to(seq, g) == (g == formula)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_perturbed_series_fail_at_the_same_index(self, seed):
@@ -484,49 +525,115 @@ class TestVerifyZeta:
         for _ in range(4):
             f = _random_zeta(rng)
             b = max(f.den.degree, f.num.degree + 1, 1)
-            top = 3 * b + 4
-            sums = f.log_derivative_sums(top)
-            for k in range(2 * b + 5, top + 1):
-                bad = list(sums)
-                bad[k - 1] += rng.choice([-2, -1, 1, 2])
-                seq = _oracle(lambda n, s=bad: s[n - 1], b)
-                assert not verify_zeta(seq, f)
-                assert _series_mismatch(bad, f) == _rebuild_failure(seq) == k
+            source = self._source(f, b)
+            sigma, eps = rng.choice((1, -1)), rng.choice((1, -1))
+            formula = _sign_formula(f, sigma, eps)
+            top = 3 * (b + 1) + 4
+            for k in range(2 * (b + 1) + 5, top + 1):
+                seq = self._signed(source, sigma, eps, b + 1, k,
+                                   rng.choice([-2, -1, 1, 2]))
+                with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
+                    _check_sign_formula(seq, source, f, sigma, eps, formula)
+                assert _rebuild_failure(seq) == k
 
     def test_perturbed_anywhere_fails_with_the_rebuild(self):
-        f = RationalFunction([1, 2, -2], [1, -4, -8])
-        sums = f.log_derivative_sums(3 * 3 + 4)
-        for k in range(1, len(sums) + 1):
-            bad = list(sums)
-            bad[k - 1] += 1
-            seq = _oracle(lambda n, s=bad: s[n - 1], 3)
-            assert not verify_zeta(seq, f)
-            try:
-                rebuilt = zeta_from_terms(seq)
-            except NotRational:
-                continue
-            assert rebuilt != f
+        # a term in N's window, past the source's window too, fails both;
+        # one past N's window neither
+        rng = random.Random(99)
+        for _ in range(12):
+            f = _random_zeta(rng)
+            b = max(f.den.degree, f.num.degree + 1, 1)
+            source = self._source(f, b)
+            sigma, eps = rng.choice((1, -1)), rng.choice((1, -1))
+            formula = _sign_formula(f, sigma, eps)
+            top = 3 * (b + 1) + 4
+            for k in range(1, top + 4):
+                seq = self._signed(source, sigma, eps, b + 1, k,
+                                   rng.choice([-2, -1, 1, 2]))
+                assert _accepts(seq, source, f, sigma, eps, formula) == \
+                    _rebuilds_to(seq, formula) == (k > top)
 
     def test_order_over_the_bound_fails(self):
         f = RationalFunction([1, 2], [1, -2])      # order 2
-        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 2)
-        assert verify_zeta(seq, f) and zeta_from_terms(seq) == f
-        seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 1)
-        assert not verify_zeta(seq, f)
-        with pytest.raises(NotRational, match="exceeding the bound 1"):
-            zeta_from_terms(seq)
+        source = self._source(f, 2)
+        for bound, ok in ((2, True), (1, False)):
+            seq = _oracle(lambda n: source(n), bound)
+            assert _accepts(seq, source, f, 1, 1, f) == _rebuilds_to(seq, f) == ok
+
+    def test_a_faulty_transform_fails(self):
+        # the stored forms are compared directly: a formula that skipped
+        # the substitution z -> -z or the inversion is refused although
+        # every term check would pass for the true formula
+        f = RationalFunction([1, 2, -2], [1, -4, -8])
+        source = self._source(f, 3)
+        for sigma, eps in ((-1, 1), (1, -1), (-1, -1)):
+            seq = self._signed(source, sigma, eps, 4)
+            assert _accepts(seq, source, f, sigma, eps, _sign_formula(f, sigma, eps))
+            assert not _accepts(seq, source, f, sigma, eps, f)
 
     def test_constant_term_must_be_one(self):
         f = RationalFunction([1, 2], [1, -2])
-        sums = f.log_derivative_sums(8)
-        assert _series_mismatch(sums, f) is None
-        assert _series_mismatch(sums, RationalFunction([2, 4], [1, -2])) == 0
-        assert _series_mismatch(sums, RationalFunction([0], [1])) == 0
+        source = self._source(f, 2)
+        seq = self._signed(source, 1, 1, 2)
+        for wrong in (RationalFunction([2, 4], [1, -2]), RationalFunction([0], [1])):
+            assert not _accepts(seq, source, f, 1, 1, wrong)
+            assert not _rebuilds_to(seq, wrong)
 
     def test_fraction_terms(self):
-        seq = _oracle(lambda n: Fraction(1, 2 ** n), 2)
-        assert verify_zeta(seq, RationalFunction([1], [1, Fraction(-1, 2)]))
-        assert not verify_zeta(seq, RationalFunction([1], [1, Fraction(-1, 3)]))
+        f = RationalFunction([1], [1, Fraction(-1, 2)])
+        source = self._source(f, 1)
+        assert [source(n) for n in (1, 9, 20)] == [Fraction(1, 2 ** n) for n in (1, 9, 20)]
+        seq = self._signed(source, -1, 1, 2)
+        assert _accepts(seq, source, f, -1, 1, _sign_formula(f, -1, 1))
+        assert _rebuilds_to(seq, RationalFunction([1], [1, Fraction(1, 2)]))
+        assert not _accepts(seq, source, f, -1, 1, RationalFunction([1], [1, Fraction(1, 3)]))
+
+    def test_contexts_accept_what_the_rebuild_returns(self):
+        # on the corpus and the fixed-point fixtures the certificate
+        # accepts, and a direct rebuild of N on a fresh context returns
+        # the same function
+        problems = (random_instances(0, 120)
+                    + [prod for prod, _, _ in product_instances(0, 30)]
+                    + [(fx.spec, fx.mapping) for fx in
+                       map(load_fixture, FIXED_POINT_NAMES)])
+        for spec, f in problems:
+            formula = MapContext(spec, f).n_zeta.function
+            assert zeta_from_terms(MapContext(spec, f).n_seq) == formula, spec.name
+
+
+class TestSeriesTail:
+    """Past its window a certified oracle returns the zeta's log
+    coefficients, and terms made before certification are checked."""
+
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_tail_is_the_zeta_series(self, name):
+        fx = load_fixture(name)
+        ctx = MapContext(fx.spec, fx.mapping)
+        for seq, zeta in ((ctx.l_seq, ctx.l_zeta), (ctx.n_seq, ctx.n_zeta)):
+            sums = zeta.function.log_derivative_sums(200)
+            assert [seq(n) for n in range(1, 201)] == sums
+            assert all(type(seq(n)) is int for n in range(1, 201))
+            assert sorted(seq._cache) == list(range(1, 201))
+        # and it is the determinant average too
+        fresh = MapContext(fx.spec, fx.mapping)
+        assert [ctx.l_seq(n) for n in range(1, 41)] == \
+            [fresh.l_seq(n) for n in range(1, 41)]
+        assert fresh.l_seq._tail is None
+
+    def test_terms_made_before_are_checked(self):
+        f = RationalFunction([1, 2], [1, -2])
+        sums = f.log_derivative_sums(40)
+        seq = _oracle(lambda n: sums[n - 1] + (n == 31), 2)
+        assert [seq(n) for n in (12, 30)] == [sums[11], sums[29]]
+        assert zeta_from_terms(seq) == f
+        seq.certify(f)                      # 12 and 30 agree
+        assert seq(31) == sums[30]          # read off the zeta, not fn
+        seq = _oracle(lambda n: sums[n - 1] + (n == 31), 2)
+        seq(31)
+        with pytest.raises(SeriesTailMismatch,
+                           match=f"test: term 31 is {sums[30] + 1}, but the "
+                                 rf"certified zeta .* gives {sums[30]}"):
+            seq.certify(zeta_from_terms(seq))
 
 
 class TestAnalytic:

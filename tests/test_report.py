@@ -25,7 +25,7 @@ from zetafix import (AffineMapSpec, ManifoldSpec, NotConstantRatio,
                      congruence_entries, entropy_lower_bound,
                      has_root_of_unity_eigenvalue, is_virtually_unipotent,
                      lefschetz, lefschetz_sequence, load_fixture,
-                     max_root_of_unity_order, nielsen, nielsen_sequence,
+                     nielsen, nielsen_sequence,
                      nielsen_zeta, parse_spec_data, radius_report,
                      reidemeister, reidemeister_sequence,
                      reidemeister_zeta_defined, render_human, serialize_spec,
@@ -84,19 +84,33 @@ class TestSharedContext:
     @pytest.mark.parametrize("name, reconstructions", [
         ("heisenberg_ex3", 2),     # L, L+/L (plus-proper split)
         ("torus_cat_map", 1),      # L
+        ("quarter_rotation", 1),   # L, whose window is below N's
     ])
     def test_each_zeta_built_once(self, monkeypatch, name, reconstructions):
         # The Lefschetz zeta, and for a proper split the twisted zeta, are
         # rebuilt from their series; the Nielsen zeta comes from them by
-        # the sign formula and its series is only verified, never rebuilt.
-        calls = {fn_name: _record_calls(monkeypatch, zetafix.ratfunc, fn_name)
-                 for fn_name in ("zeta_from_terms", "verify_zeta")}
-        build_report(load_fixture(name))
-        rebuilt, verified = ([args[0].name.split(":")[0] for args in calls[k]]
-                             for k in ("zeta_from_terms", "verify_zeta"))
+        # the sign formula and is never rebuilt.  Its certificate reads
+        # the source's terms past the source's window off the source's
+        # certified zeta, so no term of the source is computed past the
+        # larger of its window and (for L) the numbers table's n_max.
+        calls = _record_calls(monkeypatch, zetafix.ratfunc, "zeta_from_terms")
+        parsed = load_fixture(name)
+        ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
+        source = ctx.twisted_seq if ctx.split.is_proper else ctx.l_seq
+        made = []
+        monkeypatch.setattr(source, "_fn",
+                            lambda n, fn=source._fn: made.append(n) or fn(n))
+        build_report(parsed)
+        rebuilt = [args[0].name.split(":")[0] for args in calls]
         assert len(rebuilt) == len(set(rebuilt)) == reconstructions
         assert "nielsen" not in rebuilt
-        assert verified == ["nielsen"]
+        top = 3 * source.degree_bound + 4
+        if source is ctx.l_seq:
+            top = max(top, parsed.options.n_max)
+        assert made == list(range(1, top + 1))
+        if name == "quarter_rotation":
+            # the certificate reads L(f^13) off L's tail
+            assert 3 * ctx.n_seq.degree_bound + 4 == 13 > top
 
     @pytest.mark.parametrize("name", ["klein_bottle_ex1", "heisenberg_ex3",
                                       "klein_type_3_5"])
@@ -242,14 +256,13 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_each_fixed_point_determinant_once(self, monkeypatch, name):
-        # The report asks for iterates 1..CONGRUENCE_N_MAX (the congruence
-        # battery), which covers the numbers table, the 3B + 4 terms of
-        # each rebuild and the definedness scan; each det(I - A D^n) is
-        # taken once for every holonomy element A.
+        # Iterates past every rebuild window are read off the certified
+        # zetas, so determinants are taken only up to the largest iterate
+        # that still needs them: each window (L, N and the twisted zeta
+        # of a proper split), the numbers table's n_max and the
+        # definedness scan's witness.  Each det(I - A D^n) is taken once
+        # for every holonomy element A.
         parsed = load_fixture(name)
-        dim = parsed.spec.dimension
-        assert CONGRUENCE_N_MAX >= max(3 * 2 ** dim + 4, parsed.options.n_max,
-                                       max_root_of_unity_order(dim))
         kernel = zetafix.algebra.AveragingKernel
         scopes = {kernel.fixed_point_dets.__code__: "fixed",
                   kernel.shifted_dets.__code__: "shifted"}
@@ -265,7 +278,12 @@ class TestSharedContext:
 
         monkeypatch.setattr(zetafix.algebra, "_scaled_det", counted)
         build_report(parsed)
-        assert counts["fixed"] == parsed.spec.order * CONGRUENCE_N_MAX
+        ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
+        seqs = [ctx.l_seq, ctx.n_seq] + ([ctx.twisted_seq] if ctx.split.is_proper else [])
+        top = max([3 * seq.degree_bound + 4 for seq in seqs]
+                  + [parsed.options.n_max, ctx.definedness.witness_n or 0])
+        assert top < CONGRUENCE_N_MAX
+        assert counts["fixed"] == parsed.spec.order * top
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import zetafix.invariants
 from _corpus import (dense_torus, isotypic_mixing_instance, ladder_instances,
                      random_instances, random_integer_matrices)
 from conftest import FIXED_POINT_NAMES
@@ -191,9 +192,10 @@ def _raised(fn):
 
 
 class TestNielsenVerification:
-    """n_zeta verifies the sign-formula zeta against the Nielsen series
-    and rebuilds that series only when the verification fails, to raise
-    the error a direct rebuild and comparison raise."""
+    """n_zeta certifies the sign-formula zeta term by term against the
+    Nielsen sequence, never rebuilding that series, and raises
+    NielsenFormulaMismatch exactly where the rebuild would not return
+    the formula."""
 
     NAMES = ["klein_bottle_ex1", "heisenberg_ex3", "torus_cat_map"]
 
@@ -202,41 +204,34 @@ class TestNielsenVerification:
         fx = load_fixture(name)
         return MapContext(fx.spec, fx.mapping)
 
-    @staticmethod
-    def _rebuild_and_compare(name, seq):
-        direct = zeta_from_terms(seq)
-        formula = GOLDEN_NIELSEN[name]
-        if direct != formula:
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {formula} differs "
-                f"from direct reconstruction {direct}")
-
     @pytest.mark.parametrize("name", NAMES)
     def test_series_perturbed_past_the_fit(self, name):
         b = self._context(name).n_seq.degree_bound
         for k in (2 * b + 5, 3 * b + 4):
             ctx = self._context(name)
+            n_k = ctx.n_seq(k)
             ctx.n_seq = _perturbed(ctx.n_seq, k)
-            want = _raised(lambda: self._rebuild_and_compare(name, ctx.n_seq))
-            assert want == (NotRational, (
-                f"recurrence fit fails at series index {k}; the sequence is "
-                f"not rational within degree bound {b}"))
-            assert _raised(lambda: ctx.n_zeta) == want
+            with pytest.raises(NotRational, match=f"series index {k};"):
+                zeta_from_terms(ctx.n_seq)
+            assert _raised(lambda: ctx.n_zeta) == (NielsenFormulaMismatch, (
+                f"N(f^{k}) = {n_k + 1} differs from the sign formula's {n_k}"))
 
     @pytest.mark.parametrize("name", NAMES)
     def test_another_rational_series(self, name):
         # the Lefschetz series rebuilds fine but is not the Nielsen one
         ctx = self._context(name)
         ctx.n_seq = ctx.l_seq
-        want = _raised(lambda: self._rebuild_and_compare(name, ctx.l_seq))
-        assert want[0] is NielsenFormulaMismatch
-        assert _raised(lambda: ctx.n_zeta) == want
+        assert zeta_from_terms(ctx.l_seq) != GOLDEN_NIELSEN[name]
+        err = _raised(lambda: ctx.n_zeta)
+        assert err[0] is NielsenFormulaMismatch
+        assert "differs from the sign formula's" in err[1]
 
     def test_error_precedence(self):
         # Errors are raised where the work fails: the rebuild the sign
         # formula reads (twisted for a proper split, Lefschetz otherwise)
         # is raised as itself even when the Nielsen series would fail
-        # too, and a failed verification raises the Nielsen rebuild's.
+        # too, and otherwise the first Nielsen term that breaks the
+        # formula is named.
         for name, rebuilt in (("heisenberg_ex3", "twisted_seq"),
                               ("torus_cat_map", "l_seq")):
             b = self._context(name).n_seq.degree_bound
@@ -244,12 +239,44 @@ class TestNielsenVerification:
             ctx.l_seq = _perturbed(ctx.l_seq, 2 * b + 6)
             ctx.n_seq = _perturbed(ctx.n_seq, 2 * b + 5)
             want = _raised(lambda: zeta_from_terms(getattr(ctx, rebuilt)))
-            want_n = _raised(lambda: zeta_from_terms(ctx.n_seq))
-            assert None not in (want, want_n) and want != want_n, name
+            assert want is not None and want[0] is NotRational, name
             assert _raised(lambda: ctx.n_zeta) == want, name
             ctx = self._context(name)
             ctx.n_seq = _perturbed(ctx.n_seq, 2 * b + 5)
-            assert _raised(lambda: ctx.n_zeta) == want_n, name
+            err = _raised(lambda: ctx.n_zeta)
+            assert err[0] is NielsenFormulaMismatch, name
+            assert err[1].startswith(f"N(f^{2 * b + 5}) = "), name
+
+    def test_compose_scale_ignoring_sigma_raises(self, monkeypatch):
+        # D = diag(-2, 3) on T^2 has n = 1, so sigma = -1; a substitution
+        # that ignores sigma leaves every term check passing, and only
+        # the comparison of the stored forms sees it
+        spec = ManifoldSpec.make("t2", 2, [("I", [[1, 0], [0, 1]])])
+        f = AffineMapSpec.make("f", [[-2, 0], [0, 3]])
+        assert MapContext(spec, f).split.n == 1
+        monkeypatch.setattr(RationalFunction, "compose_scale", lambda self, c: self)
+        with pytest.raises(NielsenFormulaMismatch, match=r"is not .*\(\(-1\)z\)\^1"):
+            MapContext(spec, f).n_zeta
+
+    def test_inverse_as_identity_raises(self, monkeypatch):
+        # klein_bottle_ex1 has eps = (-1)^(p+n) = -1
+        monkeypatch.setattr(RationalFunction, "inverse", lambda self: self)
+        with pytest.raises(NielsenFormulaMismatch, match=r"is not .*\^-1"):
+            self._context("klein_bottle_ex1").n_zeta
+
+    def test_n_past_the_source_window_is_checked(self, monkeypatch):
+        # quarter_rotation reads its source L through n = 3 B_L + 4 = 10
+        # from determinants, and the certificate reads N through
+        # 3 B_N + 4 = 13: N(f^k) for k in 11..13 is compared with L's tail
+        ctx = self._context("quarter_rotation")
+        b_l, b_n = ctx.l_seq.degree_bound, ctx.n_seq.degree_bound
+        assert not ctx.split.is_proper and 3 * b_l + 4 < 3 * b_n + 4
+        orig = zetafix.invariants._nielsen_at
+        for k in range(3 * b_l + 5, 3 * b_n + 5):
+            monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
+                                lambda kernel, n, k=k: orig(kernel, n) + (n == k))
+            with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
+                self._context("quarter_rotation").n_zeta
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_verified_zeta_equals_the_rebuild(self, name):
