@@ -20,8 +20,8 @@ from .errors import (DegenerateFixedSet, DimensionMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen,
                      NonInvariantSubspace, NotAGroup, NotBlockCompatible,
                      NotConstantRatio, NotCyclic, NotRational,
-                     OutOfFloatRange, RadiusMismatch, SeriesTailMismatch,
-                     TrichotomyMismatch, ZetaUndefined, ZetafixError)
+                     OutOfFloatRange, RadiusMismatch, TrichotomyMismatch,
+                     ZetaUndefined, ZetafixError)
 from .fixtures import (SequenceFixture, builtin_fixtures, klein_type,
                        load_fixture, sol_r_sequence)
 from .invariants import (CoincidenceNumbers, Construction, CyclicDecomposition,

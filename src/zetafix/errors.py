@@ -24,10 +24,6 @@ class NotRational(ZetafixError):
     supplied degree bound."""
 
 
-class SeriesTailMismatch(ZetafixError):
-    """A term made past the rebuild window differs from the certified zeta's."""
-
-
 # --------------------------------------------------------------- manifolds
 
 

@@ -11,13 +11,13 @@ input data, never rounded away.
 MapContext holds everything computed for one (spec, map): the L, N and
 R sequences read from one averaging kernel, each with the proven
 degree bound of the zeta it feeds, the plus split, and the Lefschetz
-and Nielsen zetas certified for those sequences, which then read every
-term past their window off them.  It is the only route to a map's
-numbers: lefschetz, nielsen and reidemeister and the public sequences
-all read its oracles.  Three cross-checks run there: every finite
-R(f^n) must equal N(f^n); every N(f^k) in the Nielsen window must be
-+-L(f^k), or +-(L(f+^k) - L(f^k)) for a proper split; and a term made
-from determinants past a window must be the certified zeta's.
+and Nielsen zetas, which the L and N oracles certify when first needed
+and then read every term past their window off.  It is the only route
+to a map's numbers: lefschetz, nielsen and reidemeister and the public
+sequences all read its oracles.  Two cross-checks run there: every
+finite R(f^n), past N's window too, must equal N(f^n), and every
+N(f^k) in the Nielsen window must be +-L(f^k), or +-(L(f+^k) - L(f^k))
+for a proper split.
 """
 
 from __future__ import annotations
@@ -156,14 +156,16 @@ def _twisted_at(kernel: AveragingKernel, members, l_seq: SequenceOracle,
 
 
 class _SignData:
-    """The plus split of one problem and the ranks of the zeta its sign
-    formula substitutes into, each decided on first read.  A context
-    and the bound of its N and R oracles share one, so the split waits
-    for the first zeta rebuild and no oracle refers back to the
-    context."""
+    """The plus split of one problem, the ranks of the zeta its sign
+    formula substitutes into and, for a proper split, that zeta's
+    sequence, each decided on first read.  A context and its N and R
+    oracles share one, so the split waits for the first read that needs
+    the Nielsen window, and no oracle refers back to the context."""
 
-    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
+    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec,
+                 kernel: AveragingKernel, l_seq: SequenceOracle):
         self.spec, self.mapping = spec, mapping
+        self.kernel, self.l_seq = kernel, l_seq
 
     @cached_property
     def split(self) -> PlusSplit:
@@ -182,30 +184,55 @@ class _SignData:
         the formula may invert."""
         return zeta_degree_bound(self.spec, self.ranks, invertible=True)
 
+    @cached_property
+    def twisted_seq(self) -> SequenceOracle:
+        """L(f+^n) - L(f^n), the kernel's determinants averaged over the
+        plus subgroup less l_seq: the sequence of the twisted zeta
+        L_f+ / L_f of a proper split."""
+        return _oracle(self.spec, self.mapping, "lefschetz-twisted",
+                       partial(_twisted_at, self.kernel, self.split.plus_indices(),
+                               self.l_seq),
+                       zeta_degree_bound(self.spec, self.ranks), zeta_from_terms)
+
+    def nielsen_zeta(self, n_seq: SequenceOracle) -> RationalFunction:
+        """n_seq's zeta by the sign formula, certified by the checks of
+        MapContext.n_zeta."""
+        split = self.split
+        source = self.twisted_seq if split.is_proper else self.l_seq
+        zeta = source.zeta
+        sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
+        formula = zeta.compose_scale(sigma) ** eps
+        _check_sign_formula(n_seq, source, zeta, sigma, eps, formula)
+        return formula
+
+
+def _oracle(spec: ManifoldSpec, mapping: AffineMapSpec, kind: str, fn, bound,
+            zeta=None) -> SequenceOracle:
+    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}",
+                          zeta=zeta)
+
 
 class MapContext:
     """Everything computed for one (spec, map): its averaging kernel
     (from manifolds.averaging_kernel), the L, N and R sequences read
     from it (L and N from the same determinants det(I - A D^n)), the
     plus split, the Reidemeister definedness, and the Lefschetz and
-    Nielsen zetas.  It is the only place that builds a sequence oracle:
+    Nielsen zetas.  It and its sign data build every sequence oracle:
     each one carries the proven order bound of the zeta it feeds (see
     zeta_degree_bound), and oracles reading one kernel share its powers
-    of D and its determinants.  An oracle holds the kernel and sibling
-    oracles, never the context, so a context is freed as soon as it is
-    dropped.  Obtain it from map_context, so that every caller asking
-    about the same problem shares one instance."""
+    of D and its determinants.  The L, N and twisted oracles own their
+    certified zetas and read every term past their windows off them.
+    An oracle holds the kernel and sibling oracles, never the context,
+    so a context is freed as soon as it is dropped.  Obtain it from
+    map_context, so that every caller asking about the same problem
+    shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
         self.kernel = averaging_kernel(spec, mapping)
-        self._signs = _SignData(spec, mapping)
-        self.l_seq = self._oracle("lefschetz", partial(_lefschetz_at, self.kernel),
-                                  zeta_degree_bound(spec, exterior_ranks(spec)))
-
-    def _oracle(self, kind: str, fn, bound) -> SequenceOracle:
-        return SequenceOracle(
-            fn, bound, name=f"{kind}:{self.spec.name}:{self.mapping.label}")
+        self.l_seq = _oracle(spec, mapping, "lefschetz", partial(_lefschetz_at, self.kernel),
+                             zeta_degree_bound(spec, exterior_ranks(spec)), zeta_from_terms)
+        self._signs = _SignData(spec, mapping, self.kernel, self.l_seq)
 
     @property
     def split(self) -> PlusSplit:
@@ -222,29 +249,23 @@ class MapContext:
     def n_seq(self) -> SequenceOracle:
         """N(f^n), bounded by the order of the sign-formula zeta, which
         is decided on the first read of the bound."""
-        return self._oracle("nielsen", partial(_nielsen_at, self.kernel),
-                            self._signs.nielsen_bound)
+        return _oracle(self.spec, self.mapping, "nielsen", partial(_nielsen_at, self.kernel),
+                       self._signs.nielsen_bound, self._signs.nielsen_zeta)
 
     @cached_property
     def r_seq(self) -> SequenceOracle:
         """R(f^n), with the Nielsen bound; values may be math.inf.  It
-        averages det(A - D^n), not det(I - A D^n), at every n (it is
-        never certified); inversion permutes the holonomy, so a finite
+        averages det(A - D^n), not det(I - A D^n), at every n (it has no
+        certified zeta); inversion permutes the holonomy, so a finite
         R(f^n) that is not N(f^n), N's tail included, raises
         NielsenFormulaMismatch."""
-        return self._oracle("reidemeister",
-                            partial(_reidemeister_at, self.kernel, self.n_seq),
-                            self._signs.nielsen_bound)
+        return _oracle(self.spec, self.mapping, "reidemeister",
+                       partial(_reidemeister_at, self.kernel, self.n_seq),
+                       self._signs.nielsen_bound)
 
-    @cached_property
+    @property
     def twisted_seq(self) -> SequenceOracle:
-        """L(f+^n) - L(f^n), the kernel's determinants averaged over the
-        plus subgroup less l_seq: the sequence of the twisted zeta
-        L_f+ / L_f of a proper split."""
-        return self._oracle(
-            "lefschetz-twisted",
-            partial(_twisted_at, self.kernel, self.split.plus_indices(), self.l_seq),
-            zeta_degree_bound(self.spec, self.sign_ranks))
+        return self._signs.twisted_seq
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
@@ -252,34 +273,26 @@ class MapContext:
 
     @cached_property
     def l_zeta(self) -> ZetaResult:
-        return ZetaResult("Lefschetz", self.l_seq.certify(zeta_from_terms(self.l_seq)),
-                          Construction("direct"))
+        return ZetaResult("Lefschetz", self.l_seq.zeta, Construction("direct"))
 
     @cached_property
     def n_zeta(self) -> ZetaResult:
         """The sign formula F = S(sigma z)^eps, sigma = (-1)^n and
         eps = (-1)^(p+n), with S = L_f, or the twisted zeta L_f+ / L_f
         for a proper plus subgroup, certified for its own sequence s.  F
-        is never rebuilt; three checks certify it, and n_seq then reads
-        its tail off it.  They pass exactly when zeta_from_terms(n_seq)
-        would return F, that is when (1) F has order <= B, n_seq's bound,
-        and F's series is exp(sum N(f^n) z^n / n) through z^(3B+4) (two
-        functions of order <= B that share 2B coefficients are equal).
-        Series that start with 1 agree iff their log coefficients do.
-        S's are s(n) at every n (by s's rebuild, then its tail), so given
-        (2) F's stored forms are S(sigma z)^eps's (true unless
-        compose_scale or inverse is at fault), the series condition is
-        (3) N(f^n) = eps sigma^n s(n) for n <= 3B + 4."""
+        is never rebuilt; three checks certify it as n_seq's zeta.  They
+        pass exactly when zeta_from_terms(n_seq) would return F, that is
+        when (1) F has order <= B, n_seq's bound, and F's series is
+        exp(sum N(f^n) z^n / n) through z^(3B+4) (two functions of order
+        <= B that share 2B coefficients are equal).  Series that start
+        with 1 agree iff their log coefficients do.  S's are s(n) at
+        every n (by s's rebuild, then its tail), so given (2) F's stored
+        forms are S(sigma z)^eps's (true unless compose_scale or inverse
+        is at fault), the series condition is (3) N(f^n) = eps sigma^n
+        s(n) for n <= 3B + 4."""
         split = self.split
-        source = self.twisted_seq if split.is_proper else self.l_seq
-        zeta = (source.certify(zeta_from_terms(source)) if split.is_proper
-                else self.l_zeta.function)
-        sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
-        formula = zeta.compose_scale(sigma) ** eps
-        _check_sign_formula(self.n_seq, source, zeta, sigma, eps, formula)
-        self.n_seq.certify(formula)
         case = "plus-proper" if split.is_proper else "plus-equal"
-        return ZetaResult("Nielsen", formula,
+        return ZetaResult("Nielsen", self.n_seq.zeta,
                           Construction("sign-formula", case, split.p, split.n))
 
 

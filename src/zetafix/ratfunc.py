@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import (Polynomial, _float_roots, _int_poly_mul,
                       _int_squarefree, _primitive, as_rational, poly_gcd)
-from .errors import InsufficientTerms, NotRational, SeriesTailMismatch
+from .errors import InsufficientTerms, NotRational
 
 
 def format_polynomial(p: Polynomial, var: str = "z") -> str:
@@ -162,17 +162,22 @@ class SequenceOracle:
     degree_bound is read, for a bound that costs more to decide than
     the values do.
 
-    Past the window 3B + 4, a certified oracle reads a_j off its zeta
-    P/Q: A = sum a_n z^n has A P Q = z (P'Q - P Q'), of degree below
-    the window, so sum_k (PQ)_k a_(j-k) = 0 there (O(deg PQ) steps)."""
+    zeta, if given, maps the oracle to its zeta P/Q certified on the
+    window 3B + 4 under the oracle's own bound B (as zeta_from_terms
+    does).  It is called the first time zeta is read or a term past the
+    window is asked for, and every such term is read off P/Q, never
+    made by fn: A = sum a_n z^n has A P Q = z (P'Q - P Q'), of degree
+    below the window, so sum_k (PQ)_k a_(j-k) = 0 there (O(deg PQ)
+    steps).  A certificate that fails raises on every later read too."""
 
-    def __init__(self, fn, degree_bound, name: str = ""):
+    def __init__(self, fn, degree_bound, name: str = "", zeta=None):
         self._fn = fn
         self._bound = degree_bound if callable(degree_bound) \
             else _checked_bound(degree_bound)
         self.name = name
         self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
-        self._tail = None       # (window, zeta, then PQ) once certified
+        self._certify = zeta
+        self._zeta = self._pq = None    # the zeta once certified; its P Q
 
     @property
     def degree_bound(self) -> int:
@@ -184,37 +189,31 @@ class SequenceOracle:
         if n < 1:
             raise ValueError("sequence indices start at 1")
         if n not in self._cache:
-            if self._tail is not None and n > self._tail[0]:
+            # every window is at least 7 (B >= 1), so a term below it
+            # never waits for a bound decided on first read
+            if self._certify is not None and n > 7 and n > 3 * self.degree_bound + 4:
                 self._extend(n)
             else:
                 self._cache[n] = self._fn(n)
         return self._cache[n]
 
-    def certify(self, zeta: RationalFunction) -> RationalFunction:
-        """Read every term past the window off zeta, certified on it
-        under this oracle's own bound B as zeta_from_terms(self) returns
-        it: the sequence's zeta has order <= B too, and two such that
-        share 2B coefficients are equal.  A term fn made past the window
-        must equal the zeta's, or SeriesTailMismatch is raised."""
-        window = 3 * self.degree_bound + 4
-        made = {n: self._cache.pop(n) for n in sorted(self._cache) if n > window}
-        self._tail = (window, zeta)
-        if made:
-            self._extend(max(made))
-        for n, v in made.items():
-            if v != self._cache[n]:
-                raise SeriesTailMismatch(
-                    f"{self.name}: term {n} is {v}, but the certified zeta "
-                    f"{zeta} gives {self._cache[n]}")
-        return zeta
+    @property
+    def zeta(self) -> RationalFunction:
+        """The certified zeta, built on first read."""
+        if self._zeta is None:
+            zeta = self._certify(self)
+            for n in range(1, 3 * self.degree_bound + 5):
+                self(n)                 # the tail recurrence reads them all
+            self._zeta = zeta
+        return self._zeta
 
     def _extend(self, n: int) -> None:
         """Fill _cache (1..len(_cache)) through n; PQ is made on first use."""
-        window, pq = self._tail
-        if isinstance(pq, RationalFunction):
-            w = _int_poly_mul(pq.num.ints, pq.den.ints)
-            self._tail = window, pq = window, (w[0], w[1:])
-        (w0, rest), cache = pq, self._cache
+        if self._pq is None:
+            zeta = self.zeta
+            w = _int_poly_mul(zeta.num.ints, zeta.den.ints)
+            self._pq = w[0], w[1:]
+        (w0, rest), cache = self._pq, self._cache
         for j in range(len(cache) + 1, n + 1):
             s = -sum(map(operator.mul, rest, map(cache.__getitem__, range(j - 1, 0, -1))))
             q, r = divmod(s, w0)

@@ -274,53 +274,50 @@ class TestReidemeisterCrossCheck:
 
 
 class TestTermsPastTheWindow:
-    """Terms past a rebuild window are read off the certified zeta, and
-    one made from determinants before certification is checked."""
+    """Terms past a rebuild window are read off the certified zeta, never
+    made from determinants, and a failed certificate fails every time."""
 
     @pytest.fixture
     def planted(self, monkeypatch):
-        # add 22 to one term of L (members is None) or N: 22 is 0 mod 11
+        # add d to one term of L (members is None) or N: 22 is 0 mod 11
         # and mod 22, so the congruences to n = 30 do not see it
-        def plant(name, k):
+        def plant(name, k, d=22):
             orig = getattr(zetafix.invariants, name)
 
             def faulty(kernel, n, *members):
-                return orig(kernel, n, *members) + 22 * (n == k and not members)
+                return orig(kernel, n, *members) + d * (n == k and not members)
 
             monkeypatch.setattr(zetafix.invariants, name, faulty)
         return plant
 
-    def test_planted_lefschetz_fault(self, planted, capsys):
-        # klein_bottle_ex1 has window 10; the report's table reads L(f^11)
-        # from determinants before the zeta is built
-        planted("_lefschetz_at", 11)
-        code, out, err = run_main(capsys, "report", "klein_bottle_ex1")
-        assert (code, out) == (4, "")
-        assert err.startswith("cross-check failed: SeriesTailMismatch: "
-                              "lefschetz:klein_bottle_ex1:f: term 11 is 24, "
-                              "but the certified zeta (1+z)/(1-z) gives 2")
+    @pytest.mark.parametrize("name, k", [
+        # klein_bottle_ex1 has window 10; its report's table reads L and
+        # N to 12, R(f^12) is infinite, and only N(f^11) meets R
+        ("_lefschetz_at", 11), ("_nielsen_at", 11), ("_nielsen_at", 12)])
+    def test_planted_fault_past_the_window_is_never_made(
+            self, planted, capsys, name, k):
+        runs = [("report", "klein_bottle_ex1", "--format", "json"),
+                ("numbers", "klein_bottle_ex1")]
+        want = [run_main(capsys, *argv) for argv in runs]
+        assert [code for code, _, _ in want] == [0, 0]
         zetafix.invariants.map_context.cache_clear()
-        code, out, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
-        assert code == 0
-        assert out.splitlines()[1] == "L: " + ", ".join(["2", "0"] * 6)
+        planted(name, k)
+        for argv, expected in zip(runs, want):
+            assert run_main(capsys, *argv) == expected
+        assert json.loads(want[0][1])["numbers"]["lefschetz"][10] == 2
 
-    @pytest.mark.parametrize("k, check", [
-        (11, "NielsenFormulaMismatch: R(f^11) = 4096 differs from N(f^11) = 4118"),
-        # R(f^12) is infinite, so only the certificate sees this one
-        (12, "SeriesTailMismatch: nielsen:klein_bottle_ex1:f: term 12 is 22, "
-             "but the certified zeta (1+2z)/(1-2z) gives 0"),
-    ])
-    def test_planted_nielsen_fault(self, planted, capsys, k, check):
-        code, want, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
-        assert code == 0
+    def test_failed_certificate_exits_4_every_time(self, planted, capsys):
+        # a fault in the Nielsen window fails the sign formula's check; a
+        # second command in the same process meets the same failure
+        planted("_nielsen_at", 9, 1)
         zetafix.invariants.map_context.cache_clear()
-        planted("_nielsen_at", k)
-        code, out, err = run_main(capsys, "report", "klein_bottle_ex1")
-        assert (code, out, err) == (4, "", f"cross-check failed: {check}\n")
-        # numbers builds the zetas first and reads N(f^k) off the tail
+        for argv in (("report", "klein_bottle_ex1"), ("report", "klein_bottle_ex1"),
+                     ("numbers", "klein_bottle_ex1", "--max-n", "20")):
+            code, out, err = run_main(capsys, *argv)
+            assert (code, out) == (4, ""), argv
+            assert err == ("cross-check failed: NielsenFormulaMismatch: "
+                           "N(f^9) = 1025 differs from the sign formula's 1024\n"), argv
         zetafix.invariants.map_context.cache_clear()
-        code, out, _ = run_main(capsys, "numbers", "klein_bottle_ex1")
-        assert (code, out) == (0, want)
 
     def test_reidemeister_skew_past_the_window(self, monkeypatch):
         # R(f^20) from det(A - D^n) is still compared with N(f^20), which
@@ -351,7 +348,7 @@ class TestTermsPastTheWindow:
             "d0323c4edb5f71e5c67530b03e29a89a177e4b2f693ce4582ce4efdae21ddcb2")
         fx = zetafix.load_fixture("torus_cat_map")
         ctx = zetafix.invariants.map_context(fx.spec, fx.mapping)
-        assert ctx.l_seq._tail is not None and ctx.n_seq._tail is not None
+        assert ctx.l_seq._zeta is not None and ctx.n_seq._zeta is not None
         # L(f^n) = det(I - D^n) = 2 - tr(D^n) for D = [[2, 1], [1, 1]]
         a, b, c = 2, 1, 1               # D^n = [[a, b], [b, c]]
         lefschetz = []

@@ -18,11 +18,12 @@ from _corpus import (dense_torus, ladder_instances, product_instances,
 from conftest import FIXED_POINT_NAMES
 from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
                      OutOfFloatRange, Polynomial, RationalFunction,
-                     SequenceOracle, SeriesTailMismatch, builtin_fixtures,
+                     SequenceOracle, builtin_fixtures,
                      format_polynomial, load_fixture, radius_of_convergence,
                      zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
-from zetafix.invariants import MapContext, _check_sign_formula, map_context
+from zetafix.invariants import (MapContext, _check_sign_formula, _lefschetz_at,
+                                 map_context)
 from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey
 
 
@@ -320,6 +321,10 @@ class TestModularFit:
     error still comes from the exact route."""
 
     def _assert_routes_agree(self, monkeypatch, seqs):
+        for seq in seqs:
+            # a window that reads a sibling past the sibling's own window
+            # certifies the sibling's zeta: let that happen before counting
+            _outcome(seq)
         fits = []
         orig = zetafix.ratfunc._modular_fit
         monkeypatch.setattr(zetafix.ratfunc, "_modular_fit",
@@ -494,9 +499,9 @@ class TestVerifyZeta:
     @staticmethod
     def _source(f, b):
         sums = f.log_derivative_sums(3 * b + 4)
-        seq = _oracle(lambda n, s=sums: s[n - 1], b, name="source")
-        assert zeta_from_terms(seq) == f
-        seq.certify(f)
+        seq = SequenceOracle(lambda n, s=sums: s[n - 1], b, name="source",
+                             zeta=zeta_from_terms)
+        assert seq.zeta == f
         return seq
 
     @staticmethod
@@ -602,8 +607,9 @@ class TestVerifyZeta:
 
 
 class TestSeriesTail:
-    """Past its window a certified oracle returns the zeta's log
-    coefficients, and terms made before certification are checked."""
+    """Past its window an oracle with a zeta returns the zeta's log
+    coefficients, certifying the zeta on the first read that needs it;
+    fn is never asked for such a term."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_tail_is_the_zeta_series(self, name):
@@ -615,25 +621,37 @@ class TestSeriesTail:
             assert all(type(seq(n)) is int for n in range(1, 201))
             assert sorted(seq._cache) == list(range(1, 201))
         # and it is the determinant average too
-        fresh = MapContext(fx.spec, fx.mapping)
         assert [ctx.l_seq(n) for n in range(1, 41)] == \
-            [fresh.l_seq(n) for n in range(1, 41)]
-        assert fresh.l_seq._tail is None
+            [_lefschetz_at(ctx.kernel, n) for n in range(1, 41)]
 
-    def test_terms_made_before_are_checked(self):
+    def test_first_read_past_the_window_certifies(self):
+        # a fresh oracle asked for term 31 first reads its window 1..10,
+        # certifies the zeta on it, and reads 11..31 off the zeta; fn's
+        # wrong value at 31 is never made
         f = RationalFunction([1, 2], [1, -2])
         sums = f.log_derivative_sums(40)
-        seq = _oracle(lambda n: sums[n - 1] + (n == 31), 2)
-        assert [seq(n) for n in (12, 30)] == [sums[11], sums[29]]
-        assert zeta_from_terms(seq) == f
-        seq.certify(f)                      # 12 and 30 agree
-        assert seq(31) == sums[30]          # read off the zeta, not fn
-        seq = _oracle(lambda n: sums[n - 1] + (n == 31), 2)
-        seq(31)
-        with pytest.raises(SeriesTailMismatch,
-                           match=f"test: term 31 is {sums[30] + 1}, but the "
-                                 rf"certified zeta .* gives {sums[30]}"):
-            seq.certify(zeta_from_terms(seq))
+        made = []
+        seq = SequenceOracle(lambda n: made.append(n) or sums[n - 1] + (n == 31), 2,
+                             zeta=zeta_from_terms)
+        assert seq(31) == sums[30]
+        assert made == list(range(1, 11))
+        assert seq.zeta == f and sorted(seq._cache) == list(range(1, 32))
+        assert [seq(n) for n in range(1, 41)] == sums
+
+    def test_failed_certificate_raises_every_time(self):
+        # a fault in the window fails the rebuild; the oracle keeps no
+        # zeta and no term past its window, so each later read fails too
+        sums = RationalFunction([1, 2], [1, -2]).log_derivative_sums(40)
+        seq = SequenceOracle(lambda n: sums[n - 1] + (n == 9), 2, zeta=zeta_from_terms)
+        for read in (lambda: seq(31), lambda: seq.zeta, lambda: seq(11)):
+            with pytest.raises(NotRational, match="series index 9;"):
+                read()
+        assert sorted(seq._cache) == list(range(1, 11))
+
+    def test_without_a_zeta_fn_makes_every_term(self):
+        made = []
+        seq = SequenceOracle(lambda n: made.append(n) or n, 1)
+        assert seq(50) == 50 and made == [50]
 
 
 class TestAnalytic:

@@ -91,8 +91,8 @@ class TestSharedContext:
         # rebuilt from their series; the Nielsen zeta comes from them by
         # the sign formula and is never rebuilt.  Its certificate reads
         # the source's terms past the source's window off the source's
-        # certified zeta, so no term of the source is computed past the
-        # larger of its window and (for L) the numbers table's n_max.
+        # certified zeta, as the numbers table reads every term past a
+        # window, so no term of the source is computed past its window.
         calls = _record_calls(monkeypatch, zetafix.ratfunc, "zeta_from_terms")
         parsed = load_fixture(name)
         ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
@@ -105,8 +105,6 @@ class TestSharedContext:
         assert len(rebuilt) == len(set(rebuilt)) == reconstructions
         assert "nielsen" not in rebuilt
         top = 3 * source.degree_bound + 4
-        if source is ctx.l_seq:
-            top = max(top, parsed.options.n_max)
         assert made == list(range(1, top + 1))
         if name == "quarter_rotation":
             # the certificate reads L(f^13) off L's tail
@@ -257,9 +255,9 @@ class TestSharedContext:
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_each_fixed_point_determinant_once(self, monkeypatch, name):
         # Iterates past every rebuild window are read off the certified
-        # zetas, so determinants are taken only up to the largest iterate
-        # that still needs them: each window (L, N and the twisted zeta
-        # of a proper split), the numbers table's n_max and the
+        # zetas, the numbers table's included, so determinants are taken
+        # only up to the largest iterate that still needs them: each
+        # window (L, N and the twisted zeta of a proper split) and the
         # definedness scan's witness.  Each det(I - A D^n) is taken once
         # for every holonomy element A.
         parsed = load_fixture(name)
@@ -281,7 +279,7 @@ class TestSharedContext:
         ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
         seqs = [ctx.l_seq, ctx.n_seq] + ([ctx.twisted_seq] if ctx.split.is_proper else [])
         top = max([3 * seq.degree_bound + 4 for seq in seqs]
-                  + [parsed.options.n_max, ctx.definedness.witness_n or 0])
+                  + [ctx.definedness.witness_n or 0])
         assert top < CONGRUENCE_N_MAX
         assert counts["fixed"] == parsed.spec.order * top
 

@@ -178,9 +178,15 @@ def _proper_splits(cases):
     return out
 
 
-def _perturbed(seq, k):
-    return SequenceOracle(lambda n: seq(n) + (n == k), seq.degree_bound,
-                          name=seq.name)
+def _plant(monkeypatch, name, k):
+    """Add 1 at n = k to invariants._lefschetz_at (over the whole
+    holonomy only) or _nielsen_at; a context built afterwards reads it."""
+    orig = getattr(zetafix.invariants, name)
+
+    def planted(kernel, n, *members):
+        return orig(kernel, n, *members) + (n == k and not any(members))
+
+    monkeypatch.setattr(zetafix.invariants, name, planted)
 
 
 def _raised(fn):
@@ -205,28 +211,30 @@ class TestNielsenVerification:
         return MapContext(fx.spec, fx.mapping)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_series_perturbed_past_the_fit(self, name):
+    def test_series_perturbed_past_the_fit(self, monkeypatch, name):
         b = self._context(name).n_seq.degree_bound
         for k in (2 * b + 5, 3 * b + 4):
-            ctx = self._context(name)
-            n_k = ctx.n_seq(k)
-            ctx.n_seq = _perturbed(ctx.n_seq, k)
-            with pytest.raises(NotRational, match=f"series index {k};"):
-                zeta_from_terms(ctx.n_seq)
-            assert _raised(lambda: ctx.n_zeta) == (NielsenFormulaMismatch, (
-                f"N(f^{k}) = {n_k + 1} differs from the sign formula's {n_k}"))
+            n_k = self._context(name).n_seq(k)
+            with monkeypatch.context() as m:
+                _plant(m, "_nielsen_at", k)
+                ctx = self._context(name)
+                with pytest.raises(NotRational, match=f"series index {k};"):
+                    zeta_from_terms(ctx.n_seq)
+                assert _raised(lambda: ctx.n_zeta) == (NielsenFormulaMismatch, (
+                    f"N(f^{k}) = {n_k + 1} differs from the sign formula's {n_k}"))
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_another_rational_series(self, name):
+    def test_another_rational_series(self, monkeypatch, name):
         # the Lefschetz series rebuilds fine but is not the Nielsen one
+        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
+                            zetafix.invariants._lefschetz_at)
         ctx = self._context(name)
-        ctx.n_seq = ctx.l_seq
         assert zeta_from_terms(ctx.l_seq) != GOLDEN_NIELSEN[name]
         err = _raised(lambda: ctx.n_zeta)
         assert err[0] is NielsenFormulaMismatch
         assert "differs from the sign formula's" in err[1]
 
-    def test_error_precedence(self):
+    def test_error_precedence(self, monkeypatch):
         # Errors are raised where the work fails: the rebuild the sign
         # formula reads (twisted for a proper split, Lefschetz otherwise)
         # is raised as itself even when the Nielsen series would fail
@@ -235,17 +243,33 @@ class TestNielsenVerification:
         for name, rebuilt in (("heisenberg_ex3", "twisted_seq"),
                               ("torus_cat_map", "l_seq")):
             b = self._context(name).n_seq.degree_bound
-            ctx = self._context(name)
-            ctx.l_seq = _perturbed(ctx.l_seq, 2 * b + 6)
-            ctx.n_seq = _perturbed(ctx.n_seq, 2 * b + 5)
-            want = _raised(lambda: zeta_from_terms(getattr(ctx, rebuilt)))
-            assert want is not None and want[0] is NotRational, name
-            assert _raised(lambda: ctx.n_zeta) == want, name
-            ctx = self._context(name)
-            ctx.n_seq = _perturbed(ctx.n_seq, 2 * b + 5)
-            err = _raised(lambda: ctx.n_zeta)
+            with monkeypatch.context() as m:
+                _plant(m, "_lefschetz_at", 2 * b + 6)
+                _plant(m, "_nielsen_at", 2 * b + 5)
+                ctx = self._context(name)
+                want = _raised(lambda: zeta_from_terms(getattr(ctx, rebuilt)))
+                assert want is not None and want[0] is NotRational, name
+                assert _raised(lambda: ctx.n_zeta) == want, name
+            with monkeypatch.context() as m:
+                _plant(m, "_nielsen_at", 2 * b + 5)
+                err = _raised(lambda: self._context(name).n_zeta)
             assert err[0] is NielsenFormulaMismatch, name
             assert err[1].startswith(f"N(f^{2 * b + 5}) = "), name
+
+    def test_failed_certificate_fails_again(self, monkeypatch):
+        # the shared context keeps no zeta from a failed certificate, so
+        # asking again, or for a term past the window, fails the same way
+        fx = load_fixture("klein_bottle_ex1")
+        zetafix.invariants.map_context.cache_clear()
+        _plant(monkeypatch, "_nielsen_at", 9)
+        for ask in (lambda: nielsen_zeta(fx.spec, fx.mapping),
+                    lambda: nielsen_zeta(fx.spec, fx.mapping),
+                    lambda: zetafix.nielsen(fx.spec, fx.mapping, 20)):
+            with pytest.raises(NielsenFormulaMismatch, match=r"^N\(f\^9\) = "):
+                ask()
+        n_seq = map_context(fx.spec, fx.mapping).n_seq
+        assert max(n_seq._cache) <= 3 * n_seq.degree_bound + 4 == 10
+        zetafix.invariants.map_context.cache_clear()
 
     def test_compose_scale_ignoring_sigma_raises(self, monkeypatch):
         # D = diag(-2, 3) on T^2 has n = 1, so sigma = -1; a substitution
