@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -882,8 +882,8 @@ class AveragingKernel:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenClassification:
+class EigenClassification(namedtuple("EigenClassification",
+                                     "p n unit_modulus_count one_in_spectrum")):
     """Unit-circle bookkeeping for a rational matrix.
 
     p / n count real eigenvalues > 1 / < -1 (exact, with multiplicity);
@@ -894,15 +894,21 @@ class EigenClassification:
     kept here.  expanding_log_product is sum(log |lambda|) over
     |lambda| > 1 at working precision: the one float, computed from the
     core when it is first read.
+
+    The core (the characteristic polynomial without its roots 1, -1 and
+    0) and the number of its roots on the circle are kept beside the
+    four counts, outside ==, hash and repr.
     """
 
-    p: int
-    n: int
-    unit_modulus_count: int
-    one_in_spectrum: bool
-    # the characteristic polynomial without its roots 1, -1 and 0
-    _core: tuple[int, ...] = field(repr=False, compare=False)
-    _core_on_circle: int = field(repr=False, compare=False)
+    def __new__(cls, p, n, unit_modulus_count, one_in_spectrum,
+                _core=(), _core_on_circle=0):
+        self = super().__new__(cls, p, n, unit_modulus_count, one_in_spectrum)
+        self._core, self._core_on_circle = _core, _core_on_circle
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(*super()._replace(**changes), self._core,
+                          self._core_on_circle)
 
     @cached_property
     def expanding_log_product(self) -> float:

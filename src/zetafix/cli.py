@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .congruences import check_gauss
@@ -177,8 +176,8 @@ def _cmd_coincidence(target, args) -> int:
     if isinstance(target, SequenceFixture) or not target.is_coincidence:
         raise InvalidSpecFile("coincidence needs a spec with map and map2")
     if args.max_n:
-        target = replace(target,
-                         options=replace(target.options, n_max=args.max_n))
+        target = target._replace(
+            options=target.options._replace(n_max=args.max_n))
     doc = {"input": {"name": target.spec.name,
                      "dimension": target.spec.dimension},
            "validation": {"orientable": target.spec.orientable,

@@ -11,7 +11,7 @@ iterates have finite Reidemeister number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InfinityInSequence
@@ -55,17 +55,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(namedtuple("CongruenceReport",
+                                  "kind checked_range violations skipped",
+                                  defaults=((),))):
     """Outcome of one congruence family.  checked_range lists the
     tested points (integers n, or (p, r) pairs for the prime-power
     law); violations pair each failing point with its residue, reduced
-    to [0, n); skipped lists points whose terms were infinite."""
+    to [0, n); skipped lists points whose terms were infinite.  All
+    three are tuples."""
 
-    kind: str
-    checked_range: tuple
-    violations: tuple
-    skipped: tuple = ()
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

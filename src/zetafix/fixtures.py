@@ -4,7 +4,7 @@ sequences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from importlib import resources
 
@@ -26,18 +26,16 @@ _SPEC_FILES = (
 )
 
 
-@dataclass(frozen=True)
-class SequenceFixture:
+class SequenceFixture(namedtuple("SequenceFixture",
+                                 "name description degree_bound fn")):
     """A raw invariant sequence with no underlying manifold spec; used
-    to exercise zeta reconstruction and congruence checks directly."""
+    to exercise zeta reconstruction and congruence checks directly.
+    fn maps n to the n-th term."""
 
-    name: str
-    description: str
-    degree_bound: int
-    _fn: object
+    __slots__ = ()
 
     def oracle(self) -> SequenceOracle:
-        return SequenceOracle(self._fn, self.degree_bound, name=self.name)
+        return SequenceOracle(self.fn, self.degree_bound, name=self.name)
 
 
 def load_fixture(name: str) -> ParsedSpec:
@@ -68,7 +66,7 @@ def sol_r_sequence(r: int) -> SequenceFixture:
         name=f"sol_r_{r}",
         description=f"Sol-manifold Reidemeister sequence |1 - {r}^n|",
         degree_bound=4,
-        _fn=lambda n: abs(1 - r ** n))
+        fn=lambda n: abs(1 - r ** n))
 
 
 def _builtin_loaders() -> dict:

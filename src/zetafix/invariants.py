@@ -23,7 +23,7 @@ for a proper split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
@@ -118,24 +118,21 @@ def reidemeister(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Construction:
-    """How a zeta function was assembled: "direct" reconstruction from
-    its own sequence, or the "sign-formula" route through Lefschetz
+class Construction(namedtuple("Construction", "kind case p n",
+                              defaults=(None, None, None))):
+    """How a zeta function was assembled: kind "direct" reconstruction
+    from its own sequence, or the "sign-formula" route through Lefschetz
     zetas (case "plus-equal" when the plus subgroup is everything,
-    "plus-proper" otherwise)."""
+    "plus-proper" otherwise, with the counts p and n of the split)."""
 
-    kind: str
-    case: str | None = None
-    p: int | None = None
-    n: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZetaResult:
-    which: str                  # Lefschetz | Nielsen | Reidemeister | ArtinMazur
-    function: RationalFunction
-    construction: Construction
+class ZetaResult(namedtuple("ZetaResult", "which function construction")):
+    """A zeta function: which (Lefschetz | Nielsen | Reidemeister |
+    ArtinMazur), the RationalFunction, and its Construction."""
+
+    __slots__ = ()
 
 
 def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
@@ -150,9 +147,12 @@ def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
     return r
 
 
-def _twisted_at(kernel: AveragingKernel, members, l_seq: SequenceOracle,
-                n: int) -> int:
-    return _lefschetz_at(kernel, n, members) - l_seq(n)
+def _twisted_at(kernel: AveragingKernel, members, n: int) -> int:
+    """L(f+^n) - L(f^n), both averages read from the kernel's
+    determinants: reading L(f^n) through its oracle past L's window
+    would certify the Lefschetz zeta, which the twisted zeta does not
+    need."""
+    return _lefschetz_at(kernel, n, members) - _lefschetz_at(kernel, n)
 
 
 class _SignData:
@@ -187,11 +187,10 @@ class _SignData:
     @cached_property
     def twisted_seq(self) -> SequenceOracle:
         """L(f+^n) - L(f^n), the kernel's determinants averaged over the
-        plus subgroup less l_seq: the sequence of the twisted zeta
-        L_f+ / L_f of a proper split."""
+        plus subgroup less their average over the whole holonomy: the
+        sequence of the twisted zeta L_f+ / L_f of a proper split."""
         return _oracle(self.spec, self.mapping, "lefschetz-twisted",
-                       partial(_twisted_at, self.kernel, self.split.plus_indices(),
-                               self.l_seq),
+                       partial(_twisted_at, self.kernel, self.split.plus_indices()),
                        zeta_degree_bound(self.spec, self.ranks), zeta_from_terms)
 
     def nielsen_zeta(self, n_seq: SequenceOracle) -> RationalFunction:
@@ -344,15 +343,13 @@ def reidemeister_sequence(spec: ManifoldSpec,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoincidenceNumbers:
+class CoincidenceNumbers(namedtuple("CoincidenceNumbers",
+                                    "lefschetz nielsen reidemeister")):
     """L, N, R for a pair of maps on one manifold.  nielsen is None when
     the manifold is non-orientable (the averaging formula needs
-    orientability); reidemeister may be math.inf."""
+    orientability); reidemeister is an int or math.inf."""
 
-    lefschetz: int
-    nielsen: int | None
-    reidemeister: object  # int or math.inf
+    __slots__ = ()
 
 
 def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
@@ -382,17 +379,14 @@ def _coincidence_at(kernel: AveragingKernel, n: int,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(namedtuple(
+        "CyclicDecomposition", "generator_label order trivial sign rotation")):
     """Isotypic decomposition of a cyclic holonomy representation under
-    a generator A, as integer column bases: the trivial part ker(A - I),
-    the sign part ker(A + I) and the rotation part im(A^2 - I)."""
+    a generator A (labelled generator_label, of the group's order), as
+    tuples of integer columns: the trivial part ker(A - I), the sign
+    part ker(A + I) and the rotation part im(A^2 - I)."""
 
-    generator_label: str
-    order: int
-    trivial: tuple[tuple[int, ...], ...]
-    sign: tuple[tuple[int, ...], ...]
-    rotation: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def m_triv(self) -> int:
@@ -429,18 +423,15 @@ def cyclic_decomposition(spec: ManifoldSpec) -> CyclicDecomposition:
     return CyclicDecomposition(gen_label, spec.order, triv, tau, rot)
 
 
-@dataclass(frozen=True)
-class TrichotomyReport:
+class TrichotomyReport(namedtuple(
+        "TrichotomyReport", "case predicted_nielsen averaged_nielsen "
+        "det_diff_sign det_sum_sign m_triv k_tau")):
     """Coincidence Nielsen number predicted by the cyclic-holonomy case
-    analysis, with the sign data that selected the case."""
+    analysis, with the sign data that selected the case: det_diff_sign
+    and det_sum_sign are the signs of det(E_tau - D_tau) and
+    det(E_tau + D_tau)."""
 
-    case: int
-    predicted_nielsen: int
-    averaged_nielsen: int
-    det_diff_sign: int   # sign of det(E_tau - D_tau)
-    det_sum_sign: int    # sign of det(E_tau + D_tau)
-    m_triv: int
-    k_tau: int
+    __slots__ = ()
 
 
 def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,

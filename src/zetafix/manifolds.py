@@ -14,7 +14,7 @@ Reidemeister zeta function can exist at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -26,18 +26,15 @@ from .errors import (DimensionMismatch, InfiniteOrderElement, NotAGroup,
                      NonInvariantSubspace)
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(namedtuple("ManifoldSpec", "name dimension holonomy")):
     """Finite holonomy data for a flat-quotient manifold.
 
     holonomy maps labels to exact rational matrices; it must form a
     group under matrix product (checked by validate_spec, which parsing
     and build_report call; the result is kept on the spec object).
+    Fields: name (str), dimension (int), holonomy (a tuple of
+    (label, RationalMatrix) pairs).
     """
-
-    name: str
-    dimension: int
-    holonomy: tuple[tuple[str, RationalMatrix], ...]
 
     @staticmethod
     def make(name: str, dimension: int, holonomy) -> "ManifoldSpec":
@@ -73,13 +70,11 @@ class ManifoldSpec:
         return ManifoldSpec, (self.name, self.dimension, self.holonomy)
 
 
-@dataclass(frozen=True)
-class AffineMapSpec:
-    """Affine self-map data: linear part D and optional translation."""
-
-    label: str
-    linear: RationalMatrix
-    translation: tuple[Fraction, ...] | None = None
+class AffineMapSpec(namedtuple("AffineMapSpec", "label linear translation",
+                               defaults=(None,))):
+    """Affine self-map data: label (str), linear part D (a
+    RationalMatrix) and optional translation (a tuple of Fractions, or
+    None)."""
 
     @staticmethod
     def make(label: str, linear, translation=None) -> "AffineMapSpec":
@@ -94,21 +89,26 @@ class AffineMapSpec:
         return classify_eigenvalues(self.linear)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport",
+                                  "orientable element_orders identity")):
     """A validated holonomy group: orientability, each element's order,
     its multiplication table (label pair -> label of the product), and
     per element, in holonomy order, the integers e_0(A), ..., e_dim(A):
     the elementary symmetric functions of its eigenvalues, so
     e_i(A) = tr Lambda^i A and e_dim(A) = det A.  They come from the
-    integer Berkowitz polynomial of each element."""
+    integer Berkowitz polynomial of each element.  The table (products,
+    a read-only mapping) and the e_i (exterior_traces) are kept beside
+    the tuple, outside ==, hash and repr."""
 
-    orientable: bool
-    element_orders: tuple[tuple[str, int], ...]
-    products: MappingProxyType = field(repr=False, compare=False)
-    identity: str
-    exterior_traces: tuple[tuple[int, ...], ...] = field(
-        repr=False, compare=False)
+    def __new__(cls, orientable, element_orders, identity, products=None,
+                exterior_traces=()):
+        self = super().__new__(cls, orientable, element_orders, identity)
+        self.products, self.exterior_traces = products, exterior_traces
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(*super()._replace(**changes), self.products,
+                          self.exterior_traces)
 
 
 def validate_spec(spec: ManifoldSpec) -> ValidationReport:
@@ -184,7 +184,7 @@ def _check_group(spec: ManifoldSpec) -> ValidationReport:
     traces = tuple(tuple((-1) ** i * c // q ** i for i, c in enumerate(poly))
                    for poly in polys)
     return ValidationReport(all(e[-1] == 1 for e in traces), tuple(orders),
-                            MappingProxyType(products), ident, traces)
+                            ident, MappingProxyType(products), traces)
 
 
 def exterior_ranks(spec: ManifoldSpec, members=None) -> tuple[int, int]:
@@ -247,20 +247,16 @@ def averaging_kernel(spec: ManifoldSpec, *maps: AffineMapSpec) -> AveragingKerne
                            *(m.linear for m in maps))
 
 
-@dataclass(frozen=True)
-class PlusSplit:
+class PlusSplit(namedtuple("PlusSplit", "plus_membership is_proper p n")):
     """Holonomy split by orientation behaviour on the expanding subspace.
 
-    plus_membership: label -> True when the element acts with
-    determinant +1 on the expanding spectral subspace of D.
+    plus_membership: (label, True when the element acts with
+    determinant +1 on the expanding spectral subspace of D) pairs.
     is_proper: True when the plus part is a proper (index-2) subgroup.
     p / n: exact counts of real eigenvalues of D above 1 / below -1.
     """
 
-    plus_membership: tuple[tuple[str, bool], ...]
-    is_proper: bool
-    p: int
-    n: int
+    __slots__ = ()
 
     def plus_indices(self) -> list[int]:
         """Positions in the holonomy of the plus part's elements."""
@@ -313,17 +309,17 @@ def is_virtually_unipotent(spec: ManifoldSpec, mapping: AffineMapSpec) -> bool:
     return mapping.spectrum.unit_modulus_count == spec.dimension
 
 
-@dataclass(frozen=True)
-class ZetaDefinedness:
+class ZetaDefinedness(namedtuple("ZetaDefinedness",
+                                 "status witness_n witness_label",
+                                 defaults=(None, None))):
     """Outcome of the Reidemeister-zeta definedness scan.
 
     status is 'defined' (no root-of-unity eigenvalue, so every R(f^n) is
-    finite) or 'undefined' (witness iterate and holonomy label recorded).
+    finite) or 'undefined' (witness iterate and holonomy label recorded
+    in witness_n and witness_label, else None).
     """
 
-    status: str
-    witness_n: int | None = None
-    witness_label: str | None = None
+    __slots__ = ()
 
 
 def reidemeister_zeta_defined(spec: ManifoldSpec,

@@ -73,13 +73,18 @@ def congruence_entries(spec, mapping, n_max: int = CONGRUENCE_N_MAX) -> list:
 
 
 def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
+    dold = check_gauss(ctx.l_seq, n_max, kind="Dold")
+    gauss = check_gauss(ctx.n_seq, n_max)
+    # r_seq checks every finite R(f^n) against N(f^n) as it is read, so
+    # with no infinite term R's sieve is N's
+    if math.inf in [ctx.r_seq(n) for n in range(1, n_max + 1)]:
+        r_gauss = check_gauss(ctx.r_seq, n_max)
+    else:
+        r_gauss = gauss
     return [
-        _congruence_entry(check_gauss(ctx.l_seq, n_max, kind="Dold"),
-                          "lefschetz", n_max=n_max),
-        _congruence_entry(check_gauss(ctx.n_seq, n_max),
-                          "nielsen", n_max=n_max),
-        _congruence_entry(check_gauss(ctx.r_seq, n_max),
-                          "reidemeister", n_max=n_max),
+        _congruence_entry(dold, "lefschetz", n_max=n_max),
+        _congruence_entry(gauss, "nielsen", n_max=n_max),
+        _congruence_entry(r_gauss, "reidemeister", n_max=n_max),
         _congruence_entry(check_euler(ctx.l_seq, 2, 3),
                           "lefschetz", p=2, r_max=3),
         _congruence_entry(check_euler(ctx.l_seq, 3, 2),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,49 +39,52 @@ def check_n_max(n: int, what: str = "options.n_max") -> None:
         raise InvalidSpecFile(f"{what} must be <= {N_MAX_CEILING}")
 
 
-@dataclass(frozen=True)
-class SpecOptions:
+class SpecOptions(namedtuple("SpecOptions",
+                             "tolerance n_max degree_bound_override")):
     """Spec options.  tolerance and degree_bound_override are parsed,
     checked and echoed for schema 1, but nothing reads them: every
     eigenvalue count is exact, and the degree bound is derived.
 
-    The checks run on construction, so options built by a caller are
-    held to the same types and ranges as parsed ones: InvalidSpecFile,
-    the types first, then the ranges.  true/false are not numbers, and
-    null is accepted only for the override.  tolerance is then stored
-    as a float."""
+    The checks run on construction and on _replace, so options built by
+    a caller are held to the same types and ranges as parsed ones:
+    InvalidSpecFile, the types first, then the ranges.  true/false are
+    not numbers, and null is accepted only for the override.  tolerance
+    is then stored as a float."""
 
-    tolerance: float = 1e-10
-    n_max: int = 12
-    degree_bound_override: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, tolerance=1e-10, n_max=12, degree_bound_override=None):
+        return cls._make((tolerance, n_max, degree_bound_override))
+
+    @classmethod
+    def _make(cls, values):
+        # _replace builds through _make, so the checks live here
+        opts = super()._make(values)
         for key, kinds, what in (("tolerance", (int, float, Fraction), "a number"),
                                  ("n_max", (int,), "an integer"),
                                  ("degree_bound_override", (int, type(None)),
                                   "an integer or null")):
-            v = getattr(self, key)
+            v = getattr(opts, key)
             if isinstance(v, bool) or not isinstance(v, kinds):
                 raise InvalidSpecFile(
                     f"options.{key} must be {what}, got {_echo(v)}")
-        check_n_max(self.n_max)
+        check_n_max(opts.n_max)
         # compared before float(): an integer too large for a float is
         # simply out of range
-        if not 0 < self.tolerance < 1:
+        if not 0 < opts.tolerance < 1:
             raise InvalidSpecFile("options.tolerance must be in (0, 1)")
-        if self.degree_bound_override is not None and self.degree_bound_override < 1:
+        if opts.degree_bound_override is not None and opts.degree_bound_override < 1:
             raise InvalidSpecFile("options.degree_bound_override must be >= 1")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        return super()._make((float(opts.tolerance), *opts[1:]))
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
-    """A validated spec file: manifold, map(s), options."""
+class ParsedSpec(namedtuple("ParsedSpec", "spec mapping mapping2 options",
+                            defaults=(None, SpecOptions()))):
+    """A validated spec file: manifold (a ManifoldSpec), map(s) (each an
+    AffineMapSpec; mapping2 is None unless the spec is a coincidence
+    pair), options (SpecOptions)."""
 
-    spec: ManifoldSpec
-    mapping: AffineMapSpec
-    mapping2: AffineMapSpec | None = None
-    options: SpecOptions = SpecOptions()
+    __slots__ = ()
 
     @property
     def is_coincidence(self) -> bool:
@@ -204,8 +207,8 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
     return ParsedSpec(spec, *maps, options=SpecOptions(
-        **{f.name: raw_opts[f.name] for f in fields(SpecOptions)
-           if f.name in raw_opts}))
+        **{key: raw_opts[key] for key in SpecOptions._fields
+           if key in raw_opts}))
 
 
 def parse_spec_file(path) -> ParsedSpec:

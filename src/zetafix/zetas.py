@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import _int_poly_mul, det
@@ -50,21 +50,22 @@ def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
             f"{d.witness_label!r})",
             witness_n=d.witness_n, witness_label=d.witness_label,
             status="undefined")
-    return replace(ctx.n_zeta, which="Reidemeister")
+    return ctx.n_zeta._replace(which="Reidemeister")
 
 
 def artin_mazur_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
     """Periodic-point zeta; every fixed point class of an iterate is
     essential and isolated here, so it coincides with the Nielsen zeta."""
-    return replace(map_context(spec, mapping).n_zeta, which="ArtinMazur")
+    return map_context(spec, mapping).n_zeta._replace(which="ArtinMazur")
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
-    holds: bool
-    epsilon: Fraction
-    degree_d: Fraction
-    case: str          # plus-equal | plus-proper
+class FunctionalEquationReport(namedtuple("FunctionalEquationReport",
+                                          "holds epsilon degree_d case")):
+    """Outcome of verify_functional_equation: whether it holds, the
+    equation's epsilon and the map's degree d (Fractions), and the
+    split's case (plus-equal | plus-proper)."""
+
+    __slots__ = ()
 
 
 def verify_functional_equation(spec: ManifoldSpec, mapping: AffineMapSpec,

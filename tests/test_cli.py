@@ -557,6 +557,17 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stderr.startswith("undefined: R(f^1) is infinite")
 
+    @pytest.mark.parametrize("module", ["zetafix", "zetafix.cli"])
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self, module):
+        # the result records are named tuples: start-up generates no
+        # dataclass methods and loads neither dataclasses nor the inspect
+        # module it pulls in
+        proc = _run_python(
+            "-c",
+            f"import sys, {module}\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     @pytest.mark.parametrize("exact_call", [
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['numbers', 'heisenberg_ex3'])",

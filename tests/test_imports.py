@@ -31,3 +31,20 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused |= {(path.stem, name) for name in _imported(tree) - used}
     assert unused == ALLOWED
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples; dataclasses would bring inspect, ast
+    # and dis into every start-up
+    importers = set()
+    for path in sorted(Path(zetafix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.add(path.name)
+    assert importers == set()

@@ -27,7 +27,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      build_report, lefschetz_sequence, load_fixture, nielsen,
                      nielsen_sequence, nielsen_zeta, reidemeister,
                      reidemeister_sequence, torus_periodic_points,
-                     validate_spec)
+                     TrichotomyReport, validate_spec)
 from zetafix.algebra import _diagonal_blocks, _integer_form
 
 
@@ -837,9 +837,10 @@ class TestFractionFreeTrichotomy:
         for spec, f, g in _trichotomy_problems():
             want = _outcome(_fraction_trichotomy, spec, f, g)
             rep = _outcome(coincidence_trichotomy, spec, f, g)
-            got = rep if isinstance(rep, tuple) else (
-                rep.case, rep.det_diff_sign, rep.det_sum_sign, rep.m_triv,
-                rep.k_tau)
+            # an error outcome is a (name, message) pair, a report is a
+            # TrichotomyReport (itself a named tuple)
+            got = (rep.case, rep.det_diff_sign, rep.det_sum_sign, rep.m_triv,
+                   rep.k_tau) if isinstance(rep, TrichotomyReport) else rep
             assert got == want, spec.name
             seen.add(got[0])
         assert seen == {1, 2, 3, "NotCyclic", "NotBlockCompatible"}

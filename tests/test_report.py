@@ -5,18 +5,20 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zetafix.algebra
+import zetafix.congruences
 import zetafix.invariants
 import zetafix.manifolds
 import zetafix.ratfunc
+import zetafix.report
 import zetafix.zetas
-from _corpus import isotypic_mixing_instance, random_coincidence_instances
+from _corpus import (isotypic_mixing_instance, ladder_instances,
+                     random_coincidence_instances)
 from conftest import FIXED_POINT_NAMES, _record_calls
 from zetafix import (AffineMapSpec, ManifoldSpec, NotConstantRatio,
                      ParsedSpec, Polynomial, RationalMatrix, asymptotic_nielsen,
@@ -121,6 +123,18 @@ class TestSharedContext:
         nielsen_zeta(parsed.spec, parsed.mapping)
         assert [args[0].name.split(":")[0] for args in calls] == \
             ["lefschetz-twisted"]
+
+    def test_api_nielsen_zeta_with_a_longer_twisted_window(self, monkeypatch):
+        # on ladder_d3_o8 the twisted window runs past L's own; its terms
+        # read L(f^n) off the kernel, so L's zeta is not certified
+        spec, f = next((s, m) for s, m in ladder_instances(0)
+                       if s.name == "ladder_d3_o8")
+        calls = _record_calls(monkeypatch, zetafix.ratfunc, "zeta_from_terms")
+        nielsen_zeta(spec, f)
+        assert [args[0].name.split(":")[0] for args in calls] == \
+            ["lefschetz-twisted"]
+        ctx = zetafix.invariants.map_context(spec, f)
+        assert ctx.twisted_seq.degree_bound > ctx.l_seq.degree_bound
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_one_averaging_kernel(self, monkeypatch, name):
@@ -311,8 +325,8 @@ class TestSharedContext:
         # holonomy element A, on the integer form of A D
         parsed = load_fixture(name)
         if tolerance is not None:
-            parsed = replace(parsed, options=replace(parsed.options,
-                                                     tolerance=tolerance))
+            parsed = parsed._replace(
+                options=parsed.options._replace(tolerance=tolerance))
         calls = _record_calls(monkeypatch, zetafix.algebra, "char_poly")
         classified = _record_calls(monkeypatch, zetafix.algebra,
                                    "classify_eigenvalues")
@@ -590,6 +604,23 @@ class TestCongruencesSection:
     def test_entries_helper_matches_report(self, ex3):
         assert congruence_entries(ex3.spec, ex3.mapping) == \
             build_report(ex3)["congruences"]
+
+    @pytest.mark.parametrize("name, sieved", [
+        ("heisenberg_ex3", ["lefschetz", "nielsen"]),     # every R finite
+        ("klein_bottle_ex1", ["lefschetz", "nielsen", "reidemeister"]),
+    ])
+    def test_reidemeister_sieve_only_with_an_infinite_term(
+            self, monkeypatch, name, sieved):
+        # every finite R(f^n) is checked equal to N(f^n) as it is read,
+        # so with no infinite term the Reidemeister entry reuses N's sieve
+        parsed = load_fixture(name)
+        calls = _record_calls(monkeypatch, zetafix.congruences, "check_gauss")
+        entries = congruence_entries(parsed.spec, parsed.mapping)
+        assert [args[0].name.split(":")[0] for args in calls] == sieved
+        ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
+        assert entries[2] == zetafix.report._congruence_entry(
+            zetafix.congruences.check_gauss(ctx.r_seq, CONGRUENCE_N_MAX),
+            "reidemeister", n_max=CONGRUENCE_N_MAX)
 
 
 class TestDiagnosticsSection:

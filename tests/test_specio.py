@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -409,8 +408,8 @@ class TestRejection:
     def test_report_refuses_an_empty_table(self):
         parsed = load_fixture("torus_cat_map")
         with pytest.raises(InvalidSpecFile, match=r"^options\.n_max must be >= 1$"):
-            build_report(dataclasses.replace(
-                parsed, options=dataclasses.replace(parsed.options, n_max=0)))
+            build_report(parsed._replace(
+                options=parsed.options._replace(n_max=0)))
 
     def test_bad_options(self):
         with pytest.raises(InvalidSpecFile):
