@@ -28,11 +28,8 @@ class NotRational(ZetafixError):
 
 
 class NotAGroup(ZetafixError):
-    """Holonomy matrices are not closed under product/inverse."""
-
-
-class InfiniteOrderElement(ZetafixError):
-    """A holonomy element has no finite order."""
+    """Holonomy matrices do not form a finite group: empty, duplicated,
+    singular, without the identity, or not closed under products."""
 
 
 class DimensionMismatch(ZetafixError):

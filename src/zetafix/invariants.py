@@ -8,14 +8,15 @@ Coincidence versions replace I by the second map's linear part.  All
 averages are exact, and any non-integer average is an error in the
 input data, never rounded away.
 
-MapContext holds everything computed for one (spec, map): the L, N and
-R sequences read from one averaging kernel, each with the proven
-degree bound of the zeta it feeds, the plus split, and the Lefschetz
-and Nielsen zetas, which the L and N oracles certify when first needed
-and then read every term past their window off.  It is the only route
-to a map's numbers: lefschetz, nielsen and reidemeister and the public
-sequences all read its oracles.  Two cross-checks run there: every
-finite R(f^n), past N's window too, must equal N(f^n), and every
+MapContext holds everything computed for one (spec, map).  Building it
+decides the plus split, whose counts give the sign formula's sigma and
+eps, and the L, N and R sequences read from one averaging kernel, each
+with the proven degree bound of the zeta it feeds.  The Lefschetz and
+Nielsen zetas are certified by the L and N oracles when first needed,
+which then read every term past their window off them.  It is the only
+route to a map's numbers: lefschetz, nielsen and reidemeister and the
+public sequences all read its oracles.  Two cross-checks run there:
+every finite R(f^n), past N's window too, must equal N(f^n), and every
 N(f^k) in the Nielsen window must be +-L(f^k), or +-(L(f+^k) - L(f^k))
 for a proper split.
 """
@@ -63,8 +64,8 @@ def zeta_degree_bound(spec: ManifoldSpec, ranks: tuple[int, int],
     Q_i = (1/|Phi|) sum_A s(A) Lambda^i A of rank r_i^+ - r_i, and
     s(A') = s(A) (A' D = D A and A D share their nonzero eigenvalues), so
     Q_i M Q_i = Q_i M the same way: the twisted zeta of
-    L(f+^n) - L(f^n) = sum_i (-1)^i tr(Q_i M^n) has the (E, O) of
-    MapContext.sign_ranks.
+    L(f+^n) - L(f^n) = sum_i (-1)^i tr(Q_i M^n) has (E, O) =
+    (E+ - E, O+ - O), with (E+, O+) the ranks over the plus subgroup.
     """
     e, o = ranks
     bound = max(e, o) + 1 if invertible else max(e, o + 1)
@@ -136,7 +137,9 @@ class ZetaResult(namedtuple("ZetaResult", "which function construction")):
 
 
 def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
-    """R(f^n) from det(A - D^n), checked against N(f^n) when finite."""
+    """R(f^n) from det(A - D^n), math.inf when one vanishes.  Inversion
+    permutes the holonomy, so a finite R(f^n) that is not N(f^n), N's
+    tail included, raises NielsenFormulaMismatch."""
     dets, den = kernel.shifted_dets(n)
     if 0 in dets:
         return math.inf
@@ -155,116 +158,72 @@ def _twisted_at(kernel: AveragingKernel, members, n: int) -> int:
     return _lefschetz_at(kernel, n, members) - _lefschetz_at(kernel, n)
 
 
-class _SignData:
-    """The plus split of one problem, the ranks of the zeta its sign
-    formula substitutes into and, for a proper split, that zeta's
-    sequence, each decided on first read.  A context and its N and R
-    oracles share one, so the split waits for the first read that needs
-    the Nielsen window, and no oracle refers back to the context."""
-
-    def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec,
-                 kernel: AveragingKernel, l_seq: SequenceOracle):
-        self.spec, self.mapping = spec, mapping
-        self.kernel, self.l_seq = kernel, l_seq
-
-    @cached_property
-    def split(self) -> PlusSplit:
-        return compute_plus_split(self.spec, self.mapping)
-
-    @cached_property
-    def ranks(self) -> tuple[int, int]:
-        e, o = exterior_ranks(self.spec)
-        if not self.split.is_proper:
-            return e, o
-        e_plus, o_plus = exterior_ranks(self.spec, self.split.plus_indices())
-        return e_plus - e, o_plus - o
-
-    def nielsen_bound(self) -> int:
-        """The order bound of N and R: the sign-formula zeta's, which
-        the formula may invert."""
-        return zeta_degree_bound(self.spec, self.ranks, invertible=True)
-
-    @cached_property
-    def twisted_seq(self) -> SequenceOracle:
-        """L(f+^n) - L(f^n), the kernel's determinants averaged over the
-        plus subgroup less their average over the whole holonomy: the
-        sequence of the twisted zeta L_f+ / L_f of a proper split."""
-        return _oracle(self.spec, self.mapping, "lefschetz-twisted",
-                       partial(_twisted_at, self.kernel, self.split.plus_indices()),
-                       zeta_degree_bound(self.spec, self.ranks), zeta_from_terms)
-
-    def nielsen_zeta(self, n_seq: SequenceOracle) -> RationalFunction:
-        """n_seq's zeta by the sign formula, certified by the checks of
-        MapContext.n_zeta."""
-        split = self.split
-        source = self.twisted_seq if split.is_proper else self.l_seq
-        zeta = source.zeta
-        sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
-        formula = zeta.compose_scale(sigma) ** eps
-        _check_sign_formula(n_seq, source, zeta, sigma, eps, formula)
-        return formula
+def _sign_formula_zeta(source: SequenceOracle, split: PlusSplit,
+                       n_seq: SequenceOracle) -> RationalFunction:
+    """n_seq's zeta by the sign formula F = S(sigma z)^eps, S the zeta
+    of source, certified by the checks of MapContext.n_zeta."""
+    zeta = source.zeta
+    sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
+    formula = zeta.compose_scale(sigma) ** eps
+    b = n_seq.degree_bound
+    if max(formula.den.degree, formula.num.degree + 1) > b:
+        raise NielsenFormulaMismatch(
+            f"sign-formula zeta {formula} has order above the bound {b}")
+    # numerator and denominator swap places when eps = -1
+    for got, p in zip((formula.num, formula.den), (zeta.num, zeta.den)[::eps]):
+        if got.den != p.den or got.ints != tuple(c * sigma ** k for k, c in enumerate(p.ints)):
+            raise NielsenFormulaMismatch(
+                f"sign-formula zeta {formula} is not ({zeta})(({sigma})z)^{eps}")
+    for n in range(1, 3 * b + 5):
+        if n_seq(n) != (want := eps * sigma ** n * source(n)):
+            raise NielsenFormulaMismatch(
+                f"N(f^{n}) = {n_seq(n)} differs from the sign formula's {want}")
+    return formula
 
 
-def _oracle(spec: ManifoldSpec, mapping: AffineMapSpec, kind: str, fn, bound,
+def _oracle(spec: ManifoldSpec, mapping: AffineMapSpec, kind: str, fn, bound: int,
             zeta=None) -> SequenceOracle:
     return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}",
                           zeta=zeta)
 
 
 class MapContext:
-    """Everything computed for one (spec, map): its averaging kernel
-    (from manifolds.averaging_kernel), the L, N and R sequences read
-    from it (L and N from the same determinants det(I - A D^n)), the
-    plus split, the Reidemeister definedness, and the Lefschetz and
-    Nielsen zetas.  It and its sign data build every sequence oracle:
-    each one carries the proven order bound of the zeta it feeds (see
-    zeta_degree_bound), and oracles reading one kernel share its powers
-    of D and its determinants.  The L, N and twisted oracles own their
-    certified zetas and read every term past their windows off them.
-    An oracle holds the kernel and sibling oracles, never the context,
-    so a context is freed as soon as it is dropped.  Obtain it from
-    map_context, so that every caller asking about the same problem
+    """Everything computed for one (spec, map), decided when the
+    context is built: its averaging kernel (from
+    manifolds.averaging_kernel), the plus split, and the L, N and R
+    sequences read from the kernel (L and N from the same determinants
+    det(I - A D^n)), with twisted_seq, L(f+^n) - L(f^n), for a proper
+    split (None otherwise); on first read, the Reidemeister definedness
+    and the Lefschetz and Nielsen zetas.  Each oracle carries the proven
+    order bound of the zeta it feeds (see zeta_degree_bound): N and R
+    share the sign-formula zeta's.  The L, N and twisted oracles own
+    their certified zetas and read every term past their windows off
+    them.  An oracle holds the kernel and sibling oracles, never the
+    context, so a context is freed as soon as it is dropped.  Obtain it
+    from map_context, so that every caller asking about the same problem
     shares one instance."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
-        self.kernel = averaging_kernel(spec, mapping)
-        self.l_seq = _oracle(spec, mapping, "lefschetz", partial(_lefschetz_at, self.kernel),
-                             zeta_degree_bound(spec, exterior_ranks(spec)), zeta_from_terms)
-        self._signs = _SignData(spec, mapping, self.kernel, self.l_seq)
-
-    @property
-    def split(self) -> PlusSplit:
-        return self._signs.split
-
-    @property
-    def sign_ranks(self) -> tuple[int, int]:
-        """(E, O) of the zeta the sign formula substitutes into: L_f's,
-        or for a proper split the twisted zeta L_f+ / L_f's, (E+ - E,
-        O+ - O) with (E+, O+) the ranks over the plus subgroup."""
-        return self._signs.ranks
-
-    @cached_property
-    def n_seq(self) -> SequenceOracle:
-        """N(f^n), bounded by the order of the sign-formula zeta, which
-        is decided on the first read of the bound."""
-        return _oracle(self.spec, self.mapping, "nielsen", partial(_nielsen_at, self.kernel),
-                       self._signs.nielsen_bound, self._signs.nielsen_zeta)
-
-    @cached_property
-    def r_seq(self) -> SequenceOracle:
-        """R(f^n), with the Nielsen bound; values may be math.inf.  It
-        averages det(A - D^n), not det(I - A D^n), at every n (it has no
-        certified zeta); inversion permutes the holonomy, so a finite
-        R(f^n) that is not N(f^n), N's tail included, raises
-        NielsenFormulaMismatch."""
-        return _oracle(self.spec, self.mapping, "reidemeister",
-                       partial(_reidemeister_at, self.kernel, self.n_seq),
-                       self._signs.nielsen_bound)
-
-    @property
-    def twisted_seq(self) -> SequenceOracle:
-        return self._signs.twisted_seq
+        self.kernel = kernel = averaging_kernel(spec, mapping)
+        e, o = ranks = exterior_ranks(spec)
+        self.l_seq = _oracle(spec, mapping, "lefschetz", partial(_lefschetz_at, kernel),
+                             zeta_degree_bound(spec, ranks), zeta_from_terms)
+        self.split = split = compute_plus_split(spec, mapping)
+        self.twisted_seq = None
+        source = self.l_seq
+        if split.is_proper:
+            plus = split.plus_indices()
+            e_plus, o_plus = exterior_ranks(spec, plus)
+            ranks = e_plus - e, o_plus - o
+            self.twisted_seq = source = _oracle(
+                spec, mapping, "lefschetz-twisted", partial(_twisted_at, kernel, plus),
+                zeta_degree_bound(spec, ranks), zeta_from_terms)
+        bound = zeta_degree_bound(spec, ranks, invertible=True)
+        self.n_seq = _oracle(spec, mapping, "nielsen", partial(_nielsen_at, kernel),
+                             bound, partial(_sign_formula_zeta, source, split))
+        self.r_seq = _oracle(spec, mapping, "reidemeister",
+                             partial(_reidemeister_at, kernel, self.n_seq), bound)
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
@@ -293,25 +252,6 @@ class MapContext:
         case = "plus-proper" if split.is_proper else "plus-equal"
         return ZetaResult("Nielsen", self.n_seq.zeta,
                           Construction("sign-formula", case, split.p, split.n))
-
-
-def _check_sign_formula(n_seq: SequenceOracle, source: SequenceOracle,
-                        zeta: RationalFunction, sigma: int, eps: int,
-                        formula: RationalFunction) -> None:
-    """MapContext.n_zeta's checks of formula = zeta(sigma z)^eps."""
-    b = n_seq.degree_bound
-    if max(formula.den.degree, formula.num.degree + 1) > b:
-        raise NielsenFormulaMismatch(
-            f"sign-formula zeta {formula} has order above the bound {b}")
-    # numerator and denominator swap places when eps = -1
-    for got, p in zip((formula.num, formula.den), (zeta.num, zeta.den)[::eps]):
-        if got.den != p.den or got.ints != tuple(c * sigma ** k for k, c in enumerate(p.ints)):
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {formula} is not ({zeta})(({sigma})z)^{eps}")
-    for n in range(1, 3 * b + 5):
-        if n_seq(n) != (want := eps * sigma ** n * source(n)):
-            raise NielsenFormulaMismatch(
-                f"N(f^{n}) = {n_seq(n)} differs from the sign formula's {want}")
 
 
 @lru_cache(maxsize=1)

@@ -157,10 +157,7 @@ class RationalFunction:
 
 class SequenceOracle:
     """Deterministic generator n -> a_n (n >= 1), cached, carrying the
-    degree bound used for rational reconstruction.  The bound may be
-    given as a function of no arguments, called the first time
-    degree_bound is read, for a bound that costs more to decide than
-    the values do.
+    degree bound (an int >= 1) used for rational reconstruction.
 
     zeta, if given, maps the oracle to its zeta P/Q certified on the
     window 3B + 4 under the oracle's own bound B (as zeta_from_terms
@@ -170,28 +167,21 @@ class SequenceOracle:
     below the window, so sum_k (PQ)_k a_(j-k) = 0 there (O(deg PQ)
     steps).  A certificate that fails raises on every later read too."""
 
-    def __init__(self, fn, degree_bound, name: str = "", zeta=None):
+    def __init__(self, fn, degree_bound: int, name: str = "", zeta=None):
+        if degree_bound < 1:
+            raise ValueError("degree_bound must be >= 1")
         self._fn = fn
-        self._bound = degree_bound if callable(degree_bound) \
-            else _checked_bound(degree_bound)
+        self.degree_bound = int(degree_bound)
         self.name = name
         self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
         self._certify = zeta
         self._zeta = self._pq = None    # the zeta once certified; its P Q
 
-    @property
-    def degree_bound(self) -> int:
-        if callable(self._bound):
-            self._bound = _checked_bound(self._bound())
-        return self._bound
-
     def __call__(self, n: int):
         if n < 1:
             raise ValueError("sequence indices start at 1")
         if n not in self._cache:
-            # every window is at least 7 (B >= 1), so a term below it
-            # never waits for a bound decided on first read
-            if self._certify is not None and n > 7 and n > 3 * self.degree_bound + 4:
+            if self._certify is not None and n > 3 * self.degree_bound + 4:
                 self._extend(n)
             else:
                 self._cache[n] = self._fn(n)
@@ -218,12 +208,6 @@ class SequenceOracle:
             s = -sum(map(operator.mul, rest, map(cache.__getitem__, range(j - 1, 0, -1))))
             q, r = divmod(s, w0)
             cache[j] = Fraction(s, w0) if r else q
-
-
-def _checked_bound(degree_bound) -> int:
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    return int(degree_bound)
 
 
 def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:

@@ -261,8 +261,8 @@ class TestContextLifetime:
 
 
 class TestLazyPlusSplit:
-    """The plus split decides only the N and R degree bounds and the
-    sign formula, so a single number never waits for it."""
+    """The plus split is decided once per problem, when its context is
+    built, and a report reads it there."""
 
     @pytest.fixture
     def split_calls(self, monkeypatch):
@@ -277,17 +277,14 @@ class TestLazyPlusSplit:
         monkeypatch.setattr(zetafix.invariants, "compute_plus_split", counting)
         return calls
 
-    @pytest.mark.parametrize("name", ["heisenberg_ex3", "klein_bottle_ex1",
-                                      "torus_cat_map"])
-    def test_fresh_number_takes_no_split(self, name, split_calls):
+    @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
+    def test_context_is_built_whole(self, name, split_calls):
         fx = load_fixture(name)
-        nielsen(fx.spec, fx.mapping, 1)
-        reidemeister(fx.spec, fx.mapping, 1)
-        assert split_calls == []
-        ctx = zetafix.invariants.map_context(fx.spec, fx.mapping)
-        bound = ctx.n_seq.degree_bound
-        assert ctx.r_seq.degree_bound == bound
+        ctx = zetafix.invariants.MapContext(fx.spec, fx.mapping)
         assert len(split_calls) == 1
+        assert type(ctx.n_seq.degree_bound) is int
+        assert ctx.r_seq.degree_bound == ctx.n_seq.degree_bound
+        assert (ctx.twisted_seq is None) == (not ctx.split.is_proper)
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_report_takes_one_split(self, name, split_calls):

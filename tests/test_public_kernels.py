@@ -1,7 +1,9 @@
 """Every public function of the exact algebra and rational-function
 layers is read by the package itself or bound by the benchmark's tracer.
 A public wrapper that only tests read is a second route to a result the
-package computes another way, and it drifts from the route that counts."""
+package computes another way, and it drifts from the route that counts.
+Every public method or property of a package class is read somewhere,
+by the package or its tests: one that nothing reads is dead code."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import zetafix
 
 PACKAGE = Path(zetafix.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+TESTS = Path(__file__).parent
+TRACER = TESTS.parent / "bench" / "tracer.py"
 LAYERS = ("algebra", "ratfunc")
 
 
@@ -31,13 +34,24 @@ def _public_functions(module: str) -> set:
             and not node.name.startswith("_")}
 
 
-def _read_names() -> set:
-    """Every name read in a package module other than __init__, which
-    only re-exports."""
+def _public_members() -> set:
+    """(module, class, name) of every public method or property defined
+    in a class body of the package."""
+    return {(path.stem, node.name, item.name)
+            for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _read_names(paths=None) -> set:
+    """Every name read in the files at paths, by default the package
+    modules other than __init__, which only re-exports."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    if paths is None:
+        paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -58,3 +72,15 @@ def test_the_layers_define_public_functions():
     # the check above is vacuous if the parse finds nothing
     assert {"det", "char_poly", "poly_gcd"} <= _public_functions("algebra")
     assert {"zeta_from_terms", "radius_of_convergence"} <= _public_functions("ratfunc")
+
+
+def test_every_public_member_is_read():
+    read = _read_names([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+    unread = {m for m in _public_members() if m[2] not in read}
+    assert unread == set()
+
+
+def test_the_package_defines_public_members():
+    # the check above is vacuous if the parse finds nothing
+    assert {("ratfunc", "RationalFunction", "compose_scale"),
+            ("manifolds", "PlusSplit", "plus_indices")} <= _public_members()

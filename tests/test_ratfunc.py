@@ -22,8 +22,9 @@ from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
                      format_polynomial, load_fixture, radius_of_convergence,
                      zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
-from zetafix.invariants import (MapContext, _check_sign_formula, _lefschetz_at,
+from zetafix.invariants import (MapContext, _lefschetz_at, _sign_formula_zeta,
                                  map_context)
+from zetafix.manifolds import PlusSplit
 from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey
 
 
@@ -156,8 +157,11 @@ class TestSequenceOracle:
         assert calls == [4]
         with pytest.raises(ValueError):
             seq(0)
-        with pytest.raises(ValueError):
-            _oracle(fn, 0)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match=r"^degree_bound must be >= 1$"):
+            SequenceOracle(lambda n: n, bound)
 
 
 class TestMinLinearRecurrence:
@@ -468,10 +472,22 @@ def _rebuild_failure(seq) -> int | None:
     return None
 
 
-def _accepts(n_seq, source, zeta, sigma, eps, formula) -> bool:
+def _certify(n_seq, source, sigma, eps, formula) -> RationalFunction:
+    """The sign-formula certificate of MapContext.n_zeta on a split with
+    sigma = (-1)^n and eps = (-1)^(p+n), where the substitution and
+    inversion of source's zeta are made to return formula."""
+    n = (1 - sigma) // 2
+    split = PlusSplit((), False, n + (1 - eps) // 2, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(RationalFunction, "compose_scale",
+                  lambda self, c: formula if eps == 1 else formula.inverse())
+        return _sign_formula_zeta(source, split, n_seq)
+
+
+def _accepts(n_seq, source, sigma, eps, formula) -> bool:
     """Whether the sign-formula certificate of MapContext.n_zeta passes."""
     try:
-        _check_sign_formula(n_seq, source, zeta, sigma, eps, formula)
+        _certify(n_seq, source, sigma, eps, formula)
     except NielsenFormulaMismatch:
         return False
     return True
@@ -519,9 +535,9 @@ class TestVerifyZeta:
             for sigma, eps in itertools.product((1, -1), repeat=2):
                 formula = _sign_formula(f, sigma, eps)
                 seq = self._signed(source, sigma, eps, b + 1)
-                assert _accepts(seq, source, f, sigma, eps, formula)
+                assert _accepts(seq, source, sigma, eps, formula)
                 assert _rebuilds_to(seq, formula)
-                assert _accepts(seq, source, f, sigma, eps, g) == \
+                assert _accepts(seq, source, sigma, eps, g) == \
                     _rebuilds_to(seq, g) == (g == formula)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -538,7 +554,7 @@ class TestVerifyZeta:
                 seq = self._signed(source, sigma, eps, b + 1, k,
                                    rng.choice([-2, -1, 1, 2]))
                 with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
-                    _check_sign_formula(seq, source, f, sigma, eps, formula)
+                    _certify(seq, source, sigma, eps, formula)
                 assert _rebuild_failure(seq) == k
 
     def test_perturbed_anywhere_fails_with_the_rebuild(self):
@@ -555,7 +571,7 @@ class TestVerifyZeta:
             for k in range(1, top + 4):
                 seq = self._signed(source, sigma, eps, b + 1, k,
                                    rng.choice([-2, -1, 1, 2]))
-                assert _accepts(seq, source, f, sigma, eps, formula) == \
+                assert _accepts(seq, source, sigma, eps, formula) == \
                     _rebuilds_to(seq, formula) == (k > top)
 
     def test_order_over_the_bound_fails(self):
@@ -563,7 +579,7 @@ class TestVerifyZeta:
         source = self._source(f, 2)
         for bound, ok in ((2, True), (1, False)):
             seq = _oracle(lambda n: source(n), bound)
-            assert _accepts(seq, source, f, 1, 1, f) == _rebuilds_to(seq, f) == ok
+            assert _accepts(seq, source, 1, 1, f) == _rebuilds_to(seq, f) == ok
 
     def test_a_faulty_transform_fails(self):
         # the stored forms are compared directly: a formula that skipped
@@ -573,15 +589,15 @@ class TestVerifyZeta:
         source = self._source(f, 3)
         for sigma, eps in ((-1, 1), (1, -1), (-1, -1)):
             seq = self._signed(source, sigma, eps, 4)
-            assert _accepts(seq, source, f, sigma, eps, _sign_formula(f, sigma, eps))
-            assert not _accepts(seq, source, f, sigma, eps, f)
+            assert _accepts(seq, source, sigma, eps, _sign_formula(f, sigma, eps))
+            assert not _accepts(seq, source, sigma, eps, f)
 
     def test_constant_term_must_be_one(self):
         f = RationalFunction([1, 2], [1, -2])
         source = self._source(f, 2)
         seq = self._signed(source, 1, 1, 2)
         for wrong in (RationalFunction([2, 4], [1, -2]), RationalFunction([0], [1])):
-            assert not _accepts(seq, source, f, 1, 1, wrong)
+            assert not _accepts(seq, source, 1, 1, wrong)
             assert not _rebuilds_to(seq, wrong)
 
     def test_fraction_terms(self):
@@ -589,9 +605,9 @@ class TestVerifyZeta:
         source = self._source(f, 1)
         assert [source(n) for n in (1, 9, 20)] == [Fraction(1, 2 ** n) for n in (1, 9, 20)]
         seq = self._signed(source, -1, 1, 2)
-        assert _accepts(seq, source, f, -1, 1, _sign_formula(f, -1, 1))
+        assert _accepts(seq, source, -1, 1, _sign_formula(f, -1, 1))
         assert _rebuilds_to(seq, RationalFunction([1], [1, Fraction(1, 2)]))
-        assert not _accepts(seq, source, f, -1, 1, RationalFunction([1], [1, Fraction(1, 3)]))
+        assert not _accepts(seq, source, -1, 1, RationalFunction([1], [1, Fraction(1, 3)]))
 
     def test_contexts_accept_what_the_rebuild_returns(self):
         # on the corpus and the fixed-point fixtures the certificate
