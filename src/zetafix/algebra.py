@@ -20,7 +20,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 
 from .errors import OutOfFloatRange
 
@@ -657,7 +657,14 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
     r x r block A_r with row R, column C and corner x; the new
     polynomial is the old one times the Toeplitz column
     (1, -x, -R C, -R A_r C, ..., -R A_r^(r-1) C).  Sizes 1 to 3 are
-    written out: trace, sum of principal 2-minors, determinant."""
+    written out: trace, sum of principal 2-minors, determinant.  A
+    larger matrix that is block diagonal after a permutation of its
+    indices (see _diagonal_blocks) has the product of its blocks'
+    polynomials."""
+    if len(a) > 3:
+        blocks = _diagonal_blocks([a], len(a))
+        if len(blocks) > 1:
+            return reduce(_int_poly_mul, map(_berkowitz, _split(a, blocks)))
     if len(a) == 1:
         return [1, -a[0][0]]
     if len(a) == 2:
@@ -800,20 +807,45 @@ def _scaled_det(u: int, x, v: int, y) -> int:
     return out
 
 
+def _diagonal_det(u: int, x, v: int, y) -> int:
+    """Integer determinant of u*x - v*y for diagonal x and y given by
+    their diagonal entries: the product of the entrywise differences,
+    stopping at the first that vanishes."""
+    out = 1
+    for a, b in zip(x, y):
+        out *= u * a - v * b
+        if not out:
+            break
+    return out
+
+
+def _diagonal_entries(m) -> list[int]:
+    """The diagonal of a square matrix given by its rows."""
+    return [row[i] for i, row in enumerate(m)]
+
+
+def _diagonal_mul(x, y) -> list[int]:
+    """Product of two diagonal matrices given by their diagonal entries."""
+    return list(map(operator.mul, x, y))
+
+
+def _block_mul(x, y) -> list[list[list[int]]]:
+    """Product of two matrices given by their diagonal blocks."""
+    return [_int_matmul(a, b) for a, b in zip(x, y)]
+
+
 class _ScaledPowers:
-    """n -> (M_int^n, q^n) for M = M_int / q, with M_int^n kept as its
-    diagonal blocks on the given index sets; each new iterate costs one
-    integer product per block."""
+    """n -> (M_int^n, q^n) for M = M_int / q, with M_int^n kept in the
+    kernel's form (diagonal entries or diagonal blocks); each new iterate
+    costs one product in that form."""
 
-    def __init__(self, m_int: list[list[int]], q: int, blocks):
-        self._base, self._q = _split(m_int, blocks), q
-        self._powers = [[[[int(i == j) for j in range(len(b))] for i in range(len(b))]
-                         for b in blocks]]
+    def __init__(self, base, one, q: int, mul):
+        self._base, self._q, self._mul = base, q, mul
+        self._powers = [one]
 
-    def __call__(self, n: int) -> tuple[list[list[list[int]]], int]:
+    def __call__(self, n: int):
         while len(self._powers) <= n:
-            self._powers.append([_int_matmul(p, b)
-                                 for p, b in zip(self._powers[-1], self._base)])
+            self._powers.append(self._mul(self._powers[-1], self._base))
         return self._powers[n], self._q ** n
 
 
@@ -832,23 +864,39 @@ class AveragingKernel:
     one kernel takes each determinant once.
 
     The holonomy, D and E are found once to be block diagonal on common
-    index sets (a dense problem is one block); every product and
-    determinant is then taken block by block, and a determinant is the
-    product of its block determinants.  Blocks of size 1 to 3 have their
-    products and determinants written out in closed form; larger blocks
-    take inner products and Bareiss elimination.
+    index sets (a dense problem is one block), and the block sizes
+    choose one of two paths.  When every block has size 1, each matrix
+    is kept as its diagonal, D^n and E^n as diagonals, and a
+    determinant is one product of scalars: with c = s q^n and E^n =
+    E_int^n / r^n, det(I - A D^n) has numerator prod_i (c e_i - r^n a_i
+    p_i) over (r^n c)^dim, and det(A - D^n) has prod_i (q^n a_i - s p_i)
+    over (s q^n)^dim.  Otherwise every product and determinant is taken
+    block by block, and a determinant is the product of its block
+    determinants: blocks of size 1 to 3 have their products and
+    determinants written out in closed form, larger blocks take inner
+    products and Bareiss elimination.  Either path stops a product at
+    its first zero factor, and both give the same integers.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,
                  target: RationalMatrix | None = None):
-        self._dim = linear.dim
+        self._dim = dim = linear.dim
         hol, self._s = _integer_form(holonomy)
         e = linear if target is None else target
-        blocks = _diagonal_blocks(hol + [linear.ints, e.ints], self._dim)
-        self._d = _ScaledPowers(linear.ints, linear.den, blocks)
-        self._e = None if target is None else _ScaledPowers(e.ints, e.den, blocks)
-        self._hol = [_split(a, blocks) for a in hol]
-        ident = RationalMatrix.identity(self._dim).ints
+        blocks = _diagonal_blocks(hol + [linear.ints, e.ints], dim)
+        self._diagonal = len(blocks) == dim
+        if self._diagonal:
+            form, one, mul = _diagonal_entries, [1] * dim, _diagonal_mul
+        else:
+            form = partial(_split, blocks=blocks)
+            one = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]
+                   for b in blocks]
+            mul = _block_mul
+        self._d = _ScaledPowers(form(linear.ints), one, linear.den, mul)
+        self._e = None if target is None else _ScaledPowers(form(e.ints), one,
+                                                            e.den, mul)
+        self._hol = [form(a) for a in hol]
+        ident = RationalMatrix.identity(dim).ints
         self._skip = [a == ident for a in hol]           # A_int P is P
         self._fixed: dict[int, tuple[list[int], int]] = {}
         self._shifted: dict[int, tuple[list[int], int]] = {}
@@ -861,9 +909,13 @@ class AveragingKernel:
             p, qn = self._d(n)
             e, rn = self._d(0) if self._e is None else self._e(n)  # I = I_int / 1
             c = self._s * qn             # A D^n = A_int P / c
-            dets = [_scaled_det(c, e, rn, p if skip else
-                                [_int_matmul(x, y) for x, y in zip(a, p)])
-                    for a, skip in zip(self._hol, self._skip)]
+            if self._diagonal:
+                mul = operator.mul
+                dets = [_diagonal_det(c, e, rn, p if skip else map(mul, a, p))
+                        for a, skip in zip(self._hol, self._skip)]
+            else:
+                dets = [_scaled_det(c, e, rn, p if skip else _block_mul(a, p))
+                        for a, skip in zip(self._hol, self._skip)]
             self._fixed[n] = dets, (rn * c) ** self._dim
         return self._fixed[n]
 
@@ -872,7 +924,8 @@ class AveragingKernel:
         their common denominator (s q^n)^dim."""
         if n not in self._shifted:
             p, qn = self._d(n)
-            self._shifted[n] = ([_scaled_det(qn, a, self._s, p) for a in self._hol],
+            det_ = _diagonal_det if self._diagonal else _scaled_det
+            self._shifted[n] = ([det_(qn, a, self._s, p) for a in self._hol],
                                 (self._s * qn) ** self._dim)
         return self._shifted[n]
 

@@ -55,8 +55,9 @@ class NonIntegralNielsen(ZetafixError):
 
 class NielsenFormulaMismatch(ZetafixError):
     """Two routes to a Nielsen number disagree: the sign-formula zeta
-    and the averaged Nielsen sequence, or a finite Reidemeister number
-    R(f^n) and N(f^n).  The input data is inconsistent."""
+    and the averaged Nielsen sequence, a finite Reidemeister number
+    R(f^n) and N(f^n), or an infinite R(f^n) and the det(I - A D^n),
+    none of which vanishes.  The input data is inconsistent."""
 
 
 class NotCyclic(ZetafixError):

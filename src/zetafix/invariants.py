@@ -16,9 +16,10 @@ Nielsen zetas are certified by the L and N oracles when first needed,
 which then read every term past their window off them.  It is the only
 route to a map's numbers: lefschetz, nielsen and reidemeister and the
 public sequences all read its oracles.  Two cross-checks run there:
-every finite R(f^n), past N's window too, must equal N(f^n), and every
-N(f^k) in the Nielsen window must be +-L(f^k), or +-(L(f+^k) - L(f^k))
-for a proper split.
+every finite R(f^n), past N's window too, must equal N(f^n), and an
+infinite one needs a vanishing det(I - A D^n); and every N(f^k) in the
+Nielsen window must be +-L(f^k), or +-(L(f+^k) - L(f^k)) for a proper
+split.
 """
 
 from __future__ import annotations
@@ -138,10 +139,15 @@ class ZetaResult(namedtuple("ZetaResult", "which function construction")):
 
 def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
     """R(f^n) from det(A - D^n), math.inf when one vanishes.  Inversion
-    permutes the holonomy, so a finite R(f^n) that is not N(f^n), N's
-    tail included, raises NielsenFormulaMismatch."""
+    permutes the holonomy, and det(A - D^n) = det(A) det(I - A^-1 D^n),
+    so a finite R(f^n) that is not N(f^n), N's tail included, raises
+    NielsenFormulaMismatch, and so does an infinite one unless some
+    det(I - B D^n) vanishes too."""
     dets, den = kernel.shifted_dets(n)
     if 0 in dets:
+        if 0 not in kernel.fixed_point_dets(n)[0]:
+            raise NielsenFormulaMismatch(
+                f"R(f^{n}) is infinite, but no det(I - A D^{n}) vanishes")
         return math.inf
     r = _average([abs(v) for v in dets], den, NonIntegralNielsen)
     if r != n_seq(n):

@@ -54,8 +54,18 @@ def reidemeister_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
 
 
 def artin_mazur_zeta(spec: ManifoldSpec, mapping: AffineMapSpec) -> ZetaResult:
-    """Periodic-point zeta; every fixed point class of an iterate is
-    essential and isolated here, so it coincides with the Nielsen zeta."""
+    """The Nielsen zeta, relabelled as the periodic-point zeta.
+
+    That is the Artin-Mazur zeta exp(sum #Fix(f^n) z^n / n) under one
+    hypothesis: the Reidemeister zeta is defined, i.e. det(I - A D^n)
+    != 0 for every holonomy element A and every n.  Then each fixed
+    point class of the affine f^n is one point of index +-1, so
+    #Fix(f^n) = R(f^n) = N(f^n).  Where some det(I - A D^n) vanishes,
+    the classes of A are empty or positive-dimensional, depending on
+    translation parts that the spec does not carry, and the returned
+    function need not be the Artin-Mazur zeta: on klein_bottle_ex1, D =
+    diag(-1, 2) and the lift (x, y) -> (x, 4y) of f^2 fixes the line
+    y = 0 pointwise."""
     return map_context(spec, mapping).n_zeta._replace(which="ArtinMazur")
 
 

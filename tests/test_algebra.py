@@ -1004,6 +1004,38 @@ class TestIntegerKernels:
                     assert algebra._berkowitz(a) == [1] + [
                         (-1) ** j * m for j, m in enumerate(minors, 1)]
 
+    def test_berkowitz_splits_on_diagonal_blocks(self):
+        # sizes 4 to 8: block diagonal, then the same with its indices
+        # permuted so that the blocks interleave, diagonal, and dense;
+        # det(xI - A) by Bareiss at dim + 1 integer points fixes the
+        # monic polynomial of degree dim
+        rng = random.Random(50)
+        for dim in range(4, 9):
+            for shape in ("blocks", "diagonal", "dense"):
+                for _ in range(8):
+                    sizes = {"blocks": [], "diagonal": [1] * dim,
+                             "dense": [dim]}[shape]
+                    while sum(sizes) < dim:
+                        sizes.append(rng.randint(1, min(3, dim - sum(sizes))))
+                    a = [[0] * dim for _ in range(dim)]
+                    at = 0
+                    for k in sizes:
+                        for i, row in enumerate(self._int_block(rng, k, 20)):
+                            a[at + i][at:at + k] = row
+                        at += k
+                    perm = rng.sample(range(dim), dim)
+                    for m in (a, [[a[i][j] for j in perm] for i in perm]):
+                        assert len(algebra._diagonal_blocks([m], dim)) == len(sizes)
+                        poly = algebra._berkowitz(m)
+                        assert len(poly) == dim + 1 and poly[0] == 1
+                        for x in range(-(dim // 2), dim - dim // 2 + 1):
+                            value = 0
+                            for c in poly:
+                                value = value * x + c
+                            assert value == algebra._bareiss_det(
+                                [[x * (i == j) - v for j, v in enumerate(row)]
+                                 for i, row in enumerate(m)])
+
     def test_gcd_matches_euclid(self):
         rng = random.Random(43)
         for _ in range(60):

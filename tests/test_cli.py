@@ -272,6 +272,23 @@ class TestReidemeisterCrossCheck:
         assert err == ("cross-check failed: NielsenFormulaMismatch: "
                        "R(f^2) = 25 differs from N(f^2) = 24\n")
 
+    def test_infinite_r_without_a_fixed_point_zero_exits_4(self, monkeypatch,
+                                                           capsys):
+        # one nonzero det(A - D) set to 0 would print R(f) = inf beside
+        # N(f) = 1, though no det(I - A D) vanishes
+        kernel = zetafix.algebra.AveragingKernel
+        orig = kernel.shifted_dets
+
+        def shifted_dets(self, n):
+            dets, den = orig(self, n)
+            return ([0] + dets[1:], den) if n == 1 else (dets, den)
+
+        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+        code, out, err = run_main(capsys, "report", "torus_cat_map")
+        assert (code, out) == (4, "")
+        assert err == ("cross-check failed: NielsenFormulaMismatch: "
+                       "R(f^1) is infinite, but no det(I - A D^1) vanishes\n")
+
 
 class TestTermsPastTheWindow:
     """Terms past a rebuild window are read off the certified zeta, never

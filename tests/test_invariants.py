@@ -18,7 +18,7 @@ from _corpus import (brute_force_torus_count, coincidence_product_instances,
                      random_integer_matrices, rref)
 from conftest import FIXED_POINT_NAMES
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
-                     NonIntegralLefschetz, NonIntegralNielsen,
+                     NielsenFormulaMismatch, NonIntegralLefschetz, NonIntegralNielsen,
                      NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
@@ -225,6 +225,27 @@ class TestReidemeisterEqualsNielsen:
                     assert r == nielsen(spec, mapping, n)
         assert finite >= 200
 
+    def test_infinite_r_needs_a_vanishing_fixed_point_determinant(
+            self, monkeypatch, cat):
+        # det(A - D^n) = det(A) det(I - A^-1 D^n): a zero among the
+        # det(A - D^n) without one among the det(I - B D^n) is a fault
+        orig = zetafix.algebra.AveragingKernel.shifted_dets
+        monkeypatch.setattr(zetafix.algebra.AveragingKernel, "shifted_dets",
+                            lambda kernel, n: ([0], orig(kernel, n)[1]) if n == 3
+                            else orig(kernel, n))
+        assert reidemeister(cat.spec, cat.mapping, 2) == 5
+        with pytest.raises(NielsenFormulaMismatch) as err:
+            reidemeister(cat.spec, cat.mapping, 3)
+        assert str(err.value) == \
+            "R(f^3) is infinite, but no det(I - A D^3) vanishes"
+
+    def test_infinite_r_with_a_vanishing_fixed_point_determinant(self, ex1):
+        kernel = zetafix.manifolds.averaging_kernel(ex1.spec, ex1.mapping)
+        for n in range(1, 9):
+            zero = 0 in kernel.shifted_dets(n)[0]
+            assert zero == (0 in kernel.fixed_point_dets(n)[0]) == (n % 2 == 0)
+            assert (reidemeister(ex1.spec, ex1.mapping, n) == math.inf) == zero
+
 
 class TestContextLifetime:
     """No oracle refers back to its context, so a context the memo
@@ -370,7 +391,9 @@ class TestIntegerKernel:
 class TestIdentitySkip:
     """On integral holonomy (common denominator s = 1) the identity's
     A_int D^n is D^n itself: the kernel takes that product for every
-    other element and skips it for the identity alone."""
+    other element and skips it for the identity alone.  The block path
+    counts it in block products; a problem whose blocks all have size 1
+    takes the diagonal path, which calls no _int_matmul at all."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_only_the_identity_product_is_skipped(self, monkeypatch, name):
@@ -382,6 +405,8 @@ class TestIdentitySkip:
         kernel = zetafix.algebra.AveragingKernel(hol, fx.mapping.linear)
         identity = validate_spec(fx.spec).identity
         assert kernel._skip == [l == identity for l in fx.spec.labels()]
+        diagonal = len(blocks) == fx.spec.dimension
+        assert kernel._diagonal == diagonal
         products = []
         orig = zetafix.algebra._int_matmul
         monkeypatch.setattr(zetafix.algebra, "_int_matmul",
@@ -390,7 +415,8 @@ class TestIdentitySkip:
             kernel._d(n)            # the new power of D, one product per block
             products.clear()
             kernel.fixed_point_dets(n)
-            assert len(products) == (len(hol) - 1) * len(blocks)
+            assert len(products) == (0 if diagonal else
+                                     (len(hol) - 1) * len(blocks))
 
 
 def _block_diag(*blocks):
@@ -402,6 +428,116 @@ def _block_diag(*blocks):
             m[at + i][at:at + len(row)] = row
         at += len(b)
     return RationalMatrix(m)
+
+
+def _diagonal(*entries):
+    return RationalMatrix([[x if i == j else 0 for j in range(len(entries))]
+                           for i, x in enumerate(entries)])
+
+
+# The sign matrices of determinant 1 in dim 3 (a Klein four-group), and
+# diagonal linear parts: a plain one, one with the factor 1 - a_2 * 1
+# that vanishes for half the holonomy, and two with denominators.  The
+# coincidence target is diagonal too.
+DIAGONAL_HOLONOMY = [("I", _diagonal(1, 1, 1)), ("A", _diagonal(1, -1, -1)),
+                     ("B", _diagonal(-1, 1, -1)), ("C", _diagonal(-1, -1, 1))]
+DIAGONAL_MAPS = {"plain": _diagonal(2, -3, 3),
+                 "vanishing": _diagonal(2, 1, -3),
+                 "denominator": _diagonal("1/2", 4, 3),
+                 "fractions": _diagonal(3, "-1/3", "5/2")}
+DIAGONAL_TARGET = _diagonal(1, 2, -1)
+# a dense integer matrix of determinant 1
+UNIMODULAR = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
+
+
+def _diagonal_problem(which, conj=lambda m: m):
+    spec = ManifoldSpec.make("diagonal", 3,
+                             [(l, conj(a)) for l, a in DIAGONAL_HOLONOMY])
+    return (spec, _map(conj(DIAGONAL_MAPS[which]), "f"),
+            _map(conj(DIAGONAL_TARGET), "g"))
+
+
+def _dense_conjugate(which):
+    s = RationalMatrix(UNIMODULAR)
+    s_inv = s.inverse()
+    return _diagonal_problem(which, lambda m: s @ m @ s_inv)
+
+
+def _public_numbers(spec, f, n, g=None):
+    """L, N, R of the public entry points, each value an int or
+    math.inf, or the message of the typed error that a non-integral
+    average raises."""
+    if g is not None:
+        try:
+            return tuple(coincidence_numbers(spec, f, g, n))
+        except (NonIntegralLefschetz, NonIntegralNielsen) as err:
+            return (str(err),)
+    out = []
+    for number in (lefschetz, nielsen, reidemeister):
+        try:
+            out.append(number(spec, f, n))
+        except (NonIntegralLefschetz, NonIntegralNielsen) as err:
+            out.append(str(err))
+    return tuple(out)
+
+
+def _expected_numbers(spec, d, n, e=None):
+    """_fraction_numbers, with each non-integral average given as the
+    message of the typed error it raises; coincidence numbers raise at
+    the first, L before N."""
+    values = _fraction_numbers(spec, d, n, e)
+    out = tuple(v if v == math.inf or v.denominator == 1 else
+                f"holonomy average {v} is not an integer" for v in values)
+    if e is not None:
+        return next(((v,) for v in out if isinstance(v, str)), values)
+    return out
+
+
+class TestDiagonalKernel:
+    """A problem whose holonomy, D and coincidence target are all
+    diagonal takes the kernel's diagonal path: each determinant is one
+    product of scalars.  Its numbers are those of the Fraction formulas
+    on whole matrices, denominators and vanishing factors included."""
+
+    @pytest.mark.parametrize("which", sorted(DIAGONAL_MAPS))
+    def test_diagonal_path_taken(self, which):
+        spec, f, g = _diagonal_problem(which)
+        for maps in ((f,), (f, g)):
+            assert zetafix.manifolds.averaging_kernel(spec, *maps)._diagonal
+
+    @pytest.mark.parametrize("which", sorted(DIAGONAL_MAPS))
+    def test_numbers_equal_the_fraction_formulas(self, which):
+        spec, f, _ = _diagonal_problem(which)
+        for n in range(1, 9):
+            assert _public_numbers(spec, f, n) == \
+                _expected_numbers(spec, f.linear, n)
+
+    @pytest.mark.parametrize("which", sorted(DIAGONAL_MAPS))
+    def test_coincidence_numbers_equal_the_fraction_formulas(self, which):
+        spec, f, g = _diagonal_problem(which)
+        for n in range(1, 9):
+            assert _public_numbers(spec, f, n, g) == \
+                _expected_numbers(spec, f.linear, n, g.linear)
+
+    def test_vanishing_factor(self):
+        # det(I - A D^n) and det(A - D^n) vanish for I and B, whose second
+        # entry is 1, at every n: R is infinite, L and N are not
+        spec, f, _ = _diagonal_problem("vanishing")
+        kernel = zetafix.manifolds.averaging_kernel(spec, f)
+        for n in range(1, 9):
+            for dets in (kernel.fixed_point_dets(n)[0], kernel.shifted_dets(n)[0]):
+                assert [v == 0 for v in dets] == [True, False, True, False]
+            assert reidemeister(spec, f, n) == math.inf
+
+    def test_denominators_reach_the_common_denominator(self):
+        # D = diag(1/2, 4, 3): det(I - D^n) over (2^n)^3, as for a block
+        spec, f, _ = _diagonal_problem("denominator")
+        kernel = zetafix.manifolds.averaging_kernel(spec, f)
+        for n in range(1, 9):
+            dets, den = kernel.fixed_point_dets(n)
+            assert den == 2 ** (3 * n)
+            assert Fraction(dets[0], den) == (1 - Fraction(1, 2 ** n)) * \
+                (1 - 4 ** n) * (1 - 3 ** n)
 
 
 class TestBlockKernel:
@@ -465,6 +601,20 @@ class TestBlockKernel:
             c = coincidence_numbers(spec, f, g, n)
             assert (c.lefschetz, c.nielsen, c.reidemeister) == \
                 _fraction_numbers(spec, f.linear, n, g.linear)
+
+    @pytest.mark.parametrize("which", sorted(DIAGONAL_MAPS))
+    def test_dense_conjugate_of_a_diagonal_problem(self, which):
+        # a dense unimodular conjugation merges the diagonal into one
+        # block, so the block path gives the same sequences as the
+        # diagonal path
+        diagonal, dense = _diagonal_problem(which), _dense_conjugate(which)
+        assert self._blocks(*dense) == [[0, 1, 2]]
+        assert not zetafix.manifolds.averaging_kernel(*dense[:2])._diagonal
+        for n in range(1, 9):
+            assert _public_numbers(*dense[:2], n) == \
+                _public_numbers(*diagonal[:2], n)
+            assert _public_numbers(*dense[:2], n, dense[2]) == \
+                _public_numbers(*diagonal[:2], n, diagonal[2])
 
     def test_vanishing_block_makes_the_determinant_zero(self):
         # D's third block is 1, so det(I - D^n) vanishes for the identity

@@ -272,30 +272,37 @@ class TestSharedContext:
         # zetas, the numbers table's included, so determinants are taken
         # only up to the largest iterate that still needs them: each
         # window (L, N and the twisted zeta of a proper split) and the
-        # definedness scan's witness.  Each det(I - A D^n) is taken once
-        # for every holonomy element A.
+        # definedness scan's witness, and every iterate with an infinite
+        # R(f^n), whose vanishing det(A - D^n) is matched against them.
+        # Each det(I - A D^n) is taken once for every holonomy element A,
+        # on the diagonal path or on the block path.
         parsed = load_fixture(name)
         kernel = zetafix.algebra.AveragingKernel
         scopes = {kernel.fixed_point_dets.__code__: "fixed",
                   kernel.shifted_dets.__code__: "shifted"}
         counts = dict.fromkeys(scopes.values(), 0)
-        orig = zetafix.algebra._scaled_det
 
-        def counted(*args):
-            frame = sys._getframe(1)
-            while frame.f_code not in scopes:
-                frame = frame.f_back
-            counts[scopes[frame.f_code]] += 1
-            return orig(*args)
+        def counted(orig):
+            def det(*args):
+                frame = sys._getframe(1)
+                while frame.f_code not in scopes:
+                    frame = frame.f_back
+                counts[scopes[frame.f_code]] += 1
+                return orig(*args)
+            return det
 
-        monkeypatch.setattr(zetafix.algebra, "_scaled_det", counted)
+        for path in ("_scaled_det", "_diagonal_det"):
+            monkeypatch.setattr(zetafix.algebra, path,
+                                counted(getattr(zetafix.algebra, path)))
         build_report(parsed)
         ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
         seqs = [ctx.l_seq, ctx.n_seq] + ([ctx.twisted_seq] if ctx.split.is_proper else [])
         top = max([3 * seq.degree_bound + 4 for seq in seqs]
                   + [ctx.definedness.witness_n or 0])
         assert top < CONGRUENCE_N_MAX
-        assert counts["fixed"] == parsed.spec.order * top
+        iterates = set(range(1, top + 1)) | {
+            n for n in range(1, CONGRUENCE_N_MAX + 1) if ctx.r_seq(n) == math.inf}
+        assert counts["fixed"] == parsed.spec.order * len(iterates)
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):

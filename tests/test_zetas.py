@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import zetafix.invariants
+import zetafix.manifolds
 from _corpus import (dense_torus, isotypic_mixing_instance, ladder_instances,
                      random_instances, random_integer_matrices)
 from conftest import FIXED_POINT_NAMES
@@ -15,11 +16,12 @@ from zetafix import (AffineMapSpec, Construction, ManifoldSpec,
                      NotConstantRatio, NotRational, Polynomial,
                      RadiusMismatch, RationalFunction, RationalMatrix,
                      SequenceOracle, ZetaResult, ZetaUndefined, artin_mazur_zeta,
-                     asymptotic_nielsen, char_poly, default_degree_bound, det,
+                     asymptotic_nielsen, build_report, char_poly,
+                     default_degree_bound, det,
                      entropy_lower_bound,
                      exterior_power, is_virtually_unipotent, lefschetz,
                      lefschetz_zeta, load_fixture, nielsen_zeta, radius_report,
-                     reidemeister_zeta, torsion_special_value,
+                     reidemeister_zeta, render_human, torsion_special_value,
                      verify_functional_equation)
 from zetafix.errors import DimensionMismatch, NonInvariantSubspace
 from zetafix.ratfunc import zeta_from_terms
@@ -85,6 +87,31 @@ class TestGoldenZetas:
         c = nielsen_zeta(cat.spec, cat.mapping).construction
         assert (c.kind, c.case, c.p, c.n) == ("sign-formula", "plus-equal", 1, 0)
         assert lefschetz_zeta(cat.spec, cat.mapping).construction.kind == "direct"
+
+
+class TestArtinMazurHypothesis:
+    """artin_mazur_zeta is the Nielsen zeta relabelled, which is the
+    Artin-Mazur zeta where the Reidemeister zeta is defined.  On
+    klein_bottle_ex1 it is not: the identity's det(I - D^2) vanishes,
+    and the lift (x, y) -> (x, 4y) of f^2 fixes the line y = 0.  The
+    report still prints the Nielsen zeta on the ArtinMazur line."""
+
+    def test_klein_bottle_has_a_circle_of_fixed_points(self, ex1):
+        d = ex1.mapping.linear
+        assert d == RationalMatrix([[-1, 0], [0, 2]])
+        identity = RationalMatrix.identity(2)
+        assert det(identity - d.power(2)) == 0
+        assert (identity - d.power(2)).nullspace() == [(1, 0)]
+        kernel = zetafix.manifolds.averaging_kernel(ex1.spec, ex1.mapping)
+        labels = ex1.spec.labels()
+        assert kernel.fixed_point_dets(2)[0][labels.index("I")] == 0
+        with pytest.raises(ZetaUndefined):
+            reidemeister_zeta(ex1.spec, ex1.mapping)
+        text = render_human(build_report(ex1)).splitlines()
+        assert text[8] == ("ArtinMazur zeta: (1+2z)/(1-2z)   "
+                           "[sign-formula (plus-proper, p=1, n=0)]")
+        assert artin_mazur_zeta(ex1.spec, ex1.mapping).function == \
+            nielsen_zeta(ex1.spec, ex1.mapping).function
 
 
 class TestReidemeisterZeta:
