@@ -40,7 +40,7 @@ from .ratfunc import (RationalFunction, SequenceOracle, format_polynomial,
 from .report import (asymptotics_entry, build_report,
                      congruence_entries, render_human)
 from .specio import (ParsedSpec, SpecOptions, parse_spec_data,
-                     parse_spec_file, serialize_spec, write_spec_file)
+                     parse_spec_file, serialize_spec)
 from .zetas import (FunctionalEquationReport, artin_mazur_zeta, asymptotic_nielsen,
                     entropy_lower_bound, lefschetz_zeta, nielsen_zeta,
                     radius_report, reidemeister_zeta, torsion_special_value,

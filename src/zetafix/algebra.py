@@ -55,13 +55,15 @@ def as_rational(x) -> Fraction:
 
 
 class Polynomial:
-    """Univariate polynomial over the rationals, stored as one integer
-    form ints / den: integer coefficients, lowest degree first with no
-    trailing zeros (none for the zero polynomial, of degree -1), over
-    their least positive common denominator.  coeffs, the Fractions, is
-    made on first read.  Instances are immutable and hashable."""
+    """Univariate polynomial over the rationals, stored only as one
+    integer form ints / den: integer coefficients, lowest degree first
+    with no trailing zeros (none for the zero polynomial, of degree -1),
+    over their least positive common denominator.  Its arithmetic is the
+    package's: products, exact division, p(c*z) and evaluation.  coeffs,
+    the Fractions, is made anew on each read, for display and __call__.
+    Instances are immutable and hashable."""
 
-    __slots__ = ("ints", "den", "_coeffs")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
         cs = [as_rational(c) for c in coeffs]
@@ -83,7 +85,6 @@ class Polynomial:
             ints.pop()
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -94,10 +95,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs",
-                               tuple(Fraction(x, self.den) for x in self.ints))
-        return self._coeffs
+        return tuple(Fraction(x, self.den) for x in self.ints)
 
     # -- structure
 
@@ -108,11 +106,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.ints
-
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.den == other.den
@@ -126,18 +119,6 @@ class Polynomial:
 
     # -- arithmetic
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Polynomial([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                           for i in range(n)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial._from_ints([-x for x in self.ints], self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Polynomial._from_ints([x * other.numerator for x in self.ints],
@@ -148,20 +129,6 @@ class Polynomial:
                                      self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        d, rem = other.coeffs, list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(d) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = rem[k + len(d) - 1] / d[-1]
-            for j, dj in enumerate(d):
-                rem[k + j] -= q[k] * dj
-        return Polynomial(q), Polynomial(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def exact_div(self, other) -> "Polynomial":
         # A / s over c B / t, B primitive: A / B is integral (Gauss's lemma)
@@ -176,18 +143,7 @@ class Polynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c if isinstance(x, (int, Fraction)) else float(c))
-        return acc if self.coeffs else (Fraction(0) if isinstance(x, (int, Fraction)) else 0.0)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial._from_ints([i * c for i, c in enumerate(self.ints)][1:],
-                                     self.den)
-
-    def monic(self) -> "Polynomial":
-        return Polynomial._from_ints(self.ints, self.ints[-1]) if self.ints else self
-
-    def reversed_poly(self) -> "Polynomial":
-        """z^deg * p(1/z); constant term of the result is p's leading one."""
-        return Polynomial(tuple(reversed(self.coeffs)))
+        return acc if self.ints else (Fraction(0) if isinstance(x, (int, Fraction)) else 0.0)
 
     def compose_scale(self, c) -> "Polynomial":
         """p(c*z) for a rational scalar c = u / v, over den * v^deg."""
@@ -429,12 +385,14 @@ class RationalMatrix:
         denominator of its entries, so equal matrices have equal forms.
     dim : int
     rows : tuple of tuple of Fraction
-        The entries as Fractions, made on first read.
+        The entries as Fractions, made anew on each read, for display
+        and the spec echo; only the integer form and its hash are stored.
 
-    All arithmetic is exact.
+    The arithmetic is the package's: sums, differences, products, powers,
+    the inverse and the kernel, all exact and on the integer form.
     """
 
-    __slots__ = ("ints", "den", "dim", "_rows", "_hash")
+    __slots__ = ("ints", "den", "dim", "_hash")
 
     def __init__(self, rows):
         rs = tuple(tuple(as_rational(x) for x in row) for row in rows)
@@ -443,7 +401,7 @@ class RationalMatrix:
             raise ValueError("matrix must be square")
         den = math.lcm(1, *(x.denominator for r in rs for x in r))
         self._set(tuple(tuple(x.numerator * (den // x.denominator) for x in r)
-                        for r in rs), den, rs)
+                        for r in rs), den)
 
     @classmethod
     def _from_ints(cls, ints, den: int = 1) -> "RationalMatrix":
@@ -456,14 +414,13 @@ class RationalMatrix:
                 ints = [[x // g for x in row] for row in ints]
                 den //= g
         m = object.__new__(cls)
-        m._set(tuple(map(tuple, ints)), den, None)
+        m._set(tuple(map(tuple, ints)), den)
         return m
 
-    def _set(self, ints, den, rows):
+    def _set(self, ints, den):
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "dim", len(ints))
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
@@ -475,11 +432,8 @@ class RationalMatrix:
 
     @property
     def rows(self) -> tuple:
-        if self._rows is None:
-            d = self.den
-            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, d) for x in r)
-                                                    for r in self.ints))
-        return self._rows
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in r) for r in self.ints)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -514,21 +468,11 @@ class RationalMatrix:
     def __sub__(self, other):
         return self._combine(other, operator.sub)
 
-    def __neg__(self):
-        return RationalMatrix._from_ints([[-x for x in r] for r in self.ints],
-                                         self.den)
-
     def __matmul__(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return RationalMatrix._from_ints(_int_matmul(self.ints, other.ints),
                                          self.den * other.den)
-
-    def scale(self, c) -> "RationalMatrix":
-        c = as_rational(c)
-        return RationalMatrix._from_ints(
-            [[c.numerator * x for x in r] for r in self.ints],
-            self.den * c.denominator)
 
     def power(self, n: int) -> "RationalMatrix":
         if n < 0:
@@ -541,9 +485,6 @@ class RationalMatrix:
             base = base @ base
             n >>= 1
         return result
-
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.ints[i][i] for i in range(self.dim)), self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1

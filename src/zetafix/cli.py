@@ -24,10 +24,11 @@ from .invariants import map_context
 from .invariants import lefschetz  # noqa: F401
 from .manifolds import validate_spec
 from .ratfunc import zeta_from_terms
-from .report import (_coincidence_numbers_entry, _coincidence_sections,
-                     _congruence_entry, _construction_text, _num,
-                     _numbers_entry, _zeta_entry, asymptotics_entry,
-                     build_report, congruence_entries, render_human)
+from .report import (CONGRUENCE_N_MAX, _asymptotics_lines, _coincidence_sections,
+                     _congruence_entry, _congruence_line, _construction_text,
+                     _num, _number_rows, _numbers_entry, _trichotomy_line,
+                     _zeta_entry, asymptotics_entry, build_report,
+                     congruence_entries, render_human)
 from .specio import N_MAX_CEILING, check_n_max, parse_spec_file
 from .zetas import (artin_mazur_zeta, lefschetz_zeta, nielsen_zeta,
                     reidemeister_zeta)
@@ -101,7 +102,7 @@ def _cmd_numbers(target, args) -> int:
     n_max = args.max_n or target.options.n_max
     spec = target.spec
     if target.is_coincidence:
-        num = _coincidence_numbers_entry(target, n_max)
+        num = _coincidence_sections(target, n_max)["coincidence_numbers"]
     else:
         ctx = map_context(spec, target.mapping)
         num = _numbers_entry(ctx, n_max)
@@ -113,9 +114,8 @@ def _cmd_numbers(target, args) -> int:
 
 def _numbers_lines(name: str, num: dict, pair: bool) -> list[str]:
     """A numbers table as text: a title, then the L, N and R rows."""
-    return [f"{name}, {'pair (f, g), ' if pair else ''}n = 1..{num['n_max']}"] + [
-        f"{key[0].upper()}: " + ", ".join(str(v) for v in num[key])
-        for key in ("lefschetz", "nielsen", "reidemeister")]
+    return ([f"{name}, {'pair (f, g), ' if pair else ''}n = 1..{num['n_max']}"]
+            + _number_rows(num))
 
 
 def _cmd_zeta(target, args) -> int:
@@ -138,7 +138,7 @@ def _cmd_zeta(target, args) -> int:
 
 
 def _cmd_congruences(target, args) -> int:
-    n_max = args.max_n or 30
+    n_max = args.max_n or CONGRUENCE_N_MAX
     if isinstance(target, SequenceFixture):
         rep = check_gauss(target.oracle(), n_max)
         entries = [_congruence_entry(rep, target.name, n_max=n_max)]
@@ -147,16 +147,7 @@ def _cmd_congruences(target, args) -> int:
             raise InvalidSpecFile(
                 "congruence checks apply to single-map specs")
         entries = congruence_entries(target.spec, target.mapping, n_max)
-    lines = []
-    for c in entries:
-        where = (f"p={c['p']}, r<={c['r_max']}" if c["kind"] == "Euler"
-                 else f"n<={c['n_max']}")
-        line = (f"{c['kind']} on {c['sequence']} ({where}): "
-                + ("pass" if c["passed"] else f"FAIL {c['violations']}"))
-        if c["skipped"]:
-            line += f" (skipped: {c['skipped']})"
-        lines.append(line)
-    _emit(entries, "\n".join(lines), args.format)
+    _emit(entries, "\n".join(map(_congruence_line, entries)), args.format)
     return 0
 
 
@@ -165,33 +156,22 @@ def _cmd_entropy(target, args) -> int:
         raise InvalidSpecFile("entropy applies to single-map specs")
     nz = nielsen_zeta(target.spec, target.mapping)
     asym = asymptotics_entry(target.spec, target.mapping, nz)
-    human = (f"{target.spec.name}: N_infinity = {asym['n_infinity']}, "
-             f"entropy = {asym['entropy']}, radius = {asym['radius']}\n"
-             f"radius check: {asym['radius_check']}")
-    _emit({"name": target.spec.name, **asym}, human, args.format)
+    _emit({"name": target.spec.name, **asym},
+          "\n".join(_asymptotics_lines(asym, target.spec.name)), args.format)
     return 0
 
 
 def _cmd_coincidence(target, args) -> int:
     if isinstance(target, SequenceFixture) or not target.is_coincidence:
         raise InvalidSpecFile("coincidence needs a spec with map and map2")
-    if args.max_n:
-        target = target._replace(
-            options=target.options._replace(n_max=args.max_n))
     doc = {"input": {"name": target.spec.name,
                      "dimension": target.spec.dimension},
            "validation": {"orientable": target.spec.orientable,
                           "holonomy_order": target.spec.order}}
-    doc.update(_coincidence_sections(target))
+    doc.update(_coincidence_sections(target, args.max_n or target.options.n_max))
     num = doc["coincidence_numbers"]
     lines = _numbers_lines(target.spec.name, num, pair=True)
-    tri = doc["trichotomy"]
-    if "skipped" in tri:
-        lines.append(f"trichotomy: skipped ({tri['skipped']})")
-    else:
-        lines.append(f"trichotomy: case {tri['case']}, N(f,g) = "
-                     f"{tri['nielsen']}, signs ({tri['det_diff_sign']}, "
-                     f"{tri['det_sum_sign']})")
+    lines.append(_trichotomy_line(doc["trichotomy"], dims=False))
     _emit(doc, "\n".join(lines), args.format)
     return 0
 

@@ -71,7 +71,7 @@ class NotBlockCompatible(ZetafixError):
 
 class TrichotomyMismatch(ZetafixError):
     """The case-analysis prediction disagrees with the averaged coincidence
-    Nielsen number."""
+    Nielsen number N(f^n, g^n) of some iterate."""
 
 
 class DegenerateFixedSet(ZetafixError):

@@ -29,7 +29,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
-from .algebra import AveragingKernel, RationalMatrix, _gauss_jordan, det
+from .algebra import (AveragingKernel, RationalMatrix, _ScaledPowers, _block_mul,
+                      _gauss_jordan, _scaled_det, _sign)
+# unused here, but bench/test_bench.py checks that zetafix.invariants binds it
+from .algebra import det  # noqa: F401
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch)
@@ -380,6 +383,82 @@ class TrichotomyReport(namedtuple(
     __slots__ = ()
 
 
+class _Trichotomy:
+    """The case analysis of one coincidence pair under cyclic orientable
+    holonomy, at every iterate.  The decomposition, the tau-blocks
+    D_tau and E_tau and the index-2 subgroup are found once; the pair
+    (f^n, g^n) has linear parts (D^n, E^n), whose blocks are the n-th
+    powers of D's and E's, so the case at n comes from the signs of
+    det(E_tau^n -+ D_tau^n), and L and L_0 from the pair kernel's
+    determinants at n.  Raises NotCyclic or NotBlockCompatible where
+    the analysis does not apply.  With B the integer columns of
+    cyclic_decomposition and B^-1 = W / w (adj(B) / det(B) in lowest
+    terms), B^-1 M B is W M_int B / (w q) for M = M_int / q: the blocks
+    are read on that integer form."""
+
+    def __init__(self, spec: ManifoldSpec, map_f: AffineMapSpec,
+                 map_g: AffineMapSpec, kernel: AveragingKernel):
+        self.kernel = kernel
+        dec = cyclic_decomposition(spec)
+        basis = RationalMatrix._from_ints(list(zip(*dec.trivial, *dec.sign,
+                                                   *dec.rotation)))
+        binv = basis.inverse()
+        self.m_triv, self.k_tau = mt, kt = dec.m_triv, dec.k_tau
+        piece = [0] * mt + [1] * kt + [2] * len(dec.rotation)
+
+        def tau_powers(mat: RationalMatrix) -> _ScaledPowers:
+            conj = binv @ mat @ basis
+            x = conj.ints
+            for i, row in enumerate(x):
+                for j, v in enumerate(row):
+                    if v and piece[i] != piece[j]:
+                        raise NotBlockCompatible(
+                            f"linear part does not preserve the isotypic "
+                            f"pieces (entry {i},{j} nonzero)")
+            one = [[[int(i == j) for j in range(kt)] for i in range(kt)]]
+            return _ScaledPowers([[row[mt:mt + kt] for row in x[mt:mt + kt]]],
+                                 one, conj.den, _block_mul)
+
+        self._d, self._e = tau_powers(map_f.linear), tau_powers(map_g.linear)
+        self._half = None
+        if kt:
+            # the index-2 subgroup: powers of the generator's square
+            group = validate_spec(spec)
+            g = dec.generator_label
+            sq = group.products[g, g]
+            half = [group.identity]
+            while (p := group.products[half[-1], sq]) != group.identity:
+                half.append(p)
+            labels = spec.labels()
+            self._half = [labels.index(l) for l in half]
+
+    def at(self, n: int, coin: CoincidenceNumbers) -> TrichotomyReport:
+        """The case and prediction for (f^n, g^n) from L = coin.lefschetz,
+        checked against the averaged N = coin.nielsen; TrichotomyMismatch
+        when they differ."""
+        lef, nielsen = coin.lefschetz, coin.nielsen
+        if not self.k_tau:
+            case, predicted, s1, s2 = 1, abs(lef), 0, 0
+        else:
+            # det(E_tau^n -+ D_tau^n) is det(q^n X_e^n -+ r^n X_d^n) over
+            # (q r)^(n k_tau) > 0, for D_tau = X_d / q and E_tau = X_e / r
+            xd, qn = self._d(n)
+            xe, rn = self._e(n)
+            s1, s2 = (_sign(_scaled_det(qn, xe, v, xd)) for v in (rn, -rn))
+            if s1 * s2 >= 0:
+                case, predicted = 2, abs(lef)
+            else:
+                lef0 = _lefschetz_at(self.kernel, n, self._half)
+                case, predicted = 3, abs(lef0 - lef)
+        if nielsen != predicted:
+            what = "N" if n == 1 else f"N(f^{n}, g^{n})"
+            raise TrichotomyMismatch(
+                f"case {case} predicts {what} = {predicted} but averaging "
+                f"gives {nielsen}")
+        return TrichotomyReport(case, predicted, nielsen, s1, s2,
+                                self.m_triv, self.k_tau)
+
+
 def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
                            map_g: AffineMapSpec) -> TrichotomyReport:
     """Case analysis for coincidence Nielsen numbers under cyclic
@@ -390,61 +469,15 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     |L_0 - L| where L_0 averages over the index-2 subgroup generated by
     the generator's square.  The prediction is cross-checked against
     the averaged Nielsen number; disagreement raises TrichotomyMismatch.
-    L and L_0 are read from the n = 1 determinants of the pair's kernel.
-    With B the integer columns of cyclic_decomposition and B^-1 = W / w
-    (adj(B) / det(B) in lowest terms), B^-1 M B is W M_int B / (w q) for
-    M = M_int / q: the blocks are read on that integer form.
+    L and L_0 are read from the n = 1 determinants of the pair's kernel
+    (see _Trichotomy, which the report also checks every printed
+    iterate with).
     """
     kernel = averaging_kernel(spec, map_f, map_g)
     if not spec.orientable:
         raise ValueError("trichotomy requires an orientable manifold")
-    dec = cyclic_decomposition(spec)
-    basis = RationalMatrix._from_ints(list(zip(*dec.trivial, *dec.sign,
-                                               *dec.rotation)))
-    binv = basis.inverse()
-    mt, kt = dec.m_triv, dec.k_tau
-    piece = [0] * mt + [1] * kt + [2] * len(dec.rotation)
-
-    def blocks(mat: RationalMatrix) -> RationalMatrix:
-        conj = binv @ mat @ basis
-        x = conj.ints
-        for i, row in enumerate(x):
-            for j, v in enumerate(row):
-                if v and piece[i] != piece[j]:
-                    raise NotBlockCompatible(
-                        f"linear part does not preserve the isotypic "
-                        f"pieces (entry {i},{j} nonzero)")
-        return RationalMatrix._from_ints([row[mt:mt + kt] for row in x[mt:mt + kt]],
-                                         conj.den) if kt else None
-
-    d_tau = blocks(map_f.linear)
-    e_tau = blocks(map_g.linear)
-
-    coin = _coincidence_at(kernel, 1, True)
-    lef = coin.lefschetz
-    if kt == 0:
-        case, predicted, s1, s2 = 1, abs(lef), 0, 0
-    else:
-        s1, s2 = ((d > 0) - (d < 0) for d in (det(e_tau - d_tau),
-                                              det(e_tau + d_tau)))
-        if s1 * s2 >= 0:
-            case, predicted = 2, abs(lef)
-        else:
-            # the index-2 subgroup: powers of the generator's square
-            group = validate_spec(spec)
-            g = dec.generator_label
-            sq = group.products[g, g]
-            half = [group.identity]
-            while (p := group.products[half[-1], sq]) != group.identity:
-                half.append(p)
-            labels = spec.labels()
-            lef0 = _lefschetz_at(kernel, 1, [labels.index(l) for l in half])
-            case, predicted = 3, abs(lef0 - lef)
-    if coin.nielsen != predicted:
-        raise TrichotomyMismatch(
-            f"case {case} predicts N = {predicted} but averaging gives "
-            f"{coin.nielsen}")
-    return TrichotomyReport(case, predicted, coin.nielsen, s1, s2, mt, kt)
+    tri = _Trichotomy(spec, map_f, map_g, kernel)
+    return tri.at(1, _coincidence_at(kernel, 1, True))
 
 
 # --------------------------------------------------------------------------

@@ -101,11 +101,6 @@ class RationalFunction:
     def __mul__(self, other):
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other):
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero:
             raise ZeroDivisionError("zero function has no inverse")
@@ -126,34 +121,6 @@ class RationalFunction:
         if as_rational(c) == 0:
             return RationalFunction(num, den)
         return _coprime(num, den)
-
-    def series(self, upto: int) -> list[Fraction]:
-        """Taylor coefficients 0..upto; requires a nonzero constant
-        denominator term."""
-        d = self.den.coeffs
-        if not d or d[0] == 0:
-            raise ZeroDivisionError("function has a pole at 0")
-        n_c = self.num.coeffs
-        out = []
-        for n in range(upto + 1):
-            acc = n_c[n] if n < len(n_c) else Fraction(0)
-            for j in range(1, min(n, len(d) - 1) + 1):
-                acc -= d[j] * out[n - j]
-            out.append(acc / d[0])
-        return out
-
-    def log_derivative_sums(self, upto: int) -> list[Fraction]:
-        """Recover a_1..a_upto with self = exp(sum a_n z^n / n):
-        a_n = n * [z^n] log(self).  Inverse of zeta_from_terms."""
-        f = self.series(upto)
-        if f[0] != 1:
-            raise ValueError("constant term must be 1")
-        a = []
-        for n in range(1, upto + 1):
-            s = n * f[n] - sum(a[k - 1] * f[n - k] for k in range(1, n))
-            a.append(s)
-        return a
-
 
 class SequenceOracle:
     """Deterministic generator n -> a_n (n >= 1), cached, carrying the

@@ -16,8 +16,8 @@ from .algebra import det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
-from .invariants import coincidence_numbers, coincidence_trichotomy, map_context
-from .manifolds import is_virtually_unipotent, validate_spec
+from .invariants import _Trichotomy, coincidence_numbers, map_context
+from .manifolds import averaging_kernel, is_virtually_unipotent, validate_spec
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
                     nielsen_zeta, radius_report, reidemeister_zeta,
@@ -195,36 +195,36 @@ def _numbers_entry(ctx, n_max: int) -> dict:
             "reidemeister": rows[2]}
 
 
-def _coincidence_numbers_entry(parsed: ParsedSpec, n_max: int) -> dict:
+def _coincidence_sections(parsed: ParsedSpec, n_max: int) -> dict:
     """The L, N and R rows of a coincidence pair for n = 1..n_max, all
-    read from the pair's averaging kernel."""
-    spec = parsed.spec
-    table = [coincidence_numbers(spec, parsed.mapping, parsed.mapping2, n)
+    read from the pair's averaging kernel, and the trichotomy record of
+    n = 1.  Where the trichotomy applies, its prediction is checked
+    against every N row (see invariants._Trichotomy)."""
+    spec, map_f, map_g = parsed.spec, parsed.mapping, parsed.mapping2
+    table = [coincidence_numbers(spec, map_f, map_g, n)
              for n in range(1, n_max + 1)]
-    return {
+    doc: dict = {"coincidence_numbers": {
         "n_max": n_max,
         "lefschetz": [c.lefschetz for c in table],
         "nielsen": (["not defined (non-orientable)"] if not spec.orientable
                     else [c.nielsen for c in table]),
         "reidemeister": [_num(c.reidemeister) for c in table],
-    }
-
-
-def _coincidence_sections(parsed: ParsedSpec) -> dict:
-    spec = parsed.spec
-    doc: dict = {"coincidence_numbers": _coincidence_numbers_entry(
-        parsed, parsed.options.n_max)}
+    }}
     if not spec.orientable:
         doc["trichotomy"] = {"skipped": "non-orientable manifold"}
         return doc
     try:
-        tri = coincidence_trichotomy(spec, parsed.mapping, parsed.mapping2)
+        checker = _Trichotomy(spec, map_f, map_g,
+                              averaging_kernel(spec, map_f, map_g))
     except NotCyclic:
         doc["trichotomy"] = {"skipped": "holonomy is not cyclic"}
         return doc
     except NotBlockCompatible as e:
         doc["trichotomy"] = {"skipped": f"not block compatible: {e}"}
         return doc
+    tri = checker.at(1, table[0])
+    for n, c in enumerate(table[1:], 2):
+        checker.at(n, c)
     doc["trichotomy"] = {
         "case": tri.case,
         "nielsen": tri.predicted_nielsen,
@@ -249,7 +249,7 @@ def build_report(parsed: ParsedSpec) -> dict:
         },
     }
     if parsed.is_coincidence:
-        doc.update(_coincidence_sections(parsed))
+        doc.update(_coincidence_sections(parsed, parsed.options.n_max))
     else:
         doc.update(_fixed_point_sections(parsed))
     return doc
@@ -260,18 +260,45 @@ def build_report(parsed: ParsedSpec) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _human_numbers(doc: dict, out: list) -> None:
-    num = doc.get("numbers") or doc.get("coincidence_numbers")
-    if num is None:
-        return
-    coincidence = "coincidence_numbers" in doc
-    out.append("invariants (n = 1..%d)%s:" % (
-        num["n_max"], " for the pair (f, g)" if coincidence else ""))
-    rows = [("L", num["lefschetz"]),
-            ("N", num["nielsen"]),
-            ("R", num["reidemeister"])]
-    for label, vals in rows:
-        out.append(f"  {label}: " + ", ".join(str(v) for v in vals))
+# One helper per kind of line, shared by render_human and the CLI
+# commands, which lead or indent the same text differently.
+
+
+def _number_rows(num: dict, indent: str = "") -> list[str]:
+    """The L, N and R rows of a numbers entry."""
+    return [f"{indent}{key[0].upper()}: " + ", ".join(str(v) for v in num[key])
+            for key in ("lefschetz", "nielsen", "reidemeister")]
+
+
+def _asymptotics_lines(asym: dict, head: str, indent: str = "") -> list[str]:
+    """An asymptotics entry as its growth line, led by head, and its
+    radius-check line."""
+    return [f"{head}: N_infinity = {asym['n_infinity']}, "
+            f"entropy = {asym['entropy']}, radius = {asym['radius']}",
+            f"{indent}radius check: {asym['radius_check']}"]
+
+
+def _congruence_line(c: dict, prefix: str = "", skipped: str = "skipped") -> str:
+    """A congruence entry, with skipped naming its skipped iterates."""
+    where = (f"p={c['p']}, r<={c['r_max']}" if c["kind"] == "Euler"
+             else f"n<={c['n_max']}")
+    line = (f"{prefix}{c['kind']} on {c['sequence']} ({where}): "
+            + ("pass" if c["passed"] else f"FAIL {c['violations']}"))
+    if c["skipped"]:
+        line += f" ({skipped}: {c['skipped']})"
+    return line
+
+
+def _trichotomy_line(tri: dict, dims: bool = True) -> str:
+    """A trichotomy section, with the trivial and sign dimensions when
+    dims is set."""
+    if "skipped" in tri:
+        return f"trichotomy: skipped ({tri['skipped']})"
+    line = (f"trichotomy: case {tri['case']}, N(f,g) = {tri['nielsen']}, "
+            f"signs ({tri['det_diff_sign']}, {tri['det_sum_sign']})")
+    if dims:
+        line += f", trivial/sign dims ({tri['trivial_dim']}, {tri['sign_dim']})"
+    return line
 
 
 def render_human(doc: dict) -> str:
@@ -280,7 +307,12 @@ def render_human(doc: dict) -> str:
            f"{doc['validation']['holonomy_order']}, "
            + ("orientable" if doc["validation"]["orientable"]
               else "non-orientable") + ")"]
-    _human_numbers(doc, out)
+    num = doc.get("numbers") or doc.get("coincidence_numbers")
+    if num is not None:
+        out.append("invariants (n = 1..%d)%s:" % (
+            num["n_max"], " for the pair (f, g)" if "coincidence_numbers" in doc
+            else ""))
+        out += _number_rows(num, "  ")
     for z in doc.get("zetas", ()):
         if z["defined"]:
             out.append(f"{z['which']} zeta: {z['function']}   "
@@ -298,26 +330,12 @@ def render_human(doc: dict) -> str:
                        f", degree = {fe['degree']}, case = {fe['case']}")
     asym = doc.get("asymptotics")
     if asym is not None:
-        out.append(f"asymptotics: N_infinity = {asym['n_infinity']}, "
-                   f"entropy = {asym['entropy']}, radius = {asym['radius']}")
-        out.append(f"  radius check: {asym['radius_check']}")
-    for c in doc.get("congruences", ()):
-        where = (f"p={c['p']}, r<={c['r_max']}" if c["kind"] == "Euler"
-                 else f"n<={c['n_max']}")
-        line = (f"congruence {c['kind']} on {c['sequence']} ({where}): "
-                + ("pass" if c["passed"] else f"FAIL {c['violations']}"))
-        if c["skipped"]:
-            line += f" (skipped n with infinite terms: {c['skipped']})"
-        out.append(line)
+        out += _asymptotics_lines(asym, "asymptotics", "  ")
+    out += [_congruence_line(c, "congruence ", "skipped n with infinite terms")
+            for c in doc.get("congruences", ())]
     tri = doc.get("trichotomy")
     if tri is not None:
-        if "skipped" in tri:
-            out.append(f"trichotomy: skipped ({tri['skipped']})")
-        else:
-            out.append(f"trichotomy: case {tri['case']}, N(f,g) = "
-                       f"{tri['nielsen']}, signs ({tri['det_diff_sign']}, "
-                       f"{tri['det_sum_sign']}), trivial/sign dims "
-                       f"({tri['trivial_dim']}, {tri['sign_dim']})")
+        out.append(_trichotomy_line(tri))
     diag = doc.get("diagnostics")
     if diag is not None:
         out.append("diagnostics:")

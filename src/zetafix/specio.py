@@ -250,6 +250,3 @@ def serialize_spec(parsed: ParsedSpec) -> dict:
     }
     return data
 
-
-def write_spec_file(parsed: ParsedSpec, path) -> None:
-    Path(path).write_text(json.dumps(serialize_spec(parsed), indent=2) + "\n")

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import tempfile
@@ -5,10 +6,11 @@ import tempfile
 import pytest
 from hypothesis import settings
 
+import _fraction_ref as ref
 import zetafix.algebra
 import zetafix.invariants
 import zetafix.manifolds
-from zetafix import load_fixture
+from zetafix import RationalMatrix, load_fixture, serialize_spec
 
 # Property tests draw the same examples on every run and keep no example
 # database.
@@ -60,6 +62,23 @@ def _record_calls(monkeypatch, home, name) -> list:
             if value is orig:
                 monkeypatch.setattr(mod, attr, recorded)
     return calls
+
+
+def write_spec(parsed, path) -> None:
+    """Write parsed to path as a spec file, in serialize_spec's form."""
+    path.write_text(json.dumps(serialize_spec(parsed), indent=2) + "\n")
+
+
+def scalar_matrix(dim: int, c) -> RationalMatrix:
+    """c * I of size dim."""
+    return RationalMatrix([[c if i == j else 0 for j in range(dim)]
+                           for i in range(dim)])
+
+
+def log_sums(f, upto: int) -> list:
+    """a_1..a_upto with the rational function f = exp(sum a_n z^n / n),
+    from the plain-Fraction reference."""
+    return ref.log_derivative_sums(f.num.coeffs, f.den.coeffs, upto)
 
 
 FIXED_POINT_NAMES = (

@@ -13,7 +13,7 @@ import pytest
 import zetafix
 import zetafix.algebra
 import zetafix.invariants
-from conftest import _record_calls
+from conftest import _record_calls, write_spec
 from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
                      load_fixture)
 from zetafix.cli import main
@@ -375,6 +375,22 @@ class TestTermsPastTheWindow:
         assert out.splitlines()[1] == "L: " + ", ".join(map(str, lefschetz))
 
 
+class TestCoincidenceIterates:
+    """Every printed coincidence N row is checked against the
+    trichotomy's prediction, by each command that prints one."""
+
+    @pytest.mark.parametrize("argv", [("report",), ("numbers",), ("coincidence",),
+                                      ("numbers", "--max-n", "3")])
+    def test_planted_iterate_exits_4(self, monkeypatch, capsys, argv):
+        orig = zetafix.invariants._nielsen_at
+        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
+                            lambda kernel, n: orig(kernel, n) + (n == 3))
+        code, out, err = run_main(capsys, argv[0], "halfturn_coincidence", *argv[1:])
+        assert (code, out) == (4, "")
+        assert err == ("cross-check failed: TrichotomyMismatch: case 2 predicts "
+                       "N(f^3, g^3) = 793 but averaging gives 794\n")
+
+
 class TestCommands:
     def test_numbers_human(self, capsys):
         code, out, _ = run_main(capsys, "numbers", "klein_bottle_ex1",
@@ -395,11 +411,10 @@ class TestCommands:
             "reidemeister": [4, "inf", 16]}
 
     def test_numbers_non_orientable_pair(self, capsys, tmp_path, ex1):
-        from zetafix import AffineMapSpec, ParsedSpec, write_spec_file
+        from zetafix import AffineMapSpec, ParsedSpec
         path = tmp_path / "klein_pair.json"
         ident = AffineMapSpec.make("g", [[1, 0], [0, 1]])
-        write_spec_file(ParsedSpec(ex1.spec, ex1.mapping, ident, ex1.options),
-                        path)
+        write_spec(ParsedSpec(ex1.spec, ex1.mapping, ident, ex1.options), path)
         code, out, _ = run_main(capsys, "numbers", str(path), "--max-n", "3")
         assert code == 0
         assert out == ("klein_bottle_ex1, pair (f, g), n = 1..3\n"
@@ -485,9 +500,8 @@ class TestCommands:
                        "trichotomy: case 2, N(f,g) = 13, signs (1, 1)\n")
 
     def test_validate_spec_file(self, capsys, tmp_path, ex3):
-        from zetafix import write_spec_file
         path = tmp_path / "h.json"
-        write_spec_file(ex3, path)
+        write_spec(ex3, path)
         code, out, _ = run_main(capsys, "validate", str(path))
         assert code == 0 and out.startswith("OK: heisenberg_ex3")
 

@@ -22,10 +22,18 @@ and at the largest n <= 30 where R(f^n) is finite.  A fault that does
 not apply to a problem (no nonzero determinant, or no finite R(f^n)) is
 not generated for it.
 
-Two faults are left out.  R averages |det(A - D^n)|, so a sign flip of
-det(A - D^n) changes no number and cannot show.  A wrong coincidence
-term past n = 1 is printed unchecked: coincidence iterates have no
-second route yet, a known open defect, so that plant would pass.
+One fault is left out: R averages |det(A - D^n)|, so a sign flip of
+det(A - D^n) changes no number and cannot show.
+
+Coincidence pairs get two more, on halfturn_coincidence and on the
+pairs of _corpus.random_coincidence_instances(0, 40) where the
+trichotomy applies (orientable, cyclic, block compatible), each of
+which must raise TrichotomyMismatch:
+
+5. add 1 to the averaged N(f^n, g^n), at n = 3 and at n = n_max;
+6. flip the sign of one nonzero det(E^n - A D^n) at n = 3, chosen so
+   that the averages stay integers and the predicted |L| (or |L_0 - L|
+   in case 3) moves away from N, which a sign flip leaves alone.
 """
 
 import math
@@ -35,9 +43,10 @@ import pytest
 import zetafix.algebra
 import zetafix.invariants
 import zetafix.manifolds
-from _corpus import ladder_instances
+from _corpus import ladder_instances, random_coincidence_instances
 from conftest import FIXED_POINT_NAMES
-from zetafix import ParsedSpec, ZetafixError, build_report, load_fixture
+from zetafix import (NotBlockCompatible, NotCyclic, ParsedSpec, TrichotomyMismatch,
+                     ZetafixError, build_report, load_fixture)
 from zetafix.report import CONGRUENCE_N_MAX
 
 PROBLEMS = {name: load_fixture(name) for name in FIXED_POINT_NAMES}
@@ -103,3 +112,80 @@ def test_every_problem_and_fault_is_planted():
     assert len(shifted) == 18
     for fault in ("flip-fixed", "move-fixed", "move-shifted", "zero-shifted"):
         assert any(f"-{fault}-" in i for i in ids)
+
+
+PAIRS = {"halfturn_coincidence": load_fixture("halfturn_coincidence")}
+PAIRS.update((f"{spec.name}:{f.label}", ParsedSpec(spec, f, g))
+             for spec, f, g in random_coincidence_instances(0, 40))
+
+
+def _flip(dets: list, den: int, k: int, members) -> int | None:
+    """The trichotomy's |L|, or |L_0 - L| with members the index-2
+    subgroup, after flipping the sign of dets[k]; None when an average
+    is no longer an integer."""
+    dets = [-v if i == k else v for i, v in enumerate(dets)]
+    averages = []
+    for part in (dets, None if members is None else [dets[i] for i in members]):
+        if part is not None:
+            q, r = divmod(sum(part), den * len(part))
+            if r:
+                return None
+            averages.append(q)
+    return abs(averages[0]) if len(averages) == 1 else abs(averages[1] - averages[0])
+
+
+def _coincidence_faults():
+    """pytest params (pair, fault, n, index) on the pairs where the
+    trichotomy applies, computed on an unplanted kernel."""
+    out = []
+    for name, parsed in PAIRS.items():
+        spec, f, g = parsed.spec, parsed.mapping, parsed.mapping2
+        kernel = zetafix.manifolds.averaging_kernel(spec, f, g)
+        try:
+            tri = zetafix.invariants._Trichotomy(spec, f, g, kernel)
+        except (NotCyclic, NotBlockCompatible):
+            continue
+        for n in (3, parsed.options.n_max):
+            out.append(pytest.param(name, "plus-one", n, None,
+                                    id=f"{name}-plus-one-{n}"))
+        rec = tri.at(3, zetafix.invariants._coincidence_at(kernel, 3, True))
+        members = tri._half if rec.case == 3 else None
+        dets, den = kernel.fixed_point_dets(3)
+        index = next((k for k, v in enumerate(dets)
+                      if v and _flip(dets, den, k, members) not in
+                      (None, rec.averaged_nielsen)), None)
+        if index is not None:
+            out.append(pytest.param(name, "flip", 3, index, id=f"{name}-flip-3"))
+    zetafix.manifolds.averaging_kernel.cache_clear()
+    return out
+
+
+@pytest.mark.parametrize("name,fault,n,index", _coincidence_faults())
+def test_planted_coincidence_fault_raises(monkeypatch, name, fault, n, index):
+    if fault == "plus-one":
+        orig = zetafix.invariants._nielsen_at
+        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
+                            lambda kernel, m: orig(kernel, m) + (m == n))
+    else:
+        orig = zetafix.algebra.AveragingKernel.fixed_point_dets
+
+        def planted(kernel, m):
+            dets, den = orig(kernel, m)
+            if m != n:
+                return dets, den
+            return [-v if k == index else v for k, v in enumerate(dets)], den
+
+        monkeypatch.setattr(zetafix.algebra.AveragingKernel, "fixed_point_dets",
+                            planted)
+    with pytest.raises(TrichotomyMismatch):
+        build_report(PAIRS[name])
+
+
+def test_every_coincidence_pair_and_fault_is_planted():
+    ids = [p.id for p in _coincidence_faults()]
+    plus_one = {i.rsplit("-plus-one-", 1)[0] for i in ids if "-plus-one-" in i}
+    flips = {i.rsplit("-flip-", 1)[0] for i in ids if "-flip-" in i}
+    # the trichotomy applies to the halfturn pair and all 40 corpus pairs;
+    # 30 of them have a sign flip that moves the prediction
+    assert "halfturn_coincidence" in plus_one and flips <= plus_one
+    assert (len(plus_one), len(flips)) == (41, 30)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import zetafix
 
-# bench/test_bench.py checks that zetafix.cli binds invariants.lefschetz,
-# so cli imports it without reading it.
-ALLOWED = {("cli", "lefschetz")}
+# bench/test_bench.py checks that zetafix.cli binds invariants.lefschetz
+# and that zetafix.invariants binds algebra.det, so each imports the name
+# without reading it.
+ALLOWED = {("cli", "lefschetz"), ("invariants", "det")}
 
 
 def _imported(tree) -> set:

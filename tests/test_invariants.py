@@ -16,7 +16,7 @@ from _corpus import (brute_force_torus_count, coincidence_product_instances,
                      isotypic_mixing_instance, product_instances,
                      random_coincidence_instances, random_instances,
                      random_integer_matrices, rref)
-from conftest import FIXED_POINT_NAMES
+from conftest import FIXED_POINT_NAMES, log_sums
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NielsenFormulaMismatch, NonIntegralLefschetz, NonIntegralNielsen,
                      NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
@@ -120,7 +120,7 @@ class TestSignFormula:
 
     @staticmethod
     def _sign_formula_numbers(spec, mapping, upto=12):
-        return nielsen_zeta(spec, mapping).function.log_derivative_sums(upto)
+        return log_sums(nielsen_zeta(spec, mapping).function, upto)
 
     def test_klein_bottle(self, ex1):
         assert self._sign_formula_numbers(ex1.spec, ex1.mapping) == \
@@ -184,7 +184,7 @@ class TestProductManifolds:
 
     def test_nielsen_zeta_meets_the_averages(self):
         for (spec, mapping), _, _ in product_instances(0, 30):
-            assert nielsen_zeta(spec, mapping).function.log_derivative_sums(12) \
+            assert log_sums(nielsen_zeta(spec, mapping).function, 12) \
                 == [nielsen(spec, mapping, k) for k in range(1, 13)]
 
     @pytest.mark.parametrize("seed", range(3))

@@ -12,7 +12,7 @@ import zetafix.manifolds
 import zetafix.zetas
 from _corpus import (CYCLIC_ORIENTABLE, GROUPS, compatible,
                      isotypic_mixing_instance, random_instances, rref)
-from conftest import FIXED_POINT_NAMES, _record_calls
+from conftest import FIXED_POINT_NAMES, _record_calls, scalar_matrix
 from zetafix import (AffineMapSpec, DimensionMismatch, ManifoldSpec, NotAGroup,
                      NonInvariantSubspace, Polynomial, RationalMatrix,
                      build_report, builtin_fixtures, char_poly,
@@ -209,7 +209,7 @@ class TestExteriorRanks:
             total = exterior_power(mats[0], i)
             for a in mats[1:]:
                 total = total + exterior_power(a, i)
-            avg = total.scale(Fraction(1, len(mats)))
+            avg = total @ scalar_matrix(total.dim, Fraction(1, len(mats)))
             ranks.append(len(rref(avg.rows, avg.dim)[1]))
         return ranks
 

@@ -166,11 +166,14 @@ class TestSharedContext:
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES + ("halfturn_coincidence",))
     def test_no_holonomy_determinant_after_parsing(self, monkeypatch, name):
         # parsing validated the holonomy and decided its orientability;
-        # the report reads that decision instead of taking det(A) again
+        # the report reads that decision instead of taking det(A) again.
+        # A fixed-point report takes det(D); a coincidence report takes no
+        # det at all, since the trichotomy reads its tau determinants on
+        # integer forms.
         parsed = load_fixture(name)
         taken = _record_calls(monkeypatch, zetafix.algebra, "det")
         build_report(parsed)
-        assert taken
+        assert bool(taken) != parsed.is_coincidence
         assert not any(m is a for m, in taken for _, a in parsed.spec.holonomy)
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
@@ -458,12 +461,13 @@ class TestIntegerInput:
     def test_zeta_and_coincidence_layers_build_no_fraction(
             self, monkeypatch, name):
         # A Fraction is charged to the innermost of these functions on the
-        # stack; det, which returns one, takes the trichotomy's two tau
-        # determinants.
+        # stack; det, which returns one, takes the degree det(D) of a map.
+        # The trichotomy reads its tau determinants on integer forms.
         scopes = {f.__code__: f.__name__ for f in (
             zetafix.ratfunc.zeta_from_terms, zetafix.report._zeta_entry,
             zetafix.invariants.cyclic_decomposition,
-            zetafix.invariants.coincidence_trichotomy, zetafix.algebra.det)}
+            zetafix.invariants._Trichotomy.__init__,
+            zetafix.invariants._Trichotomy.at, zetafix.algebra.det)}
         parsed = load_fixture(name)
         made = []
         new = Fraction.__new__

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_spec
 from zetafix import (InvalidSpecFile, NonInvariantSubspace, RationalMatrix,
                      build_report, load_fixture, parse_spec_data,
-                     parse_spec_file, serialize_spec, validate_spec,
-                     write_spec_file)
+                     parse_spec_file, serialize_spec, validate_spec)
 from zetafix.cli import main
 from zetafix.errors import ZetafixError
 from zetafix.specio import N_MAX_CEILING, SpecOptions, check_n_max
@@ -60,7 +60,7 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path, ex3):
         path = tmp_path / "spec.json"
-        write_spec_file(ex3, path)
+        write_spec(ex3, path)
         assert parse_spec_file(path) == ex3
 
     def test_fraction_entries_round_trip(self):
