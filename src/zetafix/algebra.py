@@ -748,26 +748,9 @@ def _scaled_det(u: int, x, v: int, y) -> int:
     return out
 
 
-def _diagonal_det(u: int, x, v: int, y) -> int:
-    """Integer determinant of u*x - v*y for diagonal x and y given by
-    their diagonal entries: the product of the entrywise differences,
-    stopping at the first that vanishes."""
-    out = 1
-    for a, b in zip(x, y):
-        out *= u * a - v * b
-        if not out:
-            break
-    return out
-
-
 def _diagonal_entries(m) -> list[int]:
     """The diagonal of a square matrix given by its rows."""
     return [row[i] for i, row in enumerate(m)]
-
-
-def _diagonal_mul(x, y) -> list[int]:
-    """Product of two diagonal matrices given by their diagonal entries."""
-    return list(map(operator.mul, x, y))
 
 
 def _block_mul(x, y) -> list[list[list[int]]]:
@@ -775,18 +758,29 @@ def _block_mul(x, y) -> list[list[list[int]]]:
     return [_int_matmul(a, b) for a, b in zip(x, y)]
 
 
-class _ScaledPowers:
-    """n -> (M_int^n, q^n) for M = M_int / q, with M_int^n kept in the
-    kernel's form (diagonal entries or diagonal blocks); each new iterate
-    costs one product in that form."""
+def _trace(m) -> int:
+    return sum(_diagonal_entries(m))
 
-    def __init__(self, base, one, q: int, mul):
-        self._base, self._q, self._mul = base, q, mul
+
+def _block_traces(x, b) -> tuple:
+    """det(x), then [tr(x), tr(x b)] and [tr(adj x), tr(adj(x) b)], for
+    integer blocks x and b of size 1 or 2."""
+    adj = [[1]] if len(x) == 1 else [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
+    return (_bareiss_det([list(r) for r in x]),
+            tuple([_trace(y), _trace(_int_matmul(y, b))] for y in (x, adj)))
+
+
+class _ScaledPowers:
+    """n -> (M_int^n, q^n) for M = M_int / q, with M_int^n kept by
+    diagonal blocks; each new iterate costs one product of blocks."""
+
+    def __init__(self, base, one, q: int):
+        self._base, self._q = base, q
         self._powers = [one]
 
     def __call__(self, n: int):
         while len(self._powers) <= n:
-            self._powers.append(self._mul(self._powers[-1], self._base))
+            self._powers.append(_block_mul(self._powers[-1], self._base))
         return self._powers[n], self._q ** n
 
 
@@ -795,28 +789,28 @@ class AveragingKernel:
     group, for the iterates of one linear part D, in integer arithmetic.
 
     Every holonomy element A is converted once to A_int / s, with one
-    common s, and D once to D_int / q; D^n is kept as (D_int^n, q^n).
-    Each determinant is the integer determinant of the matrix scaled to
-    integers, and is returned as a numerator over a denominator that all
-    holonomy elements share, so that averages can be taken exactly.
-    With a target E, the fixed-point determinants det(I - A D^n) become
-    the coincidence ones det(E^n - A D^n).  Both
-    lists are kept per n on the instance, so every sequence read from
-    one kernel takes each determinant once.
+    common s, D to D_int / q and a target E to E_int / r.  Each
+    determinant is an integer numerator over a denominator that all
+    elements share, so averages are exact; with a target, det(I - A D^n)
+    becomes det(E^n - A D^n).  fixed_point_dets(ns) and shifted_dets(ns)
+    read a range or list of iterates: the missing ones are filled in one
+    pass and kept per n, so each determinant is taken once.
 
-    The holonomy, D and E are found once to be block diagonal on common
-    index sets (a dense problem is one block), and the block sizes
-    choose one of two paths.  When every block has size 1, each matrix
-    is kept as its diagonal, D^n and E^n as diagonals, and a
-    determinant is one product of scalars: with c = s q^n and E^n =
-    E_int^n / r^n, det(I - A D^n) has numerator prod_i (c e_i - r^n a_i
-    p_i) over (r^n c)^dim, and det(A - D^n) has prod_i (q^n a_i - s p_i)
-    over (s q^n)^dim.  Otherwise every product and determinant is taken
-    block by block, and a determinant is the product of its block
-    determinants: blocks of size 1 to 3 have their products and
-    determinants written out in closed form, larger blocks take inner
-    products and Bareiss elimination.  Either path stops a product at
-    its first zero factor, and both give the same integers.
+    The holonomy, D and E are split once into common diagonal blocks,
+    which choose the path; c = s q^n below.
+    - Traces: blocks of size 1 or 2, with no target unless all have size
+      1 (a diagonal problem, whose sequences are its running diagonal).
+      No power of D is formed.  With t = tr D_b and delta = det D_b (D_b
+      and 0 for size 1), tau_n = tr(A_b D_b^n) and sigma_n =
+      tr(adj(A_b) D_b^n) obey u_n = t u_(n-1) - delta u_(n-2), kept once
+      per distinct block.  A 2 x 2 block gives det(c I - A_b D_b^n) =
+      c^2 - c tau_n + det(A_b) delta^n and det(q^n A_b - s D_b^n) =
+      q^(2n) det(A_b) - q^n s sigma_n + s^2 delta^n; a 1 x 1 block gives
+      c E_b^n - r^n tau_n and q^n A_b - s sigma_n.  The two kinds read
+      different traces, so R(f^n) stays a check of N(f^n).
+    - Powers (any other target, or a block of size 3 or more): D^n and
+      E^n are kept by blocks, and each determinant is the product of
+      its blocks', closed forms to size 3 and Bareiss beyond.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,
@@ -826,49 +820,94 @@ class AveragingKernel:
         e = linear if target is None else target
         blocks = _diagonal_blocks(hol + [linear.ints, e.ints], dim)
         self._diagonal = len(blocks) == dim
-        if self._diagonal:
-            form, one, mul = _diagonal_entries, [1] * dim, _diagonal_mul
-        else:
-            form = partial(_split, blocks=blocks)
-            one = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]
-                   for b in blocks]
-            mul = _block_mul
-        self._d = _ScaledPowers(form(linear.ints), one, linear.den, mul)
-        self._e = None if target is None else _ScaledPowers(form(e.ints), one,
-                                                            e.den, mul)
+        self._fixed: dict[int, tuple[list[int], int]] = {}
+        self._shifted: dict[int, tuple[list[int], int]] = {}
+        self._traces = None
+        if max(map(len, blocks)) <= 2 and (target is None or self._diagonal):
+            self._q, self._r = linear.den, 1 if target is None else target.den
+            d_blocks = _split(linear.ints, blocks)
+            # per block: size, u_n = t u_(n-1) - delta u_(n-2), and E's entry
+            self._rec = [(len(b), _trace(b), _bareiss_det([list(r) for r in b])
+                          if len(b) == 2 else 0, 1 if target is None else
+                          target.ints[i[0]][i[0]]) for b, i in zip(d_blocks, blocks)]
+            self._traces, shared = [], {}   # equal blocks share their sequences
+            for a in hol:
+                row = []
+                for i, (x, b) in enumerate(zip(_split(a, blocks), d_blocks)):
+                    if (i, str(x)) not in shared:
+                        shared[i, str(x)] = _block_traces(x, b)
+                    row.append(shared[i, str(x)])
+                self._traces.append(row)
+            return
+        form = partial(_split, blocks=blocks)
+        one = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]
+               for b in blocks]
+        self._d = _ScaledPowers(form(linear.ints), one, linear.den)
+        self._e = None if target is None else _ScaledPowers(form(e.ints), one, e.den)
         self._hol = [form(a) for a in hol]
         ident = RationalMatrix.identity(dim).ints
         self._skip = [a == ident for a in hol]           # A_int P is P
-        self._fixed: dict[int, tuple[list[int], int]] = {}
-        self._shifted: dict[int, tuple[list[int], int]] = {}
 
-    def fixed_point_dets(self, n: int) -> tuple[list[int], int]:
-        """Numerators of det(E^n - A D^n), E = I unless a target was
-        given, one per holonomy element, and their common denominator.
-        The list is shared between callers and must not be changed."""
-        if n not in self._fixed:
+    def fixed_point_dets(self, ns) -> list[tuple[list[int], int]]:
+        """For each iterate n of ns: the numerators of det(E^n - A D^n),
+        E = I unless a target was given, one per holonomy element, and
+        their common denominator.  The lists are shared between callers
+        and must not be changed."""
+        return self._read(self._fixed, False, ns)
+
+    def shifted_dets(self, ns) -> list[tuple[list[int], int]]:
+        """For each iterate n of ns: the numerators of det(A - D^n), one
+        per holonomy element, and their common denominator (s q^n)^dim."""
+        return self._read(self._shifted, True, ns)
+
+    def _read(self, cache: dict, shifted: bool, ns) -> list:
+        missing = list(itertools.filterfalse(cache.__contains__, ns))
+        if missing:
+            fill = self._block_dets if self._traces is None else self._trace_dets
+            cache.update(zip(missing, fill(missing, shifted)))
+        return list(map(cache.__getitem__, ns))
+
+    def _trace_dets(self, ns: list[int], shifted: bool) -> list:
+        s, m = self._s, len(ns)
+        qn = [self._q ** n for n in ns]
+        cs, rn = [s * q for q in qn], [self._r ** n for n in ns]
+        columns, factors = [], {}   # factors: per shared sequence, over ns
+        for row in self._traces:
+            dets = [1] * m
+            for (det_a, seqs), (k, t, delta, e) in zip(row, self._rec):
+                if id(seqs) not in factors:
+                    u = seqs[shifted]
+                    while len(u) <= ns[-1]:
+                        u.append(t * u[-1] - delta * u[-2])
+                    u = list(map(u.__getitem__, ns))
+                    if k == 1:
+                        f = ([q * det_a - s * v for q, v in zip(qn, u)] if shifted else
+                             [c * e ** n - r * v for c, r, n, v in zip(cs, rn, ns, u)])
+                    elif shifted:
+                        f = [q * (q * det_a - s * v) + s * s * delta ** n
+                             for q, v, n in zip(qn, u, ns)]
+                    else:
+                        f = [c * (c - v) + det_a * delta ** n for c, v, n in zip(cs, u, ns)]
+                    factors[id(seqs)] = f
+                dets = list(map(operator.mul, dets, factors[id(seqs)]))
+            columns.append(dets)
+        return list(zip(map(list, zip(*columns)), [
+            (c if shifted else r * c) ** self._dim for r, c in zip(rn, cs)]))
+
+    def _block_dets(self, ns: list[int], shifted: bool) -> list:
+        s, out = self._s, []
+        for n in ns:
             p, qn = self._d(n)
+            c = s * qn
+            if shifted:
+                out.append(([_scaled_det(qn, a, s, p) for a in self._hol],
+                            c ** self._dim))
+                continue
             e, rn = self._d(0) if self._e is None else self._e(n)  # I = I_int / 1
-            c = self._s * qn             # A D^n = A_int P / c
-            if self._diagonal:
-                mul = operator.mul
-                dets = [_diagonal_det(c, e, rn, p if skip else map(mul, a, p))
-                        for a, skip in zip(self._hol, self._skip)]
-            else:
-                dets = [_scaled_det(c, e, rn, p if skip else _block_mul(a, p))
-                        for a, skip in zip(self._hol, self._skip)]
-            self._fixed[n] = dets, (rn * c) ** self._dim
-        return self._fixed[n]
-
-    def shifted_dets(self, n: int) -> tuple[list[int], int]:
-        """Numerators of det(A - D^n), one per holonomy element, and
-        their common denominator (s q^n)^dim."""
-        if n not in self._shifted:
-            p, qn = self._d(n)
-            det_ = _diagonal_det if self._diagonal else _scaled_det
-            self._shifted[n] = ([det_(qn, a, self._s, p) for a in self._hol],
-                                (self._s * qn) ** self._dim)
-        return self._shifted[n]
+            out.append(([_scaled_det(c, e, rn, p if skip else _block_mul(a, p))
+                         for a, skip in zip(self._hol, self._skip)],
+                        (rn * c) ** self._dim))
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -973,14 +1012,18 @@ def _float_roots(c, quantity: str):
     from numpy, the one place the package uses it; numpy is imported on
     the first call, so importing the package does not load it.  numpy
     gets the correctly rounded quotients c_i / lead; one beyond the
-    float range raises OutOfFloatRange, naming the quantity."""
-    import numpy
+    float range raises OutOfFloatRange, naming the quantity.  A linear
+    c has the root -(c_0 / c_1), the float that numpy's 1 x 1 companion
+    matrix gives, without numpy."""
     try:
+        if len(c) == 2:
+            return [-(c[0] / c[1])]
         floats = [x / c[-1] for x in reversed(c)]
     except OverflowError:
         raise OutOfFloatRange(f"cannot compute {quantity} in floating point: "
                               "its polynomial has a coefficient beyond the "
                               "float range (about 1.8e308)") from None
+    import numpy
     return numpy.roots(floats)
 
 

@@ -84,7 +84,7 @@ def check_gauss(seq: SequenceOracle, n_max: int,
     sums, which are then not reported."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a = [None] + [seq(m) for m in range(1, n_max + 1)]
+    a = [None] + seq.terms(n_max)
     skip = [False] * (n_max + 1)
     for k in range(1, n_max + 1):
         if a[k] == math.inf:

@@ -25,11 +25,13 @@ split.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
-from .algebra import (AveragingKernel, RationalMatrix, _ScaledPowers, _block_mul,
+from .algebra import (AveragingKernel, RationalMatrix, _ScaledPowers,
                       _gauss_jordan, _scaled_det, _sign)
 # unused here, but bench/test_bench.py checks that zetafix.invariants binds it
 from .algebra import det  # noqa: F401
@@ -86,18 +88,20 @@ def _average(dets, den: int, err) -> int:
     return q
 
 
-def _lefschetz_at(kernel: AveragingKernel, n: int, members=None) -> int:
-    """L(f^n), or with members (indices into the holonomy) the signed
-    average over that subgroup alone, read from the same determinants."""
-    dets, den = kernel.fixed_point_dets(n)
-    if members is not None:
-        dets = [dets[i] for i in members]
-    return _average(dets, den, NonIntegralLefschetz)
+def _lefschetz_terms(kernel: AveragingKernel, lo: int, hi: int,
+                     members=None) -> list[int]:
+    """L(f^n) for n = lo..hi, or with members (indices into the
+    holonomy) the signed averages over that subgroup alone, read from
+    the same determinants."""
+    return [_average(dets if members is None else [dets[i] for i in members],
+                     den, NonIntegralLefschetz)
+            for dets, den in kernel.fixed_point_dets(range(lo, hi + 1))]
 
 
-def _nielsen_at(kernel: AveragingKernel, n: int) -> int:
-    dets, den = kernel.fixed_point_dets(n)
-    return _average([abs(v) for v in dets], den, NonIntegralNielsen)
+def _nielsen_terms(kernel: AveragingKernel, lo: int, hi: int) -> list[int]:
+    """N(f^n) for n = lo..hi."""
+    return [_average([abs(v) for v in dets], den, NonIntegralNielsen)
+            for dets, den in kernel.fixed_point_dets(range(lo, hi + 1))]
 
 
 def lefschetz(spec: ManifoldSpec, mapping: AffineMapSpec, n: int = 1) -> int:
@@ -140,31 +144,34 @@ class ZetaResult(namedtuple("ZetaResult", "which function construction")):
     __slots__ = ()
 
 
-def _reidemeister_at(kernel: AveragingKernel, n_seq: SequenceOracle, n: int):
-    """R(f^n) from det(A - D^n), math.inf when one vanishes.  Inversion
-    permutes the holonomy, and det(A - D^n) = det(A) det(I - A^-1 D^n),
-    so a finite R(f^n) that is not N(f^n), N's tail included, raises
-    NielsenFormulaMismatch, and so does an infinite one unless some
-    det(I - B D^n) vanishes too."""
-    dets, den = kernel.shifted_dets(n)
-    if 0 in dets:
-        if 0 not in kernel.fixed_point_dets(n)[0]:
+def _reidemeister_terms(kernel: AveragingKernel, n_seq: SequenceOracle,
+                        lo: int, hi: int) -> list:
+    """R(f^n) for n = lo..hi from det(A - D^n), math.inf when one
+    vanishes.  Inversion permutes the holonomy, and det(A - D^n) =
+    det(A) det(I - A^-1 D^n), so a finite R(f^n) that is not N(f^n),
+    N's tail included, raises NielsenFormulaMismatch, and so does an
+    infinite one unless some det(I - B D^n) vanishes too."""
+    out = [math.inf if 0 in dets else
+           _average([abs(v) for v in dets], den, NonIntegralNielsen)
+           for dets, den in kernel.shifted_dets(range(lo, hi + 1))]
+    infinite = [n for n, r in zip(range(lo, hi + 1), out) if r == math.inf]
+    for n, (dets, _) in zip(infinite, kernel.fixed_point_dets(infinite)):
+        if 0 not in dets:
             raise NielsenFormulaMismatch(
                 f"R(f^{n}) is infinite, but no det(I - A D^{n}) vanishes")
-        return math.inf
-    r = _average([abs(v) for v in dets], den, NonIntegralNielsen)
-    if r != n_seq(n):
-        raise NielsenFormulaMismatch(
-            f"R(f^{n}) = {r} differs from N(f^{n}) = {n_seq(n)}")
-    return r
+    for n, r in zip(range(lo, hi + 1), out):
+        if r != math.inf and r != (v := n_seq(n)):
+            raise NielsenFormulaMismatch(f"R(f^{n}) = {r} differs from N(f^{n}) = {v}")
+    return out
 
 
-def _twisted_at(kernel: AveragingKernel, members, n: int) -> int:
-    """L(f+^n) - L(f^n), both averages read from the kernel's
-    determinants: reading L(f^n) through its oracle past L's window
-    would certify the Lefschetz zeta, which the twisted zeta does not
-    need."""
-    return _lefschetz_at(kernel, n, members) - _lefschetz_at(kernel, n)
+def _twisted_terms(kernel: AveragingKernel, members, lo: int, hi: int) -> list[int]:
+    """L(f+^n) - L(f^n) for n = lo..hi, both averages read from the
+    kernel's determinants: reading L(f^n) through its oracle past L's
+    window would certify the Lefschetz zeta, which the twisted zeta does
+    not need."""
+    return list(map(operator.sub, _lefschetz_terms(kernel, lo, hi, members),
+                    _lefschetz_terms(kernel, lo, hi)))
 
 
 def _sign_formula_zeta(source: SequenceOracle, split: PlusSplit,
@@ -183,17 +190,18 @@ def _sign_formula_zeta(source: SequenceOracle, split: PlusSplit,
         if got.den != p.den or got.ints != tuple(c * sigma ** k for k, c in enumerate(p.ints)):
             raise NielsenFormulaMismatch(
                 f"sign-formula zeta {formula} is not ({zeta})(({sigma})z)^{eps}")
-    for n in range(1, 3 * b + 5):
-        if n_seq(n) != (want := eps * sigma ** n * source(n)):
+    top = 3 * b + 4
+    for n, got, s in zip(range(1, top + 1), n_seq.terms(top), source.terms(top)):
+        if got != (want := eps * sigma ** n * s):
             raise NielsenFormulaMismatch(
-                f"N(f^{n}) = {n_seq(n)} differs from the sign formula's {want}")
+                f"N(f^{n}) = {got} differs from the sign formula's {want}")
     return formula
 
 
 def _oracle(spec: ManifoldSpec, mapping: AffineMapSpec, kind: str, fn, bound: int,
             zeta=None) -> SequenceOracle:
-    return SequenceOracle(fn, bound, name=f"{kind}:{spec.name}:{mapping.label}",
-                          zeta=zeta)
+    return SequenceOracle.from_ranges(fn, bound, f"{kind}:{spec.name}:{mapping.label}",
+                                      zeta)
 
 
 class MapContext:
@@ -210,13 +218,18 @@ class MapContext:
     them.  An oracle holds the kernel and sibling oracles, never the
     context, so a context is freed as soon as it is dropped.  Obtain it
     from map_context, so that every caller asking about the same problem
-    shares one instance."""
+    shares one instance.
+
+    The oracles take range functions over the kernel: fn(lo, hi)
+    averages the determinants of n = lo..hi, which the kernel fills in
+    one pass (by trace recurrences for blocks of size 1 and 2, by powers
+    otherwise; see AveragingKernel), and readers take seq.terms(n)."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):
         self.spec, self.mapping = spec, mapping
         self.kernel = kernel = averaging_kernel(spec, mapping)
         e, o = ranks = exterior_ranks(spec)
-        self.l_seq = _oracle(spec, mapping, "lefschetz", partial(_lefschetz_at, kernel),
+        self.l_seq = _oracle(spec, mapping, "lefschetz", partial(_lefschetz_terms, kernel),
                              zeta_degree_bound(spec, ranks), zeta_from_terms)
         self.split = split = compute_plus_split(spec, mapping)
         self.twisted_seq = None
@@ -226,13 +239,13 @@ class MapContext:
             e_plus, o_plus = exterior_ranks(spec, plus)
             ranks = e_plus - e, o_plus - o
             self.twisted_seq = source = _oracle(
-                spec, mapping, "lefschetz-twisted", partial(_twisted_at, kernel, plus),
+                spec, mapping, "lefschetz-twisted", partial(_twisted_terms, kernel, plus),
                 zeta_degree_bound(spec, ranks), zeta_from_terms)
         bound = zeta_degree_bound(spec, ranks, invertible=True)
-        self.n_seq = _oracle(spec, mapping, "nielsen", partial(_nielsen_at, kernel),
+        self.n_seq = _oracle(spec, mapping, "nielsen", partial(_nielsen_terms, kernel),
                              bound, partial(_sign_formula_zeta, source, split))
         self.r_seq = _oracle(spec, mapping, "reidemeister",
-                             partial(_reidemeister_at, kernel, self.n_seq), bound)
+                             partial(_reidemeister_terms, kernel, self.n_seq), bound)
 
     @cached_property
     def definedness(self) -> ZetaDefinedness:
@@ -304,23 +317,34 @@ class CoincidenceNumbers(namedtuple("CoincidenceNumbers",
 def coincidence_numbers(spec: ManifoldSpec, map_f: AffineMapSpec,
                         map_g: AffineMapSpec, n: int = 1) -> CoincidenceNumbers:
     """Averaged coincidence invariants of the iterate pair (f^n, g^n):
-    determinants det(E^n - A D^n) over the holonomy."""
+    determinants det(E^n - A D^n) over the holonomy.  Where the
+    trichotomy applies (orientable, cyclic holonomy, block compatible
+    maps), N is checked against its prediction at n, and a mismatch
+    raises TrichotomyMismatch."""
     kernel = averaging_kernel(spec, map_f, map_g)
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    return _coincidence_at(kernel, n, spec.orientable)
+    coin, = _coincidence_terms(kernel, n, n, spec.orientable)
+    with suppress(NotCyclic, NotBlockCompatible):   # where it does not apply
+        if spec.orientable:
+            _Trichotomy(spec, map_f, map_g, kernel).at(n, coin)
+    return coin
 
 
-def _coincidence_at(kernel: AveragingKernel, n: int,
-                    orientable: bool) -> CoincidenceNumbers:
-    """L, N and R from one |det| average: R is N's average unless a
-    determinant vanishes, and that average is taken only when N or R
-    needs it."""
-    lef = _lefschetz_at(kernel, n)
-    infinite = 0 in kernel.fixed_point_dets(n)[0]
-    avg = _nielsen_at(kernel, n) if orientable or not infinite else None
-    return CoincidenceNumbers(lef, avg if orientable else None,
-                              math.inf if infinite else avg)
+def _coincidence_terms(kernel: AveragingKernel, lo: int, hi: int,
+                       orientable: bool) -> list[CoincidenceNumbers]:
+    """L, N and R for n = lo..hi, unchecked, each from one |det|
+    average: R is N's average unless a determinant vanishes, and that
+    average is taken only when N or R needs it."""
+    out = []
+    for dets, den in kernel.fixed_point_dets(range(lo, hi + 1)):
+        lef = _average(dets, den, NonIntegralLefschetz)
+        infinite = 0 in dets
+        avg = (_average([abs(v) for v in dets], den, NonIntegralNielsen)
+               if orientable or not infinite else None)
+        out.append(CoincidenceNumbers(lef, avg if orientable else None,
+                                      math.inf if infinite else avg))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +441,7 @@ class _Trichotomy:
                             f"pieces (entry {i},{j} nonzero)")
             one = [[[int(i == j) for j in range(kt)] for i in range(kt)]]
             return _ScaledPowers([[row[mt:mt + kt] for row in x[mt:mt + kt]]],
-                                 one, conj.den, _block_mul)
+                                 one, conj.den)
 
         self._d, self._e = tau_powers(map_f.linear), tau_powers(map_g.linear)
         self._half = None
@@ -448,7 +472,7 @@ class _Trichotomy:
             if s1 * s2 >= 0:
                 case, predicted = 2, abs(lef)
             else:
-                lef0 = _lefschetz_at(self.kernel, n, self._half)
+                lef0, = _lefschetz_terms(self.kernel, n, n, self._half)
                 case, predicted = 3, abs(lef0 - lef)
         if nielsen != predicted:
             what = "N" if n == 1 else f"N(f^{n}, g^{n})"
@@ -477,7 +501,7 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
     if not spec.orientable:
         raise ValueError("trichotomy requires an orientable manifold")
     tri = _Trichotomy(spec, map_f, map_g, kernel)
-    return tri.at(1, _coincidence_at(kernel, 1, True))
+    return tri.at(1, _coincidence_terms(kernel, 1, 1, True)[0])
 
 
 # --------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def reidemeister_zeta_defined(spec: ManifoldSpec,
     if not mapping.spectrum.root_of_unity_eigenvalue:
         return ZetaDefinedness("defined")
     for n in range(1, max_root_of_unity_order(spec.dimension) + 1):
-        dets, _ = kernel.fixed_point_dets(n)
+        (dets, _), = kernel.fixed_point_dets([n])
         for (l, _), v in zip(spec.holonomy, dets):
             if v == 0:
                 return ZetaDefinedness("undefined", witness_n=n, witness_label=l)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import filterfalse
 
 from .algebra import (Polynomial, _float_roots, _int_poly_mul,
                       _int_squarefree, _primitive, as_rational, poly_gcd)
@@ -126,6 +127,12 @@ class SequenceOracle:
     """Deterministic generator n -> a_n (n >= 1), cached, carrying the
     degree bound (an int >= 1) used for rational reconstruction.
 
+    fn(n) makes one term; an oracle built by from_ranges takes fn(lo,
+    hi), which returns a_lo..a_hi as a list.  seq(n) reads one term and
+    makes only that one.  seq.terms(n) returns [a_1, ..., a_n] and
+    makes the missing ones in one call of fn, from the first missing
+    index on, so a reader of many terms pays one call.
+
     zeta, if given, maps the oracle to its zeta P/Q certified on the
     window 3B + 4 under the oracle's own bound B (as zeta_from_terms
     does).  It is called the first time zeta is read or a term past the
@@ -137,12 +144,20 @@ class SequenceOracle:
     def __init__(self, fn, degree_bound: int, name: str = "", zeta=None):
         if degree_bound < 1:
             raise ValueError("degree_bound must be >= 1")
-        self._fn = fn
+        self._fn = lambda lo, hi: [fn(n) for n in range(lo, hi + 1)]
         self.degree_bound = int(degree_bound)
         self.name = name
         self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
         self._certify = zeta
         self._zeta = self._pq = None    # the zeta once certified; its P Q
+
+    @classmethod
+    def from_ranges(cls, fn, degree_bound: int, name: str = "",
+                    zeta=None) -> "SequenceOracle":
+        """An oracle whose fn(lo, hi) returns a_lo..a_hi as a list."""
+        seq = cls(fn, degree_bound, name, zeta)
+        seq._fn = fn
+        return seq
 
     def __call__(self, n: int):
         if n < 1:
@@ -151,16 +166,29 @@ class SequenceOracle:
             if self._certify is not None and n > 3 * self.degree_bound + 4:
                 self._extend(n)
             else:
-                self._cache[n] = self._fn(n)
+                self._cache[n] = self._fn(n, n)[0]
         return self._cache[n]
+
+    def terms(self, n: int) -> list:
+        """[a_1, ..., a_n].  The missing terms of the window are made by
+        one call of fn, from the first missing index on; the tail past
+        the window is read through self(n), off the certified zeta."""
+        cache = self._cache
+        top = n if self._certify is None else min(n, 3 * self.degree_bound + 4)
+        lo = next(filterfalse(cache.__contains__, range(1, top + 1)), None)
+        if lo is not None:
+            for k, v in zip(range(lo, top + 1), self._fn(lo, top)):
+                cache.setdefault(k, v)
+        if n > top:
+            self(n)
+        return list(map(cache.__getitem__, range(1, n + 1)))
 
     @property
     def zeta(self) -> RationalFunction:
         """The certified zeta, built on first read."""
         if self._zeta is None:
             zeta = self._certify(self)
-            for n in range(1, 3 * self.degree_bound + 5):
-                self(n)                 # the tail recurrence reads them all
+            self.terms(3 * self.degree_bound + 4)   # the tail recurrence reads them all
             self._zeta = zeta
         return self._zeta
 
@@ -366,7 +394,7 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
         raise ValueError("degree bound must be >= 1")
     top = 3 * b + 4
     f, scale = _exponential([a if isinstance(a, int) else as_rational(a)
-                             for a in map(seq, range(1, top + 1))])
+                             for a in seq.terms(top)])
     fit = _modular_fit(f, b, top) if scale == 1 else None
     if fit is None:
         fit = _exact_fit(f, b, top)

@@ -16,7 +16,7 @@ from .algebra import det
 from .congruences import check_euler, check_gauss
 from .errors import (NotBlockCompatible, NotConstantRatio, NotCyclic,
                      ZetaUndefined)
-from .invariants import _Trichotomy, coincidence_numbers, map_context
+from .invariants import _coincidence_terms, _Trichotomy, map_context
 from .manifolds import averaging_kernel, is_virtually_unipotent, validate_spec
 from .specio import ParsedSpec, serialize_spec
 from .zetas import (artin_mazur_zeta, asymptotic_nielsen, entropy_lower_bound,
@@ -77,7 +77,7 @@ def _congruence_battery(ctx, n_max: int = CONGRUENCE_N_MAX) -> list:
     gauss = check_gauss(ctx.n_seq, n_max)
     # r_seq checks every finite R(f^n) against N(f^n) as it is read, so
     # with no infinite term R's sieve is N's
-    if math.inf in [ctx.r_seq(n) for n in range(1, n_max + 1)]:
+    if math.inf in ctx.r_seq.terms(n_max):
         r_gauss = check_gauss(ctx.r_seq, n_max)
     else:
         r_gauss = gauss
@@ -189,20 +189,20 @@ def _fixed_point_sections(parsed: ParsedSpec) -> dict:
 def _numbers_entry(ctx, n_max: int) -> dict:
     """The L, N and R rows of one map for n = 1..n_max, read from its
     shared context."""
-    rows = [[_num(seq(n)) for n in range(1, n_max + 1)]
+    rows = [list(map(_num, seq.terms(n_max)))
             for seq in (ctx.l_seq, ctx.n_seq, ctx.r_seq)]
     return {"n_max": n_max, "lefschetz": rows[0], "nielsen": rows[1],
             "reidemeister": rows[2]}
 
 
 def _coincidence_sections(parsed: ParsedSpec, n_max: int) -> dict:
-    """The L, N and R rows of a coincidence pair for n = 1..n_max, all
-    read from the pair's averaging kernel, and the trichotomy record of
-    n = 1.  Where the trichotomy applies, its prediction is checked
-    against every N row (see invariants._Trichotomy)."""
+    """The L, N and R rows of a coincidence pair for n = 1..n_max, read
+    as one range from the pair's averaging kernel, and the trichotomy
+    record of n = 1.  Where the trichotomy applies, its prediction is
+    checked against every N row (see invariants._Trichotomy)."""
     spec, map_f, map_g = parsed.spec, parsed.mapping, parsed.mapping2
-    table = [coincidence_numbers(spec, map_f, map_g, n)
-             for n in range(1, n_max + 1)]
+    kernel = averaging_kernel(spec, map_f, map_g)
+    table = _coincidence_terms(kernel, 1, n_max, spec.orientable)
     doc: dict = {"coincidence_numbers": {
         "n_max": n_max,
         "lefschetz": [c.lefschetz for c in table],
@@ -214,8 +214,7 @@ def _coincidence_sections(parsed: ParsedSpec, n_max: int) -> dict:
         doc["trichotomy"] = {"skipped": "non-orientable manifold"}
         return doc
     try:
-        checker = _Trichotomy(spec, map_f, map_g,
-                              averaging_kernel(spec, map_f, map_g))
+        checker = _Trichotomy(spec, map_f, map_g, kernel)
     except NotCyclic:
         doc["trichotomy"] = {"skipped": "holonomy is not cyclic"}
         return doc

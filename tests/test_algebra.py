@@ -7,10 +7,14 @@ import importlib
 import inspect
 import itertools
 import math
+import os
 import pickle
 import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ import zetafix
 from _corpus import product_instances, random_instances
 from conftest import scalar_matrix as _scalar
 from zetafix import algebra
+from zetafix.errors import OutOfFloatRange
 from zetafix import (PlusSplit, Polynomial, RationalMatrix, as_rational,
                      char_poly, classify_eigenvalues, compute_plus_split,
                      det, exterior_power, has_root_of_unity_eigenvalue,
@@ -1166,6 +1171,41 @@ class TestIntegerSpectralLayer:
 def _package_modules():
     return [importlib.import_module(f"zetafix.{info.name}")
             for info in pkgutil.iter_modules(zetafix.__path__)]
+
+
+class TestLinearFloatRoots:
+    """A linear polynomial is rooted without numpy: -(c_0 / c_1) is the
+    float of numpy's 1 x 1 companion matrix, bit for bit."""
+
+    def test_matches_numpy_roots(self):
+        rng = random.Random(35)
+        for _ in range(4000):
+            bits = rng.choice((4, 53, 64, 300, 1000))
+            c = [rng.randint(1, 2 ** bits) * rng.choice((1, -1)),
+                 rng.randint(1, 2 ** bits) * rng.choice((1, -1))]
+            got = algebra._float_roots(c, "the test value")
+            want = np.roots([x / c[-1] for x in reversed(c)])
+            assert len(got) == len(want) == 1
+            assert got[0].hex() == float(want[0]).hex(), c
+
+    def test_overflow_raises_the_same_error(self):
+        for c in ([10 ** 400, 1], [3, 10 ** 400, 1]):
+            with pytest.raises(OutOfFloatRange, match=r"^cannot compute the test value in "
+                               r"floating point: its polynomial has a coefficient "
+                               r"beyond the float range \(about 1\.8e308\)$"):
+                algebra._float_roots(c, "the test value")
+
+    def test_linear_radius_loads_no_numpy(self):
+        # klein_bottle_ex1's radius and entropy read linear factors only
+        code = ("import sys, zetafix; zetafix.algebra._float_roots([3, 2], 'x'); "
+                "zetafix.build_report(zetafix.load_fixture('klein_bottle_ex1')); "
+                "print('numpy' in sys.modules)")
+        env = dict(os.environ)
+        src = str(Path(zetafix.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout == "False\n"
 
 
 class TestFloatBoundary:

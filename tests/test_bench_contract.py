@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import zetafix
 import zetafix.algebra
 import zetafix.cli
 import zetafix.invariants
+import zetafix.manifolds
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER_PATH = BENCH / "tracer.py"
@@ -62,6 +64,28 @@ def test_det_bound_where_the_benchmark_expects():
              and mod is not None
              and any(v is det for v in vars(mod).values())}
     assert bound == _bench_det_bindings()
+
+
+def test_traced_report_smoke_run(tracer):
+    # one report per builtin fixture with the tracer installed, as
+    # bench/run.py --trace 1 runs them
+    zetafix.invariants.map_context.cache_clear()
+    zetafix.manifolds.averaging_kernel.cache_clear()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for request, fx in enumerate(zetafix.builtin_fixtures().values()):
+            if hasattr(fx, "spec"):
+                t.request = request
+                zetafix.build_report(fx)
+    finally:
+        t.uninstall()
+    agg = t.aggregate()
+    assert agg[tracer.ORACLE_SPAN]["calls"] > 0 and t.lookups > 0
+    assert agg["algebra.matmul"]["calls"] > 0
+    assert agg["ratfunc.zeta_from_terms"]["calls"] > 0 and t.reconstructions > 0
+    # bench/run.py reads numpy's version after its timed loop
+    assert "numpy" in sys.modules
 
 
 def test_cli_binds_lefschetz():

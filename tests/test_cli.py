@@ -13,6 +13,7 @@ import pytest
 import zetafix
 import zetafix.algebra
 import zetafix.invariants
+import zetafix.report
 from conftest import _record_calls, write_spec
 from zetafix import (NielsenFormulaMismatch, build_report, builtin_fixtures,
                      load_fixture)
@@ -239,6 +240,27 @@ class TestExitCodes:
             assert err.startswith("error:"), argv
 
 
+def _plant_shifted(monkeypatch, n, fault):
+    """Replace the det(A - D^n) list of iterate n by fault(dets, den), for
+    every reader of the kernel's range path."""
+    orig = zetafix.algebra.AveragingKernel.shifted_dets
+
+    def shifted_dets(self, ns):
+        return [(fault(dets, den), den) if m == n else (dets, den)
+                for m, (dets, den) in zip(ns, orig(self, ns))]
+
+    monkeypatch.setattr(zetafix.algebra.AveragingKernel, "shifted_dets", shifted_dets)
+
+
+def _skew_shifted(monkeypatch, n):
+    # one det(A - D^n) moved by |Phi| times the common denominator: the
+    # average stays an integer and grows by one
+    def skew(dets, den):
+        step = den * len(dets) * (1 if dets[0] >= 0 else -1)
+        return [dets[0] + step] + dets[1:]
+    _plant_shifted(monkeypatch, n, skew)
+
+
 class TestReidemeisterCrossCheck:
     """Every finite R(f^n), averaged from det(A - D^n), is compared with
     N(f^n), averaged from det(I - A D^n)."""
@@ -247,17 +269,7 @@ class TestReidemeisterCrossCheck:
     def skewed(self, monkeypatch):
         # one det(A - D^2) moved by |Phi| times the common denominator:
         # the average stays an integer, one larger than N(f^2) = 24
-        kernel = zetafix.algebra.AveragingKernel
-        orig = kernel.shifted_dets
-
-        def shifted_dets(self, n):
-            dets, den = orig(self, n)
-            if n != 2:
-                return dets, den
-            step = den * len(dets) * (1 if dets[0] >= 0 else -1)
-            return [dets[0] + step] + dets[1:], den
-
-        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+        _skew_shifted(monkeypatch, 2)
 
     def test_report_raises(self, skewed, ex3):
         with pytest.raises(NielsenFormulaMismatch,
@@ -276,14 +288,7 @@ class TestReidemeisterCrossCheck:
                                                            capsys):
         # one nonzero det(A - D) set to 0 would print R(f) = inf beside
         # N(f) = 1, though no det(I - A D) vanishes
-        kernel = zetafix.algebra.AveragingKernel
-        orig = kernel.shifted_dets
-
-        def shifted_dets(self, n):
-            dets, den = orig(self, n)
-            return ([0] + dets[1:], den) if n == 1 else (dets, den)
-
-        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+        _plant_shifted(monkeypatch, 1, lambda dets, den: [0] + dets[1:])
         code, out, err = run_main(capsys, "report", "torus_cat_map")
         assert (code, out) == (4, "")
         assert err == ("cross-check failed: NielsenFormulaMismatch: "
@@ -301,8 +306,9 @@ class TestTermsPastTheWindow:
         def plant(name, k, d=22):
             orig = getattr(zetafix.invariants, name)
 
-            def faulty(kernel, n, *members):
-                return orig(kernel, n, *members) + d * (n == k and not members)
+            def faulty(kernel, lo, hi, *members):
+                return [v + d * (n == k and not members) for n, v in
+                        enumerate(orig(kernel, lo, hi, *members), lo)]
 
             monkeypatch.setattr(zetafix.invariants, name, faulty)
         return plant
@@ -310,7 +316,7 @@ class TestTermsPastTheWindow:
     @pytest.mark.parametrize("name, k", [
         # klein_bottle_ex1 has window 10; its report's table reads L and
         # N to 12, R(f^12) is infinite, and only N(f^11) meets R
-        ("_lefschetz_at", 11), ("_nielsen_at", 11), ("_nielsen_at", 12)])
+        ("_lefschetz_terms", 11), ("_nielsen_terms", 11), ("_nielsen_terms", 12)])
     def test_planted_fault_past_the_window_is_never_made(
             self, planted, capsys, name, k):
         runs = [("report", "klein_bottle_ex1", "--format", "json"),
@@ -326,7 +332,7 @@ class TestTermsPastTheWindow:
     def test_failed_certificate_exits_4_every_time(self, planted, capsys):
         # a fault in the Nielsen window fails the sign formula's check; a
         # second command in the same process meets the same failure
-        planted("_nielsen_at", 9, 1)
+        planted("_nielsen_terms", 9, 1)
         zetafix.invariants.map_context.cache_clear()
         for argv in (("report", "klein_bottle_ex1"), ("report", "klein_bottle_ex1"),
                      ("numbers", "klein_bottle_ex1", "--max-n", "20")):
@@ -342,17 +348,7 @@ class TestTermsPastTheWindow:
         ex3 = zetafix.load_fixture("heisenberg_ex3")
         ctx = zetafix.invariants.map_context(ex3.spec, ex3.mapping)
         assert 3 * ctx.n_seq.degree_bound + 4 < 20 <= 30
-        kernel = zetafix.algebra.AveragingKernel
-        orig = kernel.shifted_dets
-
-        def shifted_dets(self, n):
-            dets, den = orig(self, n)
-            if n != 20:
-                return dets, den
-            step = den * len(dets) * (1 if dets[0] >= 0 else -1)
-            return [dets[0] + step] + dets[1:], den
-
-        monkeypatch.setattr(kernel, "shifted_dets", shifted_dets)
+        _skew_shifted(monkeypatch, 20)
         with pytest.raises(NielsenFormulaMismatch, match=r"R\(f\^20\) = \d+ differs"):
             build_report(ex3)
 
@@ -382,9 +378,15 @@ class TestCoincidenceIterates:
     @pytest.mark.parametrize("argv", [("report",), ("numbers",), ("coincidence",),
                                       ("numbers", "--max-n", "3")])
     def test_planted_iterate_exits_4(self, monkeypatch, capsys, argv):
-        orig = zetafix.invariants._nielsen_at
-        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
-                            lambda kernel, n: orig(kernel, n) + (n == 3))
+        orig = zetafix.invariants._coincidence_terms
+
+        def planted(kernel, lo, hi, orientable):
+            return [c._replace(nielsen=c.nielsen + 1) if n == 3 else c
+                    for n, c in enumerate(orig(kernel, lo, hi, orientable), lo)]
+
+        # the report reads the pair's rows through its own binding
+        for module in (zetafix.invariants, zetafix.report):
+            monkeypatch.setattr(module, "_coincidence_terms", planted)
         code, out, err = run_main(capsys, argv[0], "halfturn_coincidence", *argv[1:])
         assert (code, out) == (4, "")
         assert err == ("cross-check failed: TrichotomyMismatch: case 2 predicts "

@@ -2,11 +2,12 @@
 determinants must make build_report raise a typed error.
 
 The faults are planted by wrapping AveragingKernel.fixed_point_dets or
-AveragingKernel.shifted_dets so that one iterate's list comes back with
-one entry changed, for every reader.  They run on the fixed-point
-fixtures and on the 13 ladder rungs of seed 0, so both kernel paths are
-covered: the ladder and half the fixtures are diagonal, the rest take
-the block path.  With Phi the holonomy and den the list's common
+AveragingKernel.shifted_dets, which read ranges of iterates, so that
+one iterate's list comes back with one entry changed, for every reader
+and whatever range it reads.  They run on the fixed-point fixtures and
+on the 13 ladder rungs of seed 0, all on the kernel's traces path: the
+ladder and half the fixtures are diagonal (1 x 1 blocks), the rest have
+a 2 x 2 block.  With Phi the holonomy and den the list's common
 denominator, a change of |Phi| den moves the average by exactly 1, so
 no integrality check can catch it.
 
@@ -24,6 +25,12 @@ not generated for it.
 
 One fault is left out: R averages |det(A - D^n)|, so a sign flip of
 det(A - D^n) changes no number and cannot show.
+
+Two more go into the traces path's recurrences, on the fixtures:
++1 on tau_n = tr(A D^n) of one element and block at one n
+inside the Lefschetz window, and +1 on sigma_n = tr(adj(A) D^n) at the
+largest n in (3 B_N + 4, 30] where R(f^n) is finite; each must raise a
+typed error.
 
 Coincidence pairs get two more, on halfturn_coincidence and on the
 pairs of _corpus.random_coincidence_instances(0, 40) where the
@@ -43,6 +50,7 @@ import pytest
 import zetafix.algebra
 import zetafix.invariants
 import zetafix.manifolds
+import zetafix.report
 from _corpus import ladder_instances, random_coincidence_instances
 from conftest import FIXED_POINT_NAMES
 from zetafix import (NotBlockCompatible, NotCyclic, ParsedSpec, TrichotomyMismatch,
@@ -60,7 +68,7 @@ def _faults():
     for name, parsed in PROBLEMS.items():
         ctx = zetafix.invariants.MapContext(parsed.spec, parsed.mapping)
         for n in (1, 3 * ctx.l_seq.degree_bound + 4):
-            dets = ctx.kernel.fixed_point_dets(n)[0]
+            (dets, _), = ctx.kernel.fixed_point_dets([n])
             nonzero = next((k for k, v in enumerate(dets) if v), None)
             for fault, index in (("flip", nonzero), ("move", 0)):
                 if index is not None:
@@ -88,19 +96,83 @@ def _planted(fault: str, value: int, shift: int) -> int:
 @pytest.mark.parametrize("name,fault,method,n,index", _faults())
 def test_planted_fault_raises(monkeypatch, name, fault, method, n, index):
     parsed = PROBLEMS[name]
-    orig = getattr(zetafix.algebra.AveragingKernel, method)
 
-    def planted(kernel, m):
-        dets, den = orig(kernel, m)
-        if m != n:
-            return dets, den
+    def change(dets, den):
         dets = list(dets)
         dets[index] = _planted(fault, dets[index], len(dets) * den)
-        return dets, den
+        return dets
 
-    monkeypatch.setattr(zetafix.algebra.AveragingKernel, method, planted)
+    _plant(monkeypatch, method, n, change)
     with pytest.raises(ZetafixError):
         build_report(parsed)
+
+
+def _plant(monkeypatch, method, n, change):
+    """Replace iterate n's list of AveragingKernel.<method> by
+    change(dets, den) in every range read."""
+    orig = getattr(zetafix.algebra.AveragingKernel, method)
+
+    def planted(kernel, ns):
+        return [(change(dets, den), den) if m == n else (dets, den)
+                for m, (dets, den) in zip(ns, orig(kernel, ns))]
+
+    monkeypatch.setattr(zetafix.algebra.AveragingKernel, method, planted)
+
+
+def _recurrence_faults():
+    """pytest params (problem, kind, n) for the fixtures: +1 on tau_n
+    (kind 0) inside the Lefschetz window, +1 on sigma_n (kind 1) at the
+    largest n in (3 B_N + 4, 30] with a finite R(f^n); each only where
+    it changes a determinant (on identity_torus every det(I - A D^n)
+    has the factor 0 of a block that is left alone)."""
+    out = []
+    for name in FIXED_POINT_NAMES:
+        parsed = PROBLEMS[name]
+        ctx = zetafix.invariants.MapContext(parsed.spec, parsed.mapping)
+        past = [n for n in range(3 * ctx.n_seq.degree_bound + 5, CONGRUENCE_N_MAX + 1)
+                if ctx.r_seq(n) != math.inf]
+        for kind, n in [(0, 3 * ctx.l_seq.degree_bound + 3)] + [(1, n) for n in past[-1:]]:
+            read = [_kernel(parsed, plant) for plant in (None, (kind, n))]
+            if len({str((k.shifted_dets if kind else k.fixed_point_dets)([n]))
+                    for k in read}) == 2:
+                out.append(pytest.param(name, kind, n,
+                                        id=f"{name}-{('tau', 'sigma')[kind]}"))
+    zetafix.invariants.map_context.cache_clear()
+    zetafix.manifolds.averaging_kernel.cache_clear()
+    return out
+
+
+def _kernel(parsed, plant):
+    """The problem's shared kernel, with plant = (kind, n) adding 1 to
+    tau_n (kind 0) or sigma_n (kind 1) of its first element and block,
+    after the sequences are extended past 30."""
+    zetafix.manifolds.averaging_kernel.cache_clear()
+    kernel = zetafix.manifolds.averaging_kernel(parsed.spec, parsed.mapping)
+    if plant is not None:
+        kind, n = plant
+        kernel._trace_dets([CONGRUENCE_N_MAX + 1], bool(kind))
+        kernel._traces[0][0][1][kind][n] += 1
+    return kernel
+
+
+@pytest.mark.parametrize("name,kind,n", _recurrence_faults())
+def test_planted_recurrence_fault_raises(name, kind, n):
+    # the report reads the shared kernel, planted here
+    parsed = PROBLEMS[name]
+    zetafix.invariants.map_context.cache_clear()
+    _kernel(parsed, (kind, n))
+    try:
+        with pytest.raises(ZetafixError):
+            build_report(parsed)
+    finally:
+        zetafix.invariants.map_context.cache_clear()
+        zetafix.manifolds.averaging_kernel.cache_clear()
+
+
+def test_every_recurrence_fault_is_planted():
+    ids = [p.id for p in _recurrence_faults()]
+    assert {i.rsplit("-", 1)[0] for i in ids} == set(FIXED_POINT_NAMES) - {"identity_torus"}
+    assert sum(i.endswith("-sigma") for i in ids) >= 3
 
 
 def test_every_problem_and_fault_is_planted():
@@ -148,9 +220,9 @@ def _coincidence_faults():
         for n in (3, parsed.options.n_max):
             out.append(pytest.param(name, "plus-one", n, None,
                                     id=f"{name}-plus-one-{n}"))
-        rec = tri.at(3, zetafix.invariants._coincidence_at(kernel, 3, True))
+        rec = tri.at(3, zetafix.invariants._coincidence_terms(kernel, 3, 3, True)[0])
         members = tri._half if rec.case == 3 else None
-        dets, den = kernel.fixed_point_dets(3)
+        (dets, den), = kernel.fixed_point_dets([3])
         index = next((k for k, v in enumerate(dets)
                       if v and _flip(dets, den, k, members) not in
                       (None, rec.averaged_nielsen)), None)
@@ -163,20 +235,18 @@ def _coincidence_faults():
 @pytest.mark.parametrize("name,fault,n,index", _coincidence_faults())
 def test_planted_coincidence_fault_raises(monkeypatch, name, fault, n, index):
     if fault == "plus-one":
-        orig = zetafix.invariants._nielsen_at
-        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
-                            lambda kernel, m: orig(kernel, m) + (m == n))
+        orig = zetafix.invariants._coincidence_terms
+
+        def planted(kernel, lo, hi, orientable):
+            return [c._replace(nielsen=c.nielsen + 1) if m == n else c
+                    for m, c in enumerate(orig(kernel, lo, hi, orientable), lo)]
+
+        # the report reads the pair's rows through its own binding
+        for module in (zetafix.invariants, zetafix.report):
+            monkeypatch.setattr(module, "_coincidence_terms", planted)
     else:
-        orig = zetafix.algebra.AveragingKernel.fixed_point_dets
-
-        def planted(kernel, m):
-            dets, den = orig(kernel, m)
-            if m != n:
-                return dets, den
-            return [-v if k == index else v for k, v in enumerate(dets)], den
-
-        monkeypatch.setattr(zetafix.algebra.AveragingKernel, "fixed_point_dets",
-                            planted)
+        _plant(monkeypatch, "fixed_point_dets", n,
+               lambda dets, den: [-v if k == index else v for k, v in enumerate(dets)])
     with pytest.raises(TrichotomyMismatch):
         build_report(PAIRS[name])
 

@@ -27,7 +27,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      build_report, lefschetz_sequence, load_fixture, nielsen,
                      nielsen_sequence, nielsen_zeta, reidemeister,
                      reidemeister_sequence, torus_periodic_points,
-                     TrichotomyReport, validate_spec)
+                     TrichotomyMismatch, TrichotomyReport, validate_spec)
 from zetafix.algebra import _diagonal_blocks, _integer_form
 
 
@@ -231,8 +231,9 @@ class TestReidemeisterEqualsNielsen:
         # det(A - D^n) without one among the det(I - B D^n) is a fault
         orig = zetafix.algebra.AveragingKernel.shifted_dets
         monkeypatch.setattr(zetafix.algebra.AveragingKernel, "shifted_dets",
-                            lambda kernel, n: ([0], orig(kernel, n)[1]) if n == 3
-                            else orig(kernel, n))
+                            lambda kernel, ns: [([0], den) if n == 3 else (dets, den)
+                                                for n, (dets, den) in
+                                                zip(ns, orig(kernel, ns))])
         assert reidemeister(cat.spec, cat.mapping, 2) == 5
         with pytest.raises(NielsenFormulaMismatch) as err:
             reidemeister(cat.spec, cat.mapping, 3)
@@ -242,8 +243,8 @@ class TestReidemeisterEqualsNielsen:
     def test_infinite_r_with_a_vanishing_fixed_point_determinant(self, ex1):
         kernel = zetafix.manifolds.averaging_kernel(ex1.spec, ex1.mapping)
         for n in range(1, 9):
-            zero = 0 in kernel.shifted_dets(n)[0]
-            assert zero == (0 in kernel.fixed_point_dets(n)[0]) == (n % 2 == 0)
+            zero = 0 in kernel.shifted_dets([n])[0][0]
+            assert zero == (0 in kernel.fixed_point_dets([n])[0][0]) == (n % 2 == 0)
             assert (reidemeister(ex1.spec, ex1.mapping, n) == math.inf) == zero
 
 
@@ -389,11 +390,15 @@ class TestIntegerKernel:
 
 
 class TestIdentitySkip:
-    """On integral holonomy (common denominator s = 1) the identity's
-    A_int D^n is D^n itself: the kernel takes that product for every
-    other element and skips it for the identity alone.  The block path
-    counts it in block products; a problem whose blocks all have size 1
-    takes the diagonal path, which calls no _int_matmul at all."""
+    """The kernel forms no product it can do without.  A fixed-point
+    problem whose blocks all have size 1 or 2 takes the traces path (a
+    diagonal one with 1 x 1 blocks): it calls _int_matmul only for the
+    recurrences' initial terms tau_1 and sigma_1, once per distinct
+    block of the holonomy when it is built, and no product while it
+    fills any range of iterates.  On the powers path,
+    which a dense coincidence target forces (one block), the identity's
+    A_int D^n is D^n itself on integral holonomy: the product is taken
+    for every other element and skipped for the identity alone."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_only_the_identity_product_is_skipped(self, monkeypatch, name):
@@ -402,21 +407,35 @@ class TestIdentitySkip:
         assert all(a.is_integral() for a in hol)
         ints, _ = _integer_form(hol + [fx.mapping.linear])
         blocks = _diagonal_blocks(ints, fx.spec.dimension)
-        kernel = zetafix.algebra.AveragingKernel(hol, fx.mapping.linear)
-        identity = validate_spec(fx.spec).identity
-        assert kernel._skip == [l == identity for l in fx.spec.labels()]
         diagonal = len(blocks) == fx.spec.dimension
-        assert kernel._diagonal == diagonal
+        assert diagonal or max(map(len, blocks)) <= 2
         products = []
         orig = zetafix.algebra._int_matmul
         monkeypatch.setattr(zetafix.algebra, "_int_matmul",
                             lambda x, y: products.append(x) or orig(x, y))
+        kernel = zetafix.algebra.AveragingKernel(hol, fx.mapping.linear)
+        assert kernel._diagonal == diagonal and kernel._traces is not None
+        distinct = {(i, str(x)) for a in ints[:-1]
+                    for i, x in enumerate(zetafix.algebra._split(a, blocks))}
+        assert len(products) == 2 * len(distinct) >= 2 * len(blocks)
+        products.clear()
+        for ns in (range(1, 5), [7, 9], range(5, 41)):
+            kernel.fixed_point_dets(ns)
+            kernel.shifted_dets(ns)
+        assert products == []
+
+        dim = fx.spec.dimension
+        dense = RationalMatrix([[1 + (i == j) for j in range(dim)] for i in range(dim)])
+        kernel = zetafix.algebra.AveragingKernel(hol, fx.mapping.linear, dense)
+        assert kernel._traces is None and not kernel._diagonal
+        identity = validate_spec(fx.spec).identity
+        assert kernel._skip == [l == identity for l in fx.spec.labels()]
         for n in range(1, 5):
-            kernel._d(n)            # the new power of D, one product per block
+            kernel._d(n)            # the new powers of D and E, one product each
+            kernel._e(n)
             products.clear()
-            kernel.fixed_point_dets(n)
-            assert len(products) == (0 if diagonal else
-                                     (len(hol) - 1) * len(blocks))
+            kernel.fixed_point_dets([n])
+            assert len(products) == len(hol) - 1
 
 
 def _block_diag(*blocks):
@@ -525,7 +544,8 @@ class TestDiagonalKernel:
         spec, f, _ = _diagonal_problem("vanishing")
         kernel = zetafix.manifolds.averaging_kernel(spec, f)
         for n in range(1, 9):
-            for dets in (kernel.fixed_point_dets(n)[0], kernel.shifted_dets(n)[0]):
+            for dets in (kernel.fixed_point_dets([n])[0][0],
+                         kernel.shifted_dets([n])[0][0]):
                 assert [v == 0 for v in dets] == [True, False, True, False]
             assert reidemeister(spec, f, n) == math.inf
 
@@ -533,8 +553,7 @@ class TestDiagonalKernel:
         # D = diag(1/2, 4, 3): det(I - D^n) over (2^n)^3, as for a block
         spec, f, _ = _diagonal_problem("denominator")
         kernel = zetafix.manifolds.averaging_kernel(spec, f)
-        for n in range(1, 9):
-            dets, den = kernel.fixed_point_dets(n)
+        for n, (dets, den) in enumerate(kernel.fixed_point_dets(range(1, 9)), 1):
             assert den == 2 ** (3 * n)
             assert Fraction(dets[0], den) == (1 - Fraction(1, 2 ** n)) * \
                 (1 - 4 ** n) * (1 - 3 ** n)
@@ -689,6 +708,40 @@ class TestTorusOracle:
 
 
 class TestCoincidence:
+    @staticmethod
+    def _plant_nielsen(monkeypatch, k):
+        # +1 on the averaged N(f^k, g^k) of every range read
+        orig = zetafix.invariants._coincidence_terms
+        monkeypatch.setattr(
+            zetafix.invariants, "_coincidence_terms",
+            lambda kernel, lo, hi, orientable: [
+                c._replace(nielsen=c.nielsen + 1) if n == k and orientable else c
+                for n, c in enumerate(orig(kernel, lo, hi, orientable), lo)])
+
+    def test_api_numbers_are_checked_by_the_trichotomy(self, monkeypatch, halfturn):
+        pair = (halfturn.spec, halfturn.mapping, halfturn.mapping2)
+        before = [coincidence_numbers(*pair, n) for n in (1, 2, 3)]
+        self._plant_nielsen(monkeypatch, 3)
+        assert [coincidence_numbers(*pair, n) for n in (1, 2)] == before[:2]
+        with pytest.raises(TrichotomyMismatch, match=r"^case 2 predicts "
+                           r"N\(f\^3, g\^3\) = 793 but averaging gives 794$"):
+            coincidence_numbers(*pair, 3)
+
+    def test_api_numbers_where_the_trichotomy_does_not_apply(self, monkeypatch, ex1):
+        # non-orientable (the Klein bottle) and non-cyclic (a Klein
+        # four-group) pairs return the averages as they are, planted
+        # fault included: there is no second route to check them with
+        ident = _map(RationalMatrix.identity(2), "id")
+        spec, f, g = _diagonal_problem("plain")
+        pairs = [(ex1.spec, ex1.mapping, ident), (spec, f, g)]
+        with pytest.raises(NotCyclic):
+            cyclic_decomposition(spec)
+        before = [coincidence_numbers(*pair, 3) for pair in pairs]
+        self._plant_nielsen(monkeypatch, 3)
+        after = [coincidence_numbers(*pair, 3) for pair in pairs]
+        assert after[0] == before[0]            # N is not defined: None
+        assert after[1] == before[1]._replace(nielsen=before[1].nielsen + 1)
+
     def test_halfturn_numbers(self, halfturn):
         c = coincidence_numbers(halfturn.spec, halfturn.mapping,
                                 halfturn.mapping2)
@@ -728,10 +781,12 @@ class TestCoincidence:
 
     def test_one_absolute_average_per_iterate(self, halfturn, ex1,
                                               monkeypatch):
+        # count the |det| averages, the only ones that raise
+        # NonIntegralNielsen
         calls = []
-        real = zetafix.invariants._nielsen_at
-        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
-                            lambda kernel, n: calls.append(n) or real(kernel, n))
+        real = zetafix.invariants._average
+        monkeypatch.setattr(zetafix.invariants, "_average",
+                            lambda dets, den, err: calls.append(err) or real(dets, den, err))
         ident = _map(RationalMatrix.identity(2), "id")
         pairs = [
             # orientable, finite R: N and R share the average
@@ -742,15 +797,15 @@ class TestCoincidence:
             ((ex1.spec, ex1.mapping, ident), [1, 3]),
         ]
         for (spec, f, g), iterates in pairs:
-            calls.clear()
             for n in iterates:
+                calls.clear()
                 coincidence_numbers(spec, f, g, n)
-            assert calls == iterates
+                assert calls.count(NonIntegralNielsen) == 1
         # non-orientable, infinite R: nothing to average
         calls.clear()
         c = coincidence_numbers(ex1.spec, ex1.mapping, ident, 2)
         assert c.reidemeister == math.inf and c.nielsen is None
-        assert calls == []
+        assert NonIntegralNielsen not in calls
 
 
 class TestCyclicDecomposition:
@@ -851,15 +906,15 @@ class TestTrichotomy:
         # of the index-2 subgroup; the reference builds that subgroup as
         # a spec of its own and averages over it.
         seen = []
-        orig = zetafix.invariants._lefschetz_at
+        orig = zetafix.invariants._lefschetz_terms
 
-        def recorded(kernel, n, members=None):
-            value = orig(kernel, n, members)
+        def recorded(kernel, lo, hi, members=None):
+            values = orig(kernel, lo, hi, members)
             if members is not None:     # L itself is read here too
-                seen.append(value)
-            return value
+                seen.extend(values)
+            return values
 
-        monkeypatch.setattr(zetafix.invariants, "_lefschetz_at", recorded)
+        monkeypatch.setattr(zetafix.invariants, "_lefschetz_terms", recorded)
         checked = set()
         for spec, f, g in random_coincidence_instances(seed=404, count=40):
             seen.clear()

@@ -1,0 +1,218 @@
+"""The averaging kernel's range fills against a per-iterate reference.
+
+For n = 1..40 the kernel's numerators and common denominators of
+det(E^n - A D^n) (E = I without a target) and det(A - D^n) must be those
+of whole-matrix powers and exact determinants taken one iterate at a
+time (cofactor expansion to size 3, Fraction elimination beyond),
+whichever path the kernel takes (traces for blocks of size 1 or 2,
+powers otherwise) and however the iterates are grouped into reads.  The
+problems are every builtin fixture, the ladder rungs, the benchmark
+corpus at seeds 0-2, the random, product and coincidence instances of
+_corpus, and generated problems with 2 x 2 blocks whose D is rational,
+singular or of trace zero, or whose holonomy is rational.
+"""
+
+import json
+import math
+import random
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import zetafix.algebra
+from _corpus import (ladder_instances, product_instances, random_coincidence_instances,
+                     random_instances)
+from zetafix import RationalMatrix, builtin_fixtures, parse_spec_data
+from zetafix.algebra import AveragingKernel
+
+N_MAX = 40
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _det(rows):
+    """Exact determinant of an integer matrix: the cofactor expansion to
+    size 3, Gaussian elimination over the rationals beyond."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    a = [list(map(Fraction, r)) for r in rows]
+    n, out = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return out
+
+
+def _mul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _reference(holonomy, d, e=None):
+    """Per iterate n = 1..N_MAX: the fixed-point numerators and
+    denominator, then the shifted ones, as the kernel states them: with
+    A = A_int / s, D = D_int / q and E = E_int / r, the determinants of
+    c E_int^n - r^n A_int D_int^n and q^n A_int - s D_int^n (c = s q^n),
+    on whole-matrix powers, one iterate at a time."""
+    s = math.lcm(1, *(a.den for a in holonomy))
+    q, r, dim = d.den, 1 if e is None else e.den, d.dim
+    mats = [[[x * (s // a.den) for x in row] for row in a.ints] for a in holonomy]
+    dn = en = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    out = []
+    for n in range(1, N_MAX + 1):
+        dn = _mul(dn, d.ints)
+        if e is not None:
+            en = _mul(en, e.ints)
+        c, rn = s * q ** n, r ** n
+        fixed = [_det([[c * x - rn * y for x, y in zip(er, ar)]
+                                for er, ar in zip(en, _mul(a, dn))]) for a in mats]
+        shifted = [_det([[q ** n * x - s * y for x, y in zip(ar, pr)]
+                                  for ar, pr in zip(a, dn)]) for a in mats]
+        out.append(([int(v) for v in fixed], (rn * c) ** dim,
+                    [int(v) for v in shifted], c ** dim))
+    return out
+
+
+def _check(holonomy, d, e=None) -> AveragingKernel:
+    want = _reference(holonomy, d, e)
+    # one range, and a second kernel read by pieces, holes and all
+    whole = AveragingKernel(holonomy, d, e)
+    pieces = AveragingKernel(holonomy, d, e)
+    pieces.fixed_point_dets([5])
+    pieces.shifted_dets([3, 9])
+    for kernel, reads in ((whole, [range(1, N_MAX + 1)]),
+                          (pieces, [range(1, 4), [7, 12], range(2, N_MAX + 1)])):
+        for ns in reads:
+            for n, (fixed, shifted) in zip(ns, zip(kernel.fixed_point_dets(ns),
+                                                   kernel.shifted_dets(ns))):
+                assert fixed == (want[n - 1][0], want[n - 1][1]), n
+                assert shifted == (want[n - 1][2], want[n - 1][3]), n
+    return whole
+
+
+def _workloads():
+    # executed from its source text, so no bytecode is written under bench/
+    mod = types.ModuleType("bench_workloads")
+    mod.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), mod.__dict__)
+    return mod
+
+
+def _corpus_problems():
+    out, seen = [], set()
+    workloads = _workloads()
+    for seed in (0, 1, 2):
+        for case in workloads.corpus_cases(seed):
+            key = json.dumps(case["spec"], sort_keys=True)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                parsed = parse_spec_data(json.loads(json.dumps(case["spec"])))
+            except zetafix.ZetafixError:
+                continue
+            maps = [parsed.mapping] + ([parsed.mapping2] if parsed.is_coincidence else [])
+            out.append(pytest.param((parsed.spec, maps), id=f"{seed}-{case['id']}"))
+    return out
+
+
+FIXTURES = [fx for fx in builtin_fixtures().values() if hasattr(fx, "spec")]
+
+
+@pytest.mark.parametrize("parsed", FIXTURES, ids=lambda fx: fx.spec.name)
+def test_fixtures(parsed):
+    maps = [parsed.mapping] + ([parsed.mapping2] if parsed.is_coincidence else [])
+    _check([a for _, a in parsed.spec.holonomy], *(m.linear for m in maps))
+
+
+@pytest.mark.parametrize("spec_maps", _corpus_problems())
+def test_benchmark_corpus(spec_maps):
+    spec, maps = spec_maps
+    _check([a for _, a in spec.holonomy], *(m.linear for m in maps))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ladder_instances(0),
+    lambda: random_instances(0, 120),
+    lambda: [prod for prod, _, _ in product_instances(0, 30)],
+], ids=["ladder", "random", "products"])
+def test_fixed_point_instances(make):
+    for spec, f in make():
+        _check([a for _, a in spec.holonomy], f.linear)
+
+
+def test_coincidence_instances():
+    for spec, f, g in random_coincidence_instances(0, 40):
+        _check([a for _, a in spec.holonomy], f.linear, g.linear)
+
+
+def _two_by_two(rng, kind):
+    """A holonomy of signs and a rotation block on two 2 x 2 blocks, and
+    a D commuting with it, of the kind asked for."""
+    def block(a, b, c, d):
+        return [[a, b], [c, d]]
+
+    if kind == "rational":
+        d1, d2 = block(Fraction(rng.randint(-7, 7), 2), 1, 1, Fraction(3, 2)), block(2, 1, 1, 1)
+    elif kind == "singular":
+        x, y = rng.randint(1, 4), rng.randint(-3, 3) or 1
+        d1, d2 = block(x, x * y, 1, y), block(3, 1, 2, 1)
+    elif kind == "trace-zero":
+        x = rng.randint(1, 5)
+        d1, d2 = block(x, 2, 3, -x), block(0, 1, 1, 0)
+    else:
+        d1, d2 = block(2, 1, 1, 1), block(rng.randint(1, 4), 1, 1, 2)
+    rot = [[0, -1], [1, 0]]
+    d = RationalMatrix(_direct_sum(d1, d2))
+    if kind == "rational-holonomy":
+        # conjugating by diag(1, 1/3) on the second block keeps the
+        # holonomy a group and gives its elements denominator 3
+        p = RationalMatrix(_direct_sum([[1, 0], [0, 1]], [[1, 0], [0, Fraction(1, 3)]]))
+        pinv = p.inverse()
+        hol = [pinv @ RationalMatrix(_direct_sum(x, y)) @ p for x, y in
+               (([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+                ([[-1, 0], [0, -1]], [[0, 1], [1, 0]]))]
+        d = pinv @ d @ p
+    else:
+        hol = [RationalMatrix(_direct_sum(x, y)) for x, y in
+               (([[1, 0], [0, 1]], [[1, 0], [0, 1]]), ([[-1, 0], [0, -1]], rot))]
+    return hol, d
+
+
+def _direct_sum(x, y):
+    return ([list(r) + [0] * len(y) for r in x]
+            + [[0] * len(x) + list(r) for r in y])
+
+
+@pytest.mark.parametrize("kind", ["rational", "singular", "trace-zero",
+                                  "rational-holonomy"])
+def test_generated_two_by_two_blocks(kind):
+    rng = random.Random(kind)
+    for _ in range(6):
+        hol, d = _two_by_two(rng, kind)
+        kernel = _check(hol, d)
+        assert kernel._traces is not None and {k for k, *_ in kernel._rec} == {2}
+        deltas = [delta for _, _, delta, _ in kernel._rec]
+        traces = [t for _, t, _, _ in kernel._rec]
+        if kind == "rational":
+            assert d.den > 1
+        elif kind == "singular":
+            assert 0 in deltas
+        elif kind == "trace-zero":
+            assert 0 in traces
+        else:
+            assert math.lcm(*(a.den for a in hol)) > 1

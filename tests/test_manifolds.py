@@ -475,8 +475,8 @@ class TestPlusSplit:
             k = _expanding_dim(mapping.linear)
             kernel = AveragingKernel([a for _, a in spec.holonomy],
                                      mapping.linear)
-            for n in (1, 2, 3):
-                dets, _ = kernel.fixed_point_dets(n)   # denominator > 0
+            # denominators > 0
+            for n, (dets, _) in enumerate(kernel.fixed_point_dets(range(1, 4)), 1):
                 for (_, inside), v in zip(split.plus_membership, dets):
                     if v:
                         nonzero += 1

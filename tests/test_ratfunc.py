@@ -23,7 +23,7 @@ from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
                      format_polynomial, load_fixture, radius_of_convergence,
                      zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
-from zetafix.invariants import (MapContext, _lefschetz_at, _sign_formula_zeta,
+from zetafix.invariants import (MapContext, _lefschetz_terms, _sign_formula_zeta,
                                  map_context)
 from zetafix.manifolds import PlusSplit
 from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey
@@ -624,7 +624,7 @@ class TestSeriesTail:
             assert sorted(seq._cache) == list(range(1, 201))
         # and it is the determinant average too
         assert [ctx.l_seq(n) for n in range(1, 41)] == \
-            [_lefschetz_at(ctx.kernel, n) for n in range(1, 41)]
+            _lefschetz_terms(ctx.kernel, 1, 40)
 
     def test_first_read_past_the_window_certifies(self):
         # a fresh oracle asked for term 31 first reads its window 1..10,

@@ -100,8 +100,8 @@ class TestSharedContext:
         ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
         source = ctx.twisted_seq if ctx.split.is_proper else ctx.l_seq
         made = []
-        monkeypatch.setattr(source, "_fn",
-                            lambda n, fn=source._fn: made.append(n) or fn(n))
+        monkeypatch.setattr(source, "_fn", lambda lo, hi, fn=source._fn:
+                            made.extend(range(lo, hi + 1)) or fn(lo, hi))
         build_report(parsed)
         rebuilt = [args[0].name.split(":")[0] for args in calls]
         assert len(rebuilt) == len(set(rebuilt)) == reconstructions
@@ -219,7 +219,7 @@ class TestSharedContext:
             orig = getattr(zetafix.algebra.AveragingKernel, method)
             monkeypatch.setattr(
                 zetafix.algebra.AveragingKernel, method,
-                lambda kernel, n, orig=orig: reads.append(n) or orig(kernel, n))
+                lambda kernel, ns, orig=orig: reads.append(ns) or orig(kernel, ns))
         for make in (lefschetz_sequence, nielsen_sequence, reidemeister_sequence):
             seq = make(parsed.spec, parsed.mapping)
             for n in range(1, CONGRUENCE_N_MAX + 1):
@@ -277,26 +277,21 @@ class TestSharedContext:
         # window (L, N and the twisted zeta of a proper split) and the
         # definedness scan's witness, and every iterate with an infinite
         # R(f^n), whose vanishing det(A - D^n) is matched against them.
-        # Each det(I - A D^n) is taken once for every holonomy element A,
-        # on the diagonal path or on the block path.
+        # Each determinant of either kind is taken once for every
+        # holonomy element A and iterate n, on whichever path the kernel
+        # takes: every fill makes one list per iterate it is given, with
+        # one entry per A, and no iterate is filled twice.
         parsed = load_fixture(name)
         kernel = zetafix.algebra.AveragingKernel
-        scopes = {kernel.fixed_point_dets.__code__: "fixed",
-                  kernel.shifted_dets.__code__: "shifted"}
-        counts = dict.fromkeys(scopes.values(), 0)
-
-        def counted(orig):
-            def det(*args):
-                frame = sys._getframe(1)
-                while frame.f_code not in scopes:
-                    frame = frame.f_back
-                counts[scopes[frame.f_code]] += 1
-                return orig(*args)
-            return det
-
-        for path in ("_scaled_det", "_diagonal_det"):
-            monkeypatch.setattr(zetafix.algebra, path,
-                                counted(getattr(zetafix.algebra, path)))
+        made = {False: [], True: []}
+        for path in ("_trace_dets", "_block_dets"):
+            def counted(self, ns, shifted, orig=getattr(kernel, path)):
+                out = orig(self, ns, shifted)
+                assert len(out) == len(ns)
+                assert all(len(dets) == parsed.spec.order for dets, _ in out)
+                made[shifted].extend(ns)
+                return out
+            monkeypatch.setattr(kernel, path, counted)
         build_report(parsed)
         ctx = zetafix.invariants.map_context(parsed.spec, parsed.mapping)
         seqs = [ctx.l_seq, ctx.n_seq] + ([ctx.twisted_seq] if ctx.split.is_proper else [])
@@ -305,7 +300,8 @@ class TestSharedContext:
         assert top < CONGRUENCE_N_MAX
         iterates = set(range(1, top + 1)) | {
             n for n in range(1, CONGRUENCE_N_MAX + 1) if ctx.r_seq(n) == math.inf}
-        assert counts["fixed"] == parsed.spec.order * len(iterates)
+        assert sorted(made[False]) == sorted(iterates)
+        assert sorted(made[True]) == list(range(1, CONGRUENCE_N_MAX + 1))
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_root_of_unity_scan_runs_once(self, monkeypatch, name):
@@ -512,10 +508,10 @@ class TestDegreeBoundWindow:
         d = [[(2, -3, 3, -2, 2, 3)[i] if i == j else 0 for j in range(6)]
              for i in range(6)]
         read = []
-        orig = zetafix.invariants._lefschetz_at
-        monkeypatch.setattr(zetafix.invariants, "_lefschetz_at",
-                            lambda kernel, n, **kw: read.append(n)
-                            or orig(kernel, n, **kw))
+        orig = zetafix.invariants._lefschetz_terms
+        monkeypatch.setattr(zetafix.invariants, "_lefschetz_terms",
+                            lambda kernel, lo, hi, *members: read.append(hi)
+                            or orig(kernel, lo, hi, *members))
         build_report(ParsedSpec(spec, AffineMapSpec.make("f", d)))
         assert max(read) == 3 * 33 + 4
 

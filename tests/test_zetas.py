@@ -105,7 +105,7 @@ class TestArtinMazurHypothesis:
         assert (identity - d.power(2)).nullspace() == [(1, 0)]
         kernel = zetafix.manifolds.averaging_kernel(ex1.spec, ex1.mapping)
         labels = ex1.spec.labels()
-        assert kernel.fixed_point_dets(2)[0][labels.index("I")] == 0
+        assert kernel.fixed_point_dets([2])[0][0][labels.index("I")] == 0
         with pytest.raises(ZetaUndefined):
             reidemeister_zeta(ex1.spec, ex1.mapping)
         text = render_human(build_report(ex1)).splitlines()
@@ -207,12 +207,14 @@ def _proper_splits(cases):
 
 
 def _plant(monkeypatch, name, k):
-    """Add 1 at n = k to invariants._lefschetz_at (over the whole
-    holonomy only) or _nielsen_at; a context built afterwards reads it."""
+    """Add 1 at n = k to invariants._lefschetz_terms (over the whole
+    holonomy only) or _nielsen_terms; a context built afterwards reads
+    it."""
     orig = getattr(zetafix.invariants, name)
 
-    def planted(kernel, n, *members):
-        return orig(kernel, n, *members) + (n == k and not any(members))
+    def planted(kernel, lo, hi, *members):
+        return [v + (n == k and not any(members))
+                for n, v in enumerate(orig(kernel, lo, hi, *members), lo)]
 
     monkeypatch.setattr(zetafix.invariants, name, planted)
 
@@ -244,7 +246,7 @@ class TestNielsenVerification:
         for k in (2 * b + 5, 3 * b + 4):
             n_k = self._context(name).n_seq(k)
             with monkeypatch.context() as m:
-                _plant(m, "_nielsen_at", k)
+                _plant(m, "_nielsen_terms", k)
                 ctx = self._context(name)
                 with pytest.raises(NotRational, match=f"series index {k};"):
                     zeta_from_terms(ctx.n_seq)
@@ -254,8 +256,8 @@ class TestNielsenVerification:
     @pytest.mark.parametrize("name", NAMES)
     def test_another_rational_series(self, monkeypatch, name):
         # the Lefschetz series rebuilds fine but is not the Nielsen one
-        monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
-                            zetafix.invariants._lefschetz_at)
+        monkeypatch.setattr(zetafix.invariants, "_nielsen_terms",
+                            zetafix.invariants._lefschetz_terms)
         ctx = self._context(name)
         assert zeta_from_terms(ctx.l_seq) != GOLDEN_NIELSEN[name]
         err = _raised(lambda: ctx.n_zeta)
@@ -272,14 +274,14 @@ class TestNielsenVerification:
                               ("torus_cat_map", "l_seq")):
             b = self._context(name).n_seq.degree_bound
             with monkeypatch.context() as m:
-                _plant(m, "_lefschetz_at", 2 * b + 6)
-                _plant(m, "_nielsen_at", 2 * b + 5)
+                _plant(m, "_lefschetz_terms", 2 * b + 6)
+                _plant(m, "_nielsen_terms", 2 * b + 5)
                 ctx = self._context(name)
                 want = _raised(lambda: zeta_from_terms(getattr(ctx, rebuilt)))
                 assert want is not None and want[0] is NotRational, name
                 assert _raised(lambda: ctx.n_zeta) == want, name
             with monkeypatch.context() as m:
-                _plant(m, "_nielsen_at", 2 * b + 5)
+                _plant(m, "_nielsen_terms", 2 * b + 5)
                 err = _raised(lambda: self._context(name).n_zeta)
             assert err[0] is NielsenFormulaMismatch, name
             assert err[1].startswith(f"N(f^{2 * b + 5}) = "), name
@@ -289,7 +291,7 @@ class TestNielsenVerification:
         # asking again, or for a term past the window, fails the same way
         fx = load_fixture("klein_bottle_ex1")
         zetafix.invariants.map_context.cache_clear()
-        _plant(monkeypatch, "_nielsen_at", 9)
+        _plant(monkeypatch, "_nielsen_terms", 9)
         for ask in (lambda: nielsen_zeta(fx.spec, fx.mapping),
                     lambda: nielsen_zeta(fx.spec, fx.mapping),
                     lambda: zetafix.nielsen(fx.spec, fx.mapping, 20)):
@@ -323,12 +325,11 @@ class TestNielsenVerification:
         ctx = self._context("quarter_rotation")
         b_l, b_n = ctx.l_seq.degree_bound, ctx.n_seq.degree_bound
         assert not ctx.split.is_proper and 3 * b_l + 4 < 3 * b_n + 4
-        orig = zetafix.invariants._nielsen_at
         for k in range(3 * b_l + 5, 3 * b_n + 5):
-            monkeypatch.setattr(zetafix.invariants, "_nielsen_at",
-                                lambda kernel, n, k=k: orig(kernel, n) + (n == k))
-            with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
-                self._context("quarter_rotation").n_zeta
+            with monkeypatch.context() as m:
+                _plant(m, "_nielsen_terms", k)
+                with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
+                    self._context("quarter_rotation").n_zeta
 
     @pytest.mark.parametrize("name", FIXED_POINT_NAMES)
     def test_verified_zeta_equals_the_rebuild(self, name):
