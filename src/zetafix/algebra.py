@@ -748,26 +748,9 @@ def _scaled_det(u: int, x, v: int, y) -> int:
     return out
 
 
-def _diagonal_entries(m) -> list[int]:
-    """The diagonal of a square matrix given by its rows."""
-    return [row[i] for i, row in enumerate(m)]
-
-
 def _block_mul(x, y) -> list[list[list[int]]]:
     """Product of two matrices given by their diagonal blocks."""
     return [_int_matmul(a, b) for a, b in zip(x, y)]
-
-
-def _trace(m) -> int:
-    return sum(_diagonal_entries(m))
-
-
-def _block_traces(x, b) -> tuple:
-    """det(x), then [tr(x), tr(x b)] and [tr(adj x), tr(adj(x) b)], for
-    integer blocks x and b of size 1 or 2."""
-    adj = [[1]] if len(x) == 1 else [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
-    return (_bareiss_det([list(r) for r in x]),
-            tuple([_trace(y), _trace(_int_matmul(y, b))] for y in (x, adj)))
 
 
 class _ScaledPowers:
@@ -793,8 +776,8 @@ class AveragingKernel:
     determinant is an integer numerator over a denominator that all
     elements share, so averages are exact; with a target, det(I - A D^n)
     becomes det(E^n - A D^n).  fixed_point_dets(ns) and shifted_dets(ns)
-    read a range or list of iterates: the missing ones are filled in one
-    pass and kept per n, so each determinant is taken once.
+    read iterates n >= 1 in any order, repeats included: the missing
+    ones are filled in one pass and kept per n, so each is taken once.
 
     The holonomy, D and E are split once into common diagonal blocks,
     which choose the path; c = s q^n below.
@@ -807,7 +790,8 @@ class AveragingKernel:
       c^2 - c tau_n + det(A_b) delta^n and det(q^n A_b - s D_b^n) =
       q^(2n) det(A_b) - q^n s sigma_n + s^2 delta^n; a 1 x 1 block gives
       c E_b^n - r^n tau_n and q^n A_b - s sigma_n.  The two kinds read
-      different traces, so R(f^n) stays a check of N(f^n).
+      different traces, so R(f^n) stays a check of N(f^n).  u_n and the
+      powers are tables on the kernel; s = q = r = 1 skips the scaling.
     - Powers (any other target, or a block of size 3 or more): D^n and
       E^n are kept by blocks, and each determinant is the product of
       its blocks', closed forms to size 3 and Bareiss beyond.
@@ -820,24 +804,27 @@ class AveragingKernel:
         e = linear if target is None else target
         blocks = _diagonal_blocks(hol + [linear.ints, e.ints], dim)
         self._diagonal = len(blocks) == dim
-        self._fixed: dict[int, tuple[list[int], int]] = {}
-        self._shifted: dict[int, tuple[list[int], int]] = {}
+        # entry n of each kind's table is iterate n's, None until filled
+        self._fixed, self._shifted = [None], [None]
         self._traces = None
         if max(map(len, blocks)) <= 2 and (target is None or self._diagonal):
             self._q, self._r = linear.den, 1 if target is None else target.den
-            d_blocks = _split(linear.ints, blocks)
-            # per block: size, u_n = t u_(n-1) - delta u_(n-2), and E's entry
-            self._rec = [(len(b), _trace(b), _bareiss_det([list(r) for r in b])
-                          if len(b) == 2 else 0, 1 if target is None else
-                          target.ints[i[0]][i[0]]) for b, i in zip(d_blocks, blocks)]
-            self._traces, shared = [], {}   # equal blocks share their sequences
-            for a in hol:
-                row = []
-                for i, (x, b) in enumerate(zip(_split(a, blocks), d_blocks)):
-                    if (i, str(x)) not in shared:
-                        shared[i, str(x)] = _block_traces(x, b)
-                    row.append(shared[i, str(x)])
-                self._traces.append(row)
+            self._unit, self._powers = self._s == self._q == self._r == 1, {}
+            # per block: size, u_n = t u_(n-1) - delta u_(n-2), and the base
+            # of its powers, E_b (1 without a target) or delta; per element,
+            # det(A_b) and tau_0, tau_1, sigma_0, sigma_1, shared by equal blocks
+            self._rec, self._traces, shared, d = [], [[] for _ in hol], {}, linear.ints
+            for i, (j, l) in enumerate((b[0], b[-1]) for b in blocks):
+                p, q, r, t = d[j][j], d[j][l], d[l][j], d[l][l]
+                self._rec.append((1, p, 0, 1 if target is None else e.ints[j][j]) if j == l
+                                 else (2, p + t, p * t - q * r, p * t - q * r))
+                for row, a in zip(self._traces, hol):
+                    key = i, w, x, y, z = i, a[j][j], a[j][l], a[l][j], a[l][l]
+                    if key not in shared:
+                        shared[key] = ((w, ([w, w * p], [1, p])) if j == l else
+                                       (w * z - x * y, ([w + z, w * p + x * r + y * q + z * t],
+                                                        [w + z, z * p - x * r - y * q + w * t])))
+                    row.append(shared[key])
             return
         form = partial(_split, blocks=blocks)
         one = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]
@@ -860,41 +847,71 @@ class AveragingKernel:
         per holonomy element, and their common denominator (s q^n)^dim."""
         return self._read(self._shifted, True, ns)
 
-    def _read(self, cache: dict, shifted: bool, ns) -> list:
-        missing = list(itertools.filterfalse(cache.__contains__, ns))
-        if missing:
-            fill = self._block_dets if self._traces is None else self._trace_dets
-            cache.update(zip(missing, fill(missing, shifted)))
-        return list(map(cache.__getitem__, ns))
+    def _read(self, table: list, shifted: bool, ns) -> list:
+        want = ns if type(ns) is range and ns.step == 1 else sorted(set(ns))
+        if want and want[0] < 1:
+            raise ValueError("iterate must be >= 1")
+        end, fill = len(table), self._block_dets if self._traces is None else self._trace_dets
+        if want is ns and ns.start <= end < ns.stop and all(table[ns.start:]):
+            table += fill(range(end, ns.stop), shifted)     # a new tail, the usual fill
+        elif want and want[-1] >= end:
+            table += [None] * (want[-1] + 1 - end)
+        out = table[ns.start:ns.stop] if want is ns else list(map(table.__getitem__, ns))
+        if all(out):                # entries are pairs, holes None
+            return out
+        missing = list(itertools.filterfalse(table.__getitem__, want))
+        for n, x in zip(missing, fill(missing, shifted)):
+            table[n] = x
+        return table[ns.start:ns.stop] if want is ns else list(map(table.__getitem__, ns))
 
-    def _trace_dets(self, ns: list[int], shifted: bool) -> list:
-        s, m = self._s, len(ns)
-        qn = [self._q ** n for n in ns]
-        cs, rn = [s * q for q in qn], [self._r ** n for n in ns]
-        columns, factors = [], {}   # factors: per shared sequence, over ns
+    def _power(self, base: int, hi: int) -> list[int]:
+        """[1, base, ..., base^(hi-1)] or longer, kept on the kernel."""
+        p = self._powers.setdefault(base, [1])
+        while len(p) < hi:
+            p.append(p[-1] * base)
+        return p
+
+    def _trace_dets(self, ns, shifted: bool) -> list:
+        """The entries of the increasing iterates ns, off the tables."""
+        lo, hi = ns[0], ns[-1] + 1
+        pick = operator.itemgetter(*[slice(lo, hi)] if hi - lo == len(ns) else ns)
+        s, unit, factors, columns = self._s, self._unit, {}, []
+        if not unit:
+            qs, rs = pick(self._power(self._q, hi)), pick(self._power(self._r, hi))
+            cs = [s * x for x in qs]
         for row in self._traces:
-            dets = [1] * m
-            for (det_a, seqs), (k, t, delta, e) in zip(row, self._rec):
-                if id(seqs) not in factors:
+            fs = []
+            for (det_a, seqs), (k, t, delta, base) in zip(row, self._rec):
+                f = factors.get(id(seqs))
+                if f is None:
                     u = seqs[shifted]
-                    while len(u) <= ns[-1]:
-                        u.append(t * u[-1] - delta * u[-2])
-                    u = list(map(u.__getitem__, ns))
-                    if k == 1:
-                        f = ([q * det_a - s * v for q, v in zip(qn, u)] if shifted else
-                             [c * e ** n - r * v for c, r, n, v in zip(cs, rn, ns, u)])
+                    a, b = u[-2:]
+                    for _ in range(hi - len(u)):
+                        a, b = b, t * b - delta * a
+                        u.append(b)
+                    v, p = pick(u), pick(self._power(base, hi))
+                    if unit and k == 1:
+                        f = [det_a - x for x in v] if shifted else list(map(operator.sub, p, v))
+                    elif unit:
+                        f = ([det_a - x + y for x, y in zip(v, p)] if shifted else
+                             [1 - x + det_a * y for x, y in zip(v, p)])
+                    elif k == 1:
+                        f = ([q * det_a - s * x for q, x in zip(qs, v)] if shifted else
+                             [c * y - r * x for c, y, r, x in zip(cs, p, rs, v)])
                     elif shifted:
-                        f = [q * (q * det_a - s * v) + s * s * delta ** n
-                             for q, v, n in zip(qn, u, ns)]
+                        f = [q * (q * det_a - s * x) + s * s * y for q, x, y in zip(qs, v, p)]
                     else:
-                        f = [c * (c - v) + det_a * delta ** n for c, v, n in zip(cs, u, ns)]
+                        f = [c * (c - x) + det_a * y for c, x, y in zip(cs, v, p)]
                     factors[id(seqs)] = f
-                dets = list(map(operator.mul, dets, factors[id(seqs)]))
-            columns.append(dets)
-        return list(zip(map(list, zip(*columns)), [
-            (c if shifted else r * c) ** self._dim for r, c in zip(rn, cs)]))
+                fs.append(f)
+            columns.append(reduce(partial(map, operator.mul), fs))
+        dets, dim = map(list, zip(*columns)), self._dim
+        if unit:
+            return list(zip(dets, itertools.repeat(1)))
+        base = (self._q * (1 if shifted else self._r)) ** dim
+        return list(zip(dets, [s ** dim * x for x in pick(self._power(base, hi))]))
 
-    def _block_dets(self, ns: list[int], shifted: bool) -> list:
+    def _block_dets(self, ns, shifted: bool) -> list:
         s, out = self._s, []
         for n in ns:
             p, qn = self._d(n)
@@ -1014,10 +1031,10 @@ def _float_roots(c, quantity: str):
     gets the correctly rounded quotients c_i / lead; one beyond the
     float range raises OutOfFloatRange, naming the quantity.  A linear
     c has the root -(c_0 / c_1), the float that numpy's 1 x 1 companion
-    matrix gives, without numpy."""
+    matrix gives, and a constant c none, both without numpy."""
     try:
-        if len(c) == 2:
-            return [-(c[0] / c[1])]
+        if len(c) <= 2:
+            return [-(c[0] / c[1])] if len(c) == 2 else []
         floats = [x / c[-1] for x in reversed(c)]
     except OverflowError:
         raise OutOfFloatRange(f"cannot compute {quantity} in floating point: "

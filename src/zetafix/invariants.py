@@ -37,7 +37,7 @@ from .algebra import (AveragingKernel, RationalMatrix, _ScaledPowers,
 from .algebra import det  # noqa: F401
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
-                     NotCyclic, TrichotomyMismatch)
+                     NotCyclic, TrichotomyMismatch, ZetafixError)
 from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, averaging_kernel, compute_plus_split,
                         exterior_ranks, reidemeister_zeta_defined,
@@ -159,8 +159,11 @@ def _reidemeister_terms(kernel: AveragingKernel, n_seq: SequenceOracle,
         if 0 not in dets:
             raise NielsenFormulaMismatch(
                 f"R(f^{n}) is infinite, but no det(I - A D^{n}) vanishes")
+    want = []
+    with suppress(ZetafixError):    # N in one read; if it fails, n_seq(n) finds the first fault
+        want = n_seq.terms(max(set(range(lo, hi + 1)) - set(infinite), default=0))
     for n, r in zip(range(lo, hi + 1), out):
-        if r != math.inf and r != (v := n_seq(n)):
+        if r != math.inf and r != (v := want[n - 1] if want else n_seq(n)):
             raise NielsenFormulaMismatch(f"R(f^{n}) = {r} differs from N(f^{n}) = {v}")
     return out
 

@@ -605,10 +605,14 @@ class TestSubprocess:
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['numbers', 'heisenberg_ex3'])",
         "nielsen(ex3.spec, ex3.mapping, 1)",
-    ], ids=["cli-numbers", "nielsen"])
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['report', 'identity_torus'])",
+    ], ids=["cli-numbers", "nielsen", "cli-report-identity-torus"])
     def test_exact_answers_leave_numpy_unloaded(self, exact_call):
         # the sign formula's counts and the plus split are exact, so only
-        # a float output, here the report's asymptotics, loads numpy
+        # a float output, here the report's asymptotics, loads numpy; the
+        # identity torus's D = I leaves no expanding root to find, so its
+        # whole report needs none
         proc = _run_python(
             "-c",
             "import contextlib, io, sys\n"

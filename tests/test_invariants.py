@@ -19,7 +19,8 @@ from _corpus import (brute_force_torus_count, coincidence_product_instances,
 from conftest import FIXED_POINT_NAMES, log_sums
 from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      NielsenFormulaMismatch, NonIntegralLefschetz, NonIntegralNielsen,
-                     NotAGroup, NotBlockCompatible, NotCyclic, RationalMatrix,
+                     NotAGroup, NotBlockCompatible, NotCyclic, NotRational,
+                     RationalMatrix,
                      coincidence_numbers, coincidence_trichotomy,
                      compute_plus_split, cyclic_decomposition,
                      default_degree_bound, det, exterior_ranks, klein_type,
@@ -29,6 +30,7 @@ from zetafix import (AffineMapSpec, DegenerateFixedSet, ManifoldSpec,
                      reidemeister_sequence, torus_periodic_points,
                      TrichotomyMismatch, TrichotomyReport, validate_spec)
 from zetafix.algebra import _diagonal_blocks, _integer_form
+from zetafix.ratfunc import SequenceOracle
 
 
 def _map(rows, label="f"):
@@ -240,6 +242,31 @@ class TestReidemeisterEqualsNielsen:
         assert str(err.value) == \
             "R(f^3) is infinite, but no det(I - A D^3) vanishes"
 
+    @pytest.mark.parametrize("fault", [NonIntegralNielsen, NotRational])
+    def test_first_mismatch_raised_before_a_later_fault(self, cat, fault):
+        # R is compared with N in order: a mismatch at n = 2 is raised
+        # though N cannot be read further on, at n = 5 inside the window
+        # 3B + 4 = 7 (a non-integral N) or at n = 8 past it, whose
+        # certificate fails; without the mismatch, that fault is raised
+        kernel = zetafix.manifolds.averaging_kernel(cat.spec, cat.mapping)
+        true = zetafix.invariants._nielsen_terms(kernel, 1, 7)
+
+        def oracle(planted):
+            def terms(lo, hi):
+                if fault is NonIntegralNielsen and lo <= 5 <= hi:
+                    raise fault("planted")
+                return [v + (n == planted) for n, v in zip(range(lo, hi + 1), true[lo - 1:hi])]
+
+            def certificate(seq):
+                raise NotRational("planted")
+            return SequenceOracle.from_ranges(terms, 1, zeta=certificate)
+
+        with pytest.raises(NielsenFormulaMismatch) as err:
+            zetafix.invariants._reidemeister_terms(kernel, oracle(2), 1, 8)
+        assert str(err.value) == f"R(f^2) = {true[1]} differs from N(f^2) = {true[1] + 1}"
+        with pytest.raises(fault):
+            zetafix.invariants._reidemeister_terms(kernel, oracle(None), 1, 8)
+
     def test_infinite_r_with_a_vanishing_fixed_point_determinant(self, ex1):
         kernel = zetafix.manifolds.averaging_kernel(ex1.spec, ex1.mapping)
         for n in range(1, 9):
@@ -392,10 +419,10 @@ class TestIntegerKernel:
 class TestIdentitySkip:
     """The kernel forms no product it can do without.  A fixed-point
     problem whose blocks all have size 1 or 2 takes the traces path (a
-    diagonal one with 1 x 1 blocks): it calls _int_matmul only for the
-    recurrences' initial terms tau_1 and sigma_1, once per distinct
-    block of the holonomy when it is built, and no product while it
-    fills any range of iterates.  On the powers path,
+    diagonal one with 1 x 1 blocks): it writes out the recurrences'
+    initial terms, keeps one pair of sequences per distinct block of the
+    holonomy, and calls _int_matmul neither when it is built nor while
+    it fills any range of iterates.  On the powers path,
     which a dense coincidence target forces (one block), the identity's
     A_int D^n is D^n itself on integral holonomy: the product is taken
     for every other element and skipped for the identity alone."""
@@ -417,8 +444,9 @@ class TestIdentitySkip:
         assert kernel._diagonal == diagonal and kernel._traces is not None
         distinct = {(i, str(x)) for a in ints[:-1]
                     for i, x in enumerate(zetafix.algebra._split(a, blocks))}
-        assert len(products) == 2 * len(distinct) >= 2 * len(blocks)
-        products.clear()
+        shared = {id(seqs) for row in kernel._traces for _, seqs in row}
+        assert len(shared) == len(distinct) >= len(blocks)
+        assert products == []
         for ns in (range(1, 5), [7, 9], range(5, 41)):
             kernel.fixed_point_dets(ns)
             kernel.shifted_dets(ns)

@@ -9,7 +9,10 @@ powers otherwise) and however the iterates are grouped into reads.  The
 problems are every builtin fixture, the ladder rungs, the benchmark
 corpus at seeds 0-2, the random, product and coincidence instances of
 _corpus, and generated problems with 2 x 2 blocks whose D is rational,
-singular or of trace zero, or whose holonomy is rational.
+singular or of trace zero, or whose holonomy is rational, and diagonal
+problems with a target whose holonomy, D and target all have
+denominators.  Reads come in any order, repeats included, only the
+iterates read are filled, and an iterate below 1 raises ValueError.
 """
 
 import json
@@ -89,18 +92,32 @@ def _reference(holonomy, d, e=None):
 
 def _check(holonomy, d, e=None) -> AveragingKernel:
     want = _reference(holonomy, d, e)
-    # one range, and a second kernel read by pieces, holes and all
+    # one range; a second kernel read by pieces, holes and all; a third
+    # read in descending order first, then with repeats, then iterates
+    # already read across holes, then at holes below the end of tables
+    # that are already extended
     whole = AveragingKernel(holonomy, d, e)
     pieces = AveragingKernel(holonomy, d, e)
     pieces.fixed_point_dets([5])
     pieces.shifted_dets([3, 9])
+    unordered = AveragingKernel(holonomy, d, e)
     for kernel, reads in ((whole, [range(1, N_MAX + 1)]),
-                          (pieces, [range(1, 4), [7, 12], range(2, N_MAX + 1)])):
+                          (pieces, [range(1, 4), [7, 12], range(2, N_MAX + 1)]),
+                          (unordered, [[12, 7, 3, 1], [9, 2, 9, 9, 2], [12, 3],
+                                       [N_MAX, 20, 13], [4, 1, 4]])):
         for ns in reads:
             for n, (fixed, shifted) in zip(ns, zip(kernel.fixed_point_dets(ns),
                                                    kernel.shifted_dets(ns))):
                 assert fixed == (want[n - 1][0], want[n - 1][1]), n
                 assert shifted == (want[n - 1][2], want[n - 1][3]), n
+    # either path fills only the iterates read, each once
+    for table in (unordered._fixed, unordered._shifted):
+        assert [n for n, x in enumerate(table) if x is not None] == \
+            sorted({1, 2, 3, 4, 7, 9, 12, 13, 20, N_MAX})
+    for read in (unordered.fixed_point_dets, unordered.shifted_dets):
+        for ns in ([-1], [3, -2], [0]):
+            with pytest.raises(ValueError):
+                read(ns)
     return whole
 
 
@@ -216,3 +233,20 @@ def test_generated_two_by_two_blocks(kind):
             assert 0 in traces
         else:
             assert math.lcm(*(a.den for a in hol)) > 1
+
+
+def test_generated_diagonal_targets_with_denominators():
+    # s, q and r all > 1, so the traces path scales every factor; the
+    # averaging identities hold for any matrices, so this holonomy need
+    # not be a group
+    rng = random.Random("scaled-diagonal")
+
+    def diagonal(dim, den):
+        return RationalMatrix([[Fraction(rng.choice([k for k in range(-6, 7) if k % den]), den)
+                                if i == j else 0 for j in range(dim)] for i in range(dim)])
+
+    for dim in (1, 2, 3, 4):
+        hol, d, e = [diagonal(dim, 2), diagonal(dim, 3)], diagonal(dim, 5), diagonal(dim, 7)
+        kernel = _check(hol, d, e)
+        assert kernel._traces is not None and {k for k, *_ in kernel._rec} == {1}
+        assert (kernel._s, kernel._q, kernel._r) == (6, 5, 7) and not kernel._unit
