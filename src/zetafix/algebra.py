@@ -776,25 +776,25 @@ class AveragingKernel:
     determinant is an integer numerator over a denominator that all
     elements share, so averages are exact; with a target, det(I - A D^n)
     becomes det(E^n - A D^n).  fixed_point_dets(ns) and shifted_dets(ns)
-    read iterates n >= 1 in any order, repeats included: the missing
-    ones are filled in one pass and kept per n, so each is taken once.
+    read iterates n >= 1 in any order, repeats included: a read past the
+    end of its kind's table appends every iterate up to the largest it
+    names, as one range, and keeps it, so each is taken once.
 
     The holonomy, D and E are split once into common diagonal blocks,
-    which choose the path; c = s q^n below.
-    - Traces: blocks of size 1 or 2, with no target unless all have size
-      1 (a diagonal problem, whose sequences are its running diagonal).
-      No power of D is formed.  With t = tr D_b and delta = det D_b (D_b
-      and 0 for size 1), tau_n = tr(A_b D_b^n) and sigma_n =
-      tr(adj(A_b) D_b^n) obey u_n = t u_(n-1) - delta u_(n-2), kept once
-      per distinct block.  A 2 x 2 block gives det(c I - A_b D_b^n) =
-      c^2 - c tau_n + det(A_b) delta^n and det(q^n A_b - s D_b^n) =
-      q^(2n) det(A_b) - q^n s sigma_n + s^2 delta^n; a 1 x 1 block gives
-      c E_b^n - r^n tau_n and q^n A_b - s sigma_n.  The two kinds read
-      different traces, so R(f^n) stays a check of N(f^n).  u_n and the
-      powers are tables on the kernel; s = q = r = 1 skips the scaling.
-    - Powers (any other target, or a block of size 3 or more): D^n and
-      E^n are kept by blocks, and each determinant is the product of
-      its blocks', closed forms to size 3 and Bareiss beyond.
+    which choose the path.
+    - Traces: s = q = r = 1 and blocks of size 1 or 2, with no target
+      unless all have size 1 (a diagonal problem, whose sequences are its
+      running diagonal).  No power of D is formed.  With t = tr D_b and
+      delta = det D_b (D_b and 0 for size 1), tau_n = tr(A_b D_b^n) and
+      sigma_n = tr(adj(A_b) D_b^n) obey u_n = t u_(n-1) - delta u_(n-2),
+      kept once per distinct block.  A 2 x 2 block gives det(I - A_b
+      D_b^n) = 1 - tau_n + det(A_b) delta^n and det(A_b - D_b^n) =
+      det(A_b) - sigma_n + delta^n, a 1 x 1 block E_b^n - tau_n and A_b -
+      sigma_n, all over 1.  The two kinds read different traces, so
+      R(f^n) stays a check of N(f^n).  u_n and the powers are tables.
+    - Powers (denominators, any other target, or a block of size 3 or
+      more): D^n and E^n are kept by blocks, and each determinant is the
+      product of its blocks', closed forms to size 3 and Bareiss beyond.
     """
 
     def __init__(self, holonomy, linear: RationalMatrix,
@@ -802,18 +802,17 @@ class AveragingKernel:
         self._dim = dim = linear.dim
         hol, self._s = _integer_form(holonomy)
         e = linear if target is None else target
-        blocks = _diagonal_blocks(hol + [linear.ints, e.ints], dim)
+        blocks = _diagonal_blocks(hol + [m.ints for m in {linear, e}], dim)
         self._diagonal = len(blocks) == dim
-        # entry n of each kind's table is iterate n's, None until filled
-        self._fixed, self._shifted = [None], [None]
-        self._traces = None
-        if max(map(len, blocks)) <= 2 and (target is None or self._diagonal):
-            self._q, self._r = linear.den, 1 if target is None else target.den
-            self._unit, self._powers = self._s == self._q == self._r == 1, {}
+        # entry n of each kind's table is iterate n's
+        self._fixed, self._shifted, self._traces = [None], [None], None
+        if (max(map(len, blocks)) <= 2 and (target is None or self._diagonal)
+                and self._s == linear.den == e.den == 1):
             # per block: size, u_n = t u_(n-1) - delta u_(n-2), and the base
             # of its powers, E_b (1 without a target) or delta; per element,
             # det(A_b) and tau_0, tau_1, sigma_0, sigma_1, shared by equal blocks
-            self._rec, self._traces, shared, d = [], [[] for _ in hol], {}, linear.ints
+            self._rec, self._traces, self._powers, shared = [], [[] for _ in hol], {}, {}
+            d = linear.ints
             for i, (j, l) in enumerate((b[0], b[-1]) for b in blocks):
                 p, q, r, t = d[j][j], d[j][l], d[l][j], d[l][l]
                 self._rec.append((1, p, 0, 1 if target is None else e.ints[j][j]) if j == l
@@ -848,21 +847,13 @@ class AveragingKernel:
         return self._read(self._shifted, True, ns)
 
     def _read(self, table: list, shifted: bool, ns) -> list:
-        want = ns if type(ns) is range and ns.step == 1 else sorted(set(ns))
-        if want and want[0] < 1:
+        if min(ns, default=1) < 1:
             raise ValueError("iterate must be >= 1")
-        end, fill = len(table), self._block_dets if self._traces is None else self._trace_dets
-        if want is ns and ns.start <= end < ns.stop and all(table[ns.start:]):
-            table += fill(range(end, ns.stop), shifted)     # a new tail, the usual fill
-        elif want and want[-1] >= end:
-            table += [None] * (want[-1] + 1 - end)
-        out = table[ns.start:ns.stop] if want is ns else list(map(table.__getitem__, ns))
-        if all(out):                # entries are pairs, holes None
-            return out
-        missing = list(itertools.filterfalse(table.__getitem__, want))
-        for n, x in zip(missing, fill(missing, shifted)):
-            table[n] = x
-        return table[ns.start:ns.stop] if want is ns else list(map(table.__getitem__, ns))
+        if (end := max(ns, default=0) + 1) > len(table):
+            fill = self._block_dets if self._traces is None else self._trace_dets
+            table += fill(range(len(table), end), shifted)
+        return (table[ns.start:ns.stop:ns.step] if type(ns) is range
+                else list(map(table.__getitem__, ns)))
 
     def _power(self, base: int, hi: int) -> list[int]:
         """[1, base, ..., base^(hi-1)] or longer, kept on the kernel."""
@@ -871,14 +862,9 @@ class AveragingKernel:
             p.append(p[-1] * base)
         return p
 
-    def _trace_dets(self, ns, shifted: bool) -> list:
-        """The entries of the increasing iterates ns, off the tables."""
-        lo, hi = ns[0], ns[-1] + 1
-        pick = operator.itemgetter(*[slice(lo, hi)] if hi - lo == len(ns) else ns)
-        s, unit, factors, columns = self._s, self._unit, {}, []
-        if not unit:
-            qs, rs = pick(self._power(self._q, hi)), pick(self._power(self._r, hi))
-            cs = [s * x for x in qs]
+    def _trace_dets(self, ns: range, shifted: bool) -> list:
+        """The entries of the iterates ns, a range, off the tables."""
+        lo, hi, factors, columns = ns.start, ns.stop, {}, []
         for row in self._traces:
             fs = []
             for (det_a, seqs), (k, t, delta, base) in zip(row, self._rec):
@@ -889,27 +875,16 @@ class AveragingKernel:
                     for _ in range(hi - len(u)):
                         a, b = b, t * b - delta * a
                         u.append(b)
-                    v, p = pick(u), pick(self._power(base, hi))
-                    if unit and k == 1:
+                    v, p = u[lo:hi], self._power(base, hi)[lo:hi]
+                    if k == 1:
                         f = [det_a - x for x in v] if shifted else list(map(operator.sub, p, v))
-                    elif unit:
+                    else:
                         f = ([det_a - x + y for x, y in zip(v, p)] if shifted else
                              [1 - x + det_a * y for x, y in zip(v, p)])
-                    elif k == 1:
-                        f = ([q * det_a - s * x for q, x in zip(qs, v)] if shifted else
-                             [c * y - r * x for c, y, r, x in zip(cs, p, rs, v)])
-                    elif shifted:
-                        f = [q * (q * det_a - s * x) + s * s * y for q, x, y in zip(qs, v, p)]
-                    else:
-                        f = [c * (c - x) + det_a * y for c, x, y in zip(cs, v, p)]
                     factors[id(seqs)] = f
                 fs.append(f)
             columns.append(reduce(partial(map, operator.mul), fs))
-        dets, dim = map(list, zip(*columns)), self._dim
-        if unit:
-            return list(zip(dets, itertools.repeat(1)))
-        base = (self._q * (1 if shifted else self._r)) ** dim
-        return list(zip(dets, [s ** dim * x for x in pick(self._power(base, hi))]))
+        return list(zip(map(list, zip(*columns)), itertools.repeat(1)))
 
     def _block_dets(self, ns, shifted: bool) -> list:
         s, out = self._s, []

@@ -224,8 +224,8 @@ class MapContext:
     shares one instance.
 
     The oracles take range functions over the kernel: fn(lo, hi)
-    averages the determinants of n = lo..hi, which the kernel fills in
-    one pass (by trace recurrences for blocks of size 1 and 2, by powers
+    averages the determinants of n = lo..hi, read off the kernel's tables
+    (trace recurrences on integer blocks of size 1 and 2, powers
     otherwise; see AveragingKernel), and readers take seq.terms(n)."""
 
     def __init__(self, spec: ManifoldSpec, mapping: AffineMapSpec):

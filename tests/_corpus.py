@@ -7,12 +7,16 @@ against that definition exactly, so a bug in a pattern fails loudly
 instead of silently shrinking the corpus.
 """
 
+import functools
 import itertools
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 from zetafix import AffineMapSpec, ManifoldSpec, RationalMatrix, det
 
+ROOT = Path(__file__).resolve().parents[1]
 R90 = ((0, -1), (1, 0))
 R180 = ((-1, 0), (0, -1))
 R270 = ((0, 1), (-1, 0))
@@ -418,3 +422,19 @@ def brute_force_torus_count(d: RationalMatrix, n: int) -> int:
         if all(v.denominator == 1 for v in image):
             count += 1
     return count
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_workloads():
+    # executed from its source text, so no bytecode is written under bench/
+    path = ROOT / "bench" / "workloads.py"
+    mod = types.ModuleType("bench_workloads")
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def bench_cases(workload: str, seed: int) -> list:
+    """The benchmark's cases of one workload ("fixtures", "ladder" or
+    "corpus") at seed, as bench/workloads.py generates them."""
+    return _bench_workloads().cases_for(workload, ROOT, seed)

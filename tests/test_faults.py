@@ -145,12 +145,13 @@ def _recurrence_faults():
 def _kernel(parsed, plant):
     """The problem's shared kernel, with plant = (kind, n) adding 1 to
     tau_n (kind 0) or sigma_n (kind 1) of its first element and block,
-    after the sequences are extended past 30."""
+    after a fill of n = 1..31, which no table keeps, has extended the
+    sequences past 30."""
     zetafix.manifolds.averaging_kernel.cache_clear()
     kernel = zetafix.manifolds.averaging_kernel(parsed.spec, parsed.mapping)
     if plant is not None:
         kind, n = plant
-        kernel._trace_dets([CONGRUENCE_N_MAX + 1], bool(kind))
+        kernel._trace_dets(range(1, CONGRUENCE_N_MAX + 2), bool(kind))
         kernel._traces[0][0][1][kind][n] += 1
     return kernel
 

@@ -4,34 +4,34 @@ For n = 1..40 the kernel's numerators and common denominators of
 det(E^n - A D^n) (E = I without a target) and det(A - D^n) must be those
 of whole-matrix powers and exact determinants taken one iterate at a
 time (cofactor expansion to size 3, Fraction elimination beyond),
-whichever path the kernel takes (traces for blocks of size 1 or 2,
-powers otherwise) and however the iterates are grouped into reads.  The
-problems are every builtin fixture, the ladder rungs, the benchmark
-corpus at seeds 0-2, the random, product and coincidence instances of
-_corpus, and generated problems with 2 x 2 blocks whose D is rational,
-singular or of trace zero, or whose holonomy is rational, and diagonal
-problems with a target whose holonomy, D and target all have
-denominators.  Reads come in any order, repeats included, only the
-iterates read are filled, and an iterate below 1 raises ValueError.
+whichever path the kernel takes (traces for integer problems with blocks
+of size 1 or 2, powers otherwise) and however the iterates are grouped
+into reads.  The problems are every builtin fixture, the ladder rungs,
+the benchmark corpus at seeds 0-2, the random, product and coincidence
+instances of _corpus, and generated problems with 2 x 2 blocks whose D
+is rational, singular or of trace zero, or whose holonomy is rational,
+and diagonal problems with a target whose holonomy, D or target has a
+denominator.  Reads come in any order, repeats included; each kind's
+table fills only from its end, through the largest iterate read so far,
+and an iterate below 1 raises ValueError.  test_path_selection holds the
+fixtures and the benchmark's ladder and corpus cases to the rule that
+picks the path, so no change sends them to the powers path unnoticed.
 """
 
 import json
 import math
 import random
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import zetafix.algebra
-from _corpus import (ladder_instances, product_instances, random_coincidence_instances,
-                     random_instances)
+from _corpus import (bench_cases, ladder_instances, product_instances,
+                     random_coincidence_instances, random_instances)
 from zetafix import RationalMatrix, builtin_fixtures, parse_spec_data
 from zetafix.algebra import AveragingKernel
 
 N_MAX = 40
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _det(rows):
@@ -92,28 +92,27 @@ def _reference(holonomy, d, e=None):
 
 def _check(holonomy, d, e=None) -> AveragingKernel:
     want = _reference(holonomy, d, e)
-    # one range; a second kernel read by pieces, holes and all; a third
-    # read in descending order first, then with repeats, then iterates
-    # already read across holes, then at holes below the end of tables
-    # that are already extended
-    whole = AveragingKernel(holonomy, d, e)
-    pieces = AveragingKernel(holonomy, d, e)
-    pieces.fixed_point_dets([5])
-    pieces.shifted_dets([3, 9])
-    unordered = AveragingKernel(holonomy, d, e)
-    for kernel, reads in ((whole, [range(1, N_MAX + 1)]),
-                          (pieces, [range(1, 4), [7, 12], range(2, N_MAX + 1)]),
-                          (unordered, [[12, 7, 3, 1], [9, 2, 9, 9, 2], [12, 3],
-                                       [N_MAX, 20, 13], [4, 1, 4]])):
-        for ns in reads:
-            for n, (fixed, shifted) in zip(ns, zip(kernel.fixed_point_dets(ns),
-                                                   kernel.shifted_dets(ns))):
-                assert fixed == (want[n - 1][0], want[n - 1][1]), n
-                assert shifted == (want[n - 1][2], want[n - 1][3]), n
-    # either path fills only the iterates read, each once
-    for table in (unordered._fixed, unordered._shifted):
-        assert [n for n, x in enumerate(table) if x is not None] == \
-            sorted({1, 2, 3, 4, 7, 9, 12, 13, 20, N_MAX})
+    # one range; a second kernel read by pieces, the two kinds apart at
+    # first; a third read in descending order first, then with repeats,
+    # then iterates already read, then by a descending step
+    whole, pieces, unordered = (AveragingKernel(holonomy, d, e) for _ in range(3))
+    reads = [(whole, range(1, N_MAX + 1), (False, True)),
+             (pieces, [5], (False,)), (pieces, [3, 9], (True,))]
+    reads += [(pieces, ns, (False, True))
+              for ns in (range(1, 4), [7, 12], range(2, N_MAX + 1))]
+    reads += [(unordered, ns, (False, True))
+              for ns in ([12, 7, 3, 1], [9, 2, 9, 9, 2], [12, 3], [N_MAX - 9, 20, 13],
+                         [4, 1, 4], range(N_MAX, 0, -7))]
+    top = {}
+    for kernel, ns, kinds in reads:
+        for shifted in kinds:
+            got = (kernel.shifted_dets if shifted else kernel.fixed_point_dets)(ns)
+            assert got == [want[n - 1][2:] if shifted else want[n - 1][:2] for n in ns]
+            # either path fills a table from its end only, each iterate
+            # once, and never past the largest iterate read
+            table = kernel._shifted if shifted else kernel._fixed
+            top[id(table)] = max(top.get(id(table), 0), *ns)
+            assert None not in table[1:] and len(table) - 1 == top[id(table)]
     for read in (unordered.fixed_point_dets, unordered.shifted_dets):
         for ns in ([-1], [3, -2], [0]):
             with pytest.raises(ValueError):
@@ -121,19 +120,16 @@ def _check(holonomy, d, e=None) -> AveragingKernel:
     return whole
 
 
-def _workloads():
-    # executed from its source text, so no bytecode is written under bench/
-    mod = types.ModuleType("bench_workloads")
-    mod.__file__ = str(WORKLOADS)
-    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), mod.__dict__)
-    return mod
+def _maps(parsed) -> list:
+    return [parsed.mapping] + ([parsed.mapping2] if parsed.is_coincidence else [])
 
 
-def _corpus_problems():
-    out, seen = [], set()
-    workloads = _workloads()
+def _bench_problems(workload: str) -> dict:
+    """Test id -> (spec, maps) for the workload's distinct cases at
+    seeds 0-2 that parse."""
+    out, seen = {}, set()
     for seed in (0, 1, 2):
-        for case in workloads.corpus_cases(seed):
+        for case in bench_cases(workload, seed):
             key = json.dumps(case["spec"], sort_keys=True)
             if key in seen:
                 continue
@@ -142,24 +138,68 @@ def _corpus_problems():
                 parsed = parse_spec_data(json.loads(json.dumps(case["spec"])))
             except zetafix.ZetafixError:
                 continue
-            maps = [parsed.mapping] + ([parsed.mapping2] if parsed.is_coincidence else [])
-            out.append(pytest.param((parsed.spec, maps), id=f"{seed}-{case['id']}"))
+            out[f"{seed}-{case['id']}"] = parsed.spec, _maps(parsed)
     return out
 
 
 FIXTURES = [fx for fx in builtin_fixtures().values() if hasattr(fx, "spec")]
+CORPUS = _bench_problems("corpus")
 
 
 @pytest.mark.parametrize("parsed", FIXTURES, ids=lambda fx: fx.spec.name)
 def test_fixtures(parsed):
-    maps = [parsed.mapping] + ([parsed.mapping2] if parsed.is_coincidence else [])
-    _check([a for _, a in parsed.spec.holonomy], *(m.linear for m in maps))
+    _check([a for _, a in parsed.spec.holonomy], *(m.linear for m in _maps(parsed)))
 
 
-@pytest.mark.parametrize("spec_maps", _corpus_problems())
+@pytest.mark.parametrize("spec_maps", CORPUS.values(), ids=list(CORPUS))
 def test_benchmark_corpus(spec_maps):
     spec, maps = spec_maps
     _check([a for _, a in spec.holonomy], *(m.linear for m in maps))
+
+
+def _block_sizes(mats, dim: int) -> list[int]:
+    """Sizes of the connected components of the graph that joins i and
+    j when some matrix of mats has a nonzero (i, j) entry."""
+    seen, sizes = set(), []
+    for start in range(dim):
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, size = [start], 0
+        while todo:
+            i, size = todo.pop(), size + 1
+            for j in range(dim):
+                if j not in seen and any(m.ints[i][j] or m.ints[j][i] for m in mats):
+                    seen.add(j)
+                    todo.append(j)
+        sizes.append(size)
+    return sizes
+
+
+@pytest.mark.parametrize("workload", ["fixtures", "ladder", "corpus"])
+def test_path_selection(workload):
+    # A problem takes the traces path exactly when its holonomy, D and E
+    # are integer matrices, its common blocks have size at most 2, and a
+    # target, if any, comes with 1 x 1 blocks only; every builtin fixture
+    # and ladder rung takes it, and the corpus has problems on both paths
+    if workload == "fixtures":
+        problems = [(fx.spec, _maps(fx)) for fx in FIXTURES]
+    else:
+        problems = list((CORPUS if workload == "corpus" else _bench_problems(workload)).values())
+    traces = 0
+    for spec, maps in problems:
+        hol = [a for _, a in spec.holonomy]
+        mats = hol + [m.linear for m in maps]
+        sizes = _block_sizes(mats, spec.dimension)
+        want = (all(m.den == 1 for m in mats) and max(sizes) <= 2
+                and (len(maps) == 1 or max(sizes) == 1))
+        kernel = AveragingKernel(hol, *(m.linear for m in maps))
+        assert (kernel._traces is not None) == want, spec.name
+        traces += want
+    if workload == "corpus":
+        assert 0 < traces < len(problems)
+    else:
+        assert traces == len(problems) > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -222,31 +262,36 @@ def test_generated_two_by_two_blocks(kind):
     for _ in range(6):
         hol, d = _two_by_two(rng, kind)
         kernel = _check(hol, d)
-        assert kernel._traces is not None and {k for k, *_ in kernel._rec} == {2}
-        deltas = [delta for _, _, delta, _ in kernel._rec]
-        traces = [t for _, t, _, _ in kernel._rec]
         if kind == "rational":
-            assert d.den > 1
-        elif kind == "singular":
-            assert 0 in deltas
-        elif kind == "trace-zero":
-            assert 0 in traces
+            # a denominator sends a problem to the powers path
+            assert d.den > 1 and kernel._traces is None
+            continue
+        if kind == "rational-holonomy":
+            assert math.lcm(*(a.den for a in hol)) > 1 and kernel._traces is None
+            continue
+        assert kernel._traces is not None and {k for k, *_ in kernel._rec} == {2}
+        if kind == "singular":
+            assert 0 in [delta for _, _, delta, _ in kernel._rec]
         else:
-            assert math.lcm(*(a.den for a in hol)) > 1
+            assert 0 in [t for _, t, _, _ in kernel._rec]
 
 
 def test_generated_diagonal_targets_with_denominators():
-    # s, q and r all > 1, so the traces path scales every factor; the
+    # a denominator on the holonomy, D or the target alone, or on all
+    # three, sends these diagonal problems to the powers path; the
     # averaging identities hold for any matrices, so this holonomy need
     # not be a group
     rng = random.Random("scaled-diagonal")
 
     def diagonal(dim, den):
-        return RationalMatrix([[Fraction(rng.choice([k for k in range(-6, 7) if k % den]), den)
+        return RationalMatrix([[Fraction(rng.choice([k for k in range(-6, 7)
+                                                     if den == 1 or k % den]), den)
                                 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     for dim in (1, 2, 3, 4):
-        hol, d, e = [diagonal(dim, 2), diagonal(dim, 3)], diagonal(dim, 5), diagonal(dim, 7)
-        kernel = _check(hol, d, e)
-        assert kernel._traces is not None and {k for k, *_ in kernel._rec} == {1}
-        assert (kernel._s, kernel._q, kernel._r) == (6, 5, 7) and not kernel._unit
+        for dens in ((2, 3, 5, 7), (1, 3, 1, 1), (1, 1, 5, 1), (1, 1, 1, 7)):
+            hol = [diagonal(dim, dens[0]), diagonal(dim, dens[1])]
+            d, e = diagonal(dim, dens[2]), diagonal(dim, dens[3])
+            kernel = _check(hol, d, e)
+            assert kernel._diagonal and kernel._traces is None
+            assert (kernel._s, d.den, e.den) == (dens[0] * dens[1], *dens[2:])
