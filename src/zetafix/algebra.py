@@ -59,8 +59,8 @@ class Polynomial:
     integer form ints / den: integer coefficients, lowest degree first
     with no trailing zeros (none for the zero polynomial, of degree -1),
     over their least positive common denominator.  Its arithmetic is the
-    package's: products, exact division, p(c*z) and evaluation.  coeffs,
-    the Fractions, is made anew on each read, for display and __call__.
+    package's: exact division and evaluation.  coeffs, the Fractions, is
+    made anew on each read, for display and __call__.
     Instances are immutable and hashable."""
 
     __slots__ = ("ints", "den")
@@ -119,17 +119,6 @@ class Polynomial:
 
     # -- arithmetic
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial._from_ints([x * other.numerator for x in self.ints],
-                                         self.den * other.denominator)
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        return Polynomial._from_ints(_int_poly_mul(self.ints, other.ints),
-                                     self.den * other.den)
-
-    __rmul__ = __mul__
-
     def exact_div(self, other) -> "Polynomial":
         # A / s over c B / t, B primitive: A / B is integral (Gauss's lemma)
         if other.is_zero:
@@ -144,14 +133,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + (c if isinstance(x, (int, Fraction)) else float(c))
         return acc if self.ints else (Fraction(0) if isinstance(x, (int, Fraction)) else 0.0)
-
-    def compose_scale(self, c) -> "Polynomial":
-        """p(c*z) for a rational scalar c = u / v, over den * v^deg."""
-        c = as_rational(c)
-        u, v, k = c.numerator, c.denominator, max(self.degree, 0)
-        return Polynomial._from_ints([a * u ** i * v ** (k - i)
-                                      for i, a in enumerate(self.ints)],
-                                     self.den * v ** k)
 
     @staticmethod
     def one() -> "Polynomial":

@@ -120,6 +120,8 @@ def _numbers_lines(name: str, num: dict, pair: bool) -> list[str]:
 
 def _cmd_zeta(target, args) -> int:
     if isinstance(target, SequenceFixture):
+        if args.which is not None:
+            raise InvalidSpecFile("--which applies to spec files, not sequences")
         fn = zeta_from_terms(target.oracle())
         _emit({"name": target.name, "function": str(fn)},
               f"zeta of {target.name}: {fn}", args.format)

@@ -42,7 +42,7 @@ from .manifolds import (AffineMapSpec, ManifoldSpec, PlusSplit,
                         ZetaDefinedness, averaging_kernel, compute_plus_split,
                         exterior_ranks, reidemeister_zeta_defined,
                         validate_spec)
-from .ratfunc import RationalFunction, SequenceOracle, zeta_from_terms
+from .ratfunc import RationalFunction, SequenceOracle, _sign_twist, zeta_from_terms
 
 
 def default_degree_bound(spec: ManifoldSpec) -> int:
@@ -180,19 +180,13 @@ def _twisted_terms(kernel: AveragingKernel, members, lo: int, hi: int) -> list[i
 def _sign_formula_zeta(source: SequenceOracle, split: PlusSplit,
                        n_seq: SequenceOracle) -> RationalFunction:
     """n_seq's zeta by the sign formula F = S(sigma z)^eps, S the zeta
-    of source, certified by the checks of MapContext.n_zeta."""
-    zeta = source.zeta
+    of source, built and certified as MapContext.n_zeta says."""
     sigma, eps = (-1) ** split.n, (-1) ** (split.p + split.n)
-    formula = zeta.compose_scale(sigma) ** eps
+    formula = _sign_twist(source.zeta, sigma, eps)
     b = n_seq.degree_bound
     if max(formula.den.degree, formula.num.degree + 1) > b:
         raise NielsenFormulaMismatch(
             f"sign-formula zeta {formula} has order above the bound {b}")
-    # numerator and denominator swap places when eps = -1
-    for got, p in zip((formula.num, formula.den), (zeta.num, zeta.den)[::eps]):
-        if got.den != p.den or got.ints != tuple(c * sigma ** k for k, c in enumerate(p.ints)):
-            raise NielsenFormulaMismatch(
-                f"sign-formula zeta {formula} is not ({zeta})(({sigma})z)^{eps}")
     top = 3 * b + 4
     for n, got, s in zip(range(1, top + 1), n_seq.terms(top), source.terms(top)):
         if got != (want := eps * sigma ** n * s):
@@ -263,16 +257,15 @@ class MapContext:
         """The sign formula F = S(sigma z)^eps, sigma = (-1)^n and
         eps = (-1)^(p+n), with S = L_f, or the twisted zeta L_f+ / L_f
         for a proper plus subgroup, certified for its own sequence s.  F
-        is never rebuilt; three checks certify it as n_seq's zeta.  They
-        pass exactly when zeta_from_terms(n_seq) would return F, that is
-        when (1) F has order <= B, n_seq's bound, and F's series is
-        exp(sum N(f^n) z^n / n) through z^(3B+4) (two functions of order
-        <= B that share 2B coefficients are equal).  Series that start
-        with 1 agree iff their log coefficients do.  S's are s(n) at
-        every n (by s's rebuild, then its tail), so given (2) F's stored
-        forms are S(sigma z)^eps's (true unless compose_scale or inverse
-        is at fault), the series condition is (3) N(f^n) = eps sigma^n
-        s(n) for n <= 3B + 4."""
+        is built from S's integer forms (ratfunc._sign_twist), never
+        rebuilt; two checks certify it as n_seq's zeta.  They pass exactly
+        when zeta_from_terms(n_seq) would return F, that is when (1) F has
+        order <= B, n_seq's bound, and F's series is exp(sum N(f^n) z^n / n)
+        through z^(3B+4) (two functions of order <= B that share 2B
+        coefficients are equal).  Series that start with 1 agree iff their
+        log coefficients do, and S's are s(n) at every n (by s's rebuild,
+        then its tail), so the series condition is (2) N(f^n) = eps
+        sigma^n s(n) for n <= 3B + 4."""
         split = self.split
         case = "plus-proper" if split.is_proper else "plus-equal"
         return ZetaResult("Nielsen", self.n_seq.zeta,

@@ -19,9 +19,9 @@ from .algebra import (Polynomial, _float_roots, _int_poly_mul,
 from .errors import InsufficientTerms, NotRational
 
 
-def format_polynomial(p: Polynomial, var: str = "z") -> str:
-    """p as text, lowest degree first, e.g. 1+2z-2z^2; a non-integer
-    coefficient of a power of var is bracketed, (1/4)z, not 1/4z."""
+def format_polynomial(p: Polynomial) -> str:
+    """p as text in z, lowest degree first, e.g. 1+2z-2z^2; a non-integer
+    coefficient of a power of z is bracketed, (1/4)z, not 1/4z."""
     parts = []
     for i, c in enumerate(p.ints if p.den == 1 else p.coeffs):
         if c == 0:
@@ -31,7 +31,7 @@ def format_polynomial(p: Polynomial, var: str = "z") -> str:
         else:
             mag = abs(c)
             mag = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
-            term = ("-" if c < 0 else "") + mag + (var if i == 1 else f"{var}^{i}")
+            term = ("-" if c < 0 else "") + mag + ("z" if i == 1 else f"z^{i}")
         parts.append("+" + term if parts and term[0] != "-" else term)
     return "".join(parts) or "0"
 
@@ -95,33 +95,6 @@ class RationalFunction:
             return format_polynomial(self.num)
         return f"({format_polynomial(self.num)})/({format_polynomial(self.den)})"
 
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(Polynomial.one())
-
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalFunction":
-        if self.num.is_zero:
-            raise ZeroDivisionError("zero function has no inverse")
-        return _coprime(self.den, self.num)
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return RationalFunction.one()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
-
-    def compose_scale(self, c) -> "RationalFunction":
-        """Substitute z -> c*z for a rational scalar c."""
-        num, den = self.num.compose_scale(c), self.den.compose_scale(c)
-        if as_rational(c) == 0:
-            return RationalFunction(num, den)
-        return _coprime(num, den)
 
 class SequenceOracle:
     """Deterministic generator n -> a_n (n >= 1), cached, carrying the
@@ -210,6 +183,15 @@ def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
     rf = object.__new__(RationalFunction)
     rf._store(num, den)
     return rf
+
+
+def _sign_twist(rf: RationalFunction, sigma: int, eps: int) -> RationalFunction:
+    """rf(sigma z)^eps for sigma, eps = +-1 and a nonzero rf: coefficient
+    k of numerator and denominator times sigma^k, the two swapped when
+    eps = -1.  Both stay coprime, so no gcd is taken."""
+    num, den = (Polynomial._from_ints([c * sigma ** k for k, c in enumerate(p.ints)], p.den)
+                for p in (rf.num, rf.den))
+    return _coprime(*(num, den)[::eps])
 
 
 def _berlekamp_massey(s: list[int]) -> tuple[list[int], int]:

@@ -36,6 +36,20 @@ def mul(a, b) -> list:
     return trim(out)
 
 
+def product(*polys) -> list:
+    """The product of the polynomials, [1] for none."""
+    out = [Fraction(1)]
+    for a in polys:
+        out = mul(out, a)
+    return out
+
+
+def scale(a, c) -> list:
+    """a(c z): coefficient k times c^k."""
+    c = Fraction(c)
+    return trim(x * c ** k for k, x in enumerate(trim(a)))
+
+
 def divmod_(a, b) -> tuple:
     """Quotient and remainder of a on division by nonzero b."""
     rem, b = trim(a), trim(b)

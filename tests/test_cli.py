@@ -466,6 +466,15 @@ class TestCommands:
         assert code == 0
         assert out == "zeta of sol_r_3: (1-z)/(1-3z)\n"
 
+    @pytest.mark.parametrize("which", ["L", "N", "R", "AM"])
+    def test_zeta_of_sequence_fixture_refuses_which(self, capsys, which):
+        # a sequence fixture has one zeta: the flag is refused, not ignored
+        for fmt in ([], ["--format", "json"]):
+            code, out, err = run_main(capsys, "zeta", "sol_r_2", "--which", which, *fmt)
+            assert (code, out) == (2, "")
+            assert err == ("error: InvalidSpecFile: --which applies to spec "
+                           "files, not sequences\n")
+
     def test_congruences_sequence(self, capsys):
         code, out, _ = run_main(capsys, "congruences", "sol_r_2",
                                 "--max-n", "12")

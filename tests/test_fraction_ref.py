@@ -31,5 +31,9 @@ def test_division_derivative_and_monic():
     assert ref.derivative([5]) == []
     assert ref.monic([2, 4]) == [Fraction(1, 2), 1]
     assert ref.reverse([1, 2, 3]) == [3, 2, 1]
+    assert ref.product() == [1] and ref.product([1, 1], [1, -1], [2]) == [2, 0, -2]
+    assert ref.scale([1, 2, 3], -2) == [1, -4, 12]
+    assert ref.scale([1, 2, 3], Fraction(1, 2)) == [1, 1, Fraction(3, 4)]
+    assert ref.scale([1, 2], 0) == [1]
     assert ref.gcd(ref.mul([-1, 1], [2, 1]), ref.mul([-1, 1], [3, 1])) == [-1, 1]
     assert ref.at(a, Fraction(1, 2)) == Fraction(3, 2)

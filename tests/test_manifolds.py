@@ -335,7 +335,7 @@ class TestEntryPointsValidate:
             zetafix.Construction("direct"))),
         "verify_functional_equation":
             lambda s, f: zetafix.verify_functional_equation(s, f, zetafix.ZetaResult(
-                "Lefschetz", zetafix.RationalFunction.one(),
+                "Lefschetz", zetafix.RationalFunction([1]),
                 zetafix.Construction("direct"))),
     }
 

@@ -5,7 +5,9 @@ only tests read is a second route to a result the package computes
 another way, and it drifts from the route that counts.  Every public
 method or property of a package class is read by the package: one that
 only tests read is numeric code kept for them alone, and tests take
-such references from tests/_fraction_ref.py instead."""
+such references from tests/_fraction_ref.py instead.  The same holds
+for operator methods, whose readers no name search can find: each one
+is on an allow-list that names a package function applying it."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,24 @@ UNCALLED = {
         "documented fixture builder for library users",
     ("fixtures", "builtin_fixtures"):
         "documented fixture builder for library users",
+}
+
+# Operator methods of package classes, each with a package function that
+# applies it, as "module.function" or "module.Class.method".
+OPERATOR_READERS = {
+    ("algebra", "Polynomial", "__call__"): "zetas.torsion_special_value",
+    ("algebra", "RationalMatrix", "__add__"): "invariants.cyclic_decomposition",
+    ("algebra", "RationalMatrix", "__sub__"): "invariants.cyclic_decomposition",
+    ("algebra", "RationalMatrix", "__matmul__"): "manifolds.compute_plus_split",
+    ("algebra", "_ScaledPowers", "__call__"): "algebra.AveragingKernel._block_dets",
+    ("ratfunc", "SequenceOracle", "__call__"): "congruences.check_euler",
+}
+
+# The syntax that applies each operator method.
+OPERATOR_SYNTAX = {
+    "__add__": ast.Add, "__sub__": ast.Sub, "__mul__": ast.Mult,
+    "__rmul__": ast.Mult, "__matmul__": ast.MatMult, "__pow__": ast.Pow,
+    "__truediv__": ast.Div, "__neg__": ast.USub, "__call__": ast.Call,
 }
 
 
@@ -63,6 +83,38 @@ def _public_members() -> set:
             if isinstance(node, ast.ClassDef)
             for item in node.body
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _operator_members(sources=None) -> set:
+    """(module, class, name) of every operator method of OPERATOR_SYNTAX
+    defined in a class body, by def or by assignment (__rmul__ =
+    __mul__), in sources, a dict module -> source text, by default the
+    package's."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                         [t.id for t in item.targets if isinstance(t, ast.Name)]
+                         if isinstance(item, ast.Assign) else [])
+                found |= {(module, node.name, n) for n in names if n in OPERATOR_SYNTAX}
+    return found
+
+
+def _function(path: str):
+    """The ast of the package function at path, "module.function" or
+    "module.Class.method"."""
+    module, *names = path.split(".")
+    body = ast.parse((PACKAGE / f"{module}.py").read_text()).body
+    for name in names:
+        node = next(n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == name)
+        body = node.body
+    return node
 
 
 def _read_names(paths=None) -> set:
@@ -105,5 +157,25 @@ def test_every_public_member_is_read():
 
 def test_the_package_defines_public_members():
     # the check above is vacuous if the parse finds nothing
-    assert {("ratfunc", "RationalFunction", "compose_scale"),
+    assert {("algebra", "Polynomial", "exact_div"),
             ("manifolds", "PlusSplit", "plus_indices")} <= _public_members()
+
+
+def test_every_operator_method_names_its_reader():
+    # a name search skips operator methods, so each is listed with the
+    # package function that applies it
+    assert _operator_members() == set(OPERATOR_READERS)
+
+
+def test_each_named_reader_applies_its_operator():
+    for (_, _, name), reader in OPERATOR_READERS.items():
+        syntax = OPERATOR_SYNTAX[name]
+        assert any(isinstance(node, syntax) or isinstance(getattr(node, "op", None), syntax)
+                   for node in ast.walk(_function(reader))), (name, reader)
+
+
+def test_the_operator_parse_finds_defs_and_assignments():
+    # the checks above are vacuous if the parse misses a spelling
+    source = ("class A:\n    def __mul__(self, o): pass\n    __rmul__ = __mul__\n"
+              "    def __len__(self): pass\n    def mul(self): pass\n")
+    assert _operator_members({"m": source}) == {("m", "A", "__mul__"), ("m", "A", "__rmul__")}

@@ -9,24 +9,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _fraction_ref as ref
 import zetafix.ratfunc
-from _corpus import (dense_torus, ladder_instances, product_instances,
+from _corpus import (bench_cases, dense_torus, ladder_instances, product_instances,
                      random_instances)
 from conftest import FIXED_POINT_NAMES, log_sums
 from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
                      OutOfFloatRange, Polynomial, RationalFunction,
-                     SequenceOracle, builtin_fixtures,
-                     format_polynomial, load_fixture, radius_of_convergence,
-                     zeta_from_terms)
+                     SequenceOracle, ZetafixError, builtin_fixtures,
+                     format_polynomial, load_fixture, parse_spec_data,
+                     radius_of_convergence, zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
 from zetafix.invariants import (MapContext, _lefschetz_terms, _sign_formula_zeta,
                                  map_context)
 from zetafix.manifolds import PlusSplit
-from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey
+from zetafix.ratfunc import _MERSENNE_EXPONENTS, _berlekamp_massey, _sign_twist
 
 
 def _oracle(fn, bound, name="test"):
@@ -63,8 +63,7 @@ class TestFormatting:
 
 class TestNormalization:
     def test_common_factor_cancelled(self):
-        f = RationalFunction(Polynomial([1, 1]) * Polynomial([1, -1]),
-                             Polynomial([1, 1]) * Polynomial([1, -2]))
+        f = RationalFunction(ref.mul([1, 1], [1, -1]), ref.mul([1, 1], [1, -2]))
         assert f == RationalFunction([1, -1], [1, -2])
 
     def test_denominator_low_coefficient_normalized_to_one(self):
@@ -92,7 +91,7 @@ class TestNormalization:
     def test_exact_readers_return_no_float(self):
         f = RationalFunction([1, -3], [2, -4, 10])       # den made 1-2z+5z^2
         g = RationalFunction([1], [1, -3])
-        values = [c for h in (f, g, f * g, f ** -2, f.compose_scale(Fraction(1, 3)))
+        values = [c for h in (f, g, _sign_twist(f, -1, -1))
                   for p in (h.num, h.den) for c in p.coeffs]
         assert values and all(type(c) is Fraction for c in values)
         assert f.den.coeffs == (1, -2, 5)
@@ -113,20 +112,28 @@ class TestNormalization:
             f.num = Polynomial([2])
 
 
-class TestArithmetic:
-    def test_field_operations(self):
-        f = RationalFunction([1, 1], [1, -1])
-        g = RationalFunction([1], [1, -2])
-        assert (f * g) * g.inverse() == f
-        assert f * f.inverse() == RationalFunction.one()
-        assert f ** 3 == f * f * f
-        assert f ** -2 == (f.inverse()) * (f.inverse())
-        assert f ** 0 == RationalFunction.one()
+class TestSignTwist:
+    """_sign_twist(f, sigma, eps) is f(sigma z)^eps, as the gcd-taking
+    constructor gives it from the plain-Fraction substitution."""
 
-    def test_compose_scale(self):
+    def test_closed_forms(self):
         f = RationalFunction([1, 1], [1, -1])
-        g = f.compose_scale(-1)
-        assert g == RationalFunction([1, -1], [1, 1])
+        assert _sign_twist(f, -1, 1) == RationalFunction([1, -1], [1, 1])
+        assert _sign_twist(f, 1, -1) == RationalFunction([1, -1], [1, 1])
+        assert _sign_twist(f, -1, -1) == f == _sign_twist(f, 1, 1)
+
+    @settings(max_examples=80)
+    @given(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=4),
+           st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=4),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+    def test_matches_the_substitution(self, num, den, sigma, eps):
+        # any constant terms, so _store's rescaling after the swap is read too
+        assume(any(num) and any(den))
+        f = RationalFunction(num, den)
+        pair = [ref.scale(p.coeffs, sigma) for p in (f.num, f.den)]
+        got = _sign_twist(f, sigma, eps)
+        assert got == RationalFunction(*pair[::eps])
+        assert _sign_twist(got, sigma, eps) == f
 
 
 class TestSequenceOracle:
@@ -188,11 +195,11 @@ class TestZetaFromTerms:
 
     def test_constant_sequence(self):
         seq = _oracle(lambda n: 2, 4)
-        assert zeta_from_terms(seq) == RationalFunction([1, -2, 1], [1]).inverse()
+        assert zeta_from_terms(seq) == RationalFunction([1], [1, -2, 1])
 
     def test_zero_sequence_gives_one(self):
         seq = _oracle(lambda n: 0, 4)
-        assert zeta_from_terms(seq) == RationalFunction.one()
+        assert zeta_from_terms(seq) == RationalFunction([1])
 
     def test_round_trip_of_random_functions(self):
         rng = random.Random(17)
@@ -216,9 +223,8 @@ class TestZetaFromTerms:
         # P(0) = Q(0) = 1 puts the series in 1 + zZ[[z]], so the
         # exponential is rebuilt on integers; a shared factor G must
         # cancel exactly as the gcd cancels it
-        shared = Polynomial([1] + g)
-        f = RationalFunction(Polynomial([1] + p) * shared,
-                             Polynomial([1] + q) * shared)
+        shared = [1] + g
+        f = RationalFunction(ref.mul([1] + p, shared), ref.mul([1] + q, shared))
         b = max(f.den.degree, f.num.degree + 1, 1)
         sums = log_sums(f, 3 * b + 4)
         assert all(a.denominator == 1 for a in sums)
@@ -458,22 +464,31 @@ def _rebuild_failure(seq) -> int | None:
     return None
 
 
-def _certify(n_seq, source, sigma, eps, formula) -> RationalFunction:
+def _source(f) -> SequenceOracle:
+    """An oracle of the log coefficients of f, with f's order as its
+    bound, whose zeta is certified as f."""
+    b = max(f.den.degree, f.num.degree + 1, 1)
+    sums = log_sums(f, 3 * b + 4)
+    seq = SequenceOracle(lambda n, s=sums: s[n - 1], b, name="source",
+                         zeta=zeta_from_terms)
+    assert seq.zeta == f
+    return seq
+
+
+def _certify(n_seq, sigma, eps, formula) -> RationalFunction:
     """The sign-formula certificate of MapContext.n_zeta on a split with
-    sigma = (-1)^n and eps = (-1)^(p+n), where the substitution and
-    inversion of source's zeta are made to return formula."""
+    sigma = (-1)^n and eps = (-1)^(p+n), for the source whose zeta twists
+    to formula: formula(sigma z)^eps, since the twist is its own inverse."""
     n = (1 - sigma) // 2
     split = PlusSplit((), False, n + (1 - eps) // 2, n)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(RationalFunction, "compose_scale",
-                  lambda self, c: formula if eps == 1 else formula.inverse())
-        return _sign_formula_zeta(source, split, n_seq)
+    source = _source(_sign_formula(formula, sigma, eps))
+    return _sign_formula_zeta(source, split, n_seq)
 
 
-def _accepts(n_seq, source, sigma, eps, formula) -> bool:
+def _accepts(n_seq, sigma, eps, formula) -> bool:
     """Whether the sign-formula certificate of MapContext.n_zeta passes."""
     try:
-        _certify(n_seq, source, sigma, eps, formula)
+        _certify(n_seq, sigma, eps, formula)
     except NielsenFormulaMismatch:
         return False
     return True
@@ -487,8 +502,9 @@ def _rebuilds_to(seq, f) -> bool:
 
 
 def _sign_formula(f, sigma, eps):
-    g = f.compose_scale(sigma)
-    return g if eps == 1 else g.inverse()
+    """f(sigma z)^eps from the plain-Fraction substitution."""
+    pair = [ref.scale(p.coeffs, sigma) for p in (f.num, f.den)]
+    return RationalFunction(*pair[::eps])
 
 
 class TestVerifyZeta:
@@ -497,14 +513,6 @@ class TestVerifyZeta:
     S is certified for its sequence s, and n_seq is read against
     eps sigma^n s(n), past s's window through s's tail.  A term that
     fails it fails where the rebuild's window check fails first."""
-
-    @staticmethod
-    def _source(f, b):
-        sums = log_sums(f, 3 * b + 4)
-        seq = SequenceOracle(lambda n, s=sums: s[n - 1], b, name="source",
-                             zeta=zeta_from_terms)
-        assert seq.zeta == f
-        return seq
 
     @staticmethod
     def _signed(source, sigma, eps, b, k=None, delta=0):
@@ -517,13 +525,13 @@ class TestVerifyZeta:
         for _ in range(8):
             f, g = _random_zeta(rng), _random_zeta(rng)
             b = max(f.den.degree, f.num.degree + 1, 1)
-            source = self._source(f, b)
+            source = _source(f)
             for sigma, eps in itertools.product((1, -1), repeat=2):
                 formula = _sign_formula(f, sigma, eps)
                 seq = self._signed(source, sigma, eps, b + 1)
-                assert _accepts(seq, source, sigma, eps, formula)
+                assert _accepts(seq, sigma, eps, formula)
                 assert _rebuilds_to(seq, formula)
-                assert _accepts(seq, source, sigma, eps, g) == \
+                assert _accepts(seq, sigma, eps, g) == \
                     _rebuilds_to(seq, g) == (g == formula)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -532,7 +540,7 @@ class TestVerifyZeta:
         for _ in range(4):
             f = _random_zeta(rng)
             b = max(f.den.degree, f.num.degree + 1, 1)
-            source = self._source(f, b)
+            source = _source(f)
             sigma, eps = rng.choice((1, -1)), rng.choice((1, -1))
             formula = _sign_formula(f, sigma, eps)
             top = 3 * (b + 1) + 4
@@ -540,7 +548,7 @@ class TestVerifyZeta:
                 seq = self._signed(source, sigma, eps, b + 1, k,
                                    rng.choice([-2, -1, 1, 2]))
                 with pytest.raises(NielsenFormulaMismatch, match=rf"^N\(f\^{k}\) = "):
-                    _certify(seq, source, sigma, eps, formula)
+                    _certify(seq, sigma, eps, formula)
                 assert _rebuild_failure(seq) == k
 
     def test_perturbed_anywhere_fails_with_the_rebuild(self):
@@ -550,63 +558,84 @@ class TestVerifyZeta:
         for _ in range(12):
             f = _random_zeta(rng)
             b = max(f.den.degree, f.num.degree + 1, 1)
-            source = self._source(f, b)
+            source = _source(f)
             sigma, eps = rng.choice((1, -1)), rng.choice((1, -1))
             formula = _sign_formula(f, sigma, eps)
             top = 3 * (b + 1) + 4
             for k in range(1, top + 4):
                 seq = self._signed(source, sigma, eps, b + 1, k,
                                    rng.choice([-2, -1, 1, 2]))
-                assert _accepts(seq, source, sigma, eps, formula) == \
+                assert _accepts(seq, sigma, eps, formula) == \
                     _rebuilds_to(seq, formula) == (k > top)
 
     def test_order_over_the_bound_fails(self):
         f = RationalFunction([1, 2], [1, -2])      # order 2
-        source = self._source(f, 2)
+        source = _source(f)
         for bound, ok in ((2, True), (1, False)):
             seq = _oracle(lambda n: source(n), bound)
-            assert _accepts(seq, source, 1, 1, f) == _rebuilds_to(seq, f) == ok
+            assert _accepts(seq, 1, 1, f) == _rebuilds_to(seq, f) == ok
 
     def test_a_faulty_transform_fails(self):
-        # the stored forms are compared directly: a formula that skipped
-        # the substitution z -> -z or the inversion is refused although
-        # every term check would pass for the true formula
+        # a formula that skipped the substitution z -> -z or the
+        # inversion twists back to a source other than the true one, so
+        # the termwise check refuses it
         f = RationalFunction([1, 2, -2], [1, -4, -8])
-        source = self._source(f, 3)
+        source = _source(f)
         for sigma, eps in ((-1, 1), (1, -1), (-1, -1)):
             seq = self._signed(source, sigma, eps, 4)
-            assert _accepts(seq, source, sigma, eps, _sign_formula(f, sigma, eps))
-            assert not _accepts(seq, source, sigma, eps, f)
+            assert _accepts(seq, sigma, eps, _sign_formula(f, sigma, eps))
+            assert not _accepts(seq, sigma, eps, f)
 
     def test_constant_term_must_be_one(self):
+        # the formula is built from a certified zeta, whose constant
+        # terms are 1, so no source twists to a function with another
+        # constant term; the rebuild returns no such function either
         f = RationalFunction([1, 2], [1, -2])
-        source = self._source(f, 2)
-        seq = self._signed(source, 1, 1, 2)
+        seq = self._signed(_source(f), 1, 1, 2)
+        got = _certify(seq, 1, 1, f)
+        assert got == f
+        assert got.num.ints[0] == got.num.den and got.den.ints[0] == got.den.den
         for wrong in (RationalFunction([2, 4], [1, -2]), RationalFunction([0], [1])):
-            assert not _accepts(seq, source, 1, 1, wrong)
+            with pytest.raises(ValueError, match="constant term must be 1"):
+                log_sums(_sign_formula(wrong, 1, 1), 1)
             assert not _rebuilds_to(seq, wrong)
 
     def test_fraction_terms(self):
         f = RationalFunction([1], [1, Fraction(-1, 2)])
-        source = self._source(f, 1)
+        source = _source(f)
         assert [source(n) for n in (1, 9, 20)] == [Fraction(1, 2 ** n) for n in (1, 9, 20)]
         seq = self._signed(source, -1, 1, 2)
-        assert _accepts(seq, source, -1, 1, _sign_formula(f, -1, 1))
+        assert _accepts(seq, -1, 1, _sign_formula(f, -1, 1))
         assert _rebuilds_to(seq, RationalFunction([1], [1, Fraction(1, 2)]))
-        assert not _accepts(seq, source, -1, 1, RationalFunction([1], [1, Fraction(1, 3)]))
+        assert not _accepts(seq, -1, 1, RationalFunction([1], [1, Fraction(1, 3)]))
 
     def test_contexts_accept_what_the_rebuild_returns(self):
-        # on the corpus and the fixed-point fixtures the certificate
+        # on the corpus, the fixed-point fixtures and the benchmark's
+        # fixed-point ladder and corpus cases at seed 0 the certificate
         # accepts, and a direct rebuild of N on a fresh context returns
-        # the same function
+        # the same function.  The sign formula is built from S's integer
+        # forms and no check compares those forms, so this ties each
+        # construction to N; the goldens have no sigma = -1, the
+        # benchmark cases have every (sigma, eps)
         problems = (random_instances(0, 120)
                     + [prod for prod, _, _ in product_instances(0, 30)]
                     + [(fx.spec, fx.mapping) for fx in
                        map(load_fixture, FIXED_POINT_NAMES)])
+        for case in bench_cases("ladder", 0) + bench_cases("corpus", 0):
+            try:
+                parsed = parse_spec_data(case["spec"])
+            except ZetafixError:
+                continue
+            if not parsed.is_coincidence:
+                problems.append((parsed.spec, parsed.mapping))
+        assert len(problems) == 120 + 30 + 7 + 133
+        signs = set()
         for spec, f in problems:
-            formula = MapContext(spec, f).n_zeta.function
+            ctx = MapContext(spec, f)
+            formula = ctx.n_zeta.function
             assert zeta_from_terms(MapContext(spec, f).n_seq) == formula, spec.name
-
+            signs.add(((-1) ** ctx.split.n, (-1) ** (ctx.split.p + ctx.split.n)))
+        assert signs == set(itertools.product((1, -1), repeat=2))
 
 class TestSeriesTail:
     """Past its window an oracle with a zeta returns the zeta's log
@@ -672,17 +701,13 @@ class TestAnalytic:
         # about 3e-6 relative, because of the sixfold poles around it.
         poles = ((216, 1), (54, 1), (-54, 2), (36, 6), (-36, 3), (24, 3),
                  (-9, 3), (6, 3), (-6, 6), (4, 2), (-4, 1), (-1, 1))
-        den = Polynomial.one()
-        for lam, mult in poles:
-            for _ in range(mult):
-                den = den * Polynomial([1, -lam])
+        den = Polynomial(ref.product(*([1, -lam] for lam, mult in poles
+                                       for _ in range(mult))))
         assert den.degree == 32
         r = radius_of_convergence(RationalFunction([1], den))
         assert abs(r * 216 - 1) < 1e-12
         # a fivefold nearest pole
-        den = Polynomial([1, 3])
-        for _ in range(5):
-            den = den * Polynomial([1, -4])
+        den = Polynomial(ref.product([1, 3], *[[1, -4]] * 5))
         assert abs(radius_of_convergence(RationalFunction([1], den)) - 0.25) < 1e-12
 
     def test_radius_from_integer_factors_matches_monic_fractions(self):
@@ -691,12 +716,12 @@ class TestAnalytic:
         # the monic Fraction factors give, bit for bit
         rng = random.Random(52)
         for _ in range(40):
-            den = Polynomial([1])
+            den = [1]
             for _ in range(rng.randint(1, 4)):
-                factor = Polynomial([1] + [Fraction(rng.randint(-9, 9),
-                                                    rng.randint(1, 7))
-                                           for _ in range(rng.randint(1, 2))])
-                den = math.prod([factor] * rng.randint(1, 3), start=den)
+                factor = [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                for _ in range(rng.randint(1, 2))]
+                den = ref.product(den, *[factor] * rng.randint(1, 3))
+            den = Polynomial(den)
             if den.degree < 1:
                 continue
             monic = [ref.monic(s) for s, _ in
