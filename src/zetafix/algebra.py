@@ -613,23 +613,16 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
 
 def exterior_power(m: RationalMatrix, i: int) -> RationalMatrix:
     """i-th compound matrix: entries are i x i minors, with row and column
-    index subsets ordered lexicographically."""
+    index subsets ordered lexicographically.  A minor of M_int / s is the
+    minor of M_int, by Bareiss elimination, over s^i."""
     n = m.dim
     if not 0 <= i <= n:
         raise ValueError(f"exterior power index {i} out of range for dim {n}")
-    if i == 0:
-        return RationalMatrix.identity(1)
     subsets = list(itertools.combinations(range(n), i))
     a = m.ints
-    out = []
-    for rows_s in subsets:
-        out_row = []
-        for cols_s in subsets:
-            sub = RationalMatrix._from_ints([[a[r][c] for c in cols_s]
-                                             for r in rows_s], m.den)
-            out_row.append(det(sub))
-        out.append(out_row)
-    return RationalMatrix(out)
+    return RationalMatrix._from_ints(
+        [[_bareiss_det([[a[r][c] for c in cols_s] for r in rows_s])
+          for cols_s in subsets] for rows_s in subsets], m.den ** i)
 
 
 # --------------------------------------------------------------------------

@@ -32,9 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from .algebra import (AveragingKernel, RationalMatrix, _ScaledPowers,
-                      _gauss_jordan, _scaled_det, _sign)
-# unused here, but bench/test_bench.py checks that zetafix.invariants binds it
-from .algebra import det  # noqa: F401
+                      _gauss_jordan, _scaled_det, _sign, det)
 from .errors import (DegenerateFixedSet, NielsenFormulaMismatch,
                      NonIntegralLefschetz, NonIntegralNielsen, NotBlockCompatible,
                      NotCyclic, TrichotomyMismatch, ZetafixError)
@@ -505,65 +503,17 @@ def coincidence_trichotomy(spec: ManifoldSpec, map_f: AffineMapSpec,
 # --------------------------------------------------------------------------
 
 
-def _snf_diagonal(a) -> list[int]:
-    """Diagonal of an integer Smith-type reduction (no divisibility
-    normalization; the absolute product is what matters here)."""
-    n = len(a)
-    diag = []
-    a = [list(row) for row in a]
-    for t in range(n):
-        # find smallest nonzero entry in the trailing submatrix
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                diag.append(0)
-                break
-            bi, bj = best
-            a[t], a[bi] = a[bi], a[t]
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                q = a[i][t] // piv
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t] != 0:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // piv
-                if q:
-                    for i in range(t, n):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j] != 0:
-                    dirty = True
-            if not dirty:
-                diag.append(piv)
-                break
-    return diag
-
-
 def torus_periodic_points(d_mat: RationalMatrix, n: int) -> int:
     """Number of n-periodic points of the toral endomorphism induced by
-    an integer matrix: solutions of (I - D^n) x = 0 mod Z^m, counted by
-    Smith-form coset enumeration.  Equals |det(I - D^n)| when finite;
-    DegenerateFixedSet when the fixed set is a positive-dimensional
-    subtorus (det = 0)."""
+    an integer matrix D: the solutions of (I - D^n) x in Z^m on the torus
+    number |det(I - D^n)|, taken by Bareiss elimination, when that is
+    nonzero.  DegenerateFixedSet when it is 0: the fixed set is a subtorus."""
     if not d_mat.is_integral():
         raise ValueError("torus endomorphisms need an integer matrix")
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    m = RationalMatrix.identity(d_mat.dim) - d_mat.power(n)
-    diag = _snf_diagonal(m.ints)
-    if any(v == 0 for v in diag):
+    count = det(RationalMatrix.identity(d_mat.dim) - d_mat.power(n))
+    if count == 0:
         raise DegenerateFixedSet(
             f"det(I - D^{n}) = 0: fixed set is a subtorus")
-    count = 1
-    for v in diag:
-        count *= abs(v)
-    return count
+    return abs(int(count))

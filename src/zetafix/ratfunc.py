@@ -14,9 +14,9 @@ import operator
 from fractions import Fraction
 from itertools import filterfalse
 
-from .algebra import (Polynomial, _float_roots, _int_poly_mul,
+from .algebra import (Polynomial, _echo, _float_roots, _int_poly_mul,
                       _int_squarefree, _primitive, as_rational, poly_gcd)
-from .errors import InsufficientTerms, NotRational
+from .errors import InfinityInSequence, InsufficientTerms, NotRational
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -115,10 +115,8 @@ class SequenceOracle:
     steps).  A certificate that fails raises on every later read too."""
 
     def __init__(self, fn, degree_bound: int, name: str = "", zeta=None):
-        if degree_bound < 1:
-            raise ValueError("degree_bound must be >= 1")
         self._fn = lambda lo, hi: [fn(n) for n in range(lo, hi + 1)]
-        self.degree_bound = int(degree_bound)
+        self.degree_bound = _checked_bound(degree_bound)
         self.name = name
         self._cache: dict[int, object] = {}     # n -> a_n, as fn returns it
         self._certify = zeta
@@ -176,6 +174,16 @@ class SequenceOracle:
             s = -sum(map(operator.mul, rest, map(cache.__getitem__, range(j - 1, 0, -1))))
             q, r = divmod(s, w0)
             cache[j] = Fraction(s, w0) if r else q
+
+
+def _checked_bound(b) -> int:
+    """b if it is an int >= 1 (true and 2.5 are not): TypeError or
+    ValueError otherwise."""
+    if isinstance(b, bool) or not isinstance(b, int):
+        raise TypeError(f"degree_bound must be an int, got {_echo(b)}")
+    if b < 1:
+        raise ValueError("degree_bound must be >= 1")
+    return int(b)
 
 
 def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
@@ -369,14 +377,20 @@ def zeta_from_terms(seq: SequenceOracle, degree_bound: int | None = None) -> Rat
     resultant); the next prime is then tried.  When the search ends,
     or the series is not integral, the fraction-free exact fit decides,
     so its errors are the ones raised.  No coefficient bound is assumed
-    anywhere: the window check is the certificate.
+    anywhere: the window check is the certificate.  An infinite term
+    raises InfinityInSequence, with index the first infinite n.
     """
-    b = seq.degree_bound if degree_bound is None else int(degree_bound)
-    if b < 1:
-        raise ValueError("degree bound must be >= 1")
+    b = seq.degree_bound if degree_bound is None else _checked_bound(degree_bound)
     top = 3 * b + 4
-    f, scale = _exponential([a if isinstance(a, int) else as_rational(a)
-                             for a in seq.terms(top)])
+    terms = seq.terms(top)
+    try:
+        terms = [a if isinstance(a, int) else as_rational(a) for a in terms]
+    except TypeError:
+        n = next((n for n, a in enumerate(terms, 1) if a == math.inf), None)
+        if n is None:
+            raise
+        raise InfinityInSequence(f"term {n} is infinite", index=n) from None
+    f, scale = _exponential(terms)
     fit = _modular_fit(f, b, top) if scale == 1 else None
     if fit is None:
         fit = _exact_fit(f, b, top)

@@ -91,6 +91,15 @@ class ParsedSpec(namedtuple("ParsedSpec", "spec mapping mapping2 options",
         return self.mapping2 is not None
 
 
+def _known_keys(obj: dict, keys, what: str) -> None:
+    """Refuse a key of obj outside keys, so that a misspelt one ("map_2"
+    for "map2") is not dropped without a word."""
+    unknown = obj.keys() - keys
+    if unknown:
+        raise InvalidSpecFile(
+            f"{what} has an unknown key {min(map(_echo, unknown))}")
+
+
 class _OversizedInt:
     """An integer literal longer than the interpreter converts (see
     sys.get_int_max_str_digits); every field rejects it by type."""
@@ -163,6 +172,7 @@ def _string(v, what: str) -> str:
 def _parse_map(obj, what: str) -> AffineMapSpec:
     if not isinstance(obj, dict) or "label" not in obj or "D" not in obj:
         raise InvalidSpecFile(f"{what} needs 'label' and 'D'")
+    _known_keys(obj, ("label", "D", "translation"), what)
     translation = obj.get("translation")
     if translation is not None:
         if not isinstance(translation, list):
@@ -178,10 +188,12 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     """Build and validate a ParsedSpec from decoded JSON."""
     if not isinstance(data, dict):
         raise InvalidSpecFile("spec file must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InvalidSpecFile(
-            f"unsupported schema {_echo(data.get('schema'))}; expected "
-            f"{SCHEMA_VERSION}")
+            f"unsupported schema {_echo(schema)}; expected {SCHEMA_VERSION}")
+    _known_keys(data, ("schema", "name", "dimension", "holonomy", "map", "map2",
+                       "options"), "the spec")
     for field in ("name", "dimension", "holonomy", "map"):
         if field not in data:
             raise InvalidSpecFile(f"missing field {field!r}")
@@ -191,9 +203,10 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     holonomy = []
     if not isinstance(data["holonomy"], list):
         raise InvalidSpecFile("holonomy must be a list")
-    for item in data["holonomy"]:
+    for i, item in enumerate(data["holonomy"]):
         if not isinstance(item, dict) or "label" not in item or "matrix" not in item:
             raise InvalidSpecFile("each holonomy item needs 'label' and 'matrix'")
+        _known_keys(item, ("label", "matrix"), f"holonomy item {i}")
         holonomy.append((_string(item["label"], "holonomy item label"),
                          _matrix_from_json(item["matrix"], "holonomy matrix")))
     spec = ManifoldSpec.make(data["name"], data["dimension"], holonomy)
@@ -206,9 +219,8 @@ def parse_spec_data(data: dict) -> ParsedSpec:
     raw_opts = {} if data.get("options") is None else data["options"]
     if not isinstance(raw_opts, dict):
         raise InvalidSpecFile("options must be an object")
-    return ParsedSpec(spec, *maps, options=SpecOptions(
-        **{key: raw_opts[key] for key in SpecOptions._fields
-           if key in raw_opts}))
+    _known_keys(raw_opts, SpecOptions._fields, "options")
+    return ParsedSpec(spec, *maps, options=SpecOptions(**raw_opts))
 
 
 def parse_spec_file(path) -> ParsedSpec:

@@ -710,12 +710,16 @@ class TestTorusOracle:
         for d, n in cases:
             assert torus_periodic_points(d, n) == brute_force_torus_count(d, n)
 
-    def test_matches_torus_nielsen(self):
+    @staticmethod
+    def _torus_problems():
         labels = {1: "t1", 2: "t2", 3: "t3"}
         for d in random_integer_matrices(seed=303, count=40):
             spec = ManifoldSpec.make(labels[d.dim], d.dim,
                                      [("I", RationalMatrix.identity(d.dim))])
-            mapping = AffineMapSpec.make("f", d)
+            yield d, spec, AffineMapSpec.make("f", d)
+
+    def test_matches_torus_nielsen(self):
+        for d, spec, mapping in self._torus_problems():
             for n in range(1, 5):
                 try:
                     count = torus_periodic_points(d, n)
@@ -723,6 +727,22 @@ class TestTorusOracle:
                     assert nielsen(spec, mapping, n) == 0
                     continue
                 assert count == nielsen(spec, mapping, n)
+
+    def test_grid_count_on_random_matrices(self):
+        # The oracle is |det(I - D^n)| itself, so counting the fixed
+        # points on the (1/q)-grid is the independent check that the
+        # formula counts them.  The grid has q^dim points; at most 1,000
+        # keeps the test fast.
+        checked = 0
+        for d, spec, mapping in self._torus_problems():
+            for n in range(1, 4):
+                q = abs(det(RationalMatrix.identity(d.dim) - d.power(n)))
+                if q == 0 or q ** d.dim > 1000:
+                    continue
+                assert brute_force_torus_count(d, n) == \
+                    torus_periodic_points(d, n) == nielsen(spec, mapping, n)
+                checked += 1
+        assert checked >= 60
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFixedSet):

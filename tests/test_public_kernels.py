@@ -22,8 +22,9 @@ TRACER = TESTS.parent / "bench" / "tracer.py"
 # stays public.
 UNCALLED = {
     ("invariants", "torus_periodic_points"):
-        "the Smith-form torus oracle that acceptance criterion 08 checks "
-        "N(f^n) = |det(I - D^n)| against; no report section reads it yet",
+        "the torus oracle, |det(I - D^n)| by Bareiss elimination, that "
+        "acceptance criterion 08 checks the averaged N(f^n) against; no "
+        "report section reads it yet",
     ("zetas", "torsion_special_value"):
         "the paper's link to the Reidemeister torsion of the mapping "
         "torus, an API entry point that no report prints yet",

@@ -17,11 +17,13 @@ import zetafix.ratfunc
 from _corpus import (bench_cases, dense_torus, ladder_instances, product_instances,
                      random_instances)
 from conftest import FIXED_POINT_NAMES, log_sums
-from zetafix import (InsufficientTerms, NielsenFormulaMismatch, NotRational,
+from zetafix import (InfinityInSequence, InsufficientTerms,
+                     NielsenFormulaMismatch, NotRational,
                      OutOfFloatRange, Polynomial, RationalFunction,
                      SequenceOracle, ZetafixError, builtin_fixtures,
                      format_polynomial, load_fixture, parse_spec_data,
-                     radius_of_convergence, zeta_from_terms)
+                     radius_of_convergence, reidemeister_sequence,
+                     zeta_from_terms)
 from zetafix.algebra import _int_squarefree, _primitive
 from zetafix.invariants import (MapContext, _lefschetz_terms, _sign_formula_zeta,
                                  map_context)
@@ -156,6 +158,12 @@ class TestSequenceOracle:
         with pytest.raises(ValueError, match=r"^degree_bound must be >= 1$"):
             SequenceOracle(lambda n: n, bound)
 
+    @pytest.mark.parametrize("bound", [2.5, True, 3.0, "3", None])
+    def test_bound_must_be_an_int(self, bound):
+        # 2.5 would be cut to 2 and True read as 1
+        with pytest.raises(TypeError, match=r"^degree_bound must be an int, got "):
+            SequenceOracle(lambda n: n, bound)
+
 
 class TestMinLinearRecurrence:
     """The fraction-free Berlekamp-Massey: the order, and the connection
@@ -185,6 +193,32 @@ class TestMinLinearRecurrence:
 
 
 class TestZetaFromTerms:
+    @pytest.mark.parametrize("bound", [2.5, True, 3.0])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(TypeError, match=r"^degree_bound must be an int, got "):
+            zeta_from_terms(_oracle(lambda n: 2, 4), bound)
+
+    def test_none_bound_is_the_oracles_own(self):
+        seq = _oracle(lambda n: 2, 4)
+        assert zeta_from_terms(seq, None) == zeta_from_terms(seq, 4)
+
+    def test_infinite_term_raises_with_its_index(self):
+        # every R(f^n) of the identity torus is infinite
+        fx = load_fixture("identity_torus")
+        with pytest.raises(InfinityInSequence, match=r"^term 1 is infinite$") as e:
+            zeta_from_terms(reidemeister_sequence(fx.spec, fx.mapping))
+        assert e.value.index == 1
+
+    def test_first_infinite_term_is_named(self):
+        seq = _oracle(lambda n: math.inf if n % 3 == 0 else Fraction(n, 2), 2)
+        with pytest.raises(InfinityInSequence) as e:
+            zeta_from_terms(seq)
+        assert e.value.index == 3
+
+    def test_other_bad_terms_keep_their_error(self):
+        with pytest.raises(TypeError, match="as a rational number"):
+            zeta_from_terms(_oracle(lambda n: None, 2))
+
     def test_alternating_doubling(self):
         seq = _oracle(lambda n: 2 ** n * (1 - (-1) ** n), 4)
         assert zeta_from_terms(seq) == RationalFunction([1, 2], [1, -2])

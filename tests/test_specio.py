@@ -222,6 +222,46 @@ class TestRejection:
         with pytest.raises(InvalidSpecFile, match="schema"):
             parse_spec_data(_minimal(schema=2))
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", None])
+    def test_schema_must_be_the_integer_one(self, schema):
+        # true and 1.0 compare equal to 1 but are not the integer 1
+        with pytest.raises(InvalidSpecFile) as e:
+            parse_spec_data(_minimal(schema=schema))
+        assert str(e.value) == f"unsupported schema {schema!r}; expected 1"
+
+    def test_misspelt_map2_is_refused(self):
+        # "map_2" would otherwise turn the coincidence pair into a
+        # fixed-point problem of its first map
+        data = _raw("halfturn_coincidence")
+        data["map_2"] = data.pop("map2")
+        with pytest.raises(InvalidSpecFile) as e:
+            parse_spec_data(data)
+        assert str(e.value) == "the spec has an unknown key 'map_2'"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"Schema": 1}, "the spec has an unknown key 'Schema'"),
+        ({"map": {"label": "f", "D": [[2]], "translaton": [0]}},
+         "map has an unknown key 'translaton'"),
+        ({"map2": {"label": "g", "d": [[3]], "D": [[3]]}},
+         "map2 has an unknown key 'd'"),
+        ({"holonomy": [{"label": "I", "matrix": [[1]], "matrx": [[1]]}]},
+         "holonomy item 0 has an unknown key 'matrx'"),
+        ({"options": {"nmax": 3}}, "options has an unknown key 'nmax'"),
+        ({"options": {"n_max": 3, "x" * 500: 1}},
+         "options has an unknown key '" + "x" * 63 + "... (500 characters)"),
+    ], ids=["top-level", "map", "map2", "holonomy-item", "options", "long-key"])
+    def test_unknown_key_is_refused(self, overrides, message, tmp_path):
+        data = _minimal(**overrides)
+        with pytest.raises(InvalidSpecFile) as e:
+            parse_spec_data(data)
+        assert str(e.value) == message
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", str(path)]) == 2
+        assert err.getvalue() == f"error: InvalidSpecFile: {message}\n"
+
     @pytest.mark.parametrize("field", ["name", "dimension", "holonomy", "map"])
     def test_missing_field(self, field):
         data = _minimal()
@@ -389,12 +429,12 @@ class TestRejection:
          "options.degree_bound_override must be an integer or null, got 'x'"),
         ({"n_max": 2.5, "tolerance": 0, "degree_bound_override": True},
          "options.n_max must be an integer, got 2.5"),
-        ({"n_max": 0, "tolerance": 2, "degree_bound_override": 0, "extra": 1},
+        ({"n_max": 0, "tolerance": 2, "degree_bound_override": 0},
          "options.n_max must be >= 1"),
     ])
     def test_first_error_of_a_multi_fault_options_block(self, options, message):
         # every type check (tolerance, n_max, override) before every
-        # range check (n_max, tolerance, override); unknown keys ignored
+        # range check (n_max, tolerance, override)
         with pytest.raises(InvalidSpecFile) as parsed:
             parse_spec_data(_minimal(options=options))
         assert str(parsed.value) == message
